@@ -59,25 +59,11 @@ def char_inverse(chi: Character) -> Character:
 
 def char_conjugate(group: FiniteGroup, chi: Character, sigma: int) -> Character:
     """The character x -> chi(sigma^-1 x sigma) on the conjugated domain."""
-    inv = group.inv(sigma)
     return {group.conj(sigma, g): v for g, v in chi.items()}
 
 
 def char_restrict(chi: Character, subdomain: FrozenSet[int]) -> Character:
     return {g: v for g, v in chi.items() if g in subdomain}
-
-
-def char_order(chi: Character) -> int:
-    n = 1
-    for v in chi.values():
-        n = n * v.denominator // _gcd(n, v.denominator)
-    return n
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def character_group(group: FiniteGroup, subgroup: FrozenSet[int]) -> List[Character]:
@@ -305,8 +291,9 @@ def validate_chi(chi: ChiData, datum: GRootDatum, frame: GaloisFrame) -> ChiDiag
                 if any(chi_rep[s] != 0 for s in inertia_part):
                     ok = False
                     notes.append("unramified symmetric class ramifies the character")
-                frob_gen = _frobenius_part_generator(g, stab, inertia_part)
-                if frob_gen is not None and _mod1(2 * chi_rep[frob_gen]) != 0:
+                frob_gens = g.quotient_generators(stab, inertia_part)
+                if (inertia_part != stab and frob_gens
+                        and _mod1(2 * chi_rep[frob_gens[0]]) != 0):
                     ok = False
                     notes.append("character order exceeds 2 on the Frobenius part")
             # order-two witness: square of a negating element
@@ -328,23 +315,6 @@ def validate_chi(chi: ChiData, datum: GRootDatum, frame: GaloisFrame) -> ChiDiag
             ramified=ramified, template_ok=ok, template_notes=tuple(notes),
             cond3_witness=witness, cond3_value=wval))
     return ChiDiagnostics(tuple(cond1), tuple(cond2), tuple(classes))
-
-
-def _frobenius_part_generator(group: FiniteGroup, stab: FrozenSet[int],
-                              inertia_part: FrozenSet[int]) -> Optional[int]:
-    """Element of the stabilizer whose class generates stabilizer/(inertia part)."""
-    quotient_size = len(stab) // len(inertia_part)
-    if quotient_size == 1:
-        return None
-    for s in sorted(stab):
-        # order of s in the quotient
-        k, x = 1, s
-        while x not in inertia_part:
-            x = group.mul(x, s)
-            k += 1
-        if k == quotient_size:
-            return s
-    return None
 
 
 def base_change_chi(chi: ChiData, subgroup: FrozenSet[int], datum: GRootDatum,
@@ -382,21 +352,6 @@ class SectionChoices:
     v: Dict[str, Dict[int, int]]
 
 
-def _right_cosets_in(group: FiniteGroup, subgroup: Sequence[int],
-                     ambient: Sequence[int]) -> List[FrozenSet[int]]:
-    """Right cosets subgroup\\ambient inside the subgroup `ambient` of the group."""
-    seen: Dict[int, FrozenSet[int]] = {}
-    out = []
-    for a in sorted(ambient):
-        if a in seen:
-            continue
-        coset = frozenset(group.mul(h, a) for h in subgroup)
-        for y in coset:
-            seen[y] = coset
-        out.append(coset)
-    return out
-
-
 def default_choices(datum: GRootDatum, frame: GaloisFrame,
                     within: Optional[FrozenSet[int]] = None) -> SectionChoices:
     """Minimal-element representatives and sections, inside the whole group
@@ -410,8 +365,8 @@ def default_choices(datum: GRootDatum, frame: GaloisFrame,
         reps[class_id] = rep
         stab_pm = _stab_pm(datum, g, rep, within=frozenset(ambient))
         stab = _stab(datum, g, rep, within=frozenset(ambient))
-        u[class_id] = {min(c): min(c) for c in _right_cosets_in(g, sorted(stab_pm), ambient)}
-        v[class_id] = {min(c): min(c) for c in _right_cosets_in(g, sorted(stab), sorted(stab_pm))}
+        u[class_id] = {min(c): min(c) for c in g.right_cosets(stab_pm, ambient)}
+        v[class_id] = {min(c): min(c) for c in g.right_cosets(stab, stab_pm)}
     return SectionChoices(reps, u, v)
 
 
@@ -512,19 +467,10 @@ def subframe_of(frame: GaloisFrame, subgroup: FrozenSet[int]) -> GaloisFrame:
     if not g.is_subgroup(subgroup):
         raise ValueError("not a subgroup")
     inertia_sub = frame.inertia & subgroup
-    quotient_size = len(subgroup) // len(inertia_sub)
-    frob = None
-    for h in sorted(subgroup):
-        k, x = 1, h
-        while x not in inertia_sub:
-            x = g.mul(x, h)
-            k += 1
-        if k == quotient_size:
-            frob = h
-            break
-    if frob is None:
+    frobs = g.quotient_generators(subgroup, inertia_sub)
+    if not frobs:
         raise ValueError("subgroup quotient by its inertia part is not cyclic")
-    return GaloisFrame(g, inertia_sub, frob, frame.pp, carrier=subgroup)
+    return GaloisFrame(g, inertia_sub, frobs[0], frame.pp, carrier=subgroup)
 
 
 def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
@@ -546,7 +492,6 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
         raise ValueError("base change must start from the full frame")
     if not g.is_subgroup(subgroup):
         raise ValueError("not a subgroup")
-    sub_sorted = sorted(subgroup)
     top = SectionChoices(dict(choices_k.reps), {}, {cid: dict(vv) for cid, vv in choices_k.v.items()})
     sub_reps: Dict[str, Root] = {}
     sub_u: Dict[str, Dict[int, int]] = {}
@@ -570,13 +515,12 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
             stab_pm_sub = _stab_pm(datum, g, alpha_z, within=subgroup)
             stab_sub = _stab(datum, g, alpha_z, within=subgroup)
             # free outer section inside the subgroup
-            uz = {min(cs): min(cs)
-                  for cs in _right_cosets_in(g, sorted(stab_pm_sub), sub_sorted)}
+            uz = {min(cs): min(cs) for cs in g.right_cosets(stab_pm_sub, subgroup)}
             sub_u[sub_class_id] = uz
             # inner section by conjugation through c; values may leave the
             # subgroup (they live in the ambient stabilizer of alpha_z)
             vz: Dict[int, int] = {}
-            for cs in _right_cosets_in(g, sorted(stab_sub), sorted(stab_pm_sub)):
+            for cs in g.right_cosets(stab_sub, stab_pm_sub):
                 y_key = min(cs)
                 upstairs = _coset_key(g, stab, g.mul(g.mul(c, y_key), cinv))
                 vz[y_key] = g.mul(g.mul(cinv, v_top[upstairs]), c)
@@ -588,7 +532,7 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
                 if x_key in new_u:
                     raise AssertionError("coset received two derived section values")
                 new_u[x_key] = x_elem
-        expected = {min(cs) for cs in _right_cosets_in(g, sorted(stab_pm), list(g.elements))}
+        expected = {min(cs) for cs in g.right_cosets(stab_pm)}
         if set(new_u.keys()) != expected:
             raise AssertionError("derived top section does not cover all cosets")
         top.u[class_id] = new_u

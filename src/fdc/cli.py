@@ -73,9 +73,9 @@ def _cmd_degree(args: argparse.Namespace) -> int:
         print("error: %s" % e, file=sys.stderr)
         return 2
     shape = scen.shape()
-    torus = scen.torus()
+    torus = scen.torus
     if scen.depth_zero.regular:
-        reg = regular_degree(shape, scen.datum, scen.frame, torus)
+        reg = regular_degree(shape, torus)
         payload = {
             "name": scen.name,
             "q": scen.pp.q,
@@ -115,7 +115,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     except ScenarioError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    gal = galois_side(scen.datum, scen.frame, scen.filtration, scen.orbits)
+    gal = galois_side(scen.datum, scen.frame, scen.filtration, scen.orbits, scen.torus)
     payload = {
         "name": scen.name,
         "q": scen.pp.q,

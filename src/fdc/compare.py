@@ -1,8 +1,9 @@
 """Two-sided comparison of a scenario and report emission.
 
-For each scenario both pipelines run from scratch: the automorphic degree
-in its two prefactor normalizations, and the assembled adjoint gamma value
-divided by the component-group order.  The verdict compares the full-index
+For each scenario both pipelines run on the scenario's one copy of the
+torus lattice data: the automorphic degree in its two prefactor
+normalizations, and the assembled adjoint gamma value divided by the
+component-group order.  The verdict compares the full-index
 normalization against the Galois value; when they agree but the printed
 special-fiber normalization differs (their ratio is the Kottwitz-style
 index), the verdict is FLAGGED rather than EQUAL, with the discrepancy
@@ -43,8 +44,8 @@ from .scenario import Scenario, fraction_str
 from .weil_gamma import GaloisSide, galois_side
 from .zlattice import (
     coinvariants_order,
-    dual_action,
     invariant_sublattice,
+    mat_transpose,
     restrict_endomorphism,
 )
 
@@ -119,8 +120,8 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
     """
     t0 = time.monotonic()
     shape = scenario.shape()
-    torus = scenario.torus()
-    reg: RegularDegree = regular_degree(shape, scenario.datum, scenario.frame, torus)
+    torus = scenario.torus
+    reg: RegularDegree = regular_degree(shape, torus)
     gal: GaloisSide = galois_side(scenario.datum, scenario.frame,
                                   scenario.filtration, scenario.orbits, torus)
 
@@ -131,9 +132,11 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
         raise AssertionError("point-index factorization failed")
 
     # Coinvariant factorization on the cocharacter lattice, all three orders
-    # computed by independent routes.
-    dual_gens = [dual_action(scenario.datum.action[a]) for a in sorted(scenario.frame.inertia)]
-    dual_frob = dual_action(scenario.datum.action[scenario.frame.frobenius])
+    # computed by independent routes.  The dual action is M(g^-1)^T: loading
+    # checked that the action is a homomorphism.
+    action, inv = scenario.datum.action, scenario.frame.group.inv
+    dual_gens = [mat_transpose(action[inv(a)]) for a in sorted(scenario.frame.inertia)]
+    dual_frob = mat_transpose(action[inv(scenario.frame.frobenius)])
     basis = invariant_sublattice(scenario.datum.rank, dual_gens)
     if basis:
         f_on_inv = restrict_endomorphism(dual_frob, basis)

@@ -24,21 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .galois_roots import (
-    GaloisFrame,
-    GRootDatum,
     HoweFiltration,
     OrbitInfo,
     TorusLatticeData,
-    torus_lattice_data,
     validate_depth_lattice,
 )
 from .mp_filtration import JumpAssignment, jump_length_at, count_torsor_points, just_above, at
-from .qexact import PrimePower, QMonomial, exp_q
-
-RationalLike = Union[int, Fraction]
+from .qexact import PrimePower, QMonomial, RationalLike, exp_q
 
 
 # -- shapes and depth-zero data -------------------------------------------------
@@ -219,8 +214,7 @@ class RegularDegree:
         return (Fraction(1, self.full_point_index), self.monomial)
 
 
-def regular_degree(shape: YuShape, datum: GRootDatum, frame: GaloisFrame,
-                   torus: Optional[TorusLatticeData] = None) -> RegularDegree:
+def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
     """Formal degree of a regular scenario, from the torus lattice alone.
 
     The exponent is dim(G)/2 + rank(M)/2 + sum_i s_i (|R_{i+1}| - |R_i|)
@@ -228,8 +222,6 @@ def regular_degree(shape: YuShape, datum: GRootDatum, frame: GaloisFrame,
     special-fiber order |det(qF - 1)| and as the reciprocal full index
     assembled from the product identity.
     """
-    if torus is None:
-        torus = torus_lattice_data(datum, frame)
     checks = validate_depth_lattice(shape.filtration, shape.orbits)
     bad = [c for c in checks if not c.ok]
     if bad:

@@ -18,25 +18,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .qexact import PrimePower
 from .zlattice import (
+    INFINITY,
     FgAbelianGroup,
-    Infinite,
     Matrix,
     Vector,
     coinvariants_order,
-    dual_action,
     fg_fixed_order,
     group_coinvariants,
     invariant_sublattice,
     is_unimodular,
+    kernel_basis,
     mat_eq,
     mat_mul,
+    mat_transpose,
     mat_vec,
     restrict_endomorphism,
-    solve_rational,
     twisted_fixed_order,
 )
 
@@ -121,20 +121,35 @@ class FiniteGroup:
             return False
         return all(self.mul(a, b) in h for a in h for b in h)
 
-    def is_normal(self, h: FrozenSet[int]) -> bool:
-        return all(self.conj(g, x) in h for g in self.elements for x in h)
+    def right_cosets(self, h: FrozenSet[int],
+                     ambient: Optional[Iterable[int]] = None) -> List[FrozenSet[int]]:
+        """Right cosets H\\A inside a subgroup A containing H (the whole group
+        by default), ordered by their minimal element."""
+        out: List[FrozenSet[int]] = []
+        seen: set = set()
+        # Scanning in increasing order meets each coset first at its minimum.
+        for g in (sorted(ambient) if ambient is not None else self.elements):
+            if g not in seen:
+                coset = frozenset(self.mul(x, g) for x in h)
+                seen |= coset
+                out.append(coset)
+        return out
 
-    def right_cosets(self, h: FrozenSet[int]) -> List[FrozenSet[int]]:
-        """Right cosets H\\G, ordered by their minimal element."""
-        seen: Dict[int, FrozenSet[int]] = {}
-        for g in self.elements:
-            if g in seen:
-                continue
-            coset = frozenset(self.mul(x, g) for x in h)
-            for y in coset:
-                seen[y] = coset
-        order = sorted({min(c) for c in seen.values()})
-        return [seen[m] for m in order]
+    def quotient_generators(self, ambient: Iterable[int],
+                            normal: FrozenSet[int]) -> List[int]:
+        """Elements of the subgroup A whose class generates A/N, for N normal
+        in A, in increasing order: those of order |A|/|N| modulo N."""
+        ambient = sorted(ambient)
+        quotient_size = len(ambient) // len(normal)
+        out = []
+        for g in ambient:
+            k, x = 1, g
+            while x not in normal:
+                x = self.mul(x, g)
+                k += 1
+            if k == quotient_size:
+                out.append(g)
+        return out
 
     def double_cosets(self, k: FrozenSet[int], h: FrozenSet[int]) -> List[FrozenSet[int]]:
         """Double cosets K\\G/H, ordered by their minimal element."""
@@ -365,10 +380,6 @@ class GRootDatum:
         """Dimension of the ambient group: toral rank plus number of roots."""
         return self.rank + len(self.roots)
 
-    def dual_action_matrix(self, g: int) -> Matrix:
-        from .zlattice import dual_action
-        return dual_action(self.action[g])
-
 
 @dataclass(frozen=True)
 class OrbitInfo:
@@ -436,13 +447,6 @@ def orbit_map(orbits: Sequence[OrbitInfo]) -> Dict[str, OrbitInfo]:
     return {o.orbit_id: o for o in orbits}
 
 
-def orbit_of_root(orbits: Sequence[OrbitInfo], root: Vector) -> OrbitInfo:
-    for o in orbits:
-        if root in o.members:
-            return o
-    raise KeyError("root %s lies in no orbit" % (root,))
-
-
 # -- the Howe filtration -------------------------------------------------------
 
 
@@ -493,16 +497,16 @@ class HoweFiltration:
 
 
 def _span_closure(vectors: Sequence[Vector], candidates: FrozenSet[Vector]) -> FrozenSet[Vector]:
-    """Roots among the candidates lying in the rational span of the vectors."""
+    """Roots among the candidates lying in the rational span of the vectors.
+
+    The span is its own double orthogonal, so a candidate lies in it exactly
+    when it is orthogonal to the integer kernel of the vectors taken as rows.
+    """
     if not vectors:
         return frozenset()
-    cols = [list(v) for v in vectors]
-    mat = [list(row) for row in zip(*cols)]
-    out = set()
-    for c in candidates:
-        if solve_rational(mat, [Fraction(x) for x in c]) is not None:
-            out.add(c)
-    return frozenset(out)
+    perp = kernel_basis([list(v) for v in vectors])
+    return frozenset(c for c in candidates
+                     if all(sum(x * y for x, y in zip(c, w)) == 0 for w in perp))
 
 
 def howe_filtration(datum: GRootDatum, frame: GaloisFrame,
@@ -595,22 +599,31 @@ class TorusLatticeData:
 
 
 def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeData:
+    """Compute the torus lattice data of a datum that passed
+    :meth:`GRootDatum.check_against_frame`.
+
+    That check makes the action a homomorphism, so the contragredient
+    M(g)^-T on the cocharacter lattice is read off as M(g^-1)^T.
+    """
     q = frame.q
     car = sorted(frame.carrier_set)
+    inv = frame.group.inv
+
+    def dual(a: int) -> Matrix:
+        return mat_transpose(datum.action[inv(a)])
+
     inertia_gens = [datum.action[a] for a in sorted(frame.inertia)]
     m_basis = tuple(invariant_sublattice(datum.rank, inertia_gens))
     f_m = restrict_endomorphism(datum.action[frame.frobenius], m_basis)
     special = twisted_fixed_order(f_m, q)
     coinv = coinvariants_order(f_m)
-    if isinstance(coinv, Infinite):
+    if coinv is INFINITY:
         raise ValueError("Frobenius coinvariants of M are infinite; datum is not elliptic")
-    dual_gens_all = [dual_action(datum.action[a]) for a in car]
-    full = group_coinvariants(datum.rank, dual_gens_all)
-    if isinstance(full.order, Infinite):
+    full = group_coinvariants(datum.rank, [dual(a) for a in car])
+    if full.order is INFINITY:
         raise ValueError("cocharacter coinvariants are infinite; datum is not elliptic")
-    dual_inertia = [dual_action(datum.action[a]) for a in sorted(frame.inertia)]
-    dual_frob = dual_action(datum.action[frame.frobenius])
-    cochar_inertia = group_coinvariants(datum.rank, dual_inertia, endo=dual_frob)
+    dual_inertia = [dual(a) for a in sorted(frame.inertia)]
+    cochar_inertia = group_coinvariants(datum.rank, dual_inertia, endo=dual(frame.frobenius))
     kottwitz = fg_fixed_order(cochar_inertia)
     return TorusLatticeData(
         rank=datum.rank,

@@ -30,9 +30,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .galois_roots import GRootDatum, HoweFiltration, OrbitInfo
-from .qexact import PrimePower, QMonomial, exp_q
-
-RationalLike = Union[int, Fraction]
+from .qexact import PrimePower, QMonomial, RationalLike, exp_q
+from .zlattice import INFINITY, Infinity
 
 
 # -- extended indices ----------------------------------------------------------
@@ -42,8 +41,8 @@ RationalLike = Union[int, Fraction]
 class ExtIndex:
     """Index r or r+ in the extended totally ordered index set.
 
-    Ordering: r < r+ < s for r < s; INFINITY (represented separately) is
-    maximal.  Addition follows the Bruhat-Tits convention r+ + s = (r+s)+.
+    Ordering: r < r+ < s for r < s; INFINITY (the sentinel from ``zlattice``)
+    is maximal.  Addition follows the Bruhat-Tits convention r+ + s = (r+s)+.
     """
 
     r: Fraction
@@ -69,32 +68,7 @@ class ExtIndex:
         return "%s+" % self.r if self.plus else str(self.r)
 
 
-class _Infinity:
-    _instance: Optional["_Infinity"] = None
-
-    def __new__(cls) -> "_Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return other is INFINITY
-
-    def __add__(self, other) -> "_Infinity":
-        return self
-
-    def __radd__(self, other) -> "_Infinity":
-        return self
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-ExtIndexLike = Union[ExtIndex, _Infinity]
+ExtIndexLike = Union[ExtIndex, Infinity]
 
 
 def at(r: RationalLike) -> ExtIndex:
@@ -158,12 +132,16 @@ def jump_length_at(orbit: OrbitInfo, jumps: JumpAssignment, t: RationalLike) -> 
 def count_torsor_points(orbit: OrbitInfo, jumps: JumpAssignment,
                         lo: ExtIndexLike, hi: ExtIndexLike) -> int:
     """Number of torsor points t with lo <= t < hi (extended endpoints)."""
+    return _torsor_point_count(jumps.offset(orbit), orbit.e, lo, hi)
+
+
+def _torsor_point_count(off: Fraction, e: int, lo: ExtIndexLike, hi: ExtIndexLike) -> int:
+    """Number of points t of off + (1/e)Z with lo <= t < hi."""
     if hi is INFINITY or lo is INFINITY:
         raise ValueError("unbounded interval")
     if lo == hi or hi < lo:
         return 0
-    step = Fraction(1, orbit.e)
-    off = jumps.offset(orbit)
+    step = Fraction(1, e)
     # Smallest k with off + k*step satisfying the lower constraint.
     lo_bound = (lo.r - off) / step
     k_min = lo_bound.numerator // lo_bound.denominator  # floor
@@ -541,23 +519,6 @@ def quotient_order(f: Mapping[str, Union[RationalLike, ExtIndexLike]],
     fe, ge = _ext_of(f, TORAL_KEY), _ext_of(g, TORAL_KEY)
     if ge is INFINITY:
         raise ValueError("infinite upper toral cut-off")
-    toral_orbit = _toral_grid_count(fe, ge, toral_e)
-    total += toral_rank * toral_orbit
+    total += toral_rank * _torsor_point_count(Fraction(0), toral_e, fe, ge)
     return exp_q(total, pp)
 
-
-def _toral_grid_count(lo: ExtIndex, hi: ExtIndex, e: int) -> int:
-    """Points of (1/e)Z in [lo, hi)."""
-    step = Fraction(1, e)
-    k = lo.r / step
-    k0 = k.numerator // k.denominator
-    while k0 * step < lo.r or (k0 * step == lo.r and lo.plus):
-        k0 += 1
-    count = 0
-    while True:
-        t = k0 * step
-        if t > hi.r or (t == hi.r and not hi.plus):
-            break
-        count += 1
-        k0 += 1
-    return count

@@ -19,14 +19,17 @@ and retries the rare draws that violate the rational-closure condition.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .chi_data import ChiData, character_group, char_conjugate, char_inverse, validate_chi
 from .formal_degree import DepthZeroData, YuShape
 from .galois_roots import (
+    DepthValue,
     FiniteGroup,
     GaloisFrame,
     GRootDatum,
@@ -43,8 +46,6 @@ from .galois_roots import (
 )
 from .mp_filtration import JumpAssignment
 from .qexact import PrimePower
-
-DepthValue = Union[Fraction, str]
 
 
 class ScenarioError(ValueError):
@@ -113,11 +114,15 @@ class Scenario:
             flags.append("inertia-stable positivity on the zeroth level is assumed")
         return tuple(flags)
 
+    @cached_property
     def torus(self) -> TorusLatticeData:
+        """The torus lattice data, computed on first use and kept; both
+        sides of the comparison and every subcommand read this one copy."""
         return torus_lattice_data(self.datum, self.frame)
 
     def with_q(self, pp: PrimePower) -> "Scenario":
-        """The same combinatorial scenario at a different residue size."""
+        """The same combinatorial scenario at a different residue size (a new
+        object, so its torus data are computed afresh for the new q)."""
         frame = GaloisFrame(self.frame.group, self.frame.inertia,
                             self.frame.frobenius, pp, self.frame.carrier)
         return Scenario(self.name, pp, frame, self.datum, self.orbits, self.jumps,
@@ -306,18 +311,18 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     if failures:
         raise ScenarioError(failures)
 
-    # ellipticity-dependent lattice data must be computable
-    try:
-        torus_lattice_data(datum, frame)
-    except ValueError as e:
-        raise ScenarioError([("zlattice", "torus", str(e))])
-
-    return Scenario(
+    scen = Scenario(
         name=name, pp=pp, frame=frame, datum=datum, orbits=orbits, jumps=jumps,
         theta_depths=depths, theta_total_depth=total, filtration=filtration,
         depth_zero=depth_zero, chi=chi, options=dict(doc.get("options", {})),
         group_encoding=dict(doc["group"]) if "perm_gens" in doc["group"] else None,
     )
+    # ellipticity-dependent lattice data must be computable
+    try:
+        scen.torus
+    except ValueError as e:
+        raise ScenarioError([("zlattice", "torus", str(e))])
+    return scen
 
 
 def load_scenario(path: str) -> Scenario:
@@ -327,11 +332,6 @@ def load_scenario(path: str) -> Scenario:
         except json.JSONDecodeError as e:
             raise ScenarioError([("cli", "file", "parse error: %s" % e)])
     return scenario_from_dict(doc)
-
-
-def dump_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scenario.to_json())
 
 
 # -- random generation ------------------------------------------------------------
@@ -518,9 +518,7 @@ def generate_scenario(rng: random.Random, name_prefix: str = "gen") -> Scenario:
         if len(inertia) % p == 0:
             continue
         group = tpl.group
-        # any element generating the quotient by inertia
-        frob_candidates = [h for h in group.elements
-                           if len(group.subgroup_generated(sorted(inertia) + [h])) == group.order]
+        frob_candidates = group.quotient_generators(group.elements, inertia)
         if not frob_candidates:
             continue
         frobenius = rng.choice(frob_candidates)
@@ -588,10 +586,7 @@ def _assign_depths_and_offsets(rng: random.Random, key: str, pp: PrimePower,
         prev = Fraction(0)
         for i in range(1, d + 1):
             es = [by_id[oid].e for oid, lay in layers.items() if lay == i]
-            gcd_e = 0
-            for e in es:
-                gcd_e = e if gcd_e == 0 else _gcd(gcd_e, e)
-            unit = Fraction(1, gcd_e)
+            unit = Fraction(1, math.gcd(*es))
             lo = int(prev / unit) + 1
             hi = int(Fraction(3) / unit)
             if lo > hi:
@@ -653,9 +648,3 @@ def _assign_depths_and_offsets(rng: random.Random, key: str, pp: PrimePower,
             chi=chi, options={},
         )
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -28,11 +28,12 @@ from .weil_gamma import CharDescriptor, conductor_induction_general, conductor_t
 from .galois_roots import FieldInvariants
 from .zlattice import (
     coinvariants_order,
-    dual_action,
     fg_fixed_order,
     group_coinvariants,
+    identity_matrix,
     invariant_sublattice,
     mat_mul,
+    mat_transpose,
     restrict_endomorphism,
 )
 
@@ -137,25 +138,26 @@ def suite_periodic_sum(rng: random.Random, n: int) -> int:
 # -- lattice identities --------------------------------------------------------
 
 
-def _random_unimodular(rng: random.Random, rank: int) -> List[List[int]]:
-    from .zlattice import identity_matrix
+def _random_unimodular(rng: random.Random, rank: int) -> Tuple[List[List[int]], List[List[int]]]:
+    """A random product U of elementary matrices, together with U^-1."""
     u = identity_matrix(rank)
+    uinv = identity_matrix(rank)
     for _ in range(rng.randint(0, 4)):
         i, j = rng.randrange(rank), rng.randrange(rank)
         if i == j:
             continue
         c = rng.randint(-2, 2)
-        # column op: col_j += c * col_i
+        # U <- U E with E: col_j += c * col_i; then U^-1 <- E^-1 U^-1, whose
+        # row op is row_i -= c * row_j.
         for r_ in range(rank):
             u[r_][j] += c * u[r_][i]
-    return u
+        uinv[i] = [x - c * y for x, y in zip(uinv[i], uinv[j])]
+    return u, uinv
 
 
 def _conjugated_action(rng: random.Random, action: Dict[int, List[List[int]]],
                        rank: int) -> Dict[int, List[List[int]]]:
-    from .zlattice import mat_inverse_unimodular
-    u = _random_unimodular(rng, rank)
-    uinv = mat_inverse_unimodular(u)
+    u, uinv = _random_unimodular(rng, rank)
     return {g: mat_mul(mat_mul(u, m), uinv) for g, m in action.items()}
 
 
@@ -169,15 +171,16 @@ def suite_lattice_identity(rng: random.Random, n: int) -> int:
         tpl = rng.choice(templates)
         inertia = frozenset(rng.choice(tpl.inertia_choices))
         group = tpl.group
-        frob_candidates = [h for h in group.elements
-                           if len(group.subgroup_generated(sorted(inertia) + [h])) == group.order]
+        frob_candidates = group.quotient_generators(group.elements, inertia)
         if not frob_candidates:
             continue
         frob = rng.choice(frob_candidates)
         action = _conjugated_action(rng, dict(tpl.action), tpl.rank)
-        dual_gens = [dual_action(action[a]) for a in sorted(inertia)]
-        dual_all = [dual_action(action[a]) for a in group.elements]
-        dual_frob = dual_action(action[frob])
+        # Conjugates of a homomorphism are one, so M(g)^-T = M(g^-1)^T.
+        dual = {g: mat_transpose(action[group.inv(g)]) for g in group.elements}
+        dual_gens = [dual[a] for a in sorted(inertia)]
+        dual_all = [dual[a] for a in group.elements]
+        dual_frob = dual[frob]
         full = group_coinvariants(tpl.rank, dual_all)
         if full.free_rank:
             raise AssertionError("template action lost ellipticity")

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .galois_roots import (
+    DepthValue,
     FieldInvariants,
     GaloisFrame,
     GRootDatum,
@@ -27,12 +28,8 @@ from .galois_roots import (
     NONPOSITIVE,
     OrbitInfo,
     TorusLatticeData,
-    torus_lattice_data,
 )
-from .qexact import PrimePower, QMonomial, exp_q, qmon_combine
-from .zlattice import Infinite
-
-RationalLike = Union[int, Fraction]
+from .qexact import PrimePower, QMonomial, RationalLike, exp_q, qmon_combine
 
 
 # -- characters and conductors -----------------------------------------------------
@@ -81,7 +78,7 @@ def eps_abs(cond: RationalLike, pp: PrimePower) -> QMonomial:
     return exp_q(cond / 2, pp)
 
 
-def psi_depth(theta_depth: Union[Fraction, str]) -> Fraction:
+def psi_depth(theta_depth: DepthValue) -> Fraction:
     """Depth of the inducing character of a root summand: equal to the
     orbit's positive depth, and exactly 0 on the nonpositive part."""
     if theta_depth == NONPOSITIVE:
@@ -154,18 +151,6 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
     return RootGamma(monomial=closed, orbit_conductors=tuple(conductors))
 
 
-def component_group_order(datum: GRootDatum, frame: GaloisFrame,
-                          torus: Optional[TorusLatticeData] = None) -> int:
-    """Order of the component group: full coinvariants of the cocharacter
-    lattice under the whole frame action (finite by ellipticity)."""
-    if torus is None:
-        torus = torus_lattice_data(datum, frame)
-    order = torus.cochar_full_coinvariants
-    if isinstance(order, Infinite):
-        raise ValueError("component group is infinite; datum is not elliptic")
-    return order
-
-
 # -- the assembled Galois side ----------------------------------------------------
 
 
@@ -197,9 +182,7 @@ class AdjointSummary:
 
 def adjoint_summary(datum: GRootDatum, frame: GaloisFrame,
                     filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
-                    torus: Optional[TorusLatticeData] = None) -> AdjointSummary:
-    if torus is None:
-        torus = torus_lattice_data(datum, frame)
+                    torus: TorusLatticeData) -> AdjointSummary:
     return AdjointSummary(
         torus=torus,
         dim_sa=datum.rank,
@@ -226,19 +209,18 @@ class GaloisSide:
 
 
 def galois_side(datum: GRootDatum, frame: GaloisFrame, filtration: HoweFiltration,
-                orbits: Sequence[OrbitInfo],
-                torus: Optional[TorusLatticeData] = None) -> GaloisSide:
+                orbits: Sequence[OrbitInfo], torus: TorusLatticeData) -> GaloisSide:
     """Assembled Galois-side value: (toral gamma * root gamma) divided by
-    the component-group order, also recomputed from the direct formula
+    the component-group order (the full cocharacter coinvariants, finite by
+    ellipticity), also recomputed from the direct formula
     exp_q(dim(G)/2 + dim(M)/2 + break term) with the rational prefactor
     |M_Frob| / (|component| * |twisted fixed|); both assemblies must agree.
     """
     summary = adjoint_summary(datum, frame, filtration, orbits, torus)
-    torus = summary.torus
     pp = frame.pp
     toral = toral_gamma_abs(torus, summary.dim_sa, pp)
     root = root_gamma_abs(filtration, orbits, pp)
-    comp = component_group_order(datum, frame, torus)
+    comp = torus.cochar_full_coinvariants
     product_monomial = toral.monomial * root.monomial
     product_rational = toral.rational / comp
 

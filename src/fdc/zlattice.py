@@ -13,30 +13,43 @@ No floating point appears anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 Matrix = List[List[int]]
 Vector = Tuple[int, ...]
 
 
-class Infinite:
-    """Sentinel for an infinite group order; a value, not an error."""
+class Infinity:
+    """The one infinite value: an infinite group order here, the top index
+    of a filtration in ``mp_filtration``.  It lies above every index and
+    absorbs addition."""
 
-    _instance: Optional["Infinite"] = None
+    _instance: Optional["Infinity"] = None
 
-    def __new__(cls) -> "Infinite":
+    def __new__(cls) -> "Infinity":
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __le__(self, other) -> bool:
+        return other is INFINITY
+
+    def __add__(self, other) -> "Infinity":
+        return self
+
+    def __radd__(self, other) -> "Infinity":
+        return self
+
     def __repr__(self) -> str:
-        return "INFINITE"
+        return "INFINITY"
 
 
-INFINITE = Infinite()
+INFINITY = Infinity()
 
-GroupOrder = Union[int, Infinite]
+GroupOrder = Union[int, Infinity]
 
 
 # -- basic matrix helpers ----------------------------------------------------
@@ -116,37 +129,6 @@ def det(a: Sequence[Sequence[int]]) -> int:
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[n - 1][n - 1]
-
-
-def mat_inverse_unimodular(a: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of a matrix with det +-1, returned over Z."""
-    n, m = mat_shape(a)
-    if n != m:
-        raise ValueError("inverse of a non-square matrix")
-    d = det(a)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular (det = %d)" % d)
-    # Gauss-Jordan over exact rationals, then cast back to int.
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    out = [[x for x in row[n:]] for row in work]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ValueError("unimodular inverse was not integral")
-    return [[int(x) for x in row] for row in out]
-
-
-def dual_action(a: Sequence[Sequence[int]]) -> Matrix:
-    """Contragredient matrix (transpose inverse): the action on the dual lattice."""
-    return mat_transpose(mat_inverse_unimodular(a))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -294,39 +276,9 @@ def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vect
     return mat_vec(v, z)
 
 
-def solve_rational(a: Sequence[Sequence[int]], b: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """One rational solution of A x = b, or None; exact Gaussian elimination."""
-    rows, cols = mat_shape(a)
-    work = [[Fraction(a[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if work[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for (i, c) in pivots:
-        x[c] = work[i][cols]
-    return x
-
-
 def column_lattice_index(ambient_basis: Sequence[Vector], sub_gens: Sequence[Vector]) -> GroupOrder:
     """Index of the lattice spanned by sub_gens inside the one spanned by
-    ambient_basis (sub must be contained in ambient); INFINITE if ranks differ."""
+    ambient_basis (sub must be contained in ambient); INFINITY if ranks differ."""
     n = len(ambient_basis[0]) if ambient_basis else 0
     amb = [list(col) for col in zip(*ambient_basis)] if ambient_basis else zero_matrix(n, 0)
     coords: List[List[int]] = []
@@ -342,7 +294,7 @@ def column_lattice_index(ambient_basis: Sequence[Vector], sub_gens: Sequence[Vec
     diag = snf_diagonal(mat) if coords else []
     rank = sum(1 for x in diag if x != 0)
     if rank < k:
-        return INFINITE
+        return INFINITY
     order = 1
     for x in diag:
         if x != 0:
@@ -354,7 +306,7 @@ def column_lattice_index(ambient_basis: Sequence[Vector], sub_gens: Sequence[Vec
 
 
 def coinvariants_order(f: Sequence[Sequence[int]]) -> GroupOrder:
-    """Order of coker(F - 1 : Z^n -> Z^n); INFINITE when det(F - 1) = 0.
+    """Order of coker(F - 1 : Z^n -> Z^n); INFINITY when det(F - 1) = 0.
 
     This is |det(F - 1)| when nonzero, the standard count of Frobenius
     coinvariants of a lattice.
@@ -365,7 +317,7 @@ def coinvariants_order(f: Sequence[Sequence[int]]) -> GroupOrder:
     if n == 0:
         return 1
     d = det(mat_sub(f, identity_matrix(n)))
-    return INFINITE if d == 0 else abs(d)
+    return INFINITY if d == 0 else abs(d)
 
 
 def twisted_fixed_order(f: Sequence[Sequence[int]], q: int) -> int:
@@ -388,7 +340,7 @@ class FgAbelianGroup:
     endomorphism (an n x n matrix that preserves the relation lattice).
 
     Invariant factors and the free rank are derived from the presentation by
-    Smith normal form; `order` is INFINITE exactly when the free rank is
+    Smith normal form; `order` is INFINITY exactly when the free rank is
     positive.
     """
 
@@ -431,14 +383,11 @@ class FgAbelianGroup:
     @property
     def order(self) -> GroupOrder:
         if self.free_rank > 0:
-            return INFINITE
+            return INFINITY
         n = 1
         for d in self.invariant_factors:
             n *= d
         return n
-
-    def with_endo(self, endo: Matrix) -> "FgAbelianGroup":
-        return FgAbelianGroup(self.ambient_rank, list(self.relations), endo)
 
 
 def group_coinvariants(rank: int, action_gens: Sequence[Sequence[Sequence[int]]],
@@ -517,7 +466,7 @@ def fg_fixed_order(group: FgAbelianGroup) -> int:
     if rank_l == 0:
         return 1
     idx = column_lattice_index(lat_basis, list(group.relations))
-    if isinstance(idx, Infinite):
+    if idx is INFINITY:
         raise ValueError("fixed subgroup is infinite")
     return idx
 
@@ -527,11 +476,8 @@ def _lattice_basis(gens: Sequence[Vector], n: int) -> List[Vector]:
     if not gens:
         return []
     mat = [list(col) for col in zip(*gens)]
-    u, d, v = smith_normal_form(mat)
-    uinv = mat_inverse_unimodular(u)
+    _, d, v = smith_normal_form(mat)
     rank = sum(1 for i in range(min(n, len(gens))) if d[i][i] != 0)
-    basis = []
-    for i in range(rank):
-        col = tuple(uinv[r][i] * d[i][i] for r in range(n))
-        basis.append(col)
-    return basis
+    # A V = U^-1 D, so the first rank columns of A V span the column lattice.
+    av = mat_mul(mat, v)
+    return [tuple(av[r][i] for r in range(n)) for i in range(rank)]

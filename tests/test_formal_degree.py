@@ -109,7 +109,7 @@ def test_general_degree_example():
 
 def test_regular_degree_sl2_values():
     shape, datum, frame = sl2_shape(False)
-    reg = regular_degree(shape, datum, frame)
+    reg = regular_degree(shape, torus_lattice_data(datum, frame))
     assert reg.monomial == exp_q(2, PP3)
     assert reg.special_fiber_order == 4 and reg.full_point_index == 4
     pref, mono = reg.value_special_fiber
@@ -117,7 +117,7 @@ def test_regular_degree_sl2_values():
 
     shape, datum, frame = sl2_shape(True, pp=PP5, depth=Fraction(1, 2),
                                     offset=Fraction(1, 4))
-    reg = regular_degree(shape, datum, frame)
+    reg = regular_degree(shape, torus_lattice_data(datum, frame))
     assert reg.monomial == exp_q(2, PP5)
     assert reg.special_fiber_order == 1 and reg.full_point_index == 2
     assert reg.discrepancy == 2
@@ -128,16 +128,16 @@ def test_regular_degree_extra_break():
     shape, datum, frame = sl2_shape(False, depth=Fraction(1, 2))
     # e = 1 here so the break 1/2 violates the depth lattice
     with pytest.raises(ValueError, match="depth-lattice"):
-        regular_degree(shape, datum, frame)
+        regular_degree(shape, torus_lattice_data(datum, frame))
     shape, datum, frame = sl2_shape(False, depth=Fraction(1))
-    reg = regular_degree(shape, datum, frame)
+    reg = regular_degree(shape, torus_lattice_data(datum, frame))
     # exponent 3/2 + 1/2 + (1/2)*1*2 = 3
     assert reg.monomial == exp_q(3, PP3)
 
 
 def test_rank_zero_degenerate_lattice():
     shape, datum, frame = sl2_shape(True)
-    reg = regular_degree(shape, datum, frame)
+    reg = regular_degree(shape, torus_lattice_data(datum, frame))
     torus = torus_lattice_data(datum, frame)
     assert torus.rank_m == 0
     assert reg.special_fiber_order == 1  # empty determinant
@@ -150,11 +150,11 @@ def test_general_equals_regular_cross_check():
     while checked < 40:
         scen = generate_scenario(rng)
         shape = scen.shape()
-        torus = scen.torus()
+        torus = scen.torus
         dim_quot = shape.depth_zero_quotient_dim(torus.rank_m)
         if (dim_quot - torus.rank_m) % 2:
             continue
-        reg = regular_degree(shape, scen.datum, scen.frame, torus)
+        reg = regular_degree(shape, torus)
         for mult in (1, 2, 7):
             dz, dq = regular_as_opaque(shape, torus, cover_multiplier=mult)
             mono, pref = general_degree(shape, dz, dq, dq)
@@ -168,7 +168,7 @@ def test_volume_normalization_randomized():
     for _ in range(120):
         scen = generate_scenario(rng)
         shape = scen.shape()
-        rank_m = scen.torus().rank_m
+        rank_m = scen.torus.rank_m
         assert volume_exponent_raw(shape, rank_m) == volume_exponent_closed(shape, rank_m)
 
 

@@ -1,0 +1,75 @@
+"""Byte-for-byte pins of the CLI output on the bundled scenarios.
+
+Each file under ``tests/golden/`` holds one command's exit status on its
+first line (``exit=N``) followed by its exact stdout.  To re-capture them
+after an intended output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of ``tests/golden/`` before committing it.
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+import fdc.cli as cli
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_DIR = os.path.join(HERE, "golden")
+SCEN_DIR = os.path.join(HERE, "..", "src", "fdc", "scenarios")
+
+BUNDLED = [
+    "d4_b2_depth_quarter",
+    "s3_a2_depth_third",
+    "sl2_ramified_depth_half",
+    "sl2_unramified_depth0",
+    "z4_a1_ramified_chi",
+    "z4_rank3_mixed",
+]
+WITH_CHI = ["d4_b2_depth_quarter", "s3_a2_depth_third",
+            "sl2_unramified_depth0", "z4_a1_ramified_chi"]
+
+
+def cases():
+    """(case id, argv with the scenario path relative to SCEN_DIR)."""
+    out = []
+    for name in BUNDLED:
+        path = name + ".json"
+        out.append(("verify-json-" + name, ["--format", "json", "verify", path]))
+        out.append(("verify-text-" + name, ["--format", "text", "verify", path]))
+        out.append(("verify-q9-json-" + name, ["--q", "9", "--format", "json", "verify", path]))
+        out.append(("degree-json-" + name, ["--format", "json", "degree", path]))
+        out.append(("gamma-json-" + name, ["--format", "json", "gamma", path]))
+    for name in WITH_CHI:
+        out.append(("chi-check-json-" + name, ["--format", "json", "chi-check", name + ".json"]))
+    out.append(("selftest-n40", ["selftest", "--n", "40"]))
+    return out
+
+
+def run_case(argv):
+    argv = [os.path.join(SCEN_DIR, a) if a.endswith(".json") else a for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return "exit=%d\n%s" % (code, buf.getvalue())
+
+
+@pytest.mark.parametrize("case_id,argv", cases(), ids=[c[0] for c in cases()])
+def test_golden_output(case_id, argv, monkeypatch):
+    monkeypatch.delenv("FDC_SEED", raising=False)
+    with open(os.path.join(GOLDEN_DIR, case_id + ".out"), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert run_case(argv) == expected
+
+
+if __name__ == "__main__":
+    os.environ.pop("FDC_SEED", None)
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for case_id, argv in cases():
+        with open(os.path.join(GOLDEN_DIR, case_id + ".out"), "w", encoding="utf-8") as fh:
+            fh.write(run_case(argv))
+    sys.stdout.write("wrote %d golden files to %s\n" % (len(cases()), GOLDEN_DIR))

@@ -274,7 +274,7 @@ def test_compact_induction_derivation_chain():
     while checked < 40:
         scen = generate_scenario(rng)
         shape = scen.shape()
-        torus = scen.torus()
+        torus = scen.torus
         dim_quot = shape.depth_zero_quotient_dim(torus.rank_m)
         if (dim_quot - torus.rank_m) % 2:
             continue
@@ -295,7 +295,7 @@ def test_compact_induction_derivation_chain():
         mono, pref = general_degree(shape, dz, dq, dq)
         want = mono.scale(pref)
         assert got == want, (scen.name, got, want)
-        reg = regular_degree(shape, scen.datum, scen.frame, torus)
+        reg = regular_degree(shape, torus)
         assert got == reg.monomial.scale(Fraction(1, reg.special_fiber_order))
         checked += 1
 

@@ -1,11 +1,13 @@
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import fdc.cli as cli
+import fdc.galois_roots
 from fdc.compare import emit_report, run_compare
 from fdc.qexact import PrimePower
 from fdc.scenario import (
@@ -176,6 +178,30 @@ def test_cli_chi_check(capsys):
     assert "ok" in capsys.readouterr().out
     rc = cli.main(["chi-check", bundled_path("sl2_ramified_depth_half")])
     assert rc == 2  # no chi bundled
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["verify"], 1),
+    (["degree"], 1),
+    (["gamma"], 1),
+    (["chi-check"], 1),
+    (["--q", "9", "verify"], 2),  # one per residue size: loaded q, then q = 9
+])
+def test_torus_data_computed_once_per_q(argv, calls, monkeypatch, capsys):
+    original = fdc.galois_roots.torus_lattice_data
+    seen = []
+
+    def counting(datum, frame):
+        seen.append(frame.q)
+        return original(datum, frame)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fdc") and getattr(module, "torus_lattice_data", None) is original:
+            monkeypatch.setattr(module, "torus_lattice_data", counting)
+    rc = cli.main(["--format", "json"] + argv + [bundled_path("sl2_unramified_depth0")])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(seen) == calls and len(set(seen)) == calls
 
 
 def test_cli_selftest_small(capsys):

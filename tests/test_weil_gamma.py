@@ -17,7 +17,6 @@ from fdc.galois_roots import (
 )
 from fdc.weil_gamma import (
     CharDescriptor,
-    component_group_order,
     conductor_char,
     conductor_induction_general,
     conductor_tame_induction,
@@ -166,7 +165,7 @@ def test_conductor_additivity_over_orbits():
 
 def test_component_group_examples():
     frame, datum, _ = a1(True)
-    assert component_group_order(datum, frame) == 2
+    assert torus_lattice_data(datum, frame).cochar_full_coinvariants == 2
     g = FiniteGroup.cyclic(4)
     from fdc.zlattice import identity_matrix, mat_mul
     rot = [[0, -1], [1, 0]]
@@ -178,7 +177,7 @@ def test_component_group_examples():
     datum = GRootDatum(2, action, frozenset({(1, 0), (0, 1), (-1, 0), (0, -1)}))
     frame = GaloisFrame(g, frozenset({0}), 1, PP3)
     datum.check_against_frame(frame)
-    assert component_group_order(datum, frame) == 2
+    assert torus_lattice_data(datum, frame).cochar_full_coinvariants == 2
     # non-elliptic: trivial action cannot even build a datum against the frame
     bad = GRootDatum(1, {0: [[1]], 1: [[1]], 2: [[1]], 3: [[1]]},
                      frozenset({(1,), (-1,)}))
@@ -189,14 +188,14 @@ def test_component_group_examples():
 def test_galois_side_examples():
     frame, datum, orbs = a1(False)
     filt = howe_filtration(datum, frame, {orbs[0].orbit_id: NONPOSITIVE}, Fraction(0))
-    gal = galois_side(datum, frame, filt, orbs)
+    gal = galois_side(datum, frame, filt, orbs, torus_lattice_data(datum, frame))
     assert gal.prefactor == Fraction(1, 4)
     assert gal.monomial == exp_q(2, PP3)
     assert gal.prefactor * gal.monomial.rational_value() == Fraction(9, 4)
 
     frame, datum, orbs = a1(True, PP5)
     filt = howe_filtration(datum, frame, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
-    gal = galois_side(datum, frame, filt, orbs)
+    gal = galois_side(datum, frame, filt, orbs, torus_lattice_data(datum, frame))
     assert gal.toral.monomial == exp_q(Fraction(1, 2), PP5)
     assert gal.root.monomial == exp_q(Fraction(3, 2), PP5)
     assert gal.monomial == exp_q(2, PP5) and gal.prefactor == Fraction(1, 2)

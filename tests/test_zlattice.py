@@ -1,13 +1,15 @@
+import glob
+import os
 import random
 
 import pytest
 
+from fdc.scenario import load_scenario
 from fdc.zlattice import (
     FgAbelianGroup,
-    INFINITE,
+    INFINITY,
     coinvariants_order,
     det,
-    dual_action,
     fg_fixed_order,
     group_coinvariants,
     identity_matrix,
@@ -15,6 +17,7 @@ from fdc.zlattice import (
     kernel_basis,
     mat_eq,
     mat_mul,
+    mat_transpose,
     mat_vec,
     restrict_endomorphism,
     smith_normal_form,
@@ -63,7 +66,7 @@ def test_snf_deterministic():
 
 def test_coinvariants_examples():
     assert coinvariants_order([[-1]]) == 2
-    assert coinvariants_order([[1]]) is INFINITE
+    assert coinvariants_order([[1]]) is INFINITY
     assert coinvariants_order([[0, -1], [1, 0]]) == 2
 
 
@@ -129,9 +132,9 @@ def test_group_coinvariants_examples():
     g = group_coinvariants(1, [[[-1]]])
     assert g.order == 2
     g = group_coinvariants(2, [[[0, 1], [1, 0]]])
-    assert g.order is INFINITE and g.free_rank == 1
+    assert g.order is INFINITY and g.free_rank == 1
     g = group_coinvariants(1, [])
-    assert g.order is INFINITE
+    assert g.order is INFINITY
     rot = [[0, -1], [1, 0]]
     g = group_coinvariants(2, [rot])
     assert g.order == 2
@@ -211,8 +214,14 @@ def test_kernel_and_solve():
 
 
 def test_dual_action():
-    m = [[0, -1], [1, -1]]
-    dm = dual_action(m)
-    assert det(dm) in (1, -1)
-    # contragredient preserves the pairing: (dm^T) @ m = identity
-    assert mat_eq(mat_mul([list(r) for r in zip(*dm)], m), identity_matrix(2))
+    # The dual action used downstream is M(g^-1)^T; on every bundled
+    # scenario it is the contragredient: (dm^T) @ M(g) = identity.
+    scen_dir = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
+    for path in sorted(glob.glob(os.path.join(scen_dir, "*.json"))):
+        scen = load_scenario(path)
+        group, action = scen.frame.group, scen.datum.action
+        for g in group.elements:
+            dm = mat_transpose(action[group.inv(g)])
+            assert det(dm) in (1, -1)
+            assert mat_eq(mat_mul(mat_transpose(dm), action[g]),
+                          identity_matrix(scen.datum.rank))
