@@ -268,10 +268,10 @@ def validate_chi(chi: ChiData, datum: GRootDatum, frame: GaloisFrame) -> ChiDiag
 
     classes: List[ChiClassReport] = []
     for class_id, rep, members in pm_classes(datum, frame):
-        if rep not in chi.chars:
-            continue
-        chi_rep = chi.chars[rep]
+        chi_rep = chi.chars.get(rep)
         stab = _stab(datum, g, rep, within=car)
+        if chi_rep is None or not char_is_homomorphism(g, stab, chi_rep):
+            continue  # already refused under condition 2
         stab_pm = _stab_pm(datum, g, rep, within=car)
         symmetric = tuple(-x for x in rep) in {datum.act(s, rep) for s in car}
         ramified: Optional[bool] = None

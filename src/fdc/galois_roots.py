@@ -29,6 +29,7 @@ from .zlattice import (
     coinvariants_order,
     fg_fixed_order,
     group_coinvariants,
+    identity_matrix,
     invariant_sublattice,
     is_unimodular,
     kernel_basis,
@@ -115,6 +116,18 @@ class FiniteGroup:
                         seen.add(y)
                         frontier.append(y)
         return frozenset(seen)
+
+    def generating_set(self, elems: Iterable[int]) -> List[int]:
+        """Generators of the subgroup with the given elements, chosen
+        greedily in increasing order: each is the least element outside the
+        subgroup generated by those before it."""
+        gens: List[int] = []
+        span = frozenset([0])
+        for g in sorted(elems):
+            if g not in span:
+                gens.append(g)
+                span = self.subgroup_generated(gens)
+        return gens
 
     def is_subgroup(self, h: FrozenSet[int]) -> bool:
         if 0 not in h:
@@ -355,20 +368,33 @@ class GRootDatum:
                 raise ValueError("root set is not symmetric: missing -%s" % (r,))
 
     def check_against_frame(self, frame: GaloisFrame) -> None:
+        """Check that the action is a homomorphism, that the carrier keeps
+        the root set stable, and that no nonzero vector is carrier-fixed.
+
+        Each property is tested on generators only, which proves it for the
+        whole group.  The elements a with M(ab) = M(a)M(b) for every b
+        contain 0 once M(0) = I, and are closed under left multiplication by
+        each generator s that passes M(s)M(b) = M(sb) for every b; in a
+        finite group they are then all of it.  Each M(g) is injective on the
+        finite root set, so mapping it into itself permutes it, and products
+        of permutations are permutations.  Vectors fixed by the generators
+        are fixed by the carrier.
+        """
         g = frame.group
-        car = sorted(frame.carrier_set)
         if set(self.action.keys()) != set(g.elements):
             raise ValueError("action must be defined on every group element")
-        for a in g.elements:
+        if not mat_eq(self.action[0], identity_matrix(self.rank)):
+            raise ValueError("action is not a homomorphism at (0, 0)")
+        for s in g.generating_set(g.elements):
             for b in g.elements:
-                if not mat_eq(mat_mul(self.action[a], self.action[b]),
-                              self.action[g.mul(a, b)]):
-                    raise ValueError("action is not a homomorphism at (%d, %d)" % (a, b))
-        for r in self.roots:
-            for a in car:
-                if mat_vec(self.action[a], r) not in self.roots:
-                    raise ValueError("root set is not stable under element %d" % a)
-        fixed = invariant_sublattice(self.rank, [self.action[a] for a in car])
+                if not mat_eq(mat_mul(self.action[s], self.action[b]),
+                              self.action[g.mul(s, b)]):
+                    raise ValueError("action is not a homomorphism at (%d, %d)" % (s, b))
+        car_gens = g.generating_set(frame.carrier_set)
+        for a in car_gens:
+            if any(mat_vec(self.action[a], r) not in self.roots for r in self.roots):
+                raise ValueError("root set is not stable under element %d" % a)
+        fixed = invariant_sublattice(self.rank, [self.action[a] for a in car_gens])
         if fixed:
             raise ValueError("datum is not elliptic: invariant vectors exist")
 

@@ -18,17 +18,47 @@ from typing import Iterable, Optional, Tuple, Union
 RationalLike = Union[int, Fraction]
 
 
+# Miller-Rabin with the first thirteen prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases ``_MR_BASES``: a witness proves n
+    composite at any size, and passing every base proves n prime below
+    ``_MR_BOUND``; above it the test refuses to decide."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _MR_BOUND:
+        raise ValueError("%d is too large to certify as prime" % n)
     return True
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton iteration from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)
@@ -52,23 +82,18 @@ class PrimePower:
 
     @staticmethod
     def from_q(q: int) -> "PrimePower":
-        """Factor an integer known to be a prime power into (p, a)."""
+        """Factor an integer known to be a prime power into (p, a): for
+        each exponent a up to log2(q), test whether the exact a-th root of
+        q is prime."""
         if q < 3:
             raise ValueError("q = %r is not an odd prime power" % (q,))
-        for p in range(3, q + 1, 2):
-            if not _is_prime(p):
-                continue
-            if q % p:
-                continue
-            a = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                a += 1
-            if m != 1:
-                raise ValueError("q = %r is not a prime power" % (q,))
-            return PrimePower(p, a)
-        raise ValueError("q = %r is not an odd prime power" % (q,))
+        for a in range(1, q.bit_length() + 1):
+            p = _integer_root(q, a)
+            if p < 2:
+                break
+            if p ** a == q and _is_prime(p):
+                return PrimePower(p, a)
+        raise ValueError("q = %r is not a prime power" % (q,))
 
     def __str__(self) -> str:
         return "%d" % self.q if self.a == 1 else "%d^%d" % (self.p, self.a)

@@ -197,13 +197,61 @@ def _build_group(spec: Mapping[str, object],
     return None
 
 
+# The JSON kind each container field must have when present, with the module
+# whose validation reads it.  Scalars need no entry: their conversions
+# already fail with a ValueError or TypeError that names the field.
+_FIELD_KINDS: Tuple[Tuple[str, str, type], ...] = (
+    ("qexact", "q", dict),
+    ("galois_roots", "group", dict),
+    ("galois_roots", "inertia", list),
+    ("galois_roots", "action", dict),
+    ("galois_roots", "roots", list),
+    ("mp_filtration", "jump_offsets", dict),
+    ("galois_roots", "theta_depths", dict),
+    ("chi_data", "chi", dict),
+    ("cli", "options", dict),
+)
+
+
+def _json_kind(value: object) -> str:
+    if isinstance(value, dict):
+        return "object"
+    if isinstance(value, list):
+        return "array"
+    if isinstance(value, str):
+        return "string"
+    if value is None:
+        return "null"
+    return "boolean" if isinstance(value, bool) else "number"
+
+
+def _shape_failures(doc: object) -> List[Tuple[str, str, str]]:
+    """The container fields whose JSON kind the semantic checks cannot read."""
+    if not isinstance(doc, dict):
+        return [("cli", "document", "must be a JSON object, got %s" % _json_kind(doc))]
+    fields = [(module, key, doc[key], kind) for module, key, kind in _FIELD_KINDS
+              if key in doc]
+    if isinstance(doc.get("group"), dict):
+        fields += [("galois_roots", "group.%s" % key, doc["group"][key], list)
+                   for key in ("mult_table", "perm_gens") if key in doc["group"]]
+    if isinstance(doc.get("chi"), dict):
+        fields += [("chi_data", "chi.%s" % rk, table, dict)
+                   for rk, table in doc["chi"].items()]
+    return [(module, key, "must be a JSON %s, got %s"
+             % (_json_kind(kind()), _json_kind(value)))
+            for module, key, value, kind in fields if not isinstance(value, kind)]
+
+
 def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     """Parse and fully validate one scenario document.
 
     Raises :class:`ScenarioError` carrying every failure with its module
-    and field provenance.
+    and field provenance.  Container fields of the wrong JSON kind are
+    refused together before any semantic check.
     """
-    failures: List[Tuple[str, str, str]] = []
+    failures = _shape_failures(doc)
+    if failures:
+        raise ScenarioError(failures)
 
     name = doc.get("name")
     if not isinstance(name, str) or not name:

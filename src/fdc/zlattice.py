@@ -12,8 +12,9 @@ No floating point appears anywhere in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 Matrix = List[List[int]]
 Vector = Tuple[int, ...]
@@ -57,10 +58,6 @@ GroupOrder = Union[int, Infinity]
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
 
 
 def mat_copy(a: Sequence[Sequence[int]]) -> Matrix:
@@ -134,19 +131,65 @@ def det(a: Sequence[Sequence[int]]) -> int:
 # -- Smith normal form -------------------------------------------------------
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
-    """Return (U, D, V) with U @ A @ V = D, U, V unimodular, D diagonal.
+class SmithForm(NamedTuple):
+    """U @ A @ V = D with U, V unimodular and D diagonal, d1 | d2 | ...
+
+    One factorization answers every lattice query about A: its rank, the
+    invariant factors of coker A, integer solutions of A x = b and
+    membership of b in the column lattice (Cohen, GTM 138, 2.4).
+    """
+
+    u: Matrix
+    d: Matrix
+    v: Matrix
+
+    @property
+    def diagonal(self) -> List[int]:
+        return [self.d[i][i] for i in range(min(len(self.u), len(self.v)))]
+
+    @property
+    def rank(self) -> int:
+        # The nonzero diagonal entries come first.
+        return sum(1 for x in self.diagonal if x != 0)
+
+    def _reduced(self, b: Sequence[int]) -> Optional[List[int]]:
+        """z with D z = U b, or None when b is outside the column lattice:
+        (U b)_i must be divisible by d_i below the rank and zero beyond."""
+        if len(b) != len(self.u):
+            raise ValueError("dimension mismatch")
+        ub = mat_vec(self.u, b)
+        diag = self.diagonal
+        rank = self.rank
+        if any(ub[i] % diag[i] for i in range(rank)) or any(ub[rank:]):
+            return None
+        return [ub[i] // diag[i] for i in range(rank)]
+
+    def contains(self, b: Sequence[int]) -> bool:
+        """Whether b lies in the lattice spanned by the columns of A."""
+        return self._reduced(b) is not None
+
+    def solve(self, b: Sequence[int]) -> Optional[Vector]:
+        """One integer solution x of A x = b (x = V z), or None."""
+        z = self._reduced(b)
+        if z is None:
+            return None
+        return tuple(sum(row[i] * zi for i, zi in enumerate(z)) for row in self.v)
+
+
+def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
+    """The Smith form (U, D, V) of A, with U @ A @ V = D.
 
     The diagonal entries are nonnegative and satisfy d1 | d2 | ...; the
     pivot rule (smallest nonzero absolute value, lowest position on ties)
     is fixed, so the output is deterministic.  Before each step advances,
     the pivot is made to divide the whole remaining block, which yields the
-    divisibility chain by construction.
+    divisibility chain by construction.  V is kept transposed while the
+    form is built, so each column operation on V is one row operation.
     """
     rows, cols = mat_shape(a)
     d = mat_copy(a)
     u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    vt = identity_matrix(cols)
 
     def swap_rows(i, j):
         if i != j:
@@ -157,8 +200,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matri
         if i != j:
             for row in d:
                 row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            vt[i], vt[j] = vt[j], vt[i]
 
     def add_row(src, dst, c):
         # row_dst += c * row_src
@@ -168,8 +210,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matri
     def add_col(src, dst, c):
         for row in d:
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        vt[dst] = [x + c * y for x, y in zip(vt[dst], vt[src])]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -221,7 +262,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matri
             negate_row(t)
         if d[t][t] == 0:
             break
-    return u, d, v
+    return SmithForm(u, d, mat_transpose(vt))
 
 
 def _round_quot(x: int, y: int) -> int:
@@ -232,11 +273,6 @@ def _round_quot(x: int, y: int) -> int:
     return qq
 
 
-def snf_diagonal(a: Sequence[Sequence[int]]) -> List[int]:
-    _, d, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(mat_shape(a)))]
-
-
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
     n, m = mat_shape(a)
     return n == m and det(a) in (1, -1)
@@ -245,61 +281,43 @@ def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
 # -- kernels, solving, lattice indices ----------------------------------------
 
 
+def _columns_matrix(cols: Sequence[Sequence[int]], n: int) -> Matrix:
+    """The n x len(cols) matrix with the given columns."""
+    return [[c[i] for c in cols] for i in range(n)]
+
+
 def kernel_basis(a: Sequence[Sequence[int]]) -> List[Vector]:
     """Basis of the integer kernel {x : A x = 0}, deterministic and saturated."""
     rows, cols = mat_shape(a)
     if cols == 0:
         return []
-    u, d, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
-    vt = mat_transpose(v)
-    return [tuple(vt[j]) for j in range(rank, cols)]
+    form = smith_normal_form(a)
+    return [tuple(row[j] for row in form.v) for j in range(form.rank, cols)]
 
 
 def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
     """One integer solution of A x = b, or None if none exists."""
-    rows, cols = mat_shape(a)
-    if len(b) != rows:
-        raise ValueError("dimension mismatch")
-    u, d, v = smith_normal_form(a)
-    ub = mat_vec(u, b)
-    z = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        if di == 0:
-            if i < rows and ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            z[i] = ub[i] // di
-    return mat_vec(v, z)
+    return smith_normal_form(a).solve(b)
 
 
 def column_lattice_index(ambient_basis: Sequence[Vector], sub_gens: Sequence[Vector]) -> GroupOrder:
     """Index of the lattice spanned by sub_gens inside the one spanned by
     ambient_basis (sub must be contained in ambient); INFINITY if ranks differ."""
-    n = len(ambient_basis[0]) if ambient_basis else 0
-    amb = [list(col) for col in zip(*ambient_basis)] if ambient_basis else zero_matrix(n, 0)
-    coords: List[List[int]] = []
-    for g in sub_gens:
-        sol = solve_integer(amb, list(g))
-        if sol is None:
-            raise ValueError("generator outside the ambient lattice")
-        coords.append(list(sol))
     k = len(ambient_basis)
     if k == 0:
         return 1
-    mat = [list(col) for col in zip(*coords)] if coords else zero_matrix(k, 0)
-    diag = snf_diagonal(mat) if coords else []
-    rank = sum(1 for x in diag if x != 0)
-    if rank < k:
+    ambient = smith_normal_form(_columns_matrix(ambient_basis, len(ambient_basis[0])))
+    coords: List[Vector] = []
+    for g in sub_gens:
+        sol = ambient.solve(g)
+        if sol is None:
+            raise ValueError("generator outside the ambient lattice")
+        coords.append(sol)
+    diag = smith_normal_form(_columns_matrix(coords, k)).diagonal
+    nonzero = [abs(x) for x in diag if x != 0]
+    if len(nonzero) < k:
         return INFINITY
-    order = 1
-    for x in diag:
-        if x != 0:
-            order *= abs(x)
-    return order
+    return math.prod(nonzero)
 
 
 # -- the operations named in the interface ------------------------------------
@@ -339,9 +357,10 @@ class FgAbelianGroup:
     """Finitely generated abelian group Z^n / im(relations), with an optional
     endomorphism (an n x n matrix that preserves the relation lattice).
 
-    Invariant factors and the free rank are derived from the presentation by
-    Smith normal form; `order` is INFINITY exactly when the free rank is
-    positive.
+    The Smith form of the relation matrix is computed once at construction;
+    the invariant factors, the free rank and the check that the endomorphism
+    preserves the relation lattice all read it.  `order` is INFINITY exactly
+    when the free rank is positive.
     """
 
     ambient_rank: int
@@ -350,17 +369,13 @@ class FgAbelianGroup:
 
     invariant_factors: List[int] = field(init=False)
     free_rank: int = field(init=False)
+    relation_form: SmithForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.ambient_rank
-        if self.relations:
-            mat = [list(col) for col in zip(*self.relations)]
-            diag = snf_diagonal(mat)
-        else:
-            diag = []
-        rank = sum(1 for x in diag if x != 0)
-        self.invariant_factors = [x for x in diag if x > 1]
-        self.free_rank = n - rank
+        self.relation_form = smith_normal_form(_columns_matrix(self.relations, n))
+        self.invariant_factors = [x for x in self.relation_form.diagonal if x > 1]
+        self.free_rank = n - self.relation_form.rank
         if self.endo is not None:
             self._check_endo()
 
@@ -370,24 +385,14 @@ class FgAbelianGroup:
         if (rows, cols) != (n, n):
             raise ValueError("endomorphism has the wrong shape")
         for col in self.relations:
-            img = mat_vec(self.endo, col)
-            if not self._in_relation_lattice(img):
+            if not self.relation_form.contains(mat_vec(self.endo, col)):
                 raise ValueError("endomorphism does not preserve the relations")
-
-    def _in_relation_lattice(self, v: Sequence[int]) -> bool:
-        if not self.relations:
-            return all(x == 0 for x in v)
-        mat = [list(col) for col in zip(*self.relations)]
-        return solve_integer(mat, list(v)) is not None
 
     @property
     def order(self) -> GroupOrder:
         if self.free_rank > 0:
             return INFINITY
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return math.prod(self.invariant_factors)
 
 
 def group_coinvariants(rank: int, action_gens: Sequence[Sequence[Sequence[int]]],
@@ -421,18 +426,16 @@ def invariant_sublattice(rank: int, action_gens: Sequence[Sequence[Sequence[int]
 
 def restrict_endomorphism(f: Sequence[Sequence[int]], basis: Sequence[Vector]) -> Matrix:
     """Matrix of F on the sublattice spanned by basis (F must preserve it)."""
-    k = len(basis)
-    if k == 0:
+    if not basis:
         return []
-    mat = [list(col) for col in zip(*basis)]
-    out_cols: List[List[int]] = []
+    form = smith_normal_form(_columns_matrix(basis, len(basis[0])))
+    out_cols: List[Vector] = []
     for b in basis:
-        img = mat_vec(f, b)
-        sol = solve_integer(mat, list(img))
+        sol = form.solve(mat_vec(f, b))
         if sol is None:
             raise ValueError("endomorphism does not preserve the sublattice")
-        out_cols.append(list(sol))
-    return [list(row) for row in zip(*out_cols)]
+        out_cols.append(sol)
+    return mat_transpose(out_cols)
 
 
 def fg_fixed_order(group: FgAbelianGroup) -> int:
@@ -445,23 +448,15 @@ def fg_fixed_order(group: FgAbelianGroup) -> int:
     if group.endo is None:
         raise ValueError("group carries no endomorphism")
     n = group.ambient_rank
-    c = mat_sub(mat_copy(group.endo), identity_matrix(n))
-    rel_cols = [list(col) for col in group.relations]
-    m = len(rel_cols)
+    c = mat_sub(group.endo, identity_matrix(n))
     # Solve (F - 1) x = B y: kernel of [C | -B] projected to the x block.
-    block: Matrix = []
-    for i in range(n):
-        row = list(c[i])
-        for col in rel_cols:
-            row.append(-col[i])
-        block.append(row)
+    block = [c[i] + [-col[i] for col in group.relations] for i in range(n)]
     kern = kernel_basis(block)
     lattice_gens = [tuple(v[:n]) for v in kern]
     # im(rel) inside the lattice L they generate.
     lat_basis = _lattice_basis(lattice_gens, n)
     rank_l = len(lat_basis)
-    rank_rel = len(_lattice_basis(group.relations, n))
-    if rank_l != rank_rel:
+    if rank_l != group.relation_form.rank:
         raise ValueError("fixed subgroup is infinite")
     if rank_l == 0:
         return 1
@@ -475,9 +470,7 @@ def _lattice_basis(gens: Sequence[Vector], n: int) -> List[Vector]:
     """Basis of the sublattice of Z^n spanned by the given columns."""
     if not gens:
         return []
-    mat = [list(col) for col in zip(*gens)]
-    _, d, v = smith_normal_form(mat)
-    rank = sum(1 for i in range(min(n, len(gens))) if d[i][i] != 0)
+    mat = _columns_matrix(gens, n)
+    form = smith_normal_form(mat)
     # A V = U^-1 D, so the first rank columns of A V span the column lattice.
-    av = mat_mul(mat, v)
-    return [tuple(av[r][i] for r in range(n)) for i in range(rank)]
+    return [mat_vec(mat, [row[i] for row in form.v]) for i in range(form.rank)]

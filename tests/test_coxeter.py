@@ -1,0 +1,74 @@
+"""The Coxeter family through ``fdc verify``: the A_{n-1} root lattice in
+simple-root coordinates under Z/n acting by the Coxeter element, unramified
+and totally ramified.
+
+Its coinvariant relation matrices are (n-1) x ~n(n-1) and its invariance
+conditions n(n-1) x (n-1), the wide and tall Smith-form shapes that the
+bundled scenarios never reach.  The comparison value has a closed form:
+unramified q^(n^2-1) (q-1)/(q^n-1), verdict EQUAL; totally ramified
+q^(n^2-1-(n-1)/2) / n, verdict FLAGGED.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+import fdc.cli as cli
+
+
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def coxeter_document(n, ramified):
+    """Generator alpha_i -> alpha_{i+1}, alpha_{n-1} -> -(alpha_1 + ... +
+    alpha_{n-1}); every orbit at depth 1 with offset 0.  Unramified: inertia
+    {0}, Frobenius 1, q = 3.  Totally ramified: inertia Z/n, Frobenius 0,
+    q the least prime = 1 mod n, so a tame extension realizes the frame."""
+    rank = n - 1
+    gen = [[int(i == j + 1) - int(j == rank - 1) for j in range(rank)] for i in range(rank)]
+    powers = [[[int(i == j) for j in range(rank)] for i in range(rank)]]
+    for _ in range(1, n):
+        powers.append([[sum(gen[i][k] * powers[-1][k][j] for k in range(rank))
+                        for j in range(rank)] for i in range(rank)])
+    positive = [tuple(int(a <= t < b) for t in range(rank))
+                for a in range(rank) for b in range(a + 1, rank + 1)]
+    roots = positive + [tuple(-x for x in r) for r in positive]
+    orbit_ids = {",".join(map(str, min(tuple(sum(m[i][j] * r[j] for j in range(rank))
+                                             for i in range(rank)) for m in powers)))
+                 for r in roots}
+    p = next(p for p in range(n + 1, 10 ** 4, n) if is_prime(p)) if ramified else 3
+    return {
+        "name": "coxeter_A%d" % rank,
+        "q": {"p": p, "a": 1},
+        "group": {"order": n, "mult_table": [[(i + j) % n for j in range(n)] for i in range(n)]},
+        "inertia": list(range(n)) if ramified else [0],
+        "frobenius": 0 if ramified else 1,
+        "lattice_rank": rank,
+        "action": {str(k): m for k, m in enumerate(powers)},
+        "roots": [list(r) for r in roots],
+        "jump_offsets": {oid: "0" for oid in orbit_ids},
+        "theta_depths": {oid: "1" for oid in orbit_ids},
+        "theta_total_depth": "1",
+        "depth_zero": "regular",
+    }
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("ramified", [False, True])
+def test_coxeter_verify_closed_form(n, ramified, tmp_path, capsys):
+    doc = coxeter_document(n, ramified)
+    path = tmp_path / "coxeter.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["--format", "json", "verify", str(path)])
+    assert rc == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    q = doc["q"]["p"]
+    if ramified:
+        verdict, coeff, pexp = "FLAGGED", Fraction(1, n), Fraction(n * n - 1) - Fraction(n - 1, 2)
+    else:
+        verdict, coeff, pexp = "EQUAL", Fraction(q - 1, q ** n - 1), Fraction(n * n - 1)
+    assert report["verdict"] == verdict
+    for value in (report["automorphic"]["value_full_index"], report["galois"]["value"]):
+        assert (Fraction(value["coeff"]), Fraction(value["pexp"])) == (coeff, pexp)

@@ -42,6 +42,21 @@ def test_frame_validation():
         GaloisFrame(FiniteGroup.cyclic(3), frozenset({0, 1, 2}), 0, PP3)  # wild
 
 
+def test_generating_set():
+    z6 = FiniteGroup.cyclic(6)
+    assert z6.generating_set(z6.elements) == [1]
+    assert z6.generating_set([0, 2, 4]) == [2]
+    assert z6.generating_set([0]) == []
+    klein = FiniteGroup([[i ^ j for j in range(4)] for i in range(4)])
+    assert klein.generating_set(klein.elements) == [1, 2]
+    s3, _ = FiniteGroup.from_permutations([[1, 0, 2], [0, 2, 1]])
+    gens = s3.generating_set(s3.elements)
+    assert len(gens) == 2 and s3.subgroup_generated(gens) == frozenset(s3.elements)
+    for g in (z6, klein, s3):
+        for h in g.all_subgroups():
+            assert g.subgroup_generated(g.generating_set(h)) == h
+
+
 def test_field_invariants_examples():
     g = FiniteGroup.cyclic(4)
     fr = GaloisFrame(g, frozenset({0, 2}), 1, PP3)

@@ -221,3 +221,110 @@ def test_generator_produces_valid_scenarios():
         assert len(scen.datum.roots) <= 12 and scen.datum.rank <= 3
         assert scen.frame.group.order <= 8
         assert all(o.e <= 4 for o in scen.orbits)
+
+
+KLEIN_TABLE = [[i ^ j for j in range(4)] for i in range(4)]
+
+
+def klein_doc(action, roots):
+    """Klein four frame (inertia {0, 1}, Frobenius 2) on Z^2; only the group,
+    the frame and the datum, which is all the frame checks read."""
+    return {"name": "klein", "q": {"p": 3, "a": 1},
+            "group": {"order": 4, "mult_table": KLEIN_TABLE},
+            "inertia": [0, 1], "frobenius": 2, "lattice_rank": 2,
+            "action": action, "roots": roots}
+
+
+NEG, SWAP = [[-1, 0], [0, -1]], [[0, 1], [1, 0]]
+NEG_SWAP = [[0, -1], [-1, 0]]
+
+
+@pytest.mark.parametrize("doc,message", [
+    # M(0) is not the identity
+    (dict(bundled_doc("sl2_unramified_depth0"), action={"0": [[-1]], "1": [[-1]]}),
+     "action is not a homomorphism at (0, 0)"),
+    # the generators 1 and 2 act correctly, the product 3 = 1 * 2 does not
+    (klein_doc({"0": [[1, 0], [0, 1]], "1": NEG, "2": SWAP, "3": SWAP},
+               [[1, -1], [-1, 1]]),
+     "action is not a homomorphism at (1, 2)"),
+    # consistent with the generator 1 = -I, but the generator 2 acts with
+    # order four in a group of exponent two; only its own rows expose that
+    (klein_doc({"0": [[1, 0], [0, 1]], "1": NEG, "2": [[0, -1], [1, 0]],
+                "3": [[0, 1], [-1, 0]]}, [[1, 0], [-1, 0]]),
+     "action is not a homomorphism at (2, 2)"),
+    # the roots are stable under the generator 1 but not under the generator 2
+    (klein_doc({"0": [[1, 0], [0, 1]], "1": NEG, "2": SWAP, "3": NEG_SWAP},
+               [[1, 0], [-1, 0]]),
+     "root set is not stable under element 2"),
+], ids=["identity-not-fixed", "non-generator-wrong", "second-generator-wrong",
+        "roots-unstable-under-one-generator"])
+def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["verify", str(path)])
+    assert rc == 2
+    assert "galois_roots.GRootDatum: " + message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,provenance", [
+    ("[1, 2]", "cli.document: must be a JSON object, got array"),
+    (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"), chi=[1])),
+     "chi_data.chi: must be a JSON object, got array"),
+    (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"), options=5)),
+     "cli.options: must be a JSON object, got number"),
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), action=[[1]], roots={})),
+     "galois_roots.action: must be a JSON object, got array"),
+    (json.dumps(dict(bundled_doc("s3_a2_depth_third"), group={"perm_gens": {"a": 1}})),
+     "galois_roots.group.perm_gens: must be a JSON array, got object"),
+    # an empty character table: refused under condition 2, not classified
+    (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"),
+                     chi={"1": {"0": "0", "2": "1/2"}, "-1": {}})),
+     "chi_data.chi: character at (-1,) is not a stabilizer homomorphism"),
+], ids=["top-level-array", "chi-array", "options-number", "action-array",
+        "perm-gens-object", "chi-empty-table"])
+def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = cli.main(["verify", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert provenance in err and "Traceback" not in err
+
+
+def test_shape_failures_are_reported_together():
+    doc = dict(bundled_doc("z4_a1_ramified_chi"), roots={}, options=[])
+    doc["chi"] = dict(doc["chi"], **{"1": "0"})
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.failures == [
+        ("galois_roots", "roots", "must be a JSON array, got object"),
+        ("cli", "options", "must be a JSON object, got array"),
+        ("chi_data", "chi.1", "must be a JSON object, got string"),
+    ]
+
+
+@pytest.mark.parametrize("q,p,a", [
+    ("1000000007", 1000000007, 1),
+    (str((10 ** 9 + 7) ** 2), 10 ** 9 + 7, 2),
+    ("3^2", 3, 2),
+    ("81", 3, 4),
+])
+def test_cli_large_q_loads_quickly(q, p, a, capsys):
+    rc = cli.main(["--q", q, "--format", "json", "verify",
+                   bundled_path("sl2_unramified_depth0")])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reports"][0]["q"] == p ** a
+    assert PrimePower.from_q(p ** a) == PrimePower(p, a)
+
+
+@pytest.mark.parametrize("q,message", [
+    ("15", "q = 15 is not a prime power"),
+    ("16", "p must be odd"),  # 2^4
+    ("1", "q = 1 is not an odd prime power"),
+    ("1000000016000000063", "q = 1000000016000000063 is not a prime power"),  # (10^9+7)(10^9+9)
+])
+def test_cli_refuses_bad_q(q, message, capsys):
+    rc = cli.main(["--q", q, "verify", bundled_path("sl2_unramified_depth0")])
+    assert rc == 2
+    assert message in capsys.readouterr().err

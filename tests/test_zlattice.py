@@ -1,4 +1,6 @@
 import glob
+import itertools
+import math
 import os
 import random
 
@@ -41,8 +43,11 @@ def test_snf_examples():
 
 def test_snf_randomized():
     rng = random.Random(31)
-    for _ in range(1000):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
+    shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(1000)]
+    # Wide and tall shapes: relation matrices of coinvariant groups are wide,
+    # stacked invariance conditions are tall.
+    shapes += [(3, 12), (12, 3), (2, 9), (9, 2), (5, 13), (13, 5)] * 10
+    for n, m in shapes:
         a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
         u, d, v = smith_normal_form(a)
         assert mat_eq(mat_mul(mat_mul(u, a), v), d)
@@ -62,6 +67,84 @@ def test_snf_randomized():
 def test_snf_deterministic():
     a = [[6, 4, 2], [2, 8, 4], [10, 2, 0]]
     assert smith_normal_form(a) == smith_normal_form([row[:] for row in a])
+
+
+def test_snf_pinned_wide():
+    """U, D and V of a wide matrix, pinned: torus bases, kernel bases and
+    report bytes all depend on the exact V, not only on D."""
+    a = [[2, 4, 6, 0, 3, -1], [1, -3, 0, 5, 2, 2], [0, 6, -4, 2, 2, 8]]
+    form = smith_normal_form(a)
+    assert form.u == [[-1, 0, 0], [-14, 1, -2], [-36, 2, -5]]
+    assert form.d == [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0]]
+    assert form.v == [[0, 0, 3, -24, 7, -14], [0, 0, 1, -7, 1, 0],
+                      [0, 0, -2, 15, -4, 5], [0, 1, 0, -5, 0, 2],
+                      [0, 0, 0, 0, 1, 0], [1, 0, -2, 14, -3, 2]]
+    assert form.diagonal == [1, 1, 2] and form.rank == 3
+
+
+def maximal_minor_gcd(a):
+    """gcd of the n x n minors of an n x m matrix, by determinants alone."""
+    n, m = len(a), len(a[0])
+    return math.gcd(*(det([[a[i][j] for j in cols] for i in range(n)])
+                      for cols in itertools.combinations(range(m), n)))
+
+
+def brute_force_in_column_lattice(a, b, d):
+    """b in col(A) without Smith forms, for d = maximal_minor_gcd(A) > 0.
+
+    For each n x n minor B, det(B) e_i = B adj(B) e_i lies in col(A), so
+    col(A) contains d Z^n and membership is decided in (Z/d)^n, where col(A)
+    reduces to the subgroup generated by the columns (found by closure)."""
+    n, m = len(a), len(a[0])
+    gens = [tuple(a[i][j] % d for i in range(n)) for j in range(m)]
+    seen = {tuple([0] * n)}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((s + t) % d for s, t in zip(x, g))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return tuple(x % d for x in b) in seen
+
+
+def test_smith_form_contains_and_solve_oracle():
+    rng = random.Random(47)
+    members = outsiders = 0
+    while members + outsiders < 600:
+        n = rng.randint(1, 3)
+        m = rng.randint(n, 6)
+        a = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+        d = maximal_minor_gcd(a)
+        if d == 0 or d ** n > 4000:
+            continue  # the oracle needs full row rank and a small quotient
+        form = smith_normal_form(a)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                b = [rng.randint(-9, 9) for _ in range(n)]
+            else:  # a guaranteed member
+                b = list(mat_vec(a, [rng.randint(-3, 3) for _ in range(m)]))
+            want = brute_force_in_column_lattice(a, b, d)
+            assert form.contains(b) == want, (a, b)
+            x = form.solve(b)
+            assert (x is not None) == want
+            if x is not None:
+                assert list(mat_vec(a, x)) == b
+                members += 1
+            else:
+                outsiders += 1
+    assert members > 100 and outsiders > 50
+
+
+def test_smith_form_rank_deficient_membership():
+    # col(A) is the line through (1, 2): points off the line are outside,
+    # and points on it are inside exactly at even multiples of (1, 2) / 2.
+    form = smith_normal_form([[2, 4], [4, 8]])
+    assert form.rank == 1
+    assert form.contains([2, 4]) and form.contains([-6, -12])
+    assert not form.contains([1, 2]) and not form.contains([2, 5])
+    assert form.solve([1, 3]) is None
 
 
 def test_coinvariants_examples():
@@ -169,6 +252,18 @@ def test_fg_fixed_order_examples():
     assert fg_fixed_order(FgAbelianGroup(1, [(4,)], [[3]])) == 2
     with pytest.raises(ValueError):
         fg_fixed_order(FgAbelianGroup(1, [], [[1]]))  # infinite fixed part
+
+
+def test_fg_abelian_group_refuses_non_preserving_endo():
+    # (2, 0) generates the relations; the swap sends it to (0, 2), outside.
+    with pytest.raises(ValueError, match="does not preserve the relations"):
+        FgAbelianGroup(2, [(2, 0)], [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="does not preserve the relations"):
+        FgAbelianGroup(2, [(3, 0), (0, 6)], [[1, 0], [1, 1]])  # (3, 0) -> (3, 3)
+    with pytest.raises(ValueError, match="wrong shape"):
+        FgAbelianGroup(2, [(2, 0)], [[1]])
+    # the same relations accept an endomorphism that keeps 3Z + 6Z
+    assert FgAbelianGroup(2, [(3, 0), (0, 6)], [[1, 0], [2, 1]]).order == 18
 
 
 def test_fg_fixed_order_oracle():
