@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .compare import VERDICT_FLAGGED, VERDICT_UNEQUAL, emit_report, run_compare
-from .chi_data import verify_base_change
+from .chi_data import default_choices, verify_base_change
 from .formal_degree import general_degree, regular_degree
 from .qexact import PrimePower
 from .scenario import Scenario, ScenarioError, fraction_str, load_scenario
@@ -48,21 +48,24 @@ def _load(path: str, qq: Optional[PrimePower]) -> Scenario:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    """Reports for the files that load, one error line per file that does
+    not; the exit status is the worst over all files."""
     qq = _parse_q(args.q) if args.q else None
     reports = []
+    status = 0
     for path in args.files:
         try:
-            scen = _load(path, qq)
-        except ScenarioError as e:
+            reports.append(run_compare(_load(path, qq)))
+        except (ValueError, OSError) as e:
             print("error: %s: %s" % (path, e), file=sys.stderr)
-            return 2
-        reports.append(run_compare(scen))
-    sys.stdout.write(emit_report(reports, args.format, with_timing=args.timing))
+            status = 2
+    if reports:
+        sys.stdout.write(emit_report(reports, args.format, with_timing=args.timing))
     if any(r.verdict == VERDICT_UNEQUAL for r in reports):
-        return 1
+        status = max(status, 1)
     if args.strict and any(r.verdict == VERDICT_FLAGGED for r in reports):
-        return 1
-    return 0
+        status = max(status, 1)
+    return status
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
@@ -147,11 +150,12 @@ def _cmd_chi_check(args: argparse.Namespace) -> int:
     if scen.chi is None:
         print("error: scenario %s bundles no character data" % scen.name, file=sys.stderr)
         return 2
+    choices = default_choices(scen.datum, scen.frame)
     results = []
     ok_all = True
     for sub in scen.frame.group.all_subgroups():
         try:
-            rep = verify_base_change(scen.chi, sub, scen.datum, scen.frame)
+            rep = verify_base_change(scen.chi, sub, scen.datum, scen.frame, choices=choices)
         except ValueError as e:
             results.append({"subgroup": sorted(sub), "skipped": str(e)})
             continue

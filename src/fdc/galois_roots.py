@@ -16,7 +16,7 @@ chain of Levi-closed root subsets together with its breaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -353,6 +353,9 @@ class GRootDatum:
     rank: int
     action: Mapping[int, Matrix]  # element index -> matrix on X^*
     roots: FrozenSet[Vector]
+    # root -> (its image under each element, stabilizer, +-stabilizer)
+    _memo: Dict[Vector, Tuple[Dict[int, Vector], FrozenSet[int], FrozenSet[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for g, m in self.action.items():
@@ -398,8 +401,31 @@ class GRootDatum:
         if fixed:
             raise ValueError("datum is not elliptic: invariant vectors exist")
 
+    def _root_data(self, root: Vector) -> Tuple[Dict[int, Vector], FrozenSet[int], FrozenSet[int]]:
+        entry = self._memo.get(root)
+        if entry is None:
+            images = {g: mat_vec(m, root) for g, m in self.action.items()}
+            neg = tuple(-x for x in root)
+            stab = frozenset(g for g, img in images.items() if img == root)
+            pm = stab | frozenset(g for g, img in images.items() if img == neg)
+            entry = self._memo[root] = (images, stab, pm)
+        return entry
+
     def act(self, g: int, v: Sequence[int]) -> Vector:
+        """M(g) v.  The images of a root under every element are computed
+        on its first use and kept; any other vector is multiplied out."""
+        if isinstance(v, tuple) and v in self.roots:
+            return self._root_data(v)[0][g]
         return mat_vec(self.action[g], v)
+
+    def stabilizer(self, root: Vector) -> FrozenSet[int]:
+        """The elements of the whole group that fix the root, computed once."""
+        return self._root_data(root)[1]
+
+    def pm_stabilizer(self, root: Vector) -> FrozenSet[int]:
+        """The elements of the whole group that send the root to itself or
+        to its negative, computed once."""
+        return self._root_data(root)[2]
 
     @property
     def dim_ga(self) -> int:
@@ -450,7 +476,7 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
         orbit_members[oid] = members
     for oid, members in sorted(orbit_members.items(), key=lambda kv: parse_root_key(kv[0])):
         rep = min(members)
-        stab = frozenset(a for a in car if datum.act(a, rep) == rep)
+        stab = datum.stabilizer(rep) & frame.carrier_set
         inv = field_invariants(frame, stab)
         if inv.degree != len(members):
             raise ValueError("orbit size does not match the stabilizer index")
@@ -629,27 +655,31 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     :meth:`GRootDatum.check_against_frame`.
 
     That check makes the action a homomorphism, so the contragredient
-    M(g)^-T on the cocharacter lattice is read off as M(g^-1)^T.
+    M(g)^-T on the cocharacter lattice is read off as M(g^-1)^T.  The
+    invariant sublattices and the coinvariant relations are taken over
+    generators of the carrier and of inertia only: a vector fixed by the
+    generators is fixed by the group, and (gh - 1)x = (g - 1)(hx) + (h - 1)x
+    puts every relation in the span of the generators' relations.
     """
     q = frame.q
-    car = sorted(frame.carrier_set)
-    inv = frame.group.inv
+    group = frame.group
+    car_gens = group.generating_set(frame.carrier_set)
+    inertia_gens = group.generating_set(frame.inertia)
 
     def dual(a: int) -> Matrix:
-        return mat_transpose(datum.action[inv(a)])
+        return mat_transpose(datum.action[group.inv(a)])
 
-    inertia_gens = [datum.action[a] for a in sorted(frame.inertia)]
-    m_basis = tuple(invariant_sublattice(datum.rank, inertia_gens))
+    m_basis = tuple(invariant_sublattice(datum.rank, [datum.action[a] for a in inertia_gens]))
     f_m = restrict_endomorphism(datum.action[frame.frobenius], m_basis)
     special = twisted_fixed_order(f_m, q)
     coinv = coinvariants_order(f_m)
     if coinv is INFINITY:
         raise ValueError("Frobenius coinvariants of M are infinite; datum is not elliptic")
-    full = group_coinvariants(datum.rank, [dual(a) for a in car])
+    full = group_coinvariants(datum.rank, [dual(a) for a in car_gens])
     if full.order is INFINITY:
         raise ValueError("cocharacter coinvariants are infinite; datum is not elliptic")
-    dual_inertia = [dual(a) for a in sorted(frame.inertia)]
-    cochar_inertia = group_coinvariants(datum.rank, dual_inertia, endo=dual(frame.frobenius))
+    cochar_inertia = group_coinvariants(datum.rank, [dual(a) for a in inertia_gens],
+                                        endo=dual(frame.frobenius))
     kottwitz = fg_fixed_order(cochar_inertia)
     return TorusLatticeData(
         rank=datum.rank,

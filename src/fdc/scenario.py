@@ -535,7 +535,7 @@ def _random_chi(rng: random.Random, datum: GRootDatum, frame: GaloisFrame) -> Op
     g = frame.group
     rep_chars = {}
     for _cid, rep, members in pm_classes(datum, frame):
-        stab = _stab(datum, g, rep, within=frame.carrier_set)
+        stab = _stab(datum, rep, frame.carrier_set)
         chars = character_group(g, stab)
         neg = tuple(-x for x in rep)
         negators = [s for s in sorted(frame.carrier_set) if datum.act(s, rep) == neg]

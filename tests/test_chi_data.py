@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -5,8 +6,12 @@ import pytest
 
 from fdc.qexact import PrimePower
 from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
+from fdc.scenario import load_scenario
+from fdc.zlattice import mat_vec
 from fdc.chi_data import (
     ChiData,
+    _stab,
+    _stab_pm,
     base_change_chi,
     char_is_homomorphism,
     character_group,
@@ -195,10 +200,9 @@ def test_compatible_choices_two_double_cosets():
     # one plus-minus class upstairs, trivial stabilizers: two double cosets
     assert len(pair.sub.reps) == 2
     # and base change still verifies with a nontrivial character
-    from fdc.chi_data import _stab
     top = default_choices(datum, frame)
     (rep,) = list(top.reps.values())
-    stab = _stab(datum, frame.group, rep)
+    stab = _stab(datum, rep)
     assert stab == frozenset({0})
     chi = ChiData.from_representatives(datum, frame, {rep: {0: Fraction(0)}})
     for sub in frame.group.all_subgroups():
@@ -218,9 +222,8 @@ def test_verify_base_change_models():
         assert rep.ok
 
     # nontrivial character on the asymmetric S3 orbits
-    from fdc.chi_data import _stab
     alpha = (1, 0)
-    stab = _stab(datum, frame.group, alpha)
+    stab = _stab(datum, alpha)
     nontriv = {h: (Fraction(0) if h == 0 else Fraction(1, 2)) for h in sorted(stab)}
     chi2 = ChiData.from_representatives(datum, frame, {alpha: nontriv})
     for sub in frame.group.all_subgroups():
@@ -271,3 +274,72 @@ def test_cocycle_vanishes_where_chi_restricts_trivially():
 def test_randomized_base_change():
     from fdc.selftest import suite_chi
     assert suite_chi(random.Random(101), 30) == 30
+
+
+SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
+
+
+@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(SCEN_DIR)))
+def test_root_images_and_stabilizers_match_brute_force(name):
+    """The images and stabilizers kept on the datum agree with a fresh
+    matrix-vector product for every element, root and subgroup."""
+    scen = load_scenario(os.path.join(SCEN_DIR, name + ".json"))
+    datum, group = scen.datum, scen.frame.group
+    for r in sorted(datum.roots):
+        for g in group.elements:
+            assert datum.act(g, r) == mat_vec(datum.action[g], r)
+        off = tuple(3 * x for x in r)  # not a root: multiplied out
+        assert off not in datum.roots
+        assert all(datum.act(g, off) == mat_vec(datum.action[g], off) for g in group.elements)
+    for sub in group.all_subgroups():
+        for r in sorted(datum.roots):
+            neg = tuple(-x for x in r)
+            images = {s: mat_vec(datum.action[s], r) for s in sub}
+            assert _stab(datum, r, within=sub) == frozenset(
+                s for s in sub if images[s] == r)
+            assert _stab_pm(datum, r, within=sub) == frozenset(
+                s for s in sub if images[s] in (r, neg))
+
+
+def test_base_change_refuses_invalid_restriction():
+    """Restriction keeps a broken equivariance visible on a subframe that
+    still sees it, and base change refuses it there with the failures."""
+    frame, datum = s3_model()
+    alpha = (1, 0)
+    chars = dict(ChiData.trivial(datum, frame).chars)
+    # nontrivial at +-alpha only: odd under negation, but its orbit-mates
+    # stay trivial, so conjugation does not carry it along
+    chars[alpha] = {h: Fraction(0) if h == 0 else Fraction(1, 2)
+                    for h in _stab(datum, alpha)}
+    chars[(-1, 0)] = dict(chars[alpha])
+    bad = ChiData(chars)
+    assert not validate_chi(bad, datum, frame).cond1_failures
+
+    everything = frozenset(frame.group.elements)
+    with pytest.raises(AssertionError) as err:
+        base_change_chi(bad, everything, datum, frame, subframe_of(frame, everything))
+    assert str(err.value) == (
+        "restricted chi data fail validation: ("
+        "'equivariance fails from (-1, -1) under 1', "
+        "'equivariance fails from (-1, 0) under 1', "
+        "'equivariance fails from (0, -1) under 2', "
+        "'equivariance fails from (0, 1) under 2', "
+        "'equivariance fails from (1, 0) under 1', "
+        "'equivariance fails from (1, 1) under 1')")
+    with pytest.raises(AssertionError, match="^restricted chi data fail validation"):
+        verify_base_change(bad, everything, datum, frame)
+    # the stabilizer of alpha alone does not move roots, so the defect is invisible
+    sub = _stab(datum, alpha)
+    restricted = base_change_chi(bad, sub, datum, frame, subframe_of(frame, sub))
+    assert restricted.chars[alpha] == chars[alpha]
+
+    # a condition-1 failure is listed the same way, before condition 2
+    frame, datum, _chi = z4_model()
+    odd = ChiData({(1,): {0: Fraction(0), 2: Fraction(1, 2)},
+                   (-1,): {0: Fraction(0), 2: Fraction(0)}})
+    sub = frozenset({0, 2})
+    with pytest.raises(AssertionError) as err:
+        base_change_chi(odd, sub, datum, frame, subframe_of(frame, sub))
+    assert str(err.value) == (
+        "restricted chi data fail validation: ("
+        "'chi(-a) != chi(a)^-1 at (-1,)', 'chi(-a) != chi(a)^-1 at (1,)')")

@@ -291,6 +291,38 @@ def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
     assert provenance in err and "Traceback" not in err
 
 
+def test_cli_verify_keeps_good_reports_when_a_file_fails(tmp_path, capsys):
+    good = bundled_path("sl2_unramified_depth0")
+    flagged = bundled_path("sl2_ramified_depth_half")
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    missing = tmp_path / "missing.json"
+    assert cli.main(["--format", "json", "verify", good, flagged]) == 0
+    both = capsys.readouterr().out
+
+    rc = cli.main(["--format", "json", "verify", good, str(bad), flagged, str(missing)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == both  # the good reports, in order, as without the bad files
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 2  # one per bad file, each naming its path
+    assert errors[0].startswith("error: %s: scenario validation failed" % bad)
+    assert errors[1].startswith("error: %s: " % missing)
+    assert "Traceback" not in captured.err
+
+    # the worst status wins: a validation error outranks a --strict failure
+    assert cli.main(["--strict", "verify", flagged, str(bad)]) == 2
+    assert "verdict=FLAGGED" in capsys.readouterr().out
+    assert cli.main(["--strict", "verify", good, flagged]) == 1
+    capsys.readouterr()
+
+    # nothing loads: no report, one error per file
+    assert cli.main(["verify", str(bad), str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert sum(line.startswith("error: ") for line in captured.err.splitlines()) == 2
+
+
 def test_shape_failures_are_reported_together():
     doc = dict(bundled_doc("z4_a1_ramified_chi"), roots={}, options=[])
     doc["chi"] = dict(doc["chi"], **{"1": "0"})
