@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .galois_roots import FiniteGroup, GaloisFrame, GRootDatum, root_key
 from .zlattice import smith_normal_form
@@ -45,12 +45,23 @@ def _mod1(x: Fraction) -> Fraction:
 
 def char_is_homomorphism(group: FiniteGroup, domain: FrozenSet[int],
                          chi: Character) -> bool:
+    """Whether chi, with values in [0, 1), is a homomorphism from the
+    subgroup ``domain`` to Q/Z.
+
+    ``domain`` must be a subgroup.  Additivity chi(ab) = chi(a) + chi(b) is
+    tested for a in a generating set only, which proves it for every a: the
+    a that pass for every b contain 0 once chi(0) = 0, and are closed under
+    left multiplication by each generator s that passes, since then
+    chi(sab) = chi(s) + chi(ab) = chi(sa) + chi(b).
+    """
     if set(chi.keys()) != set(domain):
         return False
     if any(not (0 <= v < 1) for v in chi.values()):
         return False
-    return all(_mod1(chi[a] + chi[b]) == chi[group.mul(a, b)]
-               for a in domain for b in domain)
+    if chi.get(0) != 0:
+        return False
+    return all(_mod1(chi[s] + chi[b]) == chi[group.mul(s, b)]
+               for s in group.generating_set(domain) for b in domain)
 
 
 def char_inverse(chi: Character) -> Character:
@@ -232,12 +243,29 @@ def _stab_pm(datum: GRootDatum, root: Root,
     return stab if within is None else stab & within
 
 
-def _condition_failures(chi: ChiData, datum: GRootDatum,
-                        frame: GaloisFrame) -> Tuple[List[str], List[str]]:
+def condition_failures(chi: ChiData, datum: GRootDatum,
+                       frame: GaloisFrame) -> Tuple[List[str], List[str]]:
     """The failures of condition 1 (chi(-a) = chi(a)^-1) and of condition 2
     (each character is a homomorphism on the carrier stabilizer of its
     root, and conjugation by the carrier moves it to the character of the
-    image root), root by root in sorted order."""
+    image root), root by root in sorted order.
+
+    Equivariance is tested under the generators of the carrier: if
+    conjugation by s and by t each carry every character to the character
+    of the image root, so does conjugation by st.  When a check fails, the
+    failures are listed as a check under every carrier element lists them:
+    each failing root with the first element that moves it wrongly.
+    """
+    g = frame.group
+    cond1, cond2 = _failures_under(chi, datum, frame, g.generating_set(frame.carrier_set))
+    if cond2:
+        cond1, cond2 = _failures_under(chi, datum, frame, sorted(frame.carrier_set))
+    return cond1, cond2
+
+
+def _failures_under(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
+                    movers: Sequence[int]) -> Tuple[List[str], List[str]]:
+    """Conditions 1 and 2, with equivariance tested under ``movers`` only."""
     g = frame.group
     car = frozenset(frame.carrier_set)
     cond1: List[str] = []
@@ -253,7 +281,7 @@ def _condition_failures(chi: ChiData, datum: GRootDatum,
         neg = tuple(-x for x in root)
         if chi.chars.get(neg) != char_inverse(chi.chars[root]):
             cond1.append("chi(-a) != chi(a)^-1 at %s" % (root,))
-        for s in sorted(car):
+        for s in movers:
             target = datum.act(s, root)
             moved = {k: v for k, v in char_conjugate(g, chi.chars[root], s).items() if k in car}
             if chi.chars.get(target) != moved:
@@ -264,7 +292,7 @@ def _condition_failures(chi: ChiData, datum: GRootDatum,
 
 def validate_chi(chi: ChiData, datum: GRootDatum, frame: GaloisFrame) -> ChiDiagnostics:
     """Exact check of the two defining conditions (see
-    :func:`_condition_failures`), plus classification of each class of
+    :func:`condition_failures`), plus classification of each class of
     roots against the minimally ramified template.
 
     Template: trivial on asymmetric classes; on symmetric unramified
@@ -277,7 +305,7 @@ def validate_chi(chi: ChiData, datum: GRootDatum, frame: GaloisFrame) -> ChiDiag
     """
     g = frame.group
     car = frozenset(frame.carrier_set)
-    cond1, cond2 = _condition_failures(chi, datum, frame)
+    cond1, cond2 = condition_failures(chi, datum, frame)
     classes: List[ChiClassReport] = []
     for class_id, rep, members in pm_classes(datum, frame):
         chi_rep = chi.chars.get(rep)
@@ -332,13 +360,13 @@ def base_change_chi(chi: ChiData, subgroup: FrozenSet[int], datum: GRootDatum,
                     frame: GaloisFrame, subframe: "GaloisFrame") -> ChiData:
     """Restriction of the datum to a subframe: each character restricted to
     the subgroup part of its stabilizer.  The result must satisfy the two
-    defining conditions on the subframe (:func:`_condition_failures`); an
+    defining conditions on the subframe (:func:`condition_failures`); an
     AssertionError lists the failures otherwise.  The template
     classification of :func:`validate_chi` is not needed here and is not
     computed."""
     out = ChiData({root: char_restrict(c, _stab(datum, root, subgroup))
                    for root, c in chi.chars.items()})
-    cond1, cond2 = _condition_failures(out, datum, subframe)
+    cond1, cond2 = condition_failures(out, datum, subframe)
     if cond1 or cond2:
         raise AssertionError("restricted chi data fail validation: %s"
                              % (tuple(cond1) + tuple(cond2),))
@@ -404,43 +432,60 @@ def _coset_key(group: FiniteGroup, subgroup: FrozenSet[int], elem: int) -> int:
     return min(group.mul(h, elem) for h in subgroup)
 
 
-def r_chi_eval(chi: ChiData, choices: SectionChoices, w: int, datum: GRootDatum,
-               frame: GaloisFrame,
-               within: Optional[FrozenSet[int]] = None) -> DualTorusElement:
-    """The cocycle value at w, additively in X^* tensor Q/Z.
+def _coset_keys(group: FiniteGroup, subgroup: FrozenSet[int]) -> List[int]:
+    """:func:`_coset_key` of every element of the group, indexed by it."""
+    keys = [0] * group.order
+    for coset in group.right_cosets(subgroup):
+        key = min(coset)
+        for elem in coset:
+            keys[elem] = key
+    return keys
+
+
+def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
+                 datum: GRootDatum, frame: GaloisFrame,
+                 within: Optional[FrozenSet[int]] = None) -> Dict[int, DualTorusElement]:
+    """The cocycle value at each w in ws, additively in X^* tensor Q/Z.
 
     For each class with representative a and each coset x of the plus-minus
     stabilizer, the section relations produce first an element of that
     stabilizer, then (through the inner section at the identity coset) an
     element of the stabilizer of a itself; the character value there is
     accumulated with multiplicity the root obtained by moving a with the
-    inverse of the outer section value.
+    inverse of the outer section value.  The stabilizers and coset keys of
+    a class do not depend on w, so they are computed once for all of ws.
     """
     g = frame.group
     ambient = frozenset(within) if within is not None else frozenset(frame.carrier_set)
-    if w not in ambient:
+    acc = {w: [Fraction(0)] * datum.rank for w in ws}
+    if any(w not in ambient for w in acc):
         raise ValueError("w must lie in the evaluation subgroup")
-    acc = [Fraction(0)] * datum.rank
     for class_id, alpha in sorted(choices.reps.items()):
-        stab_pm = _stab_pm(datum, alpha, ambient)
-        stab = _stab(datum, alpha, ambient)
+        pm_key = _coset_keys(g, _stab_pm(datum, alpha, ambient))
+        key = _coset_keys(g, _stab(datum, alpha, ambient))
         u = choices.u[class_id]
         v = choices.v[class_id]
-        v0_key = _coset_key(g, stab, 0)
+        v0_key = key[0]
+        v0 = v[v0_key]
         for x_key in sorted(u.keys()):
             ux = u[x_key]
-            xw_key = _coset_key(g, stab_pm, g.mul(x_key, w))
-            k = g.mul(g.mul(ux, w), g.inv(u[xw_key]))
-            # inner relation at the identity coset of the stabilizer
-            v0 = v[v0_key]
-            inner_key = _coset_key(g, stab, g.mul(v0_key, k))
-            h = g.mul(g.mul(v0, k), g.inv(v[inner_key]))
-            val = chi.value(alpha, h)
-            if val != 0:
-                beta = datum.act(g.inv(ux), alpha)
-                for i in range(datum.rank):
-                    acc[i] += val * beta[i]
-    return tuple(_mod1(x) for x in acc)
+            beta = datum.act(g.inv(ux), alpha)
+            for w, total in acc.items():
+                k = g.mul(g.mul(ux, w), g.inv(u[pm_key[g.mul(x_key, w)]]))
+                # inner relation at the identity coset of the stabilizer
+                h = g.mul(g.mul(v0, k), g.inv(v[key[g.mul(v0_key, k)]]))
+                val = chi.value(alpha, h)
+                if val != 0:
+                    for i in range(datum.rank):
+                        total[i] += val * beta[i]
+    return {w: tuple(_mod1(x) for x in total) for w, total in acc.items()}
+
+
+def r_chi_eval(chi: ChiData, choices: SectionChoices, w: int, datum: GRootDatum,
+               frame: GaloisFrame,
+               within: Optional[FrozenSet[int]] = None) -> DualTorusElement:
+    """The cocycle value at one w (see :func:`r_chi_values`)."""
+    return r_chi_values(chi, choices, [w], datum, frame, within)[w]
 
 
 def gauge_from_choices(choices: SectionChoices, datum: GRootDatum,
@@ -576,9 +621,9 @@ def verify_base_change(chi: ChiData, subgroup: FrozenSet[int], datum: GRootDatum
         choices = default_choices(datum, frame)
     pair = compatible_choices(choices, subgroup, datum, frame)
     base_change_chi(chi, subgroup, datum, frame, pair.subframe)  # validates restriction
+    lhs = r_chi_values(chi, pair.top, subgroup, datum, frame)
+    rhs = r_chi_values(chi, pair.sub, subgroup, datum, frame, within=subgroup)
     for w in sorted(subgroup):
-        lhs = r_chi_eval(chi, pair.top, w, datum, frame)
-        rhs = r_chi_eval(chi, pair.sub, w, datum, frame, within=subgroup)
-        if lhs != rhs:
-            return BaseChangeReport(False, w, lhs, rhs)
+        if lhs[w] != rhs[w]:
+            return BaseChangeReport(False, w, lhs[w], rhs[w])
     return BaseChangeReport(True, None, None, None)

@@ -16,6 +16,7 @@ an UNEQUAL verdict or a failed check, 2 a usage or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -212,7 +213,11 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every later
+    :func:`main` call in the process: parsing keeps no state in it, since
+    each call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="fdc",
         description="Exact two-sided verification of formal-degree identities "
@@ -247,8 +252,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_self.add_argument("--seed", type=int, default=None,
                         help="overrides FDC_SEED and the built-in default")
     p_self.set_defaults(func=_cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

@@ -63,6 +63,7 @@ class FiniteGroup:
             self._validate()
         self._inverse = [next(j for j in range(self.order) if self.table[i][j] == 0)
                          for i in range(self.order)]
+        self._generators: Dict[FrozenSet[int], List[int]] = {}
 
     def _validate(self) -> None:
         n = self.order
@@ -120,14 +121,19 @@ class FiniteGroup:
     def generating_set(self, elems: Iterable[int]) -> List[int]:
         """Generators of the subgroup with the given elements, chosen
         greedily in increasing order: each is the least element outside the
-        subgroup generated by those before it."""
-        gens: List[int] = []
-        span = frozenset([0])
-        for g in sorted(elems):
-            if g not in span:
-                gens.append(g)
-                span = self.subgroup_generated(gens)
-        return gens
+        subgroup generated by those before it.  Computed once per element
+        set; each call returns a fresh list."""
+        key = frozenset(elems)
+        gens = self._generators.get(key)
+        if gens is None:
+            gens = []
+            span = frozenset([0])
+            for g in sorted(key):
+                if g not in span:
+                    gens.append(g)
+                    span = self.subgroup_generated(gens)
+            self._generators[key] = gens
+        return list(gens)
 
     def is_subgroup(self, h: FrozenSet[int]) -> bool:
         if 0 not in h:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .chi_data import ChiData, character_group, char_conjugate, char_inverse, validate_chi
+from .chi_data import ChiData, character_group, char_conjugate, char_inverse, condition_failures
 from .formal_degree import DepthZeroData, YuShape
 from .galois_roots import (
     DepthValue,
@@ -349,10 +349,9 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
                 root = parse_root_key(rk)
                 chars[root] = {int(g): parse_fraction(v) % 1 for g, v in table.items()}
             chi = ChiData(chars)
-            diag = validate_chi(chi, datum, frame)
-            if not diag.valid:
-                for msg in diag.cond1_failures + diag.cond2_failures:
-                    failures.append(("chi_data", "chi", msg))
+            cond1, cond2 = condition_failures(chi, datum, frame)
+            for msg in cond1 + cond2:
+                failures.append(("chi_data", "chi", msg))
         except (ValueError, TypeError) as e:
             failures.append(("chi_data", "chi", str(e)))
 
@@ -468,23 +467,16 @@ def _templates() -> List[_Template]:
         ((0,), (0, 3), (0, 2, 4)),
         (5, 7)))
 
-    s3, _ = FiniteGroup.from_permutations([[1, 2, 0], [1, 0, 2]])
     gens_perm = [[1, 2, 0], [1, 0, 2]]
     gens_mat = [_rot3(), [[0, 1], [1, 0]]]
-    ident = (0, 1, 2)
-    elems = [ident]
-    index = {ident: 0}
+    s3, perms = FiniteGroup.from_permutations(gens_perm)
+    gen_index = [perms.index(tuple(gp)) for gp in gens_perm]
+    # Elements come in discovery order, so each element's matrix is known
+    # before it is multiplied by a generator.
     mats = {0: identity_matrix(2)}
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for gp, gm in zip(gens_perm, gens_mat):
-            nxt = tuple(gp[cur[i]] for i in range(3))
-            if nxt not in index:
-                index[nxt] = len(elems)
-                mats[len(elems)] = mat_mul(gm, mats[index[cur]])
-                elems.append(nxt)
-                queue.append(nxt)
+    for cur in s3.elements:
+        for gi, gm in zip(gen_index, gens_mat):
+            mats.setdefault(s3.mul(gi, cur), mat_mul(gm, mats[cur]))
     rot = next(h for h in s3.elements if s3.element_order(h) == 3)
     a3 = tuple(sorted(s3.subgroup_generated([rot])))
     out.append(_Template(

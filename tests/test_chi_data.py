@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from fdc.qexact import PrimePower
 from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
-from fdc.scenario import load_scenario
+from fdc.scenario import _random_chi, load_scenario
 from fdc.zlattice import mat_vec
 from fdc.chi_data import (
     ChiData,
@@ -16,9 +17,11 @@ from fdc.chi_data import (
     char_is_homomorphism,
     character_group,
     compatible_choices,
+    condition_failures,
     default_choices,
     gauge_from_choices,
     r_chi_eval,
+    r_chi_values,
     subframe_of,
     validate_chi,
     verify_base_change,
@@ -343,3 +346,158 @@ def test_base_change_refuses_invalid_restriction():
     assert str(err.value) == (
         "restricted chi data fail validation: ("
         "'chi(-a) != chi(a)^-1 at (-1,)', 'chi(-a) != chi(a)^-1 at (1,)')")
+
+
+WITH_CHI = ["d4_b2_depth_quarter", "s3_a2_depth_third",
+            "sl2_unramified_depth0", "z4_a1_ramified_chi"]
+
+
+def _all_pairs_homomorphism(group, domain, table):
+    """The definition, over every pair of the subgroup."""
+    return (set(table) == set(domain)
+            and all(0 <= v < 1 for v in table.values())
+            and all((table[a] + table[b]) % 1 == table[group.mul(a, b)]
+                    for a in domain for b in domain))
+
+
+def _all_elements_failures(chi, datum, subframe):
+    """Conditions 1 and 2 by their definition, listed as the loader and
+    base change list them: every stabilizer pair, every carrier element,
+    fresh matrix-vector products; for each failing root, the first carrier
+    element that moves its character wrongly."""
+    g, car = subframe.group, subframe.carrier_set
+    cond1, cond2 = [], []
+    for root in sorted(datum.roots):
+        table = chi.chars.get(root)
+        if table is None:
+            cond2.append("missing character at %s" % (root,))
+            continue
+        stab = frozenset(s for s in car if mat_vec(datum.action[s], root) == root)
+        if not _all_pairs_homomorphism(g, stab, table):
+            cond2.append("character at %s is not a stabilizer homomorphism" % (root,))
+            continue
+        neg = tuple(-x for x in root)
+        if chi.chars.get(neg) != {k: (-v) % 1 for k, v in table.items()}:
+            cond1.append("chi(-a) != chi(a)^-1 at %s" % (root,))
+        for s in sorted(car):
+            moved = {g.conj(s, k): v for k, v in table.items() if g.conj(s, k) in car}
+            if chi.chars.get(mat_vec(datum.action[s], root)) != moved:
+                cond2.append("equivariance fails from %s under %d" % (root, s))
+                break
+    return cond1, cond2
+
+
+def _splices(first, second, datum, group, mover):
+    """For each orbit of <mover> and negation, the family that is ``first``
+    on that orbit and ``second`` elsewhere: equivariant under ``mover``,
+    but under other elements only where the two families agree."""
+    cyclic = sorted(group.subgroup_generated([mover]))
+    orbits = []
+    for root in sorted(datum.roots):
+        if all(root not in orbit for orbit in orbits):
+            orbits.append({datum.act(s, r) for s in cyclic for r in (root, tuple(-x for x in root))})
+    return [ChiData({r: dict((first if r in orbit else second).chars[r]) for r in datum.roots})
+            for orbit in orbits]
+
+
+@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(SCEN_DIR)))
+def test_generator_checks_match_brute_force(name):
+    """char_is_homomorphism and condition_failures test generators only;
+    they agree with the all-pairs and all-elements definitions, and
+    condition_failures lists the same failures, on valid tables, on tables
+    with one value changed at each element in turn (generators or not), on
+    random tables and on families spliced from two valid ones along an
+    orbit of one generator."""
+    scen = load_scenario(os.path.join(SCEN_DIR, name + ".json"))
+    datum, frame = scen.datum, scen.frame
+    g = frame.group
+    rng = random.Random(name)
+    for sub in g.all_subgroups():
+        elems = sorted(sub)
+        tables = list(character_group(g, sub))
+        for table in list(tables):
+            for e in elems:
+                tables.append({**table, e: (table[e] + Fraction(1, 2 * len(elems))) % 1})
+        for _ in range(20):
+            tables.append({e: Fraction(rng.randrange(6), 6) if e else Fraction(0)
+                           for e in elems})
+        for table in tables:
+            assert char_is_homomorphism(g, sub, table) == _all_pairs_homomorphism(g, sub, table)
+
+        try:
+            subframe = subframe_of(frame, sub)
+        except ValueError:
+            continue  # not the group of a subframe
+        valid = [ChiData.trivial(datum, subframe)]
+        if scen.chi is not None:
+            valid.append(base_change_chi(scen.chi, sub, datum, frame, subframe))
+        valid += [f for f in (_random_chi(rng, datum, subframe) for _ in range(4)) if f]
+        families = list(valid)
+        for first in valid:
+            assert condition_failures(first, datum, subframe) == ([], [])
+            for second in valid:
+                for mover in g.generating_set(sub):
+                    families += _splices(first, second, datum, g, mover)
+        for _ in range(10):
+            families.append(ChiData({r: rng.choice(character_group(g, _stab(datum, r, sub)))
+                                     for r in datum.roots}))
+        for fam in families:
+            assert condition_failures(fam, datum, subframe) == _all_elements_failures(
+                fam, datum, subframe)
+
+
+def test_equivariance_checked_under_every_generator():
+    """On Z/4 x Z/2 acting on Z through the second factor, a character of
+    order four on the stabilizer Z/4 of the root 1 is invisible to the
+    first generator (it fixes both roots) but not to the second (it swaps
+    them, and the negation condition inverts the character)."""
+    g = FiniteGroup([[((i % 4 + j % 4) % 4) + 4 * ((i // 4 + j // 4) % 2)
+                      for j in range(8)] for i in range(8)])
+    assert g.generating_set(g.elements) == [1, 4]
+    frame = GaloisFrame(g, frozenset({0, 1, 2, 3}), 4, PrimePower(5, 1))
+    datum = GRootDatum(1, {x: [[1]] if x < 4 else [[-1]] for x in range(8)},
+                       frozenset({(1,), (-1,)}))
+    datum.check_against_frame(frame)
+    stab = frozenset({0, 1, 2, 3})
+    for value, valid in ((Fraction(1, 2), True), (Fraction(1, 4), False)):
+        table = {k: (k * value) % 1 for k in stab}
+        chi = ChiData({(1,): table, (-1,): {k: -v % 1 for k, v in table.items()}})
+        expected = [] if valid else ["equivariance fails from (-1,) under 4",
+                                     "equivariance fails from (1,) under 4"]
+        assert _all_elements_failures(chi, datum, frame) == ([], expected)
+        assert condition_failures(chi, datum, frame) == ([], expected)
+
+
+def test_cocycle_values_pinned():
+    """r_chi_values reproduces the cocycle values of the top and the
+    derived subframe choices at every w of every subgroup, as captured
+    from the one-w-at-a-time evaluator (tests/r_chi_pins.json)."""
+    with open(os.path.join(os.path.dirname(__file__), "r_chi_pins.json")) as fh:
+        pins = json.load(fh)
+    assert sorted(pins) == WITH_CHI
+    for name in WITH_CHI:
+        scen = load_scenario(os.path.join(SCEN_DIR, name + ".json"))
+        datum, frame, chi = scen.datum, scen.frame, scen.chi
+        choices = default_choices(datum, frame)
+        expected = {}
+        for sub, w, top, low in pins[name]:
+            expected.setdefault(frozenset(sub), {})[w] = (
+                tuple(Fraction(x) for x in top), tuple(Fraction(x) for x in low))
+        checked = 0
+        for sub in frame.group.all_subgroups():
+            try:
+                pair = compatible_choices(choices, sub, datum, frame)
+            except ValueError:
+                assert sub not in expected
+                continue
+            top = r_chi_values(chi, pair.top, sub, datum, frame)
+            low = r_chi_values(chi, pair.sub, sub, datum, frame, within=sub)
+            assert {w: (top[w], low[w]) for w in sub} == expected[sub]
+            checked += 1
+            outside = next((x for x in frame.group.elements if x not in sub), None)
+            if outside is not None:
+                with pytest.raises(ValueError, match="evaluation subgroup"):
+                    r_chi_values(chi, pair.sub, [outside], datum, frame, within=sub)
+                with pytest.raises(ValueError, match="evaluation subgroup"):
+                    r_chi_eval(chi, pair.sub, outside, datum, frame, within=sub)
+        assert checked == len(expected)

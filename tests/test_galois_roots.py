@@ -55,6 +55,11 @@ def test_generating_set():
     for g in (z6, klein, s3):
         for h in g.all_subgroups():
             assert g.subgroup_generated(g.generating_set(h)) == h
+    # kept per element set, but a caller's edit of the list does not reach it
+    first = klein.generating_set(klein.elements)
+    first.append(3)
+    assert klein.generating_set(klein.elements) == [1, 2]
+    assert klein.generating_set(reversed(klein.elements)) == [1, 2]
 
 
 def test_field_invariants_examples():

@@ -12,6 +12,7 @@ and review the diff of ``tests/golden/`` before committing it.
 import contextlib
 import io
 import os
+import subprocess
 import sys
 
 import pytest
@@ -64,6 +65,24 @@ def test_golden_output(case_id, argv, monkeypatch):
     with open(os.path.join(GOLDEN_DIR, case_id + ".out"), encoding="utf-8") as fh:
         expected = fh.read()
     assert run_case(argv) == expected
+
+
+def test_golden_output_in_a_fresh_process():
+    """``python -m fdc.cli`` builds its parser once in a new process and
+    prints what the in-process calls print."""
+    env = dict(os.environ)
+    env.pop("FDC_SEED", None)
+    src = os.path.join(HERE, "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    name = "z4_a1_ramified_chi"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdc.cli", "--format", "json", "verify",
+         os.path.join(SCEN_DIR, name + ".json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    with open(os.path.join(GOLDEN_DIR, "verify-json-%s.out" % name), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert proc.stderr == ""
+    assert "exit=%d\n%s" % (proc.returncode, proc.stdout) == expected
 
 
 if __name__ == "__main__":

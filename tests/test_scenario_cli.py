@@ -2,6 +2,7 @@ import json
 import os
 import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,53 @@ def test_torus_data_computed_once_per_q(argv, calls, monkeypatch, capsys):
     capsys.readouterr()
     assert rc == 0
     assert len(seen) == calls and len(set(seen)) == calls
+
+
+def _golden_stdout(case_id):
+    path = os.path.join(os.path.dirname(__file__), "golden", case_id + ".out")
+    with open(path, encoding="utf-8") as fh:
+        status, stdout = fh.read().split("\n", 1)
+    return int(status[len("exit="):]), stdout
+
+
+def test_cli_main_reuses_its_parser_without_leaks(monkeypatch, capsys):
+    """Successive in-process calls share one parser; no option, usage
+    error or default of one call carries over into the next."""
+    assert cli._parser() is cli._parser()
+    flagged = bundled_path("sl2_ramified_depth_half")
+    assert cli.main(["--strict", "verify", flagged]) == 1
+    assert cli.main(["verify", flagged]) == 0
+
+    name = "sl2_unramified_depth0"
+    capsys.readouterr()
+    assert cli.main(["--q", "9", "--format", "json", "verify", bundled_path(name)]) == 0
+    assert (0, capsys.readouterr().out) == _golden_stdout("verify-q9-json-" + name)
+    assert cli.main(["--format", "json", "verify", bundled_path(name)]) == 0
+    assert (0, capsys.readouterr().out) == _golden_stdout("verify-json-" + name)
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fdc verify")
+    assert cli.main(["--format", "json", "verify", bundled_path(name)]) == 0
+    assert (0, capsys.readouterr().out) == _golden_stdout("verify-json-" + name)
+
+    seeds = []
+
+    def recording(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=recording))
+    monkeypatch.setenv("FDC_SEED", "7")
+    assert cli.main(["selftest", "--n", "1", "--seed", "5"]) == 0
+    assert cli.main(["selftest", "--n", "1"]) == 0
+    monkeypatch.delenv("FDC_SEED")
+    assert cli.main(["selftest", "--n", "1"]) == 0
+    capsys.readouterr()
+    assert seeds == [5, 7, cli.DEFAULT_SEED]
 
 
 def test_cli_selftest_small(capsys):
