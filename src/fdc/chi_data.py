@@ -91,8 +91,8 @@ def character_group(group: FiniteGroup, subgroup: FrozenSet[int]) -> List[Charac
             row[idx[b]] += 1
             row[idx[group.mul(a, b)]] -= 1
             rels.append(row)
-    u, d, v = smith_normal_form(rels)
-    diag = [d[i][i] for i in range(min(len(rels), n))]
+    form = smith_normal_form(rels)
+    diag, v = form.diagonal, form.v
     if len(diag) < n or any(x == 0 for x in diag):
         raise AssertionError("abelianization of a finite group must be finite")
     choices = [range(x) for x in diag]
@@ -432,16 +432,6 @@ def _coset_key(group: FiniteGroup, subgroup: FrozenSet[int], elem: int) -> int:
     return min(group.mul(h, elem) for h in subgroup)
 
 
-def _coset_keys(group: FiniteGroup, subgroup: FrozenSet[int]) -> List[int]:
-    """:func:`_coset_key` of every element of the group, indexed by it."""
-    keys = [0] * group.order
-    for coset in group.right_cosets(subgroup):
-        key = min(coset)
-        for elem in coset:
-            keys[elem] = key
-    return keys
-
-
 def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
                  datum: GRootDatum, frame: GaloisFrame,
                  within: Optional[FrozenSet[int]] = None) -> Dict[int, DualTorusElement]:
@@ -461,8 +451,8 @@ def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
     if any(w not in ambient for w in acc):
         raise ValueError("w must lie in the evaluation subgroup")
     for class_id, alpha in sorted(choices.reps.items()):
-        pm_key = _coset_keys(g, _stab_pm(datum, alpha, ambient))
-        key = _coset_keys(g, _stab(datum, alpha, ambient))
+        pm_key = g.coset_keys(_stab_pm(datum, alpha, ambient))
+        key = g.coset_keys(_stab(datum, alpha, ambient))
         u = choices.u[class_id]
         v = choices.v[class_id]
         v0_key = key[0]

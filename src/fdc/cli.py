@@ -10,7 +10,8 @@ Subcommands:
 Global options: --q overrides the residue size, --format selects text or
 json output, --strict makes FLAGGED count as failure.  Exit code 0 means
 every comparison came back EQUAL (or FLAGGED without --strict), 1 means
-an UNEQUAL verdict or a failed check, 2 a usage or validation error.
+an UNEQUAL verdict or a failed check, 2 a usage or validation error, 3 a
+failed internal identity (a bug in fdc, not a property of the input).
 """
 
 from __future__ import annotations
@@ -48,9 +49,16 @@ def _load(path: str, qq: Optional[PrimePower]) -> Scenario:
     return scen
 
 
+def _internal_failure(path: str, err: AssertionError) -> int:
+    """Report an internal identity that failed on one file: exit status 3."""
+    print("error: %s: internal check failed: %s" % (path, err), file=sys.stderr)
+    return 3
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    """Reports for the files that load, one error line per file that does
-    not; the exit status is the worst over all files."""
+    """Reports for the files that load and pass the internal checks, one
+    error line per file that does not; the exit status is the worst over
+    all files."""
     qq = _parse_q(args.q) if args.q else None
     reports = []
     status = 0
@@ -59,7 +67,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             reports.append(run_compare(_load(path, qq)))
         except (ValueError, OSError) as e:
             print("error: %s: %s" % (path, e), file=sys.stderr)
-            status = 2
+            status = max(status, 2)
+        except AssertionError as e:
+            status = max(status, _internal_failure(path, e))
     if reports:
         sys.stdout.write(emit_report(reports, args.format, with_timing=args.timing))
     if any(r.verdict == VERDICT_UNEQUAL for r in reports):
@@ -262,6 +272,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except AssertionError as e:  # degree, gamma and chi-check: one file each
+        return _internal_failure(args.file, e)
 
 
 if __name__ == "__main__":

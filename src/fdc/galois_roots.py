@@ -64,6 +64,7 @@ class FiniteGroup:
         self._inverse = [next(j for j in range(self.order) if self.table[i][j] == 0)
                          for i in range(self.order)]
         self._generators: Dict[FrozenSet[int], List[int]] = {}
+        self._coset_keys: Dict[FrozenSet[int], List[int]] = {}
 
     def _validate(self) -> None:
         n = self.order
@@ -153,6 +154,20 @@ class FiniteGroup:
                 seen |= coset
                 out.append(coset)
         return out
+
+    def coset_keys(self, h: FrozenSet[int]) -> List[int]:
+        """The minimal element of the right coset H g, for every g, indexed
+        by g.  Computed once per subgroup; every call returns the same list,
+        and no caller mutates it."""
+        keys = self._coset_keys.get(h)
+        if keys is None:
+            keys = [0] * self.order
+            for coset in self.right_cosets(h):
+                key = min(coset)
+                for elem in coset:
+                    keys[elem] = key
+            self._coset_keys[h] = keys
+        return keys
 
     def quotient_generators(self, ambient: Iterable[int],
                             normal: FrozenSet[int]) -> List[int]:
@@ -567,17 +582,17 @@ def _span_closure(vectors: Sequence[Vector], candidates: FrozenSet[Vector]) -> F
                      if all(sum(x * y for x, y in zip(c, w)) == 0 for w in perp))
 
 
-def howe_filtration(datum: GRootDatum, frame: GaloisFrame,
+def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
                     theta_depths: Mapping[str, DepthValue],
                     theta_total_depth: Fraction) -> HoweFiltration:
     """Build the depth filtration of the root system from per-orbit depths.
 
-    The nonpositive-depth orbits form R_0; the distinct positive depths,
-    sorted increasingly, are the breaks, and each level accumulates the
-    orbits up to that depth.  Each level must be rationally closed in R
-    (the Levi condition): the span of R_i meets R exactly in R_i.
+    The orbits are the datum's frame orbits (:func:`classify_orbits`).  The
+    nonpositive-depth orbits form R_0; the distinct positive depths, sorted
+    increasingly, are the breaks, and each level accumulates the orbits up
+    to that depth.  Each level must be rationally closed in R (the Levi
+    condition): the span of R_i meets R exactly in R_i.
     """
-    orbits = classify_orbits(datum, frame)
     by_id = orbit_map(orbits)
     if set(theta_depths.keys()) != set(by_id.keys()):
         raise ValueError("depth map must cover exactly the orbits; got %s, want %s"

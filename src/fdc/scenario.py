@@ -318,7 +318,7 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
         for oid, v in doc.get("theta_depths", {}).items():
             depths[oid] = NONPOSITIVE if v == NONPOSITIVE else parse_fraction(v)
         total = parse_fraction(doc.get("theta_total_depth", "0"))
-        filtration = howe_filtration(datum, frame, depths, total)
+        filtration = howe_filtration(datum, orbits, depths, total)
     except (ValueError, TypeError) as e:
         failures.append(("galois_roots", "theta_depths", str(e)))
 
@@ -672,7 +672,7 @@ def _assign_depths_and_offsets(rng: random.Random, key: str, pp: PrimePower,
                     offsets[pr[0]] = Fraction(1, 2 * o.e)
                     break
         try:
-            filtration = howe_filtration(datum, frame, depths, total)
+            filtration = howe_filtration(datum, orbits, depths, total)
         except ValueError:
             continue
         checks = validate_depth_lattice(filtration, orbits)

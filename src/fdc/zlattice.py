@@ -12,9 +12,11 @@ No floating point appears anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 Matrix = List[List[int]]
 Vector = Tuple[int, ...]
@@ -78,11 +80,11 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     if ca != rb:
         raise ValueError("shape mismatch %dx%d @ %dx%d" % (ra, ca, rb, cb))
     bt = list(zip(*b)) if rb else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
 def mat_sub(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -131,21 +133,50 @@ def det(a: Sequence[Sequence[int]]) -> int:
 # -- Smith normal form -------------------------------------------------------
 
 
-class SmithForm(NamedTuple):
+class SmithForm:
     """U @ A @ V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
     One factorization answers every lattice query about A: its rank, the
     invariant factors of coker A, integer solutions of A x = b and
     membership of b in the column lattice (Cohen, GTM 138, 2.4).
+
+    D is computed eagerly.  U and V are replayed from the logged row and
+    column operations the first time they are read, and kept: ``diagonal``
+    and ``rank`` build neither, ``contains`` builds U, ``solve`` and
+    unpacking (``u, d, v = form``) build both.  Equality compares
+    (u, d, v).
     """
 
-    u: Matrix
-    d: Matrix
-    v: Matrix
+    def __init__(self, d: Matrix, cols: int, row_ops: List[Tuple[int, ...]],
+                 col_ops: List[Tuple[int, ...]]):
+        self.d = d
+        self._cols = cols
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+
+    @functools.cached_property
+    def u(self) -> Matrix:
+        return _replay(identity_matrix(len(self.d)), self._row_ops)
+
+    @functools.cached_property
+    def v(self) -> Matrix:
+        # A column operation on V is a row operation on its transpose.
+        return mat_transpose(_replay(identity_matrix(self._cols), self._col_ops))
+
+    def __iter__(self) -> Iterator[Matrix]:
+        return iter((self.u, self.d, self.v))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SmithForm):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return "SmithForm(u=%r, d=%r, v=%r)" % tuple(self)
 
     @property
     def diagonal(self) -> List[int]:
-        return [self.d[i][i] for i in range(min(len(self.u), len(self.v)))]
+        return [self.d[i][i] for i in range(min(len(self.d), self._cols))]
 
     @property
     def rank(self) -> int:
@@ -155,7 +186,7 @@ class SmithForm(NamedTuple):
     def _reduced(self, b: Sequence[int]) -> Optional[List[int]]:
         """z with D z = U b, or None when b is outside the column lattice:
         (U b)_i must be divisible by d_i below the rank and zero beyond."""
-        if len(b) != len(self.u):
+        if len(b) != len(self.d):
             raise ValueError("dimension mismatch")
         ub = mat_vec(self.u, b)
         diag = self.diagonal
@@ -173,7 +204,27 @@ class SmithForm(NamedTuple):
         z = self._reduced(b)
         if z is None:
             return None
-        return tuple(sum(row[i] * zi for i, zi in enumerate(z)) for row in self.v)
+        return tuple(sum(map(operator.mul, row, z)) for row in self.v)
+
+
+def _row_op(m: Matrix, op: Tuple[int, ...]) -> None:
+    """Apply one logged row operation to m in place: (i, j) swaps rows i
+    and j, (src, dst, c) adds c * row src to row dst, (i,) negates row i."""
+    if len(op) == 3:
+        src, dst, c = op
+        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
+    elif len(op) == 2:
+        i, j = op
+        m[i], m[j] = m[j], m[i]
+    else:
+        (i,) = op
+        m[i] = [-x for x in m[i]]
+
+
+def _replay(m: Matrix, ops: Sequence[Tuple[int, ...]]) -> Matrix:
+    for op in ops:
+        _row_op(m, op)
+    return m
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
@@ -183,51 +234,49 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     pivot rule (smallest nonzero absolute value, lowest position on ties)
     is fixed, so the output is deterministic.  Before each step advances,
     the pivot is made to divide the whole remaining block, which yields the
-    divisibility chain by construction.  V is kept transposed while the
-    form is built, so each column operation on V is one row operation.
+    divisibility chain by construction.  Only D is reduced here; each row
+    and column operation is logged for :class:`SmithForm` to replay into U
+    and V if they are read.
     """
     rows, cols = mat_shape(a)
     d = mat_copy(a)
-    u = identity_matrix(rows)
-    vt = identity_matrix(cols)
+    row_ops: List[Tuple[int, ...]] = []
+    col_ops: List[Tuple[int, ...]] = []
 
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
+    def row_op(*op):
+        _row_op(d, op)
+        row_ops.append(op)
 
     def swap_cols(i, j):
         if i != j:
             for row in d:
                 row[i], row[j] = row[j], row[i]
-            vt[i], vt[j] = vt[j], vt[i]
-
-    def add_row(src, dst, c):
-        # row_dst += c * row_src
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+            col_ops.append((i, j))
 
     def add_col(src, dst, c):
         for row in d:
             row[dst] += c * row[src]
-        vt[dst] = [x + c * y for x, y in zip(vt[dst], vt[src])]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+        col_ops.append((src, dst, c))
 
     for t in range(min(rows, cols)):
         while True:
-            # Locate the pivot: minimal |entry| > 0 in the remaining block.
-            pivot = None
+            # Locate the pivot: minimal |entry| > 0 in the remaining block,
+            # the first in row-major order on ties, so a unit ends the scan.
+            pivot, best = None, 0
             for i in range(t, rows):
+                row = d[i]
                 for j in range(t, cols):
-                    x = d[i][j]
-                    if x != 0 and (pivot is None or abs(x) < abs(d[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+                    x = row[j]
+                    if x and (not best or abs(x) < best):
+                        pivot, best = (i, j), abs(x)
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
             if pivot is None:
                 break
-            swap_rows(t, pivot[0])
+            if pivot[0] != t:
+                row_op(t, pivot[0])
             swap_cols(t, pivot[1])
             piv = d[t][t]
             # Reduce the pivot column and row; leftover remainders are
@@ -235,7 +284,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
             dirty = False
             for i in range(t + 1, rows):
                 if d[i][t] != 0:
-                    add_row(t, i, -_round_quot(d[i][t], piv))
+                    row_op(t, i, -_round_quot(d[i][t], piv))
                     if d[i][t] != 0:
                         dirty = True
             for j in range(t + 1, cols):
@@ -245,24 +294,20 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
                         dirty = True
             if dirty:
                 continue
-            # Force the pivot to divide every remaining entry.
+            # Force the pivot to divide every remaining entry (a unit does).
             viol = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] % piv != 0:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
+            if best > 1:
+                viol = next((i for i in range(t + 1, rows)
+                             if any(x % piv for x in d[i][t + 1:])), None)
             if viol is not None:
-                add_row(viol, t, 1)
+                row_op(viol, t, 1)
                 continue
             break
         if t < min(rows, cols) and d[t][t] < 0:
-            negate_row(t)
+            row_op(t)
         if d[t][t] == 0:
             break
-    return SmithForm(u, d, mat_transpose(vt))
+    return SmithForm(d, cols, row_ops, col_ops)
 
 
 def _round_quot(x: int, y: int) -> int:

@@ -10,11 +10,16 @@ q^(n^2-1-(n-1)/2) / n, verdict FLAGGED.
 """
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
 import fdc.cli as cli
+from fdc.scenario import scenario_from_dict
+from fdc.zlattice import kernel_basis, smith_normal_form
+
+PINS = os.path.join(os.path.dirname(__file__), "coxeter_snf_pins.json")
 
 
 def is_prime(n):
@@ -55,7 +60,7 @@ def coxeter_document(n, ramified):
     }
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
 @pytest.mark.parametrize("ramified", [False, True])
 def test_coxeter_verify_closed_form(n, ramified, tmp_path, capsys):
     doc = coxeter_document(n, ramified)
@@ -72,3 +77,46 @@ def test_coxeter_verify_closed_form(n, ramified, tmp_path, capsys):
     assert report["verdict"] == verdict
     for value in (report["automorphic"]["value_full_index"], report["galois"]["value"]):
         assert (Fraction(value["coeff"]), Fraction(value["pexp"])) == (coeff, pexp)
+
+
+def load_pins():
+    """U, D, V and kernel bases from a Smith form that updates U and V with
+    every operation on D, the reference for the transforms replayed from
+    the operation log."""
+    with open(PINS) as fh:
+        return json.load(fh)
+
+
+def test_snf_of_a5_roots_pinned():
+    """The tall 0/+-1 root matrix of A_5 (30 x 5, roots sorted, as rows),
+    the shape the Levi closure hands to kernel_basis."""
+    roots = sorted(coxeter_document(6, False)["roots"])
+    pin = load_pins()["a5_roots"]
+    form = smith_normal_form(roots)
+    assert form.diagonal == [1] * 5 and form.rank == 5
+    assert (form.u, form.d, form.v) == (pin["u"], pin["d"], pin["v"])
+
+
+@pytest.mark.parametrize("divisors", [(6, 3), (4, 2)])
+def test_a11_levi_kernels_pinned(divisors):
+    """Every level of an A_11 Coxeter filtration with three breaks.  The
+    orbit of e_a - e_b is fixed by k = b - a mod 12 (the sum of its
+    simple-root coordinates); orbits with d1 | k enter at depth 1, the other
+    orbits with d2 | k at depth 2 and the rest at 3, so the levels are the
+    Levi subsystems {d | k} for d = d1, d2, 1."""
+    d1, d2 = divisors
+    doc = coxeter_document(12, False)
+    depths = {}
+    for oid in doc["theta_depths"]:
+        k = sum(int(x) for x in oid.split(",")) % 12
+        depths[oid] = "1" if k % d1 == 0 else "2" if k % d2 == 0 else "3"
+    doc["theta_depths"] = depths
+    doc["theta_total_depth"] = "3"
+    levels = scenario_from_dict(doc).filtration.levels
+    assert [len(lv) for lv in levels] == [0, 12 * (12 // d1 - 1), 12 * (12 // d2 - 1), 132]
+    pins = load_pins()["a11_levi_kernels"]
+    for level, d in zip(levels[1:], (d1, d2, 1)):
+        basis = kernel_basis(sorted(level))
+        # The level spans 12 - d of the 11 dimensions.
+        assert len(basis) == d - 1
+        assert [list(v) for v in basis] == pins[str(len(level))]

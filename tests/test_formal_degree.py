@@ -43,9 +43,9 @@ def sl2_shape(ramified: bool, pp=PP3, depth=None, offset=None):
     orbits = classify_orbits(datum, frame)
     (o,) = orbits
     if depth is None:
-        filt = howe_filtration(datum, frame, {o.orbit_id: NONPOSITIVE}, Fraction(0))
+        filt = howe_filtration(datum, orbits, {o.orbit_id: NONPOSITIVE}, Fraction(0))
     else:
-        filt = howe_filtration(datum, frame, {o.orbit_id: depth}, depth)
+        filt = howe_filtration(datum, orbits, {o.orbit_id: depth}, depth)
     off = offset if offset is not None else Fraction(0)
     jumps = JumpAssignment.build({o.orbit_id: off}, orbits)
     shape = YuShape(filt, tuple(orbits), jumps, 1, pp)

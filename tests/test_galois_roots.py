@@ -158,17 +158,18 @@ def test_datum_validation():
 def test_howe_examples():
     datum = a1_datum()
     fr = frame_z2(True)
-    (oid,) = [o.orbit_id for o in classify_orbits(datum, fr)]
-    filt = howe_filtration(datum, fr, {oid: NONPOSITIVE}, Fraction(0))
+    orbs = classify_orbits(datum, fr)
+    (oid,) = [o.orbit_id for o in orbs]
+    filt = howe_filtration(datum, orbs, {oid: NONPOSITIVE}, Fraction(0))
     assert filt.d == 0 and filt.levels[0] == datum.roots
     assert filt.rvec() == (Fraction(0),)
 
-    filt = howe_filtration(datum, fr, {oid: Fraction(1, 2)}, Fraction(1, 2))
+    filt = howe_filtration(datum, orbs, {oid: Fraction(1, 2)}, Fraction(1, 2))
     assert filt.d == 1 and filt.levels[0] == frozenset()
     assert filt.breaks == (Fraction(1, 2),) and filt.layer_sizes() == [2]
 
     with pytest.raises(ValueError):
-        howe_filtration(datum, fr, {oid: Fraction(3, 4)}, Fraction(1, 2))  # depth > total
+        howe_filtration(datum, orbs, {oid: Fraction(3, 4)}, Fraction(1, 2))  # depth > total
 
 
 def test_howe_levi_closure_error():
@@ -182,7 +183,7 @@ def test_howe_levi_closure_error():
         depths[o.orbit_id] = Fraction(1, 3) if o.representative in ((-1, 0), (0, -1)) \
             else Fraction(1, 2)
     with pytest.raises(ValueError, match="closed"):
-        howe_filtration(datum, fr, depths, Fraction(1, 2))
+        howe_filtration(datum, orbs, depths, Fraction(1, 2))
 
 
 def test_howe_reconstruction_idempotent():
@@ -194,9 +195,9 @@ def test_howe_reconstruction_idempotent():
     # the zero level {+-(1,1)} is span-closed; the other two orbits enter later
     depths = {o.orbit_id: (NONPOSITIVE if o.representative in ((1, 1), (-1, -1))
                            else Fraction(1, 2)) for o in orbs}
-    filt = howe_filtration(datum, fr, depths, Fraction(1, 2))
+    filt = howe_filtration(datum, orbs, depths, Fraction(1, 2))
     rebuilt = {o.orbit_id: filt.depth_of_orbit(o) for o in orbs}
-    assert howe_filtration(datum, fr, rebuilt, filt.total) == filt
+    assert howe_filtration(datum, orbs, rebuilt, filt.total) == filt
 
 
 def test_depth_lattice_examples():
@@ -204,13 +205,13 @@ def test_depth_lattice_examples():
 
     fr_ram = frame_z2(True)
     orbs = classify_orbits(datum, fr_ram)
-    filt = howe_filtration(datum, fr_ram, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
+    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
     (chk,) = validate_depth_lattice(filt, orbs)
     assert chk.in_value_group and chk.in_half_value_group and chk.ok
 
     fr_unr = frame_z2(False)
     orbs = classify_orbits(datum, fr_unr)
-    filt = howe_filtration(datum, fr_unr, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
+    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
     (chk,) = validate_depth_lattice(filt, orbs)
     assert not chk.in_value_group and chk.in_half_value_group and not chk.ok
 
@@ -227,7 +228,7 @@ def test_depth_lattice_e3():
     orbs = classify_orbits(datum, fr)
     assert all(o.e == 3 for o in orbs)
     depths = {o.orbit_id: Fraction(2, 3) for o in orbs}
-    filt = howe_filtration(datum, fr, depths, Fraction(2, 3))
+    filt = howe_filtration(datum, orbs, depths, Fraction(2, 3))
     checks = validate_depth_lattice(filt, orbs)
     assert all(c.ok for c in checks)
 

@@ -235,14 +235,14 @@ def test_admissible_examples():
 
 
 def test_f_from_sequence():
-    fr, datum, orbs = a1_setup(True)
+    _, datum, orbs = a1_setup(True)
     (o,) = orbs
-    filt = howe_filtration(datum, fr, {o.orbit_id: Fraction(1, 2)}, Fraction(1, 2))
+    filt = howe_filtration(datum, orbs, {o.orbit_id: Fraction(1, 2)}, Fraction(1, 2))
     f = f_from_sequence(filt, [Fraction(1), Fraction(3, 2)], datum, orbs)
     assert f["0"] == 1 and f[o.orbit_id] == Fraction(3, 2)
     with pytest.raises(ValueError):
         f_from_sequence(filt, [Fraction(1), Fraction(1, 4)], datum, orbs)
-    filt0 = howe_filtration(datum, fr, {o.orbit_id: NONPOSITIVE}, Fraction(0))
+    filt0 = howe_filtration(datum, orbs, {o.orbit_id: NONPOSITIVE}, Fraction(0))
     f = f_from_sequence(filt0, [Fraction(2)], datum, orbs)
     assert f == {"0": Fraction(2), o.orbit_id: Fraction(2)}
 
@@ -276,7 +276,7 @@ def test_mp_chain_randomized_postconditions():
 
 
 def test_quotient_order_hyperspecial():
-    fr, datum, orbs = a1_setup(False)
+    _, datum, orbs = a1_setup(False)
     (o,) = orbs
     ja = JumpAssignment.build({o.orbit_id: 0}, orbs)
     f0 = {o.orbit_id: just_above(0), "0": just_above(0)}
@@ -286,7 +286,7 @@ def test_quotient_order_hyperspecial():
 
     same = quotient_order(g2, g2, ja, orbs, 1, 1, PP3,
                           chain=[(Fraction(2),)],
-                          filtration=howe_filtration(datum, fr,
+                          filtration=howe_filtration(datum, orbs,
                                                      {o.orbit_id: NONPOSITIVE}, Fraction(0)))
     assert same == exp_q(0, PP3)
     with pytest.raises(ValueError, match="chain"):
@@ -309,9 +309,9 @@ def test_quotient_order_half_jumps():
 
 def test_quotient_order_composition():
     """order(f -> g) * order(g -> h) = order(f -> h) along nested step functions."""
-    fr, datum, orbs = a1_setup(True)
+    _, datum, orbs = a1_setup(True)
     (o,) = orbs
-    filt = howe_filtration(datum, fr, {o.orbit_id: Fraction(1, 2)}, Fraction(1, 2))
+    filt = howe_filtration(datum, orbs, {o.orbit_id: Fraction(1, 2)}, Fraction(1, 2))
     ja = JumpAssignment.build({o.orbit_id: Fraction(1, 4)}, orbs)
     rng = random.Random(23)
     for _ in range(100):

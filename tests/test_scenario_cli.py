@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import fdc.chi_data
 import fdc.cli as cli
+import fdc.compare
 import fdc.galois_roots
 from fdc.compare import emit_report, run_compare
 from fdc.qexact import PrimePower
@@ -179,6 +181,52 @@ def test_cli_chi_check(capsys):
     assert "ok" in capsys.readouterr().out
     rc = cli.main(["chi-check", bundled_path("sl2_ramified_depth_half")])
     assert rc == 2  # no chi bundled
+
+
+def test_cli_verify_internal_check_failure_exits_3(monkeypatch, capsys):
+    """A failed bridging identity exits 3, not UNEQUAL's 1, names the
+    identity, and the other files of the batch keep their reports."""
+    closed = fdc.compare.volume_exponent_closed
+    calls = []
+
+    def off_by_one_on_first_file(shape, rank_m):
+        calls.append(rank_m)
+        return closed(shape, rank_m) + (1 if len(calls) == 1 else 0)
+
+    monkeypatch.setattr(fdc.compare, "volume_exponent_closed", off_by_one_on_first_file)
+    rc = cli.main(["--format", "json", "verify", bundled_path("sl2_unramified_depth0"),
+                   bundled_path("sl2_ramified_depth_half")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert ("sl2_unramified_depth0.json: internal check failed: volume exponent mismatch"
+            in captured.err)
+    (report,) = json.loads(captured.out)["reports"]
+    assert report["name"] == "sl2_ramified_depth_half"
+
+
+def test_cli_chi_check_internal_check_failure_exits_3(monkeypatch, capsys):
+    def every_restriction_fails(chi, datum, frame):
+        return ["stub failure"], []
+
+    # Loading validates through the loader's own reference to the function,
+    # so only base_change_chi sees the failing one.
+    monkeypatch.setattr(fdc.chi_data, "condition_failures", every_restriction_fails)
+    rc = cli.main(["chi-check", bundled_path("z4_a1_ramified_chi")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "z4_a1_ramified_chi.json: internal check failed: restricted chi data" in err
+
+
+@pytest.mark.parametrize("command,stage", [("degree", "regular_degree"),
+                                           ("gamma", "galois_side")])
+def test_cli_single_file_internal_check_failure_exits_3(command, stage, monkeypatch, capsys):
+    def failing(*args):
+        raise AssertionError("stub identity disagrees")
+
+    monkeypatch.setattr(cli, stage, failing)
+    assert cli.main([command, bundled_path("sl2_unramified_depth0")]) == 3
+    assert capsys.readouterr().err == ("error: %s: internal check failed: stub identity "
+                                       "disagrees\n" % bundled_path("sl2_unramified_depth0"))
 
 
 @pytest.mark.parametrize("argv,calls", [

@@ -122,14 +122,14 @@ def test_toral_gamma_degeneration():
 
 
 def test_root_gamma_examples():
-    frame, datum, orbs = a1(True, PP5)
+    _, datum, orbs = a1(True, PP5)
     (o,) = orbs
-    filt = howe_filtration(datum, frame, {o.orbit_id: Fraction(1, 2)}, Fraction(1, 2))
+    filt = howe_filtration(datum, orbs, {o.orbit_id: Fraction(1, 2)}, Fraction(1, 2))
     rg = root_gamma_abs(filt, orbs, PP5)
     assert rg.monomial == exp_q(Fraction(3, 2), PP5)
     assert rg.orbit_conductors == ((o.orbit_id, Fraction(3)),)
 
-    filt0 = howe_filtration(datum, frame, {o.orbit_id: NONPOSITIVE}, Fraction(0))
+    filt0 = howe_filtration(datum, orbs, {o.orbit_id: NONPOSITIVE}, Fraction(0))
     rg = root_gamma_abs(filt0, orbs, PP5)
     assert rg.monomial == exp_q(1, PP5)
 
@@ -147,7 +147,7 @@ def test_root_gamma_two_breaks():
     # the long-diagonal pair is span-closed on its own: put it at 1/3
     depths = {o.orbit_id: (Fraction(1, 3) if o.representative == (-1, -1)
                            else Fraction(1)) for o in orbs}
-    filt = howe_filtration(datum, frame, depths, Fraction(1))
+    filt = howe_filtration(datum, orbs, depths, Fraction(1))
     assert filt.sizes == (0, 2, 6)
     rg = root_gamma_abs(filt, orbs, PP5)
     assert rg.monomial == exp_q(Fraction(16, 3), PP5)
@@ -187,14 +187,14 @@ def test_component_group_examples():
 
 def test_galois_side_examples():
     frame, datum, orbs = a1(False)
-    filt = howe_filtration(datum, frame, {orbs[0].orbit_id: NONPOSITIVE}, Fraction(0))
+    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: NONPOSITIVE}, Fraction(0))
     gal = galois_side(datum, frame, filt, orbs, torus_lattice_data(datum, frame))
     assert gal.prefactor == Fraction(1, 4)
     assert gal.monomial == exp_q(2, PP3)
     assert gal.prefactor * gal.monomial.rational_value() == Fraction(9, 4)
 
     frame, datum, orbs = a1(True, PP5)
-    filt = howe_filtration(datum, frame, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
+    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
     gal = galois_side(datum, frame, filt, orbs, torus_lattice_data(datum, frame))
     assert gal.toral.monomial == exp_q(Fraction(1, 2), PP5)
     assert gal.root.monomial == exp_q(Fraction(3, 2), PP5)

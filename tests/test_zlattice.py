@@ -47,6 +47,7 @@ def test_snf_randomized():
     # Wide and tall shapes: relation matrices of coinvariant groups are wide,
     # stacked invariance conditions are tall.
     shapes += [(3, 12), (12, 3), (2, 9), (9, 2), (5, 13), (13, 5)] * 10
+    shapes += [(40, 6), (60, 11)] * 3
     for n, m in shapes:
         a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
         u, d, v = smith_normal_form(a)
@@ -135,6 +136,20 @@ def test_smith_form_contains_and_solve_oracle():
             else:
                 outsiders += 1
     assert members > 100 and outsiders > 50
+
+
+def test_smith_form_unread_transforms_unpack_and_compare_equal():
+    """U and V are built when first read; a form that never read them
+    unpacks to, and compares equal with, one that did."""
+    a = [[2, 4, 4], [-6, 6, 12], [10, -4, -16], [1, 0, -1]]
+    read = smith_normal_form(a)
+    assert read.u and read.v
+    assert smith_normal_form(a) == read
+    assert read == smith_normal_form(a)
+    u, d, v = smith_normal_form(a)
+    assert (u, d, v) == (read.u, read.d, read.v)
+    assert mat_eq(mat_mul(mat_mul(u, a), v), d)
+    assert smith_normal_form(a) != smith_normal_form([row[::-1] for row in a])
 
 
 def test_smith_form_rank_deficient_membership():
