@@ -471,13 +471,6 @@ def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
     return {w: tuple(_mod1(x) for x in total) for w, total in acc.items()}
 
 
-def r_chi_eval(chi: ChiData, choices: SectionChoices, w: int, datum: GRootDatum,
-               frame: GaloisFrame,
-               within: Optional[FrozenSet[int]] = None) -> DualTorusElement:
-    """The cocycle value at one w (see :func:`r_chi_values`)."""
-    return r_chi_values(chi, choices, [w], datum, frame, within)[w]
-
-
 def gauge_from_choices(choices: SectionChoices, datum: GRootDatum,
                        frame: GaloisFrame) -> Gauge:
     """The gauge induced by the choices: positive exactly on the roots of

@@ -29,7 +29,7 @@ from .compare import VERDICT_FLAGGED, VERDICT_UNEQUAL, emit_report, run_compare
 from .chi_data import default_choices, verify_base_change
 from .formal_degree import general_degree, regular_degree
 from .qexact import PrimePower
-from .scenario import Scenario, ScenarioError, fraction_str, load_scenario
+from .scenario import Scenario, fraction_str, load_scenario
 from .weil_gamma import galois_side
 
 DEFAULT_SEED = 20260809
@@ -42,11 +42,12 @@ def _parse_q(text: str) -> PrimePower:
     return PrimePower.from_q(int(text))
 
 
-def _load(path: str, qq: Optional[PrimePower]) -> Scenario:
+def _load(path: str, q_text: Optional[str]) -> Scenario:
+    """Load a scenario, moved to the residue size ``--q`` names if given.
+    A bad ``--q`` is reported before the file is read."""
+    qq = _parse_q(q_text) if q_text else None
     scen = load_scenario(path)
-    if qq is not None:
-        scen = scen.with_q(qq)
-    return scen
+    return scen if qq is None else scen.with_q(qq)
 
 
 def _internal_failure(path: str, err: AssertionError) -> int:
@@ -58,13 +59,14 @@ def _internal_failure(path: str, err: AssertionError) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Reports for the files that load and pass the internal checks, one
     error line per file that does not; the exit status is the worst over
-    all files."""
-    qq = _parse_q(args.q) if args.q else None
+    all files.  A bad ``--q`` is one error for the run, not one per file."""
+    if args.q:
+        _parse_q(args.q)
     reports = []
     status = 0
     for path in args.files:
         try:
-            reports.append(run_compare(_load(path, qq)))
+            reports.append(run_compare(_load(path, args.q)))
         except (ValueError, OSError) as e:
             print("error: %s: %s" % (path, e), file=sys.stderr)
             status = max(status, 2)
@@ -80,12 +82,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
-    qq = _parse_q(args.q) if args.q else None
-    try:
-        scen = _load(args.file, qq)
-    except ScenarioError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+    scen = _load(args.file, args.q)
     shape = scen.shape()
     torus = scen.torus
     if scen.depth_zero.regular:
@@ -123,12 +120,7 @@ def _cmd_degree(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
-    qq = _parse_q(args.q) if args.q else None
-    try:
-        scen = _load(args.file, qq)
-    except ScenarioError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+    scen = _load(args.file, args.q)
     gal = galois_side(scen.datum, scen.frame, scen.filtration, scen.orbits, scen.torus)
     payload = {
         "name": scen.name,
@@ -152,12 +144,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def _cmd_chi_check(args: argparse.Namespace) -> int:
-    qq = _parse_q(args.q) if args.q else None
-    try:
-        scen = _load(args.file, qq)
-    except ScenarioError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+    scen = _load(args.file, args.q)
     if scen.chi is None:
         print("error: scenario %s bundles no character data" % scen.name, file=sys.stderr)
         return 2

@@ -3,17 +3,20 @@
 For each scenario both pipelines run on the scenario's one copy of the
 torus lattice data: the automorphic degree in its two prefactor
 normalizations, and the assembled adjoint gamma value divided by the
-component-group order.  The verdict compares the full-index
-normalization against the Galois value; when they agree but the printed
-special-fiber normalization differs (their ratio is the Kottwitz-style
-index), the verdict is FLAGGED rather than EQUAL, with the discrepancy
-factor recorded.
+component-group order.  The two sides are separate code that meets only
+at the verdict: the automorphic exponent carries Yu's break term, the
+Galois exponent the orbitwise conductors.  The verdict compares the
+full-index normalization against the Galois value; when they agree but
+the printed special-fiber normalization differs (their ratio is the
+Kottwitz-style index), the verdict is FLAGGED rather than EQUAL, with the
+discrepancy factor recorded.
 
-Independently of the headline numbers, every run re-derives the bridging
-lattice identities on the cocharacter lattice: the full point index as the
-product of the Kottwitz fixed count with the twisted fixed count, and the
-coinvariant factorization that makes the two sides match.  A failure of
-either is an internal error, not a verdict.
+Independently of the headline numbers, every run compares two routes for
+each bridging quantity: the inertia-invariant coinvariants of the dual
+lattice against the torus lattice data (the coinvariant factorization
+and the character/cocharacter orders), and the volume exponent by raw
+torsor enumeration against its closed form.  A failure of any is an
+internal error, not a verdict.
 
 Reports are deterministic: the machine-readable form contains no wall
 times (they are available in the text form on request), so identical
@@ -30,10 +33,8 @@ from typing import Dict, List, Sequence
 
 from .formal_degree import (
     RegularDegree,
-    general_degree,
     heisenberg_dims,
     heisenberg_indices,
-    regular_as_opaque,
     regular_degree,
     volume_exponent_closed,
     volume_exponent_raw,
@@ -52,10 +53,6 @@ from .zlattice import (
 VERDICT_EQUAL = "EQUAL"
 VERDICT_FLAGGED = "FLAGGED"
 VERDICT_UNEQUAL = "UNEQUAL"
-
-
-def _value_monomial(prefactor: Fraction, monomial: QMonomial) -> QMonomial:
-    return monomial.scale(prefactor)
 
 
 def _mono_dict(m: QMonomial) -> Dict[str, str]:
@@ -82,10 +79,10 @@ class ComparisonReport:
     elapsed_s: float
 
     def value_automorphic(self) -> QMonomial:
-        return _value_monomial(self.prefactor_full_index, self.automorphic_monomial)
+        return self.automorphic_monomial.scale(self.prefactor_full_index)
 
     def value_galois(self) -> QMonomial:
-        return _value_monomial(self.galois_prefactor, self.galois_monomial)
+        return self.galois_monomial.scale(self.galois_prefactor)
 
     def to_json_dict(self, with_timing: bool = False) -> Dict[str, object]:
         doc: Dict[str, object] = {
@@ -115,8 +112,9 @@ class ComparisonReport:
 def run_compare(scenario: Scenario) -> ComparisonReport:
     """Evaluate both sides exactly and compare.
 
-    Raises on internal-consistency failures (bridging identities, dual
-    assemblies); disagreement of the two sides is a verdict, not an error.
+    Raises on internal-consistency failures (a bridging quantity whose two
+    routes disagree); disagreement of the two sides is a verdict, not an
+    error.
     """
     t0 = time.monotonic()
     shape = scenario.shape()
@@ -126,10 +124,6 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
                                   scenario.filtration, scenario.orbits, torus)
 
     diagnostics: List[str] = []
-
-    # Bridging identity: full index = Kottwitz fixed count * twisted count.
-    if torus.full_point_index != torus.kottwitz_fixed_order * torus.special_fiber_order:
-        raise AssertionError("point-index factorization failed")
 
     # Coinvariant factorization on the cocharacter lattice, all three orders
     # computed by independent routes.  The dual action is M(g^-1)^T: loading
@@ -156,20 +150,12 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
     if raw != closed:
         raise AssertionError("volume exponent mismatch: raw %s vs closed %s" % (raw, closed))
 
-    # Cross-check the general formula against the regular route.  The
-    # finite-group route needs an even root count in the depth-zero
-    # quotient; a symmetric odd-degree orbit jumping at 0 (legal scenario
-    # data, but matching no actual reductive quotient) makes it odd, in
-    # which case the check is inapplicable and noted.
-    dim_quot = shape.depth_zero_quotient_dim(torus.rank_m)
-    if (dim_quot - torus.rank_m) % 2 == 0:
-        dz, dim_quot = regular_as_opaque(shape, torus)
-        mono_g, pref_g = general_degree(shape, dz, dim_quot, dim_quot)
-        if mono_g.scale(pref_g) != reg.monomial.scale(Fraction(1, reg.special_fiber_order)):
-            raise AssertionError("general and regular degree routes disagree")
-    else:
+    # A symmetric odd-degree orbit jumping at 0 is legal scenario data, but
+    # the depth-zero quotient it gives has an odd root count, which no
+    # reductive quotient has.
+    if (shape.depth_zero_quotient_dim(torus.rank_m) - torus.rank_m) % 2:
         diagnostics.append("depth-zero quotient has an odd root count; "
-                           "finite-group cross-check not applicable")
+                           "it matches no reductive quotient")
 
     pref_special = Fraction(1, reg.special_fiber_order)
     pref_full = Fraction(1, reg.full_point_index)

@@ -1,8 +1,8 @@
 """The automorphic side: exact formal degrees from scenario combinatorics.
 
-Two evaluation routes are provided and cross-checked.  The general route
-takes opaque depth-zero inputs (a dimension and a stabilizer index) and
-evaluates the closed formula
+Two evaluation routes are provided.  The general route takes opaque
+depth-zero inputs (a dimension and a stabilizer index) and evaluates the
+closed formula
 
     dim(rho) / index * exp_q( dim(G)/2 + dim(reductive quotient)/2
                               + (1/2) sum_i r_i (|R_{i+1}| - |R_i|) ).
@@ -17,7 +17,7 @@ Kottwitz-style component index and is reported, never silently dropped.
 The module also exposes the intermediate quantities of the derivation:
 per-step Heisenberg dimensions, the volume-normalization exponent
 assembled from raw torsor enumeration, and the same exponent from the
-closed length identity, so that the two can be asserted equal.
+closed length identity, so that the two routes can be compared.
 """
 
 from __future__ import annotations
@@ -143,26 +143,6 @@ def heisenberg_dims(shape: YuShape) -> List[QMonomial]:
             for idx in heisenberg_indices(shape)]
 
 
-def dl_dimension(order_g: int, order_s: int, dim_g: int, rank: int, pp: PrimePower) -> int:
-    """Dimension of the +-irreducible induced piece on the finite-group floor:
-    index of the torus divided by the Steinberg dimension q^((dim - rank)/2).
-
-    A non-integral result signals inconsistent finite-group data.
-    """
-    if order_g <= 0 or order_s <= 0:
-        raise ValueError("group orders must be positive")
-    if order_g % order_s:
-        raise ValueError("torus order does not divide the group order")
-    if (dim_g - rank) % 2:
-        raise ValueError("dim - rank must be even")
-    st = pp.q ** ((dim_g - rank) // 2)
-    index = order_g // order_s
-    if index % st:
-        raise ValueError("Steinberg dimension does not divide the index: "
-                         "inconsistent finite-group data")
-    return index // st
-
-
 def general_degree(shape: YuShape, dz: DepthZeroData, dim_g0_red: int,
                    len_g0_00plus: Optional[int] = None) -> Tuple[QMonomial, Fraction]:
     """Formal degree from opaque depth-zero data.
@@ -205,22 +185,14 @@ class RegularDegree:
     discrepancy: int
     torus: TorusLatticeData
 
-    @property
-    def value_special_fiber(self) -> Tuple[Fraction, QMonomial]:
-        return (Fraction(1, self.special_fiber_order), self.monomial)
-
-    @property
-    def value_full_index(self) -> Tuple[Fraction, QMonomial]:
-        return (Fraction(1, self.full_point_index), self.monomial)
-
 
 def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
     """Formal degree of a regular scenario, from the torus lattice alone.
 
     The exponent is dim(G)/2 + rank(M)/2 + sum_i s_i (|R_{i+1}| - |R_i|)
-    with s_i = r_i/2; the prefactor is computed both as the reciprocal
-    special-fiber order |det(qF - 1)| and as the reciprocal full index
-    assembled from the product identity.
+    with s_i = r_i/2; the prefactor is the reciprocal special-fiber order
+    |det(qF - 1)| or the reciprocal full point index, which is the
+    special-fiber order times the Kottwitz fixed count.
     """
     checks = validate_depth_lattice(shape.filtration, shape.orbits)
     bad = [c for c in checks if not c.ok]
@@ -229,38 +201,14 @@ def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
                          % ", ".join(c.orbit_id for c in bad))
     expo = Fraction(shape.dim_ga, 2) + Fraction(torus.rank_m, 2) + shape.break_term()
     mono = exp_q(expo, shape.pp)
-    special = torus.special_fiber_order
-    full = torus.full_point_index
-    if full % special:
-        raise AssertionError("full index is not a multiple of the special-fiber order")
     return RegularDegree(
         pp=shape.pp,
         monomial=mono,
-        special_fiber_order=special,
-        full_point_index=full,
-        discrepancy=full // special,
+        special_fiber_order=torus.special_fiber_order,
+        full_point_index=torus.full_point_index,
+        discrepancy=torus.kottwitz_fixed_order,
         torus=torus,
     )
-
-
-def regular_as_opaque(shape: YuShape, torus: TorusLatticeData,
-                      cover_multiplier: int = 1) -> Tuple[DepthZeroData, int]:
-    """Opaque depth-zero inputs reproducing the regular special-fiber value.
-
-    Synthesizes a finite-group order order_G = |S| * q^((dim - rank)/2) * m
-    so that the induced dimension is the multiplier m and the ratio
-    dim(rho) / order_G collapses to the regular prefactor; feeding the
-    result to :func:`general_degree` must reproduce
-    :func:`regular_degree`'s special-fiber normalization exactly.
-    """
-    if cover_multiplier <= 0:
-        raise ValueError("multiplier must be positive")
-    rank_m = torus.rank_m
-    dim_quot = shape.depth_zero_quotient_dim(rank_m)
-    order_s = torus.special_fiber_order
-    order_g = order_s * shape.pp.q ** ((dim_quot - rank_m) // 2) * cover_multiplier
-    dim_rho = dl_dimension(order_g, order_s, dim_quot, rank_m, shape.pp)
-    return DepthZeroData.opaque(dim_rho, order_g), dim_quot
 
 
 # -- volume normalization: the two assemblies of one exponent ----------------------

@@ -208,20 +208,6 @@ def exp_q(t: RationalLike, pp: PrimePower) -> QMonomial:
     return QMonomial(pp, Fraction(1), pp.a * Fraction(t))
 
 
-def qmon_from_integer(n: int, pp: PrimePower) -> QMonomial:
-    """Canonical monomial of a nonzero integer: n = u * p**k -> (u, k)."""
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    return qmon(pp, n, 0)
-
-
-def qmon_from_rational(x: RationalLike, pp: PrimePower) -> QMonomial:
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("x must be nonzero")
-    return qmon(pp, x, 0)
-
-
 def qmon_combine(
     factors: Iterable[Tuple[QMonomial, int]], pp: Optional[PrimePower] = None
 ) -> QMonomial:

@@ -5,11 +5,11 @@ The adjoint representation of a scenario splits into a toral summand
 representation per root orbit).  Only absolute values are computed, so a
 gamma factor reduces to a conductor and two L-factor magnitudes.
 
-The root summand is evaluated twice on purpose: once orbit by orbit
-through tame-induction conductors of the inducing characters, and once
-through the closed form in terms of the filtration breaks; the two are
-asserted equal on every call.  The final assembler divides the product of
-the summands by the component-group order (the full coinvariants of the
+The root summand is the product over root orbits of the epsilon
+magnitudes of their tame-induction conductors (Gross-Reeder); it never
+reads the break term of the automorphic side, so a wrong conductor shows
+up as an UNEQUAL verdict.  The final assembler divides the product of the
+summands by the component-group order (the full coinvariants of the
 cocharacter lattice).
 """
 
@@ -124,10 +124,7 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
 
     Every inducing character is ramified (depth equal to the orbit's break,
     zero on the nonpositive part), so the L-factors are trivial and the
-    answer is a pure epsilon magnitude.  The orbitwise conductor product is
-    recomputed against the closed form
-    exp_q(|R|/2 + (1/2) sum_i r_i (|R_{i+1}| - |R_i|)); disagreement is an
-    internal consistency failure.
+    answer is the product of the orbits' epsilon magnitudes.
     """
     conductors: List[Tuple[str, Fraction]] = []
     factors = []
@@ -138,103 +135,33 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
         cond = conductor_tame_induction(ext, CharDescriptor(True, depth))
         conductors.append((o.orbit_id, cond))
         factors.append((eps_abs(cond, pp), 1))
-    orbitwise = qmon_combine(factors, pp)
-    nroots = sum(o.size for o in orbits)
-    closed_exp = Fraction(nroots, 2)
-    for i, delta in enumerate(filtration.layer_sizes()):
-        closed_exp += Fraction(filtration.breaks[i] * delta, 2)
-    closed = exp_q(closed_exp, pp)
-    if orbitwise != closed:
-        raise AssertionError(
-            "orbitwise conductor product %s disagrees with the closed form %s"
-            % (orbitwise, closed))
-    return RootGamma(monomial=closed, orbit_conductors=tuple(conductors))
+    return RootGamma(monomial=qmon_combine(factors, pp),
+                     orbit_conductors=tuple(conductors))
 
 
 # -- the assembled Galois side ----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AdjointSummary:
-    """Everything the adjoint-value assembly consumes, in one record:
-    the torus lattice data (the inertia-fixed sublattice with its
-    Frobenius), the torus dimension, the root count, the filtration level
-    sizes with their breaks, and the residue size."""
-
-    torus: TorusLatticeData
-    dim_sa: int
-    n_roots: int
-    level_sizes: Tuple[int, ...]
-    breaks: Tuple[Fraction, ...]
-    pp: PrimePower
-
-    @property
-    def dim_ga(self) -> int:
-        return self.dim_sa + self.n_roots
-
-    def break_term(self) -> Fraction:
-        total = Fraction(0)
-        deltas = [b - a for a, b in zip(self.level_sizes, self.level_sizes[1:])]
-        for r, delta in zip(self.breaks, deltas):
-            total += r * delta
-        return total / 2
-
-
-def adjoint_summary(datum: GRootDatum, frame: GaloisFrame,
-                    filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
-                    torus: TorusLatticeData) -> AdjointSummary:
-    return AdjointSummary(
-        torus=torus,
-        dim_sa=datum.rank,
-        n_roots=sum(o.size for o in orbits),
-        level_sizes=filtration.sizes,
-        breaks=filtration.breaks,
-        pp=frame.pp,
-    )
-
-
-@dataclass(frozen=True)
 class GaloisSide:
-    pp: PrimePower
     monomial: QMonomial
     prefactor: Fraction
-    summary: AdjointSummary
     toral: ToralGamma
     root: RootGamma
     component_order: int
-
-    @property
-    def value(self) -> Tuple[Fraction, QMonomial]:
-        return (self.prefactor, self.monomial)
 
 
 def galois_side(datum: GRootDatum, frame: GaloisFrame, filtration: HoweFiltration,
                 orbits: Sequence[OrbitInfo], torus: TorusLatticeData) -> GaloisSide:
     """Assembled Galois-side value: (toral gamma * root gamma) divided by
     the component-group order (the full cocharacter coinvariants, finite by
-    ellipticity), also recomputed from the direct formula
-    exp_q(dim(G)/2 + dim(M)/2 + break term) with the rational prefactor
-    |M_Frob| / (|component| * |twisted fixed|); both assemblies must agree.
-    """
-    summary = adjoint_summary(datum, frame, filtration, orbits, torus)
-    pp = frame.pp
-    toral = toral_gamma_abs(torus, summary.dim_sa, pp)
-    root = root_gamma_abs(filtration, orbits, pp)
+    ellipticity)."""
+    toral = toral_gamma_abs(torus, datum.rank, frame.pp)
+    root = root_gamma_abs(filtration, orbits, frame.pp)
     comp = torus.cochar_full_coinvariants
-    product_monomial = toral.monomial * root.monomial
-    product_rational = toral.rational / comp
-
-    direct_exp = Fraction(summary.dim_ga + torus.rank_m, 2) + summary.break_term()
-    direct_monomial = exp_q(direct_exp, pp)
-    direct_rational = Fraction(torus.m_frob_coinvariants,
-                               comp * torus.special_fiber_order)
-    if direct_monomial != product_monomial or direct_rational != product_rational:
-        raise AssertionError("adjoint assembly disagrees with the direct formula")
     return GaloisSide(
-        pp=pp,
-        monomial=direct_monomial,
-        prefactor=direct_rational,
-        summary=summary,
+        monomial=toral.monomial * root.monomial,
+        prefactor=toral.rational / comp,
         toral=toral,
         root=root,
         component_order=comp,

@@ -138,7 +138,9 @@ def test_criterion_10_root_gamma_dual_computation():
     scens += [generate_scenario(rng) for _ in range(200)]
     for scen in scens:
         rg = root_gamma_abs(scen.filtration, scen.orbits, scen.pp)
-        # independent reassembly of the orbitwise product in the test
-        total = sum(c for _oid, c in rg.orbit_conductors)
-        ok = ok and exp_q(Fraction(total, 2), scen.pp) == rg.monomial
+        # the closed form in the breaks, against the orbitwise conductors
+        sizes, breaks = scen.filtration.sizes, scen.filtration.breaks
+        wild = sum(r * (b - a) for r, a, b in zip(breaks, sizes, sizes[1:]))
+        closed = Fraction(len(scen.datum.roots), 2) + Fraction(wild) / 2
+        ok = ok and exp_q(closed, scen.pp) == rg.monomial
     _line(10, "root gamma closed = orbitwise", ok, "(%d scenarios)" % len(scens))

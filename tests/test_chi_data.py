@@ -20,7 +20,6 @@ from fdc.chi_data import (
     condition_failures,
     default_choices,
     gauge_from_choices,
-    r_chi_eval,
     r_chi_values,
     subframe_of,
     validate_chi,
@@ -131,11 +130,11 @@ def test_base_change_transitive():
 def test_r_chi_hand_example():
     frame, datum, chi = z4_model()
     choices = default_choices(datum, frame)
-    assert r_chi_eval(chi, choices, 2, datum, frame) == (Fraction(1, 2),)
-    assert r_chi_eval(chi, choices, 0, datum, frame) == (Fraction(0),)
+    vals = r_chi_values(chi, choices, [0, 2], datum, frame)
+    assert vals == {0: (Fraction(0),), 2: (Fraction(1, 2),)}
     triv = ChiData.trivial(datum, frame)
     for w in range(4):
-        assert r_chi_eval(triv, choices, w, datum, frame) == (Fraction(0),)
+        assert r_chi_values(triv, choices, [w], datum, frame)[w] == (Fraction(0),)
 
 
 def test_gauge_from_choices():
@@ -249,8 +248,8 @@ def test_verifier_detects_mismatch():
     pair = compatible_choices(default_choices(datum, frame), sub, datum, frame)
     corrupted = ChiData.trivial(datum, frame)
     mismatches = [w for w in sorted(sub)
-                  if r_chi_eval(chi, pair.top, w, datum, frame)
-                  != r_chi_eval(corrupted, pair.sub, w, datum, frame, within=sub)]
+                  if r_chi_values(chi, pair.top, [w], datum, frame)[w]
+                  != r_chi_values(corrupted, pair.sub, [w], datum, frame, within=sub)[w]]
     assert mismatches == [2]
     assert verify_base_change(chi, sub, datum, frame).ok
 
@@ -270,7 +269,7 @@ def test_cocycle_vanishes_where_chi_restricts_trivially():
             continue
         pair = compatible_choices(default_choices(datum, frame), sub, datum, frame)
         for w in sorted(sub):
-            val = r_chi_eval(chi, pair.top, w, datum, frame)
+            val = r_chi_values(chi, pair.top, [w], datum, frame)[w]
             assert all(x == 0 for x in val), (sorted(sub), w, val)
 
 
@@ -498,6 +497,4 @@ def test_cocycle_values_pinned():
             if outside is not None:
                 with pytest.raises(ValueError, match="evaluation subgroup"):
                     r_chi_values(chi, pair.sub, [outside], datum, frame, within=sub)
-                with pytest.raises(ValueError, match="evaluation subgroup"):
-                    r_chi_eval(chi, pair.sub, outside, datum, frame, within=sub)
         assert checked == len(expected)

@@ -18,11 +18,9 @@ from fdc.formal_degree import (
     DepthZeroData,
     YuShape,
     compact_induction_degree,
-    dl_dimension,
     general_degree,
     heisenberg_dims,
     heisenberg_indices,
-    regular_as_opaque,
     regular_degree,
     volume_exponent_closed,
     volume_exponent_raw,
@@ -84,17 +82,6 @@ def test_heisenberg_examples():
     assert heisenberg_dims(shape) == [exp_q(1, PP5)]
 
 
-def test_dl_dimension_examples():
-    q = 3
-    assert dl_dimension(q * (q * q - 1), q + 1, 3, 1, PP3) == q - 1
-    assert dl_dimension(8, 8, 0, 0, PP3) == 1  # torus case
-    assert dl_dimension(48, 8, 4, 2, PP3) == 2  # order 48, Steinberg q
-    with pytest.raises(ValueError):
-        dl_dimension(10, 3, 3, 1, PP3)
-    with pytest.raises(ValueError):
-        dl_dimension(8, 4, 3, 1, PP3)  # q does not divide the index
-
-
 def test_general_degree_example():
     shape, _, _ = sl2_shape(True, depth=Fraction(1), offset=Fraction(0))
     dz = DepthZeroData.opaque(1, 1)
@@ -112,8 +99,8 @@ def test_regular_degree_sl2_values():
     reg = regular_degree(shape, torus_lattice_data(datum, frame))
     assert reg.monomial == exp_q(2, PP3)
     assert reg.special_fiber_order == 4 and reg.full_point_index == 4
-    pref, mono = reg.value_special_fiber
-    assert mono.scale(pref).rational_value() == Fraction(9, 4)
+    special = reg.monomial.scale(Fraction(1, reg.special_fiber_order))
+    assert special.rational_value() == Fraction(9, 4)
 
     shape, datum, frame = sl2_shape(True, pp=PP5, depth=Fraction(1, 2),
                                     offset=Fraction(1, 4))
@@ -155,11 +142,11 @@ def test_general_equals_regular_cross_check():
         if (dim_quot - torus.rank_m) % 2:
             continue
         reg = regular_degree(shape, torus)
-        for mult in (1, 2, 7):
-            dz, dq = regular_as_opaque(shape, torus, cover_multiplier=mult)
-            mono, pref = general_degree(shape, dz, dq, dq)
-            assert mono.scale(pref) == reg.monomial.scale(
-                Fraction(1, reg.special_fiber_order))
+        # the Deligne-Lusztig dimension 1 over |S| * q^N with N positive roots
+        steinberg = scen.pp.q ** ((dim_quot - torus.rank_m) // 2)
+        dz = DepthZeroData.opaque(1, torus.special_fiber_order * steinberg)
+        mono, pref = general_degree(shape, dz, dim_quot, dim_quot)
+        assert mono.scale(pref) == reg.monomial.scale(Fraction(1, reg.special_fiber_order))
         checked += 1
 
 

@@ -259,14 +259,14 @@ def test_compact_induction_derivation_chain():
     """The induced-degree route: dim(tau) = dim(rho) * prod(Heisenberg dims)
     over the assembled inverse volume reproduces the closed formula."""
     from fdc.formal_degree import (
+        DepthZeroData,
         general_degree,
         heisenberg_dims,
-        regular_as_opaque,
         regular_degree,
         volume_exponent_raw,
         compact_induction_degree,
     )
-    from fdc.qexact import exp_q, qmon_from_rational, qmon_combine
+    from fdc.qexact import exp_q, qmon, qmon_combine
     from fdc.scenario import generate_scenario
 
     rng = random.Random(1001)
@@ -278,10 +278,11 @@ def test_compact_induction_derivation_chain():
         dim_quot = shape.depth_zero_quotient_dim(torus.rank_m)
         if (dim_quot - torus.rank_m) % 2:
             continue
-        dz, dq = regular_as_opaque(shape, torus)
+        steinberg = scen.pp.q ** ((dim_quot - torus.rank_m) // 2)
+        dz = DepthZeroData.opaque(1, torus.special_fiber_order * steinberg)
         hdims = heisenberg_dims(shape)
         dim_tau = qmon_combine(
-            [(qmon_from_rational(dz.dim_rho, scen.pp), 1)] + [(h, 1) for h in hdims],
+            [(qmon(scen.pp, dz.dim_rho), 1)] + [(h, 1) for h in hdims],
             scen.pp)
         # vol(K)^-1 = q^(dim G / 2) * exp_q(raw exponent) / (index * prod
         # Heisenberg dims): the raw exponent contains the half boundary
@@ -292,7 +293,7 @@ def test_compact_induction_derivation_chain():
             + [(h, 1) for h in hdims],
             scen.pp).scale(dz.stab_index)
         got = compact_induction_degree(dim_tau, vol_k)
-        mono, pref = general_degree(shape, dz, dq, dq)
+        mono, pref = general_degree(shape, dz, dim_quot, dim_quot)
         want = mono.scale(pref)
         assert got == want, (scen.name, got, want)
         reg = regular_degree(shape, torus)

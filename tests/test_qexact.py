@@ -9,7 +9,6 @@ from fdc.qexact import (
     exp_q,
     qmon,
     qmon_combine,
-    qmon_from_integer,
     qmon_one,
 )
 
@@ -59,12 +58,12 @@ def test_combine_examples():
 
 def test_from_integer_examples():
     pp7 = PrimePower(7, 1)
-    assert qmon_from_integer(28, pp7) == qmon(pp7, 4, 1)
-    assert qmon_from_integer(1, pp7) == qmon_one(pp7)
+    assert qmon(pp7, 28) == qmon(pp7, 4, 1)
+    assert qmon(pp7, 1) == qmon_one(pp7)
     pp3 = PrimePower(3, 1)
-    assert qmon_from_integer(-5, pp3) == QMonomial(pp3, Fraction(-5), Fraction(0))
+    assert qmon(pp3, -5) == QMonomial(pp3, Fraction(-5), Fraction(0))
     with pytest.raises(ValueError):
-        qmon_from_integer(0, pp3)
+        qmon(pp3, 0)
 
 
 def test_canonicality():

@@ -11,6 +11,7 @@ import fdc.chi_data
 import fdc.cli as cli
 import fdc.compare
 import fdc.galois_roots
+import fdc.weil_gamma
 from fdc.compare import emit_report, run_compare
 from fdc.qexact import PrimePower
 from fdc.scenario import (
@@ -227,6 +228,52 @@ def test_cli_single_file_internal_check_failure_exits_3(command, stage, monkeypa
     assert cli.main([command, bundled_path("sl2_unramified_depth0")]) == 3
     assert capsys.readouterr().err == ("error: %s: internal check failed: stub identity "
                                        "disagrees\n" % bundled_path("sl2_unramified_depth0"))
+
+
+def test_cli_verify_wrong_conductor_is_unequal(monkeypatch, capsys):
+    """A wrong root conductor reaches the verdict: the Galois exponent no
+    longer meets Yu's break term, so verify reports UNEQUAL and exits 1."""
+    honest = fdc.weil_gamma.conductor_tame_induction
+    monkeypatch.setattr(fdc.weil_gamma, "conductor_tame_induction",
+                        lambda ext, c: honest(ext, c) + 1)
+    rc = cli.main(["verify", bundled_path("sl2_ramified_depth_half")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    assert "verdict=UNEQUAL" in captured.out
+    assert "  automorphic  1/2 * 5^(2)  (" in captured.out
+    assert "  galois       1/2 * 5^(5/2)  (" in captured.out
+
+
+def test_cli_verify_odd_depth_zero_root_count_is_diagnosed(tmp_path, capsys):
+    """The ramified orbit of SL2 jumping at 0 gives the depth-zero quotient
+    one root: legal data, reported, and still FLAGGED by the Kottwitz index."""
+    doc = bundled_doc("sl2_ramified_depth_half")
+    doc["theta_depths"] = {k: "nonpositive" for k in doc["theta_depths"]}
+    doc["theta_total_depth"] = "0"
+    doc["jump_offsets"] = {k: "0" for k in doc["jump_offsets"]}
+    doc.pop("chi", None)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--format", "json", "verify", str(path)]) == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["verdict"] == "FLAGGED"
+    assert report["diagnostics"][0] == ("depth-zero quotient has an odd root count; "
+                                        "it matches no reductive quotient")
+
+
+@pytest.mark.parametrize("command", ["degree", "gamma", "chi-check"])
+@pytest.mark.parametrize("kind", ["array-document", "missing-file"])
+def test_cli_single_file_load_errors_exit_2(command, kind, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    if kind == "array-document":
+        path.write_text("[1, 2]")
+        expected = ("error: scenario validation failed:\n"
+                    "  cli.document: must be a JSON object, got array\n")
+    else:
+        expected = "error: [Errno 2] No such file or directory: '%s'\n" % path
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == expected
 
 
 @pytest.mark.parametrize("argv,calls", [

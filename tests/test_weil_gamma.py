@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -26,12 +27,22 @@ from fdc.weil_gamma import (
     root_gamma_abs,
     toral_gamma_abs,
 )
-from fdc.scenario import generate_scenario
+from fdc.scenario import generate_scenario, load_scenario
 
 from cyclotomic_oracle import Cyc, column_space_basis, solve_in_basis
 
 PP3 = PrimePower(3, 1)
 PP5 = PrimePower(5, 1)
+
+SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
+
+
+def closed_root_exponent(scen):
+    """|R|/2 + (1/2) sum_i r_i (|R_{i+1}| - |R_i|), from the filtration's
+    level sizes and breaks rather than from the orbit conductors."""
+    sizes, breaks = scen.filtration.sizes, scen.filtration.breaks
+    wild = sum(r * (b - a) for r, a, b in zip(breaks, sizes, sizes[1:]))
+    return Fraction(len(scen.datum.roots), 2) + Fraction(wild) / 2
 
 
 def test_conductor_char():
@@ -154,13 +165,30 @@ def test_root_gamma_two_breaks():
 
 
 def test_conductor_additivity_over_orbits():
+    """The orbitwise conductor product equals the closed form in the breaks."""
     rng = random.Random(91)
     for _ in range(50):
         scen = generate_scenario(rng)
         rg = root_gamma_abs(scen.filtration, scen.orbits, scen.pp)
-        total = sum(c for _, c in rg.orbit_conductors)
-        # orbitwise conductor sum assembles the closed-form exponent twice over
-        assert exp_q(Fraction(total, 2), scen.pp) == rg.monomial
+        assert rg.monomial == exp_q(closed_root_exponent(scen), scen.pp), scen.name
+
+
+def test_galois_side_closed_form():
+    """galois_side = exp_q((dim G + rank M)/2 + break term)
+    * |M_Frob| / (|component group| * |S(F_q)|)."""
+    scens = [load_scenario(os.path.join(SCEN_DIR, name))
+             for name in sorted(os.listdir(SCEN_DIR)) if name.endswith(".json")]
+    rng = random.Random(97)
+    scens += [generate_scenario(rng) for _ in range(120)]
+    assert len(scens) == 126
+    for scen in scens:
+        torus = scen.torus
+        gal = galois_side(scen.datum, scen.frame, scen.filtration, scen.orbits, torus)
+        expo = Fraction(scen.datum.rank + torus.rank_m, 2) + closed_root_exponent(scen)
+        assert gal.monomial == exp_q(expo, scen.pp), scen.name
+        assert gal.prefactor == Fraction(
+            torus.m_frob_coinvariants,
+            torus.cochar_full_coinvariants * torus.special_fiber_order), scen.name
 
 
 def test_component_group_examples():
