@@ -4,7 +4,9 @@ Characters live on stabilizer subgroups of the frame group and take values
 in Q/Z (written additively); base change to a subframe is literal
 restriction.  A family of such characters indexed by the roots is a valid
 datum when it inverts under negation and transforms by conjugation under
-the group.
+the group.  :func:`condition_failures` is the one check of these two
+conditions: loading, :meth:`ChiData.from_representatives` and base change
+all call it.
 
 The cocycle attached to a datum and a family of auxiliary choices (orbit
 representatives, coset sections) is evaluated additively in the rational
@@ -130,103 +132,51 @@ class ChiData:
     @staticmethod
     def from_representatives(datum: GRootDatum, frame: GaloisFrame,
                              rep_chars: Mapping[Root, Character]) -> "ChiData":
-        """Propagate representative characters across the root set by
-        equivariance and negation-inversion; inconsistencies raise."""
+        """Spread representative characters across the root set by negation
+        and conjugation under the carrier generators, then check the result
+        with :func:`condition_failures`; a ValueError lists the failures."""
         g = frame.group
-        car = sorted(frame.carrier_set)
-        chars: Dict[Root, Character] = {}
-
-        def assign(root: Root, chi: Character, how: str) -> None:
-            if root in chars:
-                if chars[root] != chi:
-                    raise ValueError("inconsistent propagation at root %s (%s)"
-                                     % (root, how))
-                return
-            chars[root] = chi
-
-        for rep, chi in rep_chars.items():
+        for rep in rep_chars:
             if rep not in datum.roots:
                 raise ValueError("%s is not a root" % (rep,))
-            stab = _stab(datum, rep, frame.carrier_set)
-            if not char_is_homomorphism(g, stab, dict(chi)):
-                raise ValueError("character at %s is not a homomorphism on the stabilizer"
-                                 % (rep,))
-            assign(rep, dict(chi), "representative")
-        # closure under the two defining moves
-        changed = True
-        while changed:
-            changed = False
-            for root in list(chars.keys()):
-                chi = chars[root]
-                neg = tuple(-x for x in root)
-                if neg not in chars:
-                    assign(neg, char_inverse(chi), "negation")
-                    changed = True
-                else:
-                    if chars[neg] != char_inverse(chi):
-                        raise ValueError("negation condition fails between %s and %s"
-                                         % (root, neg))
-                for s in car:
-                    target = datum.act(s, root)
-                    moved = char_conjugate(g, chi, s)
-                    if target not in chars:
-                        assign(target, moved, "conjugation")
-                        changed = True
-                    elif chars[target] != moved:
-                        raise ValueError("equivariance fails from %s to %s under %d"
-                                         % (root, target, s))
-        missing = set(datum.roots) - set(chars.keys())
-        if missing:
-            raise ValueError("no character reaches roots %s" % sorted(missing))
-        return ChiData(chars)
-
-
-@dataclass(frozen=True)
-class Gauge:
-    """Sign function on roots, odd under negation."""
-
-    signs: Mapping[Root, int]
-
-    def __post_init__(self) -> None:
-        for root, s in self.signs.items():
-            if s not in (1, -1):
-                raise ValueError("gauge values must be +-1")
-            neg = tuple(-x for x in root)
-            if self.signs.get(neg) != -s:
-                raise ValueError("gauge is not odd at %s" % (root,))
-
-
-@dataclass(frozen=True)
-class ChiClassReport:
-    class_id: str
-    representative: Root
-    symmetric: bool
-    ramified: Optional[bool]
-    template_ok: bool
-    template_notes: Tuple[str, ...]
-    cond3_witness: Optional[int]          # the designated order-two witness, if any
-    cond3_value: Optional[Fraction]       # chi at the witness
-
-
-@dataclass(frozen=True)
-class ChiDiagnostics:
-    cond1_failures: Tuple[str, ...]
-    cond2_failures: Tuple[str, ...]
-    classes: Tuple[ChiClassReport, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.cond1_failures and not self.cond2_failures
-
-    @property
-    def minimally_ramified(self) -> bool:
-        return self.valid and all(c.template_ok for c in self.classes)
+        chars: Dict[Root, Character] = {rep: dict(chi) for rep, chi in rep_chars.items()}
+        gens = g.generating_set(frame.carrier_set)
+        todo = list(chars)
+        while todo:
+            root = todo.pop()
+            chi = chars[root]
+            moves = [(tuple(-x for x in root), char_inverse(chi))]
+            moves += [(datum.act(s, root), char_conjugate(g, chi, s)) for s in gens]
+            for target, moved in moves:
+                if target not in chars:
+                    chars[target] = moved
+                    todo.append(target)
+        out = ChiData(chars)
+        cond1, cond2 = condition_failures(out, datum, frame)
+        if cond1 or cond2:
+            raise ValueError("representatives do not spread to valid chi data: %s"
+                             % (tuple(cond1) + tuple(cond2),))
+        return out
 
 
 def pm_classes(datum: GRootDatum, frame: GaloisFrame) -> List[Tuple[str, Root, FrozenSet[Root]]]:
     """Classes of roots under the frame carrier together with negation,
     each as (canonical id, canonical representative, member set)."""
-    return _pm_classes_within(datum, frame.group, sorted(frame.carrier_set))
+    ambient = sorted(frame.carrier_set)
+    seen: set = set()
+    out = []
+    for root in sorted(datum.roots):
+        if root in seen:
+            continue
+        members = set()
+        for s in ambient:
+            img = datum.act(s, root)
+            members.add(img)
+            members.add(tuple(-x for x in img))
+        rep = min(members)
+        out.append((root_key(rep), rep, frozenset(members)))
+        seen |= members
+    return sorted(out, key=lambda t: t[1])
 
 
 def _stab(datum: GRootDatum, root: Root,
@@ -290,80 +240,12 @@ def _failures_under(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
     return cond1, cond2
 
 
-def validate_chi(chi: ChiData, datum: GRootDatum, frame: GaloisFrame) -> ChiDiagnostics:
-    """Exact check of the two defining conditions (see
-    :func:`condition_failures`), plus classification of each class of
-    roots against the minimally ramified template.
-
-    Template: trivial on asymmetric classes; on symmetric unramified
-    classes trivial on the inertia part of the stabilizer with order at
-    most two on a Frobenius-part generator; on symmetric ramified classes
-    the designated order-two witness (the square of a negating element)
-    must take the value one half.  The full quadratic-extension condition
-    is out of scope at this level of modeling; the witness check is the
-    implemented surrogate.
-    """
-    g = frame.group
-    car = frozenset(frame.carrier_set)
-    cond1, cond2 = condition_failures(chi, datum, frame)
-    classes: List[ChiClassReport] = []
-    for class_id, rep, members in pm_classes(datum, frame):
-        chi_rep = chi.chars.get(rep)
-        stab = _stab(datum, rep, car)
-        if chi_rep is None or not char_is_homomorphism(g, stab, chi_rep):
-            continue  # already refused under condition 2
-        stab_pm = _stab_pm(datum, rep, car)
-        symmetric = stab_pm != stab  # some carrier element sends rep to -rep
-        ramified: Optional[bool] = None
-        notes: List[str] = []
-        ok = True
-        witness: Optional[int] = None
-        wval: Optional[Fraction] = None
-        if not symmetric:
-            if any(v != 0 for v in chi_rep.values()):
-                ok = False
-                notes.append("asymmetric class carries a nontrivial character")
-        else:
-            ramified = bool((stab_pm - stab) & frame.inertia)
-            inertia_part = stab & frame.inertia
-            if not ramified:
-                if any(chi_rep[s] != 0 for s in inertia_part):
-                    ok = False
-                    notes.append("unramified symmetric class ramifies the character")
-                frob_gens = g.quotient_generators(stab, inertia_part)
-                if (inertia_part != stab and frob_gens
-                        and _mod1(2 * chi_rep[frob_gens[0]]) != 0):
-                    ok = False
-                    notes.append("character order exceeds 2 on the Frobenius part")
-            # order-two witness: square of a negating element
-            negators = sorted(s for s in stab_pm - stab)
-            for tau in negators:
-                sq = g.mul(tau, tau)
-                if sq != 0:
-                    witness = sq
-                    wval = chi_rep[sq]
-                    break
-            if witness is not None and wval != Fraction(1, 2):
-                ok = False
-                notes.append("sign-extension witness value is %s, not 1/2" % wval)
-            if witness is None:
-                notes.append("no order-two witness exists in this model; "
-                             "sign-extension condition unverified")
-        classes.append(ChiClassReport(
-            class_id=class_id, representative=rep, symmetric=symmetric,
-            ramified=ramified, template_ok=ok, template_notes=tuple(notes),
-            cond3_witness=witness, cond3_value=wval))
-    return ChiDiagnostics(tuple(cond1), tuple(cond2), tuple(classes))
-
-
 def base_change_chi(chi: ChiData, subgroup: FrozenSet[int], datum: GRootDatum,
                     frame: GaloisFrame, subframe: "GaloisFrame") -> ChiData:
     """Restriction of the datum to a subframe: each character restricted to
     the subgroup part of its stabilizer.  The result must satisfy the two
     defining conditions on the subframe (:func:`condition_failures`); an
-    AssertionError lists the failures otherwise.  The template
-    classification of :func:`validate_chi` is not needed here and is not
-    computed."""
+    AssertionError lists the failures otherwise."""
     out = ChiData({root: char_restrict(c, _stab(datum, root, subgroup))
                    for root, c in chi.chars.items()})
     cond1, cond2 = condition_failures(out, datum, subframe)
@@ -391,45 +273,21 @@ class SectionChoices:
     v: Dict[str, Dict[int, int]]
 
 
-def default_choices(datum: GRootDatum, frame: GaloisFrame,
-                    within: Optional[FrozenSet[int]] = None) -> SectionChoices:
-    """Minimal-element representatives and sections, inside the whole group
-    or a designated subgroup."""
+def default_choices(datum: GRootDatum, frame: GaloisFrame) -> SectionChoices:
+    """Minimal-element representatives and sections inside the carrier."""
     g = frame.group
-    ambient = sorted(within) if within is not None else sorted(frame.carrier_set)
+    ambient = sorted(frame.carrier_set)
     reps: Dict[str, Root] = {}
     u: Dict[str, Dict[int, int]] = {}
     v: Dict[str, Dict[int, int]] = {}
     pool = frozenset(ambient)
-    for class_id, rep, _members in _pm_classes_within(datum, g, ambient):
+    for class_id, rep, _members in pm_classes(datum, frame):
         reps[class_id] = rep
         stab_pm = _stab_pm(datum, rep, pool)
         stab = _stab(datum, rep, pool)
         u[class_id] = {min(c): min(c) for c in g.right_cosets(stab_pm, ambient)}
         v[class_id] = {min(c): min(c) for c in g.right_cosets(stab, stab_pm)}
     return SectionChoices(reps, u, v)
-
-
-def _pm_classes_within(datum: GRootDatum, group: FiniteGroup,
-                       ambient: Sequence[int]) -> List[Tuple[str, Root, FrozenSet[Root]]]:
-    seen: set = set()
-    out = []
-    for root in sorted(datum.roots):
-        if root in seen:
-            continue
-        members = set()
-        for s in ambient:
-            img = datum.act(s, root)
-            members.add(img)
-            members.add(tuple(-x for x in img))
-        rep = min(members)
-        out.append((root_key(rep), rep, frozenset(members)))
-        seen |= members
-    return sorted(out, key=lambda t: t[1])
-
-
-def _coset_key(group: FiniteGroup, subgroup: FrozenSet[int], elem: int) -> int:
-    return min(group.mul(h, elem) for h in subgroup)
 
 
 def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
@@ -471,23 +329,6 @@ def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
     return {w: tuple(_mod1(x) for x in total) for w, total in acc.items()}
 
 
-def gauge_from_choices(choices: SectionChoices, datum: GRootDatum,
-                       frame: GaloisFrame) -> Gauge:
-    """The gauge induced by the choices: positive exactly on the roots of
-    the form u(x)^-1 applied to a class representative."""
-    g = frame.group
-    signs: Dict[Root, int] = {}
-    for class_id, alpha in choices.reps.items():
-        for x_key, ux in choices.u[class_id].items():
-            beta = datum.act(g.inv(ux), alpha)
-            signs[beta] = 1
-            signs[tuple(-x for x in beta)] = -1
-    missing = set(datum.roots) - set(signs.keys())
-    if missing:
-        raise ValueError("choices do not induce a full gauge; missing %s" % sorted(missing))
-    return Gauge(signs)
-
-
 # -- compatible choices and the base-change verification -----------------------
 
 
@@ -496,7 +337,6 @@ class CompatiblePair:
     top: SectionChoices
     sub: SectionChoices
     subframe: GaloisFrame
-    double_coset_sections: Dict[str, Dict[str, int]]  # top class -> sub class -> c(z)
 
 
 def subframe_of(frame: GaloisFrame, subgroup: FrozenSet[int]) -> GaloisFrame:
@@ -536,13 +376,12 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
     sub_reps: Dict[str, Root] = {}
     sub_u: Dict[str, Dict[int, int]] = {}
     sub_v: Dict[str, Dict[int, int]] = {}
-    dc_sections: Dict[str, Dict[str, int]] = {}
     for class_id, alpha in sorted(choices_k.reps.items()):
         stab_pm = _stab_pm(datum, alpha)
-        stab = _stab(datum, alpha)
+        stab_key = g.coset_keys(_stab(datum, alpha))
+        stab_pm_key = g.coset_keys(stab_pm)
         v_top = choices_k.v[class_id]
         new_u: Dict[int, int] = {}
-        dc_sections[class_id] = {}
         for dc in g.double_cosets(stab_pm, subgroup):
             c = min(dc)
             cinv = g.inv(c)
@@ -551,7 +390,6 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
             if sub_class_id in sub_reps:
                 raise AssertionError("double cosets produced a repeated subframe class")
             sub_reps[sub_class_id] = alpha_z
-            dc_sections[class_id][sub_class_id] = c
             stab_pm_sub = _stab_pm(datum, alpha_z, subgroup)
             stab_sub = _stab(datum, alpha_z, subgroup)
             # free outer section inside the subgroup
@@ -562,13 +400,13 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
             vz: Dict[int, int] = {}
             for cs in g.right_cosets(stab_sub, stab_pm_sub):
                 y_key = min(cs)
-                upstairs = _coset_key(g, stab, g.mul(g.mul(c, y_key), cinv))
+                upstairs = stab_key[g.mul(g.mul(c, y_key), cinv)]
                 vz[y_key] = g.mul(g.mul(cinv, v_top[upstairs]), c)
             sub_v[sub_class_id] = vz
             # rebuild the top outer section on the cosets meeting this double coset
             for y_key, uz_val in uz.items():
                 x_elem = g.mul(c, uz_val)
-                x_key = _coset_key(g, stab_pm, x_elem)
+                x_key = stab_pm_key[x_elem]
                 if x_key in new_u:
                     raise AssertionError("coset received two derived section values")
                 new_u[x_key] = x_elem
@@ -577,8 +415,7 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
             raise AssertionError("derived top section does not cover all cosets")
         top.u[class_id] = new_u
     sub = SectionChoices(sub_reps, sub_u, sub_v)
-    return CompatiblePair(top=top, sub=sub, subframe=subframe_of(frame, subgroup),
-                          double_coset_sections=dc_sections)
+    return CompatiblePair(top=top, sub=sub, subframe=subframe_of(frame, subgroup))
 
 
 @dataclass(frozen=True)
@@ -591,15 +428,10 @@ class BaseChangeReport:
 
 def verify_base_change(chi: ChiData, subgroup: FrozenSet[int], datum: GRootDatum,
                        frame: GaloisFrame,
-                       choices: Optional[SectionChoices] = None,
-                       size_bound: int = 16) -> BaseChangeReport:
+                       choices: Optional[SectionChoices] = None) -> BaseChangeReport:
     """Exhaustive check that the cocycle of the restricted datum matches the
     restriction of the cocycle, over every element of the subgroup, for
     compatibly derived choices."""
-    g = frame.group
-    if g.order > size_bound:
-        raise ValueError("group order %d exceeds the configured bound %d"
-                         % (g.order, size_bound))
     if choices is None:
         choices = default_choices(datum, frame)
     pair = compatible_choices(choices, subgroup, datum, frame)

@@ -143,21 +143,16 @@ def heisenberg_dims(shape: YuShape) -> List[QMonomial]:
             for idx in heisenberg_indices(shape)]
 
 
-def general_degree(shape: YuShape, dz: DepthZeroData, dim_g0_red: int,
-                   len_g0_00plus: Optional[int] = None) -> Tuple[QMonomial, Fraction]:
+def general_degree(shape: YuShape, dz: DepthZeroData,
+                   dim_g0_red: int) -> Tuple[QMonomial, Fraction]:
     """Formal degree from opaque depth-zero data.
 
     Returns (monomial, rational prefactor) with the monomial
     exp_q(dim(G)/2 + dim_g0_red/2 + break term) and prefactor
-    dim(rho) / stabilizer index.  The reductive-quotient dimension equals
-    the length of its Lie algebra piece; when both are supplied they must
-    agree.
+    dim(rho) / stabilizer index.
     """
     if dz.regular:
         raise ValueError("general_degree needs opaque depth-zero data")
-    if len_g0_00plus is not None and len_g0_00plus != dim_g0_red:
-        raise ValueError("depth-zero quotient dimension %d does not match its "
-                         "Lie-algebra length %d" % (dim_g0_red, len_g0_00plus))
     if dim_g0_red < 0:
         raise ValueError("quotient dimension must be nonnegative")
     expo = Fraction(shape.dim_ga, 2) + Fraction(dim_g0_red, 2) + shape.break_term()

@@ -260,20 +260,6 @@ OrbitFn = Mapping[str, Fraction]  # orbit_id (and "0" for the toral point) -> va
 TORAL_KEY = "0"
 
 
-def length_sum(orbit_subset: Sequence[OrbitInfo], f: OrbitFn,
-               jumps: JumpAssignment) -> Fraction:
-    """Exact length of the piece between 0+ and f: for each orbit, the
-    torsor points in the open interval (0, f(a)) weighted by the residue
-    degree."""
-    total = Fraction(0)
-    for o in orbit_subset:
-        bound = Fraction(f[o.orbit_id])
-        if bound < 0:
-            raise ValueError("negative cut-off for orbit %s" % o.orbit_id)
-        total += o.f * count_torsor_points(o, jumps, just_above(0), at(bound))
-    return total
-
-
 def master_length_identity(orbit_subset: Sequence[OrbitInfo], f: OrbitFn,
                            jumps: JumpAssignment) -> Tuple[Fraction, Fraction]:
     """Both sides of the length identity for an even f on a negation-closed set.

@@ -340,11 +340,6 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> List[Vector]:
     return [tuple(row[j] for row in form.v) for j in range(form.rank, cols)]
 
 
-def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
-    """One integer solution of A x = b, or None if none exists."""
-    return smith_normal_form(a).solve(b)
-
-
 def column_lattice_index(ambient_basis: Sequence[Vector], sub_gens: Sequence[Vector]) -> GroupOrder:
     """Index of the lattice spanned by sub_gens inside the one spanned by
     ambient_basis (sub must be contained in ambient); INFINITY if ranks differ."""

@@ -19,10 +19,8 @@ from fdc.chi_data import (
     compatible_choices,
     condition_failures,
     default_choices,
-    gauge_from_choices,
     r_chi_values,
     subframe_of,
-    validate_chi,
     verify_base_change,
 )
 
@@ -81,23 +79,43 @@ def test_character_group():
 def test_validate_chi_examples():
     # all-trivial on a datum with only asymmetric orbits
     frame, datum = s3_model()
-    diag = validate_chi(ChiData.trivial(datum, frame), datum, frame)
-    assert diag.valid and diag.minimally_ramified
+    assert condition_failures(ChiData.trivial(datum, frame), datum, frame) == ([], [])
 
     # the ramified A1 model with a nontrivial stabilizer character
     frame, datum, chi = z4_model()
-    diag = validate_chi(chi, datum, frame)
-    assert diag.valid and diag.minimally_ramified
-    (cls,) = diag.classes
-    assert cls.symmetric and cls.ramified
-    assert cls.cond3_witness == 2 and cls.cond3_value == Fraction(1, 2)
+    assert condition_failures(chi, datum, frame) == ([], [])
 
-    # deliberately broken equivariance
+    # deliberately broken: the character at -1 is not the inverse of the one
+    # at 1, and conjugation by an odd element does not carry one to the other
     bad = ChiData({(1,): {0: Fraction(0), 2: Fraction(1, 2)},
                    (-1,): {0: Fraction(0), 2: Fraction(0)}})
-    diag = validate_chi(bad, datum, frame)
-    assert not diag.valid
-    assert diag.cond1_failures or diag.cond2_failures
+    assert condition_failures(bad, datum, frame) == (
+        ["chi(-a) != chi(a)^-1 at (-1,)", "chi(-a) != chi(a)^-1 at (1,)"],
+        ["equivariance fails from (-1,) under 1", "equivariance fails from (1,) under 1"])
+
+
+def test_from_representatives_refuses_inconsistent_representative():
+    """Z/8 acting on Z by sign: the stabilizer of the root 1 is {0, 2, 4, 6}
+    and the odd elements negate the root while fixing the stabilizer under
+    conjugation, so negation and conjugation spread a character to -1 in
+    two ways.  They agree only when its values are their own negatives: a
+    character of order four is refused, one of order two is spread.  A
+    root outside the datum is refused before anything spreads."""
+    g = FiniteGroup.cyclic(8)
+    frame = GaloisFrame(g, frozenset(range(8)), 0, PrimePower(17, 1))
+    datum = GRootDatum(1, {k: [[(-1) ** k]] for k in range(8)}, frozenset({(1,), (-1,)}))
+    datum.check_against_frame(frame)
+    order_four = {k: Fraction(k, 8) for k in range(0, 8, 2)}
+    with pytest.raises(ValueError) as err:
+        ChiData.from_representatives(datum, frame, {(1,): order_four})
+    assert str(err.value) == (
+        "representatives do not spread to valid chi data: ("
+        "'equivariance fails from (-1,) under 1', 'equivariance fails from (1,) under 1')")
+    order_two = {k: Fraction(k % 4, 4) for k in range(0, 8, 2)}
+    chi = ChiData.from_representatives(datum, frame, {(1,): order_two})
+    assert chi.chars == {(1,): order_two, (-1,): order_two}
+    with pytest.raises(ValueError, match="is not a root"):
+        ChiData.from_representatives(datum, frame, {(2,): order_two})
 
 
 def test_base_change_examples():
@@ -135,15 +153,6 @@ def test_r_chi_hand_example():
     triv = ChiData.trivial(datum, frame)
     for w in range(4):
         assert r_chi_values(triv, choices, [w], datum, frame)[w] == (Fraction(0),)
-
-
-def test_gauge_from_choices():
-    frame, datum, chi = z4_model()
-    gauge = gauge_from_choices(default_choices(datum, frame), datum, frame)
-    assert set(gauge.signs.keys()) == set(datum.roots)
-    frame, datum = s3_model()
-    gauge = gauge_from_choices(default_choices(datum, frame), datum, frame)
-    assert sum(gauge.signs.values()) == 0
 
 
 def test_compatible_choices_structure():
@@ -233,12 +242,6 @@ def test_verify_base_change_models():
         assert rep.ok
 
 
-def test_size_bound():
-    frame, datum, chi = z4_model()
-    with pytest.raises(ValueError, match="bound"):
-        verify_base_change(chi, frozenset({0}), datum, frame, size_bound=2)
-
-
 def test_verifier_detects_mismatch():
     """Negative control: the exhaustive comparison really can fail, for
     instance against a corrupted restriction; the compatibly derived
@@ -315,7 +318,8 @@ def test_base_change_refuses_invalid_restriction():
                     for h in _stab(datum, alpha)}
     chars[(-1, 0)] = dict(chars[alpha])
     bad = ChiData(chars)
-    assert not validate_chi(bad, datum, frame).cond1_failures
+    cond1, cond2 = condition_failures(bad, datum, frame)
+    assert not cond1 and cond2
 
     everything = frozenset(frame.group.elements)
     with pytest.raises(AssertionError) as err:

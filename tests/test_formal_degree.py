@@ -85,11 +85,9 @@ def test_heisenberg_examples():
 def test_general_degree_example():
     shape, _, _ = sl2_shape(True, depth=Fraction(1), offset=Fraction(0))
     dz = DepthZeroData.opaque(1, 1)
-    mono, pref = general_degree(shape, dz, 1, 1)
+    mono, pref = general_degree(shape, dz, 1)
     # dim G = 3, quotient 1, sum r_0 * 2 = 2 -> exponent (3 + 1 + 2)/2
     assert mono == exp_q(3, PP3) and pref == 1
-    with pytest.raises(ValueError):
-        general_degree(shape, dz, 1, 2)
     with pytest.raises(ValueError):
         general_degree(shape, DepthZeroData.regular_marker(), 1)
 
@@ -145,7 +143,7 @@ def test_general_equals_regular_cross_check():
         # the Deligne-Lusztig dimension 1 over |S| * q^N with N positive roots
         steinberg = scen.pp.q ** ((dim_quot - torus.rank_m) // 2)
         dz = DepthZeroData.opaque(1, torus.special_fiber_order * steinberg)
-        mono, pref = general_degree(shape, dz, dim_quot, dim_quot)
+        mono, pref = general_degree(shape, dz, dim_quot)
         assert mono.scale(pref) == reg.monomial.scale(Fraction(1, reg.special_fiber_order))
         checked += 1
 

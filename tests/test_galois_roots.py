@@ -1,3 +1,5 @@
+import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,14 @@ from fdc.galois_roots import (
     torus_lattice_data,
     validate_depth_lattice,
 )
+from fdc.scenario import generate_scenario, load_scenario, scenario_from_dict
+from fdc.zlattice import (
+    coinvariants_order,
+    invariant_sublattice,
+    mat_transpose,
+    restrict_endomorphism,
+)
+from test_coxeter import coxeter_document
 
 PP3 = PrimePower(3, 1)
 PP5 = PrimePower(5, 1)
@@ -231,6 +241,38 @@ def test_depth_lattice_e3():
     filt = howe_filtration(datum, orbs, depths, Fraction(2, 3))
     checks = validate_depth_lattice(filt, orbs)
     assert all(c.ok for c in checks)
+
+
+def _dual_invariant_coinvariants(datum, frame):
+    """|(X_*^I)_F|: the Frobenius coinvariants of the inertia-invariant
+    sublattice of the cocharacter lattice, with the dual action M(g^-1)^T
+    of every inertia element (not only generators)."""
+    inv = frame.group.inv
+    basis = invariant_sublattice(
+        datum.rank, [mat_transpose(datum.action[inv(a)]) for a in sorted(frame.inertia)])
+    dual_frob = mat_transpose(datum.action[inv(frame.frobenius)])
+    return coinvariants_order(restrict_endomorphism(dual_frob, basis) if basis else [])
+
+
+def test_torus_orders_match_dual_lattice_route():
+    """The three lattice orders of the prefactors against a fourth route
+    through the dual lattice: |(X_*^I)_F| = |(X^I)_F| (m_frob_coinvariants)
+    and |(X_*^I)_F| * |(X_{*,I})^F| = |X_{*,Gamma}|.  Run on the bundled
+    scenarios, 120 generated ones and the A_{n-1} Coxeter tori for n = 4, 6
+    and 8, unramified and totally ramified."""
+    scen_dir = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
+    scenarios = [load_scenario(os.path.join(scen_dir, name))
+                 for name in sorted(os.listdir(scen_dir))]
+    assert len(scenarios) == 6
+    rng = random.Random(8)
+    scenarios += [generate_scenario(rng) for _ in range(120)]
+    scenarios += [scenario_from_dict(coxeter_document(n, ramified))
+                  for n in (4, 6, 8) for ramified in (False, True)]
+    for scen in scenarios:
+        torus = scen.torus
+        dual = _dual_invariant_coinvariants(scen.datum, scen.frame)
+        assert dual == torus.m_frob_coinvariants, scen.name
+        assert dual * torus.kottwitz_fixed_order == torus.cochar_full_coinvariants, scen.name
 
 
 def test_torus_lattice_data_sl2():

@@ -17,7 +17,12 @@ from fractions import Fraction
 
 import pytest
 
-from fdc.chi_data import ChiData, character_group, validate_chi, verify_base_change
+from fdc.chi_data import (
+    ChiData,
+    character_group,
+    condition_failures,
+    verify_base_change,
+)
 from fdc.compare import run_compare
 from fdc.galois_roots import (
     FiniteGroup,
@@ -169,8 +174,7 @@ def test_chi_base_change_sixteen_element_frame():
             chi = ChiData.from_representatives(datum, frame, {(1,): chi_rep})
         except ValueError:
             continue  # fails the symmetric-class compatibility constraint
-        diag = validate_chi(chi, datum, frame)
-        assert diag.valid
+        assert condition_failures(chi, datum, frame) == ([], [])
         for sub in g.all_subgroups():
             rep = verify_base_change(chi, sub, datum, frame)
             assert rep.ok, (sorted(sub), rep.witness, rep.lhs, rep.rhs)
@@ -293,7 +297,7 @@ def test_compact_induction_derivation_chain():
             + [(h, 1) for h in hdims],
             scen.pp).scale(dz.stab_index)
         got = compact_induction_degree(dim_tau, vol_k)
-        mono, pref = general_degree(shape, dz, dim_quot, dim_quot)
+        mono, pref = general_degree(shape, dz, dim_quot)
         want = mono.scale(pref)
         assert got == want, (scen.name, got, want)
         reg = regular_degree(shape, torus)

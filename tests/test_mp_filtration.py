@@ -22,7 +22,6 @@ from fdc.mp_filtration import (
     is_concave,
     jump_length_at,
     just_above,
-    length_sum,
     master_length_identity,
     mp_chain,
     periodic_sum_value,
@@ -130,20 +129,6 @@ def test_periodic_sum_examples():
 def test_periodic_sum_lemma_randomized():
     from fdc.selftest import suite_periodic_sum
     assert suite_periodic_sum(random.Random(11), 1000) == 1000
-
-
-def test_length_sum_examples():
-    _, _, orbs_u = a1_setup(False)
-    (ou,) = orbs_u   # e=1, f=2, size 2
-    ja = JumpAssignment.build({ou.orbit_id: 0}, orbs_u)
-    # f(a)=2: interior points of (0,2) in Z: {1} with weight 2
-    assert length_sum(orbs_u, {ou.orbit_id: Fraction(2)}, ja) == 2
-    assert length_sum(orbs_u, {ou.orbit_id: Fraction(0)}, ja) == 0
-
-    _, _, orbs_r = a1_setup(True)
-    (orm,) = orbs_r  # e=2, f=1
-    ja = JumpAssignment.build({orm.orbit_id: Fraction(1, 2)}, orbs_r)
-    assert length_sum(orbs_r, {orm.orbit_id: Fraction(1)}, ja) == 1
 
 
 def test_master_identity_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import fdc.chi_data
 import fdc.cli as cli
 import fdc.compare
 import fdc.galois_roots
+import fdc.scenario
 import fdc.weil_gamma
 from fdc.compare import emit_report, run_compare
 from fdc.qexact import PrimePower
@@ -205,6 +207,26 @@ def test_cli_verify_internal_check_failure_exits_3(monkeypatch, capsys):
     assert report["name"] == "sl2_ramified_depth_half"
 
 
+def test_cli_chi_check_frame_of_eighteen_elements(tmp_path, capsys):
+    """Z/18 acting by sign on a rank-one lattice, totally ramified at
+    q = 19: base change is checked on each of the six subgroups."""
+    n = 18
+    doc = bundled_doc("z4_a1_ramified_chi")
+    doc.update(name="z18_sign", q={"p": 19, "a": 1},
+               group={"order": n, "mult_table": [[(i + j) % n for j in range(n)]
+                                                 for i in range(n)]},
+               inertia=list(range(n)), action={str(k): [[(-1) ** k]] for k in range(n)},
+               chi={rk: {str(k): "0" for k in range(0, n, 2)} for rk in ("1", "-1")})
+    path = tmp_path / "z18_sign.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--format", "json", "chi-check", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    assert [e["subgroup"] for e in out["subgroups"]] == [
+        [0], [0, 9], [0, 6, 12], [0, 3, 6, 9, 12, 15], list(range(0, n, 2)), list(range(n))]
+    assert all(e == {"subgroup": e["subgroup"], "ok": True} for e in out["subgroups"])
+
+
 def test_cli_chi_check_internal_check_failure_exits_3(monkeypatch, capsys):
     def every_restriction_fails(chi, datum, frame):
         return ["stub failure"], []
@@ -242,6 +264,26 @@ def test_cli_verify_wrong_conductor_is_unequal(monkeypatch, capsys):
     assert "verdict=UNEQUAL" in captured.out
     assert "  automorphic  1/2 * 5^(2)  (" in captured.out
     assert "  galois       1/2 * 5^(5/2)  (" in captured.out
+
+
+@pytest.mark.parametrize("field", ["m_frob_coinvariants", "kottwitz_fixed_order",
+                                   "cochar_full_coinvariants"])
+def test_cli_verify_wrong_lattice_order_is_unequal(field, monkeypatch, capsys):
+    """Each lattice order in the prefactors is computed once and read by one
+    side only, so a wrong one reaches the verdict: the product identity
+    |(X^I)_F| * |(X_{*,I})^F| = |X_{*,Gamma}| fails, verify reports UNEQUAL
+    and exits 1, not 3."""
+    honest = fdc.scenario.torus_lattice_data
+
+    def doubled(datum, frame):
+        torus = honest(datum, frame)
+        return dataclasses.replace(torus, **{field: 2 * getattr(torus, field)})
+
+    monkeypatch.setattr(fdc.scenario, "torus_lattice_data", doubled)
+    rc = cli.main(["verify", bundled_path("sl2_unramified_depth0")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    assert "verdict=UNEQUAL" in captured.out
 
 
 def test_cli_verify_odd_depth_zero_root_count_is_diagnosed(tmp_path, capsys):

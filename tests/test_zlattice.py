@@ -23,7 +23,6 @@ from fdc.zlattice import (
     mat_vec,
     restrict_endomorphism,
     smith_normal_form,
-    solve_integer,
     twisted_fixed_order,
 )
 
@@ -318,9 +317,9 @@ def test_kernel_and_solve():
     kb = kernel_basis(a)
     assert len(kb) == 1
     assert mat_vec(a, kb[0]) == (0, 0)
-    sol = solve_integer([[2, 0], [0, 3]], [4, 9])
+    sol = smith_normal_form([[2, 0], [0, 3]]).solve([4, 9])
     assert sol == (2, 3)
-    assert solve_integer([[2]], [3]) is None
+    assert smith_normal_form([[2]]).solve([3]) is None
 
 
 def test_dual_action():
