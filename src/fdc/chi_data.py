@@ -2,20 +2,21 @@
 
 Characters live on stabilizer subgroups of the frame group and take values
 in Q/Z (written additively); base change to a subframe is literal
-restriction.  A family of such characters indexed by the roots is a valid
-datum when it inverts under negation and transforms by conjugation under
-the group.  :func:`condition_failures` is the one check of these two
-conditions: loading, :meth:`ChiData.from_representatives` and base change
-all call it.
+restriction.  By Lagrange every value lies in (1/n)Z/Z for n = |G|, so a
+value k/n is stored as its numerator k in [0, n), added and negated mod n.
+A family of such characters indexed by the roots is a valid datum when it
+inverts under negation and transforms by conjugation under the group.
+:func:`condition_failures` is the one check of these two conditions:
+loading, :meth:`ChiData.from_representatives` and base change all call it.
 
 The cocycle attached to a datum and a family of auxiliary choices (orbit
 representatives, coset sections) is evaluated additively in the rational
-character space modulo the lattice.  The base-change theorem says the
-cocycle of the restricted datum agrees on the subgroup with the original
-cocycle, for compatibly derived choices; the derivation here follows the
-constructive recipe (double-coset sections, conjugated representatives and
-conjugation-twisted sections) and the verification is exhaustive over the
-subgroup.
+character space modulo the lattice, as numerators mod n.  The base-change
+theorem says the cocycle of the restricted datum agrees on the subgroup
+with the original cocycle, for compatibly derived choices; the derivation
+here follows the constructive recipe (double-coset sections, conjugated
+representatives and conjugation-twisted sections) and the verification is
+exhaustive over the subgroup.
 
 Derived subframe sections can take values outside the subgroup: they are
 conjugates of top-level section values.  That is harmless because the
@@ -27,19 +28,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .galois_roots import FiniteGroup, GaloisFrame, GRootDatum, root_key
 from .zlattice import smith_normal_form
 
 Root = Tuple[int, ...]
-Character = Dict[int, Fraction]  # element -> value in [0, 1)
-DualTorusElement = Tuple[Fraction, ...]  # element of X^* tensor Q/Z
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x % 1
+Character = Dict[int, int]  # element -> numerator k in [0, |G|) of the value k/|G|
+DualTorusElement = Tuple[int, ...]  # element of X^* tensor Q/Z, numerators mod |G|
 
 
 # -- characters of subgroups ---------------------------------------------------
@@ -47,8 +43,8 @@ def _mod1(x: Fraction) -> Fraction:
 
 def char_is_homomorphism(group: FiniteGroup, domain: FrozenSet[int],
                          chi: Character) -> bool:
-    """Whether chi, with values in [0, 1), is a homomorphism from the
-    subgroup ``domain`` to Q/Z.
+    """Whether chi, with numerators in [0, n) for n the group order, is a
+    homomorphism from the subgroup ``domain`` to Q/Z.
 
     ``domain`` must be a subgroup.  Additivity chi(ab) = chi(a) + chi(b) is
     tested for a in a generating set only, which proves it for every a: the
@@ -58,16 +54,17 @@ def char_is_homomorphism(group: FiniteGroup, domain: FrozenSet[int],
     """
     if set(chi.keys()) != set(domain):
         return False
-    if any(not (0 <= v < 1) for v in chi.values()):
+    n = group.order
+    if any(not (isinstance(v, int) and 0 <= v < n) for v in chi.values()):
         return False
     if chi.get(0) != 0:
         return False
-    return all(_mod1(chi[s] + chi[b]) == chi[group.mul(s, b)]
+    return all((chi[s] + chi[b]) % n == chi[group.mul(s, b)]
                for s in group.generating_set(domain) for b in domain)
 
 
-def char_inverse(chi: Character) -> Character:
-    return {g: _mod1(-v) for g, v in chi.items()}
+def char_inverse(chi: Character, n: int) -> Character:
+    return {g: -v % n for g, v in chi.items()}
 
 
 def char_conjugate(group: FiniteGroup, chi: Character, sigma: int) -> Character:
@@ -80,28 +77,29 @@ def char_restrict(chi: Character, subdomain: FrozenSet[int]) -> Character:
 
 
 def character_group(group: FiniteGroup, subgroup: FrozenSet[int]) -> List[Character]:
-    """All homomorphisms subgroup -> Q/Z, via Smith form of the relation
-    lattice of the abelianization.  Deterministic order."""
+    """All homomorphisms subgroup -> Q/Z, as numerators mod |G|, via Smith form
+    of the relation lattice of the abelianization.  Deterministic order."""
+    n = group.order
     elems = sorted(subgroup)
-    n = len(elems)
+    m = len(elems)
     idx = {g: i for i, g in enumerate(elems)}
     rels: List[List[int]] = []
     for a in elems:
         for b in elems:
-            row = [0] * n
+            row = [0] * m
             row[idx[a]] += 1
             row[idx[b]] += 1
             row[idx[group.mul(a, b)]] -= 1
             rels.append(row)
     form = smith_normal_form(rels)
     diag, v = form.diagonal, form.v
-    if len(diag) < n or any(x == 0 for x in diag):
+    if len(diag) < m or any(x == 0 for x in diag):
         raise AssertionError("abelianization of a finite group must be finite")
     choices = [range(x) for x in diag]
     out: List[Character] = []
     for combo in itertools.product(*choices):
-        y = [Fraction(c, dd) for c, dd in zip(combo, diag)]
-        x = [_mod1(sum(Fraction(v[i][j]) * y[j] for j in range(n))) for i in range(n)]
+        y = [c * (n // dd) for c, dd in zip(combo, diag)]
+        x = [sum(v[i][j] * y[j] for j in range(m)) % n for i in range(m)]
         out.append({g: x[idx[g]] for g in elems})
     return out
 
@@ -112,11 +110,12 @@ def character_group(group: FiniteGroup, subgroup: FrozenSet[int]) -> List[Charac
 @dataclass
 class ChiData:
     """A character for every root, subject to inversion under negation and
-    conjugation equivariance (validated separately)."""
+    conjugation equivariance (validated separately); values over n = |G|."""
 
     chars: Dict[Root, Character]
+    n: int
 
-    def value(self, root: Root, g: int) -> Fraction:
+    def value(self, root: Root, g: int) -> int:
         chi = self.chars[root]
         if g not in chi:
             raise KeyError("element %d is outside the stabilizer of %s" % (g, root))
@@ -126,8 +125,8 @@ class ChiData:
     def trivial(datum: GRootDatum, frame: GaloisFrame) -> "ChiData":
         chars: Dict[Root, Character] = {}
         for root in datum.roots:
-            chars[root] = {g: Fraction(0) for g in _stab(datum, root, frame.carrier_set)}
-        return ChiData(chars)
+            chars[root] = {g: 0 for g in _stab(datum, root, frame.carrier_set)}
+        return ChiData(chars, frame.group.order)
 
     @staticmethod
     def from_representatives(datum: GRootDatum, frame: GaloisFrame,
@@ -145,13 +144,13 @@ class ChiData:
         while todo:
             root = todo.pop()
             chi = chars[root]
-            moves = [(tuple(-x for x in root), char_inverse(chi))]
+            moves = [(tuple(-x for x in root), char_inverse(chi, g.order))]
             moves += [(datum.act(s, root), char_conjugate(g, chi, s)) for s in gens]
             for target, moved in moves:
                 if target not in chars:
                     chars[target] = moved
                     todo.append(target)
-        out = ChiData(chars)
+        out = ChiData(chars, g.order)
         cond1, cond2 = condition_failures(out, datum, frame)
         if cond1 or cond2:
             raise ValueError("representatives do not spread to valid chi data: %s"
@@ -229,7 +228,7 @@ def _failures_under(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
             cond2.append("character at %s is not a stabilizer homomorphism" % (root,))
             continue
         neg = tuple(-x for x in root)
-        if chi.chars.get(neg) != char_inverse(chi.chars[root]):
+        if chi.chars.get(neg) != char_inverse(chi.chars[root], chi.n):
             cond1.append("chi(-a) != chi(a)^-1 at %s" % (root,))
         for s in movers:
             target = datum.act(s, root)
@@ -247,7 +246,7 @@ def base_change_chi(chi: ChiData, subgroup: FrozenSet[int], datum: GRootDatum,
     defining conditions on the subframe (:func:`condition_failures`); an
     AssertionError lists the failures otherwise."""
     out = ChiData({root: char_restrict(c, _stab(datum, root, subgroup))
-                   for root, c in chi.chars.items()})
+                   for root, c in chi.chars.items()}, chi.n)
     cond1, cond2 = condition_failures(out, datum, subframe)
     if cond1 or cond2:
         raise AssertionError("restricted chi data fail validation: %s"
@@ -293,7 +292,7 @@ def default_choices(datum: GRootDatum, frame: GaloisFrame) -> SectionChoices:
 def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
                  datum: GRootDatum, frame: GaloisFrame,
                  within: Optional[FrozenSet[int]] = None) -> Dict[int, DualTorusElement]:
-    """The cocycle value at each w in ws, additively in X^* tensor Q/Z.
+    """The cocycle value at each w in ws, in X^* tensor Q/Z as numerators mod n.
 
     For each class with representative a and each coset x of the plus-minus
     stabilizer, the section relations produce first an element of that
@@ -305,7 +304,7 @@ def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
     """
     g = frame.group
     ambient = frozenset(within) if within is not None else frozenset(frame.carrier_set)
-    acc = {w: [Fraction(0)] * datum.rank for w in ws}
+    acc = {w: [0] * datum.rank for w in ws}
     if any(w not in ambient for w in acc):
         raise ValueError("w must lie in the evaluation subgroup")
     for class_id, alpha in sorted(choices.reps.items()):
@@ -326,7 +325,7 @@ def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
                 if val != 0:
                     for i in range(datum.rank):
                         total[i] += val * beta[i]
-    return {w: tuple(_mod1(x) for x in total) for w, total in acc.items()}
+    return {w: tuple(x % chi.n for x in total) for w, total in acc.items()}
 
 
 # -- compatible choices and the base-change verification -----------------------

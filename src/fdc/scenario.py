@@ -161,8 +161,8 @@ class Scenario:
             doc["depth_zero"] = {"dim_rho": fraction_str(self.depth_zero.dim_rho),
                                  "stab_index": self.depth_zero.stab_index}
         if self.chi is not None:
-            doc["chi"] = {root_key(root): {str(g): fraction_str(v)
-                                           for g, v in sorted(c.items())}
+            doc["chi"] = {root_key(root): {str(g): fraction_str(Fraction(k, self.chi.n))
+                                           for g, k in sorted(c.items())}
                           for root, c in sorted(self.chi.chars.items())}
         if self.options:
             doc["options"] = dict(self.options)
@@ -344,11 +344,12 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     chi = None
     if "chi" in doc:
         try:
-            chars = {}
+            chi = ChiData({}, frame.group.order)
             for rk, table in doc["chi"].items():
                 root = parse_root_key(rk)
-                chars[root] = {int(g): parse_fraction(v) % 1 for g, v in table.items()}
-            chi = ChiData(chars)
+                # k/n as k; a Fraction where n * value is not integral: never a character value
+                ks = {int(g): parse_fraction(v) % 1 * chi.n for g, v in table.items()}
+                chi.chars[root] = {g: int(k) if k.denominator == 1 else k for g, k in ks.items()}
             cond1, cond2 = condition_failures(chi, datum, frame)
             for msg in cond1 + cond2:
                 failures.append(("chi_data", "chi", msg))
@@ -534,7 +535,7 @@ def _random_chi(rng: random.Random, datum: GRootDatum, frame: GaloisFrame) -> Op
         if negators:
             sigma = negators[0]
             ok = [c for c in chars
-                  if char_conjugate(g, c, g.inv(sigma)) == char_inverse(c)]
+                  if char_conjugate(g, c, g.inv(sigma)) == char_inverse(c, g.order)]
             if not ok:
                 return None
             rep_chars[rep] = rng.choice(ok)

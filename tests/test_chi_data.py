@@ -27,14 +27,28 @@ from fdc.chi_data import (
 PP3 = PrimePower(3, 1)
 
 
+def stored(value, n):
+    """A Fraction value mod 1 as the loader stores it: the numerator k of
+    k/n, or the non-integer Fraction n * value when that is not integral."""
+    k = value % 1 * n
+    return int(k) if k.denominator == 1 else k
+
+
+def numerators(table, n):
+    """A {g: Fraction} table in the stored form: numerators mod n."""
+    out = {g: stored(v, n) for g, v in table.items()}
+    assert all(isinstance(k, int) for k in out.values())
+    return out
+
+
 def z4_model():
     g = FiniteGroup.cyclic(4)
     frame = GaloisFrame(g, frozenset({0, 1, 2, 3}), 0, PP3)
     datum = GRootDatum(1, {0: [[1]], 1: [[-1]], 2: [[1]], 3: [[-1]]},
                        frozenset({(1,), (-1,)}))
     datum.check_against_frame(frame)
-    chi = ChiData.from_representatives(datum, frame,
-                                       {(1,): {0: Fraction(0), 2: Fraction(1, 2)}})
+    chi = ChiData.from_representatives(
+        datum, frame, {(1,): numerators({0: Fraction(0), 2: Fraction(1, 2)}, 4)})
     return frame, datum, chi
 
 
@@ -87,8 +101,8 @@ def test_validate_chi_examples():
 
     # deliberately broken: the character at -1 is not the inverse of the one
     # at 1, and conjugation by an odd element does not carry one to the other
-    bad = ChiData({(1,): {0: Fraction(0), 2: Fraction(1, 2)},
-                   (-1,): {0: Fraction(0), 2: Fraction(0)}})
+    bad = ChiData({(1,): numerators({0: Fraction(0), 2: Fraction(1, 2)}, 4),
+                   (-1,): numerators({0: Fraction(0), 2: Fraction(0)}, 4)}, 4)
     assert condition_failures(bad, datum, frame) == (
         ["chi(-a) != chi(a)^-1 at (-1,)", "chi(-a) != chi(a)^-1 at (1,)"],
         ["equivariance fails from (-1,) under 1", "equivariance fails from (1,) under 1"])
@@ -105,13 +119,13 @@ def test_from_representatives_refuses_inconsistent_representative():
     frame = GaloisFrame(g, frozenset(range(8)), 0, PrimePower(17, 1))
     datum = GRootDatum(1, {k: [[(-1) ** k]] for k in range(8)}, frozenset({(1,), (-1,)}))
     datum.check_against_frame(frame)
-    order_four = {k: Fraction(k, 8) for k in range(0, 8, 2)}
+    order_four = numerators({k: Fraction(k, 8) for k in range(0, 8, 2)}, 8)
     with pytest.raises(ValueError) as err:
         ChiData.from_representatives(datum, frame, {(1,): order_four})
     assert str(err.value) == (
         "representatives do not spread to valid chi data: ("
         "'equivariance fails from (-1,) under 1', 'equivariance fails from (1,) under 1')")
-    order_two = {k: Fraction(k % 4, 4) for k in range(0, 8, 2)}
+    order_two = numerators({k: Fraction(k % 4, 4) for k in range(0, 8, 2)}, 8)
     chi = ChiData.from_representatives(datum, frame, {(1,): order_two})
     assert chi.chars == {(1,): order_two, (-1,): order_two}
     with pytest.raises(ValueError, match="is not a root"):
@@ -127,11 +141,11 @@ def test_base_change_examples():
     # restriction to <s^2>
     sub = frozenset({0, 2})
     bc = base_change_chi(chi, sub, datum, frame, subframe_of(frame, sub))
-    assert bc.chars[(1,)] == {0: Fraction(0), 2: Fraction(1, 2)}
+    assert bc.chars[(1,)] == numerators({0: Fraction(0), 2: Fraction(1, 2)}, 4)
     # restriction to the trivial subgroup kills everything
     bc = base_change_chi(chi, frozenset({0}), datum, frame,
                          subframe_of(frame, frozenset({0})))
-    assert all(c == {0: Fraction(0)} for c in bc.chars.values())
+    assert all(c == {0: 0} for c in bc.chars.values())
 
 
 def test_base_change_transitive():
@@ -149,10 +163,10 @@ def test_r_chi_hand_example():
     frame, datum, chi = z4_model()
     choices = default_choices(datum, frame)
     vals = r_chi_values(chi, choices, [0, 2], datum, frame)
-    assert vals == {0: (Fraction(0),), 2: (Fraction(1, 2),)}
+    assert vals == {0: (0,), 2: (2,)}  # numerators mod 4: 0 and 1/2
     triv = ChiData.trivial(datum, frame)
     for w in range(4):
-        assert r_chi_values(triv, choices, [w], datum, frame)[w] == (Fraction(0),)
+        assert r_chi_values(triv, choices, [w], datum, frame)[w] == (0,)
 
 
 def test_compatible_choices_structure():
@@ -215,7 +229,7 @@ def test_compatible_choices_two_double_cosets():
     (rep,) = list(top.reps.values())
     stab = _stab(datum, rep)
     assert stab == frozenset({0})
-    chi = ChiData.from_representatives(datum, frame, {rep: {0: Fraction(0)}})
+    chi = ChiData.from_representatives(datum, frame, {rep: {0: 0}})
     for sub in frame.group.all_subgroups():
         assert verify_base_change(chi, sub, datum, frame).ok
 
@@ -235,7 +249,8 @@ def test_verify_base_change_models():
     # nontrivial character on the asymmetric S3 orbits
     alpha = (1, 0)
     stab = _stab(datum, alpha)
-    nontriv = {h: (Fraction(0) if h == 0 else Fraction(1, 2)) for h in sorted(stab)}
+    nontriv = numerators({h: (Fraction(0) if h == 0 else Fraction(1, 2))
+                          for h in sorted(stab)}, 6)
     chi2 = ChiData.from_representatives(datum, frame, {alpha: nontriv})
     for sub in frame.group.all_subgroups():
         rep = verify_base_change(chi2, sub, datum, frame)
@@ -314,10 +329,10 @@ def test_base_change_refuses_invalid_restriction():
     chars = dict(ChiData.trivial(datum, frame).chars)
     # nontrivial at +-alpha only: odd under negation, but its orbit-mates
     # stay trivial, so conjugation does not carry it along
-    chars[alpha] = {h: Fraction(0) if h == 0 else Fraction(1, 2)
-                    for h in _stab(datum, alpha)}
+    chars[alpha] = numerators({h: Fraction(0) if h == 0 else Fraction(1, 2)
+                               for h in _stab(datum, alpha)}, 6)
     chars[(-1, 0)] = dict(chars[alpha])
-    bad = ChiData(chars)
+    bad = ChiData(chars, 6)
     cond1, cond2 = condition_failures(bad, datum, frame)
     assert not cond1 and cond2
 
@@ -341,8 +356,8 @@ def test_base_change_refuses_invalid_restriction():
 
     # a condition-1 failure is listed the same way, before condition 2
     frame, datum, _chi = z4_model()
-    odd = ChiData({(1,): {0: Fraction(0), 2: Fraction(1, 2)},
-                   (-1,): {0: Fraction(0), 2: Fraction(0)}})
+    odd = ChiData({(1,): numerators({0: Fraction(0), 2: Fraction(1, 2)}, 4),
+                   (-1,): numerators({0: Fraction(0), 2: Fraction(0)}, 4)}, 4)
     sub = frozenset({0, 2})
     with pytest.raises(AssertionError) as err:
         base_change_chi(odd, sub, datum, frame, subframe_of(frame, sub))
@@ -356,10 +371,12 @@ WITH_CHI = ["d4_b2_depth_quarter", "s3_a2_depth_third",
 
 
 def _all_pairs_homomorphism(group, domain, table):
-    """The definition, over every pair of the subgroup."""
+    """The definition, over every pair of the subgroup, on numerators mod
+    the group order."""
+    n = group.order
     return (set(table) == set(domain)
-            and all(0 <= v < 1 for v in table.values())
-            and all((table[a] + table[b]) % 1 == table[group.mul(a, b)]
+            and all(0 <= v < n for v in table.values())
+            and all((table[a] + table[b]) % n == table[group.mul(a, b)]
                     for a in domain for b in domain))
 
 
@@ -380,7 +397,7 @@ def _all_elements_failures(chi, datum, subframe):
             cond2.append("character at %s is not a stabilizer homomorphism" % (root,))
             continue
         neg = tuple(-x for x in root)
-        if chi.chars.get(neg) != {k: (-v) % 1 for k, v in table.items()}:
+        if chi.chars.get(neg) != {k: (-v) % g.order for k, v in table.items()}:
             cond1.append("chi(-a) != chi(a)^-1 at %s" % (root,))
         for s in sorted(car):
             moved = {g.conj(s, k): v for k, v in table.items() if g.conj(s, k) in car}
@@ -399,7 +416,8 @@ def _splices(first, second, datum, group, mover):
     for root in sorted(datum.roots):
         if all(root not in orbit for orbit in orbits):
             orbits.append({datum.act(s, r) for s in cyclic for r in (root, tuple(-x for x in root))})
-    return [ChiData({r: dict((first if r in orbit else second).chars[r]) for r in datum.roots})
+    return [ChiData({r: dict((first if r in orbit else second).chars[r]) for r in datum.roots},
+                    group.order)
             for orbit in orbits]
 
 
@@ -414,15 +432,18 @@ def test_generator_checks_match_brute_force(name):
     scen = load_scenario(os.path.join(SCEN_DIR, name + ".json"))
     datum, frame = scen.datum, scen.frame
     g = frame.group
+    n = g.order
     rng = random.Random(name)
     for sub in g.all_subgroups():
         elems = sorted(sub)
         tables = list(character_group(g, sub))
+        # values stored as the loader stores them: off (1/n)Z, a non-integer
         for table in list(tables):
             for e in elems:
-                tables.append({**table, e: (table[e] + Fraction(1, 2 * len(elems))) % 1})
+                tables.append({**table, e: stored(
+                    Fraction(table[e], n) + Fraction(1, 2 * len(elems)), n)})
         for _ in range(20):
-            tables.append({e: Fraction(rng.randrange(6), 6) if e else Fraction(0)
+            tables.append({e: stored(Fraction(rng.randrange(6), 6), n) if e else 0
                            for e in elems})
         for table in tables:
             assert char_is_homomorphism(g, sub, table) == _all_pairs_homomorphism(g, sub, table)
@@ -443,7 +464,7 @@ def test_generator_checks_match_brute_force(name):
                     families += _splices(first, second, datum, g, mover)
         for _ in range(10):
             families.append(ChiData({r: rng.choice(character_group(g, _stab(datum, r, sub)))
-                                     for r in datum.roots}))
+                                     for r in datum.roots}, n))
         for fam in families:
             assert condition_failures(fam, datum, subframe) == _all_elements_failures(
                 fam, datum, subframe)
@@ -463,8 +484,8 @@ def test_equivariance_checked_under_every_generator():
     datum.check_against_frame(frame)
     stab = frozenset({0, 1, 2, 3})
     for value, valid in ((Fraction(1, 2), True), (Fraction(1, 4), False)):
-        table = {k: (k * value) % 1 for k in stab}
-        chi = ChiData({(1,): table, (-1,): {k: -v % 1 for k, v in table.items()}})
+        table = numerators({k: (k * value) % 1 for k in stab}, 8)
+        chi = ChiData({(1,): table, (-1,): {k: -v % 8 for k, v in table.items()}}, 8)
         expected = [] if valid else ["equivariance fails from (-1,) under 4",
                                      "equivariance fails from (1,) under 4"]
         assert _all_elements_failures(chi, datum, frame) == ([], expected)
@@ -486,19 +507,18 @@ def test_cocycle_values_pinned():
         for sub, w, top, low in pins[name]:
             expected.setdefault(frozenset(sub), {})[w] = (
                 tuple(Fraction(x) for x in top), tuple(Fraction(x) for x in low))
+        n = frame.group.order
+        subgroups = frame.group.all_subgroups()
         checked = 0
-        for sub in frame.group.all_subgroups():
-            try:
-                pair = compatible_choices(choices, sub, datum, frame)
-            except ValueError:
-                assert sub not in expected
-                continue
+        for sub in subgroups:
+            pair = compatible_choices(choices, sub, datum, frame)
             top = r_chi_values(chi, pair.top, sub, datum, frame)
             low = r_chi_values(chi, pair.sub, sub, datum, frame, within=sub)
-            assert {w: (top[w], low[w]) for w in sub} == expected[sub]
+            assert {w: (tuple(Fraction(k, n) for k in top[w]),
+                        tuple(Fraction(k, n) for k in low[w])) for w in sub} == expected[sub]
             checked += 1
             outside = next((x for x in frame.group.elements if x not in sub), None)
             if outside is not None:
                 with pytest.raises(ValueError, match="evaluation subgroup"):
                     r_chi_values(chi, pair.sub, [outside], datum, frame, within=sub)
-        assert checked == len(expected)
+        assert checked == len(subgroups) == len(expected)

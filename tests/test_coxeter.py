@@ -97,7 +97,25 @@ def test_snf_of_a5_roots_pinned():
     assert (form.u, form.d, form.v) == (pin["u"], pin["d"], pin["v"])
 
 
-@pytest.mark.parametrize("divisors", [(6, 3), (4, 2)])
+def a11_three_break_document(divisors, ramified):
+    """The A_11 Coxeter document with breaks at 1, 2 and 3: the orbit of
+    e_a - e_b enters at depth 1 when d1 divides k = b - a mod 12, else at 2
+    when d2 divides k, else at 3."""
+    d1, d2 = divisors
+    doc = coxeter_document(12, ramified)
+    depths = {}
+    for oid in doc["theta_depths"]:
+        k = sum(int(x) for x in oid.split(",")) % 12
+        depths[oid] = "1" if k % d1 == 0 else "2" if k % d2 == 0 else "3"
+    doc["theta_depths"] = depths
+    doc["theta_total_depth"] = "3"
+    return doc
+
+
+A11_DIVISORS = [(6, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("divisors", A11_DIVISORS)
 def test_a11_levi_kernels_pinned(divisors):
     """Every level of an A_11 Coxeter filtration with three breaks.  The
     orbit of e_a - e_b is fixed by k = b - a mod 12 (the sum of its
@@ -105,14 +123,7 @@ def test_a11_levi_kernels_pinned(divisors):
     orbits with d2 | k at depth 2 and the rest at 3, so the levels are the
     Levi subsystems {d | k} for d = d1, d2, 1."""
     d1, d2 = divisors
-    doc = coxeter_document(12, False)
-    depths = {}
-    for oid in doc["theta_depths"]:
-        k = sum(int(x) for x in oid.split(",")) % 12
-        depths[oid] = "1" if k % d1 == 0 else "2" if k % d2 == 0 else "3"
-    doc["theta_depths"] = depths
-    doc["theta_total_depth"] = "3"
-    levels = scenario_from_dict(doc).filtration.levels
+    levels = scenario_from_dict(a11_three_break_document(divisors, False)).filtration.levels
     assert [len(lv) for lv in levels] == [0, 12 * (12 // d1 - 1), 12 * (12 // d2 - 1), 132]
     pins = load_pins()["a11_levi_kernels"]
     for level, d in zip(levels[1:], (d1, d2, 1)):

@@ -25,7 +25,8 @@ from fdc.formal_degree import (
     volume_exponent_closed,
     volume_exponent_raw,
 )
-from fdc.scenario import generate_scenario
+from fdc.scenario import generate_scenario, scenario_from_dict
+from test_coxeter import A11_DIVISORS, a11_three_break_document
 
 PP3 = PrimePower(3, 1)
 PP5 = PrimePower(5, 1)
@@ -155,6 +156,19 @@ def test_volume_normalization_randomized():
         shape = scen.shape()
         rank_m = scen.torus.rank_m
         assert volume_exponent_raw(shape, rank_m) == volume_exponent_closed(shape, rank_m)
+
+
+@pytest.mark.parametrize("ramified", [False, True])
+@pytest.mark.parametrize("divisors", A11_DIVISORS)
+def test_volume_normalization_three_breaks(divisors, ramified):
+    """The generator almost never draws two or more breaks, so the A_11
+    Coxeter filtrations with three breaks check the two volume exponents
+    where the layers s_1 < s_2 < s_3 all contribute."""
+    scen = scenario_from_dict(a11_three_break_document(divisors, ramified))
+    shape = scen.shape()
+    assert shape.filtration.d == 3
+    rank_m = scen.torus.rank_m
+    assert volume_exponent_raw(shape, rank_m) == volume_exponent_closed(shape, rank_m)
 
 
 def test_index_ratio_law():

@@ -15,8 +15,6 @@ import os
 import random
 from fractions import Fraction
 
-import pytest
-
 from fdc.chi_data import (
     ChiData,
     character_group,
@@ -24,16 +22,8 @@ from fdc.chi_data import (
     verify_base_change,
 )
 from fdc.compare import run_compare
-from fdc.galois_roots import (
-    FiniteGroup,
-    GaloisFrame,
-    GRootDatum,
-    NONPOSITIVE,
-    classify_orbits,
-    howe_filtration,
-)
+from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
 from fdc.mp_filtration import (
-    JumpAssignment,
     JumpFunction,
     is_concave,
     master_length_identity,
@@ -308,8 +298,6 @@ def test_compact_induction_derivation_chain():
 def test_order_p_frame_scenario():
     """Unramified frame of order equal to p itself (inertia trivial, so the
     tameness constraint is vacuous): rotation of order three at p = 3."""
-    from fdc.zlattice import identity_matrix, mat_mul
-
     rot = [[0, -1], [1, -1]]
     doc = {
         "name": "a2_rot3_unramified_p3",

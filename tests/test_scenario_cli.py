@@ -545,3 +545,55 @@ def test_cli_refuses_bad_q(q, message, capsys):
     rc = cli.main(["--q", q, "verify", bundled_path("sl2_unramified_depth0")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+# The loader reduces chi values mod 1 and stores each as a numerator over the
+# group order; these are the pinned outcomes at that boundary on the Z/4
+# model, whose stabilizer of the root 1 is {0, 2}.
+_CHI_REFUSED_AT_ONE = ["chi(-a) != chi(a)^-1 at (-1,)",
+                       "equivariance fails from (-1,) under 1",
+                       "character at (1,) is not a stabilizer homomorphism"]
+_CHI_TRIVIAL_AT_ONE = ["chi(-a) != chi(a)^-1 at (-1,)", "chi(-a) != chi(a)^-1 at (1,)",
+                       "equivariance fails from (-1,) under 1",
+                       "equivariance fails from (1,) under 1"]
+
+
+@pytest.mark.parametrize("command", ["chi-check", "verify"])
+@pytest.mark.parametrize("element,value,failures", [
+    ("2", "1/3", _CHI_REFUSED_AT_ONE),  # denominator does not divide |G| = 4
+    ("2", "1/8", _CHI_REFUSED_AT_ONE),  # likewise
+    ("2", "5/4", _CHI_REFUSED_AT_ONE),  # 1/4 mod 1: not additive on {0, 2}
+    ("2", "-1/2", []),                  # 1/2 mod 1: the bundled value
+    ("2", "7", _CHI_TRIVIAL_AT_ONE),    # 0 mod 1: trivial at 1, not at -1
+    ("1", "0", _CHI_REFUSED_AT_ONE),    # a key outside the stabilizer
+], ids=["third", "eighth", "five-quarters", "minus-half", "seven", "outside-key"])
+def test_cli_chi_parse_boundary_pinned(command, element, value, failures, tmp_path, capsys):
+    doc = bundled_doc("z4_a1_ramified_chi")
+    doc["chi"]["1"][element] = value
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main([command, str(path)])
+    err = capsys.readouterr().err
+    if not failures:
+        assert (rc, err) == (0, "")
+        return
+    where = "%s: " % path if command == "verify" else ""
+    assert (rc, err) == (2, "error: %sscenario validation failed:\n%s" % (
+        where, "".join("  chi_data.chi: %s\n" % f for f in failures)))
+
+
+def test_chi_round_trips_through_numerators():
+    """Loading stores chi values as numerators over the group order and
+    to_json_dict renders them back: the "chi" field survives a round trip,
+    on the bundled scenarios with chi data and on generated ones."""
+    docs = [bundled_doc(name) for name in BUNDLED if "chi" in bundled_doc(name)]
+    assert len(docs) == 4
+    rng = random.Random(2024)
+    generated = 0
+    while generated < 60:
+        scen = generate_scenario(rng)
+        if scen.chi is not None:
+            docs.append(scen.to_json_dict())
+            generated += 1
+    for doc in docs:
+        assert scenario_from_dict(doc).to_json_dict()["chi"] == doc["chi"]

@@ -284,7 +284,8 @@ def test_l_inductivity_finite_models():
         # residue degree of the model extension
         e = len(inertia) // len(inertia & stab)
         f = (group.order // len(stab)) // e
-        for chi in character_group(group, stab):
+        for numerators in character_group(group, stab):
+            chi = {h: Fraction(k, group.order) for h, k in numerators.items()}
             n_zeta = 1
             for v in chi.values():
                 n_zeta = n_zeta * v.denominator // _gcd(n_zeta, v.denominator)
