@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .galois_roots import (
-    HoweFiltration,
-    OrbitInfo,
-    TorusLatticeData,
-    validate_depth_lattice,
-)
+from .galois_roots import HoweFiltration, OrbitInfo, TorusLatticeData
 from .mp_filtration import JumpAssignment, jump_length_at, count_torsor_points, just_above, at
 from .qexact import PrimePower, QMonomial, RationalLike, exp_q
 
@@ -44,10 +39,10 @@ class YuShape:
     """The combinatorial residue of a cuspidal datum: Levi chain sizes,
     depth sequence, jumps, and the toral data.
 
-    The depth sequence (r_0, ..., r_d) must satisfy
-    0 < r_0 < ... < r_{d-1} <= r_d (for d = 0 only r_0 >= 0); the
-    half-depths s_i = r_i / 2 are the indices where the Heisenberg
-    quotients live.
+    The depth sequence (r_0, ..., r_d) satisfies
+    0 < r_0 < ... < r_{d-1} <= r_d (for d = 0 only r_0 >= 0), as
+    :func:`howe_filtration` builds it; the half-depths s_i = r_i / 2 are the
+    indices where the Heisenberg quotients live.
     """
 
     filtration: HoweFiltration
@@ -55,21 +50,6 @@ class YuShape:
     jumps: JumpAssignment
     toral_rank: int
     pp: PrimePower
-
-    def __post_init__(self) -> None:
-        rvec = self.filtration.rvec()
-        d = self.filtration.d
-        if d == 0:
-            if rvec[0] < 0:
-                raise ValueError("depth must be nonnegative")
-        else:
-            if not rvec[0] > 0:
-                raise ValueError("first break must be positive")
-            for a, b in zip(rvec, rvec[1:-1]):
-                if not a < b:
-                    raise ValueError("breaks must increase strictly")
-            if not rvec[-2] <= rvec[-1]:
-                raise ValueError("total depth must dominate the last break")
 
     @property
     def dim_ga(self) -> int:
@@ -151,10 +131,6 @@ def general_degree(shape: YuShape, dz: DepthZeroData,
     exp_q(dim(G)/2 + dim_g0_red/2 + break term) and prefactor
     dim(rho) / stabilizer index.
     """
-    if dz.regular:
-        raise ValueError("general_degree needs opaque depth-zero data")
-    if dim_g0_red < 0:
-        raise ValueError("quotient dimension must be nonnegative")
     expo = Fraction(shape.dim_ga, 2) + Fraction(dim_g0_red, 2) + shape.break_term()
     return exp_q(expo, shape.pp), Fraction(dz.dim_rho, dz.stab_index)
 
@@ -189,11 +165,6 @@ def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
     |det(qF - 1)| or the reciprocal full point index, which is the
     special-fiber order times the Kottwitz fixed count.
     """
-    checks = validate_depth_lattice(shape.filtration, shape.orbits)
-    bad = [c for c in checks if not c.ok]
-    if bad:
-        raise ValueError("depth-lattice validation fails at %s"
-                         % ", ".join(c.orbit_id for c in bad))
     expo = Fraction(shape.dim_ga, 2) + Fraction(torus.rank_m, 2) + shape.break_term()
     mono = exp_q(expo, shape.pp)
     return RegularDegree(

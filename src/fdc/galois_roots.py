@@ -22,7 +22,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from .qexact import PrimePower
 from .zlattice import (
-    INFINITY,
     FgAbelianGroup,
     Matrix,
     Vector,
@@ -314,18 +313,14 @@ class FieldInvariants:
     f: int
     disc_valuation: int
 
-    def __post_init__(self) -> None:
-        if self.degree != self.e * self.f:
-            raise ValueError("degree != e*f")
-        if self.disc_valuation != self.degree - self.f:
-            raise ValueError("tame discriminant valuation must be degree - f")
-
 
 def field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvariants:
     """Invariants of the extension fixed by the subgroup.
 
     e is the inertia index [I : I n H], f the residue degree, and the
-    discriminant valuation is degree - f (valid by tameness).
+    discriminant valuation is degree - f (valid by tameness).  e divides
+    the degree [G : H]: I is normal, so IH is a subgroup and
+    [G : H] = [G : IH] [IH : H] with [IH : H] = [I : I n H].
     """
     g = frame.group
     if not g.is_subgroup(subgroup) or not subgroup <= frame.carrier_set:
@@ -333,21 +328,6 @@ def field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvar
     meet = frame.inertia & subgroup
     e = len(frame.inertia) // len(meet)
     degree = frame.order // len(subgroup)
-    if degree % e:
-        raise ValueError("inconsistent frame: e does not divide the degree")
-    return FieldInvariants(degree=degree, e=e, f=degree // e, disc_valuation=degree - degree // e)
-
-
-def relative_field_invariants(frame: GaloisFrame, outer: FrozenSet[int],
-                              inner: FrozenSet[int]) -> FieldInvariants:
-    """Invariants of the extension between two nested fixed fields (inner <= outer)."""
-    g = frame.group
-    if not inner <= outer:
-        raise ValueError("inner subgroup must lie in the outer one")
-    if not (g.is_subgroup(inner) and g.is_subgroup(outer)):
-        raise ValueError("not subgroups")
-    e = len(frame.inertia & outer) // len(frame.inertia & inner)
-    degree = len(outer) // len(inner)
     return FieldInvariants(degree=degree, e=e, f=degree // e, disc_valuation=degree - degree // e)
 
 
@@ -448,11 +428,6 @@ class GRootDatum:
         to its negative, computed once."""
         return self._root_data(root)[2]
 
-    @property
-    def dim_ga(self) -> int:
-        """Dimension of the ambient group: toral rank plus number of roots."""
-        return self.rank + len(self.roots)
-
 
 @dataclass(frozen=True)
 class OrbitInfo:
@@ -501,23 +476,16 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
         inv = field_invariants(frame, stab)
         if inv.degree != len(members):
             raise ValueError("orbit size does not match the stabilizer index")
-        neg = tuple(-x for x in rep)
+        neg = tuple(-x for x in rep)  # a root, since GRootDatum refuses R != -R
         symmetric = neg in members
         ramified: Optional[bool] = None
         if symmetric:
             ramified = any(datum.act(a, rep) == neg for a in frame.inertia)
-        if neg not in seen:
-            raise ValueError("root set is not closed under negation within the frame")
-        neg_id = seen[neg]
         orbits.append(OrbitInfo(
             orbit_id=oid, members=members, representative=rep, stabilizer=stab,
             degree=inv.degree, e=inv.e, f=inv.f, symmetric=symmetric,
-            ramified=ramified, negation_id=neg_id))
+            ramified=ramified, negation_id=seen[neg]))
     return orbits
-
-
-def orbit_map(orbits: Sequence[OrbitInfo]) -> Dict[str, OrbitInfo]:
-    return {o.orbit_id: o for o in orbits}
 
 
 # -- the Howe filtration -------------------------------------------------------
@@ -593,7 +561,7 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
     to that depth.  Each level must be rationally closed in R (the Levi
     condition): the span of R_i meets R exactly in R_i.
     """
-    by_id = orbit_map(orbits)
+    by_id = {o.orbit_id: o for o in orbits}
     if set(theta_depths.keys()) != set(by_id.keys()):
         raise ValueError("depth map must cover exactly the orbits; got %s, want %s"
                          % (sorted(theta_depths), sorted(by_id)))
@@ -625,8 +593,6 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
         new = frozenset(rt for oid, o in by_id.items() if depths[oid] == r
                         for rt in o.members)
         levels.append(levels[-1] | new)
-    if positive and positive[-1] > total:
-        raise ValueError("largest break exceeds the total depth")
     # Levi closure of every proper level.
     for i, lv in enumerate(levels):
         closure = _span_closure(sorted(lv), datum.roots)
@@ -681,6 +647,16 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     generators of the carrier and of inertia only: a vector fixed by the
     generators is fixed by the group, and (gh - 1)x = (g - 1)(hx) + (h - 1)x
     puts every relation in the span of the generators' relations.
+
+    Every order here is finite, because that check also refuses a nonzero
+    carrier-fixed vector and the carrier is generated by I and Frob.  A
+    vector of X^I fixed by Frob is carrier-fixed, so det(F - 1) on X^I is
+    nonzero and (X^I)_F is finite.  Over Q, the coinvariants of a finite
+    group are isomorphic to its invariants, and X_* (x) Q, dual to X (x) Q,
+    has invariants of the same dimension, 0.  So X_{*,Gamma} has rank 0, and
+    so has (X_{*,I})^F: tensored with Q it is the Frob-fixed part of
+    (X_* (x) Q)^I, which is (X_* (x) Q)^Gamma.  Finally Frob has finite
+    order, so its eigenvalues are roots of unity and det(qF - 1) is nonzero.
     """
     q = frame.q
     group = frame.group
@@ -694,11 +670,7 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     f_m = restrict_endomorphism(datum.action[frame.frobenius], m_basis)
     special = twisted_fixed_order(f_m, q)
     coinv = coinvariants_order(f_m)
-    if coinv is INFINITY:
-        raise ValueError("Frobenius coinvariants of M are infinite; datum is not elliptic")
     full = group_coinvariants(datum.rank, [dual(a) for a in car_gens])
-    if full.order is INFINITY:
-        raise ValueError("cocharacter coinvariants are infinite; datum is not elliptic")
     cochar_inertia = group_coinvariants(datum.rank, [dual(a) for a in inertia_gens],
                                         endo=dual(frame.frobenius))
     kottwitz = fg_fixed_order(cochar_inertia)

@@ -116,8 +116,10 @@ class Scenario:
 
     @cached_property
     def torus(self) -> TorusLatticeData:
-        """The torus lattice data, computed on first use and kept; both
-        sides of the comparison and every subcommand read this one copy."""
+        """The torus lattice data, computed on first read and kept; both
+        sides of the comparison read this one copy.  Only verify, degree
+        and gamma read it; loading does not, since every order in it is
+        finite once the datum is elliptic (see :func:`torus_lattice_data`)."""
         return torus_lattice_data(self.datum, self.frame)
 
     def with_q(self, pp: PrimePower) -> "Scenario":
@@ -359,18 +361,12 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     if failures:
         raise ScenarioError(failures)
 
-    scen = Scenario(
+    return Scenario(
         name=name, pp=pp, frame=frame, datum=datum, orbits=orbits, jumps=jumps,
         theta_depths=depths, theta_total_depth=total, filtration=filtration,
         depth_zero=depth_zero, chi=chi, options=dict(doc.get("options", {})),
         group_encoding=dict(doc["group"]) if "perm_gens" in doc["group"] else None,
     )
-    # ellipticity-dependent lattice data must be computable
-    try:
-        scen.torus
-    except ValueError as e:
-        raise ScenarioError([("zlattice", "torus", str(e))])
-    return scen
 
 
 def load_scenario(path: str) -> Scenario:
@@ -547,7 +543,7 @@ def _random_chi(rng: random.Random, datum: GRootDatum, frame: GaloisFrame) -> Op
         return None
 
 
-def generate_scenario(rng: random.Random, name_prefix: str = "gen") -> Scenario:
+def generate_scenario(rng: random.Random) -> Scenario:
     """One random valid scenario (rank <= 3, |R| <= 12, |group| <= 8, e <= 4)."""
     templates = generator_templates()
     for _attempt in range(200):
@@ -579,8 +575,7 @@ def generate_scenario(rng: random.Random, name_prefix: str = "gen") -> Scenario:
         orbits = classify_orbits(datum, frame)
         if any(o.e > 4 for o in orbits):
             continue
-        scen = _assign_depths_and_offsets(rng, tpl.key, pp, frame, datum, orbits,
-                                          name_prefix)
+        scen = _assign_depths_and_offsets(rng, tpl.key, pp, frame, datum, orbits)
         if scen is not None:
             return scen
     raise RuntimeError("generator failed to produce a valid scenario")
@@ -588,8 +583,7 @@ def generate_scenario(rng: random.Random, name_prefix: str = "gen") -> Scenario:
 
 def _assign_depths_and_offsets(rng: random.Random, key: str, pp: PrimePower,
                                frame: GaloisFrame, datum: GRootDatum,
-                               orbits: Sequence[OrbitInfo],
-                               name_prefix: str) -> Optional[Scenario]:
+                               orbits: Sequence[OrbitInfo]) -> Optional[Scenario]:
     # negation-paired orbit classes
     pairs: List[Tuple[str, ...]] = []
     seen = set()
@@ -681,7 +675,7 @@ def _assign_depths_and_offsets(rng: random.Random, key: str, pp: PrimePower,
             continue
         jumps = JumpAssignment.build(offsets, orbits)
         chi = _random_chi(rng, datum, frame) if rng.random() < 0.5 else None
-        name = "%s_%s_%04d" % (name_prefix, key, rng.randint(0, 9999))
+        name = "gen_%s_%04d" % (key, rng.randint(0, 9999))
         return Scenario(
             name=name, pp=pp, frame=frame, datum=datum, orbits=tuple(orbits),
             jumps=jumps, theta_depths=depths, theta_total_depth=total,

@@ -24,8 +24,7 @@ from .mp_filtration import (
     primed_sum,
 )
 from .scenario import _random_chi, generate_scenario, generator_templates
-from .weil_gamma import CharDescriptor, conductor_induction_general, conductor_tame_induction
-from .galois_roots import FieldInvariants
+from .weil_gamma import conductor_induction_general, conductor_tame_induction
 from .zlattice import (
     coinvariants_order,
     fg_fixed_order,
@@ -277,10 +276,9 @@ def suite_conductors() -> int:
     for e in range(1, 7):
         for f in range(1, 7):
             degree = e * f
-            ext = FieldInvariants(degree=degree, e=e, f=f, disc_valuation=degree - f)
             for k in range(0, 4 * e + 1):
                 depth = Fraction(k, e)
-                lhs = conductor_tame_induction(ext, CharDescriptor(True, depth))
+                lhs = conductor_tame_induction(degree, depth)
                 rhs = conductor_induction_general(degree - f, f, 1, 1 + e * depth)
                 if lhs != rhs:
                     raise AssertionError("conductor mismatch at e=%d f=%d depth=%s"
@@ -316,10 +314,7 @@ def suite_chi(rng: random.Random, n: int) -> int:
             continue
         subgroups = scen.frame.group.all_subgroups()
         sub = rng.choice(subgroups)
-        try:
-            report = verify_base_change(chi, sub, scen.datum, scen.frame)
-        except ValueError:
-            continue  # subgroup quotient not cyclic in this frame
+        report = verify_base_change(chi, sub, scen.datum, scen.frame)
         if not report.ok:
             raise AssertionError("base change fails on %s at H=%s: w=%s %s != %s"
                                  % (scen.name, sorted(sub), report.witness,

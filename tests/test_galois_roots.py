@@ -13,7 +13,6 @@ from fdc.galois_roots import (
     classify_orbits,
     field_invariants,
     howe_filtration,
-    relative_field_invariants,
     torus_lattice_data,
     validate_depth_lattice,
 )
@@ -50,6 +49,9 @@ def test_frame_validation():
         GaloisFrame(g, frozenset({0, 2}), 2, PP3)  # Frobenius fails to generate
     with pytest.raises(ValueError):
         GaloisFrame(FiniteGroup.cyclic(3), frozenset({0, 1, 2}), 0, PP3)  # wild
+    s3, _ = FiniteGroup.from_permutations([[1, 0, 2], [0, 2, 1]])
+    with pytest.raises(ValueError, match="not normal"):
+        GaloisFrame(s3, frozenset({0, 1}), 2, PP5)  # a transposition subgroup
 
 
 def test_generating_set():
@@ -90,12 +92,14 @@ def test_ef_multiplicativity():
     fr = GaloisFrame(g, frozenset({0, 2, 4, 6}), 1, PP3)
     chain = [frozenset(range(8)), frozenset({0, 2, 4, 6}), frozenset({0, 4}), frozenset({0})]
     for outer, inner in zip(chain, chain[1:]):
-        rel = relative_field_invariants(fr, outer, inner)
+        # the extension between the two fixed fields, by its indices
+        rel_e = len(fr.inertia & outer) // len(fr.inertia & inner)
+        rel_degree = len(outer) // len(inner)
         top = field_invariants(fr, inner)
         bottom = field_invariants(fr, outer)
-        assert top.e == rel.e * bottom.e
-        assert top.f == rel.f * bottom.f
-        assert top.degree == rel.degree * bottom.degree
+        assert top.e == rel_e * bottom.e
+        assert top.f == rel_degree // rel_e * bottom.f
+        assert top.degree == rel_degree * bottom.degree
 
 
 def test_classify_examples():
@@ -180,6 +184,10 @@ def test_howe_examples():
 
     with pytest.raises(ValueError):
         howe_filtration(datum, orbs, {oid: Fraction(3, 4)}, Fraction(1, 2))  # depth > total
+    with pytest.raises(ValueError, match="positive depth expected"):
+        howe_filtration(datum, orbs, {oid: Fraction(0)}, Fraction(1, 2))
+    with pytest.raises(ValueError, match="total depth must be >= 0"):
+        howe_filtration(datum, orbs, {oid: NONPOSITIVE}, Fraction(-1))
 
 
 def test_howe_levi_closure_error():

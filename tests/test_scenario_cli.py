@@ -257,7 +257,7 @@ def test_cli_verify_wrong_conductor_is_unequal(monkeypatch, capsys):
     longer meets Yu's break term, so verify reports UNEQUAL and exits 1."""
     honest = fdc.weil_gamma.conductor_tame_induction
     monkeypatch.setattr(fdc.weil_gamma, "conductor_tame_induction",
-                        lambda ext, c: honest(ext, c) + 1)
+                        lambda degree, depth: honest(degree, depth) + 1)
     rc = cli.main(["verify", bundled_path("sl2_ramified_depth_half")])
     captured = capsys.readouterr()
     assert rc == 1 and captured.err == ""
@@ -322,10 +322,12 @@ def test_cli_single_file_load_errors_exit_2(command, kind, tmp_path, capsys):
     (["verify"], 1),
     (["degree"], 1),
     (["gamma"], 1),
-    (["chi-check"], 1),
-    (["--q", "9", "verify"], 2),  # one per residue size: loaded q, then q = 9
+    (["chi-check"], 0),  # base change never reads the torus data
+    (["--q", "9", "verify"], 1),  # only at the residue size compared
 ])
 def test_torus_data_computed_once_per_q(argv, calls, monkeypatch, capsys):
+    """The torus data are computed on first read, once per scenario and
+    residue size, and only by the subcommands that read them."""
     original = fdc.galois_roots.torus_lattice_data
     seen = []
 
@@ -339,7 +341,7 @@ def test_torus_data_computed_once_per_q(argv, calls, monkeypatch, capsys):
     rc = cli.main(["--format", "json"] + argv + [bundled_path("sl2_unramified_depth0")])
     capsys.readouterr()
     assert rc == 0
-    assert len(seen) == calls and len(set(seen)) == calls
+    assert seen == [9 if argv[0] == "--q" else 3] * calls  # the file's q is 3
 
 
 def _golden_stdout(case_id):
@@ -465,8 +467,19 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"),
                      chi={"1": {"0": "0", "2": "1/2"}, "-1": {}})),
      "chi_data.chi: character at (-1,) is not a stabilizer homomorphism"),
+    # the facts loading decides once, which later stages no longer re-check
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), theta_depths={"-2": "1/2"},
+                     theta_total_depth="1/2")),
+     "galois_roots.theta_depths: break 1/2 at orbit -2 violates the depth lattice "
+     "(value group: False, half lattice: True)"),
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
+                     action={"0": [[1]], "1": [[1]]})),
+     "galois_roots.GRootDatum: datum is not elliptic: invariant vectors exist"),
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), roots=[[2]])),
+     "galois_roots.GRootDatum: root set is not symmetric: missing -(2,)"),
 ], ids=["top-level-array", "chi-array", "options-number", "action-array",
-        "perm-gens-object", "chi-empty-table"])
+        "perm-gens-object", "chi-empty-table", "depth-lattice", "not-elliptic",
+        "asymmetric-roots"])
 def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
