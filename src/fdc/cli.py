@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import random
 import sys
@@ -28,8 +27,8 @@ from typing import List, Optional
 from .compare import VERDICT_FLAGGED, VERDICT_UNEQUAL, emit_report, run_compare
 from .chi_data import default_choices, verify_base_change
 from .formal_degree import general_degree, regular_degree
-from .qexact import PrimePower
-from .scenario import Scenario, fraction_str, load_scenario
+from .qexact import PrimePower, fraction_str, int_str
+from .scenario import Scenario, json_text, load_scenario
 from .weil_gamma import galois_side
 
 DEFAULT_SEED = 20260809
@@ -87,33 +86,34 @@ def _cmd_degree(args: argparse.Namespace) -> int:
     torus = scen.torus
     if scen.depth_zero.regular:
         reg = regular_degree(shape, torus)
+        coeff, pexp = reg.monomial.as_pair()
         payload = {
             "name": scen.name,
             "q": scen.pp.q,
-            "monomial": {"coeff": reg.monomial.as_pair()[0],
-                         "pexp": reg.monomial.as_pair()[1]},
+            "monomial": {"coeff": coeff, "pexp": pexp},
             "prefactor_special_fiber": fraction_str(Fraction(1, reg.special_fiber_order)),
             "prefactor_full_index": fraction_str(Fraction(1, reg.full_point_index)),
             "prefactor_discrepancy": reg.discrepancy,
         }
         text = ["scenario %s  q=%d" % (scen.name, scen.pp.q),
-                "  degree (special-fiber prefactor): %s / %d"
-                % (reg.monomial, reg.special_fiber_order),
-                "  degree (full-index prefactor):    %s / %d"
-                % (reg.monomial, reg.full_point_index)]
+                "  degree (special-fiber prefactor): %s / %s"
+                % (reg.monomial, int_str(reg.special_fiber_order)),
+                "  degree (full-index prefactor):    %s / %s"
+                % (reg.monomial, int_str(reg.full_point_index))]
     else:
         dim_quot = shape.depth_zero_quotient_dim(torus.rank_m)
         mono, pref = general_degree(shape, scen.depth_zero, dim_quot)
+        coeff, pexp = mono.as_pair()
         payload = {
             "name": scen.name,
             "q": scen.pp.q,
-            "monomial": {"coeff": mono.as_pair()[0], "pexp": mono.as_pair()[1]},
+            "monomial": {"coeff": coeff, "pexp": pexp},
             "prefactor": fraction_str(pref),
         }
         text = ["scenario %s  q=%d" % (scen.name, scen.pp.q),
-                "  degree: %s * %s" % (pref, mono)]
+                "  degree: %s * %s" % (fraction_str(pref), mono)]
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text(payload) + "\n")
     else:
         sys.stdout.write("\n".join(text) + "\n")
     return 0
@@ -122,11 +122,11 @@ def _cmd_degree(args: argparse.Namespace) -> int:
 def _cmd_gamma(args: argparse.Namespace) -> int:
     scen = _load(args.file, args.q)
     gal = galois_side(scen.datum, scen.frame, scen.filtration, scen.orbits, scen.torus)
+    coeff, pexp = gal.monomial.as_pair()
     payload = {
         "name": scen.name,
         "q": scen.pp.q,
-        "monomial": {"coeff": gal.monomial.as_pair()[0],
-                     "pexp": gal.monomial.as_pair()[1]},
+        "monomial": {"coeff": coeff, "pexp": pexp},
         "prefactor": fraction_str(gal.prefactor),
         "component_group_order": gal.component_order,
         "toral": {"monomial_pexp": gal.toral.monomial.as_pair()[1],
@@ -136,10 +136,10 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
                                       for oid, c in gal.root.orbit_conductors}},
     }
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text(payload) + "\n")
     else:
         sys.stdout.write("scenario %s  q=%d\n  gamma value: %s * %s\n"
-                         % (scen.name, scen.pp.q, gal.prefactor, gal.monomial))
+                         % (scen.name, scen.pp.q, fraction_str(gal.prefactor), gal.monomial))
     return 0
 
 
@@ -161,9 +161,8 @@ def _cmd_chi_check(args: argparse.Namespace) -> int:
             entry["witness"] = rep.witness
         results.append(entry)
     if args.format == "json":
-        sys.stdout.write(json.dumps({"name": scen.name, "ok": ok_all,
-                                     "subgroups": results},
-                                    indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text({"name": scen.name, "ok": ok_all,
+                                    "subgroups": results}) + "\n")
     else:
         for entry in results:
             sys.stdout.write("  H=%s %s\n" % (entry["subgroup"], "ok" if entry["ok"] else "FAIL"))

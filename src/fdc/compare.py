@@ -28,7 +28,6 @@ inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,8 +42,8 @@ from .formal_degree import (
     volume_exponent_raw,
 )
 from .galois_roots import validate_depth_lattice
-from .qexact import QMonomial, exp_q
-from .scenario import Scenario, fraction_str
+from .qexact import QMonomial, exp_q, fraction_str, int_str
+from .scenario import Scenario, json_text
 from .weil_gamma import GaloisSide, galois_side
 
 VERDICT_EQUAL = "EQUAL"
@@ -62,41 +61,72 @@ def _mono_dict(m: QMonomial) -> Dict[str, str]:
 
 @dataclass
 class ComparisonReport:
-    name: str
-    q: int
+    """Both sides of one scenario and the verdict on them.
+
+    ``value_automorphic`` is the degree in the full-index normalization and
+    ``value_galois`` the Galois value with its prefactor applied: the two
+    values the verdict compared, kept for the report.
+    """
+
+    scenario: Scenario
     verdict: str
-    automorphic_monomial: QMonomial
-    prefactor_special_fiber: Fraction
-    prefactor_full_index: Fraction
-    prefactor_discrepancy: int
-    galois_monomial: QMonomial
-    galois_prefactor: Fraction
-    intermediates: Dict[str, object]
+    degree: RegularDegree
+    galois: GaloisSide
+    value_automorphic: QMonomial
+    value_galois: QMonomial
+    volume_exponent: Fraction
     diagnostics: List[str]
     elapsed_s: float
 
-    def value_automorphic(self) -> QMonomial:
-        return self.automorphic_monomial.scale(self.prefactor_full_index)
-
-    def value_galois(self) -> QMonomial:
-        return self.galois_monomial.scale(self.galois_prefactor)
+    @property
+    def intermediates(self) -> Dict[str, object]:
+        """The lattice orders and summand values behind both sides, rendered
+        for the JSON report; built when read, so the text report never
+        builds them."""
+        scen, gal = self.scenario, self.galois
+        torus = scen.torus
+        shape = scen.shape()
+        return {
+            "rank_m": torus.rank_m,
+            "special_fiber_order": torus.special_fiber_order,
+            "kottwitz_fixed_order": torus.kottwitz_fixed_order,
+            "full_point_index": torus.full_point_index,
+            "m_frob_coinvariants": torus.m_frob_coinvariants,
+            "component_group_order": gal.component_order,
+            "heisenberg_indices": [_mono_dict(m) for m in heisenberg_indices(shape)],
+            "heisenberg_dims": [_mono_dict(m) for m in heisenberg_dims(shape)],
+            "volume_exponent": fraction_str(self.volume_exponent),
+            "toral_gamma": {
+                "monomial": _mono_dict(gal.toral.monomial),
+                "rational": fraction_str(gal.toral.rational),
+                "l0_inverse": gal.toral.l0_inverse,
+                "l1_inverse": _mono_dict(
+                    exp_q(-torus.rank_m, scen.pp).scale(gal.toral.l1_inverse_twisted)),
+            },
+            "root_gamma": {
+                "monomial": _mono_dict(gal.root.monomial),
+                "orbit_conductors": {oid: fraction_str(c)
+                                     for oid, c in gal.root.orbit_conductors},
+            },
+        }
 
     def to_json_dict(self, with_timing: bool = False) -> Dict[str, object]:
+        deg, gal = self.degree, self.galois
         doc: Dict[str, object] = {
-            "name": self.name,
-            "q": self.q,
+            "name": self.scenario.name,
+            "q": self.scenario.pp.q,
             "verdict": self.verdict,
             "automorphic": {
-                "monomial": _mono_dict(self.automorphic_monomial),
-                "prefactor_special_fiber": fraction_str(self.prefactor_special_fiber),
-                "prefactor_full_index": fraction_str(self.prefactor_full_index),
-                "prefactor_discrepancy": self.prefactor_discrepancy,
-                "value_full_index": _mono_dict(self.value_automorphic()),
+                "monomial": _mono_dict(deg.monomial),
+                "prefactor_special_fiber": fraction_str(Fraction(1, deg.special_fiber_order)),
+                "prefactor_full_index": fraction_str(Fraction(1, deg.full_point_index)),
+                "prefactor_discrepancy": deg.discrepancy,
+                "value_full_index": _mono_dict(self.value_automorphic),
             },
             "galois": {
-                "monomial": _mono_dict(self.galois_monomial),
-                "prefactor": fraction_str(self.galois_prefactor),
-                "value": _mono_dict(self.value_galois()),
+                "monomial": _mono_dict(gal.monomial),
+                "prefactor": fraction_str(gal.prefactor),
+                "value": _mono_dict(self.value_galois),
             },
             "intermediates": self.intermediates,
             "diagnostics": list(self.diagnostics),
@@ -134,18 +164,17 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
         diagnostics.append("depth-zero quotient has an odd root count; "
                            "it matches no reductive quotient")
 
-    pref_special = Fraction(1, reg.special_fiber_order)
-    pref_full = Fraction(1, reg.full_point_index)
-    value_aut = reg.monomial.scale(pref_full)
+    value_aut = reg.monomial.scale(Fraction(1, reg.full_point_index))
     value_gal = gal.monomial.scale(gal.prefactor)
     if value_aut != value_gal:
         verdict = VERDICT_UNEQUAL
     elif reg.discrepancy != 1:
         verdict = VERDICT_FLAGGED
         diagnostics.append(
-            "prefactor normalizations differ by the Kottwitz index %d: "
-            "special-fiber form 1/%d, full-index form 1/%d"
-            % (reg.discrepancy, reg.special_fiber_order, reg.full_point_index))
+            "prefactor normalizations differ by the Kottwitz index %s: "
+            "special-fiber form 1/%s, full-index form 1/%s"
+            % (int_str(reg.discrepancy), int_str(reg.special_fiber_order),
+               int_str(reg.full_point_index)))
     else:
         verdict = VERDICT_EQUAL
 
@@ -156,42 +185,14 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
     for flag in scenario.unverified_assumptions:
         diagnostics.append("unverified: %s" % flag)
 
-    hdims = heisenberg_dims(shape)
-    hidx = heisenberg_indices(shape)
-    intermediates: Dict[str, object] = {
-        "rank_m": torus.rank_m,
-        "special_fiber_order": torus.special_fiber_order,
-        "kottwitz_fixed_order": torus.kottwitz_fixed_order,
-        "full_point_index": torus.full_point_index,
-        "m_frob_coinvariants": torus.m_frob_coinvariants,
-        "component_group_order": gal.component_order,
-        "heisenberg_indices": [_mono_dict(m) for m in hidx],
-        "heisenberg_dims": [_mono_dict(m) for m in hdims],
-        "volume_exponent": fraction_str(raw),
-        "toral_gamma": {
-            "monomial": _mono_dict(gal.toral.monomial),
-            "rational": fraction_str(gal.toral.rational),
-            "l0_inverse": gal.toral.l0_inverse,
-            "l1_inverse": _mono_dict(
-                exp_q(-torus.rank_m, scenario.pp).scale(gal.toral.l1_inverse_twisted)),
-        },
-        "root_gamma": {
-            "monomial": _mono_dict(gal.root.monomial),
-            "orbit_conductors": {oid: fraction_str(c)
-                                 for oid, c in gal.root.orbit_conductors},
-        },
-    }
     return ComparisonReport(
-        name=scenario.name,
-        q=scenario.pp.q,
+        scenario=scenario,
         verdict=verdict,
-        automorphic_monomial=reg.monomial,
-        prefactor_special_fiber=pref_special,
-        prefactor_full_index=pref_full,
-        prefactor_discrepancy=reg.discrepancy,
-        galois_monomial=gal.monomial,
-        galois_prefactor=gal.prefactor,
-        intermediates=intermediates,
+        degree=reg,
+        galois=gal,
+        value_automorphic=value_aut,
+        value_galois=value_gal,
+        volume_exponent=raw,
         diagnostics=diagnostics,
         elapsed_s=time.monotonic() - t0,
     )
@@ -211,22 +212,22 @@ def emit_report(reports: Sequence[ComparisonReport], fmt: str = "text",
                 "unequal": sum(r.verdict == VERDICT_UNEQUAL for r in reports),
             },
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text(doc) + "\n"
     if fmt != "text":
         raise ValueError("unknown format %r" % fmt)
     lines: List[str] = []
     for r in reports:
-        lines.append("scenario %-28s q=%-4d verdict=%s" % (r.name, r.q, r.verdict))
-        va, vg = r.value_automorphic(), r.value_galois()
-        lines.append("  automorphic  %s  (monomial %s, prefactors 1/%d | 1/%d)"
-                     % (va, r.automorphic_monomial,
-                        int(1 / r.prefactor_special_fiber),
-                        int(1 / r.prefactor_full_index)))
+        deg, gal = r.degree, r.galois
+        lines.append("scenario %-28s q=%-4d verdict=%s"
+                     % (r.scenario.name, r.scenario.pp.q, r.verdict))
+        lines.append("  automorphic  %s  (monomial %s, prefactors 1/%s | 1/%s)"
+                     % (r.value_automorphic, deg.monomial,
+                        int_str(deg.special_fiber_order), int_str(deg.full_point_index)))
         lines.append("  galois       %s  (monomial %s, prefactor %s)"
-                     % (vg, r.galois_monomial, r.galois_prefactor))
-        if r.prefactor_discrepancy != 1:
-            lines.append("  note: prefactor normalizations differ by %d"
-                         % r.prefactor_discrepancy)
+                     % (r.value_galois, gal.monomial, fraction_str(gal.prefactor)))
+        if deg.discrepancy != 1:
+            lines.append("  note: prefactor normalizations differ by %s"
+                         % int_str(deg.discrepancy))
         if with_timing:
             lines.append("  elapsed %.4f s" % r.elapsed_s)
     eq = sum(r.verdict == VERDICT_EQUAL for r in reports)

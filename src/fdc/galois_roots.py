@@ -4,7 +4,7 @@ A frame is a finite quotient of the absolute Galois group: a finite group
 with a designated normal inertia subgroup, an element playing Frobenius
 (its image must generate the cyclic quotient), and the residue prime power.
 Subgroups stand for field extensions; indices give degrees, ramification
-and residue degrees, and (by tameness) discriminant valuations.
+indices and residue degrees.
 
 A root datum is a lattice with a frame action and a stable symmetric set of
 roots; ellipticity (no nonzero invariant vectors) is enforced at
@@ -311,24 +311,26 @@ class FieldInvariants:
     degree: int
     e: int
     f: int
-    disc_valuation: int
 
 
 def field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvariants:
-    """Invariants of the extension fixed by the subgroup.
+    """Invariants of the extension fixed by the subgroup, which must be a
+    subgroup of the frame carrier."""
+    if not frame.group.is_subgroup(subgroup) or not subgroup <= frame.carrier_set:
+        raise ValueError("not a subgroup of the frame carrier")
+    return _field_invariants(frame, subgroup)
 
-    e is the inertia index [I : I n H], f the residue degree, and the
-    discriminant valuation is degree - f (valid by tameness).  e divides
+
+def _field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvariants:
+    """:func:`field_invariants` for a subgroup H of the carrier known to be one.
+
+    e is the inertia index [I : I n H] and f the residue degree.  e divides
     the degree [G : H]: I is normal, so IH is a subgroup and
     [G : H] = [G : IH] [IH : H] with [IH : H] = [I : I n H].
     """
-    g = frame.group
-    if not g.is_subgroup(subgroup) or not subgroup <= frame.carrier_set:
-        raise ValueError("not a subgroup of the frame carrier")
-    meet = frame.inertia & subgroup
-    e = len(frame.inertia) // len(meet)
+    e = len(frame.inertia) // len(frame.inertia & subgroup)
     degree = frame.order // len(subgroup)
-    return FieldInvariants(degree=degree, e=e, f=degree // e, disc_valuation=degree - degree // e)
+    return FieldInvariants(degree=degree, e=e, f=degree // e)
 
 
 # -- root data ----------------------------------------------------------------
@@ -455,8 +457,11 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
     A symmetric orbit contains the negative of each member; it is ramified
     exactly when some inertia element carries a root to its negative (the
     relative extension of the plus-minus field is then ramified quadratic).
+
+    The action is a homomorphism (:meth:`GRootDatum.check_against_frame`),
+    so each stabilizer is a subgroup, its meet with the carrier is one, and
+    the orbit size is the index of that meet (orbit-stabilizer).
     """
-    g = frame.group
     car = sorted(frame.carrier_set)
     seen: Dict[Vector, str] = {}
     orbits: List[OrbitInfo] = []
@@ -473,9 +478,7 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
     for oid, members in sorted(orbit_members.items(), key=lambda kv: parse_root_key(kv[0])):
         rep = min(members)
         stab = datum.stabilizer(rep) & frame.carrier_set
-        inv = field_invariants(frame, stab)
-        if inv.degree != len(members):
-            raise ValueError("orbit size does not match the stabilizer index")
+        inv = _field_invariants(frame, stab)
         neg = tuple(-x for x in rep)  # a root, since GRootDatum refuses R != -R
         symmetric = neg in members
         ramified: Optional[bool] = None

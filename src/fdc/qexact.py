@@ -154,7 +154,7 @@ class QMonomial:
 
     def scale(self, c: RationalLike) -> "QMonomial":
         """Multiply by an arbitrary nonzero rational (p-part is renormalized)."""
-        return qmon(self.pp, self.coeff * Fraction(c), self.pexp)
+        return qmon(self.pp, self.coeff * c, self.pexp)
 
     # -- inspection ---------------------------------------------------------
 
@@ -173,25 +173,56 @@ class QMonomial:
 
     def as_pair(self) -> Tuple[str, str]:
         """Serialized form: ("num/den" coefficient, "num/den" p-exponent)."""
-        return (_frac_str(self.coeff), _frac_str(self.pexp))
+        return (fraction_str(self.coeff), fraction_str(self.pexp))
 
     def __str__(self) -> str:
-        head = "" if self.coeff == 1 else "%s * " % self.coeff
-        return "%s%d^(%s)" % (head, self.pp.p, self.pexp)
+        head = "" if self.coeff == 1 else "%s * " % fraction_str(self.coeff)
+        return "%s%d^(%s)" % (head, self.pp.p, fraction_str(self.pexp))
 
 
-def _frac_str(x: Fraction) -> str:
-    return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else "%d" % x.numerator
+# Below 2,000 bits an integer has at most 603 decimal digits, under the
+# smallest limit CPython lets a process set on int-to-str conversion (640).
+_STR_SAFE_BITS = 2000
+
+
+def int_str(n: int) -> str:
+    """Exact decimal digits of n at any size.
+
+    Past ``_STR_SAFE_BITS`` the number is split by divmod at a power of ten
+    near the middle of its digits and each half is written on its own, so
+    the interpreter's digit limit on ``str(int)`` never applies and no
+    process-wide setting is changed.
+    """
+    if n.bit_length() <= _STR_SAFE_BITS:
+        return "%d" % n
+    if n < 0:
+        return "-" + int_str(-n)
+    # n >= 2^2000 > 10^k for this k, so the high half is nonzero.
+    k = n.bit_length() * 3 // 20
+    hi, lo = divmod(n, 10 ** k)
+    return int_str(hi) + int_str(lo).zfill(k)
+
+
+def fraction_str(x: Fraction) -> str:
+    """The serialized form of a rational: "num/den", or "num" when integral."""
+    if x.denominator == 1:
+        return int_str(x.numerator)
+    return "%s/%s" % (int_str(x.numerator), int_str(x.denominator))
 
 
 def qmon(pp: PrimePower, coeff: RationalLike, pexp: RationalLike = 0) -> QMonomial:
-    """Canonical constructor: migrates the p-part of coeff into the exponent."""
-    c = Fraction(coeff)
-    e = Fraction(pexp)
+    """Canonical constructor: migrates the p-part of coeff into the exponent.
+    A coefficient that is already a p-unit is kept as it is."""
+    c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+    e = pexp if isinstance(pexp, Fraction) else Fraction(pexp)
     if c == 0:
         raise ValueError("zero is not a q-monomial")
-    num, knum = padic_split(c.numerator, pp.p)
-    den, kden = padic_split(c.denominator, pp.p)
+    p = pp.p
+    num, den = c.numerator, c.denominator
+    if num % p and den % p:
+        return QMonomial(pp, c, e)
+    num, knum = padic_split(num, p)
+    den, kden = padic_split(den, p)
     return QMonomial(pp, Fraction(num, den), e + knum - kden)
 
 

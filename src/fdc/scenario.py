@@ -45,7 +45,7 @@ from .galois_roots import (
     validate_depth_lattice,
 )
 from .mp_filtration import JumpAssignment
-from .qexact import PrimePower
+from .qexact import PrimePower, fraction_str, int_str
 
 
 class ScenarioError(ValueError):
@@ -73,8 +73,65 @@ def parse_fraction(text: Union[str, int]) -> Fraction:
     return Fraction(num, den)
 
 
-def fraction_str(x: Fraction) -> str:
-    return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def json_text(obj: object) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for the
+    shapes fdc writes: every indented JSON document of the package comes
+    from here.
+
+    The standard encoder drops to its pure-Python path whenever an indent
+    is set; this one dispatches on exact type instead.  Strings go through
+    json's C string encoder and integers are written exactly at any size
+    (:func:`int_str`); lists, and dicts with ``str`` keys in sorted order,
+    take the same separators and two-space indentation; ``bool``, ``None``
+    and ``float`` use json's own scalar encoding.  Anything else, a tuple or a
+    non-``str`` key included, raises ``TypeError``.
+    """
+    out: List[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj: object, nl: str, out: List[str]) -> None:
+    """Append the text of obj to out; nl is a newline and the indentation
+    of the line obj starts on."""
+    t = type(obj)
+    if t is str:
+        out.append(_encode_str(obj))
+    elif t is int:
+        out.append(int_str(obj))
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError("JSON object key %r is not a str" % (key,))
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is bool or t is float or obj is None:
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError("%s is not written as JSON" % t.__name__)
 
 
 @dataclass
@@ -171,7 +228,7 @@ class Scenario:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict()) + "\n"
 
 
 def _build_group(spec: Mapping[str, object],

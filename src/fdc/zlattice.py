@@ -140,16 +140,18 @@ class SmithForm:
     invariant factors of coker A, integer solutions of A x = b and
     membership of b in the column lattice (Cohen, GTM 138, 2.4).
 
-    D is computed eagerly.  U and V are replayed from the logged row and
-    column operations the first time they are read, and kept: ``diagonal``
-    and ``rank`` build neither, ``contains`` builds U, ``solve`` and
+    D, its ``diagonal`` and its ``rank`` are computed eagerly, once.  U
+    and V are replayed from the logged row and column operations the first
+    time they are read, and kept: ``contains`` builds U, ``solve`` and
     unpacking (``u, d, v = form``) build both.  Equality compares
     (u, d, v).
     """
 
-    def __init__(self, d: Matrix, cols: int, row_ops: List[Tuple[int, ...]],
-                 col_ops: List[Tuple[int, ...]]):
+    def __init__(self, d: Matrix, diagonal: List[int], rank: int, cols: int,
+                 row_ops: List[Tuple[int, ...]], col_ops: List[Tuple[int, ...]]):
         self.d = d
+        self.diagonal = diagonal
+        self.rank = rank
         self._cols = cols
         self._row_ops = row_ops
         self._col_ops = col_ops
@@ -173,15 +175,6 @@ class SmithForm:
 
     def __repr__(self) -> str:
         return "SmithForm(u=%r, d=%r, v=%r)" % tuple(self)
-
-    @property
-    def diagonal(self) -> List[int]:
-        return [self.d[i][i] for i in range(min(len(self.d), self._cols))]
-
-    @property
-    def rank(self) -> int:
-        # The nonzero diagonal entries come first.
-        return sum(1 for x in self.diagonal if x != 0)
 
     def _reduced(self, b: Sequence[int]) -> Optional[List[int]]:
         """z with D z = U b, or None when b is outside the column lattice:
@@ -307,7 +300,10 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
             row_op(t)
         if d[t][t] == 0:
             break
-    return SmithForm(d, cols, row_ops, col_ops)
+    diagonal = [d[i][i] for i in range(min(rows, cols))]
+    # The nonzero diagonal entries come first.
+    rank = sum(1 for x in diagonal if x != 0)
+    return SmithForm(d, diagonal, rank, cols, row_ops, col_ops)
 
 
 def _round_quot(x: int, y: int) -> int:

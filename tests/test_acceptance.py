@@ -56,10 +56,10 @@ def test_criterion_03_two_sided_equality_bundled():
     ok = True
     for q in (3, 5, 7, 9):
         rep = run_compare(scen.with_q(PrimePower.from_q(q)))
-        value = rep.value_galois()
+        value = rep.value_galois
         ok = ok and rep.verdict == "EQUAL"
         ok = ok and value.rational_value() == Fraction(q * q, q + 1)
-        ok = ok and rep.value_automorphic() == value
+        ok = ok and rep.value_automorphic == value
     dt = time.monotonic() - t0
     _line(3, "bundled scenario = q^2/(q+1)", ok and dt < 1, "(%.3fs)" % dt)
 
@@ -74,7 +74,7 @@ def test_criterion_04_randomized_two_sided_suite():
         if rep.verdict == "FLAGGED":
             flagged += 1
             # the flag must come with the documented discrepancy factor
-            assert rep.prefactor_discrepancy > 1
+            assert rep.degree.discrepancy > 1
             assert any("normalizations differ" in d for d in rep.diagnostics)
     dt = time.monotonic() - t0
     _line(4, "200 generated scenarios two-sided", dt < 60,

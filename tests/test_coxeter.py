@@ -32,17 +32,29 @@ def coxeter_document(n, ramified):
     {0}, Frobenius 1, q = 3.  Totally ramified: inertia Z/n, Frobenius 0,
     q the least prime = 1 mod n, so a tame extension realizes the frame."""
     rank = n - 1
-    gen = [[int(i == j + 1) - int(j == rank - 1) for j in range(rank)] for i in range(rank)]
-    powers = [[[int(i == j) for j in range(rank)] for i in range(rank)]]
-    for _ in range(1, n):
-        powers.append([[sum(gen[i][k] * powers[-1][k][j] for k in range(rank))
-                        for j in range(rank)] for i in range(rank)])
+
+    def step(v):
+        # The generator on a column: entry i of the image is entry i - 1
+        # (none for i = 0) minus the last entry.
+        return (-v[-1],) + tuple(x - v[-1] for x in v[:-1])
+
+    # Column j of the k-th power is the generator applied k times to e_j.
+    columns = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    powers = []
+    for _ in range(n):
+        powers.append([list(row) for row in zip(*columns)])
+        columns = [step(c) for c in columns]
     positive = [tuple(int(a <= t < b) for t in range(rank))
                 for a in range(rank) for b in range(a + 1, rank + 1)]
     roots = positive + [tuple(-x for x in r) for r in positive]
-    orbit_ids = {",".join(map(str, min(tuple(sum(m[i][j] * r[j] for j in range(rank))
-                                             for i in range(rank)) for m in powers)))
-                 for r in roots}
+    orbit_ids, seen = set(), set()
+    for r in roots:
+        if r not in seen:
+            orbit = [r]
+            for _ in range(1, n):
+                orbit.append(step(orbit[-1]))
+            seen.update(orbit)
+            orbit_ids.add(",".join(map(str, min(orbit))))
     p = next(p for p in range(n + 1, 10 ** 4, n) if is_prime(p)) if ramified else 3
     return {
         "name": "coxeter_A%d" % rank,
@@ -77,6 +89,45 @@ def test_coxeter_verify_closed_form(n, ramified, tmp_path, capsys):
     assert report["verdict"] == verdict
     for value in (report["automorphic"]["value_full_index"], report["galois"]["value"]):
         assert (Fraction(value["coeff"]), Fraction(value["pexp"])) == (coeff, pexp)
+
+
+def _rationals(node):
+    """Every monomial dict in a report that carries an exact "rational"."""
+    if isinstance(node, dict):
+        if "rational" in node and "pexp" in node:
+            yield node
+        for value in node.values():
+            yield from _rationals(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _rationals(value)
+
+
+def test_a47_ramified_huge_values_exit_0(tmp_path, capsys):
+    """A_47 ramified at q = 97: the root-gamma value has 4,483 digits, past
+    the interpreter's int-to-str limit.  Both formats exit 0, and every
+    printed rational matches Decimal's exact conversion."""
+    from decimal import Decimal
+
+    n = 48
+    doc = coxeter_document(n, True)
+    path = tmp_path / "a47.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 0
+    assert "verdict=FLAGGED" in capsys.readouterr().out
+    assert cli.main(["--format", "json", "verify", str(path)]) == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["verdict"] == "FLAGGED"
+    assert report["automorphic"]["value_full_index"]["pexp"] == str(
+        Fraction(n * n - 1) - Fraction(n - 1, 2))
+    monos = list(_rationals(report))
+    assert max(len(m["rational"]) for m in monos) > 4300
+    for mono in monos:
+        value = Fraction(mono["coeff"]) * Fraction(int(mono["p"])) ** int(mono["pexp"])
+        text = str(Decimal(value.numerator))
+        if value.denominator != 1:
+            text += "/" + str(Decimal(value.denominator))
+        assert mono["rational"] == text
 
 
 def load_pins():

@@ -192,8 +192,8 @@ def test_torus_only_scenario():
     rep = run_compare(scen)
     assert rep.verdict in ("EQUAL", "FLAGGED")
     # value: exp_q(1/2 + 1/2) / (q + 1) = q/(q+1)
-    assert rep.value_galois().rational_value() == Fraction(5, 6)
-    assert rep.value_automorphic() == rep.value_galois()
+    assert rep.value_galois.rational_value() == Fraction(5, 6)
+    assert rep.value_automorphic == rep.value_galois
 
 
 def test_loader_fuzz_fails_closed():
@@ -246,7 +246,7 @@ def test_degenerate_all_depth_zero_rank3():
     scen = scenario_from_dict(doc)
     rep = run_compare(scen)
     assert rep.verdict in ("EQUAL", "FLAGGED")
-    assert rep.value_automorphic() == rep.value_galois()
+    assert rep.value_automorphic == rep.value_galois
 
 
 def test_compact_induction_derivation_chain():
@@ -317,5 +317,5 @@ def test_order_p_frame_scenario():
     rep = run_compare(scen)
     assert rep.verdict == "EQUAL"
     # dim G = 8, rank M = 2: exponent 5; |det(3*rot - 1)| = 13
-    assert rep.value_galois().rational_value() == Fraction(3 ** 5, 13)
+    assert rep.value_galois.rational_value() == Fraction(3 ** 5, 13)
     assert rep.intermediates["m_frob_coinvariants"] == 3  # divisible by p

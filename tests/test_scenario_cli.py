@@ -129,7 +129,7 @@ def test_with_q_override():
     for q in (3, 5, 7, 9):
         rep = run_compare(scen.with_q(PrimePower.from_q(q)))
         assert rep.verdict == "EQUAL"
-        assert rep.value_galois().rational_value() == Fraction(q * q, q + 1)
+        assert rep.value_galois.rational_value() == Fraction(q * q, q + 1)
 
 
 def test_cli_verify_exit_codes(capsys):
