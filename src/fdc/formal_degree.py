@@ -154,7 +154,6 @@ class RegularDegree:
     special_fiber_order: int
     full_point_index: int
     discrepancy: int
-    torus: TorusLatticeData
 
 
 def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
@@ -173,7 +172,6 @@ def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
         special_fiber_order=torus.special_fiber_order,
         full_point_index=torus.full_point_index,
         discrepancy=torus.kottwitz_fixed_order,
-        torus=torus,
     )
 
 

@@ -22,7 +22,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from .qexact import PrimePower
 from .zlattice import (
-    FgAbelianGroup,
     Matrix,
     Vector,
     coinvariants_order,
@@ -30,7 +29,6 @@ from .zlattice import (
     group_coinvariants,
     identity_matrix,
     invariant_sublattice,
-    is_unimodular,
     kernel_basis,
     mat_eq,
     mat_mul,
@@ -261,42 +259,29 @@ class GaloisFrame:
     Invariants: the quotient by inertia is cyclic and generated by the image
     of the Frobenius element, and |inertia| is coprime to p (tameness).
 
-    A frame may live on a designated carrier subgroup of the indexing
-    group (used when restricting to a subframe); by default the carrier is
-    the whole group.  Element indices are shared with the ambient group so
-    that characters and sections restrict literally.
+    A frame is always its whole group.  A subgroup H stands for the field
+    it fixes (:func:`field_invariants`); base change to H restricts
+    characters and sections literally, on the indices of the whole group.
     """
 
     group: FiniteGroup
     inertia: FrozenSet[int]
     frobenius: int
     pp: PrimePower
-    carrier: Optional[FrozenSet[int]] = None
 
     def __post_init__(self) -> None:
         g = self.group
-        car = self.carrier_set
-        if not g.is_subgroup(car):
-            raise ValueError("carrier is not a subgroup")
-        if not self.inertia <= car or not g.is_subgroup(self.inertia):
-            raise ValueError("inertia is not a subgroup of the carrier")
-        if not all(g.conj(x, h) in self.inertia for x in car for h in self.inertia):
-            raise ValueError("inertia is not normal in the carrier")
+        if not self.inertia.issubset(g.elements) or not g.is_subgroup(self.inertia):
+            raise ValueError("inertia is not a subgroup")
+        if not all(g.conj(x, h) in self.inertia for x in g.elements for h in self.inertia):
+            raise ValueError("inertia is not normal")
         if len(self.inertia) % self.pp.p == 0:
             raise ValueError("wild frame: p divides |inertia|")
-        if self.frobenius not in car:
-            raise ValueError("frobenius is not a carrier element")
+        if self.frobenius not in g.elements:
+            raise ValueError("frobenius is not a group element")
         gen = self.subgroup_with_inertia(self.frobenius)
-        if len(gen) != len(car):
+        if len(gen) != g.order:
             raise ValueError("Frobenius image does not generate the quotient by inertia")
-
-    @property
-    def carrier_set(self) -> FrozenSet[int]:
-        return self.carrier if self.carrier is not None else frozenset(self.group.elements)
-
-    @property
-    def order(self) -> int:
-        return len(self.carrier_set)
 
     def subgroup_with_inertia(self, g0: int) -> FrozenSet[int]:
         return self.group.subgroup_generated(sorted(self.inertia) + [g0])
@@ -315,21 +300,21 @@ class FieldInvariants:
 
 def field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvariants:
     """Invariants of the extension fixed by the subgroup, which must be a
-    subgroup of the frame carrier."""
-    if not frame.group.is_subgroup(subgroup) or not subgroup <= frame.carrier_set:
-        raise ValueError("not a subgroup of the frame carrier")
+    subgroup of the frame group."""
+    if not frame.group.is_subgroup(subgroup):
+        raise ValueError("not a subgroup of the frame group")
     return _field_invariants(frame, subgroup)
 
 
 def _field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvariants:
-    """:func:`field_invariants` for a subgroup H of the carrier known to be one.
+    """:func:`field_invariants` for a set H known to be a subgroup.
 
     e is the inertia index [I : I n H] and f the residue degree.  e divides
     the degree [G : H]: I is normal, so IH is a subgroup and
     [G : H] = [G : IH] [IH : H] with [IH : H] = [I : I n H].
     """
     e = len(frame.inertia) // len(frame.inertia & subgroup)
-    degree = frame.order // len(subgroup)
+    degree = frame.group.order // len(subgroup)
     return FieldInvariants(degree=degree, e=e, f=degree // e)
 
 
@@ -348,9 +333,11 @@ def parse_root_key(s: str) -> Vector:
 class GRootDatum:
     """Character lattice with frame action and a stable symmetric root set.
 
-    The action maps every group element to a matrix in GL(rank, Z); roots
-    are nonzero lattice vectors with R = -R and Gamma.R = R.  Ellipticity
-    (no nonzero invariant vectors) is checked at construction.
+    The action maps every group element to an integer matrix; roots are
+    nonzero lattice vectors with R = -R.  Gamma.R = R, ellipticity (no
+    nonzero invariant vectors) and the homomorphism property, which puts
+    every matrix in GL(rank, Z), are checked against the frame
+    (:meth:`check_against_frame`).
     """
 
     rank: int
@@ -364,8 +351,6 @@ class GRootDatum:
         for g, m in self.action.items():
             if len(m) != self.rank or any(len(row) != self.rank for row in m):
                 raise ValueError("action matrix for element %d has wrong shape" % g)
-            if not is_unimodular(m):
-                raise ValueError("action matrix for element %d is not in GL(Z)" % g)
         zero = tuple([0] * self.rank)
         if zero in self.roots:
             raise ValueError("0 is not allowed as a root")
@@ -374,33 +359,35 @@ class GRootDatum:
                 raise ValueError("root set is not symmetric: missing -%s" % (r,))
 
     def check_against_frame(self, frame: GaloisFrame) -> None:
-        """Check that the action is a homomorphism, that the carrier keeps
-        the root set stable, and that no nonzero vector is carrier-fixed.
+        """Check that the action is a homomorphism, that the group keeps
+        the root set stable, and that no nonzero vector is group-fixed.
 
         Each property is tested on generators only, which proves it for the
         whole group.  The elements a with M(ab) = M(a)M(b) for every b
         contain 0 once M(0) = I, and are closed under left multiplication by
         each generator s that passes M(s)M(b) = M(sb) for every b; in a
-        finite group they are then all of it.  Each M(g) is injective on the
-        finite root set, so mapping it into itself permutes it, and products
-        of permutations are permutations.  Vectors fixed by the generators
-        are fixed by the carrier.
+        finite group they are then all of it.  A homomorphism has
+        det M(g)^|G| = det M(0) = 1, so an integer action that passes is in
+        GL(Z).  Each M(g) is injective on the finite root set, so mapping it
+        into itself permutes it, and products of permutations are
+        permutations.  Vectors fixed by the generators are fixed by the
+        group.
         """
         g = frame.group
         if set(self.action.keys()) != set(g.elements):
             raise ValueError("action must be defined on every group element")
         if not mat_eq(self.action[0], identity_matrix(self.rank)):
             raise ValueError("action is not a homomorphism at (0, 0)")
-        for s in g.generating_set(g.elements):
+        gens = g.generating_set(g.elements)
+        for s in gens:
             for b in g.elements:
                 if not mat_eq(mat_mul(self.action[s], self.action[b]),
                               self.action[g.mul(s, b)]):
                     raise ValueError("action is not a homomorphism at (%d, %d)" % (s, b))
-        car_gens = g.generating_set(frame.carrier_set)
-        for a in car_gens:
+        for a in gens:
             if any(mat_vec(self.action[a], r) not in self.roots for r in self.roots):
                 raise ValueError("root set is not stable under element %d" % a)
-        fixed = invariant_sublattice(self.rank, [self.action[a] for a in car_gens])
+        fixed = invariant_sublattice(self.rank, [self.action[a] for a in gens])
         if fixed:
             raise ValueError("datum is not elliptic: invariant vectors exist")
 
@@ -459,17 +446,16 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
     relative extension of the plus-minus field is then ramified quadratic).
 
     The action is a homomorphism (:meth:`GRootDatum.check_against_frame`),
-    so each stabilizer is a subgroup, its meet with the carrier is one, and
-    the orbit size is the index of that meet (orbit-stabilizer).
+    so each stabilizer is a subgroup and the orbit size is its index
+    (orbit-stabilizer).
     """
-    car = sorted(frame.carrier_set)
     seen: Dict[Vector, str] = {}
     orbits: List[OrbitInfo] = []
     orbit_members: Dict[str, FrozenSet[Vector]] = {}
     for root in sorted(datum.roots):
         if root in seen:
             continue
-        members = frozenset(datum.act(a, root) for a in car)
+        members = frozenset(datum.act(a, root) for a in frame.group.elements)
         rep = min(members)
         oid = root_key(rep)
         for m in members:
@@ -477,7 +463,7 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
         orbit_members[oid] = members
     for oid, members in sorted(orbit_members.items(), key=lambda kv: parse_root_key(kv[0])):
         rep = min(members)
-        stab = datum.stabilizer(rep) & frame.carrier_set
+        stab = datum.stabilizer(rep)
         inv = _field_invariants(frame, stab)
         neg = tuple(-x for x in rep)  # a root, since GRootDatum refuses R != -R
         symmetric = neg in members
@@ -613,19 +599,16 @@ class TorusLatticeData:
 
     M is the inertia-fixed part of the character lattice with the restricted
     Frobenius; its twisted fixed-point count |det(qF - 1)| is the order of
-    the special-fiber torus.  On the cocharacter side we carry the full
-    coinvariant group, the inertia coinvariants with their Frobenius, and
-    the Frobenius-fixed count of the latter (the Kottwitz-style component
-    index separating the two published prefactor normalizations).
+    the special-fiber torus.  On the cocharacter side we carry the order of
+    the full coinvariant group and the Frobenius-fixed count of the inertia
+    coinvariants (the Kottwitz-style component index separating the two
+    published prefactor normalizations).
     """
 
-    rank: int
     m_basis: Tuple[Vector, ...]
-    m_frobenius: Matrix
     special_fiber_order: int        # |det(q F - 1)| on M
     m_frob_coinvariants: int        # |det(F - 1)| on M
     cochar_full_coinvariants: int   # |X_*(S^a)_Gamma|
-    cochar_inertia_coinvariants: FgAbelianGroup
     kottwitz_fixed_order: int       # |X_*(S^a)_I ^ Frob|
 
     @property
@@ -647,13 +630,13 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     That check makes the action a homomorphism, so the contragredient
     M(g)^-T on the cocharacter lattice is read off as M(g^-1)^T.  The
     invariant sublattices and the coinvariant relations are taken over
-    generators of the carrier and of inertia only: a vector fixed by the
+    generators of the group and of inertia only: a vector fixed by the
     generators is fixed by the group, and (gh - 1)x = (g - 1)(hx) + (h - 1)x
     puts every relation in the span of the generators' relations.
 
     Every order here is finite, because that check also refuses a nonzero
-    carrier-fixed vector and the carrier is generated by I and Frob.  A
-    vector of X^I fixed by Frob is carrier-fixed, so det(F - 1) on X^I is
+    group-fixed vector and the group is generated by I and Frob.  A
+    vector of X^I fixed by Frob is group-fixed, so det(F - 1) on X^I is
     nonzero and (X^I)_F is finite.  Over Q, the coinvariants of a finite
     group are isomorphic to its invariants, and X_* (x) Q, dual to X (x) Q,
     has invariants of the same dimension, 0.  So X_{*,Gamma} has rank 0, and
@@ -663,7 +646,7 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     """
     q = frame.q
     group = frame.group
-    car_gens = group.generating_set(frame.carrier_set)
+    gens = group.generating_set(group.elements)
     inertia_gens = group.generating_set(frame.inertia)
 
     def dual(a: int) -> Matrix:
@@ -673,18 +656,15 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     f_m = restrict_endomorphism(datum.action[frame.frobenius], m_basis)
     special = twisted_fixed_order(f_m, q)
     coinv = coinvariants_order(f_m)
-    full = group_coinvariants(datum.rank, [dual(a) for a in car_gens])
+    full = group_coinvariants(datum.rank, [dual(a) for a in gens])
     cochar_inertia = group_coinvariants(datum.rank, [dual(a) for a in inertia_gens],
                                         endo=dual(frame.frobenius))
     kottwitz = fg_fixed_order(cochar_inertia)
     return TorusLatticeData(
-        rank=datum.rank,
         m_basis=m_basis,
-        m_frobenius=f_m,
         special_fiber_order=special,
         m_frob_coinvariants=coinv,
         cochar_full_coinvariants=full.order,
-        cochar_inertia_coinvariants=cochar_inertia,
         kottwitz_fixed_order=kottwitz,
     )
 

@@ -183,7 +183,7 @@ class Scenario:
         """The same combinatorial scenario at a different residue size (a new
         object, so its torus data are computed afresh for the new q)."""
         frame = GaloisFrame(self.frame.group, self.frame.inertia,
-                            self.frame.frobenius, pp, self.frame.carrier)
+                            self.frame.frobenius, pp)
         return Scenario(self.name, pp, frame, self.datum, self.orbits, self.jumps,
                         dict(self.theta_depths), self.theta_total_depth,
                         self.filtration, self.depth_zero, self.chi,
@@ -577,14 +577,13 @@ def generator_templates() -> List[_Template]:
 def _random_chi(rng: random.Random, datum: GRootDatum, frame: GaloisFrame) -> Optional[ChiData]:
     """A random valid character family, or None when a draw cannot satisfy
     the symmetric-class constraint (rare; caller treats None as 'omit')."""
-    from .chi_data import pm_classes, _stab
+    from .chi_data import pm_classes
     g = frame.group
     rep_chars = {}
     for _cid, rep, members in pm_classes(datum, frame):
-        stab = _stab(datum, rep, frame.carrier_set)
-        chars = character_group(g, stab)
+        chars = character_group(g, datum.stabilizer(rep))
         neg = tuple(-x for x in rep)
-        negators = [s for s in sorted(frame.carrier_set) if datum.act(s, rep) == neg]
+        negators = [s for s in g.elements if datum.act(s, rep) == neg]
         if negators:
             sigma = negators[0]
             ok = [c for c in chars

@@ -314,11 +314,6 @@ def _round_quot(x: int, y: int) -> int:
     return qq
 
 
-def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
-    n, m = mat_shape(a)
-    return n == m and det(a) in (1, -1)
-
-
 # -- kernels, solving, lattice indices ----------------------------------------
 
 
@@ -438,8 +433,6 @@ def group_coinvariants(rank: int, action_gens: Sequence[Sequence[Sequence[int]]]
     eye = identity_matrix(rank)
     rels: List[Vector] = []
     for m in action_gens:
-        if not is_unimodular(m):
-            raise ValueError("action matrix is not invertible over Z")
         diff = mat_sub(mat_copy(m), eye)
         for j in range(rank):
             col = tuple(diff[i][j] for i in range(rank))

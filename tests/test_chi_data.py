@@ -13,14 +13,12 @@ from fdc.chi_data import (
     ChiData,
     _stab,
     _stab_pm,
-    base_change_chi,
     char_is_homomorphism,
     character_group,
     compatible_choices,
     condition_failures,
     default_choices,
     r_chi_values,
-    subframe_of,
     verify_base_change,
 )
 
@@ -132,33 +130,6 @@ def test_from_representatives_refuses_inconsistent_representative():
         ChiData.from_representatives(datum, frame, {(2,): order_two})
 
 
-def test_base_change_examples():
-    frame, datum, chi = z4_model()
-    # restriction to the full group is the identity operation
-    full = base_change_chi(chi, frozenset(range(4)), datum, frame,
-                           subframe_of(frame, frozenset(range(4))))
-    assert full.chars == chi.chars
-    # restriction to <s^2>
-    sub = frozenset({0, 2})
-    bc = base_change_chi(chi, sub, datum, frame, subframe_of(frame, sub))
-    assert bc.chars[(1,)] == numerators({0: Fraction(0), 2: Fraction(1, 2)}, 4)
-    # restriction to the trivial subgroup kills everything
-    bc = base_change_chi(chi, frozenset({0}), datum, frame,
-                         subframe_of(frame, frozenset({0})))
-    assert all(c == {0: 0} for c in bc.chars.values())
-
-
-def test_base_change_transitive():
-    frame, datum, chi = z4_model()
-    h1 = frozenset({0, 2})
-    h2 = frozenset({0})
-    sub1 = subframe_of(frame, h1)
-    one = base_change_chi(chi, h1, datum, frame, sub1)
-    two = base_change_chi(one, h2, datum, sub1, subframe_of(frame, h2))
-    direct = base_change_chi(chi, h2, datum, frame, subframe_of(frame, h2))
-    assert two.chars == direct.chars
-
-
 def test_r_chi_hand_example():
     frame, datum, chi = z4_model()
     choices = default_choices(datum, frame)
@@ -173,15 +144,14 @@ def test_compatible_choices_structure():
     frame, datum, chi = z4_model()
     pair = compatible_choices(default_choices(datum, frame), frozenset({0, 2}),
                               datum, frame)
-    # single double coset: one subframe class with the same representative
+    # single double coset: one class of the subgroup with the same representative
     assert list(pair.sub.reps.values()) == [(1,)] or list(pair.sub.reps.values()) == [(-1,)]
-    assert pair.subframe.carrier_set == frozenset({0, 2})
 
     frame, datum = s3_model()
     a3 = frame.inertia
     pair = compatible_choices(default_choices(datum, frame), a3, datum, frame)
     # order-2 stabilizers meet every coset of A3: a single double coset and
-    # thus a single subframe class here
+    # thus a single class of the subgroup here
     assert len(pair.sub.reps) == 1
 
 
@@ -321,51 +291,6 @@ def test_root_images_and_stabilizers_match_brute_force(name):
                 s for s in sub if images[s] in (r, neg))
 
 
-def test_base_change_refuses_invalid_restriction():
-    """Restriction keeps a broken equivariance visible on a subframe that
-    still sees it, and base change refuses it there with the failures."""
-    frame, datum = s3_model()
-    alpha = (1, 0)
-    chars = dict(ChiData.trivial(datum, frame).chars)
-    # nontrivial at +-alpha only: odd under negation, but its orbit-mates
-    # stay trivial, so conjugation does not carry it along
-    chars[alpha] = numerators({h: Fraction(0) if h == 0 else Fraction(1, 2)
-                               for h in _stab(datum, alpha)}, 6)
-    chars[(-1, 0)] = dict(chars[alpha])
-    bad = ChiData(chars, 6)
-    cond1, cond2 = condition_failures(bad, datum, frame)
-    assert not cond1 and cond2
-
-    everything = frozenset(frame.group.elements)
-    with pytest.raises(AssertionError) as err:
-        base_change_chi(bad, everything, datum, frame, subframe_of(frame, everything))
-    assert str(err.value) == (
-        "restricted chi data fail validation: ("
-        "'equivariance fails from (-1, -1) under 1', "
-        "'equivariance fails from (-1, 0) under 1', "
-        "'equivariance fails from (0, -1) under 2', "
-        "'equivariance fails from (0, 1) under 2', "
-        "'equivariance fails from (1, 0) under 1', "
-        "'equivariance fails from (1, 1) under 1')")
-    with pytest.raises(AssertionError, match="^restricted chi data fail validation"):
-        verify_base_change(bad, everything, datum, frame)
-    # the stabilizer of alpha alone does not move roots, so the defect is invisible
-    sub = _stab(datum, alpha)
-    restricted = base_change_chi(bad, sub, datum, frame, subframe_of(frame, sub))
-    assert restricted.chars[alpha] == chars[alpha]
-
-    # a condition-1 failure is listed the same way, before condition 2
-    frame, datum, _chi = z4_model()
-    odd = ChiData({(1,): numerators({0: Fraction(0), 2: Fraction(1, 2)}, 4),
-                   (-1,): numerators({0: Fraction(0), 2: Fraction(0)}, 4)}, 4)
-    sub = frozenset({0, 2})
-    with pytest.raises(AssertionError) as err:
-        base_change_chi(odd, sub, datum, frame, subframe_of(frame, sub))
-    assert str(err.value) == (
-        "restricted chi data fail validation: ("
-        "'chi(-a) != chi(a)^-1 at (-1,)', 'chi(-a) != chi(a)^-1 at (1,)')")
-
-
 WITH_CHI = ["d4_b2_depth_quarter", "s3_a2_depth_third",
             "sl2_unramified_depth0", "z4_a1_ramified_chi"]
 
@@ -380,27 +305,27 @@ def _all_pairs_homomorphism(group, domain, table):
                     for a in domain for b in domain))
 
 
-def _all_elements_failures(chi, datum, subframe):
-    """Conditions 1 and 2 by their definition, listed as the loader and
-    base change list them: every stabilizer pair, every carrier element,
-    fresh matrix-vector products; for each failing root, the first carrier
-    element that moves its character wrongly."""
-    g, car = subframe.group, subframe.carrier_set
+def _all_elements_failures(chi, datum, frame):
+    """Conditions 1 and 2 by their definition, listed as the loader lists
+    them: every stabilizer pair, every group element, fresh matrix-vector
+    products; for each failing root, the first group element that moves its
+    character wrongly."""
+    g = frame.group
     cond1, cond2 = [], []
     for root in sorted(datum.roots):
         table = chi.chars.get(root)
         if table is None:
             cond2.append("missing character at %s" % (root,))
             continue
-        stab = frozenset(s for s in car if mat_vec(datum.action[s], root) == root)
+        stab = frozenset(s for s in g.elements if mat_vec(datum.action[s], root) == root)
         if not _all_pairs_homomorphism(g, stab, table):
             cond2.append("character at %s is not a stabilizer homomorphism" % (root,))
             continue
         neg = tuple(-x for x in root)
         if chi.chars.get(neg) != {k: (-v) % g.order for k, v in table.items()}:
             cond1.append("chi(-a) != chi(a)^-1 at %s" % (root,))
-        for s in sorted(car):
-            moved = {g.conj(s, k): v for k, v in table.items() if g.conj(s, k) in car}
+        for s in g.elements:
+            moved = {g.conj(s, k): v for k, v in table.items()}
             if chi.chars.get(mat_vec(datum.action[s], root)) != moved:
                 cond2.append("equivariance fails from %s under %d" % (root, s))
                 break
@@ -421,6 +346,32 @@ def _splices(first, second, datum, group, mover):
             for orbit in orbits]
 
 
+def subgroup_frame(frame, datum, chi, sub):
+    """The subgroup H as a frame of its own: H renumbered 0..|H|-1 in
+    increasing order, inertia I n H, the least Frobenius whose class
+    generates H / (I n H) (cyclic, since it embeds in G / I), and the action
+    and the chi tables restricted to H.  A chi value k/|G| becomes the
+    numerator of k/|G| over |H|, which is integral for a homomorphism on a
+    subgroup of H.  The datum is not checked against the new frame: H may
+    fix vectors, and the other properties restrict."""
+    g = frame.group
+    elems = sorted(sub)
+    idx = {x: i for i, x in enumerate(elems)}
+    group = FiniteGroup([[idx[g.mul(a, b)] for b in elems] for a in elems])
+    inertia = frame.inertia & sub
+    frob = g.quotient_generators(sub, inertia)[0]
+    h_frame = GaloisFrame(group, frozenset(idx[x] for x in inertia), idx[frob], frame.pp)
+    h_datum = GRootDatum(datum.rank, {idx[x]: datum.action[x] for x in elems}, datum.roots)
+    if chi is None:
+        return h_frame, h_datum, None
+    h_chi = ChiData({}, group.order)
+    for root, table in chi.chars.items():
+        assert all(v * group.order % g.order == 0 for x, v in table.items() if x in sub)
+        h_chi.chars[root] = {idx[x]: v * group.order // g.order
+                             for x, v in table.items() if x in sub}
+    return h_frame, h_datum, h_chi
+
+
 @pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(SCEN_DIR)))
 def test_generator_checks_match_brute_force(name):
     """char_is_homomorphism and condition_failures test generators only;
@@ -428,7 +379,9 @@ def test_generator_checks_match_brute_force(name):
     condition_failures lists the same failures, on valid tables, on tables
     with one value changed at each element in turn (generators or not), on
     random tables and on families spliced from two valid ones along an
-    orbit of one generator."""
+    orbit of one generator.  The families live on each subgroup H taken as
+    a frame of its own; the bundled chi restricted to H is among the valid
+    ones, which is why base change needs no re-check of the restriction."""
     scen = load_scenario(os.path.join(SCEN_DIR, name + ".json"))
     datum, frame = scen.datum, scen.frame
     g = frame.group
@@ -448,26 +401,24 @@ def test_generator_checks_match_brute_force(name):
         for table in tables:
             assert char_is_homomorphism(g, sub, table) == _all_pairs_homomorphism(g, sub, table)
 
-        try:
-            subframe = subframe_of(frame, sub)
-        except ValueError:
-            continue  # not the group of a subframe
-        valid = [ChiData.trivial(datum, subframe)]
-        if scen.chi is not None:
-            valid.append(base_change_chi(scen.chi, sub, datum, frame, subframe))
-        valid += [f for f in (_random_chi(rng, datum, subframe) for _ in range(4)) if f]
+        h_frame, h_datum, h_chi = subgroup_frame(frame, datum, scen.chi, sub)
+        h = h_frame.group
+        valid = [ChiData.trivial(h_datum, h_frame)]
+        if h_chi is not None:
+            valid.append(h_chi)
+        valid += [f for f in (_random_chi(rng, h_datum, h_frame) for _ in range(4)) if f]
         families = list(valid)
         for first in valid:
-            assert condition_failures(first, datum, subframe) == ([], [])
+            assert condition_failures(first, h_datum, h_frame) == ([], [])
             for second in valid:
-                for mover in g.generating_set(sub):
-                    families += _splices(first, second, datum, g, mover)
+                for mover in h.generating_set(h.elements):
+                    families += _splices(first, second, h_datum, h, mover)
         for _ in range(10):
-            families.append(ChiData({r: rng.choice(character_group(g, _stab(datum, r, sub)))
-                                     for r in datum.roots}, n))
+            families.append(ChiData({r: rng.choice(character_group(h, h_datum.stabilizer(r)))
+                                     for r in h_datum.roots}, h.order))
         for fam in families:
-            assert condition_failures(fam, datum, subframe) == _all_elements_failures(
-                fam, datum, subframe)
+            assert condition_failures(fam, h_datum, h_frame) == _all_elements_failures(
+                fam, h_datum, h_frame)
 
 
 def test_equivariance_checked_under_every_generator():
@@ -494,7 +445,7 @@ def test_equivariance_checked_under_every_generator():
 
 def test_cocycle_values_pinned():
     """r_chi_values reproduces the cocycle values of the top and the
-    derived subframe choices at every w of every subgroup, as captured
+    derived subgroup choices at every w of every subgroup, as captured
     from the one-w-at-a-time evaluator (tests/r_chi_pins.json)."""
     with open(os.path.join(os.path.dirname(__file__), "r_chi_pins.json")) as fh:
         pins = json.load(fh)

@@ -161,8 +161,10 @@ def test_datum_validation():
         GRootDatum(1, {0: [[1]]}, frozenset({(0,)}))  # 0 as a root
     with pytest.raises(ValueError):
         GRootDatum(1, {0: [[1]]}, frozenset({(2,)}))  # not symmetric
-    with pytest.raises(ValueError):
-        GRootDatum(1, {0: [[2]]}, frozenset({(2,), (-2,)}))  # not unimodular
+    # an action outside GL(Z) is no homomorphism: M(0) must be the identity
+    datum = GRootDatum(1, {0: [[2]]}, frozenset({(2,), (-2,)}))
+    with pytest.raises(ValueError, match=r"not a homomorphism at \(0, 0\)"):
+        datum.check_against_frame(GaloisFrame(FiniteGroup.cyclic(1), frozenset({0}), 0, PP3))
     # ellipticity failure surfaces in the frame check
     datum = GRootDatum(1, {0: [[1]], 1: [[1]]}, frozenset({(2,), (-2,)}))
     with pytest.raises(ValueError, match="elliptic"):

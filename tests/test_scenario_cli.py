@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-import fdc.chi_data
 import fdc.cli as cli
 import fdc.compare
 import fdc.galois_roots
@@ -227,31 +226,6 @@ def test_cli_chi_check_frame_of_eighteen_elements(tmp_path, capsys):
     assert all(e == {"subgroup": e["subgroup"], "ok": True} for e in out["subgroups"])
 
 
-def test_cli_chi_check_internal_check_failure_exits_3(monkeypatch, capsys):
-    def every_restriction_fails(chi, datum, frame):
-        return ["stub failure"], []
-
-    # Loading validates through the loader's own reference to the function,
-    # so only base_change_chi sees the failing one.
-    monkeypatch.setattr(fdc.chi_data, "condition_failures", every_restriction_fails)
-    rc = cli.main(["chi-check", bundled_path("z4_a1_ramified_chi")])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "z4_a1_ramified_chi.json: internal check failed: restricted chi data" in err
-
-
-@pytest.mark.parametrize("command,stage", [("degree", "regular_degree"),
-                                           ("gamma", "galois_side")])
-def test_cli_single_file_internal_check_failure_exits_3(command, stage, monkeypatch, capsys):
-    def failing(*args):
-        raise AssertionError("stub identity disagrees")
-
-    monkeypatch.setattr(cli, stage, failing)
-    assert cli.main([command, bundled_path("sl2_unramified_depth0")]) == 3
-    assert capsys.readouterr().err == ("error: %s: internal check failed: stub identity "
-                                       "disagrees\n" % bundled_path("sl2_unramified_depth0"))
-
-
 def test_cli_verify_wrong_conductor_is_unequal(monkeypatch, capsys):
     """A wrong root conductor reaches the verdict: the Galois exponent no
     longer meets Yu's break term, so verify reports UNEQUAL and exits 1."""
@@ -443,8 +417,12 @@ NEG_SWAP = [[0, -1], [-1, 0]]
     (klein_doc({"0": [[1, 0], [0, 1]], "1": NEG, "2": SWAP, "3": NEG_SWAP},
                [[1, 0], [-1, 0]]),
      "root set is not stable under element 2"),
+    # an integer matrix outside GL(Z): refused as a homomorphism failure,
+    # since M(1) M(1) = 4 is not M(0) = 1
+    (dict(bundled_doc("sl2_unramified_depth0"), action={"0": [[1]], "1": [[2]]}),
+     "action is not a homomorphism at (1, 1)"),
 ], ids=["identity-not-fixed", "non-generator-wrong", "second-generator-wrong",
-        "roots-unstable-under-one-generator"])
+        "roots-unstable-under-one-generator", "not-invertible"])
 def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -477,9 +455,14 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
      "galois_roots.GRootDatum: datum is not elliptic: invariant vectors exist"),
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), roots=[[2]])),
      "galois_roots.GRootDatum: root set is not symmetric: missing -(2,)"),
+    # frame elements outside the group
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), inertia=[0, 99])),
+     "galois_roots.frame: inertia is not a subgroup"),
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), frobenius=7)),
+     "galois_roots.frame: frobenius is not a group element"),
 ], ids=["top-level-array", "chi-array", "options-number", "action-array",
         "perm-gens-object", "chi-empty-table", "depth-lattice", "not-elliptic",
-        "asymmetric-roots"])
+        "asymmetric-roots", "inertia-out-of-range", "frobenius-out-of-range"])
 def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
