@@ -105,15 +105,17 @@ class FiniteGroup:
     # subgroup machinery -------------------------------------------------
 
     def subgroup_generated(self, gens: Sequence[int]) -> FrozenSet[int]:
+        """Closure of {0} under right multiplication by the generators.  In
+        a finite group g^-1 = g^(ord g - 1), so this is the subgroup."""
         seen = {0}
         frontier = [0]
         while frontier:
-            x = frontier.pop()
+            row = self.table[frontier.pop()]
             for g in gens:
-                for y in (self.mul(x, g), self.mul(x, self.inv(g))):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
+                y = row[g]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
         return frozenset(seen)
 
     def generating_set(self, elems: Iterable[int]) -> List[int]:
@@ -195,15 +197,17 @@ class FiniteGroup:
         return sorted(out, key=min)
 
     def all_subgroups(self) -> List[FrozenSet[int]]:
-        """Every subgroup, by closure of generator subsets; fine for tiny groups."""
+        """Every subgroup, by closure of generator subsets; fine for tiny groups.
+
+        Each subgroup H found is extended by one g per right coset H g other
+        than H, because <H, g> = <H, x g> for x in H.
+        """
         found = {frozenset([0])}
         frontier = [frozenset([0])]
         while frontier:
             h = frontier.pop()
-            for g in self.elements:
-                if g in h:
-                    continue
-                bigger = self.subgroup_generated(sorted(h | {g}))
+            for coset in self.right_cosets(h)[1:]:
+                bigger = self.subgroup_generated(sorted(h) + [min(coset)])
                 if bigger not in found:
                     found.add(bigger)
                     frontier.append(bigger)
@@ -299,15 +303,7 @@ class FieldInvariants:
 
 
 def field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvariants:
-    """Invariants of the extension fixed by the subgroup, which must be a
-    subgroup of the frame group."""
-    if not frame.group.is_subgroup(subgroup):
-        raise ValueError("not a subgroup of the frame group")
-    return _field_invariants(frame, subgroup)
-
-
-def _field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvariants:
-    """:func:`field_invariants` for a set H known to be a subgroup.
+    """Invariants of the extension fixed by a subgroup H of the frame group.
 
     e is the inertia index [I : I n H] and f the residue degree.  e divides
     the degree [G : H]: I is normal, so IH is a subgroup and
@@ -337,14 +333,23 @@ class GRootDatum:
     nonzero lattice vectors with R = -R.  Gamma.R = R, ellipticity (no
     nonzero invariant vectors) and the homomorphism property, which puts
     every matrix in GL(rank, Z), are checked against the frame
-    (:meth:`check_against_frame`).
+    (:meth:`check_against_frame`).  That check also records how each
+    element permutes the indices of ``sorted(roots)``, and every root-level
+    query (:meth:`act` on a root, :meth:`stabilizer`, :meth:`pm_stabilizer`)
+    reads that table, so it must come first.
     """
 
     rank: int
     action: Mapping[int, Matrix]  # element index -> matrix on X^*
     roots: FrozenSet[Vector]
-    # root -> (its image under each element, stabilizer, +-stabilizer)
-    _memo: Dict[Vector, Tuple[Dict[int, Vector], FrozenSet[int], FrozenSet[int]]] = field(
+    # sorted(roots), and each root's index in it
+    _sorted: List[Vector] = field(default_factory=list, init=False, repr=False, compare=False)
+    _index: Dict[Vector, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # element -> the permutation of root indices it induces
+    _perm: Dict[int, List[int]] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
+    # root -> (stabilizer, +-stabilizer)
+    _memo: Dict[Vector, Tuple[FrozenSet[int], FrozenSet[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -357,6 +362,8 @@ class GRootDatum:
         for r in self.roots:
             if tuple(-x for x in r) not in self.roots:
                 raise ValueError("root set is not symmetric: missing -%s" % (r,))
+        self._sorted.extend(sorted(self.roots))
+        self._index.update((r, i) for i, r in enumerate(self._sorted))
 
     def check_against_frame(self, frame: GaloisFrame) -> None:
         """Check that the action is a homomorphism, that the group keeps
@@ -371,7 +378,8 @@ class GRootDatum:
         GL(Z).  Each M(g) is injective on the finite root set, so mapping it
         into itself permutes it, and products of permutations are
         permutations.  Vectors fixed by the generators are fixed by the
-        group.
+        group.  The generators' permutations of the roots, kept from the
+        stability test, give every element's (:meth:`_permute_roots`).
         """
         g = frame.group
         if set(self.action.keys()) != set(g.elements):
@@ -384,38 +392,65 @@ class GRootDatum:
                 if not mat_eq(mat_mul(self.action[s], self.action[b]),
                               self.action[g.mul(s, b)]):
                     raise ValueError("action is not a homomorphism at (%d, %d)" % (s, b))
-        for a in gens:
-            if any(mat_vec(self.action[a], r) not in self.roots for r in self.roots):
-                raise ValueError("root set is not stable under element %d" % a)
+        self._permute_roots(g)
         fixed = invariant_sublattice(self.rank, [self.action[a] for a in gens])
         if fixed:
             raise ValueError("datum is not elliptic: invariant vectors exist")
 
-    def _root_data(self, root: Vector) -> Tuple[Dict[int, Vector], FrozenSet[int], FrozenSet[int]]:
+    def _permute_roots(self, group: FiniteGroup) -> None:
+        """Refuse a generator that moves a root off R, then record every
+        element's permutation of the root indices.
+
+        The action must already be a homomorphism, so M(sb) r = M(s)(M(b) r)
+        and perm(sb)[i] = perm(s)[perm(b)[i]]: a walk from the identity
+        along left multiplication by the generators reaches every element
+        at one list lookup per root.
+        """
+        gens = group.generating_set(group.elements)
+        gen_perms = []
+        for a in gens:
+            images = [self._index.get(mat_vec(self.action[a], r)) for r in self._sorted]
+            if None in images:
+                raise ValueError("root set is not stable under element %d" % a)
+            gen_perms.append((a, images))
+        perm = self._perm
+        perm[0] = list(range(len(self._sorted)))
+        frontier = [0]
+        while frontier:
+            b = frontier.pop()
+            for s, ps in gen_perms:
+                sb = group.mul(s, b)
+                if sb not in perm:
+                    perm[sb] = [ps[i] for i in perm[b]]
+                    frontier.append(sb)
+
+    def _root_data(self, root: Vector) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         entry = self._memo.get(root)
         if entry is None:
-            images = {g: mat_vec(m, root) for g, m in self.action.items()}
-            neg = tuple(-x for x in root)
-            stab = frozenset(g for g, img in images.items() if img == root)
-            pm = stab | frozenset(g for g, img in images.items() if img == neg)
-            entry = self._memo[root] = (images, stab, pm)
+            i = self._index[root]
+            neg = self._index[tuple(-x for x in root)]
+            stab = frozenset(g for g, p in self._perm.items() if p[i] == i)
+            pm = stab | frozenset(g for g, p in self._perm.items() if p[i] == neg)
+            entry = self._memo[root] = (stab, pm)
         return entry
 
     def act(self, g: int, v: Sequence[int]) -> Vector:
-        """M(g) v.  The images of a root under every element are computed
-        on its first use and kept; any other vector is multiplied out."""
-        if isinstance(v, tuple) and v in self.roots:
-            return self._root_data(v)[0][g]
+        """M(g) v.  A root's image is read from the permutation table; any
+        other vector is multiplied out."""
+        if isinstance(v, tuple):
+            i = self._index.get(v)
+            if i is not None:
+                return self._sorted[self._perm[g][i]]
         return mat_vec(self.action[g], v)
 
     def stabilizer(self, root: Vector) -> FrozenSet[int]:
         """The elements of the whole group that fix the root, computed once."""
-        return self._root_data(root)[1]
+        return self._root_data(root)[0]
 
     def pm_stabilizer(self, root: Vector) -> FrozenSet[int]:
         """The elements of the whole group that send the root to itself or
         to its negative, computed once."""
-        return self._root_data(root)[2]
+        return self._root_data(root)[1]
 
 
 @dataclass(frozen=True)
@@ -445,9 +480,10 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
     exactly when some inertia element carries a root to its negative (the
     relative extension of the plus-minus field is then ramified quadratic).
 
-    The action is a homomorphism (:meth:`GRootDatum.check_against_frame`),
-    so each stabilizer is a subgroup and the orbit size is its index
-    (orbit-stabilizer).
+    The datum must have passed :meth:`GRootDatum.check_against_frame`: the
+    action is then a homomorphism, so each stabilizer is a subgroup and the
+    orbit size is its index (orbit-stabilizer), and every image of a root
+    is read from the datum's permutation table.
     """
     seen: Dict[Vector, str] = {}
     orbits: List[OrbitInfo] = []
@@ -464,7 +500,7 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
     for oid, members in sorted(orbit_members.items(), key=lambda kv: parse_root_key(kv[0])):
         rep = min(members)
         stab = datum.stabilizer(rep)
-        inv = _field_invariants(frame, stab)
+        inv = field_invariants(frame, stab)
         neg = tuple(-x for x in rep)  # a root, since GRootDatum refuses R != -R
         symmetric = neg in members
         ramified: Optional[bool] = None
@@ -547,8 +583,9 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
     The orbits are the datum's frame orbits (:func:`classify_orbits`).  The
     nonpositive-depth orbits form R_0; the distinct positive depths, sorted
     increasingly, are the breaks, and each level accumulates the orbits up
-    to that depth.  Each level must be rationally closed in R (the Levi
-    condition): the span of R_i meets R exactly in R_i.
+    to that depth.  Each proper level must be rationally closed in R (the
+    Levi condition): the span of R_i meets R exactly in R_i.  The last
+    level is the union of all orbits, R itself, and is closed trivially.
     """
     by_id = {o.orbit_id: o for o in orbits}
     if set(theta_depths.keys()) != set(by_id.keys()):
@@ -583,7 +620,7 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
                         for rt in o.members)
         levels.append(levels[-1] | new)
     # Levi closure of every proper level.
-    for i, lv in enumerate(levels):
+    for i, lv in enumerate(levels[:-1]):
         closure = _span_closure(sorted(lv), datum.roots)
         if closure != lv:
             extra = sorted(closure - lv)

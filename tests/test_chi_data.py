@@ -352,8 +352,9 @@ def subgroup_frame(frame, datum, chi, sub):
     generates H / (I n H) (cyclic, since it embeds in G / I), and the action
     and the chi tables restricted to H.  A chi value k/|G| becomes the
     numerator of k/|G| over |H|, which is integral for a homomorphism on a
-    subgroup of H.  The datum is not checked against the new frame: H may
-    fix vectors, and the other properties restrict."""
+    subgroup of H.  The datum is not checked against the new frame, since H
+    may fix vectors and the other properties restrict; it only records how
+    H permutes the roots."""
     g = frame.group
     elems = sorted(sub)
     idx = {x: i for i, x in enumerate(elems)}
@@ -362,6 +363,7 @@ def subgroup_frame(frame, datum, chi, sub):
     frob = g.quotient_generators(sub, inertia)[0]
     h_frame = GaloisFrame(group, frozenset(idx[x] for x in inertia), idx[frob], frame.pp)
     h_datum = GRootDatum(datum.rank, {idx[x]: datum.action[x] for x in elems}, datum.roots)
+    h_datum._permute_roots(group)
     if chi is None:
         return h_frame, h_datum, None
     h_chi = ChiData({}, group.order)

@@ -39,6 +39,7 @@ def sl2_shape(ramified: bool, pp=PP3, depth=None, offset=None):
     else:
         frame = GaloisFrame(g, frozenset({0}), 1, pp)
     datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}))
+    datum.check_against_frame(frame)
     orbits = classify_orbits(datum, frame)
     (o,) = orbits
     if depth is None:

@@ -21,6 +21,7 @@ from fdc.zlattice import (
     coinvariants_order,
     invariant_sublattice,
     mat_transpose,
+    mat_vec,
     restrict_endomorphism,
 )
 from test_coxeter import coxeter_document
@@ -29,8 +30,10 @@ PP3 = PrimePower(3, 1)
 PP5 = PrimePower(5, 1)
 
 
-def a1_datum():
-    return GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}))
+def a1_datum(frame):
+    datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}))
+    datum.check_against_frame(frame)
+    return datum
 
 
 def frame_z2(ramified: bool, pp=PP3):
@@ -74,6 +77,61 @@ def test_generating_set():
     assert klein.generating_set(reversed(klein.elements)) == [1, 2]
 
 
+SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
+
+
+def bundled_scenarios():
+    return [load_scenario(os.path.join(SCEN_DIR, name)) for name in sorted(os.listdir(SCEN_DIR))]
+
+
+def test_all_subgroups_match_brute_force():
+    """all_subgroups against every subset that contains 0 and is closed
+    under multiplication (in a finite group, exactly the subgroups), on
+    the bundled frames' groups, Z/12, S_3, D_4 and Z/2 x Z/6."""
+    groups = [scen.frame.group for scen in bundled_scenarios()]
+    groups.append(FiniteGroup.cyclic(12))
+    groups.append(FiniteGroup.from_permutations([[1, 2, 0], [1, 0, 2]])[0])
+    d4, _ = FiniteGroup.from_permutations([[1, 2, 3, 0], [3, 2, 1, 0]])
+    assert d4.order == 8 and any(d4.mul(a, b) != d4.mul(b, a) for a in d4.elements
+                                 for b in d4.elements)
+    groups.append(d4)
+    groups.append(FiniteGroup([[(i // 6 + j // 6) % 2 * 6 + (i + j) % 6 for j in range(12)]
+                               for i in range(12)]))
+    for g in groups:
+        brute = []
+        for mask in range(2 ** (g.order - 1)):
+            subset = frozenset([0] + [x for x in range(1, g.order) if mask >> (x - 1) & 1])
+            if all(g.mul(a, b) in subset for a in subset for b in subset):
+                brute.append(subset)
+        assert g.all_subgroups() == sorted(brute, key=lambda s: (len(s), sorted(s)))
+
+
+def test_root_table_matches_matrix_route():
+    """The permutation table built at load against dense matrix-vector
+    products: every image of every root, the stabilizer and the
+    +-stabilizer of every root, and the last Howe level equal to R.  Run on
+    the bundled scenarios (two with non-abelian groups, where the order of
+    composition shows), 200 generated ones and the A_{n-1} Coxeter tori for
+    n = 4..12, unramified and totally ramified."""
+    scenarios = bundled_scenarios()
+    assert {"s3_a2_depth_third", "d4_b2_depth_quarter"} <= {s.name for s in scenarios}
+    rng = random.Random(13)
+    scenarios += [generate_scenario(rng) for _ in range(200)]
+    scenarios += [scenario_from_dict(coxeter_document(n, ramified))
+                  for n in range(4, 13) for ramified in (False, True)]
+    for scen in scenarios:
+        datum, group = scen.datum, scen.frame.group
+        for r in datum.roots:
+            neg = tuple(-x for x in r)
+            images = {g: mat_vec(datum.action[g], r) for g in group.elements}
+            assert all(datum.act(g, r) == images[g] for g in group.elements), scen.name
+            assert datum.stabilizer(r) == frozenset(
+                g for g, img in images.items() if img == r), scen.name
+            assert datum.pm_stabilizer(r) == frozenset(
+                g for g, img in images.items() if img in (r, neg)), scen.name
+        assert scen.filtration.levels[-1] == datum.roots, scen.name
+
+
 def test_field_invariants_examples():
     g = FiniteGroup.cyclic(4)
     fr = GaloisFrame(g, frozenset({0, 2}), 1, PP3)
@@ -83,8 +141,6 @@ def test_field_invariants_examples():
     assert (fi.degree, fi.e, fi.f) == (1, 1, 1)
     fi = field_invariants(fr, frozenset({0, 2}))
     assert (fi.degree, fi.e, fi.f) == (2, 1, 2)
-    with pytest.raises(ValueError):
-        field_invariants(fr, frozenset({1}))
 
 
 def test_ef_multiplicativity():
@@ -103,12 +159,13 @@ def test_ef_multiplicativity():
 
 
 def test_classify_examples():
-    datum = a1_datum()
-    orbs = classify_orbits(datum, frame_z2(ramified=True))
+    fr = frame_z2(ramified=True)
+    orbs = classify_orbits(a1_datum(fr), fr)
     assert len(orbs) == 1
     o = orbs[0]
     assert o.symmetric and o.ramified and o.degree == 2 and o.e == 2
-    orbs = classify_orbits(datum, frame_z2(ramified=False))
+    fr = frame_z2(ramified=False)
+    orbs = classify_orbits(a1_datum(fr), fr)
     o = orbs[0]
     assert o.symmetric and o.ramified is False and o.e == 1 and o.f == 2
 
@@ -148,8 +205,8 @@ def test_asymmetric_split_case():
 
 
 def test_orbit_partition_properties():
-    datum = a1_datum()
     for fr in (frame_z2(True), frame_z2(False)):
+        datum = a1_datum(fr)
         orbs = classify_orbits(datum, fr)
         members = [m for o in orbs for m in o.members]
         assert len(members) == len(set(members)) == len(datum.roots)
@@ -172,8 +229,8 @@ def test_datum_validation():
 
 
 def test_howe_examples():
-    datum = a1_datum()
     fr = frame_z2(True)
+    datum = a1_datum(fr)
     orbs = classify_orbits(datum, fr)
     (oid,) = [o.orbit_id for o in orbs]
     filt = howe_filtration(datum, orbs, {oid: NONPOSITIVE}, Fraction(0))
@@ -197,6 +254,7 @@ def test_howe_levi_closure_error():
     fr = GaloisFrame(g, frozenset({0, 1}), 0, PP5)
     roots = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)})
     datum = GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]}, roots)
+    datum.check_against_frame(fr)
     orbs = classify_orbits(datum, fr)
     depths = {}
     for o in orbs:
@@ -211,6 +269,7 @@ def test_howe_reconstruction_idempotent():
     fr = GaloisFrame(g, frozenset({0, 1}), 0, PP5)
     roots = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)})
     datum = GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]}, roots)
+    datum.check_against_frame(fr)
     orbs = classify_orbits(datum, fr)
     # the zero level {+-(1,1)} is span-closed; the other two orbits enter later
     depths = {o.orbit_id: (NONPOSITIVE if o.representative in ((1, 1), (-1, -1))
@@ -221,15 +280,15 @@ def test_howe_reconstruction_idempotent():
 
 
 def test_depth_lattice_examples():
-    datum = a1_datum()
-
     fr_ram = frame_z2(True)
+    datum = a1_datum(fr_ram)
     orbs = classify_orbits(datum, fr_ram)
     filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
     (chk,) = validate_depth_lattice(filt, orbs)
     assert chk.in_value_group and chk.in_half_value_group and chk.ok
 
     fr_unr = frame_z2(False)
+    datum = a1_datum(fr_unr)
     orbs = classify_orbits(datum, fr_unr)
     filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
     (chk,) = validate_depth_lattice(filt, orbs)
@@ -270,9 +329,7 @@ def test_torus_orders_match_dual_lattice_route():
     and |(X_*^I)_F| * |(X_{*,I})^F| = |X_{*,Gamma}|.  Run on the bundled
     scenarios, 120 generated ones and the A_{n-1} Coxeter tori for n = 4, 6
     and 8, unramified and totally ramified."""
-    scen_dir = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
-    scenarios = [load_scenario(os.path.join(scen_dir, name))
-                 for name in sorted(os.listdir(scen_dir))]
+    scenarios = bundled_scenarios()
     assert len(scenarios) == 6
     rng = random.Random(8)
     scenarios += [generate_scenario(rng) for _ in range(120)]
@@ -286,10 +343,11 @@ def test_torus_orders_match_dual_lattice_route():
 
 
 def test_torus_lattice_data_sl2():
-    datum = a1_datum()
-    t = torus_lattice_data(datum, frame_z2(False))
+    fr = frame_z2(False)
+    t = torus_lattice_data(a1_datum(fr), fr)
     assert t.rank_m == 1 and t.special_fiber_order == 4
     assert t.m_frob_coinvariants == 2 and t.kottwitz_fixed_order == 1
-    t = torus_lattice_data(datum, frame_z2(True))
+    fr = frame_z2(True)
+    t = torus_lattice_data(a1_datum(fr), fr)
     assert t.rank_m == 0 and t.special_fiber_order == 1
     assert t.kottwitz_fixed_order == 2 and t.full_point_index == 2

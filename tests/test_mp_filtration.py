@@ -40,6 +40,7 @@ def a1_setup(ramified: bool):
     else:
         fr = GaloisFrame(g, frozenset({0}), 1, PP3)
     datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}))
+    datum.check_against_frame(fr)
     return fr, datum, classify_orbits(datum, fr)
 
 

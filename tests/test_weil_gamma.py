@@ -84,6 +84,7 @@ def a1(ramified: bool, pp=PP3):
     frame = GaloisFrame(g, frozenset({0, 1}) if ramified else frozenset({0}),
                         0 if ramified else 1, pp)
     datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}))
+    datum.check_against_frame(frame)
     return frame, datum, classify_orbits(datum, frame)
 
 
