@@ -18,7 +18,7 @@ count on the cocharacter lattice, and these three orders are computed
 separately, so the verdict itself checks
 |(X^I)_F| * |(X_{*,I})^F| = |X_{*,Gamma}|.  The special-fiber order
 divides both sides and cancels.  The one internal identity left compares
-the volume exponent by raw torsor enumeration against its closed form; its
+the volume exponent by torsor point count against its closed form; its
 failure is an internal error, not a verdict.
 
 Reports are deterministic: the machine-readable form contains no wall
@@ -151,7 +151,7 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
 
     diagnostics: List[str] = []
 
-    # Volume normalization: raw torsor enumeration against the closed form.
+    # Volume normalization: torsor point count against the closed form.
     raw = volume_exponent_raw(shape, torus.rank_m)
     closed = volume_exponent_closed(shape, torus.rank_m)
     if raw != closed:

@@ -16,12 +16,13 @@ Kottwitz-style component index and is reported, never silently dropped.
 
 The module also exposes the intermediate quantities of the derivation:
 per-step Heisenberg dimensions, the volume-normalization exponent
-assembled from raw torsor enumeration, and the same exponent from the
+assembled from torsor point counts, and the same exponent from the
 closed length identity, so that the two routes can be compared.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -63,11 +64,13 @@ class YuShape:
         return [o for o in self.orbits if self.filtration.layer_of_orbit(o) == 0]
 
     def break_term(self) -> Fraction:
-        """(1/2) sum_i r_i (|R_{i+1}| - |R_i|), the wild part of the exponent."""
-        total = Fraction(0)
-        for i, delta in enumerate(self.filtration.layer_sizes()):
-            total += self.filtration.breaks[i] * delta
-        return total / 2
+        """(1/2) sum_i r_i (|R_{i+1}| - |R_i|), the wild part of the exponent,
+        summed in integers over the common denominator of the breaks."""
+        breaks = self.filtration.breaks
+        den = math.lcm(*(r.denominator for r in breaks))
+        num = sum(r.numerator * (den // r.denominator) * delta
+                  for r, delta in zip(breaks, self.filtration.layer_sizes()))
+        return Fraction(num, 2 * den)
 
     def depth_zero_quotient_dim(self, rank_m: int) -> int:
         """Dimension of the depth-zero reductive quotient: quotient rank plus
@@ -131,7 +134,7 @@ def general_degree(shape: YuShape, dz: DepthZeroData,
     exp_q(dim(G)/2 + dim_g0_red/2 + break term) and prefactor
     dim(rho) / stabilizer index.
     """
-    expo = Fraction(shape.dim_ga, 2) + Fraction(dim_g0_red, 2) + shape.break_term()
+    expo = Fraction(shape.dim_ga + dim_g0_red, 2) + shape.break_term()
     return exp_q(expo, shape.pp), Fraction(dz.dim_rho, dz.stab_index)
 
 
@@ -164,7 +167,7 @@ def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
     |det(qF - 1)| or the reciprocal full point index, which is the
     special-fiber order times the Kottwitz fixed count.
     """
-    expo = Fraction(shape.dim_ga, 2) + Fraction(torus.rank_m, 2) + shape.break_term()
+    expo = Fraction(shape.dim_ga + torus.rank_m, 2) + shape.break_term()
     mono = exp_q(expo, shape.pp)
     return RegularDegree(
         pp=shape.pp,
@@ -179,25 +182,24 @@ def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
 
 
 def volume_exponent_raw(shape: YuShape, rank_m: int) -> Fraction:
-    """Exponent of the inverse volume assembly by raw torsor enumeration:
+    """Exponent of the inverse volume assembly by torsor point count:
     half the depth-zero length of the full algebra, plus per-layer interior
-    lengths up to s_i, plus half the boundary lengths at s_i."""
-    total = Fraction(rank_m, 2)
-    for o in shape.orbits:
-        total += Fraction(jump_length_at(o, shape.jumps, 0), 2)
+    lengths up to s_i, plus half the boundary lengths at s_i.  Every term
+    is a half-integer, so twice the exponent is summed in integers."""
+    jumps = shape.jumps
+    twice = rank_m + sum(jump_length_at(o, jumps, 0) for o in shape.orbits)
     svec = shape.filtration.svec()
     for i in range(shape.filtration.d):
         s = svec[i]
         for o in shape.layer_orbits(i):
-            total += o.f * count_torsor_points(o, shape.jumps, just_above(0), at(s))
-            total += Fraction(jump_length_at(o, shape.jumps, s), 2)
-    return total
+            twice += (2 * o.f * count_torsor_points(o, jumps, just_above(0), at(s))
+                      + jump_length_at(o, jumps, s))
+    return Fraction(twice, 2)
 
 
 def volume_exponent_closed(shape: YuShape, rank_m: int) -> Fraction:
     """The same exponent from the closed length identity: half the
     depth-zero Levi length plus the break term."""
-    total = Fraction(rank_m, 2)
-    for o in shape.depth_zero_orbits():
-        total += Fraction(jump_length_at(o, shape.jumps, 0), 2)
-    return total + shape.break_term()
+    twice = rank_m + sum(jump_length_at(o, shape.jumps, 0)
+                         for o in shape.depth_zero_orbits())
+    return Fraction(twice, 2) + shape.break_term()

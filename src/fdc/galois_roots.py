@@ -49,35 +49,47 @@ class FiniteGroup:
     """A finite group on elements 0..n-1 given by its multiplication table.
 
     Element 0 is the identity.  The table is validated (identity, inverses,
-    associativity) at construction; groups here are tiny, so the cubic
-    associativity check is cheap.
+    associativity) at construction.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], check: bool = True):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
+        self._generators: Dict[FrozenSet[int], List[int]] = {}
+        self._coset_keys: Dict[FrozenSet[int], List[int]] = {}
         if check:
             self._validate()
         self._inverse = [next(j for j in range(self.order) if self.table[i][j] == 0)
                          for i in range(self.order)]
-        self._generators: Dict[FrozenSet[int], List[int]] = {}
-        self._coset_keys: Dict[FrozenSet[int], List[int]] = {}
 
     def _validate(self) -> None:
+        """Refuse a table that is not a group.
+
+        Associativity is Light's test: (x s) y = x (s y) is checked for all
+        x, y and only for s in a generating set of the table, |G|^2 |gens|
+        triples instead of |G|^3.  That suffices because the elements a with
+        (x a) y = x (a y) for all x, y contain 0 and are closed under
+        products: for two of them a and b,
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+        The generating set is found by closing {0} under right
+        multiplication, so every element is such a product of generators.
+        """
         n = self.order
-        for row in self.table:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
+        t = self.table
+        for row in t:
+            if len(row) != n or any(type(x) is not int or not (0 <= x < n) for x in row):
                 raise ValueError("malformed multiplication table")
-        if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):
+        if any(t[0][j] != j or t[j][0] != j for j in range(n)):
             raise ValueError("element 0 is not an identity")
         for i in range(n):
-            if all(self.table[i][j] != 0 for j in range(n)):
+            if all(t[i][j] != 0 for j in range(n)):
                 raise ValueError("element %d has no inverse" % i)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                        raise ValueError("multiplication table is not associative")
+        for s in self.generating_set(self.elements):
+            s_row = t[s]
+            for x_row in t:
+                xs_row = t[x_row[s]]
+                if any(xs_row[y] != x_row[s_row[y]] for y in range(n)):
+                    raise ValueError("multiplication table is not associative")
 
     # mult / inv / conj -------------------------------------------------
 
@@ -547,7 +559,8 @@ class HoweFiltration:
         return tuple(list(self.breaks) + [self.total])
 
     def svec(self) -> Tuple[Fraction, ...]:
-        return tuple(r / 2 for r in self.rvec())
+        """The half-depths s_i = r_i / 2."""
+        return tuple(Fraction(r.numerator, 2 * r.denominator) for r in self.rvec())
 
     def layer_of_orbit(self, orbit: OrbitInfo) -> int:
         """0 for the nonpositive part, i+1 when the orbit enters at break i."""
@@ -725,7 +738,8 @@ def validate_depth_lattice(filtration: HoweFiltration,
     For an orbit entering at break r over a field with ramification e, the
     genericity constraint asks r in (1/e)Z, and the half-depth used by the
     length identity asks r in (1/(2e))Z.  Both are reported; overall pass
-    needs both.
+    needs both.  In lowest terms r e is an integer exactly when the
+    denominator of r divides e.
     """
     out: List[DepthLatticeCheck] = []
     for o in orbits:
@@ -736,7 +750,7 @@ def validate_depth_lattice(filtration: HoweFiltration,
         out.append(DepthLatticeCheck(
             orbit_id=o.orbit_id,
             break_value=r,
-            in_value_group=(r * o.e).denominator == 1,
-            in_half_value_group=(r * 2 * o.e).denominator == 1,
+            in_value_group=o.e % r.denominator == 0,
+            in_half_value_group=2 * o.e % r.denominator == 0,
         ))
     return out

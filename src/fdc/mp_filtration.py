@@ -13,7 +13,7 @@ Three summation devices drive everything downstream:
 * the periodic-sum identity, which evaluates a primed sum of an even
   periodic jump function over [0, s] as a proportion of one period; and
 * the master length identity, which says that for an even function f on a
-  negation-closed orbit set, enumeration of torsor points weighted by
+  negation-closed orbit set, the count of torsor points weighted by
   residue degrees collapses to sum([k_a : k] * f(a)) independently of the
   offsets.
 
@@ -106,21 +106,28 @@ class JumpAssignment:
             raise ValueError("jump offsets must cover exactly the orbits")
         canon: Dict[str, Fraction] = {}
         for oid, val in offsets.items():
-            step = Fraction(1, by_id[oid].e)
-            canon[oid] = Fraction(val) % step
-        ja = JumpAssignment(canon)
+            # n/d mod 1/e is ((n e) mod d) / (d e)
+            e, n, d = by_id[oid].e, val.numerator, val.denominator
+            canon[oid] = Fraction(n * e % d, d * e)
         for oid, o in by_id.items():
-            step = Fraction(1, o.e)
-            if (canon[oid] + canon[o.negation_id]) % step != 0:
+            a, b = canon[oid], canon[o.negation_id]
+            # e (a + b) = e (na db + nb da) / (da db) must be an integer
+            if (a.numerator * b.denominator + b.numerator * a.denominator) * o.e \
+                    % (a.denominator * b.denominator):
                 raise ValueError("offsets of %s and %s are not negation-symmetric"
                                  % (oid, o.negation_id))
-        return ja
+        return JumpAssignment(canon)
 
     def offset(self, orbit: OrbitInfo) -> Fraction:
         return self.offsets[orbit.orbit_id]
 
     def contains(self, orbit: OrbitInfo, t: RationalLike) -> bool:
-        return ((Fraction(t) - self.offset(orbit)) * orbit.e).denominator == 1
+        """Whether t lies in offset + (1/e)Z: for t = n/d and offset a/b,
+        t - offset = (n b - a d) / (d b) lies in (1/e)Z exactly when d b
+        divides e (n b - a d)."""
+        off = self.offsets[orbit.orbit_id]
+        n, d, a, b = t.numerator, t.denominator, off.numerator, off.denominator
+        return (n * b - a * d) * orbit.e % (d * b) == 0
 
 
 def jump_length_at(orbit: OrbitInfo, jumps: JumpAssignment, t: RationalLike) -> int:
@@ -136,26 +143,29 @@ def count_torsor_points(orbit: OrbitInfo, jumps: JumpAssignment,
 
 
 def _torsor_point_count(off: Fraction, e: int, lo: ExtIndexLike, hi: ExtIndexLike) -> int:
-    """Number of points t of off + (1/e)Z with lo <= t < hi."""
+    """Number of points t of off + (1/e)Z with lo <= t < hi.
+
+    The points at or above an index x are off + k/e for
+    k >= ``_first_point(off, e, x)``, so the points in [lo, hi) are those with
+    ``_first_point(off, e, lo) <= k < _first_point(off, e, hi)``: one floor
+    division per endpoint, however many points lie between.
+    """
     if hi is INFINITY or lo is INFINITY:
         raise ValueError("unbounded interval")
-    if lo == hi or hi < lo:
-        return 0
-    step = Fraction(1, e)
-    # Smallest k with off + k*step satisfying the lower constraint.
-    lo_bound = (lo.r - off) / step
-    k_min = lo_bound.numerator // lo_bound.denominator  # floor
-    while off + k_min * step < lo.r or (off + k_min * step == lo.r and lo.plus):
-        k_min += 1
-    count = 0
-    k = k_min
-    while True:
-        t = off + k * step
-        if t > hi.r or (t == hi.r and not hi.plus):
-            break
-        count += 1
-        k += 1
-    return count
+    return max(0, _first_point(off, e, hi) - _first_point(off, e, lo))
+
+
+def _first_point(off: Fraction, e: int, x: ExtIndex) -> int:
+    """The least k with off + k/e >= x in the extended order.
+
+    For x = r, off + k/e >= r exactly when k >= e (r - off), so k is the
+    ceiling of e (r - off); for x = r+, off + k/e > r exactly when
+    k > e (r - off), so k is its floor plus one.
+    """
+    r = x.r
+    num = e * (r.numerator * off.denominator - off.numerator * r.denominator)
+    den = r.denominator * off.denominator
+    return num // den + 1 if x.plus else -(-num // den)
 
 
 # -- discretely supported functions and primed sums ------------------------------

@@ -17,6 +17,8 @@ from typing import Iterable, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
+_ONE = Fraction(1)
+
 
 # Miller-Rabin with the first thirteen prime bases is exact below this bound
 # (Sorenson and Webster, Math. Comp. 86 (2017)).
@@ -124,7 +126,7 @@ class QMonomial:
     pexp: Fraction
 
     def __post_init__(self) -> None:
-        if self.coeff == 0:
+        if self.coeff.numerator == 0:
             raise ValueError("zero is not a q-monomial")
         p = self.pp.p
         if self.coeff.numerator % p == 0 or self.coeff.denominator % p == 0:
@@ -166,10 +168,12 @@ class QMonomial:
         """Exact rational value; requires an integral p-exponent."""
         if self.pexp.denominator != 1:
             raise ValueError("p-exponent %s is not an integer" % (self.pexp,))
-        e = self.pexp.numerator
-        if e >= 0:
-            return self.coeff * self.pp.p ** e
-        return self.coeff / self.pp.p ** (-e)
+        e, c = self.pexp.numerator, self.coeff
+        if e == 0:
+            return c
+        if e > 0:
+            return Fraction(c.numerator * self.pp.p ** e, c.denominator)
+        return Fraction(c.numerator, c.denominator * self.pp.p ** -e)
 
     def as_pair(self) -> Tuple[str, str]:
         """Serialized form: ("num/den" coefficient, "num/den" p-exponent)."""
@@ -215,7 +219,7 @@ def qmon(pp: PrimePower, coeff: RationalLike, pexp: RationalLike = 0) -> QMonomi
     A coefficient that is already a p-unit is kept as it is."""
     c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
     e = pexp if isinstance(pexp, Fraction) else Fraction(pexp)
-    if c == 0:
+    if c.numerator == 0:
         raise ValueError("zero is not a q-monomial")
     p = pp.p
     num, den = c.numerator, c.denominator
@@ -227,7 +231,7 @@ def qmon(pp: PrimePower, coeff: RationalLike, pexp: RationalLike = 0) -> QMonomi
 
 
 def qmon_one(pp: PrimePower) -> QMonomial:
-    return QMonomial(pp, Fraction(1), Fraction(0))
+    return QMonomial(pp, _ONE, Fraction(0))
 
 
 def exp_q(t: RationalLike, pp: PrimePower) -> QMonomial:
@@ -236,7 +240,7 @@ def exp_q(t: RationalLike, pp: PrimePower) -> QMonomial:
     Satisfies exp_q(len M) = |M| for finite modules over the ring with
     residue field of size q, and exp_q(s + t) = exp_q(s) * exp_q(t).
     """
-    return QMonomial(pp, Fraction(1), pp.a * Fraction(t))
+    return QMonomial(pp, _ONE, Fraction(pp.a * t.numerator, t.denominator))
 
 
 def qmon_combine(

@@ -58,7 +58,7 @@ class ScenarioError(ValueError):
 
 
 def parse_fraction(text: Union[str, int]) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError("rational must be a string, got %r" % (text,))
@@ -71,6 +71,15 @@ def parse_fraction(text: Union[str, int]) -> Fraction:
     if den == 0:
         raise ValueError("malformed rational %r (zero denominator)" % text)
     return Fraction(num, den)
+
+
+def parse_int(value: object, what: str) -> int:
+    """An integer field of a scenario document.  ``int`` would truncate a
+    float and read a boolean as 0 or 1, so both are refused; a decimal
+    string is read as its integer."""
+    if isinstance(value, (bool, float)):
+        raise TypeError("%s must be an integer, got %s" % (what, json.dumps(value)))
+    return int(value)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -320,7 +329,7 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     pp = None
     try:
         qspec = doc["q"]
-        pp = PrimePower(int(qspec["p"]), int(qspec["a"]))
+        pp = PrimePower(parse_int(qspec["p"], "p"), parse_int(qspec["a"], "a"))
     except KeyError:
         failures.append(("qexact", "q", "missing p or a"))
     except (ValueError, TypeError) as e:
@@ -336,18 +345,19 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
 
     frame = None
     try:
-        inertia = frozenset(int(x) for x in doc.get("inertia", []))
-        frobenius = int(doc.get("frobenius", 0))
+        inertia = frozenset(parse_int(x, "inertia element") for x in doc.get("inertia", []))
+        frobenius = parse_int(doc.get("frobenius", 0), "frobenius")
         frame = GaloisFrame(group, inertia, frobenius, pp)
     except (ValueError, TypeError) as e:
         failures.append(("galois_roots", "frame", str(e)))
 
     datum = None
     try:
-        rank = int(doc["lattice_rank"])
-        action = {int(g): [[int(x) for x in row] for row in m]
+        rank = parse_int(doc["lattice_rank"], "lattice_rank")
+        action = {int(g): [[parse_int(x, "action entry") for x in row] for row in m]
                   for g, m in doc["action"].items()}
-        roots = frozenset(tuple(int(x) for x in r) for r in doc["roots"])
+        roots = frozenset(tuple(parse_int(x, "root coordinate") for x in r)
+                          for r in doc["roots"])
         datum = GRootDatum(rank, action, roots)
         if frame is not None:
             datum.check_against_frame(frame)
@@ -396,7 +406,7 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     if dz_spec != "regular":
         try:
             depth_zero = DepthZeroData.opaque(parse_fraction(dz_spec["dim_rho"]),
-                                              int(dz_spec["stab_index"]))
+                                              parse_int(dz_spec["stab_index"], "stab_index"))
         except (KeyError, ValueError, TypeError) as e:
             failures.append(("formal_degree", "depth_zero", str(e)))
 
@@ -406,9 +416,13 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
             chi = ChiData({}, frame.group.order)
             for rk, table in doc["chi"].items():
                 root = parse_root_key(rk)
-                # k/n as k; a Fraction where n * value is not integral: never a character value
-                ks = {int(g): parse_fraction(v) % 1 * chi.n for g, v in table.items()}
-                chi.chars[root] = {g: int(k) if k.denominator == 1 else k for g, k in ks.items()}
+                char = chi.chars[root] = {}
+                for g, v in table.items():
+                    # x = a/b mod 1 is (a mod b)/b, stored as k = n (x mod 1); a
+                    # Fraction where k is not integral: never a character value
+                    x = parse_fraction(v)
+                    k, b = x.numerator % x.denominator * chi.n, x.denominator
+                    char[int(g)] = k // b if k % b == 0 else Fraction(k, b)
             cond1, cond2 = condition_failures(chi, datum, frame)
             for msg in cond1 + cond2:
                 failures.append(("chi_data", "chi", msg))

@@ -15,9 +15,10 @@ cocharacter lattice).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .galois_roots import (
     DepthValue,
@@ -28,7 +29,9 @@ from .galois_roots import (
     OrbitInfo,
     TorusLatticeData,
 )
-from .qexact import PrimePower, QMonomial, RationalLike, exp_q, qmon_combine
+from .qexact import PrimePower, QMonomial, RationalLike, exp_q
+
+_ZERO = Fraction(0)
 
 
 # -- characters and conductors -----------------------------------------------------
@@ -39,7 +42,7 @@ def conductor_tame_induction(degree: int, depth: Fraction) -> Fraction:
     degree, of a ramified character of the given depth (0 means tamely
     ramified): degree * (1 + depth), the depth measured with the base
     valuation."""
-    return degree * (1 + depth)
+    return Fraction(degree * (depth.denominator + depth.numerator), depth.denominator)
 
 
 def conductor_induction_general(disc_val: int, f: int, dim: int,
@@ -53,16 +56,15 @@ def conductor_induction_general(disc_val: int, f: int, dim: int,
 
 def eps_abs(cond: RationalLike, pp: PrimePower) -> QMonomial:
     """|epsilon| = q^(cond/2) in the level-zero, self-dual normalization."""
-    cond = Fraction(cond)
     if cond < 0:
         raise ValueError("conductor must be nonnegative")
-    return exp_q(cond / 2, pp)
+    return exp_q(Fraction(cond.numerator, 2 * cond.denominator), pp)
 
 
 def psi_depth(theta_depth: DepthValue) -> Fraction:
     """Depth of the inducing character of a root summand: equal to the
     orbit's positive depth, and exactly 0 on the nonpositive part."""
-    return Fraction(0) if theta_depth == NONPOSITIVE else theta_depth
+    return _ZERO if theta_depth == NONPOSITIVE else theta_depth
 
 
 # -- the two adjoint summands --------------------------------------------------------
@@ -100,16 +102,20 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
 
     Every inducing character is ramified (depth equal to the orbit's break,
     zero on the nonpositive part), so the L-factors are trivial and the
-    answer is the product of the orbits' epsilon magnitudes.
+    answer is the product of the orbits' epsilon magnitudes.  The conductor
+    of a direct sum is the sum of the conductors, so that product is the
+    one epsilon magnitude of the summed conductor, added up in integers over
+    the common denominator.  No check is lost by taking it once: each
+    conductor is at least its orbit degree, which is positive, because
+    loading refuses nonpositive depths other than the marker.
     """
-    conductors: List[Tuple[str, Fraction]] = []
-    factors = []
-    for o in orbits:
-        cond = conductor_tame_induction(o.degree, psi_depth(filtration.depth_of_orbit(o)))
-        conductors.append((o.orbit_id, cond))
-        factors.append((eps_abs(cond, pp), 1))
-    return RootGamma(monomial=qmon_combine(factors, pp),
-                     orbit_conductors=tuple(conductors))
+    conductors = tuple(
+        (o.orbit_id, conductor_tame_induction(o.degree, psi_depth(filtration.depth_of_orbit(o))))
+        for o in orbits)
+    den = math.lcm(*(c.denominator for _, c in conductors))
+    total = sum(c.numerator * (den // c.denominator) for _, c in conductors)
+    return RootGamma(monomial=eps_abs(Fraction(total, den), pp),
+                     orbit_conductors=conductors)
 
 
 # -- the assembled Galois side ----------------------------------------------------

@@ -77,6 +77,56 @@ def test_generating_set():
     assert klein.generating_set(reversed(klein.elements)) == [1, 2]
 
 
+def _all_triples_associative(table):
+    n = len(table)
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def test_associativity_on_generators_matches_all_triples():
+    """Light's test over a generating set accepts exactly the tables that
+    pass all |G|^3 triples: groups of order up to 8 with their elements
+    relabelled, and the loops made from them by swapping an intercalate
+    (two rows and two columns whose four entries form a 2 x 2 Latin
+    square), which keeps the identity and every inverse."""
+    rng = random.Random(17)
+    groups = [FiniteGroup.cyclic(n).table for n in range(1, 9)]
+    for gens in ([[1, 2, 0], [1, 0, 2]], [[1, 2, 3, 0], [3, 2, 1, 0]],
+                 [[1, 0, 2, 3], [0, 1, 3, 2]]):
+        groups.append(FiniteGroup.from_permutations(gens)[0].table)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        base = rng.choice(groups)
+        n = len(base)
+        relabel = [0] + rng.sample(range(1, n), n - 1)
+        table = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                table[relabel[x]][relabel[y]] = relabel[base[x][y]]
+        swaps = [(x, u, y, w) for x in range(1, n) for u in range(x + 1, n)
+                 for y in range(1, n) for w in range(y + 1, n)
+                 if table[x][y] == table[u][w] and table[x][w] == table[u][y]]
+        if swaps and rng.random() < 0.7:
+            x, u, y, w = rng.choice(swaps)
+            table[x][y], table[x][w] = table[x][w], table[x][y]
+            table[u][y], table[u][w] = table[u][w], table[u][y]
+        expected = _all_triples_associative(table)
+        verdicts[expected] += 1
+        if expected:
+            FiniteGroup(table)
+        else:
+            with pytest.raises(ValueError, match="not associative"):
+                FiniteGroup(table)
+    assert min(verdicts.values()) > 50
+
+
+def test_table_entries_must_be_integers():
+    with pytest.raises(ValueError, match="malformed"):
+        FiniteGroup([[0, 1], [1, 0.0]])
+    with pytest.raises(ValueError, match="malformed"):
+        FiniteGroup([[0, True], [1, 0]])
+
+
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
 
 

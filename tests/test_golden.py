@@ -63,27 +63,52 @@ def run_case(argv):
 @pytest.mark.parametrize("case_id,argv", cases(), ids=[c[0] for c in cases()])
 def test_golden_output(case_id, argv, monkeypatch):
     monkeypatch.delenv("FDC_SEED", raising=False)
+    assert run_case(argv) == _golden(case_id)
+
+
+def _fresh_process_env(**extra):
+    env = dict(os.environ)
+    env.pop("FDC_SEED", None)
+    src = os.path.join(HERE, "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    env.update(extra)
+    return env
+
+
+def _run_fresh(argv, env):
+    """The golden-file text of one ``python -m fdc.cli`` run in a new process."""
+    argv = [os.path.join(SCEN_DIR, a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "fdc.cli"] + argv,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    return "exit=%d\n%s" % (proc.returncode, proc.stdout)
+
+
+def _golden(case_id):
     with open(os.path.join(GOLDEN_DIR, case_id + ".out"), encoding="utf-8") as fh:
-        expected = fh.read()
-    assert run_case(argv) == expected
+        return fh.read()
 
 
 def test_golden_output_in_a_fresh_process():
     """``python -m fdc.cli`` builds its parser once in a new process and
     prints what the in-process calls print."""
-    env = dict(os.environ)
-    env.pop("FDC_SEED", None)
-    src = os.path.join(HERE, "..", "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     name = "z4_a1_ramified_chi"
-    proc = subprocess.run(
-        [sys.executable, "-m", "fdc.cli", "--format", "json", "verify",
-         os.path.join(SCEN_DIR, name + ".json")],
-        env=env, capture_output=True, text=True, timeout=120)
-    with open(os.path.join(GOLDEN_DIR, "verify-json-%s.out" % name), encoding="utf-8") as fh:
-        expected = fh.read()
-    assert proc.stderr == ""
-    assert "exit=%d\n%s" % (proc.returncode, proc.stdout) == expected
+    argv = ["--format", "json", "verify", name + ".json"]
+    assert _run_fresh(argv, _fresh_process_env()) == _golden("verify-json-" + name)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_golden_json_under_hash_seeds(hash_seed):
+    """Orbit ids are strings, so the order of a set of them changes with
+    the interpreter's hash seed; no such order reaches a JSON report.
+    Every bundled ``verify`` and ``chi-check`` report is byte-identical to
+    its golden file under two seeds, each in its own process."""
+    env = _fresh_process_env(PYTHONHASHSEED=hash_seed)
+    json_cases = [(case_id, argv) for case_id, argv in cases()
+                  if case_id.startswith(("verify-json-", "chi-check-json-"))]
+    assert len(json_cases) == len(BUNDLED) + len(WITH_CHI)
+    for case_id, argv in json_cases:
+        assert _run_fresh(argv, env) == _golden(case_id), case_id
 
 
 if __name__ == "__main__":

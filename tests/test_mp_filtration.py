@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,13 +9,18 @@ from fdc.galois_roots import (
     FiniteGroup,
     GaloisFrame,
     GRootDatum,
+    HoweFiltration,
     NONPOSITIVE,
+    OrbitInfo,
     classify_orbits,
     howe_filtration,
+    validate_depth_lattice,
 )
 from fdc.mp_filtration import (
     INFINITY,
+    ExtIndex,
     JumpAssignment,
+    _torsor_point_count,
     JumpFunction,
     at,
     f_from_sequence,
@@ -311,3 +317,103 @@ def test_quotient_order_composition():
                                   filtration=filt)
         prod = q(fs[0], fs[1], base, mid) * q(fs[1], fs[2], mid, top)
         assert prod == q(fs[0], fs[2], base, top)
+
+
+# -- the integer kernels against their Fraction definitions ----------------------
+
+
+def _rational(rng, bound=6):
+    """A rational of either sign with denominator up to 12."""
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 12))
+
+
+def _enumerated_count(off, e, lo, hi):
+    """Points of off + (1/e)Z in [lo, hi), tested one at a time in the
+    extended order, over every k whose point could lie between the ends."""
+    a, b = sorted((lo.r, hi.r))
+    k0 = math.floor((a - off) * e) - 1
+    k1 = math.ceil((b - off) * e) + 1
+    return sum(1 for k in range(k0, k1 + 1) if lo <= at(off + Fraction(k, e)) < hi)
+
+
+def test_torsor_point_count_matches_enumeration():
+    """The closed-form count against point-by-point enumeration: offsets
+    of either sign and outside [0, 1/e), endpoints r and r+, empty and
+    reversed intervals."""
+    rng = random.Random(14)
+    for i in range(20000):
+        e = rng.randint(1, 13)
+        off = _rational(rng)
+        lo = ExtIndex(_rational(rng), rng.random() < 0.5)
+        if i % 10 == 0:
+            hi = lo  # empty
+        elif i % 10 == 1:
+            hi = ExtIndex(lo.r, not lo.plus)  # one endpoint, both sides
+        else:
+            hi = ExtIndex(_rational(rng), rng.random() < 0.5)
+        assert _torsor_point_count(off, e, lo, hi) == _enumerated_count(off, e, lo, hi), \
+            (off, e, lo, hi)
+    with pytest.raises(ValueError):
+        _torsor_point_count(Fraction(0), 1, at(0), INFINITY)
+
+
+def _orbit(oid, e, negation_id, rep=(1,)):
+    return OrbitInfo(orbit_id=oid, members=frozenset({rep}), representative=rep,
+                     stabilizer=frozenset({0}), degree=e, e=e, f=1,
+                     symmetric=oid == negation_id, ramified=None, negation_id=negation_id)
+
+
+def test_jump_assignment_matches_fraction_definitions():
+    """build canonicalizes into [0, 1/e) and refuses exactly the offsets
+    whose sum with the negated orbit's is outside (1/e)Z; contains is
+    membership of t - offset in (1/e)Z."""
+    rng = random.Random(15)
+    refused = 0
+    for _ in range(5000):
+        e = rng.randint(1, 13)
+        step = Fraction(1, e)
+        if rng.random() < 0.5:
+            orbits = [_orbit("s", e, "s")]
+            base = Fraction(rng.randint(-4, 4), 2 * e)
+            offsets = {"s": base if rng.random() < 0.5 else _rational(rng)}
+        else:
+            orbits = [_orbit("a", e, "b"), _orbit("b", e, "a", rep=(-1,))]
+            a = _rational(rng)
+            b = -a + rng.randint(-3, 3) * step if rng.random() < 0.5 else _rational(rng)
+            offsets = {"a": a, "b": b}
+        canon = {oid: val % step for oid, val in offsets.items()}
+        if any((canon[o.orbit_id] + canon[o.negation_id]) % step != 0 for o in orbits):
+            refused += 1
+            with pytest.raises(ValueError, match="not negation-symmetric"):
+                JumpAssignment.build(offsets, orbits)
+            continue
+        ja = JumpAssignment.build(offsets, orbits)
+        assert ja.offsets == canon
+        for t in [_rational(rng) for _ in range(4)] + [rng.randint(-3, 3)]:
+            for o in orbits:
+                assert ja.contains(o, t) == (((t - canon[o.orbit_id]) * e).denominator == 1)
+    assert 500 < refused < 4500  # both outcomes are drawn often
+
+
+def test_depth_lattice_matches_fraction_definitions():
+    """Each break r of an orbit with ramification e is in (1/e)Z and in
+    (1/2e)Z exactly when r e and 2 r e are integers."""
+    rng = random.Random(16)
+    for _ in range(3000):
+        d = rng.randint(1, 3)
+        breaks = sorted({abs(_rational(rng)) + Fraction(1, 24) for _ in range(d)})
+        orbits = [_orbit("o%d" % i, rng.randint(1, 13), "o%d" % i, rep=(i,))
+                  for i in range(5)]
+        layer = {o.orbit_id: rng.randint(0, len(breaks)) for o in orbits}
+        levels = tuple(frozenset(o.representative for o in orbits if layer[o.orbit_id] <= i)
+                       for i in range(len(breaks) + 1))
+        filtration = HoweFiltration(levels=levels, breaks=tuple(breaks), total=breaks[-1])
+        got = [(c.orbit_id, c.break_value, c.in_value_group, c.in_half_value_group)
+               for c in validate_depth_lattice(filtration, orbits)]
+        want = []
+        for o in orbits:
+            if layer[o.orbit_id]:
+                r = breaks[layer[o.orbit_id] - 1]
+                want.append((o.orbit_id, r, (r * o.e).denominator == 1,
+                             (r * 2 * o.e).denominator == 1))
+        assert got == want

@@ -47,6 +47,9 @@ def bundled_doc(name):
 def test_parse_fraction():
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("-2") == -2
+    assert parse_fraction(5) == 5
+    with pytest.raises(ValueError):
+        parse_fraction(True)
     with pytest.raises(ValueError):
         parse_fraction("1/0")
     with pytest.raises(ValueError):
@@ -460,9 +463,15 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
      "galois_roots.frame: inertia is not a subgroup"),
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), frobenius=7)),
      "galois_roots.frame: frobenius is not a group element"),
+    # a loop of order 5: identity 0, every element its own inverse, not a group
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), group={"mult_table": [
+        [0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0]]})),
+     "galois_roots.group.mult_table: multiplication table is not associative"),
 ], ids=["top-level-array", "chi-array", "options-number", "action-array",
         "perm-gens-object", "chi-empty-table", "depth-lattice", "not-elliptic",
-        "asymmetric-roots", "inertia-out-of-range", "frobenius-out-of-range"])
+        "asymmetric-roots", "inertia-out-of-range", "frobenius-out-of-range",
+        "non-associative-loop"])
 def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -470,6 +479,55 @@ def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert provenance in err and "Traceback" not in err
+
+
+def _with(doc, path, value):
+    """A copy of doc with the value at the key path replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value,provenance", [
+    (("frobenius",), 1.9, "galois_roots.frame: frobenius must be an integer, got 1.9"),
+    (("frobenius",), True, "galois_roots.frame: frobenius must be an integer, got true"),
+    (("inertia",), [0.3], "galois_roots.frame: inertia element must be an integer, got 0.3"),
+    (("lattice_rank",), 1.5,
+     "galois_roots.GRootDatum: lattice_rank must be an integer, got 1.5"),
+    (("action", "1"), [[-1.4]],
+     "galois_roots.GRootDatum: action entry must be an integer, got -1.4"),
+    (("action", "1"), [[False]],
+     "galois_roots.GRootDatum: action entry must be an integer, got false"),
+    (("roots",), [[2.2], [-2.2]],
+     "galois_roots.GRootDatum: root coordinate must be an integer, got 2.2"),
+    (("q",), {"p": 3.0, "a": 1}, "qexact.q: p must be an integer, got 3.0"),
+    (("q",), {"p": 3, "a": True}, "qexact.q: a must be an integer, got true"),
+    (("depth_zero",), {"dim_rho": "1", "stab_index": 1.5},
+     "formal_degree.depth_zero: stab_index must be an integer, got 1.5"),
+    (("jump_offsets", "-2"), True,
+     "mp_filtration.jump_offsets: rational must be a string, got True"),
+], ids=["frobenius-float", "frobenius-bool", "inertia-float", "rank-float",
+        "action-float", "action-bool", "roots-float", "p-float", "a-bool",
+        "stab-index-float", "offset-bool"])
+def test_cli_refuses_non_integer_numbers(path, value, provenance, tmp_path, capsys):
+    """A float or a boolean in an integer field is refused, never truncated
+    into a different scenario; each of these documents loaded and verified
+    EQUAL while the loader converted with int()."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with(bundled_doc("sl2_unramified_depth0"), path, value)))
+    assert cli.main(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert provenance in captured.err and "Traceback" not in captured.err
+
+
+def test_integer_fields_still_read_decimal_strings():
+    """Keys of action and chi are decimal strings, and so may integer values be."""
+    doc = _with(bundled_doc("sl2_unramified_depth0"), ("frobenius",), "1")
+    assert scenario_from_dict(doc).frame.frobenius == 1
 
 
 def test_cli_verify_keeps_good_reports_when_a_file_fails(tmp_path, capsys):
