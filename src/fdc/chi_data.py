@@ -121,13 +121,6 @@ class ChiData:
         return chi[g]
 
     @staticmethod
-    def trivial(datum: GRootDatum, frame: GaloisFrame) -> "ChiData":
-        chars: Dict[Root, Character] = {}
-        for root in datum.roots:
-            chars[root] = {g: 0 for g in datum.stabilizer(root)}
-        return ChiData(chars, frame.group.order)
-
-    @staticmethod
     def from_representatives(datum: GRootDatum, frame: GaloisFrame,
                              rep_chars: Mapping[Root, Character]) -> "ChiData":
         """Spread representative characters across the root set by negation

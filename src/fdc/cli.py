@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import random
 import sys
 from fractions import Fraction
@@ -167,11 +166,7 @@ def _cmd_chi_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("FDC_SEED")
-        seed = int(env) if env else DEFAULT_SEED
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     n = args.n
     failures = 0
 
@@ -234,8 +229,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="randomized property suites")
     p_self.add_argument("--n", type=int, default=200)
-    p_self.add_argument("--seed", type=int, default=None,
-                        help="overrides FDC_SEED and the built-in default")
+    p_self.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_self.set_defaults(func=_cmd_selftest)
     return parser
 

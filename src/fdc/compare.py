@@ -85,7 +85,7 @@ class ComparisonReport:
         builds them."""
         scen, gal = self.scenario, self.galois
         torus = scen.torus
-        shape = scen.shape()
+        indices = heisenberg_indices(scen.shape())
         return {
             "rank_m": torus.rank_m,
             "special_fiber_order": torus.special_fiber_order,
@@ -93,8 +93,8 @@ class ComparisonReport:
             "full_point_index": torus.full_point_index,
             "m_frob_coinvariants": torus.m_frob_coinvariants,
             "component_group_order": gal.component_order,
-            "heisenberg_indices": [_mono_dict(m) for m in heisenberg_indices(shape)],
-            "heisenberg_dims": [_mono_dict(m) for m in heisenberg_dims(shape)],
+            "heisenberg_indices": [_mono_dict(m) for m in indices],
+            "heisenberg_dims": [_mono_dict(m) for m in heisenberg_dims(indices)],
             "volume_exponent": fraction_str(self.volume_exponent),
             "toral_gamma": {
                 "monomial": _mono_dict(gal.toral.monomial),
@@ -141,7 +141,13 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
 
     Raises AssertionError when the two routes to the volume exponent
     disagree; disagreement of the two sides is a verdict, not an error.
+    Raises ValueError on opaque depth-zero data: the automorphic side here
+    is the regular degree and the Galois side assumes a regular parameter,
+    so such a scenario lies outside what the comparison covers.
     """
+    if not scenario.depth_zero.regular:
+        raise ValueError("formal_degree.depth_zero: verify compares regular depth-zero "
+                         "data only; fdc degree evaluates the opaque form")
     t0 = time.monotonic()
     shape = scenario.shape()
     torus = scenario.torus

@@ -17,7 +17,11 @@ Kottwitz-style component index and is reported, never silently dropped.
 The module also exposes the intermediate quantities of the derivation:
 per-step Heisenberg dimensions, the volume-normalization exponent
 assembled from torsor point counts, and the same exponent from the
-closed length identity, so that the two routes can be compared.
+closed length identity, so that the two routes can be compared.  The
+torsor-count assembly sums the one length kernel,
+:func:`fdc.mp_filtration.twice_length_to`; the ``master-length-identity``
+suite of ``fdc.selftest`` takes the identity's left side from the same
+kernel and checks it against sum([k_a : k] * f(a)).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .galois_roots import HoweFiltration, OrbitInfo, TorusLatticeData
-from .mp_filtration import JumpAssignment, jump_length_at, count_torsor_points, just_above, at
+from .mp_filtration import JumpAssignment, jump_length_at, twice_length_to
 from .qexact import PrimePower, QMonomial, RationalLike, exp_q
 
 
@@ -119,11 +123,11 @@ def heisenberg_indices(shape: YuShape) -> List[QMonomial]:
     return out
 
 
-def heisenberg_dims(shape: YuShape) -> List[QMonomial]:
+def heisenberg_dims(indices: List[QMonomial]) -> List[QMonomial]:
     """Dimensions of the per-step Heisenberg representations: the square
-    roots of the quotient orders (half-integral p-exponents are legal)."""
-    return [QMonomial(shape.pp, idx.coeff, idx.pexp / 2)
-            for idx in heisenberg_indices(shape)]
+    roots of the quotient orders :func:`heisenberg_indices` gives
+    (half-integral p-exponents are legal)."""
+    return [QMonomial(idx.pp, idx.coeff, idx.pexp / 2) for idx in indices]
 
 
 def general_degree(shape: YuShape, dz: DepthZeroData,
@@ -183,17 +187,12 @@ def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
 
 def volume_exponent_raw(shape: YuShape, rank_m: int) -> Fraction:
     """Exponent of the inverse volume assembly by torsor point count:
-    half the depth-zero length of the full algebra, plus per-layer interior
-    lengths up to s_i, plus half the boundary lengths at s_i.  Every term
-    is a half-integer, so twice the exponent is summed in integers."""
+    (rank(M) + the depth-zero orbits' lengths at 0 + the sum over each
+    layer i of :func:`twice_length_to` at s_i) / 2, summed in integers."""
     jumps = shape.jumps
-    twice = rank_m + sum(jump_length_at(o, jumps, 0) for o in shape.orbits)
-    svec = shape.filtration.svec()
-    for i in range(shape.filtration.d):
-        s = svec[i]
-        for o in shape.layer_orbits(i):
-            twice += (2 * o.f * count_torsor_points(o, jumps, just_above(0), at(s))
-                      + jump_length_at(o, jumps, s))
+    twice = rank_m + sum(jump_length_at(o, jumps, 0) for o in shape.depth_zero_orbits())
+    for i, s in enumerate(shape.filtration.svec()[:-1]):
+        twice += sum(twice_length_to(o, jumps, s) for o in shape.layer_orbits(i))
     return Fraction(twice, 2)
 
 

@@ -446,14 +446,10 @@ class GRootDatum:
             entry = self._memo[root] = (stab, pm)
         return entry
 
-    def act(self, g: int, v: Sequence[int]) -> Vector:
-        """M(g) v.  A root's image is read from the permutation table; any
-        other vector is multiplied out."""
-        if isinstance(v, tuple):
-            i = self._index.get(v)
-            if i is not None:
-                return self._sorted[self._perm[g][i]]
-        return mat_vec(self.action[g], v)
+    def act(self, g: int, root: Vector) -> Vector:
+        """M(g) root, read from the permutation table; a vector that is not
+        a root raises KeyError, as in :meth:`stabilizer`."""
+        return self._sorted[self._perm[g][self._index[root]]]
 
     def stabilizer(self, root: Vector) -> FrozenSet[int]:
         """The elements of the whole group that fix the root, computed once."""
@@ -545,10 +541,6 @@ class HoweFiltration:
     @property
     def d(self) -> int:
         return len(self.breaks)
-
-    @property
-    def sizes(self) -> Tuple[int, ...]:
-        return tuple(len(lv) for lv in self.levels)
 
     def layer_sizes(self) -> List[int]:
         """|R_{i+1}| - |R_i| for each break index i."""

@@ -1,4 +1,4 @@
-"""Jump torsors, primed sums, and the length bookkeeping of filtrations.
+"""Jump torsors and the length bookkeeping of filtrations.
 
 Filtration indices live in the Bruhat-Tits extension of the rationals:
 each index is either r, or r+ (infinitesimally above r), or infinity.
@@ -6,16 +6,10 @@ The jump set of a root orbit is a torsor under (1/e)Z, recorded by a
 single offset; the length of a filtration step at t is the orbit's
 residue degree when t lies in the torsor and zero otherwise.
 
-Three summation devices drive everything downstream:
-
-* the primed sum, which counts interval endpoints with half weight and is
-  therefore additive under concatenation of closed intervals;
-* the periodic-sum identity, which evaluates a primed sum of an even
-  periodic jump function over [0, s] as a proportion of one period; and
-* the master length identity, which says that for an even function f on a
-  negation-closed orbit set, the count of torsor points weighted by
-  residue degrees collapses to sum([k_a : k] * f(a)) independently of the
-  offsets.
+Torsor points in an interval are counted in closed form, and
+:func:`twice_length_to` is the one length kernel: the volume exponent of
+``verify`` sums it, and the master length identity of ``fdc.selftest``
+takes its left side from it.
 
 The module also supplies concavity checking for functions on R u {0},
 step functions attached to admissible depth sequences, the interpolation
@@ -27,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .galois_roots import GRootDatum, HoweFiltration, OrbitInfo
 from .qexact import PrimePower, QMonomial, RationalLike, exp_q
@@ -48,13 +42,10 @@ class ExtIndex:
     r: Fraction
     plus: bool = False
 
-    def key(self) -> Tuple[Fraction, int]:
-        return (self.r, 1 if self.plus else 0)
-
     def __lt__(self, other: "ExtIndexLike") -> bool:
         if other is INFINITY:
             return True
-        return self.key() < other.key()
+        return (self.r, self.plus) < (other.r, other.plus)  # False < True
 
     def __le__(self, other: "ExtIndexLike") -> bool:
         return self < other or self == other
@@ -63,9 +54,6 @@ class ExtIndex:
         if other is INFINITY:
             return INFINITY
         return ExtIndex(self.r + other.r, self.plus or other.plus)
-
-    def __str__(self) -> str:
-        return "%s+" % self.r if self.plus else str(self.r)
 
 
 ExtIndexLike = Union[ExtIndex, Infinity]
@@ -168,143 +156,16 @@ def _first_point(off: Fraction, e: int, x: ExtIndex) -> int:
     return num // den + 1 if x.plus else -(-num // den)
 
 
-# -- discretely supported functions and primed sums ------------------------------
+def twice_length_to(orbit: OrbitInfo, jumps: JumpAssignment, t: RationalLike) -> int:
+    """Twice the length of the orbit space from 0 to t with both endpoints
+    weighted one half: 2 f #(torsor points in (0, t)) + len(0) + len(t).
 
-
-@dataclass(frozen=True)
-class JumpFunction:
-    """Discretely supported function on Q: a finite part plus periodic parts.
-
-    finite maps points to values; each periodic part (offset, period, value)
-    contributes value at offset + period*Z.  Evaluation sums contributions.
+    This is the left side of the master length identity for one orbit; the
+    volume exponent by torsor point count sums it over each layer, so the
+    identity's randomized suite checks the code ``verify`` runs.
     """
-
-    finite: Tuple[Tuple[Fraction, Fraction], ...] = ()
-    periodic: Tuple[Tuple[Fraction, Fraction, Fraction], ...] = ()
-
-    @staticmethod
-    def build(finite: Mapping[RationalLike, RationalLike] = (),
-              periodic: Iterable[Tuple[RationalLike, RationalLike, RationalLike]] = ()) -> "JumpFunction":
-        fin = tuple(sorted((Fraction(k), Fraction(v)) for k, v in dict(finite).items()))
-        per = []
-        for off, lam, val in periodic:
-            lam = Fraction(lam)
-            if lam <= 0:
-                raise ValueError("period must be positive")
-            per.append((Fraction(off) % lam, lam, Fraction(val)))
-        return JumpFunction(fin, tuple(sorted(per)))
-
-    @staticmethod
-    def indicator_lattice(step: RationalLike, value: RationalLike = 1,
-                          offset: RationalLike = 0) -> "JumpFunction":
-        return JumpFunction.build({}, [(offset, step, value)])
-
-    def __call__(self, t: RationalLike) -> Fraction:
-        t = Fraction(t)
-        total = Fraction(0)
-        for point, val in self.finite:
-            if point == t:
-                total += val
-        for off, lam, val in self.periodic:
-            if (t - off) % lam == 0:
-                total += val
-        return total
-
-    def support_in(self, a: Fraction, b: Fraction) -> List[Fraction]:
-        """Potential support points in the closed interval [a, b]."""
-        pts = {point for point, _ in self.finite if a <= point <= b}
-        for off, lam, _ in self.periodic:
-            k = (a - off) / lam
-            k0 = k.numerator // k.denominator
-            t = off + k0 * lam
-            while t < a:
-                t += lam
-            while t <= b:
-                pts.add(t)
-                t += lam
-        return sorted(pts)
-
-
-def primed_sum(h: JumpFunction, a: RationalLike, b: RationalLike) -> Fraction:
-    """Sum of h over [a, b] with endpoints weighted one half.
-
-    Degenerate intervals [a, a] count the single point with full weight
-    (both endpoint terms fire), which is what concatenation additivity
-    requires.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a > b:
-        raise ValueError("interval endpoints out of order")
-    total = Fraction(1, 2) * (h(a) + h(b))
-    for t in h.support_in(a, b):
-        if a < t < b:
-            total += h(t)
-    return total
-
-
-def periodic_sum_value(lam0: RationalLike, h: JumpFunction, s: RationalLike) -> Fraction:
-    """Closed form (s / lam0) * primed_sum(h, [0, lam0]) for even periodic h.
-
-    Requires s to be a positive half-multiple of the period.  Evenness and
-    periodicity are declared properties; they are spot-verified on the
-    support of one period, and a violation is an error.
-    """
-    lam0, s = Fraction(lam0), Fraction(s)
-    if lam0 <= 0:
-        raise ValueError("period must be positive")
-    if s <= 0 or (2 * s / lam0).denominator != 1:
-        raise ValueError("s = %s is not a positive half-multiple of %s" % (s, lam0))
-    for t in h.support_in(-lam0, 2 * lam0):
-        if h(t) != h(-t):
-            raise ValueError("function is not even at t = %s" % t)
-        if h(t) != h(t + lam0):
-            raise ValueError("function is not %s-periodic at t = %s" % (lam0, t))
-    return (s / lam0) * primed_sum(h, 0, lam0)
-
-
-# -- orbit length sums -----------------------------------------------------------
-
-
-OrbitFn = Mapping[str, Fraction]  # orbit_id (and "0" for the toral point) -> value
-
-TORAL_KEY = "0"
-
-
-def master_length_identity(orbit_subset: Sequence[OrbitInfo], f: OrbitFn,
-                           jumps: JumpAssignment) -> Tuple[Fraction, Fraction]:
-    """Both sides of the length identity for an even f on a negation-closed set.
-
-    lhs = interior length + half the boundary lengths at 0 and at f(a);
-    rhs = sum of [k_a : k] * f(a).  The identity holds whenever each f(a)
-    is a half-multiple of the valuation lattice (1/e)Z; hypotheses are
-    validated and violations raise.  Orbits with f(a) = 0 contribute zero
-    to both sides (the degenerate interval is treated as empty).
-    """
-    ids = {o.orbit_id for o in orbit_subset}
-    by_id = {o.orbit_id: o for o in orbit_subset}
-    for o in orbit_subset:
-        if o.negation_id not in ids:
-            raise ValueError("orbit set is not closed under negation at %s" % o.orbit_id)
-        if Fraction(f[o.orbit_id]) != Fraction(f[o.negation_id]):
-            raise ValueError("f is not even at orbit %s" % o.orbit_id)
-        val = Fraction(f[o.orbit_id])
-        if val < 0:
-            raise ValueError("f must be nonnegative")
-        if (val * 2 * o.e).denominator != 1:
-            raise ValueError("f(%s) = %s is not in (1/2e)Z (e = %d)"
-                             % (o.orbit_id, val, o.e))
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for o in orbit_subset:
-        val = Fraction(f[o.orbit_id])
-        if val == 0:
-            continue
-        interior = o.f * count_torsor_points(o, jumps, just_above(0), at(val))
-        lhs += interior
-        lhs += Fraction(jump_length_at(o, jumps, 0), 2)
-        lhs += Fraction(jump_length_at(o, jumps, val), 2)
-        rhs += o.degree * val
-    return lhs, rhs
+    return (2 * orbit.f * count_torsor_points(orbit, jumps, just_above(0), at(t))
+            + jump_length_at(orbit, jumps, 0) + jump_length_at(orbit, jumps, t))
 
 
 # -- concave functions -----------------------------------------------------------
@@ -346,13 +207,15 @@ def is_concave(f: Mapping[Tuple[int, ...], Union[RationalLike, ExtIndexLike]],
     else:
         # still relaxing after |R|+1 rounds: a negative-cost cycle exists
         return False
-    for u, w, s in sums:
-        if cost[u] + fv[w] < fv[s]:
-            return False
-    return True
+    # relaxed to a fixed point: a family beats f(s) exactly when it lowered s
+    return all(cost[pt] == fv[pt] for pt in points)
 
 
 # -- admissible sequences --------------------------------------------------------
+
+
+TORAL_KEY = "0"  # the toral point, beside the orbit ids, in functions on R u {0}
+IndexFunction = Mapping[str, Union[RationalLike, ExtIndexLike]]  # orbit ids and TORAL_KEY
 
 
 def is_admissible(rvec: Sequence[RationalLike]) -> bool:
@@ -362,25 +225,26 @@ def is_admissible(rvec: Sequence[RationalLike]) -> bool:
     if not rs or rs[0] < 0:
         return False
     j = 0
-    while j + 1 < len(rs) and rs[j + 1] == rs[0]:
+    while j < len(rs) and rs[j] == rs[0]:
         j += 1
-    tail = rs[j:]
-    if len(tail) >= 2:
-        if tail[1] < rs[0] / 2:
-            return False
-        for a, b in zip(tail[1:], tail[2:]):
-            if b < a:
-                return False
-    return True
+    rest = rs[j:]  # what follows the initial constant block
+    return (not rest or rest[0] >= rs[0] / 2) and all(a <= b for a, b in zip(rest, rest[1:]))
+
+
+def _step_function(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
+                   seq: Sequence[Fraction]) -> Dict[str, Fraction]:
+    """Value seq[0] on the zeroth level and the toral point, seq[i] on the
+    i-th layer of the Levi chain."""
+    out = {o.orbit_id: seq[filtration.layer_of_orbit(o)] for o in orbits}
+    out[TORAL_KEY] = seq[0]
+    return out
 
 
 def f_from_sequence(filtration: HoweFiltration, rvec: Sequence[RationalLike],
                     datum: GRootDatum, orbits: Sequence[OrbitInfo]) -> Dict[str, Fraction]:
     """Step function of an admissible sequence along the Levi chain.
 
-    Value r_0 on the zeroth level and the toral point, r_i on the i-th
-    layer.  The result is checked concave, as the admissibility bound
-    guarantees.
+    The result is checked concave, as the admissibility bound guarantees.
     """
     rs = [Fraction(x) for x in rvec]
     if len(rs) != filtration.d + 1:
@@ -388,17 +252,11 @@ def f_from_sequence(filtration: HoweFiltration, rvec: Sequence[RationalLike],
                          % (len(rs), filtration.d + 1))
     if not is_admissible(rs):
         raise ValueError("sequence %s is not admissible" % (rs,))
-    out: Dict[str, Fraction] = {TORAL_KEY: rs[0]}
-    for o in orbits:
-        layer = filtration.layer_of_orbit(o)
-        out[o.orbit_id] = rs[layer] if layer > 0 else rs[0]
+    out = _step_function(filtration, orbits, rs)
     root_fn: Dict[Tuple[int, ...], Fraction] = {tuple([0] * datum.rank): rs[0]}
-    by_id = {o.orbit_id: o for o in orbits}
-    for oid, val in out.items():
-        if oid == TORAL_KEY:
-            continue
-        for root in by_id[oid].members:
-            root_fn[root] = val
+    for o in orbits:
+        for root in o.members:
+            root_fn[root] = out[o.orbit_id]
     if not is_concave(root_fn, datum):
         raise AssertionError("step function of an admissible sequence must be concave")
     return out
@@ -411,30 +269,19 @@ def mp_chain(rvec: Sequence[RationalLike], svec: Sequence[RationalLike]) -> List
     verified to satisfy the one-step condition
     s'_i <= min(s_i, ..., s_d) + min(s) that the abelian-quotient
     isomorphism needs, and every step is verified weakly increasing
-    admissible.
+    admissible, the two given sequences among them.
     """
     rs = [Fraction(x) for x in rvec]
     ss = [Fraction(x) for x in svec]
-    if len(rs) != len(ss):
-        raise ValueError("sequences must have equal length")
+    if not rs or len(rs) != len(ss):
+        raise ValueError("sequences must be nonempty and of equal length")
     for r, s in zip(rs, ss):
         if not (0 < r <= s):
             raise ValueError("need 0 < r_i <= s_i < infinity")
-    for seq in (rs, ss):
-        if any(b < a for a, b in zip(seq, seq[1:])):
-            raise ValueError("sequences must be weakly increasing")
-        if not is_admissible(seq):
-            raise ValueError("sequence %s is not admissible" % (seq,))
     r0 = rs[0]
-    gaps = [(s - r) / r0 for r, s in zip(rs, ss)]
-    nsteps = 0
-    for gp in gaps:
-        k = -((-gp.numerator) // gp.denominator)  # ceil
-        nsteps = max(nsteps, k)
-    chain: List[Tuple[Fraction, ...]] = []
-    for j in range(nsteps + 1):
-        step = tuple(min(s, r + j * r0) for r, s in zip(rs, ss))
-        chain.append(step)
+    # the most steps of r_0 any coordinate needs: the largest ceil((s_i - r_i) / r_0)
+    nsteps = max(-(-(s - r) // r0) for r, s in zip(rs, ss))
+    chain = [tuple(min(s, r + j * r0) for r, s in zip(rs, ss)) for j in range(nsteps + 1)]
     assert chain[0] == tuple(rs) and chain[-1] == tuple(ss)
     validate_chain(chain)
     return chain
@@ -459,17 +306,8 @@ def validate_chain(chain: Sequence[Tuple[Fraction, ...]]) -> None:
 # -- quotient orders -------------------------------------------------------------
 
 
-def _ext_of(fn: Mapping[str, Union[RationalLike, ExtIndexLike]], key: str) -> ExtIndexLike:
-    return as_ext(fn[key])
-
-
-def quotient_order(f: Mapping[str, Union[RationalLike, ExtIndexLike]],
-                   g: Mapping[str, Union[RationalLike, ExtIndexLike]],
-                   jumps: JumpAssignment,
-                   orbits: Sequence[OrbitInfo],
-                   toral_rank: int,
-                   toral_e: int,
-                   pp: PrimePower,
+def quotient_order(f: IndexFunction, g: IndexFunction, jumps: JumpAssignment,
+                   orbits: Sequence[OrbitInfo], toral_rank: int, toral_e: int, pp: PrimePower,
                    chain: Optional[Sequence[Tuple[Fraction, ...]]] = None,
                    filtration: Optional[HoweFiltration] = None) -> QMonomial:
     """Exact order of the filtration quotient between f and g, as exp_q.
@@ -484,37 +322,23 @@ def quotient_order(f: Mapping[str, Union[RationalLike, ExtIndexLike]],
     keys = {o.orbit_id for o in orbits} | {TORAL_KEY}
     if set(f.keys()) != keys or set(g.keys()) != keys:
         raise ValueError("functions must be defined on the orbits and the toral point")
+    fx = {k: as_ext(f[k]) for k in keys}
+    gx = {k: as_ext(g[k]) for k in keys}
     for k in keys:
-        fe, ge = _ext_of(f, k), _ext_of(g, k)
-        if ge is not INFINITY and ge < fe:
+        if gx[k] is INFINITY:
+            raise ValueError("infinite upper cut-off at %s" % k)
+        if gx[k] < fx[k]:
             raise ValueError("need f <= g pointwise (violated at %s)" % k)
-    uniform_start = all(_ext_of(f, k) == just_above(0) for k in keys)
-    if not uniform_start:
-        if chain is None:
-            raise ValueError("missing chain certificate for a non-depth-zero start")
-        if filtration is None:
-            raise ValueError("a chain certificate needs the Levi filtration")
-        # Endpoints of the certificate must reproduce f and g.
-        def expand(seq: Tuple[Fraction, ...]) -> Dict[str, Fraction]:
-            vals: Dict[str, Fraction] = {TORAL_KEY: seq[0]}
-            for o in orbits:
-                layer = filtration.layer_of_orbit(o)
-                vals[o.orbit_id] = seq[layer] if layer > 0 else seq[0]
-            return vals
-        lo, hi = expand(chain[0]), expand(chain[-1])
-        if any(as_ext(lo[k]) != _ext_of(f, k) for k in keys) or \
-           any(as_ext(hi[k]) != _ext_of(g, k) for k in keys):
+    if any(fx[k] != just_above(0) for k in keys):
+        if chain is None or filtration is None:
+            raise ValueError("a start other than 0+ needs a chain certificate "
+                             "and the Levi filtration")
+        lo = _step_function(filtration, orbits, chain[0])
+        hi = _step_function(filtration, orbits, chain[-1])
+        if any(as_ext(lo[k]) != fx[k] or as_ext(hi[k]) != gx[k] for k in keys):
             raise ValueError("chain certificate does not connect f to g")
         validate_chain(list(chain))
-    total = Fraction(0)
-    for o in orbits:
-        fe, ge = _ext_of(f, o.orbit_id), _ext_of(g, o.orbit_id)
-        if ge is INFINITY:
-            raise ValueError("infinite upper cut-off on orbit %s" % o.orbit_id)
-        total += o.f * count_torsor_points(o, jumps, fe, ge)
-    fe, ge = _ext_of(f, TORAL_KEY), _ext_of(g, TORAL_KEY)
-    if ge is INFINITY:
-        raise ValueError("infinite upper toral cut-off")
-    total += toral_rank * _torsor_point_count(Fraction(0), toral_e, fe, ge)
+    total = sum(o.f * count_torsor_points(o, jumps, fx[o.orbit_id], gx[o.orbit_id])
+                for o in orbits)
+    total += toral_rank * _torsor_point_count(Fraction(0), toral_e, fx[TORAL_KEY], gx[TORAL_KEY])
     return exp_q(total, pp)
-

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -230,10 +230,6 @@ def qmon(pp: PrimePower, coeff: RationalLike, pexp: RationalLike = 0) -> QMonomi
     return QMonomial(pp, Fraction(num, den), e + knum - kden)
 
 
-def qmon_one(pp: PrimePower) -> QMonomial:
-    return QMonomial(pp, _ONE, Fraction(0))
-
-
 def exp_q(t: RationalLike, pp: PrimePower) -> QMonomial:
     """q**t as a canonical monomial: coefficient 1, p-exponent a*t.
 
@@ -241,26 +237,3 @@ def exp_q(t: RationalLike, pp: PrimePower) -> QMonomial:
     residue field of size q, and exp_q(s + t) = exp_q(s) * exp_q(t).
     """
     return QMonomial(pp, _ONE, Fraction(pp.a * t.numerator, t.denominator))
-
-
-def qmon_combine(
-    factors: Iterable[Tuple[QMonomial, int]], pp: Optional[PrimePower] = None
-) -> QMonomial:
-    """Exact product of monomials raised to integer powers, in canonical form.
-
-    The empty product is 1; in that case the prime power must be supplied.
-    All factors must share a single prime power.
-    """
-    factors = list(factors)
-    if not factors:
-        if pp is None:
-            raise ValueError("empty product needs an explicit prime power")
-        return qmon_one(pp)
-    if pp is None:
-        pp = factors[0][0].pp
-    acc = qmon_one(pp)
-    for mono, k in factors:
-        if mono.pp != pp:
-            raise ValueError("mixed prime powers: %s vs %s" % (mono.pp, pp))
-        acc = acc * mono ** k
-    return acc

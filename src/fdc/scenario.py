@@ -242,27 +242,29 @@ class Scenario:
 
 def _build_group(spec: Mapping[str, object],
                  fail: List[Tuple[str, str, str]]) -> Optional[FiniteGroup]:
-    if "mult_table" in spec:
-        table = spec["mult_table"]
-        try:
-            g = FiniteGroup(table)
-        except (ValueError, TypeError, IndexError) as e:
-            fail.append(("galois_roots", "group.mult_table", str(e)))
-            return None
-        if "order" in spec and spec["order"] != g.order:
+    key = next((k for k in ("mult_table", "perm_gens") if k in spec), None)
+    if key is None:
+        fail.append(("galois_roots", "group", "need mult_table or perm_gens"))
+        return None
+    try:
+        if key == "mult_table":
+            g = FiniteGroup(spec[key])
+        else:
+            gens = []
+            for gen in spec[key]:
+                if not isinstance(gen, list):
+                    raise TypeError("permutation must be a JSON array, got %s" % _json_kind(gen))
+                gens.append([parse_int(x, "permutation entry") for x in gen])
+            g, _elems = FiniteGroup.from_permutations(gens)
+    except (ValueError, TypeError, IndexError) as e:
+        fail.append(("galois_roots", "group." + key, str(e)))
+        return None
+    try:
+        if "order" in spec and parse_int(spec["order"], "order") != g.order:
             fail.append(("galois_roots", "group.order", "declared order disagrees"))
-        return g
-    if "perm_gens" in spec:
-        try:
-            g, _elems = FiniteGroup.from_permutations(spec["perm_gens"])
-        except (ValueError, TypeError, IndexError) as e:
-            fail.append(("galois_roots", "group.perm_gens", str(e)))
-            return None
-        if "order" in spec and spec["order"] != g.order:
-            fail.append(("galois_roots", "group.order", "declared order disagrees"))
-        return g
-    fail.append(("galois_roots", "group", "need mult_table or perm_gens"))
-    return None
+    except (ValueError, TypeError) as e:
+        fail.append(("galois_roots", "group.order", str(e)))
+    return g
 
 
 # The JSON kind each container field must have when present, with the module

@@ -1,30 +1,41 @@
-"""Randomized property suites behind the selftest subcommand.
+"""Randomized property suites behind the selftest subcommand, and the
+lemma code only they check.
 
 Each suite returns the number of checks performed and raises on the first
-violation.  The oracles here are deliberately primitive: direct coset
+violation.  The oracles are deliberately primitive: direct coset
 enumeration for lattice quotients, direct primed summation for the
 periodic identity, synthetic orbit systems with arbitrary offsets for the
-length identity.  Nothing in this module reuses the code path it checks.
+length identity.
+
+Three summation devices of the paper's length bookkeeping live here:
+
+* the primed sum, which counts interval endpoints with half weight and is
+  therefore additive under concatenation of closed intervals;
+* the periodic-sum identity, which evaluates a primed sum of an even
+  periodic jump function over [0, s] as a proportion of one period; and
+* the master length identity, which says that for an even function f on a
+  negation-closed orbit set, the count of torsor points weighted by
+  residue degrees collapses to sum([k_a : k] * f(a)) independently of the
+  offsets.  Its left side is the length kernel
+  :func:`fdc.mp_filtration.twice_length_to` that ``verify`` sums into the
+  volume exponent, so the identity's suite checks that code; its right
+  side shares nothing with it.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from .chi_data import verify_base_change
 from .compare import VERDICT_UNEQUAL, run_compare
 from .galois_roots import OrbitInfo
-from .mp_filtration import (
-    JumpAssignment,
-    JumpFunction,
-    master_length_identity,
-    periodic_sum_value,
-    primed_sum,
-)
+from .mp_filtration import JumpAssignment, twice_length_to
+from .qexact import RationalLike
 from .scenario import _random_chi, generate_scenario, generator_templates
-from .weil_gamma import conductor_induction_general, conductor_tame_induction
+from .weil_gamma import conductor_tame_induction
 from .zlattice import (
     coinvariants_order,
     fg_fixed_order,
@@ -35,6 +46,129 @@ from .zlattice import (
     mat_transpose,
     restrict_endomorphism,
 )
+
+
+# -- discretely supported functions and primed sums ------------------------------
+
+
+@dataclass(frozen=True)
+class JumpFunction:
+    """Discretely supported function on Q: a finite part plus periodic parts.
+
+    finite maps points to values; each periodic part (offset, period, value)
+    contributes value at offset + period*Z.  Evaluation sums contributions.
+    """
+
+    finite: Tuple[Tuple[Fraction, Fraction], ...] = ()
+    periodic: Tuple[Tuple[Fraction, Fraction, Fraction], ...] = ()
+
+    @staticmethod
+    def build(finite: Mapping[RationalLike, RationalLike] = (),
+              periodic: Iterable[Tuple[RationalLike, RationalLike, RationalLike]] = ()) -> "JumpFunction":
+        fin = tuple(sorted((Fraction(k), Fraction(v)) for k, v in dict(finite).items()))
+        per = []
+        for off, lam, val in periodic:
+            lam = Fraction(lam)
+            if lam <= 0:
+                raise ValueError("period must be positive")
+            per.append((Fraction(off) % lam, lam, Fraction(val)))
+        return JumpFunction(fin, tuple(sorted(per)))
+
+    def __call__(self, t: RationalLike) -> Fraction:
+        t = Fraction(t)
+        total = Fraction(0)
+        for point, val in self.finite:
+            if point == t:
+                total += val
+        for off, lam, val in self.periodic:
+            if (t - off) % lam == 0:
+                total += val
+        return total
+
+    def support_in(self, a: Fraction, b: Fraction) -> List[Fraction]:
+        """Potential support points in the closed interval [a, b]."""
+        pts = {point for point, _ in self.finite if a <= point <= b}
+        for off, lam, _ in self.periodic:
+            k = (a - off) / lam
+            k0 = k.numerator // k.denominator
+            t = off + k0 * lam
+            while t < a:
+                t += lam
+            while t <= b:
+                pts.add(t)
+                t += lam
+        return sorted(pts)
+
+
+def primed_sum(h: JumpFunction, a: RationalLike, b: RationalLike) -> Fraction:
+    """Sum of h over [a, b] with endpoints weighted one half.
+
+    Degenerate intervals [a, a] count the single point with full weight
+    (both endpoint terms fire), which is what concatenation additivity
+    requires.
+    """
+    a, b = Fraction(a), Fraction(b)
+    if a > b:
+        raise ValueError("interval endpoints out of order")
+    total = Fraction(1, 2) * (h(a) + h(b))
+    for t in h.support_in(a, b):
+        if a < t < b:
+            total += h(t)
+    return total
+
+
+def periodic_sum_value(lam0: RationalLike, h: JumpFunction, s: RationalLike) -> Fraction:
+    """Closed form (s / lam0) * primed_sum(h, [0, lam0]) for even periodic h.
+
+    Requires s to be a positive half-multiple of the period.  Evenness and
+    periodicity are declared properties; they are spot-verified on the
+    support of one period, and a violation is an error.
+    """
+    lam0, s = Fraction(lam0), Fraction(s)
+    if lam0 <= 0:
+        raise ValueError("period must be positive")
+    if s <= 0 or (2 * s / lam0).denominator != 1:
+        raise ValueError("s = %s is not a positive half-multiple of %s" % (s, lam0))
+    for t in h.support_in(-lam0, 2 * lam0):
+        if h(t) != h(-t):
+            raise ValueError("function is not even at t = %s" % t)
+        if h(t) != h(t + lam0):
+            raise ValueError("function is not %s-periodic at t = %s" % (lam0, t))
+    return (s / lam0) * primed_sum(h, 0, lam0)
+
+
+# -- the master length identity --------------------------------------------------
+
+
+OrbitFn = Mapping[str, Fraction]  # orbit_id -> value
+
+
+def master_length_identity(orbit_subset: Sequence[OrbitInfo], f: OrbitFn,
+                           jumps: JumpAssignment) -> Tuple[Fraction, Fraction]:
+    """Both sides of the length identity for an even f on a negation-closed set.
+
+    lhs = interior length + half the boundary lengths at 0 and at f(a),
+    from :func:`twice_length_to`; rhs = sum of [k_a : k] * f(a).  The
+    identity holds whenever each f(a) is a half-multiple of the valuation
+    lattice (1/e)Z; hypotheses are validated and violations raise.  Orbits
+    with f(a) = 0 contribute zero to both sides (the degenerate interval is
+    treated as empty).
+    """
+    ids = {o.orbit_id for o in orbit_subset}
+    for o in orbit_subset:
+        if o.negation_id not in ids:
+            raise ValueError("orbit set is not closed under negation at %s" % o.orbit_id)
+        if Fraction(f[o.orbit_id]) != Fraction(f[o.negation_id]):
+            raise ValueError("f is not even at orbit %s" % o.orbit_id)
+        val = Fraction(f[o.orbit_id])
+        if val < 0:
+            raise ValueError("f must be nonnegative")
+        if (val * 2 * o.e).denominator != 1:
+            raise ValueError("f(%s) = %s is not in (1/2e)Z (e = %d)"
+                             % (o.orbit_id, val, o.e))
+    vals = [(o, Fraction(f[o.orbit_id])) for o in orbit_subset]
+    twice = sum(twice_length_to(o, jumps, val) for o, val in vals if val)
+    return Fraction(twice, 2), sum((o.degree * val for o, val in vals), Fraction(0))
 
 
 # -- synthetic orbit systems for the length identity -------------------------
@@ -267,6 +401,15 @@ def suite_index_ratio(rng: random.Random, n: int) -> int:
             raise AssertionError("index-ratio law fails on %s" % (base,))
         checks += 1
     return checks
+
+
+def conductor_induction_general(disc_val: int, f: int, dim: int,
+                                cond_sub: RationalLike) -> Fraction:
+    """Conductor of an induced representation: discriminant valuation times
+    dimension plus residue degree times the conductor upstairs."""
+    if disc_val < 0 or f <= 0 or dim < 0 or Fraction(cond_sub) < 0:
+        raise ValueError("inputs must be nonnegative (f positive)")
+    return Fraction(disc_val * dim) + f * Fraction(cond_sub)
 
 
 def suite_conductors() -> int:

@@ -45,15 +45,6 @@ def conductor_tame_induction(degree: int, depth: Fraction) -> Fraction:
     return Fraction(degree * (depth.denominator + depth.numerator), depth.denominator)
 
 
-def conductor_induction_general(disc_val: int, f: int, dim: int,
-                                cond_sub: RationalLike) -> Fraction:
-    """Conductor of an induced representation: discriminant valuation times
-    dimension plus residue degree times the conductor upstairs."""
-    if disc_val < 0 or f <= 0 or dim < 0 or Fraction(cond_sub) < 0:
-        raise ValueError("inputs must be nonnegative (f positive)")
-    return Fraction(disc_val * dim) + f * Fraction(cond_sub)
-
-
 def eps_abs(cond: RationalLike, pp: PrimePower) -> QMonomial:
     """|epsilon| = q^(cond/2) in the level-zero, self-dual normalization."""
     if cond < 0:

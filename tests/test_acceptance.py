@@ -139,7 +139,8 @@ def test_criterion_10_root_gamma_dual_computation():
     for scen in scens:
         rg = root_gamma_abs(scen.filtration, scen.orbits, scen.pp)
         # the closed form in the breaks, against the orbitwise conductors
-        sizes, breaks = scen.filtration.sizes, scen.filtration.breaks
+        sizes = [len(lv) for lv in scen.filtration.levels]
+        breaks = scen.filtration.breaks
         wild = sum(r * (b - a) for r, a, b in zip(breaks, sizes, sizes[1:]))
         closed = Fraction(len(scen.datum.roots), 2) + Fraction(wild) / 2
         ok = ok and exp_q(closed, scen.pp) == rg.monomial

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fdc.qexact import PrimePower, exp_q, qmon, qmon_one
+from fdc.qexact import PrimePower, exp_q, qmon
 from fdc.galois_roots import (
     FiniteGroup,
     GaloisFrame,
@@ -53,7 +53,7 @@ def sl2_shape(ramified: bool, pp=PP3, depth=None, offset=None):
 
 
 def test_compact_induction_degree():
-    one = qmon_one(PP3)
+    one = qmon(PP3, 1)
     assert compact_induction_degree(one, one) == one
     dim = exp_q(1, PP3)
     vol = exp_q(-2, PP3)
@@ -74,14 +74,14 @@ def test_heisenberg_examples():
     # ramified orbit with torsor through s0 = 1/4
     shape, _, _ = sl2_shape(True, pp=PP5, depth=Fraction(1, 2), offset=Fraction(1, 4))
     assert heisenberg_indices(shape) == [exp_q(1, PP5)]
-    assert heisenberg_dims(shape) == [exp_q(Fraction(1, 2), PP5)]
+    assert heisenberg_dims(heisenberg_indices(shape)) == [exp_q(Fraction(1, 2), PP5)]
     # same depth but torsor missing s0: trivial quotient
     shape, _, _ = sl2_shape(True, pp=PP5, depth=Fraction(1, 2), offset=Fraction(0))
     assert heisenberg_indices(shape) == [exp_q(0, PP5)]
     # unramified orbit (f = 2) jumping at s0: weight-2 line, dim q
     shape, _, _ = sl2_shape(False, pp=PP5, depth=Fraction(1), offset=Fraction(1, 2))
     assert heisenberg_indices(shape) == [exp_q(2, PP5)]
-    assert heisenberg_dims(shape) == [exp_q(1, PP5)]
+    assert heisenberg_dims(heisenberg_indices(shape)) == [exp_q(1, PP5)]
 
 
 def test_general_degree_example():

@@ -61,14 +61,12 @@ def run_case(argv):
 
 
 @pytest.mark.parametrize("case_id,argv", cases(), ids=[c[0] for c in cases()])
-def test_golden_output(case_id, argv, monkeypatch):
-    monkeypatch.delenv("FDC_SEED", raising=False)
+def test_golden_output(case_id, argv):
     assert run_case(argv) == _golden(case_id)
 
 
 def _fresh_process_env(**extra):
     env = dict(os.environ)
-    env.pop("FDC_SEED", None)
     src = os.path.join(HERE, "..", "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     env.update(extra)
@@ -112,7 +110,6 @@ def test_golden_json_under_hash_seeds(hash_seed):
 
 
 if __name__ == "__main__":
-    os.environ.pop("FDC_SEED", None)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for case_id, argv in cases():
         with open(os.path.join(GOLDEN_DIR, case_id + ".out"), "w", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ structured error.
 
 import itertools
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -23,15 +24,16 @@ from fdc.chi_data import (
 )
 from fdc.compare import run_compare
 from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
-from fdc.mp_filtration import (
-    JumpFunction,
-    is_concave,
-    master_length_identity,
-    primed_sum,
-)
+from fdc.mp_filtration import is_concave
 from fdc.qexact import PrimePower
 from fdc.scenario import ScenarioError, scenario_from_dict
-from fdc.selftest import random_jumps, synthetic_orbits
+from fdc.selftest import (
+    JumpFunction,
+    master_length_identity,
+    primed_sum,
+    random_jumps,
+    synthetic_orbits,
+)
 from fdc.zlattice import (
     FgAbelianGroup,
     det,
@@ -61,8 +63,7 @@ def test_master_identity_against_primed_sums():
         lhs, rhs = master_length_identity(orbits, f, jumps)
         via_primed = Fraction(0)
         for o in orbits:
-            h = JumpFunction.indicator_lattice(Fraction(1, o.e), o.f,
-                                               jumps.offset(o))
+            h = JumpFunction.build({}, [(jumps.offset(o), Fraction(1, o.e), o.f)])
             via_primed += primed_sum(h, 0, f[o.orbit_id])
         assert lhs == via_primed == rhs
 
@@ -256,11 +257,12 @@ def test_compact_induction_derivation_chain():
         DepthZeroData,
         general_degree,
         heisenberg_dims,
+        heisenberg_indices,
         regular_degree,
         volume_exponent_raw,
         compact_induction_degree,
     )
-    from fdc.qexact import exp_q, qmon, qmon_combine
+    from fdc.qexact import exp_q, qmon
     from fdc.scenario import generate_scenario
 
     rng = random.Random(1001)
@@ -274,18 +276,14 @@ def test_compact_induction_derivation_chain():
             continue
         steinberg = scen.pp.q ** ((dim_quot - torus.rank_m) // 2)
         dz = DepthZeroData.opaque(1, torus.special_fiber_order * steinberg)
-        hdims = heisenberg_dims(shape)
-        dim_tau = qmon_combine(
-            [(qmon(scen.pp, dz.dim_rho), 1)] + [(h, 1) for h in hdims],
-            scen.pp)
+        hdims = heisenberg_dims(heisenberg_indices(shape))
+        dim_tau = math.prod(hdims, start=qmon(scen.pp, dz.dim_rho))
         # vol(K)^-1 = q^(dim G / 2) * exp_q(raw exponent) / (index * prod
         # Heisenberg dims): the raw exponent contains the half boundary
         # lengths whose exponentials are exactly the Heisenberg dimensions.
-        vol_k = qmon_combine(
-            [(exp_q(Fraction(shape.dim_ga, 2), scen.pp), -1),
-             (exp_q(volume_exponent_raw(shape, torus.rank_m), scen.pp), -1)]
-            + [(h, 1) for h in hdims],
-            scen.pp).scale(dz.stab_index)
+        vol_k = math.prod(hdims, start=exp_q(Fraction(shape.dim_ga, 2), scen.pp) ** -1
+                          * exp_q(volume_exponent_raw(shape, torus.rank_m), scen.pp) ** -1
+                          ).scale(dz.stab_index)
         got = compact_induction_degree(dim_tau, vol_k)
         mono, pref = general_degree(shape, dz, dim_quot)
         want = mono.scale(pref)

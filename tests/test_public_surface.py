@@ -1,0 +1,93 @@
+"""Every public symbol of the checker modules has a caller in the package.
+
+The source of ``src/fdc`` is parsed with ``ast``, not imported.  A public
+module-level function or class, or a public method or property of a public
+class, defined in any module but ``selftest.py`` must be referenced (as a
+name or as an attribute) from some module other than ``selftest.py``,
+outside its own definition.  ``selftest.py`` holds the property suites and
+the lemma code only they check, so its references do not count and its
+definitions are not checked.  Methods are matched by attribute name alone,
+so the test can miss a dead method whose name is used elsewhere, but it
+never flags a live one.
+"""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "fdc")
+LEMMA_MODULE = "selftest.py"
+
+# Symbols without a caller in the package, each with the reason it stays.
+ALLOWED = {
+    "compact_induction_degree": "to be wired into verify (the induced-degree route)",
+    "quotient_order": "to be wired into verify (filtration quotient orders)",
+    "mp_chain": "to be wired into verify (chain certificates for quotient_order)",
+    "f_from_sequence": "to be wired into verify (step functions of admissible sequences)",
+    "generate_scenario": "entry point of the benchmark workloads (bench/workloads.py)",
+    "Scenario.to_json": "entry point of the benchmark workloads (bench/workloads.py)",
+}
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _definitions(tree):
+    """(qualified name, bare name, node) of each public module-level
+    function and class and each public method of a public class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+            out.append((node.name, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out += [("%s.%s" % (node.name, item.name), item.name, item)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and _public(item.name)]
+    return out
+
+
+def _references(tree):
+    """(name, line) of every name and attribute read in the module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+    return out
+
+
+def _modules():
+    return {fn: ast.parse(open(os.path.join(SRC, fn), encoding="utf-8").read(), fn)
+            for fn in sorted(os.listdir(SRC)) if fn.endswith(".py")}
+
+
+def unreferenced_symbols():
+    """Qualified names of the public symbols outside ``selftest.py`` that
+    no other module except ``selftest.py`` references outside their own
+    definition, as ``module:name``."""
+    modules = _modules()
+    refs = {fn: _references(tree) for fn, tree in modules.items() if fn != LEMMA_MODULE}
+    missing = []
+    for fn, tree in modules.items():
+        if fn == LEMMA_MODULE:
+            continue
+        for qual, name, node in _definitions(tree):
+            inside = range(node.lineno, node.end_lineno + 1)
+            used = any(ref == name and not (mod == fn and line in inside)
+                       for mod, module_refs in refs.items() for ref, line in module_refs)
+            if not used:
+                missing.append("%s:%s" % (fn[:-3], qual))
+    return missing
+
+
+def test_every_public_symbol_has_a_caller():
+    dead = [m for m in unreferenced_symbols() if m.split(":")[1] not in ALLOWED]
+    assert dead == [], "public symbols without a caller in src/fdc: %s" % dead
+
+
+def test_allow_list_is_current():
+    """Each allowed symbol still exists and still lacks a caller: once it
+    gains one, its entry goes."""
+    allowed_now = {m.split(":")[1] for m in unreferenced_symbols()} & set(ALLOWED)
+    assert allowed_now == set(ALLOWED)

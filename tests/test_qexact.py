@@ -8,8 +8,6 @@ from fdc.qexact import (
     QMonomial,
     exp_q,
     qmon,
-    qmon_combine,
-    qmon_one,
 )
 
 
@@ -30,7 +28,7 @@ def test_exp_q_examples():
     with pytest.raises(ValueError):
         exp_q(3, PrimePower.from_q(4))
     pp9 = PrimePower(3, 2)
-    assert exp_q(0, pp9) == qmon_one(pp9)
+    assert exp_q(0, pp9) == qmon(pp9, 1)
     # 9^(1/2) = 3: canonical form has coefficient 1 and p-exponent 1
     half = exp_q(Fraction(1, 2), pp9)
     assert half.coeff == 1 and half.pexp == 1
@@ -43,23 +41,10 @@ def test_exp_q_counts_module_orders():
         assert exp_q(length, pp).rational_value() == 5 ** length
 
 
-def test_combine_examples():
-    pp3 = PrimePower(3, 1)
-    two = qmon(pp3, 2)
-    root = exp_q(Fraction(1, 2), pp3)
-    got = qmon_combine([(two, 1), (root, 2)])
-    assert got == qmon(pp3, 2, 1)  # 2 * 3
-    assert qmon_combine([], pp3) == qmon_one(pp3)
-    c = qmon(pp3, Fraction(7, 5), Fraction(2, 3))
-    assert qmon_combine([(c, 1), (c, -1)]) == qmon_one(pp3)
-    with pytest.raises(ValueError):
-        qmon_combine([(qmon_one(pp3), 1), (qmon_one(PrimePower(5, 1)), 1)])
-
-
 def test_from_integer_examples():
     pp7 = PrimePower(7, 1)
     assert qmon(pp7, 28) == qmon(pp7, 4, 1)
-    assert qmon(pp7, 1) == qmon_one(pp7)
+    assert qmon(pp7, 1) == qmon(pp7, 1)
     pp3 = PrimePower(3, 1)
     assert qmon(pp3, -5) == QMonomial(pp3, Fraction(-5), Fraction(0))
     with pytest.raises(ValueError):
@@ -73,7 +58,7 @@ def test_canonicality():
         num = rng.choice([n for n in range(-40, 41) if n])
         den = rng.randint(1, 40)
         m = qmon(pp3, Fraction(num, den), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        assert qmon_combine([(m, 1)]) == m
+        assert m * qmon(pp3, 1) == m
         assert m.coeff.numerator % 3 and m.coeff.denominator % 3
 
 
@@ -93,7 +78,7 @@ def test_group_laws_randomized():
     # inverse law
     for _ in range(1000):
         a = rand_mono()
-        assert a * a.inverse() == qmon_one(pp)
+        assert a * a.inverse() == qmon(pp, 1)
 
 
 def test_exp_q_homomorphism():
@@ -102,7 +87,7 @@ def test_exp_q_homomorphism():
     for _ in range(2000):
         s = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
         t = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-        assert exp_q(s + t, pp) == qmon_combine([(exp_q(s, pp), 1), (exp_q(t, pp), 1)])
+        assert exp_q(s + t, pp) == exp_q(s, pp) * exp_q(t, pp)
 
 
 def test_rational_round_trip():

@@ -180,6 +180,27 @@ def test_cli_degree_opaque(capsys, tmp_path):
     assert out["prefactor"] == "1/12"
 
 
+def test_cli_verify_refuses_opaque_depth_zero(capsys, tmp_path):
+    """verify compares the regular degree against a Galois side that
+    assumes a regular parameter, so it refuses opaque depth-zero data with
+    one error line and exit 2; degree still evaluates the opaque formula.
+    The other files of the batch keep their reports."""
+    doc = bundled_doc("sl2_unramified_depth0")
+    doc["depth_zero"] = {"dim_rho": "7", "stab_index": 3}
+    path = tmp_path / "opaque.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["verify", str(path), bundled_path("s3_a2_depth_third")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.splitlines() == [
+        "error: %s: formal_degree.depth_zero: verify compares regular depth-zero "
+        "data only; fdc degree evaluates the opaque form" % path]
+    assert "s3_a2_depth_third" in captured.out and "opaque" not in captured.out
+    assert cli.main(["degree", str(path)]) == 0
+    assert capsys.readouterr().out == ("scenario sl2_unramified_depth0  q=3\n"
+                                       "  degree: 7/3 * 3^(3)\n")
+
+
 def test_cli_chi_check(capsys):
     rc = cli.main(["chi-check", bundled_path("z4_a1_ramified_chi")])
     assert rc == 0
@@ -359,13 +380,10 @@ def test_cli_main_reuses_its_parser_without_leaks(monkeypatch, capsys):
         return random.Random(seed)
 
     monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=recording))
-    monkeypatch.setenv("FDC_SEED", "7")
     assert cli.main(["selftest", "--n", "1", "--seed", "5"]) == 0
     assert cli.main(["selftest", "--n", "1"]) == 0
-    monkeypatch.delenv("FDC_SEED")
-    assert cli.main(["selftest", "--n", "1"]) == 0
     capsys.readouterr()
-    assert seeds == [5, 7, cli.DEFAULT_SEED]
+    assert seeds == [5, cli.DEFAULT_SEED]
 
 
 def test_cli_selftest_small(capsys):
@@ -444,6 +462,19 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
      "galois_roots.action: must be a JSON object, got array"),
     (json.dumps(dict(bundled_doc("s3_a2_depth_third"), group={"perm_gens": {"a": 1}})),
      "galois_roots.group.perm_gens: must be a JSON array, got object"),
+    # integer group fields: never truncated, never read as 0 or 1
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
+                     group={"order": 2.0, "mult_table": [[0, 1], [1, 0]]})),
+     "galois_roots.group.order: order must be an integer, got 2.0"),
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
+                     group={"perm_gens": [[True, False]]})),
+     "galois_roots.group.perm_gens: permutation entry must be an integer, got true"),
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
+                     group={"perm_gens": [[1.0, 0.0]]})),
+     "galois_roots.group.perm_gens: permutation entry must be an integer, got 1.0"),
+    # a string is not read digit by digit as the permutation [1, 0]
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), group={"perm_gens": ["10"]})),
+     "galois_roots.group.perm_gens: permutation must be a JSON array, got string"),
     # an empty character table: refused under condition 2, not classified
     (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"),
                      chi={"1": {"0": "0", "2": "1/2"}, "-1": {}})),
@@ -469,7 +500,8 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
         [4, 3, 1, 2, 0]]})),
      "galois_roots.group.mult_table: multiplication table is not associative"),
 ], ids=["top-level-array", "chi-array", "options-number", "action-array",
-        "perm-gens-object", "chi-empty-table", "depth-lattice", "not-elliptic",
+        "perm-gens-object", "order-float", "perm-gens-bool", "perm-gens-float",
+        "perm-gens-string", "chi-empty-table", "depth-lattice", "not-elliptic",
         "asymmetric-roots", "inertia-out-of-range", "frobenius-out-of-range",
         "non-associative-loop"])
 def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
