@@ -23,6 +23,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from .qexact import PrimePower
 from .zlattice import (
     Matrix,
+    SparseColumns,
     Vector,
     coinvariants_order,
     fg_fixed_order,
@@ -31,10 +32,10 @@ from .zlattice import (
     invariant_sublattice,
     kernel_basis,
     mat_eq,
-    mat_mul,
     mat_transpose,
-    mat_vec,
     restrict_endomorphism,
+    sparse_columns,
+    sparse_mat_vec,
     twisted_fixed_order,
 )
 
@@ -392,6 +393,14 @@ class GRootDatum:
         permutations.  Vectors fixed by the generators are fixed by the
         group.  The generators' permutations of the roots, kept from the
         stability test, give every element's (:meth:`_permute_roots`).
+
+        Both products read each generator's matrix once, at load, in sparse
+        column form (``zlattice.sparse_columns``): column j of M(s)M(b) is
+        M(s) applied to column j of M(b), and M(s) applied to a vector
+        costs only the nonzero entries of M(s) in the columns where that
+        vector is nonzero.  The action matrices of a Coxeter torus of rank
+        n have O(n) nonzero entries among n^2.  Every entry of every
+        product is compared, one pair (s, b) at a time in the order above.
         """
         g = frame.group
         if set(self.action.keys()) != set(g.elements):
@@ -399,29 +408,31 @@ class GRootDatum:
         if not mat_eq(self.action[0], identity_matrix(self.rank)):
             raise ValueError("action is not a homomorphism at (0, 0)")
         gens = g.generating_set(g.elements)
+        sparse = {s: sparse_columns(self.action[s]) for s in gens}
+        columns = {a: list(zip(*m)) for a, m in self.action.items()}
         for s in gens:
             for b in g.elements:
-                if not mat_eq(mat_mul(self.action[s], self.action[b]),
-                              self.action[g.mul(s, b)]):
+                if any(sparse_mat_vec(sparse[s], col) != want
+                       for col, want in zip(columns[b], columns[g.mul(s, b)])):
                     raise ValueError("action is not a homomorphism at (%d, %d)" % (s, b))
-        self._permute_roots(g)
+        self._permute_roots(g, sparse)
         fixed = invariant_sublattice(self.rank, [self.action[a] for a in gens])
         if fixed:
             raise ValueError("datum is not elliptic: invariant vectors exist")
 
-    def _permute_roots(self, group: FiniteGroup) -> None:
+    def _permute_roots(self, group: FiniteGroup, sparse: Mapping[int, SparseColumns]) -> None:
         """Refuse a generator that moves a root off R, then record every
-        element's permutation of the root indices.
+        element's permutation of the root indices.  ``sparse`` maps each
+        generator to its matrix in sparse column form.
 
         The action must already be a homomorphism, so M(sb) r = M(s)(M(b) r)
         and perm(sb)[i] = perm(s)[perm(b)[i]]: a walk from the identity
         along left multiplication by the generators reaches every element
         at one list lookup per root.
         """
-        gens = group.generating_set(group.elements)
         gen_perms = []
-        for a in gens:
-            images = [self._index.get(mat_vec(self.action[a], r)) for r in self._sorted]
+        for a, cols in sparse.items():
+            images = [self._index.get(sparse_mat_vec(cols, r)) for r in self._sorted]
             if None in images:
                 raise ValueError("root set is not stable under element %d" % a)
             gen_perms.append((a, images))

@@ -82,6 +82,18 @@ def parse_int(value: object, what: str) -> int:
     return int(value)
 
 
+def parse_int_array(value: object, what: str, entry: str) -> List[int]:
+    """An array of integer fields, each read as by :func:`parse_int`.  The
+    array must be a JSON array: a string would otherwise be read digit by
+    digit."""
+    if not isinstance(value, list):
+        raise TypeError("%s must be a JSON array, got %s" % (what, _json_kind(value)))
+    if {bool, float} & set(map(type, value)):
+        for x in value:
+            parse_int(x, entry)
+    return list(map(int, value))
+
+
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -250,11 +262,8 @@ def _build_group(spec: Mapping[str, object],
         if key == "mult_table":
             g = FiniteGroup(spec[key])
         else:
-            gens = []
-            for gen in spec[key]:
-                if not isinstance(gen, list):
-                    raise TypeError("permutation must be a JSON array, got %s" % _json_kind(gen))
-                gens.append([parse_int(x, "permutation entry") for x in gen])
+            gens = [parse_int_array(gen, "permutation", "permutation entry")
+                    for gen in spec[key]]
             g, _elems = FiniteGroup.from_permutations(gens)
     except (ValueError, TypeError, IndexError) as e:
         fail.append(("galois_roots", "group." + key, str(e)))
@@ -356,9 +365,12 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     datum = None
     try:
         rank = parse_int(doc["lattice_rank"], "lattice_rank")
-        action = {int(g): [[parse_int(x, "action entry") for x in row] for row in m]
-                  for g, m in doc["action"].items()}
-        roots = frozenset(tuple(parse_int(x, "root coordinate") for x in r)
+        action = {}
+        for g, m in doc["action"].items():
+            if not isinstance(m, list):
+                raise TypeError("action matrix must be a JSON array, got %s" % _json_kind(m))
+            action[int(g)] = [parse_int_array(row, "action row", "action entry") for row in m]
+        roots = frozenset(tuple(parse_int_array(r, "root", "root coordinate"))
                           for r in doc["roots"])
         datum = GRootDatum(rank, action, roots)
         if frame is not None:

@@ -87,6 +87,27 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
+SparseColumns = Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+def sparse_columns(a: Sequence[Sequence[int]]) -> SparseColumns:
+    """The columns of a square matrix A, each as the (row, entry) pairs of
+    its nonzero entries."""
+    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*a))
+
+
+def sparse_mat_vec(cols: SparseColumns, v: Sequence[int]) -> Vector:
+    """A v for A in :func:`sparse_columns` form: v_j times column j, summed
+    over the nonzero coordinates v_j only, so the cost is the number of
+    nonzero entries of A in those columns."""
+    out = [0] * len(cols)
+    for j, x in enumerate(v):
+        if x:
+            for i, c in cols[j]:
+                out[i] += c * x
+    return tuple(out)
+
+
 def mat_sub(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -331,26 +352,6 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> List[Vector]:
     return [tuple(row[j] for row in form.v) for j in range(form.rank, cols)]
 
 
-def column_lattice_index(ambient_basis: Sequence[Vector], sub_gens: Sequence[Vector]) -> GroupOrder:
-    """Index of the lattice spanned by sub_gens inside the one spanned by
-    ambient_basis (sub must be contained in ambient); INFINITY if ranks differ."""
-    k = len(ambient_basis)
-    if k == 0:
-        return 1
-    ambient = smith_normal_form(_columns_matrix(ambient_basis, len(ambient_basis[0])))
-    coords: List[Vector] = []
-    for g in sub_gens:
-        sol = ambient.solve(g)
-        if sol is None:
-            raise ValueError("generator outside the ambient lattice")
-        coords.append(sol)
-    diag = smith_normal_form(_columns_matrix(coords, k)).diagonal
-    nonzero = [abs(x) for x in diag if x != 0]
-    if len(nonzero) < k:
-        return INFINITY
-    return math.prod(nonzero)
-
-
 # -- the operations named in the interface ------------------------------------
 
 
@@ -471,8 +472,16 @@ def fg_fixed_order(group: FgAbelianGroup) -> int:
     """Exact order of ker(F - 1) on a finitely generated abelian group.
 
     Works on the presentation: the fixed subgroup is L / im(rel) where
-    L = {x : (F - 1)x lies in the relation lattice}.  Raises if the fixed
-    subgroup is infinite (its free part does not vanish).
+    L = {x : (F - 1)x lies in the relation lattice}.  F preserves the
+    relations, so im(rel) lies in L, and the fixed subgroup is finite
+    exactly when the two have the same rank; otherwise this raises.  Of
+    equal rank, they span the same rational space and so share its
+    saturation S = (L (x) Q) n Z^n, and [L : im(rel)] = [S : im(rel)] /
+    [S : L].  For any integer matrix, S over its column lattice is the
+    torsion of its cokernel, whose order is the product of the nonzero
+    invariant factors.  The relations' Smith form is already at hand, so
+    besides the kernel that yields L only one diagonal is computed: that
+    of L's generators.
     """
     if group.endo is None:
         raise ValueError("group carries no endomorphism")
@@ -480,26 +489,12 @@ def fg_fixed_order(group: FgAbelianGroup) -> int:
     c = mat_sub(group.endo, identity_matrix(n))
     # Solve (F - 1) x = B y: kernel of [C | -B] projected to the x block.
     block = [c[i] + [-col[i] for col in group.relations] for i in range(n)]
-    kern = kernel_basis(block)
-    lattice_gens = [tuple(v[:n]) for v in kern]
-    # im(rel) inside the lattice L they generate.
-    lat_basis = _lattice_basis(lattice_gens, n)
-    rank_l = len(lat_basis)
-    if rank_l != group.relation_form.rank:
+    lattice_gens = [v[:n] for v in kernel_basis(block)]
+    if not lattice_gens:
+        return 1  # L = 0 contains im(rel), so both are 0
+    rel_form = group.relation_form
+    lat_form = smith_normal_form(_columns_matrix(lattice_gens, n))
+    if lat_form.rank != rel_form.rank:
         raise ValueError("fixed subgroup is infinite")
-    if rank_l == 0:
-        return 1
-    idx = column_lattice_index(lat_basis, list(group.relations))
-    if idx is INFINITY:
-        raise ValueError("fixed subgroup is infinite")
-    return idx
-
-
-def _lattice_basis(gens: Sequence[Vector], n: int) -> List[Vector]:
-    """Basis of the sublattice of Z^n spanned by the given columns."""
-    if not gens:
-        return []
-    mat = _columns_matrix(gens, n)
-    form = smith_normal_form(mat)
-    # A V = U^-1 D, so the first rank columns of A V span the column lattice.
-    return [mat_vec(mat, [row[i] for row in form.v]) for i in range(form.rank)]
+    return (math.prod(rel_form.diagonal[:rel_form.rank])
+            // math.prod(lat_form.diagonal[:lat_form.rank]))

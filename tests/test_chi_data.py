@@ -8,7 +8,7 @@ import pytest
 from fdc.qexact import PrimePower
 from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
 from fdc.scenario import _random_chi, load_scenario
-from fdc.zlattice import mat_vec
+from fdc.zlattice import mat_vec, sparse_columns
 from fdc.chi_data import (
     ChiData,
     _stab,
@@ -370,7 +370,8 @@ def subgroup_frame(frame, datum, chi, sub):
     frob = g.quotient_generators(sub, inertia)[0]
     h_frame = GaloisFrame(group, frozenset(idx[x] for x in inertia), idx[frob], frame.pp)
     h_datum = GRootDatum(datum.rank, {idx[x]: datum.action[x] for x in elems}, datum.roots)
-    h_datum._permute_roots(group)
+    h_datum._permute_roots(group, {a: sparse_columns(h_datum.action[a])
+                                   for a in group.generating_set(group.elements)})
     if chi is None:
         return h_frame, h_datum, None
     h_chi = ChiData({}, group.order)

@@ -72,7 +72,8 @@ def coxeter_document(n, ramified):
     }
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
+# n = 64 keeps the load path at high rank under test.
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 64])
 @pytest.mark.parametrize("ramified", [False, True])
 def test_coxeter_verify_closed_form(n, ramified, tmp_path, capsys):
     doc = coxeter_document(n, ramified)

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from fractions import Fraction
@@ -16,13 +17,16 @@ from fdc.galois_roots import (
     torus_lattice_data,
     validate_depth_lattice,
 )
-from fdc.scenario import generate_scenario, load_scenario, scenario_from_dict
+from fdc.scenario import ScenarioError, generate_scenario, load_scenario, scenario_from_dict
 from fdc.zlattice import (
     coinvariants_order,
     invariant_sublattice,
+    mat_mul,
     mat_transpose,
     mat_vec,
     restrict_endomorphism,
+    sparse_columns,
+    sparse_mat_vec,
 )
 from test_coxeter import coxeter_document
 
@@ -180,6 +184,70 @@ def test_root_table_matches_matrix_route():
             assert datum.pm_stabilizer(r) == frozenset(
                 g for g, img in images.items() if img in (r, neg)), scen.name
         assert scen.filtration.levels[-1] == datum.roots, scen.name
+
+
+def test_sparse_products_match_dense():
+    """The sparse column products of the load checks against mat_mul and
+    mat_vec: M(s)M(b) for every generator s and element b, and M(s)r for
+    every generator s and root r.  Run on the bundled scenarios, 200
+    generated ones and the A_{n-1} Coxeter tori for n = 4..24, unramified
+    and totally ramified."""
+    scenarios = bundled_scenarios()
+    rng = random.Random(29)
+    scenarios += [generate_scenario(rng) for _ in range(200)]
+    scenarios += [scenario_from_dict(coxeter_document(n, ramified))
+                  for n in range(4, 25) for ramified in (False, True)]
+    for scen in scenarios:
+        action, group = scen.datum.action, scen.frame.group
+        for s in group.generating_set(group.elements):
+            cols = sparse_columns(action[s])
+            for b in group.elements:
+                product = [sparse_mat_vec(cols, col) for col in zip(*action[b])]
+                assert mat_transpose(product) == mat_mul(action[s], action[b]), scen.name
+            for r in scen.datum.roots:
+                assert sparse_mat_vec(cols, r) == mat_vec(action[s], r), scen.name
+
+
+def _dense_first_failure(doc, group):
+    """The refusal of the dense homomorphism check: the first pair (s, b),
+    s a generator and b in element order, with M(s)M(b) != M(sb)."""
+    action = {int(g): m for g, m in doc["action"].items()}
+    for s in group.generating_set(group.elements):
+        for b in group.elements:
+            if mat_mul(action[s], action[b]) != action[group.mul(s, b)]:
+                return "action is not a homomorphism at (%d, %d)" % (s, b)
+    return None
+
+
+def _bundled_doc(name):
+    with open(os.path.join(SCEN_DIR, name + ".json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("doc", [
+    coxeter_document(6, False),
+    coxeter_document(9, True),
+    _bundled_doc("d4_b2_depth_quarter"),
+    _bundled_doc("s3_a2_depth_third"),
+], ids=["A5", "A8-ramified", "d4-b2", "s3-a2"])
+def test_perturbed_non_generator_refused_like_dense(doc):
+    """One entry of one non-generator matrix moved by +-1: the sparse check
+    refuses with the text and the pair (s, b) of the dense route."""
+    group = scenario_from_dict(doc).frame.group
+    gens = group.generating_set(group.elements)
+    others = [a for a in group.elements if a != 0 and a not in gens]
+    rng = random.Random(61)
+    for _ in range(12):
+        bad = json.loads(json.dumps(doc))
+        a = rng.choice(others)
+        m = bad["action"][str(a)]
+        i, j = rng.randrange(len(m)), rng.randrange(len(m))
+        m[i][j] += rng.choice((-1, 1))
+        expected = _dense_first_failure(bad, group)
+        assert expected is not None
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(bad)
+        assert ("galois_roots", "GRootDatum", expected) in err.value.failures
 
 
 def test_field_invariants_examples():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import sys
 import types
 from fractions import Fraction
@@ -199,6 +200,30 @@ def test_cli_verify_refuses_opaque_depth_zero(capsys, tmp_path):
     assert cli.main(["degree", str(path)]) == 0
     assert capsys.readouterr().out == ("scenario sl2_unramified_depth0  q=3\n"
                                        "  degree: 7/3 * 3^(3)\n")
+
+
+@pytest.mark.parametrize("command", ["degree", "verify"])
+@pytest.mark.parametrize("depth_zero", [{"dim_rho": "0", "stab_index": 1},
+                                        {"dim_rho": "1", "stab_index": 0}],
+                         ids=["dim-rho-zero", "stab-index-zero"])
+def test_cli_refuses_nonpositive_opaque_depth_zero(command, depth_zero, tmp_path, capsys):
+    """A zero dimension or a zero stabilizer index is refused at load, so
+    degree never evaluates it and verify names that cause."""
+    doc = dict(bundled_doc("sl2_unramified_depth0"), depth_zero=depth_zero)
+    path = tmp_path / "opaque.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "formal_degree.depth_zero: opaque depth-zero data must be positive" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_text_timing_line(capsys):
+    """Text verify with --timing prints each report's wall time."""
+    assert cli.main(["--timing", "verify", bundled_path("sl2_unramified_depth0")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines if re.fullmatch(r"  elapsed \d+\.\d{4} s", line)]) == 1
 
 
 def test_cli_chi_check(capsys):
@@ -499,11 +524,22 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
         [0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0]]})),
      "galois_roots.group.mult_table: multiplication table is not associative"),
+    # strings in the datum are not read digit by digit: these rows would load
+    # as the identity matrix, and this root as [2]
+    (json.dumps(dict(bundled_doc("z4_rank3_mixed"),
+                     action=dict(bundled_doc("z4_rank3_mixed")["action"],
+                                 **{"0": ["100", "010", "001"]}))),
+     "galois_roots.GRootDatum: action row must be a JSON array, got string"),
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), action={"0": "1", "1": [[-1]]})),
+     "galois_roots.GRootDatum: action matrix must be a JSON array, got string"),
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), roots=["2", [-2]])),
+     "galois_roots.GRootDatum: root must be a JSON array, got string"),
 ], ids=["top-level-array", "chi-array", "options-number", "action-array",
         "perm-gens-object", "order-float", "perm-gens-bool", "perm-gens-float",
         "perm-gens-string", "chi-empty-table", "depth-lattice", "not-elliptic",
         "asymmetric-roots", "inertia-out-of-range", "frobenius-out-of-range",
-        "non-associative-loop"])
+        "non-associative-loop", "action-row-string", "action-matrix-string",
+        "root-string"])
 def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -302,6 +302,61 @@ def test_fg_fixed_order_oracle():
         assert fg_fixed_order(grp) == count
 
 
+def _unimodular_pair(rng, n, steps=8):
+    """A random P in GL(n, Z) and its inverse, as products of elementary
+    row additions and one optional sign change."""
+    p, p_inv = identity_matrix(n), identity_matrix(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        e, e_inv = identity_matrix(n), identity_matrix(n)
+        e[j][i], e_inv[j][i] = c, -c
+        p, p_inv = mat_mul(e, p), mat_mul(p_inv, e_inv)
+    if rng.random() < 0.5:
+        k = rng.randrange(n)
+        sign = identity_matrix(n)
+        sign[k][k] = -1
+        p, p_inv = mat_mul(sign, p), mat_mul(p_inv, sign)
+    return p, p_inv
+
+
+def test_fg_fixed_order_disguised_presentation():
+    """A diagonal case Z/a x Z/b x Z/c counted by enumeration, then
+    presented differently: a free summand Z on which F acts by d != 1
+    (coupled to the torsion part), the whole presentation conjugated by a
+    random unimodular P, and redundant relation columns appended.  The
+    group and its fixed points are unchanged, but the relation matrix is
+    no longer diagonal, has more columns than rank, and leaves a free
+    part; the saturation of the relations is then a proper superlattice."""
+    rng = random.Random(1601)
+    done = 0
+    while done < 120:
+        mods = [rng.randint(1, 6) for _ in range(3)]
+        c = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        if any((c[i][j] * mods[j]) % mods[i] for i in range(3) for j in range(3)):
+            continue
+        count = sum(
+            1 for x in itertools.product(*(range(m) for m in mods))
+            if all(sum(c[i][k] * x[k] for k in range(3)) % mods[i] == x[i] % mods[i]
+                   for i in range(3)))
+        # Z/a x Z/b x Z/c x Z, with F(x, t) = (C x + w t, d t).
+        d = rng.choice((-3, -2, -1, 0, 2, 3))
+        w = [rng.randint(-3, 3) for _ in range(3)]
+        endo = [c[i] + [w[i]] for i in range(3)] + [[0, 0, 0, d]]
+        rels = [tuple(m if k == i else 0 for k in range(4)) for i, m in enumerate(mods)]
+        p, p_inv = _unimodular_pair(rng, 4)
+        rels = [mat_vec(p, r) for r in rels]
+        endo = mat_mul(mat_mul(p, endo), p_inv)
+        for _ in range(rng.randint(1, 3)):
+            ys = [rng.randint(-2, 2) for _ in rels[:3]]
+            rels.append(tuple(sum(y * r[k] for y, r in zip(ys, rels)) for k in range(4)))
+        rng.shuffle(rels)
+        grp = FgAbelianGroup(4, rels, endo)
+        assert grp.free_rank == 1
+        assert fg_fixed_order(grp) == count
+        done += 1
+
+
 def test_coinvariant_factorization_small():
     """|(X^I)_F| * |(X_I)^F| = |X_Gamma| on hand-built actions."""
     # X = Z, I acts by -1, F = 1
