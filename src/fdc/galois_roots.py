@@ -25,18 +25,15 @@ from .zlattice import (
     Matrix,
     SparseColumns,
     Vector,
-    coinvariants_order,
+    fg_coinvariants_order,
     fg_fixed_order,
     group_coinvariants,
     identity_matrix,
-    invariant_sublattice,
     kernel_basis,
     mat_eq,
     mat_transpose,
-    restrict_endomorphism,
     sparse_columns,
     sparse_mat_vec,
-    twisted_fixed_order,
 )
 
 NONPOSITIVE = "nonpositive"
@@ -233,12 +230,15 @@ class FiniteGroup:
         return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)], check=False)
 
     @staticmethod
-    def from_permutations(gens: Sequence[Sequence[int]]) -> Tuple["FiniteGroup", List[Tuple[int, ...]]]:
+    def from_permutations(gens: Sequence[Sequence[int]], max_order: Optional[int] = None
+                          ) -> Tuple["FiniteGroup", List[Tuple[int, ...]]]:
         """Group generated by permutations (lists of images on 0..m-1).
 
         Elements are numbered in BFS discovery order from the identity,
         applying the generators in the order given; the identity is 0.
         Returns the group and the permutation realizing each element index.
+        With ``max_order``, the closure stops and raises as soon as it has
+        found more elements than that, before the |G|^2 table is built.
         """
         if not gens:
             raise ValueError("no generators")
@@ -257,6 +257,8 @@ class FiniteGroup:
                     index[nxt] = len(elems)
                     elems.append(nxt)
                     queue.append(nxt)
+            if max_order is not None and len(elems) > max_order:
+                raise ValueError("permutations generate more than %d elements" % max_order)
         n = len(elems)
         table = [[0] * n for _ in range(n)]
         for i, a in enumerate(elems):
@@ -349,7 +351,8 @@ class GRootDatum:
     (:meth:`check_against_frame`).  That check also records how each
     element permutes the indices of ``sorted(roots)``, and every root-level
     query (:meth:`act` on a root, :meth:`stabilizer`, :meth:`pm_stabilizer`)
-    reads that table, so it must come first.
+    reads that table, so it must come first.  It records ``traces`` too:
+    tr M(g) for every element g, indexed by g.
     """
 
     rank: int
@@ -361,6 +364,8 @@ class GRootDatum:
     # element -> the permutation of root indices it induces
     _perm: Dict[int, List[int]] = field(default_factory=dict, init=False, repr=False,
                                         compare=False)
+    # element -> tr M(element), as a list indexed by the element
+    traces: List[int] = field(default_factory=list, init=False, repr=False, compare=False)
     # root -> (stabilizer, +-stabilizer)
     _memo: Dict[Vector, Tuple[FrozenSet[int], FrozenSet[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -394,6 +399,12 @@ class GRootDatum:
         group.  The generators' permutations of the roots, kept from the
         stability test, give every element's (:meth:`_permute_roots`).
 
+        Ellipticity is read from the traces, which are recorded here for
+        :func:`torus_lattice_data`: once M is a homomorphism, the average
+        (1/|G|) sum_g M(g) is the projection onto V^G for V = X (x) Q, so
+        sum_g tr M(g) = |G| dim V^G, and the datum is elliptic exactly when
+        the sum is 0.  No lattice basis and no Smith form is needed.
+
         Both products read each generator's matrix once, at load, in sparse
         column form (``zlattice.sparse_columns``): column j of M(s)M(b) is
         M(s) applied to column j of M(b), and M(s) applied to a vector
@@ -416,8 +427,9 @@ class GRootDatum:
                        for col, want in zip(columns[b], columns[g.mul(s, b)])):
                     raise ValueError("action is not a homomorphism at (%d, %d)" % (s, b))
         self._permute_roots(g, sparse)
-        fixed = invariant_sublattice(self.rank, [self.action[a] for a in gens])
-        if fixed:
+        self.traces[:] = [sum(self.action[a][i][i] for i in range(self.rank))
+                          for a in g.elements]
+        if sum(self.traces):
             raise ValueError("datum is not elliptic: invariant vectors exist")
 
     def _permute_roots(self, group: FiniteGroup, sparse: Mapping[int, SparseColumns]) -> None:
@@ -650,23 +662,21 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
 class TorusLatticeData:
     """Every lattice invariant of the torus both sides of the comparison use.
 
-    M is the inertia-fixed part of the character lattice with the restricted
-    Frobenius; its twisted fixed-point count |det(qF - 1)| is the order of
-    the special-fiber torus.  On the cocharacter side we carry the order of
-    the full coinvariant group and the Frobenius-fixed count of the inertia
+    M is the inertia-fixed part X^I of the character lattice, with the
+    Frobenius F; its rank, its twisted fixed-point count |det(qF - 1)| (the
+    order of the special-fiber torus) and |det(F - 1)| = |(X^I)_F| are
+    values of the characteristic polynomial of F on X^I (x) Q, read from
+    traces.  On the cocharacter side we carry the order of the full
+    coinvariant group and the Frobenius-fixed count of the inertia
     coinvariants (the Kottwitz-style component index separating the two
-    published prefactor normalizations).
+    published prefactor normalizations), both from Smith forms.
     """
 
-    m_basis: Tuple[Vector, ...]
+    rank_m: int                     # rank of M
     special_fiber_order: int        # |det(q F - 1)| on M
     m_frob_coinvariants: int        # |det(F - 1)| on M
     cochar_full_coinvariants: int   # |X_*(S^a)_Gamma|
     kottwitz_fixed_order: int       # |X_*(S^a)_I ^ Frob|
-
-    @property
-    def rank_m(self) -> int:
-        return len(self.m_basis)
 
     @property
     def full_point_index(self) -> int:
@@ -680,12 +690,24 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     """Compute the torus lattice data of a datum that passed
     :meth:`GRootDatum.check_against_frame`.
 
-    That check makes the action a homomorphism, so the contragredient
-    M(g)^-T on the cocharacter lattice is read off as M(g^-1)^T.  The
-    invariant sublattices and the coinvariant relations are taken over
-    generators of the group and of inertia only: a vector fixed by the
-    generators is fixed by the group, and (gh - 1)x = (g - 1)(hx) + (h - 1)x
-    puts every relation in the span of the generators' relations.
+    The orders of M = X^I come from the traces that check recorded.  The
+    inertia average P = (1/|I|) sum_{i in I} M(i) projects V = X (x) Q onto
+    V^I, and F normalizes I, so F preserves V^I and
+    tr(F^k | V^I) = tr(M(phi)^k P) = (1/|I|) sum_{i in I} tr M(phi^k i).
+    So rank M is p_0 and these are the power sums p_k of the eigenvalues of
+    F on V^I; Newton's identities k e_k = sum_{j=1..k} (-1)^(j-1) e_{k-j} p_j
+    give their elementary symmetric functions, all integers because F
+    preserves the lattice M.  Then det(1 - tF) = sum_k (-t)^k e_k, taken at
+    t = q and t = 1.  No basis of M and no determinant is computed.
+
+    On the cocharacter lattice, where g acts by M(g)^-T = M(g^-1)^T, the
+    inertia coinvariants X_{*,I} are presented by the relations of the
+    inertia generators only, since (gh - 1)x = (g - 1)(hx) + (h - 1)x puts
+    every relation in their span.  The one Smith form of [F - 1 | -B] on
+    that presentation gives both the kernel of F - 1, whose order is
+    |(X_{*,I})^F| (:func:`fg_fixed_order`), and its cokernel
+    X_*/((F - 1)X_* + I-relations), which is X_{*,Gamma} because the frame
+    guarantees Gamma = <I, Frob> (:func:`fg_coinvariants_order`).
 
     Every order here is finite, because that check also refuses a nonzero
     group-fixed vector and the group is generated by I and Frob.  A
@@ -697,28 +719,33 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     (X_* (x) Q)^I, which is (X_* (x) Q)^Gamma.  Finally Frob has finite
     order, so its eigenvalues are roots of unity and det(qF - 1) is nonzero.
     """
-    q = frame.q
-    group = frame.group
-    gens = group.generating_set(group.elements)
-    inertia_gens = group.generating_set(frame.inertia)
+    group, inertia, frobenius = frame.group, frame.inertia, frame.frobenius
+    traces = datum.traces
+    size = len(inertia)
+    rank_m = sum(traces[i] for i in inertia) // size
+    coset = sorted(inertia)  # phi^k I, element by element
+    power_sums: List[int] = []
+    e = [1]
+    for k in range(1, rank_m + 1):
+        coset = [group.mul(frobenius, x) for x in coset]
+        power_sums.append(sum(traces[x] for x in coset) // size)
+        e.append(sum((-1) ** j * e[k - 1 - j] * power_sums[j] for j in range(k)) // k)
+    special = coinv = 0  # det(1 - qF) and det(1 - F) by Horner's rule
+    for ek in reversed(e):
+        special = special * -frame.q + ek
+        coinv = -coinv + ek
 
     def dual(a: int) -> Matrix:
         return mat_transpose(datum.action[group.inv(a)])
 
-    m_basis = tuple(invariant_sublattice(datum.rank, [datum.action[a] for a in inertia_gens]))
-    f_m = restrict_endomorphism(datum.action[frame.frobenius], m_basis)
-    special = twisted_fixed_order(f_m, q)
-    coinv = coinvariants_order(f_m)
-    full = group_coinvariants(datum.rank, [dual(a) for a in gens])
-    cochar_inertia = group_coinvariants(datum.rank, [dual(a) for a in inertia_gens],
-                                        endo=dual(frame.frobenius))
-    kottwitz = fg_fixed_order(cochar_inertia)
+    cochar_inertia = group_coinvariants(
+        datum.rank, [dual(a) for a in group.generating_set(inertia)], endo=dual(frobenius))
     return TorusLatticeData(
-        m_basis=m_basis,
-        special_fiber_order=special,
-        m_frob_coinvariants=coinv,
-        cochar_full_coinvariants=full.order,
-        kottwitz_fixed_order=kottwitz,
+        rank_m=rank_m,
+        special_fiber_order=abs(special),
+        m_frob_coinvariants=abs(coinv),
+        cochar_full_coinvariants=fg_coinvariants_order(cochar_inertia),
+        kottwitz_fixed_order=fg_fixed_order(cochar_inertia),
     )
 
 

@@ -252,8 +252,12 @@ class Scenario:
         return json_text(self.to_json_dict()) + "\n"
 
 
-def _build_group(spec: Mapping[str, object],
+def _build_group(spec: Mapping[str, object], max_order: int,
                  fail: List[Tuple[str, str, str]]) -> Optional[FiniteGroup]:
+    """The frame group, or None after recording its failure.  A group from
+    ``perm_gens`` is closed only up to ``max_order`` elements, the number of
+    entries of the action map: a larger group can never pass the datum
+    check, and its multiplication table would have |G|^2 entries."""
     key = next((k for k in ("mult_table", "perm_gens") if k in spec), None)
     if key is None:
         fail.append(("galois_roots", "group", "need mult_table or perm_gens"))
@@ -264,7 +268,7 @@ def _build_group(spec: Mapping[str, object],
         else:
             gens = [parse_int_array(gen, "permutation", "permutation entry")
                     for gen in spec[key]]
-            g, _elems = FiniteGroup.from_permutations(gens)
+            g, _elems = FiniteGroup.from_permutations(gens, max_order)
     except (ValueError, TypeError, IndexError) as e:
         fail.append(("galois_roots", "group." + key, str(e)))
         return None
@@ -348,7 +352,7 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
 
     group = None
     if "group" in doc:
-        group = _build_group(doc["group"], failures)
+        group = _build_group(doc["group"], len(doc.get("action", {})), failures)
     else:
         failures.append(("galois_roots", "group", "missing"))
     if group is None or pp is None:
@@ -430,6 +434,8 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
             chi = ChiData({}, frame.group.order)
             for rk, table in doc["chi"].items():
                 root = parse_root_key(rk)
+                if root not in datum.roots:
+                    raise ValueError("character at %s is not a root" % (root,))
                 char = chi.chars[root] = {}
                 for g, v in table.items():
                     # x = a/b mod 1 is (a mod b)/b, stored as k = n (x mod 1); a

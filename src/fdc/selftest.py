@@ -7,6 +7,13 @@ enumeration for lattice quotients, direct primed summation for the
 periodic identity, synthetic orbit systems with arbitrary offsets for the
 length identity.
 
+The lattice route to the torus orders lives here too: a saturated basis
+of X^I, the restricted Frobenius and its Bareiss determinants, and the
+coinvariants of the cocharacter lattice over the group's generators.
+``verify`` reads the X^I orders from traces and the cocharacter orders
+from one Smith form (:func:`fdc.galois_roots.torus_lattice_data`); the
+lattice-identity suite checks every field of that against this route.
+
 Three summation devices of the paper's length bookkeeping live here:
 
 * the primed sum, which counts interval endpoints with half weight and is
@@ -27,24 +34,38 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .chi_data import verify_base_change
 from .compare import VERDICT_UNEQUAL, run_compare
-from .galois_roots import OrbitInfo
+from .galois_roots import (
+    GaloisFrame,
+    GRootDatum,
+    OrbitInfo,
+    TorusLatticeData,
+    torus_lattice_data,
+)
 from .mp_filtration import JumpAssignment, twice_length_to
-from .qexact import RationalLike
+from .qexact import PrimePower, RationalLike
 from .scenario import _random_chi, generate_scenario, generator_templates
 from .weil_gamma import conductor_tame_induction
 from .zlattice import (
-    coinvariants_order,
+    INFINITY,
+    GroupOrder,
+    Matrix,
+    SmithForm,
+    Vector,
     fg_fixed_order,
     group_coinvariants,
     identity_matrix,
-    invariant_sublattice,
+    kernel_basis,
+    mat_copy,
     mat_mul,
+    mat_shape,
+    mat_sub,
     mat_transpose,
-    restrict_endomorphism,
+    mat_vec,
+    smith_normal_form,
 )
 
 
@@ -268,6 +289,140 @@ def suite_periodic_sum(rng: random.Random, n: int) -> int:
     return checks
 
 
+# -- the lattice route to the torus orders ---------------------------------------
+
+
+def mat_scale(a: Sequence[Sequence[int]], c: int) -> Matrix:
+    return [[c * x for x in row] for row in a]
+
+
+def det(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    n, m = mat_shape(a)
+    if n != m:
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    mat = mat_copy(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            for i in range(k + 1, n):
+                if mat[i][k] != 0:
+                    mat[k], mat[i] = mat[i], mat[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+            mat[i][k] = 0
+        prev = mat[k][k]
+    return sign * mat[n - 1][n - 1]
+
+
+def coinvariants_order(f: Sequence[Sequence[int]]) -> GroupOrder:
+    """Order of coker(F - 1 : Z^n -> Z^n); INFINITY when det(F - 1) = 0.
+
+    This is |det(F - 1)| when nonzero, the standard count of Frobenius
+    coinvariants of a lattice.
+    """
+    n, m = mat_shape(f)
+    if n != m:
+        raise ValueError("endomorphism must be square")
+    if n == 0:
+        return 1
+    d = det(mat_sub(f, identity_matrix(n)))
+    return INFINITY if d == 0 else abs(d)
+
+
+def twisted_fixed_order(f: Sequence[Sequence[int]], q: int) -> int:
+    """|det(q*F - 1)|: the number of Frobenius-fixed points of the twisted
+    torus with cocharacter data (M, F) over the field with q elements."""
+    n, m = mat_shape(f)
+    if n != m:
+        raise ValueError("endomorphism must be square")
+    if n == 0:
+        return 1
+    d = det(mat_sub(mat_scale(f, q), identity_matrix(n)))
+    if d == 0:
+        raise ValueError("det(qF - 1) = 0; the fixed-point group is infinite")
+    return abs(d)
+
+
+def invariant_sublattice(rank: int, action_gens: Sequence[Sequence[Sequence[int]]]) -> List[Vector]:
+    """Deterministic basis of the saturated sublattice fixed by every
+    generator (kernel of the stacked (g - 1) matrices)."""
+    if not action_gens:
+        return [tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank)]
+    eye = identity_matrix(rank)
+    stacked: Matrix = []
+    for m in action_gens:
+        stacked.extend(mat_sub(mat_copy(m), eye))
+    return kernel_basis(stacked)
+
+
+def solve(form: SmithForm, b: Sequence[int]) -> Optional[Vector]:
+    """One integer solution x of A x = b, for the matrix A of the Smith form
+    U A V = D, or None when b is outside the column lattice: x = V z with
+    z_i = (U b)_i / d_i below the rank."""
+    if not form.contains(b):
+        return None
+    ub = mat_vec(form.u, b)
+    return mat_vec(form.v, [ub[i] // form.diagonal[i] for i in range(form.rank)])
+
+
+def restrict_endomorphism(f: Sequence[Sequence[int]], basis: Sequence[Vector]) -> Matrix:
+    """Matrix of F on the sublattice spanned by basis (F must preserve it)."""
+    if not basis:
+        return []
+    form = smith_normal_form([[b[i] for b in basis] for i in range(len(basis[0]))])
+    out_cols: List[Vector] = []
+    for b in basis:
+        sol = solve(form, mat_vec(f, b))
+        if sol is None:
+            raise ValueError("endomorphism does not preserve the sublattice")
+        out_cols.append(sol)
+    return mat_transpose(out_cols)
+
+
+def lattice_is_elliptic(datum: GRootDatum, frame: GaloisFrame) -> bool:
+    """Ellipticity by the lattice route: no nonzero vector is fixed by the
+    generators of the frame group."""
+    group = frame.group
+    gens = group.generating_set(group.elements)
+    return not invariant_sublattice(datum.rank, [datum.action[a] for a in gens])
+
+
+def lattice_torus_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeData:
+    """The torus lattice data by the lattice route: a saturated basis of
+    X^I, the Frobenius restricted to it and its two Bareiss determinants,
+    the coinvariants of the cocharacter lattice over the group's
+    generators, and the Frobenius-fixed order of its inertia coinvariants.
+    The datum's action must be an elliptic homomorphism."""
+    group = frame.group
+    inertia_gens = group.generating_set(frame.inertia)
+
+    def dual(a: int) -> Matrix:
+        return mat_transpose(datum.action[group.inv(a)])
+
+    basis = invariant_sublattice(datum.rank, [datum.action[a] for a in inertia_gens])
+    f_m = restrict_endomorphism(datum.action[frame.frobenius], basis)
+    full = group_coinvariants(datum.rank,
+                              [dual(a) for a in group.generating_set(group.elements)])
+    cochar_inertia = group_coinvariants(datum.rank, [dual(a) for a in inertia_gens],
+                                        endo=dual(frame.frobenius))
+    return TorusLatticeData(
+        rank_m=len(basis),
+        special_fiber_order=twisted_fixed_order(f_m, frame.q),
+        m_frob_coinvariants=coinvariants_order(f_m),
+        cochar_full_coinvariants=full.order,
+        kottwitz_fixed_order=fg_fixed_order(cochar_inertia),
+    )
+
+
 # -- lattice identities --------------------------------------------------------
 
 
@@ -297,7 +452,10 @@ def _conjugated_action(rng: random.Random, action: Dict[int, List[List[int]]],
 def suite_lattice_identity(rng: random.Random, n: int) -> int:
     """Coinvariant factorization |(X^I)_F| * |(X_I)^F| = |X_Gamma| on random
     elliptic lattices with group action, all three orders computed by
-    separate routes."""
+    separate lattice routes, and every field of ``torus_lattice_data``
+    (traces for the X^I orders, one Smith form for the cocharacter ones)
+    against the lattice route.  The residue prime is the first of the
+    template's primes that is prime to |I|."""
     templates = generator_templates()
     checks = 0
     while checks < n:
@@ -309,22 +467,22 @@ def suite_lattice_identity(rng: random.Random, n: int) -> int:
             continue
         frob = rng.choice(frob_candidates)
         action = _conjugated_action(rng, dict(tpl.action), tpl.rank)
-        # Conjugates of a homomorphism are one, so M(g)^-T = M(g^-1)^T.
-        dual = {g: mat_transpose(action[group.inv(g)]) for g in group.elements}
-        dual_gens = [dual[a] for a in sorted(inertia)]
-        dual_all = [dual[a] for a in group.elements]
-        dual_frob = dual[frob]
-        full = group_coinvariants(tpl.rank, dual_all)
-        if full.free_rank:
+        p = next(p for p in tpl.primes if len(inertia) % p)
+        frame = GaloisFrame(group, inertia, frob, PrimePower(p, 1))
+        # Conjugates of a homomorphism are one, and the roots play no part.
+        datum = GRootDatum(tpl.rank, action, frozenset())
+        if not lattice_is_elliptic(datum, frame):
             raise AssertionError("template action lost ellipticity")
-        basis = invariant_sublattice(tpl.rank, dual_gens)
-        f_inv = restrict_endomorphism(dual_frob, basis) if basis else []
-        first = coinvariants_order(f_inv)
-        coinv_i = group_coinvariants(tpl.rank, dual_gens, endo=dual_frob)
-        second = fg_fixed_order(coinv_i)
-        if first * second != full.order:
+        datum.check_against_frame(frame)
+        lattice = lattice_torus_data(datum, frame)
+        traced = torus_lattice_data(datum, frame)
+        if traced != lattice:
+            raise AssertionError("torus data disagree: traces %s, lattice %s"
+                                 % (traced, lattice))
+        first, second = lattice.m_frob_coinvariants, lattice.kottwitz_fixed_order
+        if first * second != lattice.cochar_full_coinvariants:
             raise AssertionError("coinvariant factorization fails: %s * %s != %s"
-                                 % (first, second, full.order))
+                                 % (first, second, lattice.cochar_full_coinvariants))
         checks += 1
     return checks
 

@@ -2,10 +2,12 @@
 
 Matrices are lists of rows of Python ints; vectors act as columns, so a
 group element g sends x to M(g) @ x.  Everything here is elementary Smith
-normal form bookkeeping: orders of coinvariant groups, twisted fixed-point
-counts |det(qF - 1)| (the point count of a torus over the residue field),
-saturated invariant sublattices, and fixed-point orders of endomorphisms of
-finitely generated abelian groups given by presentations.
+normal form bookkeeping: integer kernels, coinvariant groups given by
+presentations, and the fixed-point and coinvariant orders of an
+endomorphism F of such a group, both read from one Smith form of
+[F - 1 | -relations].  The orders of a torus that traces determine
+(rank and |det(qF - 1)| on X^I) are not computed here: see
+``galois_roots.torus_lattice_data``.
 
 No floating point appears anywhere in this module.
 """
@@ -112,43 +114,12 @@ def mat_sub(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Sequence[Sequence[int]], c: int) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def mat_transpose(a: Sequence[Sequence[int]]) -> Matrix:
     return [list(row) for row in zip(*a)] if a else []
 
 
 def mat_eq(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
     return [list(r) for r in a] == [list(r) for r in b]
-
-
-def det(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n, m = mat_shape(a)
-    if n != m:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    mat = mat_copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, n):
-                if mat[i][k] != 0:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -158,14 +129,13 @@ class SmithForm:
     """U @ A @ V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
     One factorization answers every lattice query about A: its rank, the
-    invariant factors of coker A, integer solutions of A x = b and
-    membership of b in the column lattice (Cohen, GTM 138, 2.4).
+    invariant factors of coker A, its integer kernel and membership of b
+    in the column lattice (Cohen, GTM 138, 2.4).
 
     D, its ``diagonal`` and its ``rank`` are computed eagerly, once.  U
     and V are replayed from the logged row and column operations the first
-    time they are read, and kept: ``contains`` builds U, ``solve`` and
-    unpacking (``u, d, v = form``) build both.  Equality compares
-    (u, d, v).
+    time they are read, and kept: ``contains`` builds U, ``kernel`` V and
+    unpacking (``u, d, v = form``) both.  Equality compares (u, d, v).
     """
 
     def __init__(self, d: Matrix, diagonal: List[int], rank: int, cols: int,
@@ -197,28 +167,20 @@ class SmithForm:
     def __repr__(self) -> str:
         return "SmithForm(u=%r, d=%r, v=%r)" % tuple(self)
 
-    def _reduced(self, b: Sequence[int]) -> Optional[List[int]]:
-        """z with D z = U b, or None when b is outside the column lattice:
-        (U b)_i must be divisible by d_i below the rank and zero beyond."""
+    def contains(self, b: Sequence[int]) -> bool:
+        """Whether b lies in the lattice spanned by the columns of A: (U b)_i
+        must be divisible by d_i below the rank and zero beyond."""
         if len(b) != len(self.d):
             raise ValueError("dimension mismatch")
         ub = mat_vec(self.u, b)
         diag = self.diagonal
         rank = self.rank
-        if any(ub[i] % diag[i] for i in range(rank)) or any(ub[rank:]):
-            return None
-        return [ub[i] // diag[i] for i in range(rank)]
+        return not (any(ub[i] % diag[i] for i in range(rank)) or any(ub[rank:]))
 
-    def contains(self, b: Sequence[int]) -> bool:
-        """Whether b lies in the lattice spanned by the columns of A."""
-        return self._reduced(b) is not None
-
-    def solve(self, b: Sequence[int]) -> Optional[Vector]:
-        """One integer solution x of A x = b (x = V z), or None."""
-        z = self._reduced(b)
-        if z is None:
-            return None
-        return tuple(sum(map(operator.mul, row, z)) for row in self.v)
+    def kernel(self) -> List[Vector]:
+        """Basis of the integer kernel {x : A x = 0}, deterministic and
+        saturated: the columns of V past the rank."""
+        return [tuple(row[j] for row in self.v) for j in range(self.rank, self._cols)]
 
 
 def _row_op(m: Matrix, op: Tuple[int, ...]) -> None:
@@ -348,40 +310,10 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> List[Vector]:
     rows, cols = mat_shape(a)
     if cols == 0:
         return []
-    form = smith_normal_form(a)
-    return [tuple(row[j] for row in form.v) for j in range(form.rank, cols)]
+    return smith_normal_form(a).kernel()
 
 
 # -- the operations named in the interface ------------------------------------
-
-
-def coinvariants_order(f: Sequence[Sequence[int]]) -> GroupOrder:
-    """Order of coker(F - 1 : Z^n -> Z^n); INFINITY when det(F - 1) = 0.
-
-    This is |det(F - 1)| when nonzero, the standard count of Frobenius
-    coinvariants of a lattice.
-    """
-    n, m = mat_shape(f)
-    if n != m:
-        raise ValueError("endomorphism must be square")
-    if n == 0:
-        return 1
-    d = det(mat_sub(f, identity_matrix(n)))
-    return INFINITY if d == 0 else abs(d)
-
-
-def twisted_fixed_order(f: Sequence[Sequence[int]], q: int) -> int:
-    """|det(q*F - 1)|: the number of Frobenius-fixed points of the twisted
-    torus with cocharacter data (M, F) over the field with q elements."""
-    n, m = mat_shape(f)
-    if n != m:
-        raise ValueError("endomorphism must be square")
-    if n == 0:
-        return 1
-    d = det(mat_sub(mat_scale(f, q), identity_matrix(n)))
-    if d == 0:
-        raise ValueError("det(qF - 1) = 0; the fixed-point group is infinite")
-    return abs(d)
 
 
 @dataclass
@@ -392,7 +324,10 @@ class FgAbelianGroup:
     The Smith form of the relation matrix is computed once at construction;
     the invariant factors, the free rank and the check that the endomorphism
     preserves the relation lattice all read it.  `order` is INFINITY exactly
-    when the free rank is positive.
+    when the free rank is positive.  ``endo_form``, the Smith form of
+    [F - 1 | -B] for the endomorphism F and the relation matrix B, is
+    computed when first read and kept: :func:`fg_fixed_order` and
+    :func:`fg_coinvariants_order` both read it.
     """
 
     ambient_rank: int
@@ -426,6 +361,15 @@ class FgAbelianGroup:
             return INFINITY
         return math.prod(self.invariant_factors)
 
+    @functools.cached_property
+    def endo_form(self) -> SmithForm:
+        if self.endo is None:
+            raise ValueError("group carries no endomorphism")
+        n = self.ambient_rank
+        c = mat_sub(self.endo, identity_matrix(n))
+        return smith_normal_form([c[i] + [-col[i] for col in self.relations]
+                                  for i in range(n)])
+
 
 def group_coinvariants(rank: int, action_gens: Sequence[Sequence[Sequence[int]]],
                        endo: Optional[Matrix] = None) -> FgAbelianGroup:
@@ -442,54 +386,24 @@ def group_coinvariants(rank: int, action_gens: Sequence[Sequence[Sequence[int]]]
     return FgAbelianGroup(rank, rels, endo)
 
 
-def invariant_sublattice(rank: int, action_gens: Sequence[Sequence[Sequence[int]]]) -> List[Vector]:
-    """Deterministic basis of the saturated sublattice fixed by every
-    generator (kernel of the stacked (g - 1) matrices)."""
-    if not action_gens:
-        return [tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank)]
-    eye = identity_matrix(rank)
-    stacked: Matrix = []
-    for m in action_gens:
-        stacked.extend(mat_sub(mat_copy(m), eye))
-    return kernel_basis(stacked)
-
-
-def restrict_endomorphism(f: Sequence[Sequence[int]], basis: Sequence[Vector]) -> Matrix:
-    """Matrix of F on the sublattice spanned by basis (F must preserve it)."""
-    if not basis:
-        return []
-    form = smith_normal_form(_columns_matrix(basis, len(basis[0])))
-    out_cols: List[Vector] = []
-    for b in basis:
-        sol = form.solve(mat_vec(f, b))
-        if sol is None:
-            raise ValueError("endomorphism does not preserve the sublattice")
-        out_cols.append(sol)
-    return mat_transpose(out_cols)
-
-
 def fg_fixed_order(group: FgAbelianGroup) -> int:
     """Exact order of ker(F - 1) on a finitely generated abelian group.
 
     Works on the presentation: the fixed subgroup is L / im(rel) where
-    L = {x : (F - 1)x lies in the relation lattice}.  F preserves the
-    relations, so im(rel) lies in L, and the fixed subgroup is finite
-    exactly when the two have the same rank; otherwise this raises.  Of
-    equal rank, they span the same rational space and so share its
-    saturation S = (L (x) Q) n Z^n, and [L : im(rel)] = [S : im(rel)] /
+    L = {x : (F - 1)x lies in the relation lattice}, the projection to the
+    x block of the kernel of [F - 1 | -B] (``group.endo_form``).  F
+    preserves the relations, so im(rel) lies in L, and the fixed subgroup
+    is finite exactly when the two have the same rank; otherwise this
+    raises.  Of equal rank, they span the same rational space and so share
+    its saturation S = (L (x) Q) n Z^n, and [L : im(rel)] = [S : im(rel)] /
     [S : L].  For any integer matrix, S over its column lattice is the
     torsion of its cokernel, whose order is the product of the nonzero
     invariant factors.  The relations' Smith form is already at hand, so
-    besides the kernel that yields L only one diagonal is computed: that
-    of L's generators.
+    besides the block's form only one diagonal is computed: that of L's
+    generators.
     """
-    if group.endo is None:
-        raise ValueError("group carries no endomorphism")
     n = group.ambient_rank
-    c = mat_sub(group.endo, identity_matrix(n))
-    # Solve (F - 1) x = B y: kernel of [C | -B] projected to the x block.
-    block = [c[i] + [-col[i] for col in group.relations] for i in range(n)]
-    lattice_gens = [v[:n] for v in kernel_basis(block)]
+    lattice_gens = [v[:n] for v in group.endo_form.kernel()]
     if not lattice_gens:
         return 1  # L = 0 contains im(rel), so both are 0
     rel_form = group.relation_form
@@ -498,3 +412,17 @@ def fg_fixed_order(group: FgAbelianGroup) -> int:
         raise ValueError("fixed subgroup is infinite")
     return (math.prod(rel_form.diagonal[:rel_form.rank])
             // math.prod(lat_form.diagonal[:lat_form.rank]))
+
+
+def fg_coinvariants_order(group: FgAbelianGroup) -> int:
+    """Exact order of coker(F - 1) on a finitely generated abelian group.
+
+    The cokernel is Z^n / (im(F - 1) + im(rel)), the cokernel of the block
+    [F - 1 | -B] whose kernel :func:`fg_fixed_order` reads, so its order is
+    the product of the diagonal of that same Smith form.  A block of rank
+    below n has an infinite cokernel, and this raises.
+    """
+    form = group.endo_form
+    if form.rank < group.ambient_rank:
+        raise ValueError("coinvariant group is infinite")
+    return math.prod(form.diagonal)

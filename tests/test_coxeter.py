@@ -2,11 +2,21 @@
 simple-root coordinates under Z/n acting by the Coxeter element, unramified
 and totally ramified.
 
-Its coinvariant relation matrices are (n-1) x ~n(n-1) and its invariance
-conditions n(n-1) x (n-1), the wide and tall Smith-form shapes that the
+Its cocharacter block [F - 1 | -B], (n-1) x 2(n-1) ramified, and the
+tall root matrices of its Levi closure are Smith-form shapes that the
 bundled scenarios never reach.  The comparison value has a closed form:
 unramified q^(n^2-1) (q-1)/(q^n-1), verdict EQUAL; totally ramified
 q^(n^2-1-(n-1)/2) / n, verdict FLAGGED.
+
+So have the torus orders, from the Coxeter element c, which acts on the
+root lattice with characteristic polynomial 1 + t + ... + t^(n-1).
+Unramified, X^I is the whole lattice and Frobenius is c, so
+|det(qc - 1)| = (q^n - 1)/(q - 1) and |det(c - 1)| = n; the cocharacter
+lattice is the dual of the root lattice, the weight lattice, on which
+1 - c has cokernel of order n, the component group, with no c-fixed
+point.  Totally ramified, X^I = 0 and Frobenius is trivial, so both
+X^I orders are 1 and the inertia coinvariants are that same group of
+order n, all of it Frobenius-fixed.
 """
 
 import json
@@ -90,6 +100,14 @@ def test_coxeter_verify_closed_form(n, ramified, tmp_path, capsys):
     assert report["verdict"] == verdict
     for value in (report["automorphic"]["value_full_index"], report["galois"]["value"]):
         assert (Fraction(value["coeff"]), Fraction(value["pexp"])) == (coeff, pexp)
+    if ramified:
+        orders = {"rank_m": 0, "special_fiber_order": 1, "m_frob_coinvariants": 1,
+                  "kottwitz_fixed_order": n, "component_group_order": n}
+    else:
+        orders = {"rank_m": n - 1, "special_fiber_order": (q ** n - 1) // (q - 1),
+                  "m_frob_coinvariants": n, "kottwitz_fixed_order": 1,
+                  "component_group_order": n}
+    assert {key: report["intermediates"][key] for key in orders} == orders
 
 
 def _rationals(node):

@@ -17,14 +17,24 @@ from fdc.galois_roots import (
     torus_lattice_data,
     validate_depth_lattice,
 )
-from fdc.scenario import ScenarioError, generate_scenario, load_scenario, scenario_from_dict
-from fdc.zlattice import (
+from fdc.scenario import (
+    ScenarioError,
+    generate_scenario,
+    generator_templates,
+    load_scenario,
+    scenario_from_dict,
+)
+from fdc.selftest import (
     coinvariants_order,
     invariant_sublattice,
+    lattice_is_elliptic,
+    lattice_torus_data,
+    restrict_endomorphism,
+)
+from fdc.zlattice import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    restrict_endomorphism,
     sparse_columns,
     sparse_mat_vec,
 )
@@ -458,6 +468,116 @@ def test_torus_orders_match_dual_lattice_route():
         dual = _dual_invariant_coinvariants(scen.datum, scen.frame)
         assert dual == torus.m_frob_coinvariants, scen.name
         assert dual * torus.kottwitz_fixed_order == torus.cochar_full_coinvariants, scen.name
+
+
+def _unimodular_pair(rng, rank):
+    """A random unimodular U, a product of 12 elementary matrices, and U^-1."""
+    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    uinv = [row[:] for row in u]
+    for _ in range(12 if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for row in u:  # U <- U E, E adding c * column i to column j
+            row[j] += c * row[i]
+        uinv[i] = [x - c * y for x, y in zip(uinv[i], uinv[j])]  # U^-1 <- E^-1 U^-1
+    return u, uinv
+
+
+def _conjugate(rng, rank, action):
+    """The action U M(g) U^-1 for a random unimodular U."""
+    u, uinv = _unimodular_pair(rng, rank)
+    return {g: mat_mul(mat_mul(u, m), uinv) for g, m in action.items()}
+
+
+def _coset_action(group, h, augmented):
+    """The group permuting the right cosets H x (H x -> H x g^-1) as
+    permutation matrices; augmented, on the sum-zero sublattice in the basis
+    e_c - e_last instead.  The first always fixes the sum of the cosets;
+    the second is elliptic, since the permutation action is transitive."""
+    keys = group.coset_keys(h)
+    cosets = sorted(set(keys))
+    index = {c: i for i, c in enumerate(cosets)}
+    m = len(cosets)
+    out = {}
+    for g in group.elements:
+        perm = [index[keys[group.mul(c, group.inv(g))]] for c in cosets]
+        if augmented:
+            out[g] = [[int(perm[j] == i) - int(perm[m - 1] == i) for j in range(m - 1)]
+                      for i in range(m - 1)]
+        else:
+            out[g] = [[int(perm[j] == i) for j in range(m)] for i in range(m)]
+    return out
+
+
+def _direct_sum(rank, action, extra):
+    """The action M(g) + E(g) on Z^rank + Z^k."""
+    k = len(extra[0])
+    summed = {g: [row + [0] * k for row in m] + [[0] * rank + row for row in extra[g]]
+              for g, m in action.items()}
+    return rank + k, summed
+
+
+def _elliptic_by_traces(datum, frame):
+    try:
+        datum.check_against_frame(frame)
+    except ValueError as err:
+        assert "not elliptic" in str(err), err
+        return False
+    return True
+
+
+def _template_data(rng):
+    """The selftest generator templates under every inertia choice and
+    Frobenius, and every residue prime of the template prime to |I|, each
+    conjugated by a random unimodular matrix so that X^I is not spanned by
+    coordinate vectors."""
+    out = []
+    for tpl in generator_templates():
+        for inertia in map(frozenset, tpl.inertia_choices):
+            for frob in tpl.group.quotient_generators(tpl.group.elements, inertia):
+                for p in (p for p in tpl.primes if len(inertia) % p):
+                    frame = GaloisFrame(tpl.group, inertia, frob, PrimePower(p, 1))
+                    out.append((tpl.rank, _conjugate(rng, tpl.rank, tpl.action), frame))
+    return out
+
+
+def test_trace_route_matches_lattice_route():
+    """Every field of torus_lattice_data (traces for the X^I orders, one
+    Smith form for the cocharacter orders) and the ellipticity decision of
+    check_against_frame (the trace sum) against the lattice route of
+    fdc.selftest: a saturated basis of X^I, the restricted Frobenius, its
+    Bareiss determinants, and coinvariants over the group's generators.
+
+    Run on the bundled scenarios, 200 generated ones (seed 13), the A_{n-1}
+    Coxeter tori for n = 4..24 unramified and totally ramified, and the
+    generator templates conjugated by random unimodular matrices.  Roots
+    are left out: neither route reads them.  The decision is also compared
+    on the direct sums of the same actions with the permutation action on
+    the cosets of each subgroup (never elliptic) and with its sum-zero
+    sublattice (elliptic), conjugated again; on the Coxeter data, with the
+    trivial action on one coset only."""
+    rng = random.Random(13)
+    scenarios = bundled_scenarios()
+    assert len(scenarios) == 6
+    scenarios += [generate_scenario(rng) for _ in range(200)]
+    coxeter = [scenario_from_dict(coxeter_document(n, ramified))
+               for n in range(4, 25) for ramified in (False, True)]
+    data = [(scen.datum.rank, scen.datum.action, scen.frame) for scen in scenarios + coxeter]
+    data += _template_data(rng)
+    decisions = {True: 0, False: 0}
+    for i, (rank, action, frame) in enumerate(data):
+        datum = GRootDatum(rank, action, frozenset())
+        assert _elliptic_by_traces(datum, frame) and lattice_is_elliptic(datum, frame)
+        assert torus_lattice_data(datum, frame) == lattice_torus_data(datum, frame), i
+        small = frame.group.order <= 8
+        for h in frame.group.all_subgroups() if small else [frozenset(frame.group.elements)]:
+            for augmented in (False, True) if small else (False,):
+                size, summed = _direct_sum(rank, action, _coset_action(frame.group, h, augmented))
+                other = GRootDatum(size, _conjugate(rng, size, summed), frozenset())
+                decision = lattice_is_elliptic(other, frame)
+                assert _elliptic_by_traces(other, frame) == decision == augmented, (i, h)
+                decisions[decision] += 1
+    assert decisions[True] > 500 and decisions[False] > 500
 
 
 def test_torus_lattice_data_sl2():

@@ -29,6 +29,7 @@ from fdc.qexact import PrimePower
 from fdc.scenario import ScenarioError, scenario_from_dict
 from fdc.selftest import (
     JumpFunction,
+    det,
     master_length_identity,
     primed_sum,
     random_jumps,
@@ -36,7 +37,6 @@ from fdc.selftest import (
 )
 from fdc.zlattice import (
     FgAbelianGroup,
-    det,
     fg_fixed_order,
     mat_eq,
     mat_mul,

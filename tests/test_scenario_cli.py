@@ -500,6 +500,15 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     # a string is not read digit by digit as the permutation [1, 0]
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), group={"perm_gens": ["10"]})),
      "galois_roots.group.perm_gens: permutation must be a JSON array, got string"),
+    # S_8 (40,320 elements) against a two-entry action map: the closure
+    # stops at the third element, before any multiplication table is built
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), group={"perm_gens": [
+        [1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]})),
+     "galois_roots.group.perm_gens: permutations generate more than 2 elements"),
+    # a character table keyed on a vector outside the root set is not ignored
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
+                     chi={"2": {"0": "0"}, "-2": {"0": "0"}, "4": {"0": "0"}})),
+     "chi_data.chi: character at (4,) is not a root"),
     # an empty character table: refused under condition 2, not classified
     (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"),
                      chi={"1": {"0": "0", "2": "1/2"}, "-1": {}})),
@@ -536,7 +545,7 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
      "galois_roots.GRootDatum: root must be a JSON array, got string"),
 ], ids=["top-level-array", "chi-array", "options-number", "action-array",
         "perm-gens-object", "order-float", "perm-gens-bool", "perm-gens-float",
-        "perm-gens-string", "chi-empty-table", "depth-lattice", "not-elliptic",
+        "perm-gens-string", "perm-gens-past-action", "chi-non-root", "chi-empty-table", "depth-lattice", "not-elliptic",
         "asymmetric-roots", "inertia-out-of-range", "frobenius-out-of-range",
         "non-associative-loop", "action-row-string", "action-matrix-string",
         "root-string"])

@@ -102,7 +102,7 @@ def test_toral_gamma_examples():
 
     # rank-2 rotation: exp_q(2) * 2 / det(3F - 1) = 9 * 2/10
     rot = TorusLatticeData(
-        m_basis=((1, 0), (0, 1)), special_fiber_order=10, m_frob_coinvariants=2,
+        rank_m=2, special_fiber_order=10, m_frob_coinvariants=2,
         cochar_full_coinvariants=2, kottwitz_fixed_order=1)
     tg = toral_gamma_abs(rot, 2, PP3)
     assert tg.monomial == exp_q(2, PP3) and tg.rational == Fraction(2, 10)
