@@ -25,9 +25,7 @@ from .zlattice import (
     Matrix,
     SparseColumns,
     Vector,
-    fg_coinvariants_order,
-    fg_fixed_order,
-    group_coinvariants,
+    frobenius_orders,
     identity_matrix,
     kernel_basis,
     mat_eq,
@@ -669,7 +667,7 @@ class TorusLatticeData:
     traces.  On the cocharacter side we carry the order of the full
     coinvariant group and the Frobenius-fixed count of the inertia
     coinvariants (the Kottwitz-style component index separating the two
-    published prefactor normalizations), both from Smith forms.
+    published prefactor normalizations), both from one Smith form.
     """
 
     rank_m: int                     # rank of M
@@ -701,13 +699,17 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     t = q and t = 1.  No basis of M and no determinant is computed.
 
     On the cocharacter lattice, where g acts by M(g)^-T = M(g^-1)^T, the
-    inertia coinvariants X_{*,I} are presented by the relations of the
-    inertia generators only, since (gh - 1)x = (g - 1)(hx) + (h - 1)x puts
-    every relation in their span.  The one Smith form of [F - 1 | -B] on
-    that presentation gives both the kernel of F - 1, whose order is
-    |(X_{*,I})^F| (:func:`fg_fixed_order`), and its cokernel
+    inertia coinvariants X_{*,I} are presented by the columns of g - 1 for
+    the inertia generators g only, since (gh - 1)x = (g - 1)(hx) + (h - 1)x
+    puts every relation in their span.  Frobenius F preserves that relation
+    lattice: F(g - 1)x = (F g F^-1 - 1)(F x), F g F^-1 lies in I because
+    :class:`GaloisFrame` refuses a non-normal inertia subgroup, and the
+    dual action is a homomorphism because :meth:`GRootDatum.check_against_frame`
+    made the action one.  So :func:`fdc.zlattice.frobenius_orders` applies,
+    and its one Smith form of [F - 1 | -B] gives both the kernel of F - 1,
+    whose order is |(X_{*,I})^F|, and its cokernel
     X_*/((F - 1)X_* + I-relations), which is X_{*,Gamma} because the frame
-    guarantees Gamma = <I, Frob> (:func:`fg_coinvariants_order`).
+    guarantees Gamma = <I, Frob>.
 
     Every order here is finite, because that check also refuses a nonzero
     group-fixed vector and the group is generated by I and Frob.  A
@@ -735,17 +737,22 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
         special = special * -frame.q + ek
         coinv = -coinv + ek
 
-    def dual(a: int) -> Matrix:
-        return mat_transpose(datum.action[group.inv(a)])
-
-    cochar_inertia = group_coinvariants(
-        datum.rank, [dual(a) for a in group.generating_set(inertia)], endo=dual(frobenius))
+    # Column j of M(g^-1)^T - 1 is row j of M(g^-1) less e_j.
+    relations: List[Vector] = []
+    for a in group.generating_set(inertia):
+        for j, row in enumerate(datum.action[group.inv(a)]):
+            col = list(row)
+            col[j] -= 1
+            if any(col):
+                relations.append(tuple(col))
+    full, fixed = frobenius_orders(
+        datum.rank, relations, mat_transpose(datum.action[group.inv(frobenius)]))
     return TorusLatticeData(
         rank_m=rank_m,
         special_fiber_order=abs(special),
         m_frob_coinvariants=abs(coinv),
-        cochar_full_coinvariants=fg_coinvariants_order(cochar_inertia),
-        kottwitz_fixed_order=fg_fixed_order(cochar_inertia),
+        cochar_full_coinvariants=full,
+        kottwitz_fixed_order=fixed,
     )
 
 

@@ -25,18 +25,48 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .galois_roots import GRootDatum, HoweFiltration, OrbitInfo
 from .qexact import PrimePower, QMonomial, RationalLike, exp_q
-from .zlattice import INFINITY, Infinity
 
 
 # -- extended indices ----------------------------------------------------------
+
+
+class Infinity:
+    """The one infinite value: the top index of a filtration here, an
+    infinite group order in ``fdc.selftest``.  It lies above every index
+    and absorbs addition."""
+
+    _instance: Optional["Infinity"] = None
+
+    def __new__(cls) -> "Infinity":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __le__(self, other) -> bool:
+        return other is INFINITY
+
+    def __add__(self, other) -> "Infinity":
+        return self
+
+    def __radd__(self, other) -> "Infinity":
+        return self
+
+    def __repr__(self) -> str:
+        return "INFINITY"
+
+
+INFINITY = Infinity()
 
 
 @dataclass(frozen=True, order=False)
 class ExtIndex:
     """Index r or r+ in the extended totally ordered index set.
 
-    Ordering: r < r+ < s for r < s; INFINITY (the sentinel from ``zlattice``)
-    is maximal.  Addition follows the Bruhat-Tits convention r+ + s = (r+s)+.
+    Ordering: r < r+ < s for r < s; INFINITY is maximal.  Addition follows
+    the Bruhat-Tits convention r+ + s = (r+s)+.
     """
 
     r: Fraction

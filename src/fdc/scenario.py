@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .chi_data import ChiData, character_group, char_conjugate, char_inverse, condition_failures
 from .formal_degree import DepthZeroData, YuShape
@@ -325,6 +325,20 @@ def _shape_failures(doc: object) -> List[Tuple[str, str, str]]:
             for module, key, value, kind in fields if not isinstance(value, kind)]
 
 
+def _repeated_key(table: Mapping[str, object], parse: Callable[[str], object],
+                  keys: str, noun: str) -> ValueError:
+    """The refusal of a table whose keys parse to fewer values than it has
+    keys, naming the first two keys that name one value (as "1" and "01"
+    do): the later entry must not silently replace the earlier one."""
+    seen: Dict[object, str] = {}
+    for key in table:
+        value = parse(key)
+        if value in seen:
+            return ValueError("%s %s and %s both name %s %s"
+                              % (keys, json.dumps(seen[value]), json.dumps(key), noun, value))
+        seen[value] = key
+
+
 def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     """Parse and fully validate one scenario document.
 
@@ -374,6 +388,8 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
             if not isinstance(m, list):
                 raise TypeError("action matrix must be a JSON array, got %s" % _json_kind(m))
             action[int(g)] = [parse_int_array(row, "action row", "action entry") for row in m]
+        if len(action) < len(doc["action"]):
+            raise _repeated_key(doc["action"], int, "action keys", "element")
         roots = frozenset(tuple(parse_int_array(r, "root", "root coordinate"))
                           for r in doc["roots"])
         datum = GRootDatum(rank, action, roots)
@@ -443,6 +459,10 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
                     x = parse_fraction(v)
                     k, b = x.numerator % x.denominator * chi.n, x.denominator
                     char[int(g)] = k // b if k % b == 0 else Fraction(k, b)
+                if len(char) < len(table):
+                    raise _repeated_key(table, int, "character at %s: keys" % (root,), "element")
+            if len(chi.chars) < len(doc["chi"]):
+                raise _repeated_key(doc["chi"], parse_root_key, "chi keys", "root")
             cond1, cond2 = condition_failures(chi, datum, frame)
             for msg in cond1 + cond2:
                 failures.append(("chi_data", "chi", msg))

@@ -31,10 +31,11 @@ Three summation devices of the paper's length bookkeeping live here:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .chi_data import verify_base_change
 from .compare import VERDICT_UNEQUAL, run_compare
@@ -45,18 +46,15 @@ from .galois_roots import (
     TorusLatticeData,
     torus_lattice_data,
 )
-from .mp_filtration import JumpAssignment, twice_length_to
+from .mp_filtration import INFINITY, Infinity, JumpAssignment, twice_length_to
 from .qexact import PrimePower, RationalLike
 from .scenario import _random_chi, generate_scenario, generator_templates
 from .weil_gamma import conductor_tame_induction
 from .zlattice import (
-    INFINITY,
-    GroupOrder,
     Matrix,
     SmithForm,
     Vector,
-    fg_fixed_order,
-    group_coinvariants,
+    frobenius_orders,
     identity_matrix,
     kernel_basis,
     mat_copy,
@@ -323,7 +321,7 @@ def det(a: Sequence[Sequence[int]]) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def coinvariants_order(f: Sequence[Sequence[int]]) -> GroupOrder:
+def coinvariants_order(f: Sequence[Sequence[int]]) -> Union[int, Infinity]:
     """Order of coker(F - 1 : Z^n -> Z^n); INFINITY when det(F - 1) = 0.
 
     This is |det(F - 1)| when nonzero, the standard count of Frobenius
@@ -366,12 +364,16 @@ def invariant_sublattice(rank: int, action_gens: Sequence[Sequence[Sequence[int]
 
 def solve(form: SmithForm, b: Sequence[int]) -> Optional[Vector]:
     """One integer solution x of A x = b, for the matrix A of the Smith form
-    U A V = D, or None when b is outside the column lattice: x = V z with
+    U A V = D, or None when b is outside the column lattice: (U b)_i must be
+    divisible by d_i below the rank and zero beyond, and then x = V z with
     z_i = (U b)_i / d_i below the rank."""
-    if not form.contains(b):
-        return None
+    if len(b) != len(form.d):
+        raise ValueError("dimension mismatch")
     ub = mat_vec(form.u, b)
-    return mat_vec(form.v, [ub[i] // form.diagonal[i] for i in range(form.rank)])
+    diag, rank = form.diagonal, form.rank
+    if any(ub[i] % diag[i] for i in range(rank)) or any(ub[rank:]):
+        return None
+    return mat_vec(form.v, [ub[i] // diag[i] for i in range(rank)])
 
 
 def restrict_endomorphism(f: Sequence[Sequence[int]], basis: Sequence[Vector]) -> Matrix:
@@ -399,27 +401,32 @@ def lattice_is_elliptic(datum: GRootDatum, frame: GaloisFrame) -> bool:
 def lattice_torus_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeData:
     """The torus lattice data by the lattice route: a saturated basis of
     X^I, the Frobenius restricted to it and its two Bareiss determinants,
-    the coinvariants of the cocharacter lattice over the group's
-    generators, and the Frobenius-fixed order of its inertia coinvariants.
-    The datum's action must be an elliptic homomorphism."""
-    group = frame.group
+    |X_{*,Gamma}| as the product of the Smith diagonal of the relations of
+    all the group's generators on the cocharacter lattice, and the
+    Frobenius-fixed order of its inertia coinvariants.  The datum's action
+    must be an elliptic homomorphism."""
+    group, n = frame.group, datum.rank
     inertia_gens = group.generating_set(frame.inertia)
 
-    def dual(a: int) -> Matrix:
-        return mat_transpose(datum.action[group.inv(a)])
+    def relations(gens: Sequence[int]) -> List[Vector]:
+        """The columns of M(g^-1)^T - 1 for each g in gens."""
+        eye = identity_matrix(n)
+        return [col for a in gens
+                for col in zip(*mat_sub(mat_transpose(datum.action[group.inv(a)]), eye))]
 
-    basis = invariant_sublattice(datum.rank, [datum.action[a] for a in inertia_gens])
+    basis = invariant_sublattice(n, [datum.action[a] for a in inertia_gens])
     f_m = restrict_endomorphism(datum.action[frame.frobenius], basis)
-    full = group_coinvariants(datum.rank,
-                              [dual(a) for a in group.generating_set(group.elements)])
-    cochar_inertia = group_coinvariants(datum.rank, [dual(a) for a in inertia_gens],
-                                        endo=dual(frame.frobenius))
+    full = smith_normal_form(mat_transpose(relations(group.generating_set(group.elements))))
+    if full.rank < n:
+        raise ValueError("coinvariant group is infinite")
+    _, fixed = frobenius_orders(n, relations(inertia_gens),
+                                mat_transpose(datum.action[group.inv(frame.frobenius)]))
     return TorusLatticeData(
         rank_m=len(basis),
         special_fiber_order=twisted_fixed_order(f_m, frame.q),
         m_frob_coinvariants=coinvariants_order(f_m),
-        cochar_full_coinvariants=full.order,
-        kottwitz_fixed_order=fg_fixed_order(cochar_inertia),
+        cochar_full_coinvariants=math.prod(full.diagonal),
+        kottwitz_fixed_order=fixed,
     )
 
 
@@ -427,14 +434,16 @@ def lattice_torus_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
 
 
 def _random_unimodular(rng: random.Random, rank: int) -> Tuple[List[List[int]], List[List[int]]]:
-    """A random product U of elementary matrices, together with U^-1."""
+    """A random product U of four elementary matrices, each adding c = 1 or
+    2 times column i to column j != i, together with U^-1.  With every c
+    positive, U has nonnegative entries whose sum grows at each step, so
+    U is never the identity.  Rank 1 has no such step and returns the
+    identity."""
     u = identity_matrix(rank)
     uinv = identity_matrix(rank)
-    for _ in range(rng.randint(0, 4)):
-        i, j = rng.randrange(rank), rng.randrange(rank)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
+    for _ in range(4 if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((1, 2))
         # U <- U E with E: col_j += c * col_i; then U^-1 <- E^-1 U^-1, whose
         # row op is row_i -= c * row_j.
         for r_ in range(rank):

@@ -2,10 +2,10 @@
 
 Matrices are lists of rows of Python ints; vectors act as columns, so a
 group element g sends x to M(g) @ x.  Everything here is elementary Smith
-normal form bookkeeping: integer kernels, coinvariant groups given by
-presentations, and the fixed-point and coinvariant orders of an
-endomorphism F of such a group, both read from one Smith form of
-[F - 1 | -relations].  The orders of a torus that traces determine
+normal form bookkeeping: integer kernels, and the coinvariant and
+fixed-point orders of an endomorphism F of a group Z^n / im(B) given by
+relation columns B, both read from one Smith form of [F - 1 | -B]
+(:func:`frobenius_orders`).  The orders of a torus that traces determine
 (rank and |det(qF - 1)| on X^I) are not computed here: see
 ``galois_roots.torus_lattice_data``.
 
@@ -17,44 +17,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple
 
 Matrix = List[List[int]]
 Vector = Tuple[int, ...]
-
-
-class Infinity:
-    """The one infinite value: an infinite group order here, the top index
-    of a filtration in ``mp_filtration``.  It lies above every index and
-    absorbs addition."""
-
-    _instance: Optional["Infinity"] = None
-
-    def __new__(cls) -> "Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return other is INFINITY
-
-    def __add__(self, other) -> "Infinity":
-        return self
-
-    def __radd__(self, other) -> "Infinity":
-        return self
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = Infinity()
-
-GroupOrder = Union[int, Infinity]
 
 
 # -- basic matrix helpers ----------------------------------------------------
@@ -128,14 +94,14 @@ def mat_eq(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
 class SmithForm:
     """U @ A @ V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    One factorization answers every lattice query about A: its rank, the
-    invariant factors of coker A, its integer kernel and membership of b
-    in the column lattice (Cohen, GTM 138, 2.4).
+    One factorization answers the lattice queries about A: its rank, the
+    invariant factors of coker A and its integer kernel (Cohen, GTM 138,
+    2.4).
 
     D, its ``diagonal`` and its ``rank`` are computed eagerly, once.  U
     and V are replayed from the logged row and column operations the first
-    time they are read, and kept: ``contains`` builds U, ``kernel`` V and
-    unpacking (``u, d, v = form``) both.  Equality compares (u, d, v).
+    time they are read, and kept: ``kernel`` builds V, and unpacking
+    (``u, d, v = form``) both.  Equality compares (u, d, v).
     """
 
     def __init__(self, d: Matrix, diagonal: List[int], rank: int, cols: int,
@@ -166,16 +132,6 @@ class SmithForm:
 
     def __repr__(self) -> str:
         return "SmithForm(u=%r, d=%r, v=%r)" % tuple(self)
-
-    def contains(self, b: Sequence[int]) -> bool:
-        """Whether b lies in the lattice spanned by the columns of A: (U b)_i
-        must be divisible by d_i below the rank and zero beyond."""
-        if len(b) != len(self.d):
-            raise ValueError("dimension mismatch")
-        ub = mat_vec(self.u, b)
-        diag = self.diagonal
-        rank = self.rank
-        return not (any(ub[i] % diag[i] for i in range(rank)) or any(ub[rank:]))
 
     def kernel(self) -> List[Vector]:
         """Basis of the integer kernel {x : A x = 0}, deterministic and
@@ -297,7 +253,7 @@ def _round_quot(x: int, y: int) -> int:
     return qq
 
 
-# -- kernels, solving, lattice indices ----------------------------------------
+# -- kernels -------------------------------------------------------------------
 
 
 def _columns_matrix(cols: Sequence[Sequence[int]], n: int) -> Matrix:
@@ -313,116 +269,35 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> List[Vector]:
     return smith_normal_form(a).kernel()
 
 
-# -- the operations named in the interface ------------------------------------
+# -- Frobenius on a presented group -------------------------------------------
 
 
-@dataclass
-class FgAbelianGroup:
-    """Finitely generated abelian group Z^n / im(relations), with an optional
-    endomorphism (an n x n matrix that preserves the relation lattice).
+def frobenius_orders(n: int, relations: Sequence[Vector], endo: Matrix) -> Tuple[int, int]:
+    """The orders of coker(F - 1) and ker(F - 1) on A = Z^n / im(B), for the
+    relation columns B and an n x n matrix F that preserves im(B), both
+    read from one Smith form of the block [F - 1 | -B].  That F preserves
+    im(B) is the caller's premise and is not re-checked.
 
-    The Smith form of the relation matrix is computed once at construction;
-    the invariant factors, the free rank and the check that the endomorphism
-    preserves the relation lattice all read it.  `order` is INFINITY exactly
-    when the free rank is positive.  ``endo_form``, the Smith form of
-    [F - 1 | -B] for the endomorphism F and the relation matrix B, is
-    computed when first read and kept: :func:`fg_fixed_order` and
-    :func:`fg_coinvariants_order` both read it.
+    The cokernel is Z^n / (im(F - 1) + im(B)), the cokernel of the block,
+    so its order is the product of the block's diagonal.  A block of rank
+    below n leaves it infinite, and this raises.
+
+    The kernel is L / im(B), where L = {x : (F - 1)x lies in im(B)} is the
+    projection to the x block of the block's kernel; im(B) lies in L
+    because F preserves it.  The kernel is finite with no further check:
+    a block of rank n makes F - 1 onto A (x) Q, so also one-to-one there,
+    and L has the rank of im(B).  So both span one rational space and
+    share its saturation S = (L (x) Q) n Z^n, and [L : im(B)] =
+    [S : im(B)] / [S : L].  For any integer matrix, S over its column
+    lattice is the torsion of its cokernel, whose order is the product of
+    the nonzero invariant factors: one diagonal each of the relations and
+    of L's generators.
     """
-
-    ambient_rank: int
-    relations: List[Vector] = field(default_factory=list)  # columns in Z^n
-    endo: Optional[Matrix] = None
-
-    invariant_factors: List[int] = field(init=False)
-    free_rank: int = field(init=False)
-    relation_form: SmithForm = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        n = self.ambient_rank
-        self.relation_form = smith_normal_form(_columns_matrix(self.relations, n))
-        self.invariant_factors = [x for x in self.relation_form.diagonal if x > 1]
-        self.free_rank = n - self.relation_form.rank
-        if self.endo is not None:
-            self._check_endo()
-
-    def _check_endo(self) -> None:
-        n = self.ambient_rank
-        rows, cols = mat_shape(self.endo)
-        if (rows, cols) != (n, n):
-            raise ValueError("endomorphism has the wrong shape")
-        for col in self.relations:
-            if not self.relation_form.contains(mat_vec(self.endo, col)):
-                raise ValueError("endomorphism does not preserve the relations")
-
-    @property
-    def order(self) -> GroupOrder:
-        if self.free_rank > 0:
-            return INFINITY
-        return math.prod(self.invariant_factors)
-
-    @functools.cached_property
-    def endo_form(self) -> SmithForm:
-        if self.endo is None:
-            raise ValueError("group carries no endomorphism")
-        n = self.ambient_rank
-        c = mat_sub(self.endo, identity_matrix(n))
-        return smith_normal_form([c[i] + [-col[i] for col in self.relations]
-                                  for i in range(n)])
-
-
-def group_coinvariants(rank: int, action_gens: Sequence[Sequence[Sequence[int]]],
-                       endo: Optional[Matrix] = None) -> FgAbelianGroup:
-    """Coinvariant group X_Gamma = X / <(g - 1)x> for the action generated by
-    the given matrices; finite exactly when X^Gamma = 0."""
-    eye = identity_matrix(rank)
-    rels: List[Vector] = []
-    for m in action_gens:
-        diff = mat_sub(mat_copy(m), eye)
-        for j in range(rank):
-            col = tuple(diff[i][j] for i in range(rank))
-            if any(col):
-                rels.append(col)
-    return FgAbelianGroup(rank, rels, endo)
-
-
-def fg_fixed_order(group: FgAbelianGroup) -> int:
-    """Exact order of ker(F - 1) on a finitely generated abelian group.
-
-    Works on the presentation: the fixed subgroup is L / im(rel) where
-    L = {x : (F - 1)x lies in the relation lattice}, the projection to the
-    x block of the kernel of [F - 1 | -B] (``group.endo_form``).  F
-    preserves the relations, so im(rel) lies in L, and the fixed subgroup
-    is finite exactly when the two have the same rank; otherwise this
-    raises.  Of equal rank, they span the same rational space and so share
-    its saturation S = (L (x) Q) n Z^n, and [L : im(rel)] = [S : im(rel)] /
-    [S : L].  For any integer matrix, S over its column lattice is the
-    torsion of its cokernel, whose order is the product of the nonzero
-    invariant factors.  The relations' Smith form is already at hand, so
-    besides the block's form only one diagonal is computed: that of L's
-    generators.
-    """
-    n = group.ambient_rank
-    lattice_gens = [v[:n] for v in group.endo_form.kernel()]
-    if not lattice_gens:
-        return 1  # L = 0 contains im(rel), so both are 0
-    rel_form = group.relation_form
-    lat_form = smith_normal_form(_columns_matrix(lattice_gens, n))
-    if lat_form.rank != rel_form.rank:
-        raise ValueError("fixed subgroup is infinite")
-    return (math.prod(rel_form.diagonal[:rel_form.rank])
-            // math.prod(lat_form.diagonal[:lat_form.rank]))
-
-
-def fg_coinvariants_order(group: FgAbelianGroup) -> int:
-    """Exact order of coker(F - 1) on a finitely generated abelian group.
-
-    The cokernel is Z^n / (im(F - 1) + im(rel)), the cokernel of the block
-    [F - 1 | -B] whose kernel :func:`fg_fixed_order` reads, so its order is
-    the product of the diagonal of that same Smith form.  A block of rank
-    below n has an infinite cokernel, and this raises.
-    """
-    form = group.endo_form
-    if form.rank < group.ambient_rank:
+    form = smith_normal_form([row + [-col[i] for col in relations]
+                              for i, row in enumerate(mat_sub(endo, identity_matrix(n)))])
+    if form.rank < n:
         raise ValueError("coinvariant group is infinite")
-    return math.prod(form.diagonal)
+    rel = smith_normal_form(_columns_matrix(relations, n))
+    lat = smith_normal_form(_columns_matrix([v[:n] for v in form.kernel()], n))
+    return (math.prod(form.diagonal),
+            math.prod(rel.diagonal[:rel.rank]) // math.prod(lat.diagonal[:lat.rank]))

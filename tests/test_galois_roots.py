@@ -30,11 +30,13 @@ from fdc.selftest import (
     lattice_is_elliptic,
     lattice_torus_data,
     restrict_endomorphism,
+    solve,
 )
 from fdc.zlattice import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    smith_normal_form,
     sparse_columns,
     sparse_mat_vec,
 )
@@ -578,6 +580,37 @@ def test_trace_route_matches_lattice_route():
                 assert _elliptic_by_traces(other, frame) == decision == augmented, (i, h)
                 decisions[decision] += 1
     assert decisions[True] > 500 and decisions[False] > 500
+
+
+def test_frobenius_preserves_inertia_relations():
+    """The premise torus_lattice_data gives fdc.zlattice.frobenius_orders
+    without a check: under the dual action g -> M(g^-1)^T, Frobenius maps
+    the relations (g - 1)x of every inertia element g, not only of the
+    generators, into the lattice the generators' relations span.  Run on
+    the bundled scenarios, 200 generated ones (seed 13) and the A_{n-1}
+    Coxeter tori for n = 4..24, unramified and totally ramified."""
+    rng = random.Random(13)
+    scenarios = bundled_scenarios()
+    assert len(scenarios) == 6
+    scenarios += [generate_scenario(rng) for _ in range(200)]
+    scenarios += [scenario_from_dict(coxeter_document(n, ramified))
+                  for n in range(4, 25) for ramified in (False, True)]
+    checked = 0
+    for scen in scenarios:
+        group, inertia, n = scen.frame.group, scen.frame.inertia, scen.datum.rank
+
+        def relations(elements):
+            return [tuple(x - (i == j) for i, x in enumerate(row))
+                    for a in elements
+                    for j, row in enumerate(scen.datum.action[group.inv(a)])]
+
+        gens = relations(group.generating_set(inertia))
+        form = smith_normal_form([[c[i] for c in gens] for i in range(n)])
+        frob = mat_transpose(scen.datum.action[group.inv(scen.frame.frobenius)])
+        for rel in relations(sorted(inertia)):
+            assert solve(form, mat_vec(frob, rel)) is not None, scen.name
+            checked += 1
+    assert checked > 5000
 
 
 def test_torus_lattice_data_sl2():

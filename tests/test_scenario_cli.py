@@ -543,12 +543,19 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
      "galois_roots.GRootDatum: action matrix must be a JSON array, got string"),
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), roots=["2", [-2]])),
      "galois_roots.GRootDatum: root must be a JSON array, got string"),
+    # two keys naming one element: the later entry would replace the earlier
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
+                     action={"0": [[1]], "1": [[7]], "01": [[-1]]})),
+     'galois_roots.GRootDatum: action keys "1" and "01" both name element 1'),
+    (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"), chi={
+        "1": {"0": "0", "2": "1/3", "02": "1/2"}, "-1": {"0": "0", "2": "1/2"}})),
+     'chi_data.chi: character at (1,): keys "2" and "02" both name element 2'),
 ], ids=["top-level-array", "chi-array", "options-number", "action-array",
         "perm-gens-object", "order-float", "perm-gens-bool", "perm-gens-float",
         "perm-gens-string", "perm-gens-past-action", "chi-non-root", "chi-empty-table", "depth-lattice", "not-elliptic",
         "asymmetric-roots", "inertia-out-of-range", "frobenius-out-of-range",
         "non-associative-loop", "action-row-string", "action-matrix-string",
-        "root-string"])
+        "root-string", "action-repeated-key", "chi-repeated-key"])
 def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from fdc.mp_filtration import INFINITY
 from fdc.scenario import load_scenario
 from fdc.selftest import (
+    _random_unimodular,
     coinvariants_order,
     det,
     invariant_sublattice,
@@ -16,10 +18,7 @@ from fdc.selftest import (
     twisted_fixed_order,
 )
 from fdc.zlattice import (
-    FgAbelianGroup,
-    INFINITY,
-    fg_fixed_order,
-    group_coinvariants,
+    frobenius_orders,
     identity_matrix,
     kernel_basis,
     mat_eq,
@@ -129,9 +128,8 @@ def test_smith_form_contains_and_solve_oracle():
             else:  # a guaranteed member
                 b = list(mat_vec(a, [rng.randint(-3, 3) for _ in range(m)]))
             want = brute_force_in_column_lattice(a, b, d)
-            assert form.contains(b) == want, (a, b)
             x = solve(form, b)
-            assert (x is not None) == want
+            assert (x is not None) == want, (a, b)
             if x is not None:
                 assert list(mat_vec(a, x)) == b
                 members += 1
@@ -159,9 +157,10 @@ def test_smith_form_rank_deficient_membership():
     # and points on it are inside exactly at even multiples of (1, 2) / 2.
     form = smith_normal_form([[2, 4], [4, 8]])
     assert form.rank == 1
-    assert form.contains([2, 4]) and form.contains([-6, -12])
-    assert not form.contains([1, 2]) and not form.contains([2, 5])
-    assert solve(form, [1, 3]) is None
+    for b in ([2, 4], [-6, -12]):
+        assert list(mat_vec([[2, 4], [4, 8]], solve(form, b))) == b
+    for b in ([1, 2], [2, 5], [1, 3]):
+        assert solve(form, b) is None
 
 
 def test_coinvariants_examples():
@@ -228,18 +227,6 @@ def test_twisted_duality():
         count += 1
 
 
-def test_group_coinvariants_examples():
-    g = group_coinvariants(1, [[[-1]]])
-    assert g.order == 2
-    g = group_coinvariants(2, [[[0, 1], [1, 0]]])
-    assert g.order is INFINITY and g.free_rank == 1
-    g = group_coinvariants(1, [])
-    assert g.order is INFINITY
-    rot = [[0, -1], [1, 0]]
-    g = group_coinvariants(2, [rot])
-    assert g.order == 2
-
-
 def test_invariant_sublattice_examples():
     basis = invariant_sublattice(2, [[[0, 1], [1, 0]]])
     assert len(basis) == 1 and abs(basis[0][0]) == 1 and basis[0][0] == basis[0][1]
@@ -264,23 +251,16 @@ def test_restrict_endomorphism():
 
 
 def test_fg_fixed_order_examples():
-    assert fg_fixed_order(FgAbelianGroup(1, [], [[-1]])) == 1
-    assert fg_fixed_order(FgAbelianGroup(1, [(2,)], [[1]])) == 2
-    assert fg_fixed_order(FgAbelianGroup(1, [(4,)], [[3]])) == 2
-    with pytest.raises(ValueError):
-        fg_fixed_order(FgAbelianGroup(1, [], [[1]]))  # infinite fixed part
-
-
-def test_fg_abelian_group_refuses_non_preserving_endo():
-    # (2, 0) generates the relations; the swap sends it to (0, 2), outside.
-    with pytest.raises(ValueError, match="does not preserve the relations"):
-        FgAbelianGroup(2, [(2, 0)], [[0, 1], [1, 0]])
-    with pytest.raises(ValueError, match="does not preserve the relations"):
-        FgAbelianGroup(2, [(3, 0), (0, 6)], [[1, 0], [1, 1]])  # (3, 0) -> (3, 3)
-    with pytest.raises(ValueError, match="wrong shape"):
-        FgAbelianGroup(2, [(2, 0)], [[1]])
-    # the same relations accept an endomorphism that keeps 3Z + 6Z
-    assert FgAbelianGroup(2, [(3, 0), (0, 6)], [[1, 0], [2, 1]]).order == 18
+    """(|coker(F - 1)|, |ker(F - 1)|) on small presentations."""
+    assert frobenius_orders(1, [], [[-1]]) == (2, 1)
+    assert frobenius_orders(1, [(2,)], [[1]]) == (2, 2)
+    assert frobenius_orders(1, [(4,)], [[3]]) == (2, 2)
+    assert frobenius_orders(1, [(-2,)], [[1]]) == (2, 2)
+    assert frobenius_orders(2, [], [[0, -1], [1, 0]]) == (2, 1)  # rotation
+    assert frobenius_orders(2, [(3, 0), (0, 6)], [[1, 0], [2, 1]]) == (6, 6)
+    for n, rels, endo in [(1, [], [[1]]), (2, [], [[0, 1], [1, 0]]), (1, [(0,)], [[1]])]:
+        with pytest.raises(ValueError, match="coinvariant group is infinite"):
+            frobenius_orders(n, rels, endo)
 
 
 def test_fg_fixed_order_oracle():
@@ -294,7 +274,6 @@ def test_fg_fixed_order_oracle():
         # force compatibility: c maps (a,0) -> (c00*a, c10*a); need c10*a = 0 mod b etc.
         if (c[1][0] * a) % b or (c[0][1] * b) % a:
             continue
-        grp = FgAbelianGroup(2, rels, c)
         count = 0
         for x in range(a):
             for y in range(b):
@@ -302,7 +281,8 @@ def test_fg_fixed_order_oracle():
                 fy = (c[1][0] * x + c[1][1] * y) % b
                 if (fx, fy) == (x, y):
                     count += 1
-        assert fg_fixed_order(grp) == count
+        # On a finite group, |coker(F - 1)| = |ker(F - 1)|.
+        assert frobenius_orders(2, rels, c) == (count, count)
 
 
 def _unimodular_pair(rng, n, steps=8):
@@ -330,7 +310,10 @@ def test_fg_fixed_order_disguised_presentation():
     random unimodular P, and redundant relation columns appended.  The
     group and its fixed points are unchanged, but the relation matrix is
     no longer diagonal, has more columns than rank, and leaves a free
-    part; the saturation of the relations is then a proper superlattice."""
+    part; the saturation of the relations is then a proper superlattice.
+    The coinvariant order is count * |d - 1|, by the snake lemma on
+    0 -> T -> A -> Z -> 0 with T the torsion part: F - 1 is one-to-one on
+    Z, so |coker| multiplies along the sequence."""
     rng = random.Random(1601)
     done = 0
     while done < 120:
@@ -354,9 +337,8 @@ def test_fg_fixed_order_disguised_presentation():
             ys = [rng.randint(-2, 2) for _ in rels[:3]]
             rels.append(tuple(sum(y * r[k] for y, r in zip(ys, rels)) for k in range(4)))
         rng.shuffle(rels)
-        grp = FgAbelianGroup(4, rels, endo)
-        assert grp.free_rank == 1
-        assert fg_fixed_order(grp) == count
+        assert smith_normal_form(mat_transpose(rels)).rank == 3  # A = T + Z
+        assert frobenius_orders(4, rels, endo) == (count * abs(d - 1), count)
         done += 1
 
 
@@ -365,9 +347,20 @@ def test_coinvariant_factorization_small():
     # X = Z, I acts by -1, F = 1
     first = coinvariants_order([])  # X^I = 0, empty endomorphism
     assert first == 1
-    second = fg_fixed_order(group_coinvariants(1, [[[-1]]], endo=[[1]]))
-    full = group_coinvariants(1, [[[-1]]]).order
+    full, second = frobenius_orders(1, [(-2,)], [[1]])
     assert first * second == full == 2
+
+
+def test_random_unimodular_is_never_the_identity():
+    """The conjugating matrices of the lattice-identity selftest suite: 500
+    draws over ranks 2..4, none the identity, each with U U^-1 = I."""
+    rng = random.Random(29)
+    for _ in range(500):
+        rank = rng.randint(2, 4)
+        u, uinv = _random_unimodular(rng, rank)
+        assert u != identity_matrix(rank)
+        assert mat_mul(u, uinv) == identity_matrix(rank)
+    assert _random_unimodular(rng, 1) == ([[1]], [[1]])
 
 
 def test_kernel_and_solve():
