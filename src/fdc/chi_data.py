@@ -25,6 +25,17 @@ Derived subgroup sections can take values outside the subgroup: they are
 conjugates of top-level section values.  That is harmless because the
 characters they feed extend the restricted ones by definition, and the
 evaluator only needs the stabilizer to contain the values.
+
+Cosets are never built as sets: each is read from the coset keys of its
+subgroup (:meth:`FiniteGroup.coset_keys`, the least element of H g for
+every g), and every product from a row of the multiplication table.
+Sections are keyed by coset keys; two elements share a right coset
+exactly when their keys agree; a double coset K g H is marked by the keys
+of its cosets K g h, and a scan of g upwards that marks the double coset
+of each unmarked g meets each double coset first at its least element
+(a smaller element of it would have marked it before).  The class data
+that do not depend on the subgroup are built once per datum
+(:class:`BaseChange`) and read for every subgroup.
 """
 
 from __future__ import annotations
@@ -62,7 +73,8 @@ def char_is_homomorphism(group: FiniteGroup, domain: FrozenSet[int],
         return False
     if chi.get(0) != 0:
         return False
-    return all((chi[s] + chi[b]) % n == chi[group.mul(s, b)]
+    rows = group.table
+    return all((chi[s] + chi[b]) % n == chi[rows[s][b]]
                for s in group.generating_set(domain) for b in domain)
 
 
@@ -72,7 +84,8 @@ def char_inverse(chi: Character, n: int) -> Character:
 
 def char_conjugate(group: FiniteGroup, chi: Character, sigma: int) -> Character:
     """The character x -> chi(sigma^-1 x sigma) on the conjugated domain."""
-    return {group.conj(sigma, g): v for g, v in chi.items()}
+    rows, sigma_row, sigma_inv = group.table, group.table[sigma], group.inverse[sigma]
+    return {rows[sigma_row[g]][sigma_inv]: v for g, v in chi.items()}
 
 
 def character_group(group: FiniteGroup, subgroup: FrozenSet[int]) -> List[Character]:
@@ -114,12 +127,6 @@ class ChiData:
     chars: Dict[Root, Character]
     n: int
 
-    def value(self, root: Root, g: int) -> int:
-        chi = self.chars[root]
-        if g not in chi:
-            raise KeyError("element %d is outside the stabilizer of %s" % (g, root))
-        return chi[g]
-
     @staticmethod
     def from_representatives(datum: GRootDatum, frame: GaloisFrame,
                              rep_chars: Mapping[Root, Character]) -> "ChiData":
@@ -158,11 +165,12 @@ def pm_classes(datum: GRootDatum, frame: GaloisFrame) -> List[Tuple[str, Root, F
     for root in sorted(datum.roots):
         if root in seen:
             continue
+        neg = tuple(-x for x in root)
         members = set()
         for s in frame.group.elements:
-            img = datum.act(s, root)
-            members.add(img)
-            members.add(tuple(-x for x in img))
+            # M(s)(-a) = -(M(s) a): the images of -a are the negated images of a
+            members.add(datum.act(s, root))
+            members.add(datum.act(s, neg))
         rep = min(members)
         out.append((root_key(rep), rep, frozenset(members)))
         seen |= members
@@ -246,7 +254,8 @@ class SectionChoices:
 
 
 def default_choices(datum: GRootDatum, frame: GaloisFrame) -> SectionChoices:
-    """Minimal-element representatives and sections."""
+    """Minimal-element representatives and sections: every coset key maps
+    to itself."""
     g = frame.group
     reps: Dict[str, Root] = {}
     u: Dict[str, Dict[int, int]] = {}
@@ -254,10 +263,53 @@ def default_choices(datum: GRootDatum, frame: GaloisFrame) -> SectionChoices:
     for class_id, rep, _members in pm_classes(datum, frame):
         reps[class_id] = rep
         stab_pm = datum.pm_stabilizer(rep)
-        stab = datum.stabilizer(rep)
-        u[class_id] = {min(c): min(c) for c in g.right_cosets(stab_pm)}
-        v[class_id] = {min(c): min(c) for c in g.right_cosets(stab, stab_pm)}
+        pm_key = g.coset_keys(stab_pm)
+        key = g.coset_keys(datum.stabilizer(rep))
+        u[class_id] = {x: x for x in g.elements if pm_key[x] == x}
+        v[class_id] = {y: y for y in sorted(stab_pm) if key[y] == y}
     return SectionChoices(reps, u, v)
+
+
+@dataclass(frozen=True)
+class ClassData:
+    """What the cocycle reads of one class on an evaluation subgroup K,
+    besides its outer section: the representative a, the coset keys of
+    Stab+-(a) n K, and the inner values.  The inner value at k in
+    Stab+-(a) n K is chi_a(v0 k v_k^-1), for v the inner section, v0 its
+    value at the identity coset (key 0) and v_k its value on the coset of
+    Stab(a) n K through k; it is None off Stab+-(a) n K.  On K = G none of
+    this depends on a subgroup, so :class:`BaseChange` builds it once for
+    every subgroup to read."""
+
+    class_id: str
+    alpha: Root
+    pm_key: Sequence[int]
+    inner: Sequence[Optional[int]]
+
+
+def class_data(chi: ChiData, choices: SectionChoices, datum: GRootDatum, frame: GaloisFrame,
+               within: Optional[FrozenSet[int]] = None) -> List[ClassData]:
+    """The :class:`ClassData` of every class of ``choices`` on the
+    evaluation subgroup ``within`` (the whole group by default), in class
+    order.  Each inner relation v0 k v_k^-1 must land in Stab(a), where the
+    character is defined; a KeyError names the first k in increasing order
+    where it does not."""
+    g = frame.group
+    rows, inverse = g.table, g.inverse
+    out = []
+    for class_id, alpha in sorted(choices.reps.items()):
+        stab_pm = _stab_pm(datum, alpha, within)
+        key = g.coset_keys(_stab(datum, alpha, within))
+        v = choices.v[class_id]
+        v0_row, character = rows[v[0]], chi.chars[alpha]
+        inner: List[Optional[int]] = [None] * g.order
+        for k in sorted(stab_pm):
+            h = rows[v0_row[k]][inverse[v[key[k]]]]
+            if h not in character:
+                raise KeyError("element %d is outside the stabilizer of %s" % (h, alpha))
+            inner[k] = character[h]
+        out.append(ClassData(class_id, alpha, g.coset_keys(stab_pm), inner))
+    return out
 
 
 def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
@@ -270,33 +322,42 @@ def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
     stabilizer, then (through the inner section at the identity coset) an
     element of the stabilizer of a itself; the character value there is
     accumulated with multiplicity the root obtained by moving a with the
-    inverse of the outer section value.  The stabilizers and coset keys of
-    a class do not depend on w, so they are computed once for all of ws.
+    inverse of the outer section value (see :func:`cocycle`).
     """
-    g = frame.group
-    ambient = g.elements if within is None else within
-    acc = {w: [0] * datum.rank for w in ws}
-    if any(w not in ambient for w in acc):
+    ws = list(ws)
+    if not (frozenset(frame.group.elements) if within is None else within).issuperset(ws):
         raise ValueError("w must lie in the evaluation subgroup")
-    for class_id, alpha in sorted(choices.reps.items()):
-        pm_key = g.coset_keys(_stab_pm(datum, alpha, within))
-        key = g.coset_keys(_stab(datum, alpha, within))
-        u = choices.u[class_id]
-        v = choices.v[class_id]
-        v0_key = key[0]
-        v0 = v[v0_key]
-        for x_key in sorted(u.keys()):
-            ux = u[x_key]
-            beta = datum.act(g.inv(ux), alpha)
+    return cocycle(class_data(chi, choices, datum, frame, within), choices.u, ws,
+                   datum, frame.group)
+
+
+def cocycle(classes: Sequence[ClassData], u_sections: Mapping[str, Mapping[int, int]],
+            ws: Iterable[int], datum: GRootDatum,
+            group: FiniteGroup) -> Dict[int, DualTorusElement]:
+    """The cocycle of :func:`r_chi_values` on ``classes`` with the outer
+    sections ``u_sections``, every product read from a table row.  At w,
+    for the coset keyed x with section value u_x, k = u_x w u_(x w)^-1
+    lies in Stab+-(a) (x w standing for the key of its coset), and the
+    inner value at k times u_x^-1 a is added."""
+    rows, inverse, n = group.table, group.inverse, group.order
+    acc = {w: [0] * datum.rank for w in ws}
+    for cls in classes:
+        u = u_sections[cls.class_id]
+        u_inv = {x: inverse[ux] for x, ux in u.items()}
+        pm_key, inner = cls.pm_key, cls.inner
+        for x_key, ux in u.items():
+            ux_row, x_row = rows[ux], rows[x_key]
+            beta = datum.act(u_inv[x_key], cls.alpha)
             for w, total in acc.items():
-                k = g.mul(g.mul(ux, w), g.inv(u[pm_key[g.mul(x_key, w)]]))
-                # inner relation at the identity coset of the stabilizer
-                h = g.mul(g.mul(v0, k), g.inv(v[key[g.mul(v0_key, k)]]))
-                val = chi.value(alpha, h)
-                if val != 0:
-                    for i in range(datum.rank):
-                        total[i] += val * beta[i]
-    return {w: tuple(x % chi.n for x in total) for w, total in acc.items()}
+                k = rows[ux_row[w]][u_inv[pm_key[x_row[w]]]]
+                val = inner[k]
+                if val:
+                    for i, b in enumerate(beta):
+                        total[i] += val * b
+                elif val is None:
+                    raise ValueError("outer section: u_x w u_(x w)^-1 = %d is outside "
+                                     "the plus-minus stabilizer of %s" % (k, cls.alpha))
+    return {w: tuple([x % n for x in total]) for w, total in acc.items()}
 
 
 # -- compatible choices and the base-change verification -----------------------
@@ -326,41 +387,61 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
     gets two values (Stab+-(c^-1 a) n H = c^-1 Stab+-(a) c n H, so distinct
     cosets u give distinct Stab+-(a) c u); and every top coset gets one,
     since the double cosets partition G.
+
+    Everything is read from the coset keys of P = Stab+-(a) and S = Stab(a).
+    Scanning c upwards, the double coset P c H is marked by the keys of its
+    cosets P c h (h in H), which are the keys the rebuilt top section gets,
+    so an unmarked c is the least element of a new double coset.  Since
+    Stab+-(c^-1 a) = c^-1 P c, elements h, h' of H share a coset of
+    Stab+-(c^-1 a) n H exactly when P c h = P c h': walking h up through H
+    meets each such coset first at its least element, at a new key of P.
+    The h with P c h = P c form Stab+-(c^-1 a) n H, and their cosets of
+    Stab(c^-1 a) n H are told apart by the keys of S c h.  The inner
+    section at such a least element y is c^-1 v c, for v the top section on
+    S c y c^-1 (c y c^-1 lies in P): v lies in that coset, so c^-1 v c lies
+    in Stab(c^-1 a) y, the coset it stands for; c v c^-1 would be the same
+    element only when c^2 commutes with v.
     """
     g = frame.group
-    top = SectionChoices(dict(choices_k.reps), {}, {cid: dict(vv) for cid, vv in choices_k.v.items()})
+    rows, inverse = g.table, g.inverse
+    elems = sorted(subgroup)
+    top = SectionChoices(choices_k.reps, {}, choices_k.v)
     sub_reps: Dict[str, Root] = {}
     sub_u: Dict[str, Dict[int, int]] = {}
     sub_v: Dict[str, Dict[int, int]] = {}
     for class_id, alpha in sorted(choices_k.reps.items()):
-        stab_pm = datum.pm_stabilizer(alpha)
         stab_key = g.coset_keys(datum.stabilizer(alpha))
-        stab_pm_key = g.coset_keys(stab_pm)
+        pm_key = g.coset_keys(datum.pm_stabilizer(alpha))
         v_top = choices_k.v[class_id]
         new_u: Dict[int, int] = {}
-        for dc in g.double_cosets(stab_pm, subgroup):
-            c = min(dc)
-            cinv = g.inv(c)
+        for c in g.elements:
+            if pm_key[c] in new_u:
+                continue  # in a double coset met before
+            c_row, cinv = rows[c], inverse[c]
             alpha_z = datum.act(cinv, alpha)
             sub_class_id = root_key(alpha_z)
             sub_reps[sub_class_id] = alpha_z
-            stab_pm_sub = _stab_pm(datum, alpha_z, subgroup)
-            stab_sub = _stab(datum, alpha_z, subgroup)
-            # free outer section inside the subgroup
-            uz = {min(cs): min(cs) for cs in g.right_cosets(stab_pm_sub, subgroup)}
-            sub_u[sub_class_id] = uz
-            # inner section by conjugation through c; values may leave the
-            # subgroup (they live in the ambient stabilizer of alpha_z)
+            uz: Dict[int, int] = {}
             vz: Dict[int, int] = {}
-            for cs in g.right_cosets(stab_sub, stab_pm_sub):
-                y_key = min(cs)
-                upstairs = stab_key[g.mul(g.mul(c, y_key), cinv)]
-                vz[y_key] = g.mul(g.mul(cinv, v_top[upstairs]), c)
+            inner_keys: set = set()
+            for h in elems:
+                x_elem = c_row[h]
+                x_key = pm_key[x_elem]
+                if x_key not in new_u:
+                    # a new coset of Stab+-(alpha_z) n H: the free outer
+                    # section inside the subgroup, and the top section on
+                    # the coset of c times its value
+                    uz[h] = h
+                    new_u[x_key] = x_elem
+                if x_key == pm_key[c] and stab_key[x_elem] not in inner_keys:
+                    # a new coset of Stab(alpha_z) n H in Stab+-(alpha_z) n H;
+                    # the value may leave the subgroup (it lies in the
+                    # ambient stabilizer of alpha_z)
+                    inner_keys.add(stab_key[x_elem])
+                    upstairs = stab_key[rows[x_elem][cinv]]
+                    vz[h] = rows[rows[cinv][v_top[upstairs]]][c]
+            sub_u[sub_class_id] = uz
             sub_v[sub_class_id] = vz
-            # rebuild the top outer section on the cosets meeting this double coset
-            for uz_val in uz.values():
-                x_elem = g.mul(c, uz_val)
-                new_u[stab_pm_key[x_elem]] = x_elem
         top.u[class_id] = new_u
     return CompatiblePair(top=top, sub=SectionChoices(sub_reps, sub_u, sub_v))
 
@@ -373,18 +454,30 @@ class BaseChangeReport:
     rhs: Optional[DualTorusElement]
 
 
-def verify_base_change(chi: ChiData, subgroup: FrozenSet[int], datum: GRootDatum,
-                       frame: GaloisFrame,
-                       choices: Optional[SectionChoices] = None) -> BaseChangeReport:
+class BaseChange:
+    """A chi datum with the default choices, ready for base change to any
+    subgroup.  The :class:`ClassData` of the top classes on the whole group
+    do not depend on the subgroup, so they are built once here: the coset
+    keys of Stab(a) and Stab+-(a), and the inner values read from v0, the
+    inner section and the character at a."""
+
+    def __init__(self, chi: ChiData, datum: GRootDatum, frame: GaloisFrame):
+        self.chi, self.datum, self.frame = chi, datum, frame
+        self.choices = default_choices(datum, frame)
+        self.top = class_data(chi, self.choices, datum, frame)
+
+
+def verify_base_change(base: BaseChange, subgroup: FrozenSet[int]) -> BaseChangeReport:
     """Exhaustive check that the cocycle of the restricted datum matches the
     restriction of the cocycle, over every element of the subgroup, for
-    compatibly derived choices."""
-    if choices is None:
-        choices = default_choices(datum, frame)
-    pair = compatible_choices(choices, subgroup, datum, frame)
-    lhs = r_chi_values(chi, pair.top, subgroup, datum, frame)
+    compatibly derived choices.  The two sides are evaluated separately,
+    each from its own sections: the top side over its rebuilt outer section,
+    the restricted side over the derived classes of the subgroup."""
+    chi, datum, frame = base.chi, base.datum, base.frame
+    pair = compatible_choices(base.choices, subgroup, datum, frame)
+    lhs = cocycle(base.top, pair.top.u, subgroup, datum, frame.group)
     rhs = r_chi_values(chi, pair.sub, subgroup, datum, frame, within=subgroup)
-    for w in sorted(subgroup):
-        if lhs[w] != rhs[w]:
-            return BaseChangeReport(False, w, lhs[w], rhs[w])
-    return BaseChangeReport(True, None, None, None)
+    if lhs == rhs:
+        return BaseChangeReport(True, None, None, None)
+    w = min(w for w in subgroup if lhs[w] != rhs[w])
+    return BaseChangeReport(False, w, lhs[w], rhs[w])

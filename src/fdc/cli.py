@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .compare import VERDICT_FLAGGED, VERDICT_UNEQUAL, emit_report, run_compare
-from .chi_data import default_choices, verify_base_change
+from .chi_data import BaseChange, verify_base_change
 from .formal_degree import general_degree, regular_degree
 from .qexact import PrimePower, fraction_str, int_str
 from .scenario import Scenario, json_text, load_scenario
@@ -145,11 +145,11 @@ def _cmd_chi_check(args: argparse.Namespace) -> int:
     if scen.chi is None:
         print("error: scenario %s bundles no character data" % scen.name, file=sys.stderr)
         return 2
-    choices = default_choices(scen.datum, scen.frame)
+    base = BaseChange(scen.chi, scen.datum, scen.frame)
     results = []
     ok_all = True
     for sub in scen.frame.group.all_subgroups():
-        rep = verify_base_change(scen.chi, sub, scen.datum, scen.frame, choices=choices)
+        rep = verify_base_change(base, sub)
         ok_all = ok_all and rep.ok
         entry = {"subgroup": sorted(sub), "ok": rep.ok}
         if not rep.ok:

@@ -55,8 +55,8 @@ class FiniteGroup:
         self._coset_keys: Dict[FrozenSet[int], List[int]] = {}
         if check:
             self._validate()
-        self._inverse = [next(j for j in range(self.order) if self.table[i][j] == 0)
-                         for i in range(self.order)]
+        # inverse[i] is i^-1; hot loops read it and the table rows directly
+        self.inverse = tuple(row.index(0) for row in self.table)
 
     def _validate(self) -> None:
         """Refuse a table that is not a group.
@@ -93,7 +93,7 @@ class FiniteGroup:
         return self.table[i][j]
 
     def inv(self, i: int) -> int:
-        return self._inverse[i]
+        return self.inverse[i]
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
@@ -148,31 +148,35 @@ class FiniteGroup:
             return False
         return all(self.mul(a, b) in h for a in h for b in h)
 
-    def right_cosets(self, h: FrozenSet[int],
-                     ambient: Optional[Iterable[int]] = None) -> List[FrozenSet[int]]:
-        """Right cosets H\\A inside a subgroup A containing H (the whole group
-        by default), ordered by their minimal element."""
-        out: List[FrozenSet[int]] = []
-        seen: set = set()
-        # Scanning in increasing order meets each coset first at its minimum.
-        for g in (sorted(ambient) if ambient is not None else self.elements):
-            if g not in seen:
-                coset = frozenset(self.mul(x, g) for x in h)
-                seen |= coset
-                out.append(coset)
-        return out
-
     def coset_keys(self, h: FrozenSet[int]) -> List[int]:
-        """The minimal element of the right coset H g, for every g, indexed
-        by g.  Computed once per subgroup; every call returns the same list,
-        and no caller mutates it."""
+        """The least element of the right coset H g, for every g, indexed by
+        g: the one representation of right cosets in the package.
+
+        H g is column g of the rows of H in the table.  Scanning g in
+        increasing order meets each coset first at its least element, which
+        then keys the whole column.  Read off the list:
+
+        * the right cosets H\\A inside a subgroup A containing H are keyed
+          by the g in A with keys[g] == g, since H g lies in A for g in A;
+          their minimal-element section is the identity on those keys;
+        * x and y lie in one coset exactly when keys[x] == keys[y], so a
+          double coset H g K is the union of the cosets H g k for k in K,
+          marked by their keys keys[g k].  A scan of g in increasing
+          order, marking the double coset of each unmarked g, meets each
+          double coset first at its least element: had a smaller element
+          of it come up before, the whole double coset would have been
+          marked then (``chi_data.compatible_choices``).
+
+        Computed once per subgroup; every call returns the same list, and
+        no caller mutates it."""
         keys = self._coset_keys.get(h)
         if keys is None:
-            keys = [0] * self.order
-            for coset in self.right_cosets(h):
-                key = min(coset)
-                for elem in coset:
-                    keys[elem] = key
+            keys = [-1] * self.order
+            rows = [self.table[x] for x in h]
+            for g in self.elements:
+                if keys[g] < 0:
+                    for row in rows:
+                        keys[row[g]] = g
             self._coset_keys[h] = keys
         return keys
 
@@ -192,33 +196,25 @@ class FiniteGroup:
                 out.append(g)
         return out
 
-    def double_cosets(self, k: FrozenSet[int], h: FrozenSet[int]) -> List[FrozenSet[int]]:
-        """Double cosets K\\G/H, ordered by their minimal element."""
-        out: List[FrozenSet[int]] = []
-        covered: set = set()
-        for g in self.elements:
-            if g in covered:
-                continue
-            dc = frozenset(self.mul(self.mul(a, g), b) for a in k for b in h)
-            covered |= dc
-            out.append(dc)
-        return sorted(out, key=min)
-
     def all_subgroups(self) -> List[FrozenSet[int]]:
         """Every subgroup, by closure of generator subsets; fine for tiny groups.
 
-        Each subgroup H found is extended by one g per right coset H g other
-        than H, because <H, g> = <H, x g> for x in H.
+        Each subgroup H found, with the generators it was found from, is
+        extended by one g per right coset H g other than H, because
+        <H, g> = <H, x g> for x in H: by the coset's key.
         """
         found = {frozenset([0])}
-        frontier = [frozenset([0])]
+        frontier: List[Tuple[FrozenSet[int], List[int]]] = [(frozenset([0]), [])]
         while frontier:
-            h = frontier.pop()
-            for coset in self.right_cosets(h)[1:]:
-                bigger = self.subgroup_generated(sorted(h) + [min(coset)])
+            h, gens = frontier.pop()
+            keys = self.coset_keys(h)
+            for g in self.elements[1:]:
+                if keys[g] != g:
+                    continue
+                bigger = self.subgroup_generated(gens + [g])
                 if bigger not in found:
                     found.add(bigger)
-                    frontier.append(bigger)
+                    frontier.append((bigger, gens + [g]))
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     # constructors --------------------------------------------------------
@@ -331,7 +327,7 @@ def field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvar
 
 
 def root_key(v: Sequence[int]) -> str:
-    return ",".join(str(x) for x in v)
+    return ",".join(map(str, v))
 
 
 def parse_root_key(s: str) -> Vector:

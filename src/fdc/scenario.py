@@ -106,9 +106,10 @@ def json_text(obj: object) -> str:
     is set; this one dispatches on exact type instead.  Strings go through
     json's C string encoder and integers are written exactly at any size
     (:func:`int_str`); lists, and dicts with ``str`` keys in sorted order,
-    take the same separators and two-space indentation; ``bool``, ``None``
-    and ``float`` use json's own scalar encoding.  Anything else, a tuple or a
-    non-``str`` key included, raises ``TypeError``.
+    take the same separators and two-space indentation; ``bool`` and
+    ``None`` are the literals json writes for them, and ``float`` uses
+    json's own encoding.  Anything else, a tuple or a non-``str`` key
+    included, raises ``TypeError``.
     """
     out: List[str] = []
     _write_json(obj, "\n", out)
@@ -143,13 +144,20 @@ def _write_json(obj: object, nl: str, out: List[str]) -> None:
             out.append("[]")
             return
         inner = nl + "  "
+        if type(obj[0]) is int and all(type(item) is int for item in obj):
+            out.append("[" + inner + ("," + inner).join(map(int_str, obj)) + nl + "]")
+            return
         sep = "[" + inner
         for item in obj:
             out.append(sep)
             _write_json(item, inner, out)
             sep = "," + inner
         out.append(nl + "]")
-    elif t is bool or t is float or obj is None:
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif t is float:
         out.append(json.dumps(obj))
     else:
         raise TypeError("%s is not written as JSON" % t.__name__)
@@ -480,11 +488,28 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     )
 
 
+class _RepeatedKey(ValueError):
+    pass
+
+
+def _object_without_repeats(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """A JSON object as a dict, refusing a key that appears twice: plain
+    ``json.load`` would keep the later value and drop the earlier one."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise _RepeatedKey("key %s appears twice in one object" % json.dumps(key))
+            seen.add(key)
+    return obj
+
+
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
+            doc = json.load(fh, object_pairs_hook=_object_without_repeats)
+        except (json.JSONDecodeError, _RepeatedKey) as e:
             raise ScenarioError([("cli", "file", "parse error: %s" % e)])
     return scenario_from_dict(doc)
 

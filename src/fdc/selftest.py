@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .chi_data import verify_base_change
+from .chi_data import BaseChange, verify_base_change
 from .compare import VERDICT_UNEQUAL, run_compare
 from .galois_roots import (
     GaloisFrame,
@@ -624,7 +624,7 @@ def suite_chi(rng: random.Random, n: int) -> int:
             continue
         subgroups = scen.frame.group.all_subgroups()
         sub = rng.choice(subgroups)
-        report = verify_base_change(chi, sub, scen.datum, scen.frame)
+        report = verify_base_change(BaseChange(chi, scen.datum, scen.frame), sub)
         if not report.ok:
             raise AssertionError("base change fails on %s at H=%s: w=%s %s != %s"
                                  % (scen.name, sorted(sub), report.witness,

@@ -23,7 +23,7 @@ from fdc.selftest import (
     suite_periodic_sum,
     suite_snf_oracle,
 )
-from fdc.chi_data import verify_base_change
+from fdc.chi_data import BaseChange, verify_base_change
 from fdc.weil_gamma import root_gamma_abs
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
@@ -108,9 +108,10 @@ def test_criterion_08_chi_base_change():
                  "s3_a2_depth_third", "d4_b2_depth_quarter"):
         scen = load_scenario(os.path.join(SCEN_DIR, name + ".json"))
         assert scen.chi is not None
+        base = BaseChange(scen.chi, scen.datum, scen.frame)
         for sub in scen.frame.group.all_subgroups():
             try:
-                rep = verify_base_change(scen.chi, sub, scen.datum, scen.frame)
+                rep = verify_base_change(base, sub)
             except ValueError:
                 continue
             assert rep.ok, (name, sorted(sub))

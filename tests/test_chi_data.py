@@ -10,6 +10,7 @@ from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
 from fdc.scenario import _random_chi, load_scenario
 from fdc.zlattice import mat_vec, sparse_columns
 from fdc.chi_data import (
+    BaseChange,
     ChiData,
     _stab,
     _stab_pm,
@@ -21,6 +22,8 @@ from fdc.chi_data import (
     r_chi_values,
     verify_base_change,
 )
+
+import coset_oracle as oracle
 
 PP3 = PrimePower(3, 1)
 
@@ -206,20 +209,23 @@ def test_compatible_choices_two_double_cosets():
     stab = _stab(datum, rep)
     assert stab == frozenset({0})
     chi = ChiData.from_representatives(datum, frame, {rep: {0: 0}})
+    base = BaseChange(chi, datum, frame)
     for sub in frame.group.all_subgroups():
-        assert verify_base_change(chi, sub, datum, frame).ok
+        assert verify_base_change(base, sub).ok
 
 
 def test_verify_base_change_models():
     frame, datum, chi = z4_model()
+    base = BaseChange(chi, datum, frame)
     for sub in frame.group.all_subgroups():
-        rep = verify_base_change(chi, sub, datum, frame)
+        rep = verify_base_change(base, sub)
         assert rep.ok, (sorted(sub), rep)
 
     frame, datum = s3_model()
     triv = trivial_chi(datum, frame)
+    base = BaseChange(triv, datum, frame)
     for sub in frame.group.all_subgroups():
-        rep = verify_base_change(triv, sub, datum, frame)
+        rep = verify_base_change(base, sub)
         assert rep.ok
 
     # nontrivial character on the asymmetric S3 orbits
@@ -228,8 +234,9 @@ def test_verify_base_change_models():
     nontriv = numerators({h: (Fraction(0) if h == 0 else Fraction(1, 2))
                           for h in sorted(stab)}, 6)
     chi2 = ChiData.from_representatives(datum, frame, {alpha: nontriv})
+    base = BaseChange(chi2, datum, frame)
     for sub in frame.group.all_subgroups():
-        rep = verify_base_change(chi2, sub, datum, frame)
+        rep = verify_base_change(base, sub)
         assert rep.ok
 
 
@@ -245,7 +252,7 @@ def test_verifier_detects_mismatch():
                   if r_chi_values(chi, pair.top, [w], datum, frame)[w]
                   != r_chi_values(corrupted, pair.sub, [w], datum, frame, within=sub)[w]]
     assert mismatches == [2]
-    assert verify_base_change(chi, sub, datum, frame).ok
+    assert verify_base_change(BaseChange(chi, datum, frame), sub).ok
 
 
 def test_cocycle_vanishes_where_chi_restricts_trivially():
@@ -483,3 +490,107 @@ def test_cocycle_values_pinned():
                 with pytest.raises(ValueError, match="evaluation subgroup"):
                     r_chi_values(chi, pair.sub, [outside], datum, frame, within=sub)
         assert checked == len(subgroups) == len(expected)
+
+
+# -- sections against the brute-force coset oracle ------------------------------
+
+
+def _s3_compose(a, b):
+    return tuple(a[b[i]] for i in range(3))
+
+
+def _a2_root(i, j):
+    """e_i - e_j in the basis e_0 - e_1, e_1 - e_2 of the A_2 root lattice."""
+    c = [0, 0, 0]
+    c[i] += 1
+    c[j] -= 1
+    return (c[0], c[0] + c[1])
+
+
+def weyl_s3_document():
+    """S_3 acting on the A_2 root lattice as its Weyl group, so that each
+    transposition negates a root, with trivial characters (every root
+    stabilizer is trivial).  Elements are numbered identity, the two
+    3-cycles, then the transpositions; inertia is A_3 and Frobenius a
+    transposition."""
+    elems = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    index = {p: i for i, p in enumerate(elems)}
+    roots = sorted(_a2_root(i, j) for i in range(3) for j in range(3) if i != j)
+
+    def matrix(p):
+        cols = [_a2_root(p[0], p[1]), _a2_root(p[1], p[2])]
+        return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
+
+    return {"name": "s3_weyl_a2", "q": {"p": 5, "a": 1},
+            "group": {"mult_table": [[index[_s3_compose(a, b)] for b in elems] for a in elems]},
+            "inertia": [0, 1, 2], "frobenius": 3, "lattice_rank": 2,
+            "action": {str(i): matrix(p) for i, p in enumerate(elems)},
+            "roots": [list(r) for r in roots], "depth_zero": "regular",
+            "theta_depths": {"-1,-1": "1/3"}, "theta_total_depth": "1/3",
+            "jump_offsets": {"-1,-1": "0"},
+            "chi": {"%d,%d" % r: {"0": "0"} for r in roots}}
+
+
+def oracle_scenarios():
+    from fdc.scenario import scenario_from_dict
+    return oracle.bundled_scenarios() + [scenario_from_dict(weyl_s3_document())]
+
+
+def test_choices_match_brute_force():
+    """default_choices and compatible_choices against the frozenset
+    enumeration of tests/coset_oracle.py (right cosets, double cosets and
+    minimal-element sections), for every subgroup of the bundled frames and
+    of the Weyl S_3 frame."""
+    checked = 0
+    for scen in oracle_scenarios():
+        datum, frame, group = scen.datum, scen.frame, scen.frame.group
+        choices = default_choices(datum, frame)
+        assert (choices.u, choices.v) == oracle.default_sections(datum, group)
+        assert choices.reps == {cid: tuple(int(x) for x in cid.split(","))
+                                for cid in choices.u}
+        for sub in oracle.brute_subgroups(group):
+            pair = compatible_choices(choices, sub, datum, frame)
+            top_u, sub_reps, sub_u, sub_v = oracle.compatible_sections(
+                choices.reps, choices.v, sub, datum, group)
+            assert (pair.top.reps, pair.top.u, pair.top.v) == (choices.reps, top_u, choices.v)
+            assert (pair.sub.reps, pair.sub.u, pair.sub.v) == (sub_reps, sub_u, sub_v)
+            assert list(pair.sub.reps) == list(sub_reps)  # classes in double-coset order
+            checked += 1
+    assert checked == 32  # subgroups over the seven frames
+
+
+def test_chi_check_conjugates_inner_sections_by_c_inverse(tmp_path, capsys):
+    """The inner section of a derived class at y is c^-1 v c, with v the top
+    section on the coset of c y c^-1.  The conjugate c v c^-1 is the same
+    element when c^2 commutes with v (as when c has order 2), and a
+    section value other than at the identity is read only when H meets
+    Stab+-(c^-1 a) outside Stab(c^-1 a); on the bundled and generated
+    scenarios one of the two always holds.  On the Weyl S_3 frame with
+    H = {1, (1 2)}: the 3-cycle c = 1 is the least element of the double
+    coset P c H for a = (-1, -1) and P = Stab+-(a), c does not normalize
+    P, and the transposition in H negates c^-1 a.  chi-check verifies
+    every subgroup there, and with c v c^-1 it fails (the derived h leaves
+    the stabilizer)."""
+    from fdc import cli
+    from fdc.galois_roots import root_key
+    from fdc.scenario import scenario_from_dict
+    path = tmp_path / "weyl.json"
+    path.write_text(json.dumps(weyl_s3_document()))
+    assert cli.main(["--format", "json", "chi-check", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and [e["subgroup"] for e in report["subgroups"]] == [
+        [0], [0, 3], [0, 4], [0, 5], [0, 1, 2], [0, 1, 2, 3, 4, 5]]
+
+    # the premises, on H = {1, (1 2)}
+    scen = scenario_from_dict(weyl_s3_document())
+    datum, group = scen.datum, scen.frame.group
+    alpha, sub = (-1, -1), frozenset({0, 4})
+    stab_pm = datum.pm_stabilizer(alpha)
+    assert [min(dc) for dc in oracle.double_cosets(group, stab_pm, sub)] == [0, 1]
+    c = 1
+    assert group.element_order(c) == 3
+    assert {group.conj(c, x) for x in stab_pm} != stab_pm
+    alpha_z = datum.act(group.inv(c), alpha)
+    assert datum.act(4, alpha_z) == tuple(-x for x in alpha_z)
+    pair = compatible_choices(default_choices(datum, scen.frame), sub, datum, scen.frame)
+    assert pair.sub.v[root_key(alpha_z)] == {0: 0, 4: 4}

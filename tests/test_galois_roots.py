@@ -40,6 +40,7 @@ from fdc.zlattice import (
     sparse_columns,
     sparse_mat_vec,
 )
+import coset_oracle as oracle
 from test_coxeter import coxeter_document
 
 PP3 = PrimePower(3, 1)
@@ -154,22 +155,26 @@ def test_all_subgroups_match_brute_force():
     """all_subgroups against every subset that contains 0 and is closed
     under multiplication (in a finite group, exactly the subgroups), on
     the bundled frames' groups, Z/12, S_3, D_4 and Z/2 x Z/6."""
-    groups = [scen.frame.group for scen in bundled_scenarios()]
-    groups.append(FiniteGroup.cyclic(12))
-    groups.append(FiniteGroup.from_permutations([[1, 2, 0], [1, 0, 2]])[0])
-    d4, _ = FiniteGroup.from_permutations([[1, 2, 3, 0], [3, 2, 1, 0]])
-    assert d4.order == 8 and any(d4.mul(a, b) != d4.mul(b, a) for a in d4.elements
-                                 for b in d4.elements)
-    groups.append(d4)
-    groups.append(FiniteGroup([[(i // 6 + j // 6) % 2 * 6 + (i + j) % 6 for j in range(12)]
-                               for i in range(12)]))
-    for g in groups:
-        brute = []
-        for mask in range(2 ** (g.order - 1)):
-            subset = frozenset([0] + [x for x in range(1, g.order) if mask >> (x - 1) & 1])
-            if all(g.mul(a, b) in subset for a in subset for b in subset):
-                brute.append(subset)
-        assert g.all_subgroups() == sorted(brute, key=lambda s: (len(s), sorted(s)))
+    for g in oracle.oracle_groups():
+        assert g.all_subgroups() == oracle.brute_subgroups(g)
+
+
+def test_coset_keys_match_brute_force():
+    """coset_keys against the right cosets enumerated as sets of products,
+    for every subgroup of the oracle groups: each element is keyed by the
+    least element of its coset, and the elements that key themselves
+    inside a subgroup A containing H are the least elements of the cosets
+    of H in A."""
+    for g in oracle.oracle_groups():
+        subgroups = oracle.brute_subgroups(g)
+        for h in subgroups:
+            keys = g.coset_keys(h)
+            for coset in oracle.right_cosets(g, h, g.elements):
+                assert {keys[x] for x in coset} == {min(coset)}
+            for a in subgroups:
+                if h <= a:
+                    assert ([x for x in sorted(a) if keys[x] == x]
+                            == [min(c) for c in oracle.right_cosets(g, h, a)])
 
 
 def test_root_table_matches_matrix_route():

@@ -6,18 +6,24 @@ after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of ``tests/golden/`` before committing it.
+and review the diff of ``tests/golden/`` before committing it.  The same
+run prints the digest of ``chi-check`` over generated scenarios
+(``GENERATED_CHI_SHA256``), which is pinned here rather than in a file.
 """
 
 import contextlib
+import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 import fdc.cli as cli
+from fdc.scenario import generate_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
@@ -33,6 +39,13 @@ BUNDLED = [
 ]
 WITH_CHI = ["d4_b2_depth_quarter", "s3_a2_depth_third",
             "sl2_unramified_depth0", "z4_a1_ramified_chi"]
+
+# sha256 of the exit status and stdout of ``--format json chi-check`` on the
+# first GENERATED_CHI_COUNT generated scenarios that carry character data,
+# drawn from random.Random(GENERATED_CHI_SEED).
+GENERATED_CHI_SEED = 20261019
+GENERATED_CHI_COUNT = 300
+GENERATED_CHI_SHA256 = "8c03b7425cbe686f74ed377708bb9e233265c0f1b95156418cf95df3b293845c"
 
 
 def cases():
@@ -63,6 +76,30 @@ def run_case(argv):
 @pytest.mark.parametrize("case_id,argv", cases(), ids=[c[0] for c in cases()])
 def test_golden_output(case_id, argv):
     assert run_case(argv) == _golden(case_id)
+
+
+def generated_chi_digest(tmp_dir):
+    """The digest pinned by GENERATED_CHI_SHA256, each scenario written to a
+    file under ``tmp_dir`` and checked by an in-process CLI call."""
+    rng = random.Random(GENERATED_CHI_SEED)
+    digest = hashlib.sha256()
+    count = 0
+    while count < GENERATED_CHI_COUNT:
+        scen = generate_scenario(rng)
+        if scen.chi is None:
+            continue
+        path = os.path.join(tmp_dir, "%03d.json" % count)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(scen.to_json())
+        digest.update(run_case(["--format", "json", "chi-check", path]).encode())
+        count += 1
+    return digest.hexdigest()
+
+
+def test_chi_check_generated_digest(tmp_path):
+    """chi-check output beyond the four bundled goldens: every byte of the
+    JSON reports on 300 generated scenarios with character data."""
+    assert generated_chi_digest(str(tmp_path)) == GENERATED_CHI_SHA256
 
 
 def _fresh_process_env(**extra):
@@ -115,3 +152,5 @@ if __name__ == "__main__":
         with open(os.path.join(GOLDEN_DIR, case_id + ".out"), "w", encoding="utf-8") as fh:
             fh.write(run_case(argv))
     sys.stdout.write("wrote %d golden files to %s\n" % (len(cases()), GOLDEN_DIR))
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.stdout.write("GENERATED_CHI_SHA256 = %r\n" % generated_chi_digest(tmp))

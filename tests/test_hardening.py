@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 
 from fdc.chi_data import (
+    BaseChange,
     ChiData,
     character_group,
     condition_failures,
@@ -165,8 +166,9 @@ def test_chi_base_change_sixteen_element_frame():
         except ValueError:
             continue  # fails the symmetric-class compatibility constraint
         assert condition_failures(chi, datum, frame) == ([], [])
+        base = BaseChange(chi, datum, frame)
         for sub in g.all_subgroups():
-            rep = verify_base_change(chi, sub, datum, frame)
+            rep = verify_base_change(base, sub)
             assert rep.ok, (sorted(sub), rep.witness, rep.lhs, rep.rhs)
         tested += 1
     assert tested >= 2  # at least the trivial and the order-two character

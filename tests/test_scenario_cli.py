@@ -341,6 +341,33 @@ def test_cli_single_file_load_errors_exit_2(command, kind, tmp_path, capsys):
     assert captured.out == "" and captured.err == expected
 
 
+@pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
+@pytest.mark.parametrize("name,field,text,key", [
+    ("sl2_unramified_depth0", "action", '{"0": [[1]], "1": [[7]], "1": [[-1]]}', "1"),
+    ("z4_a1_ramified_chi", "chi",
+     '{"1": {"0": "0", "2": "1/3", "2": "1/2"}, "-1": {"0": "0", "2": "1/2"}}', "2"),
+], ids=["action", "chi-table"])
+def test_cli_refuses_repeated_json_keys(command, name, field, text, key, tmp_path, capsys):
+    """Plain json.load keeps the later of two identical keys, and both
+    documents would then load (with the action -1 and the value 1/2).  Every
+    subcommand refuses them instead, with one error naming the key."""
+    doc = bundled_doc(name)
+    doc[field] = "REPEATED"
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc).replace('"REPEATED"', text))
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    where = "%s: " % path if command == "verify" else ""
+    assert captured.out == ""
+    assert captured.err == ("error: %sscenario validation failed:\n"
+                            "  cli.file: parse error: key \"%s\" appears twice in one object\n"
+                            % (where, key))
+    doc[field] = json.loads(text)  # the later value wins: the document loads
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv,calls", [
     (["verify"], 1),
     (["degree"], 1),

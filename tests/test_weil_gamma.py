@@ -221,13 +221,10 @@ def test_galois_side_examples():
 def _induced_rep_matrices(group, stab, chi, n_zeta):
     """Monomial matrices of the induced representation of chi from the
     stabilizer, on the right coset space, over Q(zeta)."""
-    cosets = group.right_cosets(frozenset(stab))
-    keys = [min(c) for c in cosets]
-    reps = {min(c): min(c) for c in cosets}
+    coset_key = group.coset_keys(frozenset(stab))
+    keys = [g for g in group.elements if coset_key[g] == g]
+    reps = {k: k for k in keys}
     idx = {k: i for i, k in enumerate(keys)}
-
-    def coset_key(g):
-        return min(group.mul(h, g) for h in stab)
 
     mats = {}
     for g in group.elements:
@@ -236,7 +233,7 @@ def _induced_rep_matrices(group, stab, chi, n_zeta):
             # column for the basis vector at coset k: g moves it to coset k*g^-1?
             # With right cosets and functions f(xg), induce on the left:
             # rho(g) e_{Sx} = chi(h) e_{S x g^{-1}}-style; use x -> xg^-1.
-            target = coset_key(group.mul(reps[k], group.inv(g)))
+            target = coset_key[group.mul(reps[k], group.inv(g))]
             h = group.mul(group.mul(reps[target], g), group.inv(reps[k]))
             # reps[target] * g = h' * reps[k] with h' in stab
             hh = group.mul(group.mul(reps[target], g), group.inv(reps[k]))
