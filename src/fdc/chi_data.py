@@ -338,7 +338,9 @@ def cocycle(classes: Sequence[ClassData], u_sections: Mapping[str, Mapping[int, 
     sections ``u_sections``, every product read from a table row.  At w,
     for the coset keyed x with section value u_x, k = u_x w u_(x w)^-1
     lies in Stab+-(a) (x w standing for the key of its coset), and the
-    inner value at k times u_x^-1 a is added."""
+    inner value at k times u_x^-1 a is added.  A section value outside its
+    coset puts k outside Stab+-(a); that raises ``KeyError``, a fault of
+    the construction rather than of the input."""
     rows, inverse, n = group.table, group.inverse, group.order
     acc = {w: [0] * datum.rank for w in ws}
     for cls in classes:
@@ -355,7 +357,7 @@ def cocycle(classes: Sequence[ClassData], u_sections: Mapping[str, Mapping[int, 
                     for i, b in enumerate(beta):
                         total[i] += val * b
                 elif val is None:
-                    raise ValueError("outer section: u_x w u_(x w)^-1 = %d is outside "
+                    raise KeyError("outer section: u_x w u_(x w)^-1 = %d is outside "
                                      "the plus-minus stabilizer of %s" % (k, cls.alpha))
     return {w: tuple([x % n for x in total]) for w, total in acc.items()}
 

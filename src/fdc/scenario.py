@@ -144,9 +144,6 @@ def _write_json(obj: object, nl: str, out: List[str]) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        if type(obj[0]) is int and all(type(item) is int for item in obj):
-            out.append("[" + inner + ("," + inner).join(map(int_str, obj)) + nl + "]")
-            return
         sep = "[" + inner
         for item in obj:
             out.append(sep)

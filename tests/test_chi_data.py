@@ -12,6 +12,7 @@ from fdc.zlattice import mat_vec, sparse_columns
 from fdc.chi_data import (
     BaseChange,
     ChiData,
+    SectionChoices,
     _stab,
     _stab_pm,
     char_is_homomorphism,
@@ -212,6 +213,24 @@ def test_compatible_choices_two_double_cosets():
     base = BaseChange(chi, datum, frame)
     for sub in frame.group.all_subgroups():
         assert verify_base_change(base, sub).ok
+
+
+def test_broken_outer_section_is_an_internal_error():
+    """An outer section value outside its coset makes u_x w u_(x w)^-1
+    leave Stab+-(a); that is a construction fault, raised as KeyError and
+    not as the ValueError that marks refused input."""
+    frame, datum = s3_free_orbit_model()
+    top = default_choices(datum, frame)
+    (class_id, rep), = top.reps.items()
+    chi = ChiData.from_representatives(datum, frame, {rep: {0: 0}})
+    ws = list(frame.group.elements)
+    r_chi_values(chi, top, ws, datum, frame)
+    u = top.u[class_id]
+    swapped = dict(u)
+    swapped[1], swapped[2] = u[2], u[1]
+    broken = SectionChoices(top.reps, {class_id: swapped}, top.v)
+    with pytest.raises(KeyError, match="outside the plus-minus stabilizer"):
+        r_chi_values(chi, broken, ws, datum, frame)
 
 
 def test_verify_base_change_models():
