@@ -159,22 +159,26 @@ class ChiData:
 
 def pm_classes(datum: GRootDatum, frame: GaloisFrame) -> List[Tuple[str, Root, FrozenSet[Root]]]:
     """Classes of roots under the frame group together with negation,
-    each as (canonical id, canonical representative, member set)."""
-    seen: set = set()
+    each as (canonical id, canonical representative, member set), in
+    increasing order of the representative.
+
+    Read on root indices: M(s)(-a) = -(M(s) a), so the class of root i is
+    its orbit (:meth:`GRootDatum.orbit`) with the negatives of its members.
+    Scanning the indices upwards meets each class first at its least index,
+    the least root of the class, since the indices follow the sorted roots.
+    """
+    srt, neg = datum.sorted_roots, datum.neg
+    seen = [False] * len(srt)
     out = []
-    for root in sorted(datum.roots):
-        if root in seen:
+    for i in range(len(srt)):
+        if seen[i]:
             continue
-        neg = tuple(-x for x in root)
-        members = set()
-        for s in frame.group.elements:
-            # M(s)(-a) = -(M(s) a): the images of -a are the negated images of a
-            members.add(datum.act(s, root))
-            members.add(datum.act(s, neg))
-        rep = min(members)
-        out.append((root_key(rep), rep, frozenset(members)))
-        seen |= members
-    return sorted(out, key=lambda t: t[1])
+        orbit = datum.orbit(i)
+        members = orbit | {neg[j] for j in orbit}
+        for j in members:
+            seen[j] = True
+        out.append((root_key(srt[i]), srt[i], frozenset(map(srt.__getitem__, members))))
+    return out
 
 
 def _stab(datum: GRootDatum, root: Root,
@@ -215,17 +219,17 @@ def _failures_under(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
                     movers: Sequence[int]) -> Tuple[List[str], List[str]]:
     """Conditions 1 and 2, with equivariance tested under ``movers`` only."""
     g = frame.group
+    srt = datum.sorted_roots
     cond1: List[str] = []
     cond2: List[str] = []
-    for root in sorted(datum.roots):
+    for root, neg in zip(srt, datum.neg):
         if root not in chi.chars:
             cond2.append("missing character at %s" % (root,))
             continue
         if not char_is_homomorphism(g, datum.stabilizer(root), chi.chars[root]):
             cond2.append("character at %s is not a stabilizer homomorphism" % (root,))
             continue
-        neg = tuple(-x for x in root)
-        if chi.chars.get(neg) != char_inverse(chi.chars[root], chi.n):
+        if chi.chars.get(srt[neg]) != char_inverse(chi.chars[root], chi.n):
             cond1.append("chi(-a) != chi(a)^-1 at %s" % (root,))
         for s in movers:
             target = datum.act(s, root)

@@ -16,9 +16,10 @@ chain of Levi-closed root subsets together with its breaks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .qexact import PrimePower
 from .zlattice import (
@@ -272,6 +273,14 @@ class GaloisFrame:
     Invariants: the quotient by inertia is cyclic and generated by the image
     of the Frobenius element, and |inertia| is coprime to p (tameness).
 
+    Normality of the inertia subgroup I is tested on generators only:
+    x h x^-1 in I for x in a generating set of G and h in one of I.  That
+    proves it for the whole group.  Conjugation by x is a homomorphism, so
+    x I x^-1, generated by the x h x^-1, then lies in I.  The x with
+    x I x^-1 in I contain 0 and are closed under products, since
+    (xy) I (xy)^-1 = x (y I y^-1) x^-1; in a finite group they form a
+    subgroup, which contains the generators of G and so is G.
+
     A frame is always its whole group.  A subgroup H stands for the field
     it fixes (:func:`field_invariants`); base change to H restricts
     characters and sections literally, on the indices of the whole group.
@@ -286,7 +295,9 @@ class GaloisFrame:
         g = self.group
         if not self.inertia.issubset(g.elements) or not g.is_subgroup(self.inertia):
             raise ValueError("inertia is not a subgroup")
-        if not all(g.conj(x, h) in self.inertia for x in g.elements for h in self.inertia):
+        inertia_gens = g.generating_set(self.inertia)
+        if not all(g.conj(x, h) in self.inertia
+                   for x in g.generating_set(g.elements) for h in inertia_gens):
             raise ValueError("inertia is not normal")
         if len(self.inertia) % self.pp.p == 0:
             raise ValueError("wild frame: p divides |inertia|")
@@ -339,22 +350,31 @@ class GRootDatum:
     """Character lattice with frame action and a stable symmetric root set.
 
     The action maps every group element to an integer matrix; roots are
-    nonzero lattice vectors with R = -R.  Gamma.R = R, ellipticity (no
-    nonzero invariant vectors) and the homomorphism property, which puts
-    every matrix in GL(rank, Z), are checked against the frame
-    (:meth:`check_against_frame`).  That check also records how each
-    element permutes the indices of ``sorted(roots)``, and every root-level
-    query (:meth:`act` on a root, :meth:`stabilizer`, :meth:`pm_stabilizer`)
-    reads that table, so it must come first.  It records ``traces`` too:
-    tr M(g) for every element g, indexed by g.
+    nonzero lattice vectors of ``rank`` coordinates with R = -R.  Roots are
+    numbered by their place in ``sorted_roots``, and ``neg[i]`` is the index
+    of -root i.  Negation reverses the lexicographic order of vectors of
+    one length, so R = -R exactly when the i-th roots from the two ends of
+    ``sorted_roots`` sum to zero for every i, and then neg[i] = |R| - 1 - i:
+    the symmetry check reads that and builds no negated vector.
+
+    Gamma.R = R, ellipticity (no nonzero invariant vectors) and the
+    homomorphism property, which puts every matrix in GL(rank, Z), are
+    checked against the frame (:meth:`check_against_frame`).  That check
+    also records how each element permutes the root indices, and every
+    root-level query (:meth:`act` on a root, :meth:`orbit`,
+    :meth:`stabilizer`, :meth:`pm_stabilizer`) reads that table, so it must
+    come first.  It records ``traces`` too: tr M(g) for every element g,
+    indexed by g.
     """
 
     rank: int
     action: Mapping[int, Matrix]  # element index -> matrix on X^*
     roots: FrozenSet[Vector]
-    # sorted(roots), and each root's index in it
-    _sorted: List[Vector] = field(default_factory=list, init=False, repr=False, compare=False)
+    # sorted(roots), each root's index in it, and the index of its negative
+    sorted_roots: List[Vector] = field(default_factory=list, init=False, repr=False,
+                                       compare=False)
     _index: Dict[Vector, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    neg: List[int] = field(default_factory=list, init=False, repr=False, compare=False)
     # element -> the permutation of root indices it induces
     _perm: Dict[int, List[int]] = field(default_factory=dict, init=False, repr=False,
                                         compare=False)
@@ -368,14 +388,21 @@ class GRootDatum:
         for g, m in self.action.items():
             if len(m) != self.rank or any(len(row) != self.rank for row in m):
                 raise ValueError("action matrix for element %d has wrong shape" % g)
+        if set(map(len, self.roots)) - {self.rank}:
+            bad = next(r for r in self.roots if len(r) != self.rank)
+            raise ValueError("root %s does not have %d coordinates" % (bad, self.rank))
         zero = tuple([0] * self.rank)
         if zero in self.roots:
             raise ValueError("0 is not allowed as a root")
-        for r in self.roots:
-            if tuple(-x for x in r) not in self.roots:
-                raise ValueError("root set is not symmetric: missing -%s" % (r,))
-        self._sorted.extend(sorted(self.roots))
-        self._index.update((r, i) for i, r in enumerate(self._sorted))
+        srt = self.sorted_roots
+        srt.extend(sorted(self.roots))
+        if any(any(map(operator.add, r, s)) for r, s in zip(srt, reversed(srt))):
+            # name the first root in set order whose negative is missing
+            for r in self.roots:
+                if tuple(-x for x in r) not in self.roots:
+                    raise ValueError("root set is not symmetric: missing -%s" % (r,))
+        self._index.update(zip(srt, range(len(srt))))
+        self.neg.extend(range(len(srt) - 1, -1, -1))
 
     def check_against_frame(self, frame: GaloisFrame) -> None:
         """Check that the action is a homomorphism, that the group keeps
@@ -438,12 +465,12 @@ class GRootDatum:
         """
         gen_perms = []
         for a, cols in sparse.items():
-            images = [self._index.get(sparse_mat_vec(cols, r)) for r in self._sorted]
+            images = [self._index.get(sparse_mat_vec(cols, r)) for r in self.sorted_roots]
             if None in images:
                 raise ValueError("root set is not stable under element %d" % a)
             gen_perms.append((a, images))
         perm = self._perm
-        perm[0] = list(range(len(self._sorted)))
+        perm[0] = list(range(len(self.sorted_roots)))
         frontier = [0]
         while frontier:
             b = frontier.pop()
@@ -457,7 +484,7 @@ class GRootDatum:
         entry = self._memo.get(root)
         if entry is None:
             i = self._index[root]
-            neg = self._index[tuple(-x for x in root)]
+            neg = self.neg[i]
             stab = frozenset(g for g, p in self._perm.items() if p[i] == i)
             pm = stab | frozenset(g for g, p in self._perm.items() if p[i] == neg)
             entry = self._memo[root] = (stab, pm)
@@ -466,7 +493,12 @@ class GRootDatum:
     def act(self, g: int, root: Vector) -> Vector:
         """M(g) root, read from the permutation table; a vector that is not
         a root raises KeyError, as in :meth:`stabilizer`."""
-        return self._sorted[self._perm[g][self._index[root]]]
+        return self.sorted_roots[self._perm[g][self._index[root]]]
+
+    def orbit(self, i: int) -> Set[int]:
+        """The indices of the images of root i under every element, read
+        from the permutation table."""
+        return {p[i] for p in self._perm.values()}
 
     def stabilizer(self, root: Vector) -> FrozenSet[int]:
         """The elements of the whole group that fix the root, computed once."""
@@ -507,34 +539,35 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
 
     The datum must have passed :meth:`GRootDatum.check_against_frame`: the
     action is then a homomorphism, so each stabilizer is a subgroup and the
-    orbit size is its index (orbit-stabilizer), and every image of a root
-    is read from the datum's permutation table.
+    orbit size is its index (orbit-stabilizer).  Orbits are read on root
+    indices from the datum's permutation table (:meth:`GRootDatum.orbit`)
+    in increasing index order, so each is met first at its least index,
+    which is its least root, the representative, because the indices follow
+    the sorted roots.  The negatives of an orbit form an orbit, since
+    M(g)(-a) = -(M(g) a).  Only the representatives' stabilizers are
+    computed.
     """
-    seen: Dict[Vector, str] = {}
+    srt, neg, perm = datum.sorted_roots, datum.neg, datum._perm
+    seen = [False] * len(srt)
     orbits: List[OrbitInfo] = []
-    orbit_members: Dict[str, FrozenSet[Vector]] = {}
-    for root in sorted(datum.roots):
-        if root in seen:
+    for i in range(len(srt)):
+        if seen[i]:
             continue
-        members = frozenset(datum.act(a, root) for a in frame.group.elements)
-        rep = min(members)
-        oid = root_key(rep)
-        for m in members:
-            seen[m] = oid
-        orbit_members[oid] = members
-    for oid, members in sorted(orbit_members.items(), key=lambda kv: parse_root_key(kv[0])):
-        rep = min(members)
+        members = datum.orbit(i)
+        for j in members:
+            seen[j] = True
+        rep = srt[i]
         stab = datum.stabilizer(rep)
         inv = field_invariants(frame, stab)
-        neg = tuple(-x for x in rep)  # a root, since GRootDatum refuses R != -R
-        symmetric = neg in members
+        symmetric = neg[i] in members
         ramified: Optional[bool] = None
         if symmetric:
-            ramified = any(datum.act(a, rep) == neg for a in frame.inertia)
+            ramified = any(perm[a][i] == neg[i] for a in frame.inertia)
         orbits.append(OrbitInfo(
-            orbit_id=oid, members=members, representative=rep, stabilizer=stab,
-            degree=inv.degree, e=inv.e, f=inv.f, symmetric=symmetric,
-            ramified=ramified, negation_id=seen[neg]))
+            orbit_id=root_key(rep), members=frozenset(map(srt.__getitem__, members)),
+            representative=rep, stabilizer=stab, degree=inv.degree, e=inv.e, f=inv.f,
+            symmetric=symmetric, ramified=ramified,
+            negation_id=root_key(srt[min(neg[j] for j in members)])))
     return orbits
 
 
@@ -608,6 +641,10 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
     to that depth.  Each proper level must be rationally closed in R (the
     Levi condition): the span of R_i meets R exactly in R_i.  The last
     level is the union of all orbits, R itself, and is closed trivially.
+
+    The marker is told from a depth by its type: a ``Fraction`` is never
+    compared with the marker string, which would walk the ``numbers``
+    ABCs on every comparison.
     """
     by_id = {o.orbit_id: o for o in orbits}
     if set(theta_depths.keys()) != set(by_id.keys()):
@@ -616,30 +653,29 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
     total = Fraction(theta_total_depth)
     if total < 0:
         raise ValueError("total depth must be >= 0")
-    depths: Dict[str, DepthValue] = {}
+    positive: Dict[str, Fraction] = {}  # the orbits of positive depth
     for oid, val in theta_depths.items():
-        if val == NONPOSITIVE:
-            depths[oid] = NONPOSITIVE
-        else:
-            val = Fraction(val)
-            if val <= 0:
-                raise ValueError("positive depth expected for orbit %s "
-                                 "(use the nonpositive marker otherwise)" % oid)
-            if val > total:
-                raise ValueError("depth %s of orbit %s exceeds the total depth %s"
-                                 % (val, oid, total))
-            depths[oid] = val
+        if isinstance(val, str) and val == NONPOSITIVE:
+            continue
+        val = Fraction(val)
+        if val <= 0:
+            raise ValueError("positive depth expected for orbit %s "
+                             "(use the nonpositive marker otherwise)" % oid)
+        if val > total:
+            raise ValueError("depth %s of orbit %s exceeds the total depth %s"
+                             % (val, oid, total))
+        positive[oid] = val
     for oid, o in by_id.items():
-        if depths[oid] != depths[o.negation_id]:
+        if positive.get(oid) != positive.get(o.negation_id):
             raise ValueError("depth map is not negation-invariant at orbit %s" % oid)
 
-    positive = sorted({v for v in depths.values() if v != NONPOSITIVE})
-    level0 = frozenset(r for oid, o in by_id.items() if depths[oid] == NONPOSITIVE
+    breaks = sorted(set(positive.values()))
+    level0 = frozenset(r for oid, o in by_id.items() if oid not in positive
                        for r in o.members)
     levels = [level0]
-    for r in positive:
-        new = frozenset(rt for oid, o in by_id.items() if depths[oid] == r
-                        for rt in o.members)
+    for r in breaks:
+        new = frozenset(rt for oid, v in positive.items() if v == r
+                        for rt in by_id[oid].members)
         levels.append(levels[-1] | new)
     # Levi closure of every proper level.
     for i, lv in enumerate(levels[:-1]):
@@ -649,7 +685,7 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
             raise ValueError(
                 "level %d is not rationally closed in R: span also contains %s"
                 % (i, extra))
-    return HoweFiltration(levels=tuple(levels), breaks=tuple(positive), total=total)
+    return HoweFiltration(levels=tuple(levels), breaks=tuple(breaks), total=total)
 
 
 @dataclass(frozen=True)

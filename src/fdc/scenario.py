@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .chi_data import ChiData, character_group, char_conjugate, char_inverse, condition_failures
@@ -57,20 +58,26 @@ class ScenarioError(ValueError):
         super().__init__("scenario validation failed:\n  " + "\n  ".join(lines))
 
 
-def parse_fraction(text: Union[str, int]) -> Fraction:
+def parse_ratio(text: Union[str, int]) -> Tuple[int, int]:
+    """A rational field as integers (a, b) with b > 0, not reduced: a
+    "num/den" string, a bare integer string, or a JSON integer."""
     if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
+        return text, 1
     if not isinstance(text, str):
         raise ValueError("rational must be a string, got %r" % (text,))
     parts = text.strip().split("/")
     if len(parts) == 1:
-        return Fraction(int(parts[0]))
+        return int(parts[0]), 1
     if len(parts) != 2:
         raise ValueError("malformed rational %r" % text)
     num, den = int(parts[0]), int(parts[1])
     if den == 0:
         raise ValueError("malformed rational %r (zero denominator)" % text)
-    return Fraction(num, den)
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def parse_fraction(text: Union[str, int]) -> Fraction:
+    return Fraction(*parse_ratio(text))
 
 
 def parse_int(value: object, what: str) -> int:
@@ -92,6 +99,19 @@ def parse_int_array(value: object, what: str, entry: str) -> List[int]:
         for x in value:
             parse_int(x, entry)
     return list(map(int, value))
+
+
+def parse_int_rows(rows: Sequence[object], what: str, entry: str) -> List[List[int]]:
+    """An array of integer arrays (an action matrix, the roots, the
+    permutation generators), each row read as by :func:`parse_int_array`
+    into a new list, never the document's own.  One sweep over the types of
+    the rows and one over the types of their entries admit the common case,
+    lists of plain ints; anything else goes row by row through
+    :func:`parse_int_array`, which words every refusal and reads decimal
+    strings, so the first refusal is the one a row-by-row read meets."""
+    if set(map(type, rows)) <= {list} and set(map(type, chain.from_iterable(rows))) <= {int}:
+        return list(map(list, rows))
+    return [parse_int_array(row, what, entry) for row in rows]
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -236,7 +256,7 @@ class Scenario:
             "roots": [list(r) for r in sorted(self.datum.roots)],
             "jump_offsets": {oid: fraction_str(off)
                              for oid, off in sorted(self.jumps.offsets.items())},
-            "theta_depths": {oid: (val if val == NONPOSITIVE else fraction_str(val))
+            "theta_depths": {oid: (val if isinstance(val, str) else fraction_str(val))
                              for oid, val in sorted(self.theta_depths.items())},
             "theta_total_depth": fraction_str(self.theta_total_depth),
         }
@@ -271,8 +291,7 @@ def _build_group(spec: Mapping[str, object], max_order: int,
         if key == "mult_table":
             g = FiniteGroup(spec[key])
         else:
-            gens = [parse_int_array(gen, "permutation", "permutation entry")
-                    for gen in spec[key]]
+            gens = parse_int_rows(spec[key], "permutation", "permutation entry")
             g, _elems = FiniteGroup.from_permutations(gens, max_order)
     except (ValueError, TypeError, IndexError) as e:
         fail.append(("galois_roots", "group." + key, str(e)))
@@ -392,11 +411,10 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
         for g, m in doc["action"].items():
             if not isinstance(m, list):
                 raise TypeError("action matrix must be a JSON array, got %s" % _json_kind(m))
-            action[int(g)] = [parse_int_array(row, "action row", "action entry") for row in m]
+            action[int(g)] = parse_int_rows(m, "action row", "action entry")
         if len(action) < len(doc["action"]):
             raise _repeated_key(doc["action"], int, "action keys", "element")
-        roots = frozenset(tuple(parse_int_array(r, "root", "root coordinate"))
-                          for r in doc["roots"])
+        roots = frozenset(map(tuple, parse_int_rows(doc["roots"], "root", "root coordinate")))
         datum = GRootDatum(rank, action, roots)
         if frame is not None:
             datum.check_against_frame(frame)
@@ -459,10 +477,11 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
                     raise ValueError("character at %s is not a root" % (root,))
                 char = chi.chars[root] = {}
                 for g, v in table.items():
-                    # x = a/b mod 1 is (a mod b)/b, stored as k = n (x mod 1); a
-                    # Fraction where k is not integral: never a character value
-                    x = parse_fraction(v)
-                    k, b = x.numerator % x.denominator * chi.n, x.denominator
+                    # a/b mod 1 is (a mod b)/b for b > 0, stored as the numerator
+                    # (a mod b) n / b over n; a Fraction where that is not an
+                    # integer, which no character value is
+                    a, b = parse_ratio(v)
+                    k = a % b * chi.n
                     char[int(g)] = k // b if k % b == 0 else Fraction(k, b)
                 if len(char) < len(table):
                     raise _repeated_key(table, int, "character at %s: keys" % (root,), "element")

@@ -25,7 +25,6 @@ from .galois_roots import (
     GaloisFrame,
     GRootDatum,
     HoweFiltration,
-    NONPOSITIVE,
     OrbitInfo,
     TorusLatticeData,
 )
@@ -54,8 +53,9 @@ def eps_abs(cond: RationalLike, pp: PrimePower) -> QMonomial:
 
 def psi_depth(theta_depth: DepthValue) -> Fraction:
     """Depth of the inducing character of a root summand: equal to the
-    orbit's positive depth, and exactly 0 on the nonpositive part."""
-    return _ZERO if theta_depth == NONPOSITIVE else theta_depth
+    orbit's positive depth, and exactly 0 on the nonpositive part, the
+    one depth value that is a string (the ``NONPOSITIVE`` marker)."""
+    return _ZERO if isinstance(theta_depth, str) else theta_depth
 
 
 # -- the two adjoint summands --------------------------------------------------------

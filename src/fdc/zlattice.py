@@ -136,7 +136,21 @@ class SmithForm:
     def kernel(self) -> List[Vector]:
         """Basis of the integer kernel {x : A x = 0}, deterministic and
         saturated: the columns of V past the rank."""
-        return [tuple(row[j] for row in self.v) for j in range(self.rank, self._cols)]
+        return self.kernel_prefix(self._cols)
+
+    def kernel_prefix(self, n: int) -> List[Vector]:
+        """The first n coordinates of each vector of :meth:`kernel`, in the
+        same order, with V replayed on its first n rows only (all of V for
+        n the column count).
+
+        A column operation on V acts on each row of V by itself, so the
+        first n rows of V are the operations replayed on the first n rows
+        of the identity.  The replay runs on V^T, where those rows are the
+        first n columns."""
+        if self.rank == self._cols:
+            return []
+        head = _replay([row[:n] for row in identity_matrix(self._cols)], self._col_ops)
+        return [tuple(row) for row in head[self.rank:]]
 
 
 def _row_op(m: Matrix, op: Tuple[int, ...]) -> None:
@@ -283,7 +297,8 @@ def frobenius_orders(n: int, relations: Sequence[Vector], endo: Matrix) -> Tuple
     below n leaves it infinite, and this raises.
 
     The kernel is L / im(B), where L = {x : (F - 1)x lies in im(B)} is the
-    projection to the x block of the block's kernel; im(B) lies in L
+    projection to the x block of the block's kernel (its first n
+    coordinates, :meth:`SmithForm.kernel_prefix`); im(B) lies in L
     because F preserves it.  The kernel is finite with no further check:
     a block of rank n makes F - 1 onto A (x) Q, so also one-to-one there,
     and L has the rank of im(B).  So both span one rational space and
@@ -298,6 +313,6 @@ def frobenius_orders(n: int, relations: Sequence[Vector], endo: Matrix) -> Tuple
     if form.rank < n:
         raise ValueError("coinvariant group is infinite")
     rel = smith_normal_form(_columns_matrix(relations, n))
-    lat = smith_normal_form(_columns_matrix([v[:n] for v in form.kernel()], n))
+    lat = smith_normal_form(_columns_matrix(form.kernel_prefix(n), n))
     return (math.prod(form.diagonal),
             math.prod(rel.diagonal[:rel.rank]) // math.prod(lat.diagonal[:lat.rank]))

@@ -6,14 +6,17 @@ from fractions import Fraction
 import pytest
 
 from fdc.qexact import PrimePower
+from fdc.chi_data import pm_classes
 from fdc.galois_roots import (
     FiniteGroup,
     GaloisFrame,
     GRootDatum,
     NONPOSITIVE,
+    OrbitInfo,
     classify_orbits,
     field_invariants,
     howe_filtration,
+    root_key,
     torus_lattice_data,
     validate_depth_lattice,
 )
@@ -337,6 +340,114 @@ def test_asymmetric_split_case():
     assert a.negation_id == b.orbit_id and b.negation_id == a.orbit_id
     # negated orbits share field invariants
     assert (a.e, a.f, a.degree) == (b.e, b.f, b.degree)
+
+
+def _brute_orbit_of(datum, group):
+    """Each root's orbit, as the set of its images under dense
+    matrix-vector products, computed once per orbit."""
+    orbit_of = {}
+    for r in datum.roots:
+        if r not in orbit_of:
+            members = frozenset(mat_vec(datum.action[g], r) for g in group.elements)
+            orbit_of.update((m, members) for m in members)
+    return orbit_of
+
+
+def _brute_orbits(datum, frame):
+    """Every OrbitInfo field from dense matrix-vector products and the
+    definitions: the orbit as the set of images, its least member, the
+    stabilizer as the elements fixing it, e as the size of its inertia
+    orbit ([I : I n Stab]), and the negation class as the orbit of -rep."""
+    orbit_of = _brute_orbit_of(datum, frame.group)
+    out = []
+    for members in set(orbit_of.values()):
+        rep = min(members)
+        neg = tuple(-x for x in rep)
+        im = {g: mat_vec(datum.action[g], rep) for g in frame.group.elements}
+        e = len({im[i] for i in frame.inertia})
+        symmetric = neg in members
+        out.append(OrbitInfo(
+            orbit_id=root_key(rep), members=members, representative=rep,
+            stabilizer=frozenset(g for g, v in im.items() if v == rep),
+            degree=len(members), e=e, f=len(members) // e, symmetric=symmetric,
+            ramified=any(im[i] == neg for i in frame.inertia) if symmetric else None,
+            negation_id=root_key(min(orbit_of[neg]))))
+    return sorted(out, key=lambda o: o.representative)
+
+
+def _brute_pm_classes(datum, frame):
+    """The classes under the group and negation: each root's orbit together
+    with the orbit of its negative, by least member."""
+    orbit_of = _brute_orbit_of(datum, frame.group)
+    classes = {orbit_of[r] | orbit_of[tuple(-x for x in r)] for r in datum.roots}
+    return sorted(((root_key(min(c)), min(c), c) for c in classes), key=lambda t: t[1])
+
+
+def test_orbits_and_pm_classes_match_brute_force():
+    """classify_orbits and pm_classes, read on root indices from the
+    permutation table, against dense matrix-vector products: every
+    OrbitInfo field and every class.  Run on the bundled scenarios, 200
+    generated ones and the A_{n-1} Coxeter tori for n = 4..24, unramified
+    and totally ramified."""
+    scenarios = bundled_scenarios()
+    rng = random.Random(31)
+    scenarios += [generate_scenario(rng) for _ in range(200)]
+    scenarios += [scenario_from_dict(coxeter_document(n, ramified))
+                  for n in range(4, 25) for ramified in (False, True)]
+    assert any(not o.symmetric for s in scenarios for o in s.orbits)
+    assert any(o.ramified for s in scenarios for o in s.orbits)
+    assert any(o.ramified is False for s in scenarios for o in s.orbits)
+    for scen in scenarios:
+        datum, frame = scen.datum, scen.frame
+        want = _brute_orbits(datum, frame)
+        assert list(scen.orbits) == want, scen.name
+        assert classify_orbits(datum, frame) == want, scen.name
+        assert pm_classes(datum, frame) == _brute_pm_classes(datum, frame), scen.name
+
+
+def test_normality_tested_on_generators():
+    """Inertia normalized by one generator of the group but not by the
+    other is refused, whichever generator comes first; a normal subgroup
+    that is not central still loads.  S_3 and D_4 each have two
+    generators, and each generator of order 2 spans a subgroup that only
+    it (of the two) normalizes."""
+    s3, _ = FiniteGroup.from_permutations([[1, 0, 2], [0, 2, 1]])
+    d4, _ = FiniteGroup.from_permutations([[1, 2, 3, 0], [3, 2, 1, 0]])
+    refused = []
+    for g in (s3, d4):
+        gens = g.generating_set(g.elements)
+        assert len(gens) == 2
+        for i, s in enumerate(gens):
+            h = g.subgroup_generated([s])
+            if len(h) != 2:
+                continue
+            assert [all(g.conj(x, y) in h for y in h) for x in gens] == [j == i for j in (0, 1)]
+            with pytest.raises(ValueError, match="inertia is not normal"):
+                GaloisFrame(g, h, gens[1 - i], PP5)
+            refused.append((g.order, i))
+    assert refused == [(6, 0), (6, 1), (8, 1)]
+
+    rotations = s3.subgroup_generated([s3.mul(1, 2)])
+    assert len(rotations) == 3
+    assert any(s3.mul(a, b) != s3.mul(b, a) for a in rotations for b in s3.elements)
+    GaloisFrame(s3, rotations, 1, PP5)
+    r, s = d4.generating_set(d4.elements)
+    GaloisFrame(d4, d4.subgroup_generated([r]), s, PP5)
+
+
+def test_normality_matches_brute_force():
+    """The generator test refuses exactly the subgroups that some element
+    fails to normalize, over every subgroup of the oracle groups."""
+    pp = PrimePower(101, 1)  # coprime to every subgroup order here
+    for g in oracle.oracle_groups():
+        for h in oracle.brute_subgroups(g):
+            normal = all(g.mul(g.mul(x, y), g.inv(x)) in h for x in g.elements for y in h)
+            try:
+                GaloisFrame(g, h, 0, pp)
+                refused = False
+            except ValueError as err:
+                refused = str(err) == "inertia is not normal"
+            assert refused == (not normal)
 
 
 def test_orbit_partition_properties():

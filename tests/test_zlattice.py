@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+import fdc.zlattice as zlattice
+from fdc.galois_roots import torus_lattice_data
 from fdc.mp_filtration import INFINITY
-from fdc.scenario import load_scenario
+from fdc.scenario import load_scenario, scenario_from_dict
 from fdc.selftest import (
     _random_unimodular,
     coinvariants_order,
@@ -27,6 +29,7 @@ from fdc.zlattice import (
     mat_vec,
     smith_normal_form,
 )
+from test_coxeter import coxeter_document
 
 
 def diag_of(d):
@@ -248,6 +251,46 @@ def test_restrict_endomorphism():
     assert fm == [[1]]
     fm = restrict_endomorphism([[-1, 0], [0, -1]], basis)
     assert fm == [[-1]]
+
+
+def test_kernel_prefix_matches_kernel(monkeypatch):
+    """kernel_prefix(n), replayed on n columns of V^T only, and kernel(),
+    against the columns of V past the rank read from the whole replay
+    (``SmithForm.v``, pinned by U A V = D elsewhere), on random blocks of
+    every rank and on the blocks [F - 1 | -B] that frobenius_orders
+    factors for the Coxeter tori A_3..A_23, unramified and totally
+    ramified."""
+    rng = random.Random(47)
+    forms = []
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 12)
+        basis = [[rng.randint(-4, 4) for _ in range(cols)]
+                 for _ in range(rng.randint(0, min(rows, cols)))]
+        a = []
+        for _ in range(rows):
+            coef = [rng.randint(-2, 2) for _ in basis]
+            a.append([sum(c * x for c, x in zip(coef, col)) for col in zip(*basis)]
+                     if basis else [0] * cols)
+        forms.append((rng.randint(0, cols), smith_normal_form(a)))
+    blocks = []
+
+    def spy(a, real=zlattice.smith_normal_form):
+        blocks.append((len(a), real(a)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(zlattice, "smith_normal_form", spy)
+    for n in range(4, 25):
+        for ramified in (False, True):
+            scen = scenario_from_dict(coxeter_document(n, ramified))
+            del blocks[:]
+            torus_lattice_data(scen.datum, scen.frame)
+            forms.append(blocks[0])  # the block, before the two diagonals
+    assert any(form.kernel() for _n, form in forms)
+    assert any(not form.kernel() for _n, form in forms)
+    for n, form in forms:
+        columns = list(zip(*form.v))[form.rank:]
+        assert form.kernel() == columns
+        assert form.kernel_prefix(n) == [col[:n] for col in columns]
 
 
 def test_fg_fixed_order_examples():
