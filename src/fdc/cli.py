@@ -5,7 +5,6 @@ Subcommands:
   degree     automorphic side only
   gamma      Galois side only
   chi-check  base-change verification of bundled character data
-  selftest   randomized property suites
 
 Global options: --q overrides the residue size, --format selects text or
 json output, --strict makes FLAGGED count as failure.  Exit code 0 means
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -31,30 +29,31 @@ from .qexact import PrimePower, fraction_str, int_str
 from .scenario import Scenario, json_text, load_scenario
 from .weil_gamma import galois_side
 
-DEFAULT_SEED = 20260809
+
+def _parse_q(text: Optional[str]) -> Optional[PrimePower]:
+    """The residue size ``--q`` names (``9`` or ``3^2``), or None without
+    one.  Every refusal starts with the flag's name."""
+    if text is None:
+        return None
+    try:
+        if "^" in text:
+            p, a = text.split("^")
+            return PrimePower(int(p), int(a))
+        return PrimePower.from_q(int(text))
+    except ValueError as e:
+        raise ValueError("--q: %s" % e) from None
 
 
-def _parse_q(text: str) -> PrimePower:
-    if "^" in text:
-        p, a = text.split("^")
-        return PrimePower(int(p), int(a))
-    return PrimePower.from_q(int(text))
-
-
-def _load(path: str, q_text: Optional[str]) -> Scenario:
-    """Load a scenario, moved to the residue size ``--q`` names if given.
-    A bad ``--q`` is reported before the file is read."""
-    qq = _parse_q(q_text) if q_text else None
+def _load(path: str, pp: Optional[PrimePower]) -> Scenario:
+    """Load a scenario, moved to the residue size ``pp`` if given."""
     scen = load_scenario(path)
-    return scen if qq is None else scen.with_q(qq)
+    return scen if pp is None else scen.with_q(pp)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Reports for the files that load and pass the internal checks, one
     error line per file that does not; the exit status is the worst over
-    all files.  A bad ``--q`` is one error for the run, not one per file."""
-    if args.q:
-        _parse_q(args.q)
+    all files."""
     reports = []
     status = 0
     for path in args.files:
@@ -165,34 +164,6 @@ def _cmd_chi_check(args: argparse.Namespace) -> int:
     return 0 if ok_all else 1
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    n = args.n
-    failures = 0
-
-    from . import selftest as st
-
-    suites = [
-        ("master-length-identity", lambda: st.suite_master_identity(rng, n)),
-        ("periodic-sum", lambda: st.suite_periodic_sum(rng, n)),
-        ("lattice-coinvariant-factorization", lambda: st.suite_lattice_identity(rng, max(1, n // 2))),
-        ("snf-coinvariants-oracle", lambda: st.suite_snf_oracle(rng, max(1, n // 2))),
-        ("index-ratio", lambda: st.suite_index_ratio(rng, n)),
-        ("conductor-consistency", lambda: st.suite_conductors()),
-        ("scenario-comparisons", lambda: st.suite_scenarios(rng, max(1, n // 5))),
-        ("chi-base-change", lambda: st.suite_chi(rng, max(1, n // 10))),
-    ]
-    for label, fn in suites:
-        try:
-            count = fn()
-        except Exception as e:  # noqa: BLE001 - report and count, don't crash
-            print("selftest %-36s FAIL (%s)" % (label, e))
-            failures += 1
-            continue
-        print("selftest %-36s ok (%d checks)" % (label, count))
-    return 1 if failures else 0
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by every later
@@ -226,17 +197,15 @@ def _parser() -> argparse.ArgumentParser:
     p_chi = sub.add_parser("chi-check", help="character base-change verification")
     p_chi.add_argument("file")
     p_chi.set_defaults(func=_cmd_chi_check)
-
-    p_self = sub.add_parser("selftest", help="randomized property suites")
-    p_self.add_argument("--n", type=int, default=200)
-    p_self.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_self.set_defaults(func=_cmd_selftest)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand.  ``--q`` is parsed here, once, so a bad value is
+    one error for the run, reported before any file is read."""
     args = _parser().parse_args(argv)
     try:
+        args.q = _parse_q(args.q)
         return args.func(args)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

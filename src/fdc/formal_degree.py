@@ -19,8 +19,8 @@ per-step Heisenberg dimensions, the volume-normalization exponent
 assembled from torsor point counts, and the same exponent from the
 closed length identity, so that the two routes can be compared.  The
 torsor-count assembly sums the one length kernel,
-:func:`fdc.mp_filtration.twice_length_to`; the ``master-length-identity``
-suite of ``fdc.selftest`` takes the identity's left side from the same
+:func:`fdc.mp_filtration.twice_length_to`; the master-length-identity
+suite of ``tests/lemmas.py`` takes the identity's left side from the same
 kernel and checks it against sum([k_a : k] * f(a)).
 """
 

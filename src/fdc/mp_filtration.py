@@ -8,7 +8,7 @@ residue degree when t lies in the torsor and zero otherwise.
 
 Torsor points in an interval are counted in closed form, and
 :func:`twice_length_to` is the one length kernel: the volume exponent of
-``verify`` sums it, and the master length identity of ``fdc.selftest``
+``verify`` sums it, and the master length identity of ``tests/lemmas.py``
 takes its left side from it.
 
 The module also supplies concavity checking for functions on R u {0},
@@ -32,8 +32,8 @@ from .qexact import PrimePower, QMonomial, RationalLike, exp_q
 
 class Infinity:
     """The one infinite value: the top index of a filtration here, an
-    infinite group order in ``fdc.selftest``.  It lies above every index
-    and absorbs addition."""
+    infinite group order in the tests' lattice route.  It lies above every
+    index and absorbs addition."""
 
     _instance: Optional["Infinity"] = None
 

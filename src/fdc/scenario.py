@@ -190,8 +190,6 @@ class Scenario:
     datum: GRootDatum
     orbits: Tuple[OrbitInfo, ...]
     jumps: JumpAssignment
-    theta_depths: Dict[str, DepthValue]
-    theta_total_depth: Fraction
     filtration: HoweFiltration
     depth_zero: DepthZeroData
     chi: Optional[ChiData] = None
@@ -231,7 +229,6 @@ class Scenario:
         frame = GaloisFrame(self.frame.group, self.frame.inertia,
                             self.frame.frobenius, pp)
         return Scenario(self.name, pp, frame, self.datum, self.orbits, self.jumps,
-                        dict(self.theta_depths), self.theta_total_depth,
                         self.filtration, self.depth_zero, self.chi,
                         dict(self.options), self.group_encoding)
 
@@ -244,6 +241,7 @@ class Scenario:
         else:
             group = {"order": self.frame.group.order,
                      "mult_table": [list(r) for r in self.frame.group.table]}
+        depths = {o.orbit_id: self.filtration.depth_of_orbit(o) for o in self.orbits}
         doc: Dict[str, object] = {
             "name": self.name,
             "q": {"p": self.pp.p, "a": self.pp.a},
@@ -257,8 +255,8 @@ class Scenario:
             "jump_offsets": {oid: fraction_str(off)
                              for oid, off in sorted(self.jumps.offsets.items())},
             "theta_depths": {oid: (val if isinstance(val, str) else fraction_str(val))
-                             for oid, val in sorted(self.theta_depths.items())},
-            "theta_total_depth": fraction_str(self.theta_total_depth),
+                             for oid, val in sorted(depths.items())},
+            "theta_total_depth": fraction_str(self.filtration.total),
         }
         if self.depth_zero.regular:
             doc["depth_zero"] = "regular"
@@ -498,8 +496,8 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
 
     return Scenario(
         name=name, pp=pp, frame=frame, datum=datum, orbits=orbits, jumps=jumps,
-        theta_depths=depths, theta_total_depth=total, filtration=filtration,
-        depth_zero=depth_zero, chi=chi, options=dict(doc.get("options", {})),
+        filtration=filtration, depth_zero=depth_zero, chi=chi,
+        options=dict(doc.get("options", {})),
         group_encoding=dict(doc["group"]) if "perm_gens" in doc["group"] else None,
     )
 
@@ -829,8 +827,7 @@ def _assign_depths_and_offsets(rng: random.Random, key: str, pp: PrimePower,
         name = "gen_%s_%04d" % (key, rng.randint(0, 9999))
         return Scenario(
             name=name, pp=pp, frame=frame, datum=datum, orbits=tuple(orbits),
-            jumps=jumps, theta_depths=depths, theta_total_depth=total,
-            filtration=filtration, depth_zero=DepthZeroData.regular_marker(),
+            jumps=jumps, filtration=filtration, depth_zero=DepthZeroData.regular_marker(),
             chi=chi, options={},
         )
     return None

@@ -1,5 +1,5 @@
-"""Randomized property suites behind the selftest subcommand, and the
-lemma code only they check.
+"""Randomized property suites that the tests run, and the lemma code only
+they check.
 
 Each suite returns the number of checks performed and raises on the first
 violation.  The oracles are deliberately primitive: direct coset
@@ -37,20 +37,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .chi_data import BaseChange, verify_base_change
-from .compare import VERDICT_UNEQUAL, run_compare
-from .galois_roots import (
+from fdc.chi_data import BaseChange, verify_base_change
+from fdc.compare import VERDICT_UNEQUAL, run_compare
+from fdc.galois_roots import (
     GaloisFrame,
     GRootDatum,
     OrbitInfo,
     TorusLatticeData,
     torus_lattice_data,
 )
-from .mp_filtration import INFINITY, Infinity, JumpAssignment, twice_length_to
-from .qexact import PrimePower, RationalLike
-from .scenario import _random_chi, generate_scenario, generator_templates
-from .weil_gamma import conductor_tame_induction
-from .zlattice import (
+from fdc.mp_filtration import INFINITY, Infinity, JumpAssignment, twice_length_to
+from fdc.qexact import PrimePower, RationalLike
+from fdc.scenario import _random_chi, generate_scenario, generator_templates
+from fdc.weil_gamma import conductor_tame_induction
+from fdc.zlattice import (
     Matrix,
     SmithForm,
     Vector,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from fdc.compare import VERDICT_UNEQUAL, run_compare
 from fdc.qexact import PrimePower, exp_q
 from fdc.scenario import generate_scenario, load_scenario
-from fdc.selftest import (
+from lemmas import (
     suite_chi,
     suite_conductors,
     suite_index_ratio,

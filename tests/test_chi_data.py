@@ -294,7 +294,7 @@ def test_cocycle_vanishes_where_chi_restricts_trivially():
 
 
 def test_randomized_base_change():
-    from fdc.selftest import suite_chi
+    from lemmas import suite_chi
     assert suite_chi(random.Random(101), 30) == 30
 
 

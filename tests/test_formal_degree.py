@@ -168,5 +168,5 @@ def test_volume_normalization_three_breaks(divisors, ramified):
 
 
 def test_index_ratio_law():
-    from fdc.selftest import suite_index_ratio
+    from lemmas import suite_index_ratio
     assert suite_index_ratio(random.Random(79), 1000) == 1000

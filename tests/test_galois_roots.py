@@ -27,7 +27,7 @@ from fdc.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from fdc.selftest import (
+from lemmas import (
     coinvariants_order,
     invariant_sublattice,
     lattice_is_elliptic,
@@ -645,7 +645,7 @@ def _elliptic_by_traces(datum, frame):
 
 
 def _template_data(rng):
-    """The selftest generator templates under every inertia choice and
+    """The generator templates under every inertia choice and
     Frobenius, and every residue prime of the template prime to |I|, each
     conjugated by a random unimodular matrix so that X^I is not spanned by
     coordinate vectors."""
@@ -663,7 +663,7 @@ def test_trace_route_matches_lattice_route():
     """Every field of torus_lattice_data (traces for the X^I orders, one
     Smith form for the cocharacter orders) and the ellipticity decision of
     check_against_frame (the trace sum) against the lattice route of
-    fdc.selftest: a saturated basis of X^I, the restricted Frobenius, its
+    lemmas.py: a saturated basis of X^I, the restricted Frobenius, its
     Bareiss determinants, and coinvariants over the group's generators.
 
     Run on the bundled scenarios, 200 generated ones (seed 13), the A_{n-1}

@@ -61,7 +61,6 @@ def cases():
     for name in WITH_CHI:
         out.append(("chi-check-json-" + name, ["--format", "json", "chi-check", name + ".json"]))
         out.append(("chi-check-text-" + name, ["--format", "text", "chi-check", name + ".json"]))
-    out.append(("selftest-n40", ["selftest", "--n", "40"]))
     return out
 
 

@@ -28,7 +28,7 @@ from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
 from fdc.mp_filtration import is_concave
 from fdc.qexact import PrimePower
 from fdc.scenario import ScenarioError, scenario_from_dict
-from fdc.selftest import (
+from lemmas import (
     JumpFunction,
     det,
     master_length_identity,

@@ -30,7 +30,7 @@ from fdc.mp_filtration import (
     mp_chain,
     quotient_order,
 )
-from fdc.selftest import (
+from lemmas import (
     JumpFunction,
     master_length_identity,
     periodic_sum_value,
@@ -137,7 +137,7 @@ def test_periodic_sum_examples():
 
 
 def test_periodic_sum_lemma_randomized():
-    from fdc.selftest import suite_periodic_sum
+    from lemmas import suite_periodic_sum
     assert suite_periodic_sum(random.Random(11), 1000) == 1000
 
 
@@ -173,7 +173,7 @@ def test_master_identity_hypothesis_checks():
 
 
 def test_master_identity_randomized():
-    from fdc.selftest import suite_master_identity
+    from lemmas import suite_master_identity
     assert suite_master_identity(random.Random(13), 1000) == 1000
 
 

@@ -1,21 +1,18 @@
-"""Every public symbol of the checker modules has a caller in the package.
+"""Every module of the package is reached from the command line, and
+every public symbol has a caller in the package.
 
 The source of ``src/fdc`` is parsed with ``ast``, not imported.  A public
 module-level function or class, or a public method or property of a public
-class, defined in any module but ``selftest.py`` must be referenced (as a
-name or as an attribute) from some module other than ``selftest.py``,
-outside its own definition.  ``selftest.py`` holds the property suites and
-the lemma code only they check, so its references do not count and its
-definitions are not checked.  Methods are matched by attribute name alone,
-so the test can miss a dead method whose name is used elsewhere, but it
-never flags a live one.
+class, must be referenced (as a name or as an attribute) from some module
+of the package, outside its own definition.  Methods are matched by
+attribute name alone, so the test can miss a dead method whose name is
+used elsewhere, but it never flags a live one.
 """
 
 import ast
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "fdc")
-LEMMA_MODULE = "selftest.py"
 
 # Symbols without a caller in the package, each with the reason it stays.
 ALLOWED = {
@@ -63,15 +60,12 @@ def _modules():
 
 
 def unreferenced_symbols():
-    """Qualified names of the public symbols outside ``selftest.py`` that
-    no other module except ``selftest.py`` references outside their own
-    definition, as ``module:name``."""
+    """Qualified names of the public symbols that no module references
+    outside their own definition, as ``module:name``."""
     modules = _modules()
-    refs = {fn: _references(tree) for fn, tree in modules.items() if fn != LEMMA_MODULE}
+    refs = {fn: _references(tree) for fn, tree in modules.items()}
     missing = []
     for fn, tree in modules.items():
-        if fn == LEMMA_MODULE:
-            continue
         for qual, name, node in _definitions(tree):
             inside = range(node.lineno, node.end_lineno + 1)
             used = any(ref == name and not (mod == fn and line in inside)
@@ -91,3 +85,29 @@ def test_allow_list_is_current():
     gains one, its entry goes."""
     allowed_now = {m.split(":")[1] for m in unreferenced_symbols()} & set(ALLOWED)
     assert allowed_now == set(ALLOWED)
+
+
+def _imported_modules(tree):
+    """File names of the package modules that a module imports at module
+    level, by ``from .mod import x`` or ``from . import mod``."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            out |= {name + ".py" for name in names}
+    return out
+
+
+def test_every_module_is_reached_from_the_cli():
+    """The package holds only code the command line runs: each module is
+    reached from ``cli.py`` through module-level imports.  An import inside
+    a function does not count, so a module only one subcommand loads on
+    demand fails here."""
+    modules = _modules()
+    reached, todo = set(), ["cli.py"]
+    while todo:
+        fn = todo.pop()
+        if fn not in reached:
+            reached.add(fn)
+            todo += _imported_modules(modules[fn]) - reached
+    assert sorted(set(modules) - reached - {"__init__.py"}) == []

@@ -4,7 +4,6 @@ import os
 import random
 import re
 import sys
-import types
 from fractions import Fraction
 
 import pytest
@@ -401,7 +400,7 @@ def _golden_stdout(case_id):
     return int(status[len("exit="):]), stdout
 
 
-def test_cli_main_reuses_its_parser_without_leaks(monkeypatch, capsys):
+def test_cli_main_reuses_its_parser_without_leaks(capsys):
     """Successive in-process calls share one parser; no option, usage
     error or default of one call carries over into the next."""
     assert cli._parser() is cli._parser()
@@ -425,24 +424,13 @@ def test_cli_main_reuses_its_parser_without_leaks(monkeypatch, capsys):
     assert cli.main(["--format", "json", "verify", bundled_path(name)]) == 0
     assert (0, capsys.readouterr().out) == _golden_stdout("verify-json-" + name)
 
-    seeds = []
 
-    def recording(seed):
-        seeds.append(seed)
-        return random.Random(seed)
-
-    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=recording))
-    assert cli.main(["selftest", "--n", "1", "--seed", "5"]) == 0
-    assert cli.main(["selftest", "--n", "1"]) == 0
-    capsys.readouterr()
-    assert seeds == [5, cli.DEFAULT_SEED]
-
-
-def test_cli_selftest_small(capsys):
-    rc = cli.main(["selftest", "--n", "10", "--seed", "3"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "master-length-identity" in out and "FAIL" not in out
+def test_cli_has_no_selftest_subcommand(capsys):
+    """The property suites run under pytest only (tests/lemmas.py)."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 def test_generator_produces_valid_scenarios():
@@ -705,11 +693,20 @@ def test_cli_large_q_loads_quickly(q, p, a, capsys):
     ("16", "p must be odd"),  # 2^4
     ("1", "q = 1 is not an odd prime power"),
     ("1000000016000000063", "q = 1000000016000000063 is not a prime power"),  # (10^9+7)(10^9+9)
+    ("3^2^2", "too many values to unpack"),
+    ("abc", "invalid literal for int()"),
+    ("3^x", "invalid literal for int()"),
+    ("1e3", "invalid literal for int()"),
+    ("", "invalid literal for int()"),
 ])
 def test_cli_refuses_bad_q(q, message, capsys):
-    rc = cli.main(["--q", q, "verify", bundled_path("sl2_unramified_depth0")])
+    """One error line for the run, naming the flag."""
+    rc = cli.main(["--q", q, "verify", bundled_path("sl2_unramified_depth0"),
+                   bundled_path("z4_rank3_mixed")])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: --q: ") and err.count("\n") == 1
+    assert message in err
 
 
 # The loader reduces chi values mod 1 and stores each as a numerator over the

@@ -15,7 +15,7 @@ from fdc.galois_roots import (
     howe_filtration,
     torus_lattice_data,
 )
-from fdc.selftest import conductor_induction_general
+from lemmas import conductor_induction_general
 from fdc.weil_gamma import (
     conductor_tame_induction,
     eps_abs,
@@ -62,7 +62,7 @@ def test_conductor_induction_general():
 
 
 def test_conductor_specialization_sweep():
-    from fdc.selftest import suite_conductors
+    from lemmas import suite_conductors
     assert suite_conductors() > 0
 
 

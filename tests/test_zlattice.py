@@ -10,7 +10,7 @@ import fdc.zlattice as zlattice
 from fdc.galois_roots import torus_lattice_data
 from fdc.mp_filtration import INFINITY
 from fdc.scenario import load_scenario, scenario_from_dict
-from fdc.selftest import (
+from lemmas import (
     _random_unimodular,
     coinvariants_order,
     det,
@@ -395,7 +395,7 @@ def test_coinvariant_factorization_small():
 
 
 def test_random_unimodular_is_never_the_identity():
-    """The conjugating matrices of the lattice-identity selftest suite: 500
+    """The conjugating matrices of the lattice-identity suite: 500
     draws over ranks 2..4, none the identity, each with U U^-1 = I."""
     rng = random.Random(29)
     for _ in range(500):
