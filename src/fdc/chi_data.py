@@ -41,10 +41,10 @@ that do not depend on the subgroup are built once per datum
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .galois_roots import FiniteGroup, GaloisFrame, GRootDatum, root_key
+from .qexact import Frozen
 from .zlattice import smith_normal_form
 
 Root = Tuple[int, ...]
@@ -119,13 +119,15 @@ def character_group(group: FiniteGroup, subgroup: FrozenSet[int]) -> List[Charac
 # -- chi data --------------------------------------------------------------------
 
 
-@dataclass
 class ChiData:
     """A character for every root, subject to inversion under negation and
     conjugation equivariance (validated separately); values over n = |G|."""
 
-    chars: Dict[Root, Character]
-    n: int
+    __slots__ = ("chars", "n")
+
+    def __init__(self, chars: Dict[Root, Character], n: int) -> None:
+        self.chars = chars
+        self.n = n
 
     @staticmethod
     def from_representatives(datum: GRootDatum, frame: GaloisFrame,
@@ -143,7 +145,7 @@ class ChiData:
         while todo:
             root = todo.pop()
             chi = chars[root]
-            moves = [(tuple(-x for x in root), char_inverse(chi, g.order))]
+            moves = [(datum.negative(root), char_inverse(chi, g.order))]
             moves += [(datum.act(s, root), char_conjugate(g, chi, s)) for s in gens]
             for target, moved in moves:
                 if target not in chars:
@@ -242,7 +244,6 @@ def _failures_under(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
 # -- sections and the cocycle ----------------------------------------------------
 
 
-@dataclass
 class SectionChoices:
     """Auxiliary choices for the cocycle: one representative per class of
     roots modulo the group and negation, a section of the plus-minus
@@ -252,9 +253,13 @@ class SectionChoices:
     derived subgroup sections may take ambient values (see module notes).
     """
 
-    reps: Dict[str, Root]
-    u: Dict[str, Dict[int, int]]
-    v: Dict[str, Dict[int, int]]
+    __slots__ = ("reps", "u", "v")
+
+    def __init__(self, reps: Dict[str, Root], u: Dict[str, Dict[int, int]],
+                 v: Dict[str, Dict[int, int]]) -> None:
+        self.reps = reps
+        self.u = u
+        self.v = v
 
 
 def default_choices(datum: GRootDatum, frame: GaloisFrame) -> SectionChoices:
@@ -274,8 +279,7 @@ def default_choices(datum: GRootDatum, frame: GaloisFrame) -> SectionChoices:
     return SectionChoices(reps, u, v)
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(Frozen):
     """What the cocycle reads of one class on an evaluation subgroup K,
     besides its outer section: the representative a, the coset keys of
     Stab+-(a) n K, and the inner values.  The inner value at k in
@@ -285,10 +289,14 @@ class ClassData:
     this depends on a subgroup, so :class:`BaseChange` builds it once for
     every subgroup to read."""
 
-    class_id: str
-    alpha: Root
-    pm_key: Sequence[int]
-    inner: Sequence[Optional[int]]
+    __slots__ = ("class_id", "alpha", "pm_key", "inner")
+
+    def __init__(self, class_id: str, alpha: Root, pm_key: Sequence[int],
+                 inner: Sequence[Optional[int]]) -> None:
+        object.__setattr__(self, "class_id", class_id)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "pm_key", pm_key)
+        object.__setattr__(self, "inner", inner)
 
 
 def class_data(chi: ChiData, choices: SectionChoices, datum: GRootDatum, frame: GaloisFrame,
@@ -369,10 +377,12 @@ def cocycle(classes: Sequence[ClassData], u_sections: Mapping[str, Mapping[int, 
 # -- compatible choices and the base-change verification -----------------------
 
 
-@dataclass(frozen=True)
-class CompatiblePair:
-    top: SectionChoices
-    sub: SectionChoices
+class CompatiblePair(Frozen):
+    __slots__ = ("top", "sub")
+
+    def __init__(self, top: SectionChoices, sub: SectionChoices) -> None:
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "sub", sub)
 
 
 def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
@@ -452,12 +462,15 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
     return CompatiblePair(top=top, sub=SectionChoices(sub_reps, sub_u, sub_v))
 
 
-@dataclass(frozen=True)
-class BaseChangeReport:
-    ok: bool
-    witness: Optional[int]
-    lhs: Optional[DualTorusElement]
-    rhs: Optional[DualTorusElement]
+class BaseChangeReport(Frozen):
+    __slots__ = ("ok", "witness", "lhs", "rhs")
+
+    def __init__(self, ok: bool, witness: Optional[int], lhs: Optional[DualTorusElement],
+                 rhs: Optional[DualTorusElement]) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 class BaseChange:

@@ -29,7 +29,6 @@ inputs produce byte-identical documents.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -59,7 +58,6 @@ def _mono_dict(m: QMonomial) -> Dict[str, str]:
     return out
 
 
-@dataclass
 class ComparisonReport:
     """Both sides of one scenario and the verdict on them.
 
@@ -68,15 +66,21 @@ class ComparisonReport:
     values the verdict compared, kept for the report.
     """
 
-    scenario: Scenario
-    verdict: str
-    degree: RegularDegree
-    galois: GaloisSide
-    value_automorphic: QMonomial
-    value_galois: QMonomial
-    volume_exponent: Fraction
-    diagnostics: List[str]
-    elapsed_s: float
+    __slots__ = ("scenario", "verdict", "degree", "galois", "value_automorphic",
+                 "value_galois", "volume_exponent", "diagnostics", "elapsed_s")
+
+    def __init__(self, scenario: Scenario, verdict: str, degree: RegularDegree,
+                 galois: GaloisSide, value_automorphic: QMonomial, value_galois: QMonomial,
+                 volume_exponent: Fraction, diagnostics: List[str], elapsed_s: float) -> None:
+        self.scenario = scenario
+        self.verdict = verdict
+        self.degree = degree
+        self.galois = galois
+        self.value_automorphic = value_automorphic
+        self.value_galois = value_galois
+        self.volume_exponent = volume_exponent
+        self.diagnostics = diagnostics
+        self.elapsed_s = elapsed_s
 
     @property
     def intermediates(self) -> Dict[str, object]:

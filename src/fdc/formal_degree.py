@@ -27,20 +27,18 @@ kernel and checks it against sum([k_a : k] * f(a)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .galois_roots import HoweFiltration, OrbitInfo, TorusLatticeData
 from .mp_filtration import JumpAssignment, jump_length_at, twice_length_to
-from .qexact import PrimePower, QMonomial, RationalLike, exp_q
+from .qexact import Frozen, PrimePower, QMonomial, RationalLike, exp_q
 
 
 # -- shapes and depth-zero data -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class YuShape:
+class YuShape(Frozen):
     """The combinatorial residue of a cuspidal datum: Levi chain sizes,
     depth sequence, jumps, and the toral data.
 
@@ -50,11 +48,15 @@ class YuShape:
     indices where the Heisenberg quotients live.
     """
 
-    filtration: HoweFiltration
-    orbits: Tuple[OrbitInfo, ...]
-    jumps: JumpAssignment
-    toral_rank: int
-    pp: PrimePower
+    __slots__ = ("filtration", "orbits", "jumps", "toral_rank", "pp")
+
+    def __init__(self, filtration: HoweFiltration, orbits: Tuple[OrbitInfo, ...],
+                 jumps: JumpAssignment, toral_rank: int, pp: PrimePower) -> None:
+        object.__setattr__(self, "filtration", filtration)
+        object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "toral_rank", toral_rank)
+        object.__setattr__(self, "pp", pp)
 
     @property
     def dim_ga(self) -> int:
@@ -83,13 +85,16 @@ class YuShape:
                             for o in self.depth_zero_orbits())
 
 
-@dataclass(frozen=True)
-class DepthZeroData:
+class DepthZeroData(Frozen):
     """Either the regular marker or opaque (dim rho, stabilizer index)."""
 
-    regular: bool
-    dim_rho: Optional[Fraction] = None
-    stab_index: Optional[int] = None
+    __slots__ = ("regular", "dim_rho", "stab_index")
+
+    def __init__(self, regular: bool, dim_rho: Optional[Fraction] = None,
+                 stab_index: Optional[int] = None) -> None:
+        object.__setattr__(self, "regular", regular)
+        object.__setattr__(self, "dim_rho", dim_rho)
+        object.__setattr__(self, "stab_index", stab_index)
 
     @staticmethod
     def regular_marker() -> "DepthZeroData":
@@ -145,8 +150,7 @@ def general_degree(shape: YuShape, dz: DepthZeroData,
 # -- the regular route -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularDegree:
+class RegularDegree(Frozen):
     """Exact regular formal degree with both prefactor normalizations.
 
     monomial carries the exponential part; the two prefactors divide it by
@@ -156,11 +160,15 @@ class RegularDegree:
     normalization discrepancy between the two published forms.
     """
 
-    pp: PrimePower
-    monomial: QMonomial
-    special_fiber_order: int
-    full_point_index: int
-    discrepancy: int
+    __slots__ = ("pp", "monomial", "special_fiber_order", "full_point_index", "discrepancy")
+
+    def __init__(self, pp: PrimePower, monomial: QMonomial, special_fiber_order: int,
+                 full_point_index: int, discrepancy: int) -> None:
+        object.__setattr__(self, "pp", pp)
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "special_fiber_order", special_fiber_order)
+        object.__setattr__(self, "full_point_index", full_point_index)
+        object.__setattr__(self, "discrepancy", discrepancy)
 
 
 def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:

@@ -17,11 +17,10 @@ chain of Levi-closed root subsets together with its breaks.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .qexact import PrimePower
+from .qexact import Frozen, PrimePower, Value
 from .zlattice import (
     Matrix,
     SparseColumns,
@@ -266,8 +265,7 @@ class FiniteGroup:
 # -- frames and field invariants ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaloisFrame:
+class GaloisFrame(Frozen):
     """Finite Galois quotient: group, normal inertia subgroup, Frobenius, q.
 
     Invariants: the quotient by inertia is cyclic and generated by the image
@@ -286,24 +284,26 @@ class GaloisFrame:
     characters and sections literally, on the indices of the whole group.
     """
 
-    group: FiniteGroup
-    inertia: FrozenSet[int]
-    frobenius: int
-    pp: PrimePower
+    __slots__ = ("group", "inertia", "frobenius", "pp")
 
-    def __post_init__(self) -> None:
-        g = self.group
-        if not self.inertia.issubset(g.elements) or not g.is_subgroup(self.inertia):
+    def __init__(self, group: FiniteGroup, inertia: FrozenSet[int], frobenius: int,
+                 pp: PrimePower) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "inertia", inertia)
+        object.__setattr__(self, "frobenius", frobenius)
+        object.__setattr__(self, "pp", pp)
+        g = group
+        if not inertia.issubset(g.elements) or not g.is_subgroup(inertia):
             raise ValueError("inertia is not a subgroup")
-        inertia_gens = g.generating_set(self.inertia)
-        if not all(g.conj(x, h) in self.inertia
+        inertia_gens = g.generating_set(inertia)
+        if not all(g.conj(x, h) in inertia
                    for x in g.generating_set(g.elements) for h in inertia_gens):
             raise ValueError("inertia is not normal")
-        if len(self.inertia) % self.pp.p == 0:
+        if len(inertia) % pp.p == 0:
             raise ValueError("wild frame: p divides |inertia|")
-        if self.frobenius not in g.elements:
+        if frobenius not in g.elements:
             raise ValueError("frobenius is not a group element")
-        gen = self.subgroup_with_inertia(self.frobenius)
+        gen = self.subgroup_with_inertia(frobenius)
         if len(gen) != g.order:
             raise ValueError("Frobenius image does not generate the quotient by inertia")
 
@@ -315,11 +315,13 @@ class GaloisFrame:
         return self.pp.q
 
 
-@dataclass(frozen=True)
-class FieldInvariants:
-    degree: int
-    e: int
-    f: int
+class FieldInvariants(Frozen):
+    __slots__ = ("degree", "e", "f")
+
+    def __init__(self, degree: int, e: int, f: int) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
 
 
 def field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvariants:
@@ -345,8 +347,7 @@ def parse_root_key(s: str) -> Vector:
     return tuple(int(x) for x in s.split(","))
 
 
-@dataclass(frozen=True)
-class GRootDatum:
+class GRootDatum(Frozen):
     """Character lattice with frame action and a stable symmetric root set.
 
     The action maps every group element to an integer matrix; roots are
@@ -367,42 +368,39 @@ class GRootDatum:
     indexed by g.
     """
 
-    rank: int
-    action: Mapping[int, Matrix]  # element index -> matrix on X^*
-    roots: FrozenSet[Vector]
-    # sorted(roots), each root's index in it, and the index of its negative
-    sorted_roots: List[Vector] = field(default_factory=list, init=False, repr=False,
-                                       compare=False)
-    _index: Dict[Vector, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    neg: List[int] = field(default_factory=list, init=False, repr=False, compare=False)
-    # element -> the permutation of root indices it induces
-    _perm: Dict[int, List[int]] = field(default_factory=dict, init=False, repr=False,
-                                        compare=False)
-    # element -> tr M(element), as a list indexed by the element
-    traces: List[int] = field(default_factory=list, init=False, repr=False, compare=False)
-    # root -> (stabilizer, +-stabilizer)
-    _memo: Dict[Vector, Tuple[FrozenSet[int], FrozenSet[int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("rank", "action", "roots", "sorted_roots", "_index", "neg", "_perm",
+                 "traces", "_memo")
 
-    def __post_init__(self) -> None:
-        for g, m in self.action.items():
-            if len(m) != self.rank or any(len(row) != self.rank for row in m):
+    def __init__(self, rank: int, action: Mapping[int, Matrix],
+                 roots: FrozenSet[Vector]) -> None:
+        for g, m in action.items():
+            if len(m) != rank or any(len(row) != rank for row in m):
                 raise ValueError("action matrix for element %d has wrong shape" % g)
-        if set(map(len, self.roots)) - {self.rank}:
-            bad = next(r for r in self.roots if len(r) != self.rank)
-            raise ValueError("root %s does not have %d coordinates" % (bad, self.rank))
-        zero = tuple([0] * self.rank)
-        if zero in self.roots:
+        if set(map(len, roots)) - {rank}:
+            bad = next(r for r in roots if len(r) != rank)
+            raise ValueError("root %s does not have %d coordinates" % (bad, rank))
+        zero = tuple([0] * rank)
+        if zero in roots:
             raise ValueError("0 is not allowed as a root")
-        srt = self.sorted_roots
-        srt.extend(sorted(self.roots))
+        srt = sorted(roots)
         if any(any(map(operator.add, r, s)) for r, s in zip(srt, reversed(srt))):
             # name the first root in set order whose negative is missing
-            for r in self.roots:
-                if tuple(-x for x in r) not in self.roots:
+            for r in roots:
+                if tuple(-x for x in r) not in roots:
                     raise ValueError("root set is not symmetric: missing -%s" % (r,))
-        self._index.update(zip(srt, range(len(srt))))
-        self.neg.extend(range(len(srt) - 1, -1, -1))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "action", action)  # element index -> matrix on X^*
+        object.__setattr__(self, "roots", roots)
+        # sorted(roots), each root's index in it, and the index of its negative
+        object.__setattr__(self, "sorted_roots", srt)
+        object.__setattr__(self, "_index", dict(zip(srt, range(len(srt)))))
+        object.__setattr__(self, "neg", list(range(len(srt) - 1, -1, -1)))
+        # element -> the permutation of root indices it induces
+        object.__setattr__(self, "_perm", {})
+        # element -> tr M(element), as a list indexed by the element
+        object.__setattr__(self, "traces", [])
+        # root -> (stabilizer, +-stabilizer)
+        object.__setattr__(self, "_memo", {})
 
     def check_against_frame(self, frame: GaloisFrame) -> None:
         """Check that the action is a homomorphism, that the group keeps
@@ -495,6 +493,11 @@ class GRootDatum:
         a root raises KeyError, as in :meth:`stabilizer`."""
         return self.sorted_roots[self._perm[g][self._index[root]]]
 
+    def negative(self, root: Vector) -> Vector:
+        """-root, read from the negation table; a vector that is not a root
+        raises KeyError."""
+        return self.sorted_roots[self.neg[self._index[root]]]
+
     def orbit(self, i: int) -> Set[int]:
         """The indices of the images of root i under every element, read
         from the permutation table."""
@@ -510,20 +513,29 @@ class GRootDatum:
         return self._root_data(root)[1]
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
-    """One Galois orbit of roots with its stabilizer field invariants."""
+class OrbitInfo(Value):
+    """One Galois orbit of roots with its stabilizer field invariants.
 
-    orbit_id: str
-    members: FrozenSet[Vector]
-    representative: Vector  # lexicographically minimal member
-    stabilizer: FrozenSet[int]
-    degree: int  # [k_alpha : k] = orbit size
-    e: int
-    f: int
-    symmetric: bool
-    ramified: Optional[bool]  # meaningful only when symmetric
-    negation_id: str
+    ``representative`` is the lexicographically minimal member, ``degree``
+    the orbit size [k_alpha : k], and ``ramified`` is meaningful only when
+    the orbit is symmetric."""
+
+    __slots__ = ("orbit_id", "members", "representative", "stabilizer", "degree", "e", "f",
+                 "symmetric", "ramified", "negation_id")
+
+    def __init__(self, orbit_id: str, members: FrozenSet[Vector], representative: Vector,
+                 stabilizer: FrozenSet[int], degree: int, e: int, f: int, symmetric: bool,
+                 ramified: Optional[bool], negation_id: str) -> None:
+        object.__setattr__(self, "orbit_id", orbit_id)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "stabilizer", stabilizer)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "ramified", ramified)
+        object.__setattr__(self, "negation_id", negation_id)
 
     @property
     def size(self) -> int:
@@ -574,8 +586,7 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
 # -- the Howe filtration -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HoweFiltration:
+class HoweFiltration(Value):
     """Increasing chain of root subsets R_0 <= ... <= R_d with its breaks.
 
     levels[i] is R_i as a set of roots; breaks are the distinct positive
@@ -584,9 +595,13 @@ class HoweFiltration:
     levels[0] are the nonpositive-depth part.
     """
 
-    levels: Tuple[FrozenSet[Vector], ...]
-    breaks: Tuple[Fraction, ...]
-    total: Fraction
+    __slots__ = ("levels", "breaks", "total")
+
+    def __init__(self, levels: Tuple[FrozenSet[Vector], ...], breaks: Tuple[Fraction, ...],
+                 total: Fraction) -> None:
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "total", total)
 
     @property
     def d(self) -> int:
@@ -688,8 +703,7 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
     return HoweFiltration(levels=tuple(levels), breaks=tuple(breaks), total=total)
 
 
-@dataclass(frozen=True)
-class TorusLatticeData:
+class TorusLatticeData(Value):
     """Every lattice invariant of the torus both sides of the comparison use.
 
     M is the inertia-fixed part X^I of the character lattice, with the
@@ -700,13 +714,23 @@ class TorusLatticeData:
     coinvariant group and the Frobenius-fixed count of the inertia
     coinvariants (the Kottwitz-style component index separating the two
     published prefactor normalizations), both from one Smith form.
+
+    Fields: ``rank_m`` is the rank of M, ``special_fiber_order`` is
+    |det(q F - 1)| on M, ``m_frob_coinvariants`` is |det(F - 1)| on M,
+    ``cochar_full_coinvariants`` is |X_*(S^a)_Gamma| and
+    ``kottwitz_fixed_order`` is |X_*(S^a)_I ^ Frob|.
     """
 
-    rank_m: int                     # rank of M
-    special_fiber_order: int        # |det(q F - 1)| on M
-    m_frob_coinvariants: int        # |det(F - 1)| on M
-    cochar_full_coinvariants: int   # |X_*(S^a)_Gamma|
-    kottwitz_fixed_order: int       # |X_*(S^a)_I ^ Frob|
+    __slots__ = ("rank_m", "special_fiber_order", "m_frob_coinvariants",
+                 "cochar_full_coinvariants", "kottwitz_fixed_order")
+
+    def __init__(self, rank_m: int, special_fiber_order: int, m_frob_coinvariants: int,
+                 cochar_full_coinvariants: int, kottwitz_fixed_order: int) -> None:
+        object.__setattr__(self, "rank_m", rank_m)
+        object.__setattr__(self, "special_fiber_order", special_fiber_order)
+        object.__setattr__(self, "m_frob_coinvariants", m_frob_coinvariants)
+        object.__setattr__(self, "cochar_full_coinvariants", cochar_full_coinvariants)
+        object.__setattr__(self, "kottwitz_fixed_order", kottwitz_fixed_order)
 
     @property
     def full_point_index(self) -> int:
@@ -788,12 +812,18 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     )
 
 
-@dataclass(frozen=True)
-class DepthLatticeCheck:
-    orbit_id: str
-    break_value: Fraction
-    in_value_group: bool       # r_i in (1/e) Z
-    in_half_value_group: bool  # r_i in (1/2e) Z
+class DepthLatticeCheck(Frozen):
+    """Whether a break r_i lies in (1/e) Z (``in_value_group``) and in
+    (1/2e) Z (``in_half_value_group``)."""
+
+    __slots__ = ("orbit_id", "break_value", "in_value_group", "in_half_value_group")
+
+    def __init__(self, orbit_id: str, break_value: Fraction, in_value_group: bool,
+                 in_half_value_group: bool) -> None:
+        object.__setattr__(self, "orbit_id", orbit_id)
+        object.__setattr__(self, "break_value", break_value)
+        object.__setattr__(self, "in_value_group", in_value_group)
+        object.__setattr__(self, "in_half_value_group", in_half_value_group)
 
     @property
     def ok(self) -> bool:

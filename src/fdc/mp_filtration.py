@@ -19,12 +19,11 @@ filtration quotient as a power of q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .galois_roots import GRootDatum, HoweFiltration, OrbitInfo
-from .qexact import PrimePower, QMonomial, RationalLike, exp_q
+from .qexact import Frozen, PrimePower, QMonomial, RationalLike, Value, exp_q
 
 
 # -- extended indices ----------------------------------------------------------
@@ -61,16 +60,18 @@ class Infinity:
 INFINITY = Infinity()
 
 
-@dataclass(frozen=True, order=False)
-class ExtIndex:
+class ExtIndex(Value):
     """Index r or r+ in the extended totally ordered index set.
 
     Ordering: r < r+ < s for r < s; INFINITY is maximal.  Addition follows
     the Bruhat-Tits convention r+ + s = (r+s)+.
     """
 
-    r: Fraction
-    plus: bool = False
+    __slots__ = ("r", "plus")
+
+    def __init__(self, r: Fraction, plus: bool = False) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "plus", plus)
 
     def __lt__(self, other: "ExtIndexLike") -> bool:
         if other is INFINITY:
@@ -106,8 +107,7 @@ def as_ext(x: Union[RationalLike, ExtIndexLike]) -> ExtIndexLike:
 # -- jump assignments ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JumpAssignment:
+class JumpAssignment(Frozen):
     """Per-orbit offsets of the jump torsors, canonicalized into [0, 1/e).
 
     The jump set of orbit a is offset + (1/e)Z; negation sends the torsor
@@ -115,7 +115,10 @@ class JumpAssignment:
     modulo (1/e)Z.  That symmetry is validated against the orbit list.
     """
 
-    offsets: Mapping[str, Fraction]  # orbit_id -> canonical offset
+    __slots__ = ("offsets",)
+
+    def __init__(self, offsets: Mapping[str, Fraction]) -> None:
+        object.__setattr__(self, "offsets", offsets)  # orbit_id -> canonical offset
 
     @staticmethod
     def build(offsets: Mapping[str, RationalLike], orbits: Sequence[OrbitInfo]) -> "JumpAssignment":

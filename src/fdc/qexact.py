@@ -11,13 +11,54 @@ All values are immutable; arithmetic never leaves the exact world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
 _ONE = Fraction(1)
+
+
+class Frozen:
+    """Base of the immutable records of the package.  A record lists its
+    fields in ``__slots__`` and sets them once, in ``__init__``, through
+    ``object.__setattr__``; assigning or deleting a field afterwards raises
+    ``AttributeError``.  A record compares by identity unless it is a
+    :class:`Value`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in type(self).__slots__))
+
+
+class Value(Frozen):
+    """A frozen record that compares and hashes as the tuple of its fields,
+    in ``__slots__`` order, and equals only records of its own class."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # a plain callable, not a method: read it as self._fields(self)
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return fields(self) == fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
 
 
 # Miller-Rabin with the first thirteen prime bases is exact below this bound
@@ -63,20 +104,20 @@ def _integer_root(n: int, k: int) -> int:
         r = s
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(Value):
     """An odd prime power q = p**a (the residue field size)."""
 
-    p: int
-    a: int
+    __slots__ = ("p", "a")
 
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError("p = %r is not prime" % (self.p,))
-        if self.p == 2:
+    def __init__(self, p: int, a: int) -> None:
+        if not _is_prime(p):
+            raise ValueError("p = %r is not prime" % (p,))
+        if p == 2:
             raise ValueError("p must be odd")
-        if self.a < 1:
-            raise ValueError("exponent a = %r must be a positive integer" % (self.a,))
+        if a < 1:
+            raise ValueError("exponent a = %r must be a positive integer" % (a,))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "a", a)
 
     @property
     def q(self) -> int:
@@ -112,25 +153,25 @@ def padic_split(n: int, p: int) -> Tuple[int, int]:
     return n, k
 
 
-@dataclass(frozen=True)
-class QMonomial:
+class QMonomial(Value):
     """Canonical value coeff * p**pexp with coeff a nonzero p-unit rational.
 
     Instances must be built through :func:`qmon` (or the module operations),
     which extract the p-part of the coefficient into the exponent.  With that
-    normal form, dataclass equality is value equality.
+    normal form, equality of the fields is value equality.
     """
 
-    pp: PrimePower
-    coeff: Fraction
-    pexp: Fraction
+    __slots__ = ("pp", "coeff", "pexp")
 
-    def __post_init__(self) -> None:
-        if self.coeff.numerator == 0:
+    def __init__(self, pp: PrimePower, coeff: Fraction, pexp: Fraction) -> None:
+        if coeff.numerator == 0:
             raise ValueError("zero is not a q-monomial")
-        p = self.pp.p
-        if self.coeff.numerator % p == 0 or self.coeff.denominator % p == 0:
-            raise ValueError("coefficient %s is not a %d-unit" % (self.coeff, p))
+        p = pp.p
+        if coeff.numerator % p == 0 or coeff.denominator % p == 0:
+            raise ValueError("coefficient %s is not a %d-unit" % (coeff, p))
+        object.__setattr__(self, "pp", pp)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "pexp", pexp)
 
     # -- arithmetic ---------------------------------------------------------
 

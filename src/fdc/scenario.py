@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .chi_data import ChiData, character_group, char_conjugate, char_inverse, condition_failures
 from .formal_degree import DepthZeroData, YuShape
@@ -46,7 +44,10 @@ from .galois_roots import (
     validate_depth_lattice,
 )
 from .mp_filtration import JumpAssignment
-from .qexact import PrimePower, fraction_str, int_str
+from .qexact import Frozen, PrimePower, fraction_str, int_str
+
+if TYPE_CHECKING:  # the generator takes its Random from the caller
+    import random
 
 
 class ScenarioError(ValueError):
@@ -180,21 +181,28 @@ def _write_json(obj: object, nl: str, out: List[str]) -> None:
         raise TypeError("%s is not written as JSON" % t.__name__)
 
 
-@dataclass
 class Scenario:
-    """A fully validated tame elliptic scenario."""
+    """A fully validated tame elliptic scenario.
 
-    name: str
-    pp: PrimePower
-    frame: GaloisFrame
-    datum: GRootDatum
-    orbits: Tuple[OrbitInfo, ...]
-    jumps: JumpAssignment
-    filtration: HoweFiltration
-    depth_zero: DepthZeroData
-    chi: Optional[ChiData] = None
-    options: Dict[str, object] = field(default_factory=dict)
-    group_encoding: Optional[Dict[str, object]] = None  # preserved for round-trips
+    No ``__slots__``: :attr:`torus` caches into the instance ``__dict__``.
+    ``group_encoding`` is the document's group, kept for round-trips."""
+
+    def __init__(self, name: str, pp: PrimePower, frame: GaloisFrame, datum: GRootDatum,
+                 orbits: Tuple[OrbitInfo, ...], jumps: JumpAssignment,
+                 filtration: HoweFiltration, depth_zero: DepthZeroData,
+                 chi: Optional[ChiData] = None, options: Optional[Dict[str, object]] = None,
+                 group_encoding: Optional[Dict[str, object]] = None) -> None:
+        self.name = name
+        self.pp = pp
+        self.frame = frame
+        self.datum = datum
+        self.orbits = orbits
+        self.jumps = jumps
+        self.filtration = filtration
+        self.depth_zero = depth_zero
+        self.chi = chi
+        self.options = {} if options is None else options
+        self.group_encoding = group_encoding
 
     def shape(self) -> YuShape:
         return YuShape(self.filtration, self.orbits, self.jumps,
@@ -520,10 +528,12 @@ def _object_without_repeats(pairs: List[Tuple[str, object]]) -> Dict[str, object
 
 
 def load_scenario(path: str) -> Scenario:
+    """Read and validate one scenario file.  A document nested deeper than
+    json's recursive decoder can follow is a parse error too."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_object_without_repeats)
-        except (json.JSONDecodeError, _RepeatedKey) as e:
+        except (json.JSONDecodeError, _RepeatedKey, RecursionError) as e:
             raise ScenarioError([("cli", "file", "parse error: %s" % e)])
     return scenario_from_dict(doc)
 
@@ -565,15 +575,19 @@ def _orbit_closure(action: Mapping[int, List[List[int]]], seeds: Sequence[Tuple[
     return frozenset(roots)
 
 
-@dataclass(frozen=True)
-class _Template:
-    key: str
-    group: FiniteGroup
-    action: Mapping[int, List[List[int]]]
-    rank: int
-    seed_choices: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    inertia_choices: Tuple[Tuple[int, ...], ...]
-    primes: Tuple[int, ...]
+class _Template(Frozen):
+    __slots__ = ("key", "group", "action", "rank", "seed_choices", "inertia_choices", "primes")
+
+    def __init__(self, key: str, group: FiniteGroup, action: Mapping[int, List[List[int]]],
+                 rank: int, seed_choices: Tuple[Tuple[Tuple[int, ...], ...], ...],
+                 inertia_choices: Tuple[Tuple[int, ...], ...], primes: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "seed_choices", seed_choices)
+        object.__setattr__(self, "inertia_choices", inertia_choices)
+        object.__setattr__(self, "primes", primes)
 
 
 def _templates() -> List[_Template]:
@@ -674,11 +688,11 @@ def _random_chi(rng: random.Random, datum: GRootDatum, frame: GaloisFrame) -> Op
     g = frame.group
     rep_chars = {}
     for _cid, rep, members in pm_classes(datum, frame):
-        chars = character_group(g, datum.stabilizer(rep))
-        neg = tuple(-x for x in rep)
-        negators = [s for s in g.elements if datum.act(s, rep) == neg]
+        stab = datum.stabilizer(rep)
+        chars = character_group(g, stab)
+        negators = datum.pm_stabilizer(rep) - stab  # the elements sending rep to -rep
         if negators:
-            sigma = negators[0]
+            sigma = min(negators)
             ok = [c for c in chars
                   if char_conjugate(g, c, g.inv(sigma)) == char_inverse(c, g.order)]
             if not ok:

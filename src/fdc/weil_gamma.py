@@ -16,7 +16,6 @@ cocharacter lattice).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -28,7 +27,7 @@ from .galois_roots import (
     OrbitInfo,
     TorusLatticeData,
 )
-from .qexact import PrimePower, QMonomial, RationalLike, exp_q
+from .qexact import Frozen, PrimePower, QMonomial, RationalLike, exp_q
 
 _ZERO = Fraction(0)
 
@@ -61,12 +60,18 @@ def psi_depth(theta_depth: DepthValue) -> Fraction:
 # -- the two adjoint summands --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToralGamma:
-    monomial: QMonomial
-    rational: Fraction
-    l0_inverse: int          # |L(0)|^-1 = coinvariant order of Frobenius on M
-    l1_inverse_twisted: int  # q^dim(M) |L(1)|^-1 = twisted fixed order
+class ToralGamma(Frozen):
+    """``l0_inverse`` is |L(0)|^-1, the coinvariant order of Frobenius on M;
+    ``l1_inverse_twisted`` is q^dim(M) |L(1)|^-1, the twisted fixed order."""
+
+    __slots__ = ("monomial", "rational", "l0_inverse", "l1_inverse_twisted")
+
+    def __init__(self, monomial: QMonomial, rational: Fraction, l0_inverse: int,
+                 l1_inverse_twisted: int) -> None:
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "l0_inverse", l0_inverse)
+        object.__setattr__(self, "l1_inverse_twisted", l1_inverse_twisted)
 
 
 def toral_gamma_abs(torus: TorusLatticeData, dim_sa: int, pp: PrimePower) -> ToralGamma:
@@ -81,10 +86,13 @@ def toral_gamma_abs(torus: TorusLatticeData, dim_sa: int, pp: PrimePower) -> Tor
     )
 
 
-@dataclass(frozen=True)
-class RootGamma:
-    monomial: QMonomial
-    orbit_conductors: Tuple[Tuple[str, Fraction], ...]
+class RootGamma(Frozen):
+    __slots__ = ("monomial", "orbit_conductors")
+
+    def __init__(self, monomial: QMonomial,
+                 orbit_conductors: Tuple[Tuple[str, Fraction], ...]) -> None:
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "orbit_conductors", orbit_conductors)
 
 
 def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
@@ -112,13 +120,16 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
 # -- the assembled Galois side ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaloisSide:
-    monomial: QMonomial
-    prefactor: Fraction
-    toral: ToralGamma
-    root: RootGamma
-    component_order: int
+class GaloisSide(Frozen):
+    __slots__ = ("monomial", "prefactor", "toral", "root", "component_order")
+
+    def __init__(self, monomial: QMonomial, prefactor: Fraction, toral: ToralGamma,
+                 root: RootGamma, component_order: int) -> None:
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "toral", toral)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "component_order", component_order)
 
 
 def galois_side(datum: GRootDatum, frame: GaloisFrame, filtration: HoweFiltration,

@@ -11,6 +11,8 @@ used elsewhere, but it never flags a live one.
 
 import ast
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "fdc")
 
@@ -111,3 +113,16 @@ def test_every_module_is_reached_from_the_cli():
             reached.add(fn)
             todo += _imported_modules(modules[fn]) - reached
     assert sorted(set(modules) - reached - {"__init__.py"}) == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_random():
+    """Importing the command line in a fresh interpreter loads neither
+    ``dataclasses`` (the records are plain slotted classes) nor ``random``
+    (only the generator uses it, with a ``Random`` its caller made).  ``-S``
+    skips ``site``, whose installed packages may import either on their own."""
+    code = ("import sys; sys.path.insert(0, %r); import fdc.cli; "
+            "print(sorted({'dataclasses', 'random'} & set(sys.modules)))"
+            % os.path.join(os.path.dirname(__file__), "..", "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -14,6 +13,7 @@ import fdc.galois_roots
 import fdc.scenario
 import fdc.weil_gamma
 from fdc.compare import emit_report, run_compare
+from fdc.galois_roots import TorusLatticeData
 from fdc.qexact import PrimePower
 from fdc.scenario import (
     ScenarioError,
@@ -299,7 +299,13 @@ def test_cli_verify_wrong_lattice_order_is_unequal(field, monkeypatch, capsys):
 
     def doubled(datum, frame):
         torus = honest(datum, frame)
-        return dataclasses.replace(torus, **{field: 2 * getattr(torus, field)})
+        values = dict(rank_m=torus.rank_m,
+                      special_fiber_order=torus.special_fiber_order,
+                      m_frob_coinvariants=torus.m_frob_coinvariants,
+                      cochar_full_coinvariants=torus.cochar_full_coinvariants,
+                      kottwitz_fixed_order=torus.kottwitz_fixed_order)
+        values[field] *= 2
+        return TorusLatticeData(**values)
 
     monkeypatch.setattr(fdc.scenario, "torus_lattice_data", doubled)
     rc = cli.main(["verify", bundled_path("sl2_unramified_depth0")])
@@ -365,6 +371,21 @@ def test_cli_refuses_repeated_json_keys(command, name, field, text, key, tmp_pat
     path.write_text(json.dumps(doc))
     assert cli.main([command, str(path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
+def test_cli_refuses_deeply_nested_json(command, tmp_path, capsys):
+    """A document nested past json's recursion limit is a parse error with
+    exit 2, not a RecursionError traceback with exit 1 (the UNEQUAL code)."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    where = "%s: " % path if command == "verify" else ""
+    assert captured.out == ""
+    assert captured.err.startswith("error: %sscenario validation failed:\n"
+                                   "  cli.file: parse error: maximum recursion depth exceeded"
+                                   % where)
 
 
 @pytest.mark.parametrize("argv,calls", [
