@@ -6,21 +6,24 @@ Subcommands:
   gamma      Galois side only
   chi-check  base-change verification of bundled character data
 
-Global options: --q overrides the residue size, --format selects text or
-json output, --strict makes FLAGGED count as failure.  Exit code 0 means
-every comparison came back EQUAL (or FLAGGED without --strict), 1 means
-an UNEQUAL verdict or a failed check, 2 a usage or validation error, 3
-(verify only) a disagreement of the raw and closed routes to the volume
-exponent, an internal identity (a bug in fdc, not a property of the input).
+Global options, before the subcommand: --q overrides the residue size,
+--format selects text or json output; --strict makes FLAGGED count as
+failure and --timing adds wall times, both read by verify only.  The
+command line is read by :func:`parse_args` from the two tables
+``_OPTIONS`` and ``_COMMANDS``, which also give the usage and help text.
+Exit code 0 means every comparison came back EQUAL (or FLAGGED without
+--strict), 1 means an UNEQUAL verdict or a failed check, 2 a usage or
+validation error, 3 (verify only) a disagreement of the raw and closed
+routes to the volume exponent, an internal identity (a bug in fdc, not a
+property of the input).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import re
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NoReturn, Optional, Tuple
 
 from .compare import VERDICT_FLAGGED, VERDICT_UNEQUAL, emit_report, run_compare
 from .chi_data import BaseChange, verify_base_change
@@ -28,6 +31,14 @@ from .formal_degree import general_degree, regular_degree
 from .qexact import PrimePower, fraction_str, int_str
 from .scenario import Scenario, json_text, load_scenario
 from .weil_gamma import galois_side
+
+
+def _digits(text: str) -> int:
+    """``text`` as a numeral of ASCII digits; ``int`` alone would also take a
+    sign, spaces, underscores and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("invalid literal for int() with base 10: %r" % text)
+    return int(text)
 
 
 def _parse_q(text: Optional[str]) -> Optional[PrimePower]:
@@ -38,8 +49,8 @@ def _parse_q(text: Optional[str]) -> Optional[PrimePower]:
     try:
         if "^" in text:
             p, a = text.split("^")
-            return PrimePower(int(p), int(a))
-        return PrimePower.from_q(int(text))
+            return PrimePower(_digits(p), _digits(a))
+        return PrimePower.from_q(_digits(text))
     except ValueError as e:
         raise ValueError("--q: %s" % e) from None
 
@@ -50,7 +61,7 @@ def _load(path: str, pp: Optional[PrimePower]) -> Scenario:
     return scen if pp is None else scen.with_q(pp)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: Args) -> int:
     """Reports for the files that load and pass the internal checks, one
     error line per file that does not; the exit status is the worst over
     all files."""
@@ -74,8 +85,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return status
 
 
-def _cmd_degree(args: argparse.Namespace) -> int:
-    scen = _load(args.file, args.q)
+def _cmd_degree(args: Args) -> int:
+    scen = _load(args.files[0], args.q)
     shape = scen.shape()
     torus = scen.torus
     if scen.depth_zero.regular:
@@ -113,8 +124,8 @@ def _cmd_degree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gamma(args: argparse.Namespace) -> int:
-    scen = _load(args.file, args.q)
+def _cmd_gamma(args: Args) -> int:
+    scen = _load(args.files[0], args.q)
     gal = galois_side(scen.datum, scen.frame, scen.filtration, scen.orbits, scen.torus)
     coeff, pexp = gal.monomial.as_pair()
     payload = {
@@ -137,10 +148,10 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chi_check(args: argparse.Namespace) -> int:
+def _cmd_chi_check(args: Args) -> int:
     """Base change on every subgroup H: the cocycle of the restriction to H
     against the restriction of the cocycle, at every element of H."""
-    scen = _load(args.file, args.q)
+    scen = _load(args.files[0], args.q)
     if scen.chi is None:
         print("error: scenario %s bundles no character data" % scen.name, file=sys.stderr)
         return 2
@@ -164,49 +175,173 @@ def _cmd_chi_check(args: argparse.Namespace) -> int:
     return 0 if ok_all else 1
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused by every later
-    :func:`main` call in the process: parsing keeps no state in it, since
-    each call fills a fresh namespace."""
-    parser = argparse.ArgumentParser(
-        prog="fdc",
-        description="Exact two-sided verification of formal-degree identities "
-                    "on tame elliptic scenario data.")
-    parser.add_argument("--q", help="override the residue size (an odd prime power, "
-                                    "e.g. 9 or 3^2)")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat FLAGGED verdicts as failures")
-    parser.add_argument("--timing", action="store_true",
-                        help="include wall times in output")
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMATS = ("text", "json")
+# The global options, read before the subcommand: the metavar of the value
+# each takes (None for a flag) and its help line.
+_OPTIONS = {
+    "--q": ("Q", "override the residue size (an odd prime power, e.g. 9 or 3^2)"),
+    "--format": ("{%s}" % ",".join(_FORMATS), "output format (default: text)"),
+    "--strict": (None, "treat FLAGGED verdicts as failures (verify only)"),
+    "--timing": (None, "include wall times in the output (verify only)"),
+}
 
-    p_verify = sub.add_parser("verify", help="two-sided comparison")
-    p_verify.add_argument("files", nargs="+")
-    p_verify.set_defaults(func=_cmd_verify)
+# The subcommands: the function that runs one, whether it takes several
+# files (else exactly one) and its help line.
+_COMMANDS = {
+    "verify": (_cmd_verify, True, "two-sided comparison"),
+    "degree": (_cmd_degree, False, "automorphic side only"),
+    "gamma": (_cmd_gamma, False, "Galois side only"),
+    "chi-check": (_cmd_chi_check, False, "character base-change verification"),
+}
+_FILES = {False: "FILE", True: "FILE [FILE ...]"}
 
-    p_degree = sub.add_parser("degree", help="automorphic side only")
-    p_degree.add_argument("file")
-    p_degree.set_defaults(func=_cmd_degree)
+_HELP = ("-h", "--help")
+_TOP_NAMES = _HELP + tuple(_OPTIONS)
+# A negative number reads as an argument, not as an option.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p_gamma = sub.add_parser("gamma", help="Galois side only")
-    p_gamma.add_argument("file")
-    p_gamma.set_defaults(func=_cmd_gamma)
 
-    p_chi = sub.add_parser("chi-check", help="character base-change verification")
-    p_chi.add_argument("file")
-    p_chi.set_defaults(func=_cmd_chi_check)
-    return parser
+class Args:
+    """One parsed command line: the global options (``q`` still as text),
+    the subcommand and its files."""
+
+    __slots__ = ("q", "format", "strict", "timing", "command", "files")
+
+    def __init__(self) -> None:
+        self.q = None
+        self.format = "text"
+        self.strict = False
+        self.timing = False
+        self.command = None
+        self.files: List[str] = []
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return ("usage: fdc [-h]%s {%s} ...\n"
+                % ("".join(" [%s%s]" % (opt, "" if meta is None else " " + meta)
+                           for opt, (meta, _) in _OPTIONS.items()),
+                   ",".join(_COMMANDS)))
+    return "usage: fdc %s [-h] %s\n" % (command, _FILES[_COMMANDS[command][1]])
+
+
+def _help(command: Optional[str], name: str, value: Optional[str]) -> NoReturn:
+    """Print the help of the top level or of one subcommand for ``-h``,
+    ``--help`` or ``-hh...``, and exit 0; refuse a value joined to either."""
+    if value is not None and (name == "--help" or not value or value.strip("h")):
+        _refuse(command, "argument -h/--help: ignored explicit argument %r" % value)
+    if command is None:
+        rows = [("%s %s" % (cmd, _FILES[several]), text)
+                for cmd, (_, several, text) in _COMMANDS.items()]
+        options = [("-h, --help", "show this help message and exit")]
+        options += [(opt if meta is None else "%s %s" % (opt, meta), text)
+                    for opt, (meta, text) in _OPTIONS.items()]
+        body = ("\nExact two-sided verification of formal-degree identities on tame "
+                "elliptic scenario data.\n\ncommands:\n%s\noptions (before the command):\n%s"
+                % ("".join("  %-24s %s\n" % row for row in rows),
+                   "".join("  %-24s %s\n" % row for row in options)))
+    else:
+        body = "\n%s\n" % _COMMANDS[command][2]
+    sys.stdout.write(_usage(command) + body)
+    raise SystemExit(0)
+
+
+def _refuse(command: Optional[str], message: str) -> NoReturn:
+    """Print the usage line and the error to stderr, and exit 2."""
+    sys.stderr.write("%sfdc: error: %s\n" % (_usage(command), message))
+    raise SystemExit(2)
+
+
+def _option(token: str, names: Tuple[str, ...]) -> Optional[Tuple[Optional[str], Optional[str]]]:
+    """``token`` read against the option ``names``: None for an argument,
+    else the option it names (None for an unknown one) and the value joined
+    to it (after ``=``, or run on after ``-h``; None if there is none).  A
+    long option may be abbreviated to any unique prefix."""
+    if len(token) < 2 or token[0] != "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in names:
+        return head, value
+    if token[1] == "-":
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            _refuse(None, "ambiguous option: %s could match %s" % (token, ", ".join(found)))
+        if found:
+            return found[0], value if eq else None
+    elif token[:2] in names:
+        return token[:2], token[2:]
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def parse_args(argv: List[str]) -> Args:
+    """Read ``fdc [OPTION...] COMMAND FILE...``.  Every argument before the
+    first ``--`` is classed as an option or not before any is acted on, and
+    options act left to right; a repeated option's last value wins.  A usage
+    error exits 2 and ``-h`` exits 0, through :class:`SystemExit`."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(token, _TOP_NAMES) for token in argv[:cut]]
+    args, unknown, i = Args(), [], 0
+    while i < cut and kinds[i] is not None:
+        name, value = kinds[i]
+        i += 1
+        if name is None:
+            unknown.append(argv[i - 1])
+        elif name in _HELP:
+            _help(None, name, value)
+        elif _OPTIONS[name][0] is None:
+            if value is not None:
+                _refuse(None, "argument %s: ignored explicit argument %r" % (name, value))
+            setattr(args, name[2:], True)
+        else:
+            if value is None:
+                if i == cut or kinds[i] is not None:
+                    _refuse(None, "argument %s: expected one argument" % name)
+                value = argv[i]
+                i += 1
+            if name == "--format" and value not in _FORMATS:
+                _refuse(None, "argument --format: invalid choice: %r (choose from %s)"
+                        % (value, ", ".join(map(repr, _FORMATS))))
+            setattr(args, name[2:], value)
+    if i == len(argv):
+        _refuse(None, "the following arguments are required: command")
+    command = argv[i]  # a "--" before the command is refused as its name
+    if command not in _COMMANDS:
+        _refuse(None, "argument command: invalid choice: %r (choose from %s)"
+                % (command, ", ".join(map(repr, _COMMANDS))))
+    args.command = command
+
+    rest = argv[i + 1:]
+    cut = rest.index("--") if "--" in rest else len(rest)
+    words = []
+    for token in rest[:cut]:
+        kind = _option(token, _HELP)
+        if kind is None:
+            words.append(token)
+        elif kind[0] is None:
+            unknown.append(token)
+        else:
+            _help(command, *kind)
+    words += rest[cut + 1:]
+    if not words:
+        _refuse(command, "the following arguments are required: FILE")
+    args.files = words if _COMMANDS[command][1] else words[:1]
+    unknown += words[len(args.files):]
+    if unknown:
+        _refuse(None, "unrecognized arguments: %s" % " ".join(unknown))
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand.  ``--q`` is parsed here, once, so a bad value is
     one error for the run, reported before any file is read."""
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         args.q = _parse_q(args.q)
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

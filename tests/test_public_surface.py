@@ -118,10 +118,12 @@ def test_every_module_is_reached_from_the_cli():
 def test_cli_import_leaves_out_dataclasses_and_random():
     """Importing the command line in a fresh interpreter loads neither
     ``dataclasses`` (the records are plain slotted classes) nor ``random``
-    (only the generator uses it, with a ``Random`` its caller made).  ``-S``
-    skips ``site``, whose installed packages may import either on their own."""
+    (only the generator uses it, with a ``Random`` its caller made), nor
+    ``argparse`` and the ``gettext`` it pulls in (the argv parser is
+    hand-written).  ``-S`` skips ``site``, whose installed packages may
+    import any of them on their own."""
     code = ("import sys; sys.path.insert(0, %r); import fdc.cli; "
-            "print(sorted({'dataclasses', 'random'} & set(sys.modules)))"
+            "print(sorted({'argparse', 'dataclasses', 'gettext', 'random'} & set(sys.modules)))"
             % os.path.join(os.path.dirname(__file__), "..", "src"))
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True).stdout

@@ -233,6 +233,15 @@ def test_cli_chi_check(capsys):
     assert rc == 2  # no chi bundled
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_chi_check_without_chi(fmt, capsys):
+    """A document without "chi" is one error line and exit 2, in either format."""
+    rc = cli.main(["--format", fmt, "chi-check", bundled_path("sl2_ramified_depth_half")])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == "error: scenario sl2_ramified_depth_half bundles no character data\n"
+
+
 def test_cli_verify_internal_check_failure_exits_3(monkeypatch, capsys):
     """A failed bridging identity exits 3, not UNEQUAL's 1, names the
     identity, and the other files of the batch keep their reports."""
@@ -422,9 +431,8 @@ def _golden_stdout(case_id):
 
 
 def test_cli_main_reuses_its_parser_without_leaks(capsys):
-    """Successive in-process calls share one parser; no option, usage
-    error or default of one call carries over into the next."""
-    assert cli._parser() is cli._parser()
+    """Successive in-process calls keep no state: no option, usage error
+    or default of one call carries over into the next."""
     flagged = bundled_path("sl2_ramified_depth_half")
     assert cli.main(["--strict", "verify", flagged]) == 1
     assert cli.main(["verify", flagged]) == 0
@@ -719,6 +727,10 @@ def test_cli_large_q_loads_quickly(q, p, a, capsys):
     ("3^x", "invalid literal for int()"),
     ("1e3", "invalid literal for int()"),
     ("", "invalid literal for int()"),
+    ("1_1", "invalid literal for int()"),       # int() alone takes these four
+    ("\uff11\uff11", "invalid literal for int()"),  # full-width digits
+    (" 11 ", "invalid literal for int()"),
+    ("+11", "invalid literal for int()"),
 ])
 def test_cli_refuses_bad_q(q, message, capsys):
     """One error line for the run, naming the flag."""
