@@ -36,6 +36,12 @@ of each unmarked g meets each double coset first at its least element
 (a smaller element of it would have marked it before).  The class data
 that do not depend on the subgroup are built once per datum
 (:class:`BaseChange`) and read for every subgroup.
+
+:func:`verify_base_change` compares the two sides on any subgroup.
+``fdc chi-check`` calls it on the proper nontrivial subgroups only: on G
+the derived choices are the default ones and both sides evaluate the same
+cocycle, and on {0} both sides are chi_a(0) = 0 for every class.  The
+report still lists {0} and G, as ok (the proof is in ``cli``).
 """
 
 from __future__ import annotations

@@ -234,8 +234,11 @@ class Scenario:
     def with_q(self, pp: PrimePower) -> "Scenario":
         """The same combinatorial scenario at a different residue size (a new
         object, so its torus data are computed afresh for the new q)."""
-        frame = GaloisFrame(self.frame.group, self.frame.inertia,
-                            self.frame.frobenius, pp)
+        try:
+            frame = GaloisFrame(self.frame.group, self.frame.inertia,
+                                self.frame.frobenius, pp)
+        except ValueError as e:  # a wild frame, as loading words it
+            raise ScenarioError([("galois_roots", "frame", str(e))])
         return Scenario(self.name, pp, frame, self.datum, self.orbits, self.jumps,
                         self.filtration, self.depth_zero, self.chi,
                         dict(self.options), self.group_encoding)
@@ -529,11 +532,12 @@ def _object_without_repeats(pairs: List[Tuple[str, object]]) -> Dict[str, object
 
 def load_scenario(path: str) -> Scenario:
     """Read and validate one scenario file.  A document nested deeper than
-    json's recursive decoder can follow is a parse error too."""
+    json's recursive decoder can follow, and bytes that are not UTF-8, are
+    parse errors too."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_object_without_repeats)
-        except (json.JSONDecodeError, _RepeatedKey, RecursionError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, _RepeatedKey, RecursionError) as e:
             raise ScenarioError([("cli", "file", "parse error: %s" % e)])
     return scenario_from_dict(doc)
 

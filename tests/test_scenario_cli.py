@@ -397,6 +397,45 @@ def test_cli_refuses_deeply_nested_json(command, tmp_path, capsys):
                                    % where)
 
 
+@pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
+@pytest.mark.parametrize("data,reason", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b'{"name": ', "Expecting value: line 1 column 10 (char 9)"),
+], ids=["not-utf8", "utf8-bom", "syntax"])
+def test_cli_file_parse_errors_exit_2(command, data, reason, tmp_path, capsys):
+    """Bytes that are not UTF-8, a byte-order mark and a JSON syntax error
+    are each one parse error of the file, with exit 2."""
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    where = "%s: " % path if command == "verify" else ""
+    assert captured.out == ""
+    assert captured.err == ("error: %sscenario validation failed:\n"
+                            "  cli.file: parse error: %s\n" % (where, reason))
+
+
+@pytest.mark.parametrize("command", ["verify", "chi-check"])
+def test_cli_wild_frame_worded_alike_from_q_and_file(command, tmp_path, capsys):
+    """A residue size that makes the frame wild is refused with the same
+    provenance whether it comes from --q or from the file."""
+    doc = bundled_doc("s3_a2_depth_third")
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--q", "3", command, str(path)]) == 2
+    from_q = capsys.readouterr()
+    doc["q"] = {"p": 3, "a": 1}
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 2
+    from_file = capsys.readouterr()
+    where = "%s: " % path if command == "verify" else ""
+    assert from_q.out == from_file.out == ""
+    assert from_q.err == from_file.err == (
+        "error: %sscenario validation failed:\n"
+        "  galois_roots.frame: wild frame: p divides |inertia|\n" % where)
+
+
 @pytest.mark.parametrize("argv,calls", [
     (["verify"], 1),
     (["degree"], 1),
