@@ -14,6 +14,8 @@ The generator builds valid scenarios by construction: it assigns depth
 layers orbit-pair by orbit-pair, draws breaks inside the valuation
 lattices the depth checks require, derives negation-symmetric offsets,
 and retries the rare draws that violate the rational-closure condition.
+Each template keeps the frames, checked root data and χ menus its draws
+derive, so a repeated choice is validated once (:class:`_Template`).
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
-from .chi_data import ChiData, character_group, char_conjugate, char_inverse, condition_failures
+from .chi_data import (Character, ChiData, character_group, char_conjugate, char_inverse,
+                       condition_failures)
 from .formal_degree import DepthZeroData, YuShape
 from .galois_roots import (
     DepthValue,
@@ -36,6 +40,7 @@ from .galois_roots import (
     NONPOSITIVE,
     OrbitInfo,
     TorusLatticeData,
+    Vector,
     classify_orbits,
     howe_filtration,
     parse_root_key,
@@ -83,10 +88,13 @@ def parse_fraction(text: Union[str, int]) -> Fraction:
 
 def parse_int(value: object, what: str) -> int:
     """An integer field of a scenario document.  ``int`` would truncate a
-    float and read a boolean as 0 or 1, so both are refused; a decimal
-    string is read as its integer."""
+    float and read a boolean as 0 or 1, so both are refused, and so are an
+    array, an object and null, by their JSON kind; a decimal string is read
+    as its integer."""
     if isinstance(value, (bool, float)):
         raise TypeError("%s must be an integer, got %s" % (what, json.dumps(value)))
+    if isinstance(value, (list, dict)) or value is None:
+        raise TypeError("%s must be an integer, got %s" % (what, _json_kind(value)))
     return int(value)
 
 
@@ -96,7 +104,7 @@ def parse_int_array(value: object, what: str, entry: str) -> List[int]:
     digit."""
     if not isinstance(value, list):
         raise TypeError("%s must be a JSON array, got %s" % (what, _json_kind(value)))
-    if {bool, float} & set(map(type, value)):
+    if set(map(type, value)) - {int, str}:
         for x in value:
             parse_int(x, entry)
     return list(map(int, value))
@@ -275,8 +283,8 @@ class Scenario:
             doc["depth_zero"] = {"dim_rho": fraction_str(self.depth_zero.dim_rho),
                                  "stab_index": self.depth_zero.stab_index}
         if self.chi is not None:
-            doc["chi"] = {root_key(root): {str(g): fraction_str(Fraction(k, self.chi.n))
-                                           for g, k in sorted(c.items())}
+            n = self.chi.n
+            doc["chi"] = {root_key(root): {str(g): _mod1_str(k, n) for g, k in sorted(c.items())}
                           for root, c in sorted(self.chi.chars.items())}
         if self.options:
             doc["options"] = dict(self.options)
@@ -284,6 +292,13 @@ class Scenario:
 
     def to_json(self) -> str:
         return json_text(self.to_json_dict()) + "\n"
+
+
+def _mod1_str(k: int, n: int) -> str:
+    """``fraction_str(Fraction(k, n))`` for integers 0 <= k < n, from the
+    gcd-reduced pair, with no Fraction built."""
+    d = math.gcd(k, n)
+    return "%d" % (k // d) if d == n else "%d/%d" % (k // d, n // d)
 
 
 def _build_group(spec: Mapping[str, object], max_order: int,
@@ -469,12 +484,15 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
 
     dz_spec = doc.get("depth_zero", "regular")
     depth_zero = DepthZeroData.regular_marker()
-    if dz_spec != "regular":
+    if isinstance(dz_spec, dict):
         try:
             depth_zero = DepthZeroData.opaque(parse_fraction(dz_spec["dim_rho"]),
                                               parse_int(dz_spec["stab_index"], "stab_index"))
         except (KeyError, ValueError, TypeError) as e:
             failures.append(("formal_degree", "depth_zero", str(e)))
+    elif dz_spec != "regular":
+        failures.append(("formal_degree", "depth_zero", 'must be "regular" or a JSON object, '
+                         "got %s" % _json_kind(dz_spec)))
 
     chi = None
     if "chi" in doc:
@@ -513,10 +531,6 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     )
 
 
-class _RepeatedKey(ValueError):
-    pass
-
-
 def _object_without_repeats(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
     """A JSON object as a dict, refusing a key that appears twice: plain
     ``json.load`` would keep the later value and drop the earlier one."""
@@ -525,19 +539,22 @@ def _object_without_repeats(pairs: List[Tuple[str, object]]) -> Dict[str, object
         seen = set()
         for key, _value in pairs:
             if key in seen:
-                raise _RepeatedKey("key %s appears twice in one object" % json.dumps(key))
+                raise ValueError("key %s appears twice in one object" % json.dumps(key))
             seen.add(key)
     return obj
 
 
 def load_scenario(path: str) -> Scenario:
     """Read and validate one scenario file.  A document nested deeper than
-    json's recursive decoder can follow, and bytes that are not UTF-8, are
-    parse errors too."""
+    json's recursive decoder can follow, bytes that are not UTF-8, and an
+    integer literal past the interpreter's limit on the digits of an
+    ``int`` (a plain ValueError) are parse errors too."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_object_without_repeats)
-        except (json.JSONDecodeError, UnicodeDecodeError, _RepeatedKey, RecursionError) as e:
+        # a JSONDecodeError, a UnicodeDecodeError, a repeated key and the digit
+        # limit are all ValueErrors
+        except (ValueError, RecursionError) as e:
             raise ScenarioError([("cli", "file", "parse error: %s" % e)])
     return scenario_from_dict(doc)
 
@@ -580,7 +597,28 @@ def _orbit_closure(action: Mapping[int, List[List[int]]], seeds: Sequence[Tuple[
 
 
 class _Template(Frozen):
-    __slots__ = ("key", "group", "action", "rank", "seed_choices", "inertia_choices", "primes")
+    """One family of generated scenarios: a frame group with its action on
+    the character lattice, the seed-root and inertia choices a draw picks
+    from, and the residue primes.
+
+    The three dicts memoize what a draw derives from the template alone.
+    Each entry is filled on first use, fully validated then, and keyed by
+    every input its validation reads, so a later draw with the same key
+    reads it instead of deriving it again (:func:`generate_scenario`):
+
+    * ``frames``: (inertia, Frobenius, p, a) to the :class:`GaloisFrame`,
+      or the reason it refuses them;
+    * ``data``: (inertia, Frobenius, seed roots) to the root datum checked
+      against the frame, with its orbits, or the reason the draw is
+      skipped (:meth:`datum`);
+    * ``chi_menus``: the same key to the characters a χ draw chooses from
+      on that datum (:func:`_chi_menus`).
+
+    The keys range over the choices of the template, so each dict holds a
+    few hundred entries at most."""
+
+    __slots__ = ("key", "group", "action", "rank", "seed_choices", "inertia_choices", "primes",
+                 "frames", "data", "chi_menus")
 
     def __init__(self, key: str, group: FiniteGroup, action: Mapping[int, List[List[int]]],
                  rank: int, seed_choices: Tuple[Tuple[Tuple[int, ...], ...], ...],
@@ -590,8 +628,64 @@ class _Template(Frozen):
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "seed_choices", seed_choices)
-        object.__setattr__(self, "inertia_choices", inertia_choices)
+        # frozensets, so that every memo key and frame of one choice shares one
+        object.__setattr__(self, "inertia_choices", tuple(map(frozenset, inertia_choices)))
         object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "frames", {})
+        object.__setattr__(self, "data", {})
+        object.__setattr__(self, "chi_menus", {})
+
+    def frame(self, inertia: FrozenSet[int], frobenius: int, p: int,
+              a: int) -> Union[GaloisFrame, str]:
+        """The frame of a draw, or the reason :class:`GaloisFrame` refuses it."""
+        key = (inertia, frobenius, p, a)
+        entry = self.frames.get(key)
+        if entry is None:
+            pp = PrimePower(p, a)
+            try:
+                entry = GaloisFrame(self.group, inertia, frobenius, pp)
+            except ValueError as e:
+                entry = str(e)
+            self.frames[key] = entry
+        return entry
+
+    def datum(self, frame: GaloisFrame, seeds: Tuple[Tuple[int, ...], ...]
+              ) -> Union[Tuple[GRootDatum, Tuple[OrbitInfo, ...]], str]:
+        """The root datum on the closure of the seed roots, checked against
+        the frame, with its orbits; or the reason the draw is skipped: more
+        than 12 roots, a refused datum, or an orbit with e > 4.
+
+        The check reads the frame's group, and the orbits its group and
+        inertia, so one entry serves every p and a of its key."""
+        key = (frame.inertia, frame.frobenius, seeds)
+        entry = self.data.get(key)
+        if entry is None:
+            entry = self.data[key] = self._checked_datum(frame, seeds)
+        return entry
+
+    def _checked_datum(self, frame: GaloisFrame, seeds: Tuple[Tuple[int, ...], ...]
+                       ) -> Union[Tuple[GRootDatum, Tuple[OrbitInfo, ...]], str]:
+        roots = _orbit_closure(self.action, seeds)
+        if len(roots) > 12:
+            return "more than 12 roots"
+        try:
+            datum = GRootDatum(self.rank, self.action, roots)
+            datum.check_against_frame(frame)
+        except ValueError as e:
+            return str(e)
+        orbits = tuple(classify_orbits(datum, frame))
+        if any(o.e > 4 for o in orbits):
+            return "an orbit has ramification index above 4"
+        return datum, orbits
+
+    def chi_menu(self, frame: GaloisFrame, seeds: Tuple[Tuple[int, ...], ...],
+                 datum: GRootDatum) -> List[Tuple[Vector, List[Character]]]:
+        """:func:`_chi_menus` of the datum :meth:`datum` gives for this key."""
+        key = (frame.inertia, frame.frobenius, seeds)
+        menu = self.chi_menus.get(key)
+        if menu is None:
+            menu = self.chi_menus[key] = _chi_menus(datum, frame)
+        return menu
 
 
 def _templates() -> List[_Template]:
@@ -685,25 +779,44 @@ def generator_templates() -> List[_Template]:
     return _TEMPLATE_CACHE
 
 
-def _random_chi(rng: random.Random, datum: GRootDatum, frame: GaloisFrame) -> Optional[ChiData]:
-    """A random valid character family, or None when a draw cannot satisfy
-    the symmetric-class constraint (rare; caller treats None as 'omit')."""
+def _chi_menus(datum: GRootDatum, frame: GaloisFrame) -> List[Tuple[Vector, List[Character]]]:
+    """For each class of roots under the group and negation, in order, its
+    representative and the characters of its stabilizer that a χ draw
+    chooses from (:func:`_random_chi`).
+
+    Where some element sends the representative to its negative, only the
+    characters that conjugation by the least such element carries to their
+    inverses are offered; condition 1 asks that of every valid family.
+    When no character qualifies, no draw on the datum passes that class,
+    so the list ends there, with an empty menu."""
     from .chi_data import pm_classes
     g = frame.group
-    rep_chars = {}
-    for _cid, rep, members in pm_classes(datum, frame):
+    menus: List[Tuple[Vector, List[Character]]] = []
+    for _cid, rep, _members in pm_classes(datum, frame):
         stab = datum.stabilizer(rep)
         chars = character_group(g, stab)
         negators = datum.pm_stabilizer(rep) - stab  # the elements sending rep to -rep
         if negators:
             sigma = min(negators)
-            ok = [c for c in chars
-                  if char_conjugate(g, c, g.inv(sigma)) == char_inverse(c, g.order)]
-            if not ok:
-                return None
-            rep_chars[rep] = rng.choice(ok)
-        else:
-            rep_chars[rep] = rng.choice(chars)
+            chars = [c for c in chars
+                     if char_conjugate(g, c, g.inv(sigma)) == char_inverse(c, g.order)]
+        menus.append((rep, chars))
+        if not chars:
+            break
+    return menus
+
+
+def _random_chi(rng: random.Random, datum: GRootDatum, frame: GaloisFrame,
+                menus: Sequence[Tuple[Vector, Sequence[Character]]]) -> Optional[ChiData]:
+    """A random valid character family, one character drawn from each menu
+    of :func:`_chi_menus` in turn, or None when a menu is empty or the
+    draws do not spread to valid χ-data (rare; the caller treats None as
+    'omit')."""
+    rep_chars = {}
+    for rep, chars in menus:
+        if not chars:
+            return None
+        rep_chars[rep] = rng.choice(chars)
     try:
         return ChiData.from_representatives(datum, frame, rep_chars)
     except ValueError:
@@ -711,14 +824,27 @@ def _random_chi(rng: random.Random, datum: GRootDatum, frame: GaloisFrame) -> Op
 
 
 def generate_scenario(rng: random.Random) -> Scenario:
-    """One random valid scenario (rank <= 3, |R| <= 12, |group| <= 8, e <= 4)."""
+    """One random valid scenario (rank <= 3, |R| <= 12, |group| <= 8, e <= 4).
+
+    A draw picks a template, p, a, inertia, Frobenius and the seed roots,
+    then the depths, offsets and χ.  The frame, the checked root datum
+    with its orbits, and the χ menus depend on the first picks only, so
+    each template derives them once and keeps them (:class:`_Template`);
+    the steps that read a draw's depths, offsets and characters
+    (:func:`howe_filtration`, the depth-lattice checks,
+    :meth:`JumpAssignment.build`, :meth:`ChiData.from_representatives`)
+    run on every draw.  The memo makes no ``rng`` call and changes none,
+    so a seed gives the same draws and byte-identical documents with a
+    fresh memo or a warm one.  Scenarios drawn from one template may share
+    its frame and datum objects; their lazy caches (the group's generating
+    sets and coset keys, the datum's stabilizers) fill idempotently, so
+    sharing changes no result."""
     templates = generator_templates()
     for _attempt in range(200):
         tpl = rng.choice(templates)
         p = rng.choice(tpl.primes)
         a = rng.choice((1, 1, 1, 2))
-        pp = PrimePower(p, a)
-        inertia = frozenset(rng.choice(tpl.inertia_choices))
+        inertia = rng.choice(tpl.inertia_choices)
         if len(inertia) % p == 0:
             continue
         group = tpl.group
@@ -726,31 +852,24 @@ def generate_scenario(rng: random.Random) -> Scenario:
         if not frob_candidates:
             continue
         frobenius = rng.choice(frob_candidates)
-        try:
-            frame = GaloisFrame(group, inertia, frobenius, pp)
-        except ValueError:
+        frame = tpl.frame(inertia, frobenius, p, a)
+        if isinstance(frame, str):
             continue
         seeds = rng.choice(tpl.seed_choices)
-        roots = _orbit_closure(tpl.action, seeds)
-        if len(roots) > 12:
+        entry = tpl.datum(frame, seeds)
+        if isinstance(entry, str):
             continue
-        try:
-            datum = GRootDatum(tpl.rank, tpl.action, roots)
-            datum.check_against_frame(frame)
-        except ValueError:
-            continue
-        orbits = classify_orbits(datum, frame)
-        if any(o.e > 4 for o in orbits):
-            continue
-        scen = _assign_depths_and_offsets(rng, tpl.key, pp, frame, datum, orbits)
+        datum, orbits = entry
+        scen = _assign_depths_and_offsets(rng, tpl, seeds, frame, datum, orbits)
         if scen is not None:
             return scen
     raise RuntimeError("generator failed to produce a valid scenario")
 
 
-def _assign_depths_and_offsets(rng: random.Random, key: str, pp: PrimePower,
-                               frame: GaloisFrame, datum: GRootDatum,
-                               orbits: Sequence[OrbitInfo]) -> Optional[Scenario]:
+def _assign_depths_and_offsets(rng: random.Random, tpl: _Template,
+                               seeds: Tuple[Tuple[int, ...], ...], frame: GaloisFrame,
+                               datum: GRootDatum, orbits: Tuple[OrbitInfo, ...]
+                               ) -> Optional[Scenario]:
     # negation-paired orbit classes
     pairs: List[Tuple[str, ...]] = []
     seen = set()
@@ -841,10 +960,11 @@ def _assign_depths_and_offsets(rng: random.Random, key: str, pp: PrimePower,
         if any(not c.ok for c in checks):
             continue
         jumps = JumpAssignment.build(offsets, orbits)
-        chi = _random_chi(rng, datum, frame) if rng.random() < 0.5 else None
-        name = "gen_%s_%04d" % (key, rng.randint(0, 9999))
+        chi = (_random_chi(rng, datum, frame, tpl.chi_menu(frame, seeds, datum))
+               if rng.random() < 0.5 else None)
+        name = "gen_%s_%04d" % (tpl.key, rng.randint(0, 9999))
         return Scenario(
-            name=name, pp=pp, frame=frame, datum=datum, orbits=tuple(orbits),
+            name=name, pp=frame.pp, frame=frame, datum=datum, orbits=orbits,
             jumps=jumps, filtration=filtration, depth_zero=DepthZeroData.regular_marker(),
             chi=chi, options={},
         )

@@ -48,7 +48,7 @@ from fdc.galois_roots import (
 )
 from fdc.mp_filtration import INFINITY, Infinity, JumpAssignment, twice_length_to
 from fdc.qexact import PrimePower, RationalLike
-from fdc.scenario import _random_chi, generate_scenario, generator_templates
+from fdc.scenario import _chi_menus, _random_chi, generate_scenario, generator_templates
 from fdc.weil_gamma import conductor_tame_induction
 from fdc.zlattice import (
     Matrix,
@@ -619,7 +619,8 @@ def suite_chi(rng: random.Random, n: int) -> int:
         if guard > 50 * (n + 1):
             raise AssertionError("chi suite failed to draw enough instances")
         scen = generate_scenario(rng)
-        chi = scen.chi if scen.chi is not None else _random_chi(rng, scen.datum, scen.frame)
+        chi = scen.chi if scen.chi is not None else _random_chi(
+            rng, scen.datum, scen.frame, _chi_menus(scen.datum, scen.frame))
         if chi is None:
             continue
         subgroups = scen.frame.group.all_subgroups()

@@ -7,17 +7,19 @@ import pytest
 
 from fdc.qexact import PrimePower
 from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
-from fdc.scenario import _random_chi, load_scenario
+from fdc.scenario import _chi_menus, _random_chi, load_scenario
 from fdc.zlattice import mat_vec, sparse_columns
 from fdc.chi_data import (
     BaseChange,
     ChiData,
+    ClassData,
     SectionChoices,
     _stab,
     _stab_pm,
     char_is_homomorphism,
     character_group,
     compatible_choices,
+    cocycle,
     condition_failures,
     default_choices,
     r_chi_values,
@@ -442,7 +444,8 @@ def test_generator_checks_match_brute_force(name):
         valid = [trivial_chi(h_datum, h_frame)]
         if h_chi is not None:
             valid.append(h_chi)
-        valid += [f for f in (_random_chi(rng, h_datum, h_frame) for _ in range(4)) if f]
+        menus = _chi_menus(h_datum, h_frame)
+        valid += [f for f in (_random_chi(rng, h_datum, h_frame, menus) for _ in range(4)) if f]
         families = list(valid)
         for first in valid:
             assert condition_failures(first, h_datum, h_frame) == ([], [])
@@ -509,6 +512,53 @@ def test_cocycle_values_pinned():
                 with pytest.raises(ValueError, match="evaluation subgroup"):
                     r_chi_values(chi, pair.sub, [outside], datum, frame, within=sub)
         assert checked == len(subgroups) == len(expected)
+
+
+def test_cocycle_sum_written_out_with_values_of_order_three_and_six():
+    """cocycle against its defining sum, written out here from group.mul,
+    group.inv, the matrices and the section dicts: at w, for each class
+    with representative a and each coset key x with section value u_x,
+    the inner value at k = u_x w u_(x w)^-1 times u_x^-1 a.
+
+    Every cocycle value of the bundled and generated scenarios is 0 or
+    1/2, which is its own negative in Q/Z, so those values cannot tell a
+    class's contribution from its negative.  Here the top ClassData of
+    s3_a2_depth_third (|G| = 6, Stab(a) = Stab+-(a) = {0, 2}) get the
+    inner values 1/6 at 0 and 1/3 at 2.  The default sections lie in the
+    normal subgroup A_3 = {0, 1, 3}, so k depends only on w there, and the
+    images u_x^-1 a sum to 0 over the orbit: the cocycle vanishes for any
+    inner values.  Moving the section value on the coset {1, 4} to 4
+    makes k vary with x, and the values of order 6 appear."""
+    scen = load_scenario(os.path.join(SCEN_DIR, "s3_a2_depth_third.json"))
+    datum, frame = scen.datum, scen.frame
+    group = frame.group
+    n = group.order
+    base = BaseChange(scen.chi, datum, frame)
+    (top,) = base.top
+    assert [k for k, v in enumerate(top.inner) if v is not None] == [0, 2]
+    inner = [None] * n
+    inner[0], inner[2] = 1, 2
+    classes = [ClassData(top.class_id, top.alpha, top.pm_key, inner)]
+    alpha = top.alpha
+    pm = [s for s in group.elements
+          if mat_vec(datum.action[s], alpha) in (alpha, tuple(-x for x in alpha))]
+    default = base.choices.u[top.class_id]
+    assert default == {0: 0, 1: 1, 3: 3}
+    moved = {**default, 1: 4}
+    for u in (default, moved):
+        expected = {}
+        for w in group.elements:
+            total = [0] * datum.rank
+            for x, ux in u.items():
+                xw = group.mul(x, w)
+                u_xw = u[min(group.mul(s, xw) for s in pm)]
+                k = group.mul(group.mul(ux, w), group.inv(u_xw))
+                assert k in pm
+                beta = mat_vec(datum.action[group.inv(ux)], alpha)
+                total = [t + inner[k] * b for t, b in zip(total, beta)]
+            expected[w] = tuple(t % n for t in total)
+        assert cocycle(classes, {top.class_id: u}, group.elements, datum, group) == expected
+    assert set(expected.values()) == {(0, 0), (5, 0), (5, 5), (1, 1), (1, 0)}
 
 
 # -- sections against the brute-force coset oracle ------------------------------

@@ -52,8 +52,7 @@ def _set_root(doc, value):
     (_set_last_action_entry, 1.0,
      "galois_roots.GRootDatum: action entry must be an integer, got 1.0"),
     (_set_last_action_entry, [1],
-     "galois_roots.GRootDatum: int() argument must be a string, a bytes-like object "
-     "or a real number, not 'list'"),
+     "galois_roots.GRootDatum: action entry must be an integer, got array"),
     (_set_last_action_entry, "x",
      "galois_roots.GRootDatum: invalid literal for int() with base 10: 'x'"),
     (_set_last_action_row, "001",
@@ -69,8 +68,7 @@ def _set_root(doc, value):
     (_set_root_coordinate, 2.0,
      "galois_roots.GRootDatum: root coordinate must be an integer, got 2.0"),
     (_set_root_coordinate, [2],
-     "galois_roots.GRootDatum: int() argument must be a string, a bytes-like object "
-     "or a real number, not 'list'"),
+     "galois_roots.GRootDatum: root coordinate must be an integer, got array"),
     (_set_root, "200",
      "galois_roots.GRootDatum: root must be a JSON array, got string"),
     (_set_root, 7,

@@ -402,9 +402,13 @@ def test_cli_refuses_deeply_nested_json(command, tmp_path, capsys):
     (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
     (b'{"name": ', "Expecting value: line 1 column 10 (char 9)"),
-], ids=["not-utf8", "utf8-bom", "syntax"])
+    (b'{"group": {"order": ' + b"1" * 5000 + b"}}",
+     "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+     "use sys.set_int_max_str_digits() to increase the limit"),
+], ids=["not-utf8", "utf8-bom", "syntax", "int-past-digit-limit"])
 def test_cli_file_parse_errors_exit_2(command, data, reason, tmp_path, capsys):
-    """Bytes that are not UTF-8, a byte-order mark and a JSON syntax error
+    """Bytes that are not UTF-8, a byte-order mark, a JSON syntax error and
+    an integer literal longer than the interpreter reads into an ``int``
     are each one parse error of the file, with exit 2."""
     path = tmp_path / "scenario.json"
     path.write_bytes(data)
@@ -689,6 +693,45 @@ def test_cli_refuses_non_integer_numbers(path, value, provenance, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert provenance in captured.err and "Traceback" not in captured.err
+
+
+def _set_perm_entry(doc, value):
+    doc["group"]["perm_gens"][0][0] = value
+
+
+@pytest.mark.parametrize("name,edit,line", [
+    ("sl2_unramified_depth0", lambda d: d.update(depth_zero=5),
+     'formal_degree.depth_zero: must be "regular" or a JSON object, got number'),
+    ("sl2_unramified_depth0", lambda d: d.update(depth_zero=[1]),
+     'formal_degree.depth_zero: must be "regular" or a JSON object, got array'),
+    ("sl2_unramified_depth0", lambda d: d.update(depth_zero="opaque"),
+     'formal_degree.depth_zero: must be "regular" or a JSON object, got string'),
+    ("sl2_unramified_depth0", lambda d: d.update(depth_zero=None),
+     'formal_degree.depth_zero: must be "regular" or a JSON object, got null'),
+    ("sl2_unramified_depth0", lambda d: d.update(inertia=[[0]]),
+     "galois_roots.frame: inertia element must be an integer, got array"),
+    ("sl2_unramified_depth0", lambda d: d.update(frobenius=[1]),
+     "galois_roots.frame: frobenius must be an integer, got array"),
+    ("sl2_unramified_depth0", lambda d: d.update(frobenius={"1": 1}),
+     "galois_roots.frame: frobenius must be an integer, got object"),
+    ("sl2_unramified_depth0", lambda d: d.update(frobenius=None),
+     "galois_roots.frame: frobenius must be an integer, got null"),
+    ("s3_a2_depth_third", lambda d: _set_perm_entry(d, [1]),
+     "galois_roots.group.perm_gens: permutation entry must be an integer, got array"),
+], ids=["depth-zero-number", "depth-zero-array", "depth-zero-string", "depth-zero-null",
+        "inertia-nested", "frobenius-array", "frobenius-object", "frobenius-null",
+        "perm-entry-array"])
+def test_cli_words_wrong_kind_fields(name, edit, line, tmp_path, capsys):
+    """A field of the wrong JSON kind is refused in the loader's words, with
+    its provenance and exit 2, never with the text of a Python error."""
+    doc = bundled_doc(name)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: scenario validation failed:\n  %s\n" % (path, line)
 
 
 def test_integer_fields_still_read_decimal_strings():
