@@ -210,17 +210,57 @@ def condition_failures(chi: ChiData, datum: GRootDatum,
     conjugation by the group moves it to the character of the image root),
     root by root in sorted order.
 
-    Equivariance is tested under the generators of the group: if
-    conjugation by s and by t each carry every character to the character
-    of the image root, so does conjugation by st.  When a check fails, the
-    failures are listed as a check under every group element lists them:
-    each failing root with the first element that moves it wrongly.
+    Equivariance is tested at every root under the generators of the group:
+    if conjugation by s and by t each carry every character to the
+    character of the image root, so does conjugation by st, and so every
+    element does.  When every root has a character and that test passes,
+    the stabilizer homomorphism and condition 1 are tested at one root per
+    orbit only, its least root a, since conjugation carries both along the
+    orbit.  For g in G, Stab(ga) = g Stab(a) g^-1, and chi_ga is chi_a
+    composed with the isomorphism x -> g^-1 x g from Stab(ga) onto Stab(a),
+    so it is a homomorphism on Stab(ga) when chi_a is one on Stab(a).  And
+    -ga = g(-a), so chi_-ga = conj_g(chi_-a) = conj_g(chi_a^-1) =
+    conj_g(chi_a)^-1 = chi_ga^-1: conjugation moves the elements and keeps
+    the values, so it commutes with negating them.
+
+    When any of these tests fails, the failures are listed root by root:
+    under the generators, and when an equivariance test fails there, as a
+    check under every group element lists them, each failing root with the
+    first element that moves it wrongly.
     """
     g = frame.group
-    cond1, cond2 = _failures_under(chi, datum, frame, g.generating_set(g.elements))
+    gens = g.generating_set(g.elements)
+    if _holds_by_orbit(chi, datum, g, gens):
+        return [], []
+    cond1, cond2 = _failures_under(chi, datum, frame, gens)
     if cond2:
         cond1, cond2 = _failures_under(chi, datum, frame, g.elements)
     return cond1, cond2
+
+
+def _holds_by_orbit(chi: ChiData, datum: GRootDatum, group: FiniteGroup,
+                    gens: Sequence[int]) -> bool:
+    """Whether conditions 1 and 2 hold, read as :func:`condition_failures`
+    proves it: a character at every root, equivariance at every root under
+    ``gens``, then the homomorphism and condition 1 at the least root of
+    each orbit."""
+    chars, srt = chi.chars, datum.sorted_roots
+    if any(root not in chars for root in srt):
+        return False
+    if any(chars[datum.act(s, root)] != char_conjugate(group, chars[root], s)
+           for s in gens for root in srt):
+        return False
+    seen = [False] * len(srt)
+    for i, root in enumerate(srt):
+        if seen[i]:
+            continue
+        for j in datum.orbit(i):
+            seen[j] = True
+        character = chars[root]
+        if (not char_is_homomorphism(group, datum.stabilizer(root), character)
+                or chars[datum.negative(root)] != char_inverse(character, chi.n)):
+            return False
+    return True
 
 
 def _failures_under(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,

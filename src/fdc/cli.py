@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from typing import List, NoReturn, Optional, Tuple
 
 from .compare import VERDICT_FLAGGED, VERDICT_UNEQUAL, emit_report, run_compare
 from .chi_data import BaseChange, verify_base_change
 from .formal_degree import general_degree, regular_degree
-from .qexact import PrimePower, fraction_str, int_str
+from .qexact import PrimePower, fraction_str, int_str, ratio_str
 from .scenario import Scenario, json_text, load_scenario
 from .weil_gamma import galois_side
 
@@ -96,8 +95,8 @@ def _cmd_degree(args: Args) -> int:
             "name": scen.name,
             "q": scen.pp.q,
             "monomial": {"coeff": coeff, "pexp": pexp},
-            "prefactor_special_fiber": fraction_str(Fraction(1, reg.special_fiber_order)),
-            "prefactor_full_index": fraction_str(Fraction(1, reg.full_point_index)),
+            "prefactor_special_fiber": ratio_str(1, reg.special_fiber_order),
+            "prefactor_full_index": ratio_str(1, reg.full_point_index),
             "prefactor_discrepancy": reg.discrepancy,
         }
         text = ["scenario %s  q=%d" % (scen.name, scen.pp.q),

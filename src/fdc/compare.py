@@ -40,8 +40,7 @@ from .formal_degree import (
     volume_exponent_closed,
     volume_exponent_raw,
 )
-from .galois_roots import validate_depth_lattice
-from .qexact import QMonomial, exp_q, fraction_str, int_str
+from .qexact import QMonomial, exp_q, fraction_str, int_str, ratio_str
 from .scenario import Scenario, json_text
 from .weil_gamma import GaloisSide, galois_side
 
@@ -51,10 +50,21 @@ VERDICT_UNEQUAL = "UNEQUAL"
 
 
 def _mono_dict(m: QMonomial) -> Dict[str, str]:
+    """The report form of c * p^e: the coefficient, the exponent and p, and
+    when e is an integer the value as a rational, written from integers.
+    The coefficient is a p-unit in lowest terms, so multiplying its
+    numerator by p^e (e > 0) or its denominator by p^-e (e < 0) leaves the
+    pair in lowest terms, and no gcd is taken."""
     coeff, pexp = m.as_pair()
-    out = {"coeff": coeff, "pexp": pexp, "p": str(m.pp.p)}
+    p = m.pp.p
+    out = {"coeff": coeff, "pexp": pexp, "p": "%d" % p}
     if m.pexp.denominator == 1:
-        out["rational"] = fraction_str(m.rational_value())
+        e, num, den = m.pexp.numerator, m.coeff.numerator, m.coeff.denominator
+        if e > 0:
+            num *= p ** e
+        elif e < 0:
+            den *= p ** -e
+        out["rational"] = ratio_str(num, den)
     return out
 
 
@@ -122,8 +132,8 @@ class ComparisonReport:
             "verdict": self.verdict,
             "automorphic": {
                 "monomial": _mono_dict(deg.monomial),
-                "prefactor_special_fiber": fraction_str(Fraction(1, deg.special_fiber_order)),
-                "prefactor_full_index": fraction_str(Fraction(1, deg.full_point_index)),
+                "prefactor_special_fiber": ratio_str(1, deg.special_fiber_order),
+                "prefactor_full_index": ratio_str(1, deg.full_point_index),
                 "prefactor_discrepancy": deg.discrepancy,
                 "value_full_index": _mono_dict(self.value_automorphic),
             },
@@ -188,7 +198,7 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
     else:
         verdict = VERDICT_EQUAL
 
-    for c in validate_depth_lattice(scenario.filtration, scenario.orbits):
+    for c in scenario.depth_checks:
         diagnostics.append("depth-lattice at %s: break %s, value-group %s, half-lattice %s"
                            % (c.orbit_id, c.break_value, c.in_value_group,
                               c.in_half_value_group))

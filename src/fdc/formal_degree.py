@@ -46,9 +46,14 @@ class YuShape(Frozen):
     0 < r_0 < ... < r_{d-1} <= r_d (for d = 0 only r_0 >= 0), as
     :func:`howe_filtration` builds it; the half-depths s_i = r_i / 2 are the
     indices where the Heisenberg quotients live.
+
+    Each orbit's layer and the break term are computed once, here:
+    ``layers[i]`` holds the orbits of layer i in orbit order (layer 0 the
+    nonpositive part, layer i + 1 the orbits entering at break i), and
+    :meth:`break_term` reads the kept sum.
     """
 
-    __slots__ = ("filtration", "orbits", "jumps", "toral_rank", "pp")
+    __slots__ = ("filtration", "orbits", "jumps", "toral_rank", "pp", "layers", "_break_term")
 
     def __init__(self, filtration: HoweFiltration, orbits: Tuple[OrbitInfo, ...],
                  jumps: JumpAssignment, toral_rank: int, pp: PrimePower) -> None:
@@ -57,26 +62,32 @@ class YuShape(Frozen):
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "toral_rank", toral_rank)
         object.__setattr__(self, "pp", pp)
+        layers: List[List[OrbitInfo]] = [[] for _ in filtration.levels]
+        for o in orbits:
+            layers[filtration.layer_of_orbit(o)].append(o)
+        object.__setattr__(self, "layers", tuple(map(tuple, layers)))
+        # (1/2) sum_i r_i (|R_{i+1}| - |R_i|), summed in integers over the
+        # common denominator of the breaks
+        breaks = filtration.breaks
+        den = math.lcm(*(r.denominator for r in breaks))
+        num = sum(r.numerator * (den // r.denominator) * delta
+                  for r, delta in zip(breaks, filtration.layer_sizes()))
+        object.__setattr__(self, "_break_term", Fraction(num, 2 * den))
 
     @property
     def dim_ga(self) -> int:
         return self.toral_rank + sum(o.size for o in self.orbits)
 
-    def layer_orbits(self, i: int) -> List[OrbitInfo]:
+    def layer_orbits(self, i: int) -> Tuple[OrbitInfo, ...]:
         """Orbits entering the chain at break i (contained in R_{i+1} - R_i)."""
-        return [o for o in self.orbits if self.filtration.layer_of_orbit(o) == i + 1]
+        return self.layers[i + 1]
 
-    def depth_zero_orbits(self) -> List[OrbitInfo]:
-        return [o for o in self.orbits if self.filtration.layer_of_orbit(o) == 0]
+    def depth_zero_orbits(self) -> Tuple[OrbitInfo, ...]:
+        return self.layers[0]
 
     def break_term(self) -> Fraction:
-        """(1/2) sum_i r_i (|R_{i+1}| - |R_i|), the wild part of the exponent,
-        summed in integers over the common denominator of the breaks."""
-        breaks = self.filtration.breaks
-        den = math.lcm(*(r.denominator for r in breaks))
-        num = sum(r.numerator * (den // r.denominator) * delta
-                  for r, delta in zip(breaks, self.filtration.layer_sizes()))
-        return Fraction(num, 2 * den)
+        """(1/2) sum_i r_i (|R_{i+1}| - |R_i|), the wild part of the exponent."""
+        return self._break_term
 
     def depth_zero_quotient_dim(self, rank_m: int) -> int:
         """Dimension of the depth-zero reductive quotient: quotient rank plus

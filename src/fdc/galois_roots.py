@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .qexact import Frozen, PrimePower, Value
@@ -51,6 +52,7 @@ class FiniteGroup:
     def __init__(self, table: Sequence[Sequence[int]], check: bool = True):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
+        self.elements = range(self.order)
         self._generators: Dict[FrozenSet[int], List[int]] = {}
         self._coset_keys: Dict[FrozenSet[int], List[int]] = {}
         if check:
@@ -59,32 +61,50 @@ class FiniteGroup:
         self.inverse = tuple(row.index(0) for row in self.table)
 
     def _validate(self) -> None:
-        """Refuse a table that is not a group.
+        """Refuse a table that is not a group, checking whole rows at a time.
 
-        Associativity is Light's test: (x s) y = x (s y) is checked for all
-        x, y and only for s in a generating set of the table, |G|^2 |gens|
-        triples instead of |G|^3.  That suffices because the elements a with
-        (x a) y = x (a y) for all x, y contain 0 and are closed under
-        products: for two of them a and b,
-        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
-        The generating set is found by closing {0} under right
-        multiplication, so every element is such a product of generators.
+        The checks run in this order, and the first that fails names the
+        table's fault:
+
+        * every row has n entries, every entry is an ``int`` (not a
+          ``bool``, not a ``float``), and the one set of the table's
+          entries lies in 0..n-1;
+        * row 0 and column 0 are both 0, 1, ..., n-1 (element 0 is the
+          identity);
+        * each row holds a 0, and the first row that does not names the
+          element without an inverse;
+        * associativity, by Light's test: (x s) y = x (s y) for all x, y and
+          only for s in a generating set of the table, |G|^2 |gens| triples
+          instead of |G|^3.  For one s and x that is one comparison of two
+          rows: row x s of the table against row x read at the entries of
+          row s.  That suffices because the elements a with
+          (x a) y = x (a y) for all x, y contain 0 and are closed under
+          products: for two of them a and b,
+          (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+          The generating set is found by closing {0} under right
+          multiplication, so every element is such a product of generators.
+
+        The empty table passes all four; a frame on it is refused, as its
+        inertia cannot be a subgroup.
         """
         n = self.order
         t = self.table
-        for row in t:
-            if len(row) != n or any(type(x) is not int or not (0 <= x < n) for x in row):
-                raise ValueError("malformed multiplication table")
-        if any(t[0][j] != j or t[j][0] != j for j in range(n)):
+        if set(map(len, t)) - {n} or set(map(type, chain.from_iterable(t))) - {int}:
+            raise ValueError("malformed multiplication table")
+        entries = set(chain.from_iterable(t))  # hashable now: all ints
+        if entries and (min(entries) < 0 or max(entries) >= n):
+            raise ValueError("malformed multiplication table")
+        ident = tuple(range(n))
+        if n and (t[0] != ident or tuple(row[0] for row in t) != ident):
             raise ValueError("element 0 is not an identity")
-        for i in range(n):
-            if all(t[i][j] != 0 for j in range(n)):
+        for i, row in enumerate(t):
+            if 0 not in row:
                 raise ValueError("element %d has no inverse" % i)
         for s in self.generating_set(self.elements):
-            s_row = t[s]
+            # a generator is never 0, so n >= 2 and the getter returns tuples
+            x_at_s_row = operator.itemgetter(*t[s])
             for x_row in t:
-                xs_row = t[x_row[s]]
-                if any(xs_row[y] != x_row[s_row[y]] for y in range(n)):
+                if t[x_row[s]] != x_at_s_row(x_row):
                     raise ValueError("multiplication table is not associative")
 
     # mult / inv / conj -------------------------------------------------
@@ -105,10 +125,6 @@ class FiniteGroup:
             x = self.mul(x, g)
             k += 1
         return k
-
-    @property
-    def elements(self) -> range:
-        return range(self.order)
 
     # subgroup machinery -------------------------------------------------
 
@@ -347,6 +363,24 @@ def parse_root_key(s: str) -> Vector:
     return tuple(int(x) for x in s.split(","))
 
 
+def _combine_rows(terms: Sequence[Tuple[int, int]], m: Matrix) -> List[int]:
+    """The sum of c times row k of m over the (k, c) in ``terms``, as a
+    list; a lone (k, 1) gives row k of m itself.  A term with c = +-1 is
+    added or subtracted a whole row at a time, with no product."""
+    if not terms:
+        return [0] * len(m)
+    k, c = terms[0]
+    out = m[k] if c == 1 else [c * x for x in m[k]]
+    for k, c in terms[1:]:
+        if c == 1:
+            out = list(map(operator.add, out, m[k]))
+        elif c == -1:
+            out = list(map(operator.sub, out, m[k]))
+        else:
+            out = [y + c * x for y, x in zip(out, m[k])]
+    return out
+
+
 class GRootDatum(Frozen):
     """Character lattice with frame action and a stable symmetric root set.
 
@@ -424,27 +458,38 @@ class GRootDatum(Frozen):
         sum_g tr M(g) = |G| dim V^G, and the datum is elliptic exactly when
         the sum is 0.  No lattice basis and no Smith form is needed.
 
-        Both products read each generator's matrix once, at load, in sparse
-        column form (``zlattice.sparse_columns``): column j of M(s)M(b) is
-        M(s) applied to column j of M(b), and M(s) applied to a vector
-        costs only the nonzero entries of M(s) in the columns where that
-        vector is nonzero.  The action matrices of a Coxeter torus of rank
-        n have O(n) nonzero entries among n^2.  Every entry of every
-        product is compared, one pair (s, b) at a time in the order above.
+        The homomorphism test works on whole rows.  Each generator's matrix
+        is read once, each row as the (k, entry) pairs of its nonzero
+        entries, and row i of M(s)M(b) is the sum of entry times row k of
+        M(b) over the pairs of row i of M(s).  A row with the one nonzero
+        entry 1, as every row of a permutation matrix has, is row k of M(b)
+        itself, with no arithmetic.  Each product row is compared with row
+        i of M(sb) as one list, so the matrices must be lists of integer
+        lists (``Matrix``), as loading builds them.  Every row of every
+        product is compared, one pair (s, b) at a time in the order above,
+        and the first pair with a row that differs is the one named.  The
+        stability test applies M(s) to each root in sparse column form
+        (``zlattice.sparse_columns``), at the cost of the nonzero entries
+        of M(s) in the columns where the root is nonzero.  The action
+        matrices of a Coxeter torus of rank n have O(n) nonzero entries
+        among n^2.
         """
         g = frame.group
-        if set(self.action.keys()) != set(g.elements):
+        action = self.action
+        if set(action.keys()) != set(g.elements):
             raise ValueError("action must be defined on every group element")
-        if not mat_eq(self.action[0], identity_matrix(self.rank)):
+        if not mat_eq(action[0], identity_matrix(self.rank)):
             raise ValueError("action is not a homomorphism at (0, 0)")
         gens = g.generating_set(g.elements)
-        sparse = {s: sparse_columns(self.action[s]) for s in gens}
-        columns = {a: list(zip(*m)) for a, m in self.action.items()}
         for s in gens:
+            s_times = g.table[s]
+            s_rows = [[(k, c) for k, c in enumerate(row) if c] for row in action[s]]
             for b in g.elements:
-                if any(sparse_mat_vec(sparse[s], col) != want
-                       for col, want in zip(columns[b], columns[g.mul(s, b)])):
-                    raise ValueError("action is not a homomorphism at (%d, %d)" % (s, b))
+                m_b = action[b]
+                for terms, want in zip(s_rows, action[s_times[b]]):
+                    if _combine_rows(terms, m_b) != want:
+                        raise ValueError("action is not a homomorphism at (%d, %d)" % (s, b))
+        sparse = {s: sparse_columns(action[s]) for s in gens}
         self._permute_roots(g, sparse)
         self.traces[:] = [sum(self.action[a][i][i] for i in range(self.rank))
                           for a in g.elements]

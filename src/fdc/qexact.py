@@ -205,17 +205,6 @@ class QMonomial(Value):
     def is_positive(self) -> bool:
         return self.coeff > 0
 
-    def rational_value(self) -> Fraction:
-        """Exact rational value; requires an integral p-exponent."""
-        if self.pexp.denominator != 1:
-            raise ValueError("p-exponent %s is not an integer" % (self.pexp,))
-        e, c = self.pexp.numerator, self.coeff
-        if e == 0:
-            return c
-        if e > 0:
-            return Fraction(c.numerator * self.pp.p ** e, c.denominator)
-        return Fraction(c.numerator, c.denominator * self.pp.p ** -e)
-
     def as_pair(self) -> Tuple[str, str]:
         """Serialized form: ("num/den" coefficient, "num/den" p-exponent)."""
         return (fraction_str(self.coeff), fraction_str(self.pexp))
@@ -248,11 +237,17 @@ def int_str(n: int) -> str:
     return int_str(hi) + int_str(lo).zfill(k)
 
 
+def ratio_str(num: int, den: int) -> str:
+    """The serialized form of num/den for a pair already in lowest terms
+    with den > 0: "num/den", or "num" when den is 1.  No gcd is taken."""
+    if den == 1:
+        return int_str(num)
+    return "%s/%s" % (int_str(num), int_str(den))
+
+
 def fraction_str(x: Fraction) -> str:
     """The serialized form of a rational: "num/den", or "num" when integral."""
-    if x.denominator == 1:
-        return int_str(x.numerator)
-    return "%s/%s" % (int_str(x.numerator), int_str(x.denominator))
+    return ratio_str(x.numerator, x.denominator)
 
 
 def qmon(pp: PrimePower, coeff: RationalLike, pexp: RationalLike = 0) -> QMonomial:

@@ -32,6 +32,7 @@ from .chi_data import (Character, ChiData, character_group, char_conjugate, char
                        condition_failures)
 from .formal_degree import DepthZeroData, YuShape
 from .galois_roots import (
+    DepthLatticeCheck,
     DepthValue,
     FiniteGroup,
     GaloisFrame,
@@ -49,7 +50,7 @@ from .galois_roots import (
     validate_depth_lattice,
 )
 from .mp_filtration import JumpAssignment
-from .qexact import Frozen, PrimePower, fraction_str, int_str
+from .qexact import Frozen, PrimePower, fraction_str, int_str, ratio_str
 
 if TYPE_CHECKING:  # the generator takes its Random from the caller
     import random
@@ -193,12 +194,15 @@ class Scenario:
     """A fully validated tame elliptic scenario.
 
     No ``__slots__``: :attr:`torus` caches into the instance ``__dict__``.
-    ``group_encoding`` is the document's group, kept for round-trips."""
+    ``depth_checks`` are the depth-lattice checks of the filtration, as
+    validation computed them (all passed).  ``group_encoding`` is the
+    document's group, kept for round-trips."""
 
     def __init__(self, name: str, pp: PrimePower, frame: GaloisFrame, datum: GRootDatum,
                  orbits: Tuple[OrbitInfo, ...], jumps: JumpAssignment,
-                 filtration: HoweFiltration, depth_zero: DepthZeroData,
-                 chi: Optional[ChiData] = None, options: Optional[Dict[str, object]] = None,
+                 filtration: HoweFiltration, depth_checks: List[DepthLatticeCheck],
+                 depth_zero: DepthZeroData, chi: Optional[ChiData] = None,
+                 options: Optional[Dict[str, object]] = None,
                  group_encoding: Optional[Dict[str, object]] = None) -> None:
         self.name = name
         self.pp = pp
@@ -207,14 +211,19 @@ class Scenario:
         self.orbits = orbits
         self.jumps = jumps
         self.filtration = filtration
+        self.depth_checks = depth_checks
         self.depth_zero = depth_zero
         self.chi = chi
         self.options = {} if options is None else options
         self.group_encoding = group_encoding
+        self._shape: Optional[YuShape] = None
 
     def shape(self) -> YuShape:
-        return YuShape(self.filtration, self.orbits, self.jumps,
-                       self.datum.rank, self.pp)
+        """The scenario's one :class:`YuShape`, built on first call."""
+        if self._shape is None:
+            self._shape = YuShape(self.filtration, self.orbits, self.jumps,
+                                  self.datum.rank, self.pp)
+        return self._shape
 
     @property
     def unverified_assumptions(self) -> Tuple[str, ...]:
@@ -248,7 +257,7 @@ class Scenario:
         except ValueError as e:  # a wild frame, as loading words it
             raise ScenarioError([("galois_roots", "frame", str(e))])
         return Scenario(self.name, pp, frame, self.datum, self.orbits, self.jumps,
-                        self.filtration, self.depth_zero, self.chi,
+                        self.filtration, self.depth_checks, self.depth_zero, self.chi,
                         dict(self.options), self.group_encoding)
 
     # -- serialization -------------------------------------------------------
@@ -298,7 +307,7 @@ def _mod1_str(k: int, n: int) -> str:
     """``fraction_str(Fraction(k, n))`` for integers 0 <= k < n, from the
     gcd-reduced pair, with no Fraction built."""
     d = math.gcd(k, n)
-    return "%d" % (k // d) if d == n else "%d/%d" % (k // d, n // d)
+    return ratio_str(k // d, n // d)
 
 
 def _build_group(spec: Mapping[str, object], max_order: int,
@@ -407,8 +416,8 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     try:
         qspec = doc["q"]
         pp = PrimePower(parse_int(qspec["p"], "p"), parse_int(qspec["a"], "a"))
-    except KeyError:
-        failures.append(("qexact", "q", "missing p or a"))
+    except KeyError as e:
+        failures.append(("qexact", "q", "missing field %s" % e))
     except (ValueError, TypeError) as e:
         failures.append(("qexact", "q", str(e)))
 
@@ -472,6 +481,7 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     except (ValueError, TypeError) as e:
         failures.append(("galois_roots", "theta_depths", str(e)))
 
+    checks: List[DepthLatticeCheck] = []
     if filtration is not None:
         checks = validate_depth_lattice(filtration, orbits)
         for c in checks:
@@ -488,7 +498,9 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
         try:
             depth_zero = DepthZeroData.opaque(parse_fraction(dz_spec["dim_rho"]),
                                               parse_int(dz_spec["stab_index"], "stab_index"))
-        except (KeyError, ValueError, TypeError) as e:
+        except KeyError as e:
+            failures.append(("formal_degree", "depth_zero", "missing field %s" % e))
+        except (ValueError, TypeError) as e:
             failures.append(("formal_degree", "depth_zero", str(e)))
     elif dz_spec != "regular":
         failures.append(("formal_degree", "depth_zero", 'must be "regular" or a JSON object, '
@@ -525,7 +537,7 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
 
     return Scenario(
         name=name, pp=pp, frame=frame, datum=datum, orbits=orbits, jumps=jumps,
-        filtration=filtration, depth_zero=depth_zero, chi=chi,
+        filtration=filtration, depth_checks=checks, depth_zero=depth_zero, chi=chi,
         options=dict(doc.get("options", {})),
         group_encoding=dict(doc["group"]) if "perm_gens" in doc["group"] else None,
     )
@@ -545,17 +557,28 @@ def _object_without_repeats(pairs: List[Tuple[str, object]]) -> Dict[str, object
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read and validate one scenario file.  A document nested deeper than
-    json's recursive decoder can follow, bytes that are not UTF-8, and an
-    integer literal past the interpreter's limit on the digits of an
+    """Read and validate one scenario file.
+
+    The file is read once, as bytes, and decoded as UTF-8, so a file in
+    any other encoding is refused: ``json.loads`` given the bytes
+    themselves would detect UTF-16 and UTF-32 and accept them.  Where the
+    text holds a ``\\r``, text mode's newline translation follows (``\\r\\n``
+    and a lone ``\\r`` each become ``\\n``), so a parse error names the line,
+    column and character text mode would.  Bytes that are not UTF-8, a
+    document nested deeper than json's recursive decoder can follow, and
+    an integer literal past the interpreter's limit on the digits of an
     ``int`` (a plain ValueError) are parse errors too."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_object_without_repeats)
-        # a JSONDecodeError, a UnicodeDecodeError, a repeated key and the digit
-        # limit are all ValueErrors
-        except (ValueError, RecursionError) as e:
-            raise ScenarioError([("cli", "file", "parse error: %s" % e)])
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text, object_pairs_hook=_object_without_repeats)
+    # a UnicodeDecodeError, a JSONDecodeError, a repeated key and the digit
+    # limit are all ValueErrors
+    except (ValueError, RecursionError) as e:
+        raise ScenarioError([("cli", "file", "parse error: %s" % e)])
     return scenario_from_dict(doc)
 
 
@@ -965,7 +988,8 @@ def _assign_depths_and_offsets(rng: random.Random, tpl: _Template,
         name = "gen_%s_%04d" % (tpl.key, rng.randint(0, 9999))
         return Scenario(
             name=name, pp=frame.pp, frame=frame, datum=datum, orbits=orbits,
-            jumps=jumps, filtration=filtration, depth_zero=DepthZeroData.regular_marker(),
+            jumps=jumps, filtration=filtration, depth_checks=checks,
+            depth_zero=DepthZeroData.regular_marker(),
             chi=chi, options={},
         )
     return None

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from fdc.compare import VERDICT_UNEQUAL, run_compare
-from fdc.qexact import PrimePower, exp_q
+from fdc.qexact import PrimePower, exp_q, qmon
 from fdc.scenario import generate_scenario, load_scenario
 from lemmas import (
     suite_chi,
@@ -58,7 +58,7 @@ def test_criterion_03_two_sided_equality_bundled():
         rep = run_compare(scen.with_q(PrimePower.from_q(q)))
         value = rep.value_galois
         ok = ok and rep.verdict == "EQUAL"
-        ok = ok and value.rational_value() == Fraction(q * q, q + 1)
+        ok = ok and value == qmon(value.pp, Fraction(q * q, q + 1))
         ok = ok and rep.value_automorphic == value
     dt = time.monotonic() - t0
     _line(3, "bundled scenario = q^2/(q+1)", ok and dt < 1, "(%.3fs)" % dt)

@@ -416,8 +416,11 @@ def test_generator_checks_match_brute_force(name):
     they agree with the all-pairs and all-elements definitions, and
     condition_failures lists the same failures, on valid tables, on tables
     with one value changed at each element in turn (generators or not), on
-    random tables and on families spliced from two valid ones along an
-    orbit of one generator.  The families live on each subgroup H taken as
+    random tables, on families spliced from two valid ones along an orbit
+    of one generator, and on valid families with one value changed at a
+    root that is not the least of its orbit, a character moved, two
+    swapped or one dropped, or the value at the identity shifted along an
+    orbit (:func:`_perturbations`).  The families live on each subgroup H taken as
     a frame of its own; the bundled chi restricted to H is among the valid
     ones, which is why base change needs no re-check of the restriction."""
     scen = load_scenario(os.path.join(SCEN_DIR, name + ".json"))
@@ -455,9 +458,55 @@ def test_generator_checks_match_brute_force(name):
         for _ in range(10):
             families.append(ChiData({r: rng.choice(character_group(h, h_datum.stabilizer(r)))
                                      for r in h_datum.roots}, h.order))
+        for fam in valid:
+            families += _perturbations(rng, fam, h_datum)
         for fam in families:
             assert condition_failures(fam, h_datum, h_frame) == _all_elements_failures(
                 fam, h_datum, h_frame)
+
+
+def _perturbations(rng, chi, datum):
+    """Seeded edits of a valid family that the orbit-wise test must not
+    miss: one value changed at a root that is not the least root of its
+    orbit (for each such root), a character moved to another root, two
+    characters swapped, a character dropped, and the value at the identity
+    shifted along an orbit and its negative."""
+    srt = datum.sorted_roots
+    n = chi.n
+    out = []
+    for i, root in enumerate(srt):
+        if min(datum.orbit(i)) != i:
+            chars = {r: dict(c) for r, c in chi.chars.items()}
+            x = rng.choice(sorted(chars[root]))
+            chars[root][x] = (chars[root][x] + rng.randrange(1, n)) % n
+            out.append(ChiData(chars, n))
+    if len(srt) > 1:
+        a, b = rng.sample(srt, 2)
+        moved = {r: dict(c) for r, c in chi.chars.items()}
+        moved[b] = moved.pop(a)
+        swapped = {r: dict(c) for r, c in chi.chars.items()}
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        out += [ChiData(moved, n), ChiData(swapped, n)]
+    dropped = {r: dict(c) for r, c in chi.chars.items()}
+    del dropped[rng.choice(srt)]
+    out.append(ChiData(dropped, n))
+    # chi(0) moved off 0 on the orbit of a root and by the negated value on
+    # the orbit of its negative: equivariance and condition 1 still hold, so
+    # only the homomorphism test sees it
+    i = rng.randrange(len(srt))
+    orbit, negatives = datum.orbit(i), datum.orbit(datum.neg[i])
+    if orbit == negatives:
+        k = n // 2 if n % 2 == 0 else 0  # k = -k mod n
+    else:
+        k = rng.randrange(1, n) if n > 1 else 0
+    if k:
+        shifted = {r: dict(c) for r, c in chi.chars.items()}
+        for j in orbit:
+            shifted[srt[j]][0] = k
+        for j in negatives:
+            shifted[srt[j]][0] = -k % n
+        out.append(ChiData(shifted, n))
+    return out
 
 
 def test_equivariance_checked_under_every_generator():

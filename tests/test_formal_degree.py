@@ -98,7 +98,7 @@ def test_regular_degree_sl2_values():
     assert reg.monomial == exp_q(2, PP3)
     assert reg.special_fiber_order == 4 and reg.full_point_index == 4
     special = reg.monomial.scale(Fraction(1, reg.special_fiber_order))
-    assert special.rational_value() == Fraction(9, 4)
+    assert special == qmon(PP3, Fraction(9, 4))
 
     shape, datum, frame = sl2_shape(True, pp=PP5, depth=Fraction(1, 2),
                                     offset=Fraction(1, 4))

@@ -26,7 +26,7 @@ from fdc.chi_data import (
 from fdc.compare import run_compare
 from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
 from fdc.mp_filtration import is_concave
-from fdc.qexact import PrimePower
+from fdc.qexact import PrimePower, qmon
 from fdc.scenario import ScenarioError, scenario_from_dict
 from lemmas import (
     JumpFunction,
@@ -194,7 +194,7 @@ def test_torus_only_scenario():
     rep = run_compare(scen)
     assert rep.verdict in ("EQUAL", "FLAGGED")
     # value: exp_q(1/2 + 1/2) / (q + 1) = q/(q+1)
-    assert rep.value_galois.rational_value() == Fraction(5, 6)
+    assert rep.value_galois == qmon(rep.value_galois.pp, Fraction(5, 6))
     assert rep.value_automorphic == rep.value_galois
 
 
@@ -316,5 +316,5 @@ def test_order_p_frame_scenario():
     rep = run_compare(scen)
     assert rep.verdict == "EQUAL"
     # dim G = 8, rank M = 2: exponent 5; |det(3*rot - 1)| = 13
-    assert rep.value_galois.rational_value() == Fraction(3 ** 5, 13)
+    assert rep.value_galois == qmon(rep.value_galois.pp, Fraction(3 ** 5, 13))
     assert rep.intermediates["m_frob_coinvariants"] == 3  # divisible by p

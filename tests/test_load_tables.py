@@ -154,6 +154,60 @@ def test_root_of_the_wrong_length_is_refused(roots, pattern, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _with_table(table):
+    return dict(bundled_doc("sl2_unramified_depth0"), group={"mult_table": table})
+
+
+def _with_action_entry(delta):
+    doc = bundled_doc("z4_rank3_mixed")
+    doc["action"]["3"][2][2] += delta
+    return doc
+
+
+# The group table is checked row by row and the action homomorphism product
+# row by product row; the refusals are those of the entry-by-entry checks.
+@pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
+@pytest.mark.parametrize("doc,line", [
+    # no element: the table passes, and no inertia fits in the empty group
+    (_with_table([]), "galois_roots.frame: inertia is not a subgroup"),
+    (_with_table([[0, 1], [1]]), "galois_roots.group.mult_table: malformed multiplication table"),
+    (_with_table([[0, True], [1, 0]]),
+     "galois_roots.group.mult_table: malformed multiplication table"),
+    (_with_table([[0, 1.0], [1, 0]]),
+     "galois_roots.group.mult_table: malformed multiplication table"),
+    (_with_table([[0, [1]], [1, 0]]),
+     "galois_roots.group.mult_table: malformed multiplication table"),
+    (_with_table([[0, 1], [1, 2]]),
+     "galois_roots.group.mult_table: malformed multiplication table"),
+    (_with_table([[1, 0], [0, 1]]), "galois_roots.group.mult_table: element 0 is not an identity"),
+    # row 0 is right, column 0 is not: 1 * 0 = 0
+    (_with_table([[0, 1], [0, 1]]), "galois_roots.group.mult_table: element 0 is not an identity"),
+    # elements 2 and 3 both lack an inverse: the first is named
+    (_with_table([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 2, 2], [3, 2, 2, 2]]),
+     "galois_roots.group.mult_table: element 2 has no inverse"),
+    # a loop of order 5: identity 0, every element its own inverse, not a group
+    (_with_table([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                  [4, 3, 1, 2, 0]]),
+     "galois_roots.group.mult_table: multiplication table is not associative"),
+    # one entry of the last row of M(3) off: M(1) M(2) = M(3) fails there, and
+    # (1, 2) is the first pair of generator and element to see it
+    (_with_action_entry(1), "galois_roots.GRootDatum: action is not a homomorphism at (1, 2)"),
+    # a zero row in a generator: M(1) M(0) = M(1) holds, M(1) M(1) = M(0) does not
+    (dict(bundled_doc("sl2_unramified_depth0"), action={"0": [[1]], "1": [[0]]}),
+     "galois_roots.GRootDatum: action is not a homomorphism at (1, 1)"),
+], ids=["empty", "ragged", "bool", "float", "array", "out-of-range", "identity-row",
+        "identity-column", "inverse", "not-associative", "action-not-homomorphic",
+        "action-zero-row"])
+def test_group_and_action_refusals_unchanged(command, doc, line, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    where = "%s: " % path if command == "verify" else ""
+    assert captured.out == ""
+    assert captured.err == "error: %sscenario validation failed:\n  %s\n" % (where, line)
+
+
 # Values of the character at the root 1 of z4_a1_ramified_chi, whose
 # stabilizer is {0, 2}; the group order is 4, so 1/2 is stored as 2.
 @pytest.mark.parametrize("element,value,stored", [

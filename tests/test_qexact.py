@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from fdc.compare import _mono_dict
 from fdc.qexact import (
     PrimePower,
     QMonomial,
     exp_q,
+    fraction_str,
     qmon,
 )
 
@@ -32,13 +34,13 @@ def test_exp_q_examples():
     # 9^(1/2) = 3: canonical form has coefficient 1 and p-exponent 1
     half = exp_q(Fraction(1, 2), pp9)
     assert half.coeff == 1 and half.pexp == 1
-    assert half.rational_value() == 3
+    assert half == qmon(pp9, 3)
 
 
 def test_exp_q_counts_module_orders():
     pp = PrimePower(5, 1)
     for length in range(6):
-        assert exp_q(length, pp).rational_value() == 5 ** length
+        assert exp_q(length, pp) == qmon(pp, 5 ** length)
 
 
 def test_from_integer_examples():
@@ -91,20 +93,21 @@ def test_exp_q_homomorphism():
 
 
 def test_rational_round_trip():
+    """The report writes c * p^e for an integral e from integers, with no
+    gcd (``compare._mono_dict``); it matches the Fraction value of the
+    monomial's input, for exponents of either sign.  A half-integral
+    exponent gets no rational entry."""
     rng = random.Random(17)
     pp = PrimePower(5, 1)
     for _ in range(500):
         num = rng.choice([n for n in range(-30, 31) if n])
         den = rng.randint(1, 30)
-        k = rng.randint(0, 10)
+        k = rng.randint(-10, 10)
         m = qmon(pp, Fraction(num, den), k)
-        expected = Fraction(num, den) * 5 ** k
-        # canonical value equals big-integer evaluation of c * p^e
-        c, e = m.coeff, m.pexp
-        assert e.denominator == 1 and e >= 0 or expected.numerator % 5 == 0 or True
-        assert m.rational_value() == expected
-    with pytest.raises(ValueError):
-        exp_q(Fraction(1, 2), PrimePower(5, 1)).rational_value()
+        expected = Fraction(num, den) * Fraction(5) ** k
+        assert m.pexp.denominator == 1
+        assert _mono_dict(m)["rational"] == fraction_str(expected)
+    assert "rational" not in _mono_dict(exp_q(Fraction(1, 2), PrimePower(5, 1)))
 
 
 def test_negative_and_abs():

@@ -14,7 +14,7 @@ import fdc.scenario
 import fdc.weil_gamma
 from fdc.compare import emit_report, run_compare
 from fdc.galois_roots import TorusLatticeData
-from fdc.qexact import PrimePower
+from fdc.qexact import PrimePower, qmon
 from fdc.scenario import (
     ScenarioError,
     generate_scenario,
@@ -131,7 +131,7 @@ def test_with_q_override():
     for q in (3, 5, 7, 9):
         rep = run_compare(scen.with_q(PrimePower.from_q(q)))
         assert rep.verdict == "EQUAL"
-        assert rep.value_galois.rational_value() == Fraction(q * q, q + 1)
+        assert rep.value_galois == qmon(rep.value_galois.pp, Fraction(q * q, q + 1))
 
 
 def test_cli_verify_exit_codes(capsys):
@@ -405,11 +405,23 @@ def test_cli_refuses_deeply_nested_json(command, tmp_path, capsys):
     (b'{"group": {"order": ' + b"1" * 5000 + b"}}",
      "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
      "use sys.set_int_max_str_digits() to increase the limit"),
-], ids=["not-utf8", "utf8-bom", "syntax", "int-past-digit-limit"])
+    # line, column and character as counted after text mode's newline
+    # translation: each \r\n and each lone \r is one \n
+    (b'{\r\n"name": \r\n', "Expecting value: line 3 column 1 (char 11)"),
+    (b'{"name": "a\rb"}', "Invalid control character at: line 1 column 12 (char 11)"),
+    # the position counts from the start of the file, past any read buffer
+    (b'{"name": "' + b"x" * 9000 + b'\xff"}',
+     "'utf-8' codec can't decode byte 0xff in position 9010: invalid start byte"),
+    # json.loads given these bytes would detect UTF-16 and load the scenario
+    (json.dumps(bundled_doc("sl2_unramified_depth0")).encode("utf-16"),
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["not-utf8", "utf8-bom", "syntax", "int-past-digit-limit", "crlf-syntax",
+        "lone-cr-in-string", "not-utf8-past-8k", "utf16-bom"])
 def test_cli_file_parse_errors_exit_2(command, data, reason, tmp_path, capsys):
-    """Bytes that are not UTF-8, a byte-order mark, a JSON syntax error and
-    an integer literal longer than the interpreter reads into an ``int``
-    are each one parse error of the file, with exit 2."""
+    """Bytes that are not UTF-8 (UTF-16 included), a byte-order mark, a
+    JSON syntax error and an integer literal longer than the interpreter
+    reads into an ``int`` are each one parse error of the file, with exit
+    2, worded as a text-mode read of the file words it."""
     path = tmp_path / "scenario.json"
     path.write_bytes(data)
     assert cli.main([command, str(path)]) == 2
@@ -418,6 +430,56 @@ def test_cli_file_parse_errors_exit_2(command, data, reason, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: %sscenario validation failed:\n"
                             "  cli.file: parse error: %s\n" % (where, reason))
+
+
+def test_utf16_document_is_json_to_a_bytes_reader():
+    """The UTF-16 case above is refused only because the file is decoded as
+    UTF-8 first: given the bytes, json.loads would detect the encoding."""
+    doc = bundled_doc("sl2_unramified_depth0")
+    assert json.loads(json.dumps(doc).encode("utf-16")) == doc
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("command", ["verify", "chi-check"])
+def test_cli_reads_crlf_and_cr_files_as_text_mode_does(command, newline, tmp_path, capsys):
+    """A document with CRLF or CR line ends gives the report of the same
+    document with LF line ends, byte for byte."""
+    text = json.dumps(bundled_doc("z4_a1_ramified_chi"), indent=2).encode()
+    path = tmp_path / "scenario.json"
+    path.write_bytes(text)
+    assert cli.main(["--format", "json", command, str(path)]) == 0
+    want = capsys.readouterr().out
+    path.write_bytes(text.replace(b"\n", newline))
+    assert cli.main(["--format", "json", command, str(path)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def _drop_field(name, field, key):
+    doc = bundled_doc(name)
+    doc[field] = {k: v for k, v in doc[field].items() if k != key}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
+@pytest.mark.parametrize("doc,line", [
+    (dict(bundled_doc("sl2_unramified_depth0"), depth_zero={"stab_index": 1}),
+     "formal_degree.depth_zero: missing field 'dim_rho'"),
+    (dict(bundled_doc("sl2_unramified_depth0"), depth_zero={"dim_rho": "1"}),
+     "formal_degree.depth_zero: missing field 'stab_index'"),
+    (_drop_field("sl2_unramified_depth0", "q", "a"), "qexact.q: missing field 'a'"),
+    (_drop_field("sl2_unramified_depth0", "q", "p"), "qexact.q: missing field 'p'"),
+    ({k: v for k, v in bundled_doc("sl2_unramified_depth0").items() if k != "q"},
+     "qexact.q: missing field 'q'"),
+], ids=["dim_rho", "stab_index", "q.a", "q.p", "q"])
+def test_cli_names_the_missing_field(command, doc, line, tmp_path, capsys):
+    """A missing field of depth_zero or q is refused by its name, with exit 2."""
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    where = "%s: " % path if command == "verify" else ""
+    assert captured.out == ""
+    assert captured.err == "error: %sscenario validation failed:\n  %s\n" % (where, line)
 
 
 @pytest.mark.parametrize("command", ["verify", "chi-check"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fdc.qexact import PrimePower, exp_q
+from fdc.qexact import PrimePower, exp_q, qmon
 from fdc.galois_roots import (
     FiniteGroup,
     GaloisFrame,
@@ -205,7 +205,7 @@ def test_galois_side_examples():
     gal = galois_side(datum, frame, filt, orbs, torus_lattice_data(datum, frame))
     assert gal.prefactor == Fraction(1, 4)
     assert gal.monomial == exp_q(2, PP3)
-    assert gal.prefactor * gal.monomial.rational_value() == Fraction(9, 4)
+    assert gal.monomial.scale(gal.prefactor) == qmon(PP3, Fraction(9, 4))
 
     frame, datum, orbs = a1(True, PP5)
     filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
