@@ -223,19 +223,14 @@ def condition_failures(chi: ChiData, datum: GRootDatum,
     conj_g(chi_a)^-1 = chi_ga^-1: conjugation moves the elements and keeps
     the values, so it commutes with negating them.
 
-    When any of these tests fails, the failures are listed root by root:
-    under the generators, and when an equivariance test fails there, as a
-    check under every group element lists them, each failing root with the
-    first element that moves it wrongly.
+    When any of these tests fails, the failures are listed root by root, as
+    a check under every group element lists them, each failing root with
+    the first element that moves it wrongly.
     """
     g = frame.group
-    gens = g.generating_set(g.elements)
-    if _holds_by_orbit(chi, datum, g, gens):
+    if _holds_by_orbit(chi, datum, g, g.generating_set(g.elements)):
         return [], []
-    cond1, cond2 = _failures_under(chi, datum, frame, gens)
-    if cond2:
-        cond1, cond2 = _failures_under(chi, datum, frame, g.elements)
-    return cond1, cond2
+    return _failures_under(chi, datum, frame, g.elements)
 
 
 def _holds_by_orbit(chi: ChiData, datum: GRootDatum, group: FiniteGroup,

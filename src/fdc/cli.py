@@ -28,16 +28,17 @@ from .compare import VERDICT_FLAGGED, VERDICT_UNEQUAL, emit_report, run_compare
 from .chi_data import BaseChange, verify_base_change
 from .formal_degree import general_degree, regular_degree
 from .qexact import PrimePower, fraction_str, int_str, ratio_str
-from .scenario import Scenario, json_text, load_scenario
+from .scenario import Scenario, json_text, load_scenario, parse_int
 from .weil_gamma import galois_side
 
 
 def _digits(text: str) -> int:
-    """``text`` as a numeral of ASCII digits; ``int`` alone would also take a
-    sign, spaces, underscores and the digits of other scripts."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError("invalid literal for int() with base 10: %r" % text)
-    return int(text)
+    """``text`` read as the loader reads an integer text, refused in
+    ``int``'s words."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise ValueError("invalid literal for int() with base 10: %r" % text) from None
 
 
 def _parse_q(text: Optional[str]) -> Optional[PrimePower]:

@@ -47,13 +47,15 @@ class YuShape(Frozen):
     :func:`howe_filtration` builds it; the half-depths s_i = r_i / 2 are the
     indices where the Heisenberg quotients live.
 
-    Each orbit's layer and the break term are computed once, here:
-    ``layers[i]`` holds the orbits of layer i in orbit order (layer 0 the
-    nonpositive part, layer i + 1 the orbits entering at break i), and
+    Each orbit's layer, the half-breaks and the break term are computed
+    once, here: ``layers[i]`` holds the orbits of layer i in orbit order
+    (layer 0 the nonpositive part, layer i + 1 the orbits entering at break
+    i), ``half_breaks[i]`` is s_i = r_i / 2 for each break r_i, and
     :meth:`break_term` reads the kept sum.
     """
 
-    __slots__ = ("filtration", "orbits", "jumps", "toral_rank", "pp", "layers", "_break_term")
+    __slots__ = ("filtration", "orbits", "jumps", "toral_rank", "pp", "layers", "half_breaks",
+                 "_break_term")
 
     def __init__(self, filtration: HoweFiltration, orbits: Tuple[OrbitInfo, ...],
                  jumps: JumpAssignment, toral_rank: int, pp: PrimePower) -> None:
@@ -69,6 +71,8 @@ class YuShape(Frozen):
         # (1/2) sum_i r_i (|R_{i+1}| - |R_i|), summed in integers over the
         # common denominator of the breaks
         breaks = filtration.breaks
+        object.__setattr__(self, "half_breaks",
+                           tuple(Fraction(r.numerator, 2 * r.denominator) for r in breaks))
         den = math.lcm(*(r.denominator for r in breaks))
         num = sum(r.numerator * (den // r.denominator) * delta
                   for r, delta in zip(breaks, filtration.layer_sizes()))
@@ -133,7 +137,7 @@ def heisenberg_indices(shape: YuShape) -> List[QMonomial]:
     """The abelian quotient orders [J^{i+1} : J^{i+1}_+], one per break:
     exp_q of the total jump length of the i-th layer at s_i = r_i / 2."""
     out: List[QMonomial] = []
-    for i, s in enumerate(shape.filtration.svec()[:-1]):
+    for i, s in enumerate(shape.half_breaks):
         length = sum(jump_length_at(o, shape.jumps, s) for o in shape.layer_orbits(i))
         out.append(exp_q(length, shape.pp))
     return out
@@ -210,7 +214,7 @@ def volume_exponent_raw(shape: YuShape, rank_m: int) -> Fraction:
     layer i of :func:`twice_length_to` at s_i) / 2, summed in integers."""
     jumps = shape.jumps
     twice = rank_m + sum(jump_length_at(o, jumps, 0) for o in shape.depth_zero_orbits())
-    for i, s in enumerate(shape.filtration.svec()[:-1]):
+    for i, s in enumerate(shape.half_breaks):
         twice += sum(twice_length_to(o, jumps, s) for o in shape.layer_orbits(i))
     return Fraction(twice, 2)
 

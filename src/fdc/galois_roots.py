@@ -16,6 +16,7 @@ chain of Levi-closed root subsets together with its breaks.
 
 from __future__ import annotations
 
+import json
 import operator
 from fractions import Fraction
 from itertools import chain
@@ -84,18 +85,19 @@ class FiniteGroup:
           The generating set is found by closing {0} under right
           multiplication, so every element is such a product of generators.
 
-        The empty table passes all four; a frame on it is refused, as its
-        inertia cannot be a subgroup.
+        The empty table is refused before them: it has no identity.
         """
         n = self.order
         t = self.table
+        if not n:
+            raise ValueError("multiplication table is empty")
         if set(map(len, t)) - {n} or set(map(type, chain.from_iterable(t))) - {int}:
             raise ValueError("malformed multiplication table")
         entries = set(chain.from_iterable(t))  # hashable now: all ints
         if entries and (min(entries) < 0 or max(entries) >= n):
             raise ValueError("malformed multiplication table")
         ident = tuple(range(n))
-        if n and (t[0] != ident or tuple(row[0] for row in t) != ident):
+        if t[0] != ident or tuple(row[0] for row in t) != ident:
             raise ValueError("element 0 is not an identity")
         for i, row in enumerate(t):
             if 0 not in row:
@@ -357,10 +359,6 @@ def field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvar
 
 def root_key(v: Sequence[int]) -> str:
     return ",".join(map(str, v))
-
-
-def parse_root_key(s: str) -> Vector:
-    return tuple(int(x) for x in s.split(","))
 
 
 def _combine_rows(terms: Sequence[Tuple[int, int]], m: Matrix) -> List[int]:
@@ -656,14 +654,6 @@ class HoweFiltration(Value):
         """|R_{i+1}| - |R_i| for each break index i."""
         return [len(self.levels[i + 1]) - len(self.levels[i]) for i in range(self.d)]
 
-    def rvec(self) -> Tuple[Fraction, ...]:
-        """The depth sequence (r_0, ..., r_d) with r_d the total depth."""
-        return tuple(list(self.breaks) + [self.total])
-
-    def svec(self) -> Tuple[Fraction, ...]:
-        """The half-depths s_i = r_i / 2."""
-        return tuple(Fraction(r.numerator, 2 * r.denominator) for r in self.rvec())
-
     def layer_of_orbit(self, orbit: OrbitInfo) -> int:
         """0 for the nonpositive part, i+1 when the orbit enters at break i."""
         rep = orbit.representative
@@ -709,7 +699,7 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
     by_id = {o.orbit_id: o for o in orbits}
     if set(theta_depths.keys()) != set(by_id.keys()):
         raise ValueError("depth map must cover exactly the orbits; got %s, want %s"
-                         % (sorted(theta_depths), sorted(by_id)))
+                         % (json.dumps(sorted(theta_depths)), json.dumps(sorted(by_id))))
     total = Fraction(theta_total_depth)
     if total < 0:
         raise ValueError("total depth must be >= 0")

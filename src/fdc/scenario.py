@@ -6,9 +6,11 @@ Everything on disk is exact: rationals are "num/den" strings and group
 structure is explicit (multiplication table, or permutation generators
 with the documented breadth-first element numbering).
 
-Validation is collective: all module validators run and the failures come
-back together, each naming the offending component, rather than stopping
-at the first problem.
+Loading reads the document against one table of its fields
+(:data:`FIELDS`: each field's path, module, kind and presence), with one
+reader per kind, and refuses every missing or unreadable field together.
+Validation is then collective too: the module validators run and their
+failures come back together, each naming the offending component.
 
 The generator builds valid scenarios by construction: it assigns depth
 layers orbit-pair by orbit-pair, draws breaks inside the valuation
@@ -44,7 +46,6 @@ from .galois_roots import (
     Vector,
     classify_orbits,
     howe_filtration,
-    parse_root_key,
     root_key,
     torus_lattice_data,
     validate_depth_lattice,
@@ -65,63 +66,195 @@ class ScenarioError(ValueError):
         super().__init__("scenario validation failed:\n  " + "\n  ".join(lines))
 
 
-def parse_ratio(text: Union[str, int]) -> Tuple[int, int]:
-    """A rational field as integers (a, b) with b > 0, not reduced: a
-    "num/den" string, a bare integer string, or a JSON integer."""
-    if isinstance(text, int) and not isinstance(text, bool):
-        return text, 1
-    if not isinstance(text, str):
-        raise ValueError("rational must be a string, got %r" % (text,))
-    parts = text.strip().split("/")
-    if len(parts) == 1:
-        return int(parts[0]), 1
-    if len(parts) != 2:
-        raise ValueError("malformed rational %r" % text)
-    num, den = int(parts[0]), int(parts[1])
-    if den == 0:
-        raise ValueError("malformed rational %r (zero denominator)" % text)
-    return (num, den) if den > 0 else (-num, -den)
+def _must_be(kind: str, value: object) -> ValueError:
+    """The refusal of a value not of ``kind``, quoting it by its JSON text,
+    or by its JSON kind if it is an object, an array or null."""
+    got = {dict: "object", list: "array", type(None): "null"}.get(type(value))
+    return ValueError("must be %s, got %s" % (kind, got or json.dumps(value)))
 
 
-def parse_fraction(text: Union[str, int]) -> Fraction:
-    return Fraction(*parse_ratio(text))
+def parse_int(value: object) -> int:
+    """A JSON integer, or an integer text: ASCII digits after an optional "-"
+    (``int`` alone would also take "+", spaces, underscores and other
+    scripts' digits).  Never a boolean or a float, read as 0, 1 or cut."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isdigit() and digits.isascii():
+            return int(value)
+    raise _must_be("an integer", value)
 
 
-def parse_int(value: object, what: str) -> int:
-    """An integer field of a scenario document.  ``int`` would truncate a
-    float and read a boolean as 0 or 1, so both are refused, and so are an
-    array, an object and null, by their JSON kind; a decimal string is read
-    as its integer."""
-    if isinstance(value, (bool, float)):
-        raise TypeError("%s must be an integer, got %s" % (what, json.dumps(value)))
-    if isinstance(value, (list, dict)) or value is None:
-        raise TypeError("%s must be an integer, got %s" % (what, _json_kind(value)))
-    return int(value)
+def _array(read: Callable[[object], object], value: object, at: str) -> List[object]:
+    """A JSON array (a string is refused, not read item by item) read item
+    by item into a new list, a refusal led by ``at`` % the item's index."""
+    if type(value) is not list:
+        raise _must_be("a JSON array", value)
+    out = []
+    for i, v in enumerate(value):
+        try:
+            out.append(read(v))
+        except ValueError as e:
+            raise ValueError("%s %s" % (at % i, e)) from None
+    return out
 
 
-def parse_int_array(value: object, what: str, entry: str) -> List[int]:
-    """An array of integer fields, each read as by :func:`parse_int`.  The
-    array must be a JSON array: a string would otherwise be read digit by
-    digit."""
-    if not isinstance(value, list):
-        raise TypeError("%s must be a JSON array, got %s" % (what, _json_kind(value)))
-    if set(map(type, value)) - {int, str}:
-        for x in value:
-            parse_int(x, entry)
-    return list(map(int, value))
+def parse_int_array(value: object) -> List[int]:
+    return _array(parse_int, value, "entry %d")
 
 
-def parse_int_rows(rows: Sequence[object], what: str, entry: str) -> List[List[int]]:
-    """An array of integer arrays (an action matrix, the roots, the
-    permutation generators), each row read as by :func:`parse_int_array`
-    into a new list, never the document's own.  One sweep over the types of
-    the rows and one over the types of their entries admit the common case,
-    lists of plain ints; anything else goes row by row through
-    :func:`parse_int_array`, which words every refusal and reads decimal
-    strings, so the first refusal is the one a row-by-row read meets."""
-    if set(map(type, rows)) <= {list} and set(map(type, chain.from_iterable(rows))) <= {int}:
-        return list(map(list, rows))
-    return [parse_int_array(row, what, entry) for row in rows]
+def parse_int_rows(value: object) -> List[List[int]]:
+    """A JSON array of integer arrays, as new lists.  Two type sweeps admit
+    plain ints; anything else is read row by row."""
+    if type(value) is list and set(map(type, value)) <= {list} \
+            and set(map(type, chain.from_iterable(value))) <= {int}:
+        return list(map(list, value))
+    return _array(parse_int_array, value, "row %d")
+
+
+def parse_ratio(value: object) -> Tuple[int, int]:
+    """A rational as integers (a, b) with b > 0, not reduced: a JSON
+    integer, or a "num/den" or integer string whose parts ``int`` reads."""
+    if type(value) is int:
+        return value, 1
+    num, slash, den = value.partition("/") if type(value) is str else ("", "", "")
+    try:
+        a, b = int(num), int(den) if slash else 1
+    except ValueError:  # "1/2/3" too: int reads no "2/3"
+        b = 0
+    if not b:
+        raise _must_be("a rational", value)
+    return (a, b) if b > 0 else (-a, -b)
+
+
+def parse_fraction(value: object) -> Fraction:
+    return Fraction(*parse_ratio(value))
+
+
+def parse_root_key(text: str) -> Vector:
+    """A root written as its comma-joined coordinates, each an integer text."""
+    return tuple(map(parse_int, text.split(",")))
+
+
+def _read_depth(value: object) -> DepthValue:
+    return NONPOSITIVE if value == NONPOSITIVE else parse_fraction(value)
+
+
+def _checked(kind: str, ok: Callable[[object], bool]) -> Callable[[object], object]:
+    """The reader that keeps a value ``ok`` accepts and refuses any other."""
+    def read(value: object) -> object:
+        if not ok(value):
+            raise _must_be(kind, value)
+        return value
+    return read
+
+
+# The one reader of each kind (a field with fields of its own is read by those).
+_READERS: Dict[str, Callable[[object], object]] = {
+    "nonempty string": _checked("a nonempty string", lambda v: type(v) is str and v != ""),
+    "integer": parse_int,
+    "integer array": parse_int_array,
+    "integer table": parse_int_rows,
+    "rational": parse_fraction,
+    "rational mod 1": parse_ratio,
+    "depth": _read_depth,
+    "object": _checked("a JSON object", lambda v: type(v) is dict),
+    '"regular" or object': _checked('"regular" or a JSON object', lambda v: v == "regular"),
+}
+
+# The path components that stand for every key of their object: the key readers.
+_KEYS = {"<element>": parse_int, "<root>": parse_root_key, "<orbit>": str}
+
+REQUIRED = "required"
+
+# Every field of a scenario document: its path, the module its refusals
+# name, its kind, and REQUIRED, None for an optional field without a
+# default, or the document value the loader reads when the field is absent.
+FIELDS: Tuple[Tuple[str, str, str, object], ...] = (
+    ("name", "cli", "nonempty string", REQUIRED),
+    ("q", "qexact", "object", REQUIRED),
+    ("q.p", "qexact", "integer", REQUIRED),
+    ("q.a", "qexact", "integer", REQUIRED),
+    ("group", "galois_roots", "object", REQUIRED),
+    ("group.order", "galois_roots", "integer", None),
+    ("group.mult_table", "galois_roots", "integer table", None),
+    ("group.perm_gens", "galois_roots", "integer table", None),
+    ("inertia", "galois_roots", "integer array", []),
+    ("frobenius", "galois_roots", "integer", 0),
+    ("lattice_rank", "galois_roots", "integer", REQUIRED),
+    ("action", "galois_roots", "object", REQUIRED),
+    ("action.<element>", "galois_roots", "integer table", None),
+    ("roots", "galois_roots", "integer table", REQUIRED),
+    ("jump_offsets", "mp_filtration", "object", {}),
+    ("jump_offsets.<orbit>", "mp_filtration", "rational", None),
+    ("theta_depths", "galois_roots", "object", {}),
+    ("theta_depths.<orbit>", "galois_roots", "depth", None),
+    ("theta_total_depth", "galois_roots", "rational", "0"),
+    ("depth_zero", "formal_degree", '"regular" or object', "regular"),
+    ("depth_zero.dim_rho", "formal_degree", "rational", REQUIRED),
+    ("depth_zero.stab_index", "formal_degree", "integer", REQUIRED),
+    ("chi", "chi_data", "object", None),
+    ("chi.<root>", "chi_data", "object", None),
+    ("chi.<root>.<element>", "chi_data", "rational mod 1", None),
+    ("options", "cli", "object", {}),
+)
+
+# The rows of FIELDS by parent path: (last path component, path, module,
+# default, reader, key reader or None).
+_CHILDREN: Dict[str, List[tuple]] = {}
+for _path, _module, _kind, _default in FIELDS:
+    _parent, _, _name = _path.rpartition(".")
+    _CHILDREN.setdefault(_parent, []).append(
+        (_name, _path, _module, _default, _READERS[_kind], _KEYS.get(_name)))
+
+
+def _read_fields(node: Dict[str, object], parent: str, where: str,
+                 fail: List[Tuple[str, str, str]]) -> Dict[object, object]:
+    """The fields under table path ``parent`` of the document object
+    ``node`` at ``where`` (its path and a dot), each read by :func:`_read`.
+    A missing required field, a key its reader refuses and a key repeating
+    an earlier one are recorded in ``fail``.  A <...> row, the only one
+    under its parent, reads every key of the node."""
+    out: Dict[object, object] = {}
+    for name, path, module, default, read, read_key in _CHILDREN[parent]:
+        if read_key is None:
+            if name in node:
+                out[name] = _read(node[name], path, where + name, module, read, fail)
+            elif default is REQUIRED:
+                fail.append((module, where + name, "missing"))
+            elif default is not None:
+                out[name] = _read(default, path, where + name, module, read, fail)
+            continue
+        for raw, value in node.items():
+            try:
+                key = read_key(raw)
+                if key in out:
+                    raise ValueError("repeats %s %s" % (name[1:-1], key))
+            except ValueError as e:
+                fail.append((module, where + raw, "key %s" % e))
+                continue
+            out[key] = _read(value, path, where + raw, module, read, fail)
+    return out
+
+
+def _read(value: object, path: str, here: str, module: str,
+          read: Callable[[object], object], fail: List[Tuple[str, str, str]]) -> object:
+    """The field at table path ``path`` (``here`` in the document), read field
+    by field or by its reader."""
+    if type(value) is dict and path in _CHILDREN:
+        return _read_fields(value, path, here + ".", fail)
+    return _attempt(fail, module, here, read, value)
+
+
+def _attempt(fail: List[Tuple[str, str, str]], module: str, field: str,
+             build: Callable[..., object], *args: object) -> object:
+    """``build(*args)``, or None after recording its ValueError in ``fail``."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        fail.append((module, field, str(e)))
+        return None
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -196,7 +329,7 @@ class Scenario:
     No ``__slots__``: :attr:`torus` caches into the instance ``__dict__``.
     ``depth_checks`` are the depth-lattice checks of the filtration, as
     validation computed them (all passed).  ``group_encoding`` is the
-    document's group, kept for round-trips."""
+    document's group as read, kept for round-trips."""
 
     def __init__(self, name: str, pp: PrimePower, frame: GaloisFrame, datum: GRootDatum,
                  orbits: Tuple[OrbitInfo, ...], jumps: JumpAssignment,
@@ -316,145 +449,46 @@ def _build_group(spec: Mapping[str, object], max_order: int,
     ``perm_gens`` is closed only up to ``max_order`` elements, the number of
     entries of the action map: a larger group can never pass the datum
     check, and its multiplication table would have |G|^2 entries."""
-    key = next((k for k in ("mult_table", "perm_gens") if k in spec), None)
-    if key is None:
+    if "mult_table" in spec:
+        g = _attempt(fail, "galois_roots", "group.mult_table", FiniteGroup, spec["mult_table"])
+    elif "perm_gens" in spec:
+        g = _attempt(fail, "galois_roots", "group.perm_gens",
+                     lambda: FiniteGroup.from_permutations(spec["perm_gens"], max_order)[0])
+    else:
         fail.append(("galois_roots", "group", "need mult_table or perm_gens"))
         return None
-    try:
-        if key == "mult_table":
-            g = FiniteGroup(spec[key])
-        else:
-            gens = parse_int_rows(spec[key], "permutation", "permutation entry")
-            g, _elems = FiniteGroup.from_permutations(gens, max_order)
-    except (ValueError, TypeError, IndexError) as e:
-        fail.append(("galois_roots", "group." + key, str(e)))
-        return None
-    try:
-        if "order" in spec and parse_int(spec["order"], "order") != g.order:
-            fail.append(("galois_roots", "group.order", "declared order disagrees"))
-    except (ValueError, TypeError) as e:
-        fail.append(("galois_roots", "group.order", str(e)))
+    if g is not None and "order" in spec and spec["order"] != g.order:
+        fail.append(("galois_roots", "group.order", "declared order disagrees"))
     return g
-
-
-# The JSON kind each container field must have when present, with the module
-# whose validation reads it.  Scalars need no entry: their conversions
-# already fail with a ValueError or TypeError that names the field.
-_FIELD_KINDS: Tuple[Tuple[str, str, type], ...] = (
-    ("qexact", "q", dict),
-    ("galois_roots", "group", dict),
-    ("galois_roots", "inertia", list),
-    ("galois_roots", "action", dict),
-    ("galois_roots", "roots", list),
-    ("mp_filtration", "jump_offsets", dict),
-    ("galois_roots", "theta_depths", dict),
-    ("chi_data", "chi", dict),
-    ("cli", "options", dict),
-)
-
-
-def _json_kind(value: object) -> str:
-    if isinstance(value, dict):
-        return "object"
-    if isinstance(value, list):
-        return "array"
-    if isinstance(value, str):
-        return "string"
-    if value is None:
-        return "null"
-    return "boolean" if isinstance(value, bool) else "number"
-
-
-def _shape_failures(doc: object) -> List[Tuple[str, str, str]]:
-    """The container fields whose JSON kind the semantic checks cannot read."""
-    if not isinstance(doc, dict):
-        return [("cli", "document", "must be a JSON object, got %s" % _json_kind(doc))]
-    fields = [(module, key, doc[key], kind) for module, key, kind in _FIELD_KINDS
-              if key in doc]
-    if isinstance(doc.get("group"), dict):
-        fields += [("galois_roots", "group.%s" % key, doc["group"][key], list)
-                   for key in ("mult_table", "perm_gens") if key in doc["group"]]
-    if isinstance(doc.get("chi"), dict):
-        fields += [("chi_data", "chi.%s" % rk, table, dict)
-                   for rk, table in doc["chi"].items()]
-    return [(module, key, "must be a JSON %s, got %s"
-             % (_json_kind(kind()), _json_kind(value)))
-            for module, key, value, kind in fields if not isinstance(value, kind)]
-
-
-def _repeated_key(table: Mapping[str, object], parse: Callable[[str], object],
-                  keys: str, noun: str) -> ValueError:
-    """The refusal of a table whose keys parse to fewer values than it has
-    keys, naming the first two keys that name one value (as "1" and "01"
-    do): the later entry must not silently replace the earlier one."""
-    seen: Dict[object, str] = {}
-    for key in table:
-        value = parse(key)
-        if value in seen:
-            return ValueError("%s %s and %s both name %s %s"
-                              % (keys, json.dumps(seen[value]), json.dumps(key), noun, value))
-        seen[value] = key
 
 
 def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     """Parse and fully validate one scenario document.
 
     Raises :class:`ScenarioError` carrying every failure with its module
-    and field provenance.  Container fields of the wrong JSON kind are
-    refused together before any semantic check.
-    """
-    failures = _shape_failures(doc)
+    and field provenance.  Every field FIELDS declares is read first, and
+    all that are missing or unreadable are refused before any semantic
+    check."""
+    if type(doc) is not dict:
+        raise ScenarioError([("cli", "document", str(_must_be("a JSON object", doc)))])
+    failures: List[Tuple[str, str, str]] = []
+    f = _read_fields(doc, "", "", failures)
     if failures:
         raise ScenarioError(failures)
 
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        failures.append(("cli", "name", "missing or empty"))
-        name = "<unnamed>"
-
-    pp = None
-    try:
-        qspec = doc["q"]
-        pp = PrimePower(parse_int(qspec["p"], "p"), parse_int(qspec["a"], "a"))
-    except KeyError as e:
-        failures.append(("qexact", "q", "missing field %s" % e))
-    except (ValueError, TypeError) as e:
-        failures.append(("qexact", "q", str(e)))
-
-    group = None
-    if "group" in doc:
-        group = _build_group(doc["group"], len(doc.get("action", {})), failures)
-    else:
-        failures.append(("galois_roots", "group", "missing"))
+    pp = _attempt(failures, "qexact", "q", PrimePower, f["q"]["p"], f["q"]["a"])
+    group = _build_group(f["group"], len(f["action"]), failures)
     if group is None or pp is None:
         raise ScenarioError(failures)
 
-    frame = None
-    try:
-        inertia = frozenset(parse_int(x, "inertia element") for x in doc.get("inertia", []))
-        frobenius = parse_int(doc.get("frobenius", 0), "frobenius")
-        frame = GaloisFrame(group, inertia, frobenius, pp)
-    except (ValueError, TypeError) as e:
-        failures.append(("galois_roots", "frame", str(e)))
-
+    frame = _attempt(failures, "galois_roots", "frame", GaloisFrame, group,
+                     frozenset(f["inertia"]), f["frobenius"], pp)
     datum = None
     try:
-        rank = parse_int(doc["lattice_rank"], "lattice_rank")
-        action = {}
-        for g, m in doc["action"].items():
-            if not isinstance(m, list):
-                raise TypeError("action matrix must be a JSON array, got %s" % _json_kind(m))
-            action[int(g)] = parse_int_rows(m, "action row", "action entry")
-        if len(action) < len(doc["action"]):
-            raise _repeated_key(doc["action"], int, "action keys", "element")
-        roots = frozenset(map(tuple, parse_int_rows(doc["roots"], "root", "root coordinate")))
-        datum = GRootDatum(rank, action, roots)
+        datum = GRootDatum(f["lattice_rank"], f["action"], frozenset(map(tuple, f["roots"])))
         if frame is not None:
             datum.check_against_frame(frame)
-    except KeyError as e:
-        failures.append(("galois_roots", "datum", "missing field %s" % e))
-        datum = None
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         failures.append(("galois_roots", "GRootDatum", str(e)))
         datum = None
     if frame is None or datum is None:
@@ -462,84 +496,46 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
 
     orbits = tuple(classify_orbits(datum, frame))
 
-    jumps = None
-    try:
-        raw_offsets = {oid: parse_fraction(v)
-                       for oid, v in doc.get("jump_offsets", {}).items()}
-        jumps = JumpAssignment.build(raw_offsets, orbits)
-    except (ValueError, TypeError) as e:
-        failures.append(("mp_filtration", "jump_offsets", str(e)))
+    jumps = _attempt(failures, "mp_filtration", "jump_offsets", JumpAssignment.build,
+                     f["jump_offsets"], orbits)
+    filtration = _attempt(failures, "galois_roots", "theta_depths", howe_filtration, datum,
+                          orbits, f["theta_depths"], f["theta_total_depth"])
+    checks = [] if filtration is None else validate_depth_lattice(filtration, orbits)
+    failures += [("galois_roots", "theta_depths",
+                  "break %s at orbit %s violates the depth lattice (value group: %s, "
+                  "half lattice: %s)" % (c.break_value, c.orbit_id, json.dumps(c.in_value_group),
+                                         json.dumps(c.in_half_value_group)))
+                 for c in checks if not c.ok]
 
-    depths: Dict[str, DepthValue] = {}
-    total = Fraction(0)
-    filtration = None
-    try:
-        for oid, v in doc.get("theta_depths", {}).items():
-            depths[oid] = NONPOSITIVE if v == NONPOSITIVE else parse_fraction(v)
-        total = parse_fraction(doc.get("theta_total_depth", "0"))
-        filtration = howe_filtration(datum, orbits, depths, total)
-    except (ValueError, TypeError) as e:
-        failures.append(("galois_roots", "theta_depths", str(e)))
-
-    checks: List[DepthLatticeCheck] = []
-    if filtration is not None:
-        checks = validate_depth_lattice(filtration, orbits)
-        for c in checks:
-            if not c.ok:
-                failures.append(("galois_roots", "theta_depths",
-                                 "break %s at orbit %s violates the depth lattice "
-                                 "(value group: %s, half lattice: %s)"
-                                 % (c.break_value, c.orbit_id,
-                                    c.in_value_group, c.in_half_value_group)))
-
-    dz_spec = doc.get("depth_zero", "regular")
-    depth_zero = DepthZeroData.regular_marker()
-    if isinstance(dz_spec, dict):
-        try:
-            depth_zero = DepthZeroData.opaque(parse_fraction(dz_spec["dim_rho"]),
-                                              parse_int(dz_spec["stab_index"], "stab_index"))
-        except KeyError as e:
-            failures.append(("formal_degree", "depth_zero", "missing field %s" % e))
-        except (ValueError, TypeError) as e:
-            failures.append(("formal_degree", "depth_zero", str(e)))
-    elif dz_spec != "regular":
-        failures.append(("formal_degree", "depth_zero", 'must be "regular" or a JSON object, '
-                         "got %s" % _json_kind(dz_spec)))
+    dz = f["depth_zero"]
+    depth_zero = (DepthZeroData.regular_marker() if dz == "regular" else
+                  _attempt(failures, "formal_degree", "depth_zero", DepthZeroData.opaque,
+                           dz["dim_rho"], dz["stab_index"]))
 
     chi = None
-    if "chi" in doc:
-        try:
-            chi = ChiData({}, frame.group.order)
-            for rk, table in doc["chi"].items():
-                root = parse_root_key(rk)
-                if root not in datum.roots:
-                    raise ValueError("character at %s is not a root" % (root,))
-                char = chi.chars[root] = {}
-                for g, v in table.items():
-                    # a/b mod 1 is (a mod b)/b for b > 0, stored as the numerator
-                    # (a mod b) n / b over n; a Fraction where that is not an
-                    # integer, which no character value is
-                    a, b = parse_ratio(v)
-                    k = a % b * chi.n
-                    char[int(g)] = k // b if k % b == 0 else Fraction(k, b)
-                if len(char) < len(table):
-                    raise _repeated_key(table, int, "character at %s: keys" % (root,), "element")
-            if len(chi.chars) < len(doc["chi"]):
-                raise _repeated_key(doc["chi"], parse_root_key, "chi keys", "root")
+    if "chi" in f:
+        chi = ChiData({}, group.order)
+        strays = [root for root in f["chi"] if root not in datum.roots]
+        if strays:
+            failures.append(("chi_data", "chi", "character at %s is not a root" % (strays[0],)))
+        else:
+            # a/b mod 1, for b > 0, is stored as the numerator k / b over n with
+            # k = (a mod b) n; a Fraction where that is not an integer, which no
+            # character value is
+            for root, table in f["chi"].items():
+                chi.chars[root] = {g: Fraction(k, b) if (k := a % b * chi.n) % b else k // b
+                                   for g, (a, b) in table.items()}
             cond1, cond2 = condition_failures(chi, datum, frame)
-            for msg in cond1 + cond2:
-                failures.append(("chi_data", "chi", msg))
-        except (ValueError, TypeError) as e:
-            failures.append(("chi_data", "chi", str(e)))
+            failures += [("chi_data", "chi", msg) for msg in cond1 + cond2]
 
     if failures:
         raise ScenarioError(failures)
 
     return Scenario(
-        name=name, pp=pp, frame=frame, datum=datum, orbits=orbits, jumps=jumps,
+        name=f["name"], pp=pp, frame=frame, datum=datum, orbits=orbits, jumps=jumps,
         filtration=filtration, depth_checks=checks, depth_zero=depth_zero, chi=chi,
-        options=dict(doc.get("options", {})),
-        group_encoding=dict(doc["group"]) if "perm_gens" in doc["group"] else None,
+        options=dict(f["options"]),
+        group_encoding=f["group"] if "perm_gens" in f["group"] else None,
     )
 
 

@@ -67,7 +67,9 @@ def test_yushape_validation():
     assert shape.dim_ga == 3
     assert shape.break_term() == Fraction(1, 2)  # (1/2) * (1/2) * 2
     # strictly increasing breaks enforced by the filtration itself
-    assert shape.filtration.rvec() == (Fraction(1, 2), Fraction(1, 2))
+    assert shape.filtration.breaks == (Fraction(1, 2),)
+    assert shape.filtration.total == Fraction(1, 2)
+    assert shape.half_breaks == (Fraction(1, 4),)
 
 
 def test_heisenberg_examples():

@@ -481,7 +481,7 @@ def test_howe_examples():
     (oid,) = [o.orbit_id for o in orbs]
     filt = howe_filtration(datum, orbs, {oid: NONPOSITIVE}, Fraction(0))
     assert filt.d == 0 and filt.levels[0] == datum.roots
-    assert filt.rvec() == (Fraction(0),)
+    assert filt.breaks == () and filt.total == 0
 
     filt = howe_filtration(datum, orbs, {oid: Fraction(1, 2)}, Fraction(1, 2))
     assert filt.d == 1 and filt.levels[0] == frozenset()

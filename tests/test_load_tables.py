@@ -3,7 +3,8 @@ the character values as integer pairs.
 
 Anything the sweep does not admit is read row by row by
 ``parse_int_array``, so the error lines pinned here are those of a
-row-by-row read: the first bad row in document order, in its words.
+row-by-row read: each names the table's path and its first bad row and
+entry in document order.
 """
 
 import json
@@ -48,33 +49,33 @@ def _set_root(doc, value):
 # last root, [2, 0, 0].
 @pytest.mark.parametrize("edit,value,line", [
     (_set_last_action_entry, True,
-     "galois_roots.GRootDatum: action entry must be an integer, got true"),
+     "galois_roots.action.3: row 2 entry 2 must be an integer, got true"),
     (_set_last_action_entry, 1.0,
-     "galois_roots.GRootDatum: action entry must be an integer, got 1.0"),
+     "galois_roots.action.3: row 2 entry 2 must be an integer, got 1.0"),
     (_set_last_action_entry, [1],
-     "galois_roots.GRootDatum: action entry must be an integer, got array"),
+     "galois_roots.action.3: row 2 entry 2 must be an integer, got array"),
     (_set_last_action_entry, "x",
-     "galois_roots.GRootDatum: invalid literal for int() with base 10: 'x'"),
+     'galois_roots.action.3: row 2 entry 2 must be an integer, got "x"'),
     (_set_last_action_row, "001",
-     "galois_roots.GRootDatum: action row must be a JSON array, got string"),
+     'galois_roots.action.3: row 2 must be a JSON array, got "001"'),
     (_set_last_action_row, 7,
-     "galois_roots.GRootDatum: action row must be a JSON array, got number"),
+     "galois_roots.action.3: row 2 must be a JSON array, got 7"),
     (_set_last_action_row, None,
-     "galois_roots.GRootDatum: action row must be a JSON array, got null"),
+     "galois_roots.action.3: row 2 must be a JSON array, got null"),
     (_set_last_action_matrix, "[[-1,0,0],[0,0,1],[0,-1,0]]",
-     "galois_roots.GRootDatum: action matrix must be a JSON array, got string"),
+     'galois_roots.action.3: must be a JSON array, got "[[-1,0,0],[0,0,1],[0,-1,0]]"'),
     (_set_root_coordinate, True,
-     "galois_roots.GRootDatum: root coordinate must be an integer, got true"),
+     "galois_roots.roots: row 9 entry 0 must be an integer, got true"),
     (_set_root_coordinate, 2.0,
-     "galois_roots.GRootDatum: root coordinate must be an integer, got 2.0"),
+     "galois_roots.roots: row 9 entry 0 must be an integer, got 2.0"),
     (_set_root_coordinate, [2],
-     "galois_roots.GRootDatum: root coordinate must be an integer, got array"),
+     "galois_roots.roots: row 9 entry 0 must be an integer, got array"),
     (_set_root, "200",
-     "galois_roots.GRootDatum: root must be a JSON array, got string"),
+     'galois_roots.roots: row 9 must be a JSON array, got "200"'),
     (_set_root, 7,
-     "galois_roots.GRootDatum: root must be a JSON array, got number"),
+     "galois_roots.roots: row 9 must be a JSON array, got 7"),
     (_set_root, None,
-     "galois_roots.GRootDatum: root must be a JSON array, got null"),
+     "galois_roots.roots: row 9 must be a JSON array, got null"),
 ], ids=["entry-bool", "entry-float", "entry-array", "entry-junk", "row-string", "row-number",
         "row-null", "matrix-string", "root-bool", "root-float", "root-array", "root-string",
         "root-number", "root-null"])
@@ -93,9 +94,10 @@ def test_roots_and_permutations_of_the_wrong_kind_unchanged():
     doc = dict(bundled_doc("z4_rank3_mixed"), roots="[[2,0,0]]")
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
-    assert err.value.failures == [("galois_roots", "roots", "must be a JSON array, got string")]
-    for gens, message in [([[1, 2, 3, True]], "permutation entry must be an integer, got true"),
-                          (["1230"], "permutation must be a JSON array, got string")]:
+    assert err.value.failures == [
+        ("galois_roots", "roots", 'must be a JSON array, got "[[2,0,0]]"')]
+    for gens, message in [([[1, 2, 3, True]], "row 0 entry 3 must be an integer, got true"),
+                          (["1230"], 'row 0 must be a JSON array, got "1230"')]:
         doc = dict(bundled_doc("z4_rank3_mixed"), group={"perm_gens": gens})
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(doc)
@@ -168,15 +170,14 @@ def _with_action_entry(delta):
 # row by product row; the refusals are those of the entry-by-entry checks.
 @pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
 @pytest.mark.parametrize("doc,line", [
-    # no element: the table passes, and no inertia fits in the empty group
-    (_with_table([]), "galois_roots.frame: inertia is not a subgroup"),
+    (_with_table([]), "galois_roots.group.mult_table: multiplication table is empty"),
     (_with_table([[0, 1], [1]]), "galois_roots.group.mult_table: malformed multiplication table"),
     (_with_table([[0, True], [1, 0]]),
-     "galois_roots.group.mult_table: malformed multiplication table"),
+     "galois_roots.group.mult_table: row 0 entry 1 must be an integer, got true"),
     (_with_table([[0, 1.0], [1, 0]]),
-     "galois_roots.group.mult_table: malformed multiplication table"),
+     "galois_roots.group.mult_table: row 0 entry 1 must be an integer, got 1.0"),
     (_with_table([[0, [1]], [1, 0]]),
-     "galois_roots.group.mult_table: malformed multiplication table"),
+     "galois_roots.group.mult_table: row 0 entry 1 must be an integer, got array"),
     (_with_table([[0, 1], [1, 2]]),
      "galois_roots.group.mult_table: malformed multiplication table"),
     (_with_table([[1, 0], [0, 1]]), "galois_roots.group.mult_table: element 0 is not an identity"),
@@ -238,14 +239,15 @@ _NOT_A_CHARACTER_AT_ONE = ["chi(-a) != chi(a)^-1 at (-1,)",
 
 @pytest.mark.parametrize("command", ["chi-check", "verify"])
 @pytest.mark.parametrize("value,failures", [
-    ("1/0", ["malformed rational '1/0' (zero denominator)"]),
-    ("1/2/3", ["malformed rational '1/2/3'"]),
-    (True, ["rational must be a string, got True"]),
-    (None, ["rational must be a string, got None"]),
-    ("", ["invalid literal for int() with base 10: ''"]),
-    (6, _ZERO_MOD_ONE_AT_TWO),
-    ("2/6", _NOT_A_CHARACTER_AT_ONE),  # 4/3 over 4: not an integer numerator
-    ("3/-4", _NOT_A_CHARACTER_AT_ONE),  # 1/4 mod 1
+    ("1/0", ['chi.1.2: must be a rational, got "1/0"']),
+    ("1/2/3", ['chi.1.2: must be a rational, got "1/2/3"']),
+    (True, ["chi.1.2: must be a rational, got true"]),
+    (None, ["chi.1.2: must be a rational, got null"]),
+    ("", ['chi.1.2: must be a rational, got ""']),
+    (6, ["chi: " + f for f in _ZERO_MOD_ONE_AT_TWO]),
+    # 4/3 over 4: not an integer numerator
+    ("2/6", ["chi: " + f for f in _NOT_A_CHARACTER_AT_ONE]),
+    ("3/-4", ["chi: " + f for f in _NOT_A_CHARACTER_AT_ONE]),  # 1/4 mod 1
 ], ids=["zero-den", "three-parts", "bool", "null", "empty", "bare-int", "unreduced-third",
         "negative-den"])
 def test_chi_value_refusals_unchanged(command, value, failures, tmp_path, capsys):
@@ -256,7 +258,7 @@ def test_chi_value_refusals_unchanged(command, value, failures, tmp_path, capsys
     assert cli.main([command, str(path)]) == 2
     where = "%s: " % path if command == "verify" else ""
     assert capsys.readouterr().err == "error: %sscenario validation failed:\n%s" % (
-        where, "".join("  chi_data.chi: %s\n" % f for f in failures))
+        where, "".join("  chi_data.%s\n" % f for f in failures))
 
 
 def test_parse_ratio_keeps_a_positive_denominator():

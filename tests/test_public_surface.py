@@ -57,8 +57,12 @@ def _references(tree):
 
 
 def _modules():
-    return {fn: ast.parse(open(os.path.join(SRC, fn), encoding="utf-8").read(), fn)
-            for fn in sorted(os.listdir(SRC)) if fn.endswith(".py")}
+    out = {}
+    for fn in sorted(os.listdir(SRC)):
+        if fn.endswith(".py"):
+            with open(os.path.join(SRC, fn), encoding="utf-8") as fh:
+                out[fn] = ast.parse(fh.read(), fn)
+    return out
 
 
 def unreferenced_symbols():

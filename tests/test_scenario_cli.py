@@ -16,6 +16,8 @@ from fdc.compare import emit_report, run_compare
 from fdc.galois_roots import TorusLatticeData
 from fdc.qexact import PrimePower, qmon
 from fdc.scenario import (
+    FIELDS,
+    REQUIRED,
     ScenarioError,
     generate_scenario,
     load_scenario,
@@ -24,6 +26,7 @@ from fdc.scenario import (
 )
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 BUNDLED = [
     "sl2_unramified_depth0",
@@ -54,6 +57,21 @@ def test_parse_fraction():
         parse_fraction("1/0")
     with pytest.raises(ValueError):
         parse_fraction("a/b")
+
+
+def test_readme_lists_the_field_table():
+    """README's example document names exactly the table's top-level
+    fields, in its order, and README's field list gives every field of the
+    table with its kind, its reading when absent and its module."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    assert re.findall(r'^  "(\w+)":', example, re.M) == [
+        path for path, _module, _kind, _default in FIELDS if "." not in path]
+    rows = re.findall(r"^\| `([^`]+)` \| (.+) \| (.+) \| `(\w+)` \|$", section, re.M)
+    assert rows == [(path, kind, "required" if default is REQUIRED else
+                     "optional" if default is None else "`%s`" % json.dumps(default), module)
+                    for path, module, kind, default in FIELDS]
 
 
 def test_load_bundled():
@@ -463,13 +481,13 @@ def _drop_field(name, field, key):
 @pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
 @pytest.mark.parametrize("doc,line", [
     (dict(bundled_doc("sl2_unramified_depth0"), depth_zero={"stab_index": 1}),
-     "formal_degree.depth_zero: missing field 'dim_rho'"),
+     "formal_degree.depth_zero.dim_rho: missing"),
     (dict(bundled_doc("sl2_unramified_depth0"), depth_zero={"dim_rho": "1"}),
-     "formal_degree.depth_zero: missing field 'stab_index'"),
-    (_drop_field("sl2_unramified_depth0", "q", "a"), "qexact.q: missing field 'a'"),
-    (_drop_field("sl2_unramified_depth0", "q", "p"), "qexact.q: missing field 'p'"),
+     "formal_degree.depth_zero.stab_index: missing"),
+    (_drop_field("sl2_unramified_depth0", "q", "a"), "qexact.q.a: missing"),
+    (_drop_field("sl2_unramified_depth0", "q", "p"), "qexact.q.p: missing"),
     ({k: v for k, v in bundled_doc("sl2_unramified_depth0").items() if k != "q"},
-     "qexact.q: missing field 'q'"),
+     "qexact.q: missing"),
 ], ids=["dim_rho", "stab_index", "q.a", "q.p", "q"])
 def test_cli_names_the_missing_field(command, doc, line, tmp_path, capsys):
     """A missing field of depth_zero or q is refused by its name, with exit 2."""
@@ -631,7 +649,7 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"), chi=[1])),
      "chi_data.chi: must be a JSON object, got array"),
     (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"), options=5)),
-     "cli.options: must be a JSON object, got number"),
+     "cli.options: must be a JSON object, got 5"),
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), action=[[1]], roots={})),
      "galois_roots.action: must be a JSON object, got array"),
     (json.dumps(dict(bundled_doc("s3_a2_depth_third"), group={"perm_gens": {"a": 1}})),
@@ -639,16 +657,16 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     # integer group fields: never truncated, never read as 0 or 1
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
                      group={"order": 2.0, "mult_table": [[0, 1], [1, 0]]})),
-     "galois_roots.group.order: order must be an integer, got 2.0"),
+     "galois_roots.group.order: must be an integer, got 2.0"),
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
                      group={"perm_gens": [[True, False]]})),
-     "galois_roots.group.perm_gens: permutation entry must be an integer, got true"),
+     "galois_roots.group.perm_gens: row 0 entry 0 must be an integer, got true"),
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
                      group={"perm_gens": [[1.0, 0.0]]})),
-     "galois_roots.group.perm_gens: permutation entry must be an integer, got 1.0"),
+     "galois_roots.group.perm_gens: row 0 entry 0 must be an integer, got 1.0"),
     # a string is not read digit by digit as the permutation [1, 0]
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), group={"perm_gens": ["10"]})),
-     "galois_roots.group.perm_gens: permutation must be a JSON array, got string"),
+     'galois_roots.group.perm_gens: row 0 must be a JSON array, got "10"'),
     # S_8 (40,320 elements) against a two-entry action map: the closure
     # stops at the third element, before any multiplication table is built
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), group={"perm_gens": [
@@ -666,7 +684,7 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), theta_depths={"-2": "1/2"},
                      theta_total_depth="1/2")),
      "galois_roots.theta_depths: break 1/2 at orbit -2 violates the depth lattice "
-     "(value group: False, half lattice: True)"),
+     "(value group: false, half lattice: true)"),
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
                      action={"0": [[1]], "1": [[1]]})),
      "galois_roots.GRootDatum: datum is not elliptic: invariant vectors exist"),
@@ -687,24 +705,28 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     (json.dumps(dict(bundled_doc("z4_rank3_mixed"),
                      action=dict(bundled_doc("z4_rank3_mixed")["action"],
                                  **{"0": ["100", "010", "001"]}))),
-     "galois_roots.GRootDatum: action row must be a JSON array, got string"),
+     'galois_roots.action.0: row 0 must be a JSON array, got "100"'),
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), action={"0": "1", "1": [[-1]]})),
-     "galois_roots.GRootDatum: action matrix must be a JSON array, got string"),
+     'galois_roots.action.0: must be a JSON array, got "1"'),
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), roots=["2", [-2]])),
-     "galois_roots.GRootDatum: root must be a JSON array, got string"),
+     'galois_roots.roots: row 0 must be a JSON array, got "2"'),
     # two keys naming one element: the later entry would replace the earlier
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
                      action={"0": [[1]], "1": [[7]], "01": [[-1]]})),
-     'galois_roots.GRootDatum: action keys "1" and "01" both name element 1'),
+     "galois_roots.action.01: key repeats element 1"),
     (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"), chi={
         "1": {"0": "0", "2": "1/3", "02": "1/2"}, "-1": {"0": "0", "2": "1/2"}})),
-     'chi_data.chi: character at (1,): keys "2" and "02" both name element 2'),
+     "chi_data.chi.1.02: key repeats element 2"),
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
+                     chi={"2": {"0": "0"}, "02": {"0": "0"}, "-2": {"0": "0"}})),
+     "chi_data.chi.02: key repeats root (2,)"),
 ], ids=["top-level-array", "chi-array", "options-number", "action-array",
         "perm-gens-object", "order-float", "perm-gens-bool", "perm-gens-float",
         "perm-gens-string", "perm-gens-past-action", "chi-non-root", "chi-empty-table", "depth-lattice", "not-elliptic",
         "asymmetric-roots", "inertia-out-of-range", "frobenius-out-of-range",
         "non-associative-loop", "action-row-string", "action-matrix-string",
-        "root-string", "action-repeated-key", "chi-repeated-key"])
+        "root-string", "action-repeated-key", "chi-repeated-key",
+        "chi-repeated-root-key"])
 def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -725,23 +747,23 @@ def _with(doc, path, value):
 
 
 @pytest.mark.parametrize("path,value,provenance", [
-    (("frobenius",), 1.9, "galois_roots.frame: frobenius must be an integer, got 1.9"),
-    (("frobenius",), True, "galois_roots.frame: frobenius must be an integer, got true"),
-    (("inertia",), [0.3], "galois_roots.frame: inertia element must be an integer, got 0.3"),
+    (("frobenius",), 1.9, "galois_roots.frobenius: must be an integer, got 1.9"),
+    (("frobenius",), True, "galois_roots.frobenius: must be an integer, got true"),
+    (("inertia",), [0.3], "galois_roots.inertia: entry 0 must be an integer, got 0.3"),
     (("lattice_rank",), 1.5,
-     "galois_roots.GRootDatum: lattice_rank must be an integer, got 1.5"),
+     "galois_roots.lattice_rank: must be an integer, got 1.5"),
     (("action", "1"), [[-1.4]],
-     "galois_roots.GRootDatum: action entry must be an integer, got -1.4"),
+     "galois_roots.action.1: row 0 entry 0 must be an integer, got -1.4"),
     (("action", "1"), [[False]],
-     "galois_roots.GRootDatum: action entry must be an integer, got false"),
+     "galois_roots.action.1: row 0 entry 0 must be an integer, got false"),
     (("roots",), [[2.2], [-2.2]],
-     "galois_roots.GRootDatum: root coordinate must be an integer, got 2.2"),
-    (("q",), {"p": 3.0, "a": 1}, "qexact.q: p must be an integer, got 3.0"),
-    (("q",), {"p": 3, "a": True}, "qexact.q: a must be an integer, got true"),
+     "galois_roots.roots: row 0 entry 0 must be an integer, got 2.2"),
+    (("q",), {"p": 3.0, "a": 1}, "qexact.q.p: must be an integer, got 3.0"),
+    (("q",), {"p": 3, "a": True}, "qexact.q.a: must be an integer, got true"),
     (("depth_zero",), {"dim_rho": "1", "stab_index": 1.5},
-     "formal_degree.depth_zero: stab_index must be an integer, got 1.5"),
+     "formal_degree.depth_zero.stab_index: must be an integer, got 1.5"),
     (("jump_offsets", "-2"), True,
-     "mp_filtration.jump_offsets: rational must be a string, got True"),
+     "mp_filtration.jump_offsets.-2: must be a rational, got true"),
 ], ids=["frobenius-float", "frobenius-bool", "inertia-float", "rank-float",
         "action-float", "action-bool", "roots-float", "p-float", "a-bool",
         "stab-index-float", "offset-bool"])
@@ -763,26 +785,28 @@ def _set_perm_entry(doc, value):
 
 @pytest.mark.parametrize("name,edit,line", [
     ("sl2_unramified_depth0", lambda d: d.update(depth_zero=5),
-     'formal_degree.depth_zero: must be "regular" or a JSON object, got number'),
+     'formal_degree.depth_zero: must be "regular" or a JSON object, got 5'),
     ("sl2_unramified_depth0", lambda d: d.update(depth_zero=[1]),
      'formal_degree.depth_zero: must be "regular" or a JSON object, got array'),
     ("sl2_unramified_depth0", lambda d: d.update(depth_zero="opaque"),
-     'formal_degree.depth_zero: must be "regular" or a JSON object, got string'),
+     'formal_degree.depth_zero: must be "regular" or a JSON object, got "opaque"'),
     ("sl2_unramified_depth0", lambda d: d.update(depth_zero=None),
      'formal_degree.depth_zero: must be "regular" or a JSON object, got null'),
     ("sl2_unramified_depth0", lambda d: d.update(inertia=[[0]]),
-     "galois_roots.frame: inertia element must be an integer, got array"),
+     "galois_roots.inertia: entry 0 must be an integer, got array"),
     ("sl2_unramified_depth0", lambda d: d.update(frobenius=[1]),
-     "galois_roots.frame: frobenius must be an integer, got array"),
+     "galois_roots.frobenius: must be an integer, got array"),
     ("sl2_unramified_depth0", lambda d: d.update(frobenius={"1": 1}),
-     "galois_roots.frame: frobenius must be an integer, got object"),
+     "galois_roots.frobenius: must be an integer, got object"),
     ("sl2_unramified_depth0", lambda d: d.update(frobenius=None),
-     "galois_roots.frame: frobenius must be an integer, got null"),
+     "galois_roots.frobenius: must be an integer, got null"),
     ("s3_a2_depth_third", lambda d: _set_perm_entry(d, [1]),
-     "galois_roots.group.perm_gens: permutation entry must be an integer, got array"),
+     "galois_roots.group.perm_gens: row 0 entry 0 must be an integer, got array"),
+    ("sl2_unramified_depth0", lambda d: d.update(name=""),
+     'cli.name: must be a nonempty string, got ""'),
 ], ids=["depth-zero-number", "depth-zero-array", "depth-zero-string", "depth-zero-null",
         "inertia-nested", "frobenius-array", "frobenius-object", "frobenius-null",
-        "perm-entry-array"])
+        "perm-entry-array", "name-empty"])
 def test_cli_words_wrong_kind_fields(name, edit, line, tmp_path, capsys):
     """A field of the wrong JSON kind is refused in the loader's words, with
     its provenance and exit 2, never with the text of a Python error."""
@@ -800,6 +824,34 @@ def test_integer_fields_still_read_decimal_strings():
     """Keys of action and chi are decimal strings, and so may integer values be."""
     doc = _with(bundled_doc("sl2_unramified_depth0"), ("frobenius",), "1")
     assert scenario_from_dict(doc).frame.frobenius == 1
+
+
+@pytest.mark.parametrize("path,value,line", [
+    (("q",), {"p": "1_1", "a": 1}, 'qexact.q.p: must be an integer, got "1_1"'),
+    (("q",), {"p": 3, "a": "１"}, 'qexact.q.a: must be an integer, got "\\uff11"'),
+    (("frobenius",), "0_1", 'galois_roots.frobenius: must be an integer, got "0_1"'),
+    (("frobenius",), "１", 'galois_roots.frobenius: must be an integer, got "\\uff11"'),
+    (("frobenius",), " 1 ", 'galois_roots.frobenius: must be an integer, got " 1 "'),
+    (("frobenius",), "+1", 'galois_roots.frobenius: must be an integer, got "+1"'),
+    (("action",), {"0": [[1]], "x": [[-1]]},
+     'galois_roots.action.x: key must be an integer, got "x"'),
+    (("action",), {"0": [[1]], "+1": [[-1]]},
+     'galois_roots.action.+1: key must be an integer, got "+1"'),
+    (("chi",), {"2": {"0": "0"}, "x": {"0": "0"}},
+     'chi_data.chi.x: key must be an integer, got "x"'),
+    (("chi", "2"), {"x": "0"}, 'chi_data.chi.2.x: key must be an integer, got "x"'),
+], ids=["p-underscore", "a-full-width", "frobenius-underscore", "frobenius-full-width",
+        "frobenius-spaces", "frobenius-plus", "action-key-junk", "action-key-plus",
+        "chi-root-key-junk", "chi-element-key-junk"])
+def test_integer_texts_are_ascii_digits(path, value, line, tmp_path, capsys):
+    """An integer text, value or key, is ASCII digits after an optional "-",
+    as for --q: ``int`` alone read each of these values as 11 or 1."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with(bundled_doc("sl2_unramified_depth0"), path, value)))
+    assert cli.main(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: scenario validation failed:\n  %s\n" % (bad, line)
 
 
 def test_cli_verify_keeps_good_reports_when_a_file_fails(tmp_path, capsys):
@@ -841,8 +893,8 @@ def test_shape_failures_are_reported_together():
         scenario_from_dict(doc)
     assert err.value.failures == [
         ("galois_roots", "roots", "must be a JSON array, got object"),
+        ("chi_data", "chi.1", 'must be a JSON object, got "0"'),
         ("cli", "options", "must be a JSON object, got array"),
-        ("chi_data", "chi.1", "must be a JSON object, got string"),
     ]
 
 
