@@ -49,7 +49,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .galois_roots import FiniteGroup, GaloisFrame, GRootDatum, root_key
+from .galois_roots import (FiniteGroup, GaloisFrame, GRootDatum, classify_orbits,
+                           negation_classes, root_key)
 from .qexact import Frozen
 from .zlattice import smith_normal_form
 
@@ -165,44 +166,6 @@ class ChiData:
         return out
 
 
-def pm_classes(datum: GRootDatum, frame: GaloisFrame) -> List[Tuple[str, Root, FrozenSet[Root]]]:
-    """Classes of roots under the frame group together with negation,
-    each as (canonical id, canonical representative, member set), in
-    increasing order of the representative.
-
-    Read on root indices: M(s)(-a) = -(M(s) a), so the class of root i is
-    its orbit (:meth:`GRootDatum.orbit`) with the negatives of its members.
-    Scanning the indices upwards meets each class first at its least index,
-    the least root of the class, since the indices follow the sorted roots.
-    """
-    srt, neg = datum.sorted_roots, datum.neg
-    seen = [False] * len(srt)
-    out = []
-    for i in range(len(srt)):
-        if seen[i]:
-            continue
-        orbit = datum.orbit(i)
-        members = orbit | {neg[j] for j in orbit}
-        for j in members:
-            seen[j] = True
-        out.append((root_key(srt[i]), srt[i], frozenset(map(srt.__getitem__, members))))
-    return out
-
-
-def _stab(datum: GRootDatum, root: Root,
-          within: Optional[FrozenSet[int]] = None) -> FrozenSet[int]:
-    """{s in within : s.root = root}, the whole group by default."""
-    stab = datum.stabilizer(root)
-    return stab if within is None else stab & within
-
-
-def _stab_pm(datum: GRootDatum, root: Root,
-             within: Optional[FrozenSet[int]] = None) -> FrozenSet[int]:
-    """{s in within : s.root = +-root}, the whole group by default."""
-    stab = datum.pm_stabilizer(root)
-    return stab if within is None else stab & within
-
-
 def condition_failures(chi: ChiData, datum: GRootDatum,
                        frame: GaloisFrame) -> Tuple[List[str], List[str]]:
     """The failures of condition 1 (chi(-a) = chi(a)^-1) and of condition 2
@@ -304,17 +267,19 @@ class SectionChoices:
 
 
 def default_choices(datum: GRootDatum, frame: GaloisFrame) -> SectionChoices:
-    """Minimal-element representatives and sections: every coset key maps
-    to itself."""
+    """Minimal-element representatives and sections: each class of roots
+    under the group and negation (:func:`negation_classes`) is named by its
+    least root, its representative, and every coset key maps to itself."""
     g = frame.group
     reps: Dict[str, Root] = {}
     u: Dict[str, Dict[int, int]] = {}
     v: Dict[str, Dict[int, int]] = {}
-    for class_id, rep, _members in pm_classes(datum, frame):
+    for o, *_ in negation_classes(classify_orbits(datum, frame)):
+        class_id, rep = o.orbit_id, o.representative
         reps[class_id] = rep
         stab_pm = datum.pm_stabilizer(rep)
         pm_key = g.coset_keys(stab_pm)
-        key = g.coset_keys(datum.stabilizer(rep))
+        key = g.coset_keys(o.stabilizer)
         u[class_id] = {x: x for x in g.elements if pm_key[x] == x}
         v[class_id] = {y: y for y in sorted(stab_pm) if key[y] == y}
     return SectionChoices(reps, u, v)
@@ -351,8 +316,10 @@ def class_data(chi: ChiData, choices: SectionChoices, datum: GRootDatum, frame: 
     rows, inverse = g.table, g.inverse
     out = []
     for class_id, alpha in sorted(choices.reps.items()):
-        stab_pm = _stab_pm(datum, alpha, within)
-        key = g.coset_keys(_stab(datum, alpha, within))
+        stab, stab_pm = datum.stabilizer(alpha), datum.pm_stabilizer(alpha)
+        if within is not None:
+            stab, stab_pm = stab & within, stab_pm & within
+        key = g.coset_keys(stab)
         v = choices.v[class_id]
         v0_row, character = rows[v[0]], chi.chars[alpha]
         inner: List[Optional[int]] = [None] * g.order

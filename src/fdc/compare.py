@@ -198,10 +198,14 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
     else:
         verdict = VERDICT_EQUAL
 
-    for c in scenario.depth_checks:
-        diagnostics.append("depth-lattice at %s: break %s, value-group %s, half-lattice %s"
-                           % (c.orbit_id, c.break_value, c.in_value_group,
-                              c.in_half_value_group))
+    # Loading refuses a break outside (1/e) Z, and (1/e) Z lies in (1/2e) Z,
+    # so each orbit of positive depth is in both lattices.
+    filtration = scenario.filtration
+    for o in scenario.orbits:
+        layer = filtration.layer_of_orbit(o)
+        if layer:
+            diagnostics.append("depth-lattice at %s: break %s, value-group True, "
+                               "half-lattice True" % (o.orbit_id, filtration.breaks[layer - 1]))
     for flag in scenario.unverified_assumptions:
         diagnostics.append("unverified: %s" % flag)
 

@@ -80,7 +80,7 @@ class YuShape(Frozen):
 
     @property
     def dim_ga(self) -> int:
-        return self.toral_rank + sum(o.size for o in self.orbits)
+        return self.toral_rank + sum(o.degree for o in self.orbits)
 
     def layer_orbits(self, i: int) -> Tuple[OrbitInfo, ...]:
         """Orbits entering the chain at break i (contained in R_{i+1} - R_i)."""
@@ -210,10 +210,11 @@ def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
 
 def volume_exponent_raw(shape: YuShape, rank_m: int) -> Fraction:
     """Exponent of the inverse volume assembly by torsor point count:
-    (rank(M) + the depth-zero orbits' lengths at 0 + the sum over each
-    layer i of :func:`twice_length_to` at s_i) / 2, summed in integers."""
+    (the depth-zero quotient dimension, :meth:`YuShape.depth_zero_quotient_dim`,
+    plus the sum over each layer i of :func:`twice_length_to` at s_i) / 2,
+    summed in integers."""
     jumps = shape.jumps
-    twice = rank_m + sum(jump_length_at(o, jumps, 0) for o in shape.depth_zero_orbits())
+    twice = shape.depth_zero_quotient_dim(rank_m)
     for i, s in enumerate(shape.half_breaks):
         twice += sum(twice_length_to(o, jumps, s) for o in shape.layer_orbits(i))
     return Fraction(twice, 2)
@@ -222,6 +223,4 @@ def volume_exponent_raw(shape: YuShape, rank_m: int) -> Fraction:
 def volume_exponent_closed(shape: YuShape, rank_m: int) -> Fraction:
     """The same exponent from the closed length identity: half the
     depth-zero Levi length plus the break term."""
-    twice = rank_m + sum(jump_length_at(o, shape.jumps, 0)
-                         for o in shape.depth_zero_orbits())
-    return Fraction(twice, 2) + shape.break_term()
+    return Fraction(shape.depth_zero_quotient_dim(rank_m), 2) + shape.break_term()

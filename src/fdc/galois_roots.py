@@ -298,8 +298,9 @@ class GaloisFrame(Frozen):
     subgroup, which contains the generators of G and so is G.
 
     A frame is always its whole group.  A subgroup H stands for the field
-    it fixes (:func:`field_invariants`); base change to H restricts
-    characters and sections literally, on the indices of the whole group.
+    it fixes, with its degree, e and f (:func:`classify_orbits`); base
+    change to H restricts characters and sections literally, on the indices
+    of the whole group.
     """
 
     __slots__ = ("group", "inertia", "frobenius", "pp")
@@ -331,27 +332,6 @@ class GaloisFrame(Frozen):
     @property
     def q(self) -> int:
         return self.pp.q
-
-
-class FieldInvariants(Frozen):
-    __slots__ = ("degree", "e", "f")
-
-    def __init__(self, degree: int, e: int, f: int) -> None:
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-
-
-def field_invariants(frame: GaloisFrame, subgroup: FrozenSet[int]) -> FieldInvariants:
-    """Invariants of the extension fixed by a subgroup H of the frame group.
-
-    e is the inertia index [I : I n H] and f the residue degree.  e divides
-    the degree [G : H]: I is normal, so IH is a subgroup and
-    [G : H] = [G : IH] [IH : H] with [IH : H] = [I : I n H].
-    """
-    e = len(frame.inertia) // len(frame.inertia & subgroup)
-    degree = frame.group.order // len(subgroup)
-    return FieldInvariants(degree=degree, e=e, f=degree // e)
 
 
 # -- root data ----------------------------------------------------------------
@@ -580,10 +560,6 @@ class OrbitInfo(Value):
         object.__setattr__(self, "ramified", ramified)
         object.__setattr__(self, "negation_id", negation_id)
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
     """Partition the roots into frame orbits, with symmetry classification.
@@ -601,6 +577,12 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
     the sorted roots.  The negatives of an orbit form an orbit, since
     M(g)(-a) = -(M(g) a).  Only the representatives' stabilizers are
     computed.
+
+    The stabilizer H of the representative fixes the field k_alpha, read
+    off by indices: the degree [G : H], the ramification index
+    e = [I : I n H] and the residue degree f = degree / e.  e divides the
+    degree: I is normal, so IH is a subgroup and [G : H] = [G : IH] [IH : H]
+    with [IH : H] = [I : I n H].
     """
     srt, neg, perm = datum.sorted_roots, datum.neg, datum._perm
     seen = [False] * len(srt)
@@ -613,17 +595,42 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
             seen[j] = True
         rep = srt[i]
         stab = datum.stabilizer(rep)
-        inv = field_invariants(frame, stab)
+        degree = frame.group.order // len(stab)
+        e = len(frame.inertia) // len(frame.inertia & stab)
         symmetric = neg[i] in members
         ramified: Optional[bool] = None
         if symmetric:
             ramified = any(perm[a][i] == neg[i] for a in frame.inertia)
         orbits.append(OrbitInfo(
             orbit_id=root_key(rep), members=frozenset(map(srt.__getitem__, members)),
-            representative=rep, stabilizer=stab, degree=inv.degree, e=inv.e, f=inv.f,
+            representative=rep, stabilizer=stab, degree=degree, e=e, f=degree // e,
             symmetric=symmetric, ramified=ramified,
             negation_id=root_key(srt[min(neg[j] for j in members)])))
     return orbits
+
+
+def negation_classes(orbits: Sequence[OrbitInfo]) -> List[Tuple[OrbitInfo, ...]]:
+    """The classes of roots under the frame group together with negation,
+    as tuples of the orbits of :func:`classify_orbits`: (o,) for a
+    symmetric orbit o, (o, o') for an orbit o and the orbit o' of its
+    negatives (``o.negation_id``).
+
+    In that orbit order each class is met first at its least root, so the
+    classes come in increasing order of their least root, and o, the orbit
+    met first, has it as its representative and names the class.
+    """
+    by_id = {o.orbit_id: o for o in orbits}
+    paired = set()  # the second orbits of the pairs listed so far
+    out: List[Tuple[OrbitInfo, ...]] = []
+    for o in orbits:
+        if o.orbit_id in paired:
+            continue
+        if o.negation_id == o.orbit_id:
+            out.append((o,))
+        else:
+            paired.add(o.negation_id)
+            out.append((o, by_id[o.negation_id]))
+    return out
 
 
 # -- the Howe filtration -------------------------------------------------------
@@ -847,44 +854,20 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     )
 
 
-class DepthLatticeCheck(Frozen):
-    """Whether a break r_i lies in (1/e) Z (``in_value_group``) and in
-    (1/2e) Z (``in_half_value_group``)."""
-
-    __slots__ = ("orbit_id", "break_value", "in_value_group", "in_half_value_group")
-
-    def __init__(self, orbit_id: str, break_value: Fraction, in_value_group: bool,
-                 in_half_value_group: bool) -> None:
-        object.__setattr__(self, "orbit_id", orbit_id)
-        object.__setattr__(self, "break_value", break_value)
-        object.__setattr__(self, "in_value_group", in_value_group)
-        object.__setattr__(self, "in_half_value_group", in_half_value_group)
-
-    @property
-    def ok(self) -> bool:
-        return self.in_value_group and self.in_half_value_group
-
-
-def validate_depth_lattice(filtration: HoweFiltration,
-                           orbits: Sequence[OrbitInfo]) -> List[DepthLatticeCheck]:
-    """Per-orbit membership of each break in the relevant valuation lattices.
-
-    For an orbit entering at break r over a field with ramification e, the
-    genericity constraint asks r in (1/e)Z, and the half-depth used by the
-    length identity asks r in (1/(2e))Z.  Both are reported; overall pass
-    needs both.  In lowest terms r e is an integer exactly when the
-    denominator of r divides e.
+def off_lattice_breaks(filtration: HoweFiltration,
+                       orbits: Sequence[OrbitInfo]) -> List[Tuple[OrbitInfo, Fraction]]:
+    """The orbits whose break r lies outside (1/e) Z, for e the orbit's
+    ramification index, each with r, in orbit order: the genericity
+    constraint asks r in (1/e) Z of every orbit of positive depth.  In
+    lowest terms r e is an integer exactly when the denominator of r divides
+    e.  A break that passes also lies in (1/2e) Z, where the half-depths of
+    the length identity live, since (1/e) Z is inside (1/2e) Z.
     """
-    out: List[DepthLatticeCheck] = []
+    out = []
     for o in orbits:
         layer = filtration.layer_of_orbit(o)
-        if layer == 0:
-            continue
-        r = filtration.breaks[layer - 1]
-        out.append(DepthLatticeCheck(
-            orbit_id=o.orbit_id,
-            break_value=r,
-            in_value_group=o.e % r.denominator == 0,
-            in_half_value_group=2 * o.e % r.denominator == 0,
-        ))
+        if layer:
+            r = filtration.breaks[layer - 1]
+            if o.e % r.denominator:
+                out.append((o, r))
     return out

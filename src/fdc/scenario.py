@@ -34,7 +34,6 @@ from .chi_data import (Character, ChiData, character_group, char_conjugate, char
                        condition_failures)
 from .formal_degree import DepthZeroData, YuShape
 from .galois_roots import (
-    DepthLatticeCheck,
     DepthValue,
     FiniteGroup,
     GaloisFrame,
@@ -46,9 +45,10 @@ from .galois_roots import (
     Vector,
     classify_orbits,
     howe_filtration,
+    negation_classes,
+    off_lattice_breaks,
     root_key,
     torus_lattice_data,
-    validate_depth_lattice,
 )
 from .mp_filtration import JumpAssignment
 from .qexact import Frozen, PrimePower, fraction_str, int_str, ratio_str
@@ -115,17 +115,23 @@ def parse_int_rows(value: object) -> List[List[int]]:
 
 def parse_ratio(value: object) -> Tuple[int, int]:
     """A rational as integers (a, b) with b > 0, not reduced: a JSON
-    integer, or a "num/den" or integer string whose parts ``int`` reads."""
+    integer, or an integer text or two joined by "/", each read by
+    :func:`parse_int`'s rule (checked inline: this reads every χ value)."""
     if type(value) is int:
         return value, 1
-    num, slash, den = value.partition("/") if type(value) is str else ("", "", "")
-    try:
-        a, b = int(num), int(den) if slash else 1
-    except ValueError:  # "1/2/3" too: int reads no "2/3"
-        b = 0
-    if not b:
-        raise _must_be("a rational", value)
-    return (a, b) if b > 0 else (-a, -b)
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        den_digits = den[1:] if den[:1] == "-" else den
+        # "1/2/3" fails here: "2/3" is no integer text
+        if digits.isdigit() and (den_digits.isdigit() or not slash):
+            try:
+                a, b = int(num), int(den) if slash else 1
+            except ValueError:  # a part past the interpreter's digit limit
+                b = 0
+            if b:
+                return (a, b) if b > 0 else (-a, -b)
+    raise _must_be("a rational", value)
 
 
 def parse_fraction(value: object) -> Fraction:
@@ -197,27 +203,36 @@ FIELDS: Tuple[Tuple[str, str, str, object], ...] = (
     ("chi", "chi_data", "object", None),
     ("chi.<root>", "chi_data", "object", None),
     ("chi.<root>.<element>", "chi_data", "rational mod 1", None),
-    ("options", "cli", "object", {}),
 )
 
 # The rows of FIELDS by parent path: (last path component, path, module,
 # default, reader, key reader or None).
-_CHILDREN: Dict[str, List[tuple]] = {}
+_ROWS: Dict[str, List[tuple]] = {}
 for _path, _module, _kind, _default in FIELDS:
     _parent, _, _name = _path.rpartition(".")
-    _CHILDREN.setdefault(_parent, []).append(
+    _ROWS.setdefault(_parent, []).append(
         (_name, _path, _module, _default, _READERS[_kind], _KEYS.get(_name)))
+
+# Each parent path's rows, with the names it declares and the module that
+# refuses any other name (cli for the document itself): None for an object
+# whose every key its one <...> row reads.
+_CHILDREN: Dict[str, Tuple[List[tuple], Optional[FrozenSet[str]], str]] = {
+    parent: (rows, None if rows[0][0] in _KEYS else frozenset(row[0] for row in rows),
+             next((row[1] for row in FIELDS if row[0] == parent), "cli"))
+    for parent, rows in _ROWS.items()}
 
 
 def _read_fields(node: Dict[str, object], parent: str, where: str,
                  fail: List[Tuple[str, str, str]]) -> Dict[object, object]:
     """The fields under table path ``parent`` of the document object
     ``node`` at ``where`` (its path and a dot), each read by :func:`_read`.
-    A missing required field, a key its reader refuses and a key repeating
-    an earlier one are recorded in ``fail``.  A <...> row, the only one
-    under its parent, reads every key of the node."""
+    A missing required field, a key its reader refuses, a key repeating an
+    earlier one and a name the table does not declare are recorded in
+    ``fail``.  A <...> row, the only one under its parent, reads every key
+    of the node."""
+    rows, declared, owner = _CHILDREN[parent]
     out: Dict[object, object] = {}
-    for name, path, module, default, read, read_key in _CHILDREN[parent]:
+    for name, path, module, default, read, read_key in rows:
         if read_key is None:
             if name in node:
                 out[name] = _read(node[name], path, where + name, module, read, fail)
@@ -235,6 +250,10 @@ def _read_fields(node: Dict[str, object], parent: str, where: str,
                 fail.append((module, where + raw, "key %s" % e))
                 continue
             out[key] = _read(value, path, where + raw, module, read, fail)
+    if declared is not None:
+        unknown = node.keys() - declared
+        if unknown:
+            fail += [(owner, where + name, "unknown field") for name in sorted(unknown)]
     return out
 
 
@@ -327,15 +346,14 @@ class Scenario:
     """A fully validated tame elliptic scenario.
 
     No ``__slots__``: :attr:`torus` caches into the instance ``__dict__``.
-    ``depth_checks`` are the depth-lattice checks of the filtration, as
-    validation computed them (all passed).  ``group_encoding`` is the
+    Every break of the filtration lies in the value group of its orbits
+    (:func:`off_lattice_breaks` is empty).  ``group_encoding`` is the
     document's group as read, kept for round-trips."""
 
     def __init__(self, name: str, pp: PrimePower, frame: GaloisFrame, datum: GRootDatum,
                  orbits: Tuple[OrbitInfo, ...], jumps: JumpAssignment,
-                 filtration: HoweFiltration, depth_checks: List[DepthLatticeCheck],
-                 depth_zero: DepthZeroData, chi: Optional[ChiData] = None,
-                 options: Optional[Dict[str, object]] = None,
+                 filtration: HoweFiltration, depth_zero: DepthZeroData,
+                 chi: Optional[ChiData] = None,
                  group_encoding: Optional[Dict[str, object]] = None) -> None:
         self.name = name
         self.pp = pp
@@ -344,10 +362,8 @@ class Scenario:
         self.orbits = orbits
         self.jumps = jumps
         self.filtration = filtration
-        self.depth_checks = depth_checks
         self.depth_zero = depth_zero
         self.chi = chi
-        self.options = {} if options is None else options
         self.group_encoding = group_encoding
         self._shape: Optional[YuShape] = None
 
@@ -390,8 +406,7 @@ class Scenario:
         except ValueError as e:  # a wild frame, as loading words it
             raise ScenarioError([("galois_roots", "frame", str(e))])
         return Scenario(self.name, pp, frame, self.datum, self.orbits, self.jumps,
-                        self.filtration, self.depth_checks, self.depth_zero, self.chi,
-                        dict(self.options), self.group_encoding)
+                        self.filtration, self.depth_zero, self.chi, self.group_encoding)
 
     # -- serialization -------------------------------------------------------
 
@@ -428,8 +443,6 @@ class Scenario:
             n = self.chi.n
             doc["chi"] = {root_key(root): {str(g): _mod1_str(k, n) for g, k in sorted(c.items())}
                           for root, c in sorted(self.chi.chars.items())}
-        if self.options:
-            doc["options"] = dict(self.options)
         return doc
 
     def to_json(self) -> str:
@@ -500,12 +513,13 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
                      f["jump_offsets"], orbits)
     filtration = _attempt(failures, "galois_roots", "theta_depths", howe_filtration, datum,
                           orbits, f["theta_depths"], f["theta_total_depth"])
-    checks = [] if filtration is None else validate_depth_lattice(filtration, orbits)
-    failures += [("galois_roots", "theta_depths",
-                  "break %s at orbit %s violates the depth lattice (value group: %s, "
-                  "half lattice: %s)" % (c.break_value, c.orbit_id, json.dumps(c.in_value_group),
-                                         json.dumps(c.in_half_value_group)))
-                 for c in checks if not c.ok]
+    # A break outside (1/e) Z may still lie in (1/2e) Z; the refusal says which.
+    if filtration is not None:
+        failures += [("galois_roots", "theta_depths",
+                      "break %s at orbit %s violates the depth lattice (value group: false, "
+                      "half lattice: %s)"
+                      % (r, o.orbit_id, json.dumps(2 * o.e % r.denominator == 0)))
+                     for o, r in off_lattice_breaks(filtration, orbits)]
 
     dz = f["depth_zero"]
     depth_zero = (DepthZeroData.regular_marker() if dz == "regular" else
@@ -533,8 +547,7 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
 
     return Scenario(
         name=f["name"], pp=pp, frame=frame, datum=datum, orbits=orbits, jumps=jumps,
-        filtration=filtration, depth_checks=checks, depth_zero=depth_zero, chi=chi,
-        options=dict(f["options"]),
+        filtration=filtration, depth_zero=depth_zero, chi=chi,
         group_encoding=f["group"] if "perm_gens" in f["group"] else None,
     )
 
@@ -698,12 +711,14 @@ class _Template(Frozen):
         return datum, orbits
 
     def chi_menu(self, frame: GaloisFrame, seeds: Tuple[Tuple[int, ...], ...],
-                 datum: GRootDatum) -> List[Tuple[Vector, List[Character]]]:
-        """:func:`_chi_menus` of the datum :meth:`datum` gives for this key."""
+                 datum: GRootDatum, orbits: Sequence[OrbitInfo]
+                 ) -> List[Tuple[Vector, List[Character]]]:
+        """:func:`_chi_menus` of the datum and orbits :meth:`datum` gives
+        for this key."""
         key = (frame.inertia, frame.frobenius, seeds)
         menu = self.chi_menus.get(key)
         if menu is None:
-            menu = self.chi_menus[key] = _chi_menus(datum, frame)
+            menu = self.chi_menus[key] = _chi_menus(datum, frame, orbits)
         return menu
 
 
@@ -798,21 +813,22 @@ def generator_templates() -> List[_Template]:
     return _TEMPLATE_CACHE
 
 
-def _chi_menus(datum: GRootDatum, frame: GaloisFrame) -> List[Tuple[Vector, List[Character]]]:
-    """For each class of roots under the group and negation, in order, its
-    representative and the characters of its stabilizer that a χ draw
-    chooses from (:func:`_random_chi`).
+def _chi_menus(datum: GRootDatum, frame: GaloisFrame, orbits: Sequence[OrbitInfo]
+               ) -> List[Tuple[Vector, List[Character]]]:
+    """For each class of roots under the group and negation, in order
+    (:func:`negation_classes` of the datum's orbits), its representative
+    and the characters of its stabilizer that a χ draw chooses from
+    (:func:`_random_chi`).
 
     Where some element sends the representative to its negative, only the
     characters that conjugation by the least such element carries to their
     inverses are offered; condition 1 asks that of every valid family.
     When no character qualifies, no draw on the datum passes that class,
     so the list ends there, with an empty menu."""
-    from .chi_data import pm_classes
     g = frame.group
     menus: List[Tuple[Vector, List[Character]]] = []
-    for _cid, rep, _members in pm_classes(datum, frame):
-        stab = datum.stabilizer(rep)
+    for o, *_ in negation_classes(orbits):
+        rep, stab = o.representative, o.stabilizer
         chars = character_group(g, stab)
         negators = datum.pm_stabilizer(rep) - stab  # the elements sending rep to -rep
         if negators:
@@ -889,43 +905,25 @@ def _assign_depths_and_offsets(rng: random.Random, tpl: _Template,
                                seeds: Tuple[Tuple[int, ...], ...], frame: GaloisFrame,
                                datum: GRootDatum, orbits: Tuple[OrbitInfo, ...]
                                ) -> Optional[Scenario]:
-    # negation-paired orbit classes
-    pairs: List[Tuple[str, ...]] = []
-    seen = set()
-    for o in orbits:
-        if o.orbit_id in seen:
-            continue
-        seen.add(o.orbit_id)
-        if o.negation_id != o.orbit_id:
-            seen.add(o.negation_id)
-            pairs.append((o.orbit_id, o.negation_id))
-        else:
-            pairs.append((o.orbit_id,))
-    by_id = {o.orbit_id: o for o in orbits}
-
+    # the orbits of one class under negation share a layer
+    classes = negation_classes(orbits)
     for _try in range(40):
         d = rng.choice((0, 1, 1, 2))
-        d = min(d, len(pairs))
-        layers: Dict[str, int] = {}
+        d = min(d, len(classes))
         if d == 0:
-            for pr in pairs:
-                for oid in pr:
-                    layers[oid] = 0
+            layers = [0] * len(classes)
         else:
-            for pr in pairs:
-                lay = rng.randint(0, d)
-                for oid in pr:
-                    layers[oid] = lay
-            used = sorted({v for v in layers.values() if v > 0})
+            layers = [rng.randint(0, d) for _ in classes]
+            used = sorted({v for v in layers if v > 0})
             remap = {v: i + 1 for i, v in enumerate(used)}
-            layers = {oid: (remap[v] if v > 0 else 0) for oid, v in layers.items()}
+            layers = [remap[v] if v > 0 else 0 for v in layers]
             d = len(used)
         # draw strictly increasing breaks inside the valuation lattices
         breaks: List[Fraction] = []
         ok = True
         prev = Fraction(0)
         for i in range(1, d + 1):
-            es = [by_id[oid].e for oid, lay in layers.items() if lay == i]
+            es = [o.e for c, lay in zip(classes, layers) if lay == i for o in c]
             unit = Fraction(1, math.gcd(*es))
             lo = int(prev / unit) + 1
             hi = int(Fraction(3) / unit)
@@ -941,51 +939,43 @@ def _assign_depths_and_offsets(rng: random.Random, tpl: _Template,
         total = breaks[-1] if breaks else Fraction(0)
         if rng.random() < 0.3:
             total += Fraction(rng.randint(1, 4), 2)
-        depths: Dict[str, DepthValue] = {}
-        for oid, lay in layers.items():
-            depths[oid] = NONPOSITIVE if lay == 0 else breaks[lay - 1]
+        depths: Dict[str, DepthValue] = {
+            o.orbit_id: NONPOSITIVE if lay == 0 else breaks[lay - 1]
+            for c, lay in zip(classes, layers) for o in c}
         offsets: Dict[str, Fraction] = {}
-        for pr in pairs:
-            o = by_id[pr[0]]
-            if len(pr) == 1:
-                offsets[pr[0]] = rng.choice((Fraction(0), Fraction(1, 2 * o.e)))
+        for c in classes:
+            e = c[0].e
+            if len(c) == 1:
+                offsets[c[0].orbit_id] = rng.choice((Fraction(0), Fraction(1, 2 * e)))
             else:
-                t = Fraction(rng.randint(0, 2 * o.e - 1), 2 * o.e)
-                offsets[pr[0]] = t
-                offsets[pr[1]] = -t
+                t = Fraction(rng.randint(0, 2 * e - 1), 2 * e)
+                offsets[c[0].orbit_id] = t
+                offsets[c[1].orbit_id] = -t
         # Keep the depth-zero root count even (a symmetric odd-degree orbit
         # jumping at 0 matches no honest reductive quotient): flip one such
         # offset off the origin if needed.
-        parity = 0
-        for pr in pairs:
-            if layers[pr[0]] != 0:
-                continue
-            for oid in pr:
-                o = by_id[oid]
-                if (offsets[oid] * o.e).denominator == 1:
-                    parity += o.f
+        parity = sum(o.f for c, lay in zip(classes, layers) if lay == 0 for o in c
+                     if (offsets[o.orbit_id] * o.e).denominator == 1)
         if parity % 2:
-            for pr in pairs:
-                o = by_id[pr[0]]
-                if (len(pr) == 1 and layers[pr[0]] == 0 and o.f % 2
-                        and (offsets[pr[0]] * o.e).denominator == 1):
-                    offsets[pr[0]] = Fraction(1, 2 * o.e)
+            for c, lay in zip(classes, layers):
+                o = c[0]
+                if (len(c) == 1 and lay == 0 and o.f % 2
+                        and (offsets[o.orbit_id] * o.e).denominator == 1):
+                    offsets[o.orbit_id] = Fraction(1, 2 * o.e)
                     break
         try:
             filtration = howe_filtration(datum, orbits, depths, total)
         except ValueError:
             continue
-        checks = validate_depth_lattice(filtration, orbits)
-        if any(not c.ok for c in checks):
+        if off_lattice_breaks(filtration, orbits):
             continue
         jumps = JumpAssignment.build(offsets, orbits)
-        chi = (_random_chi(rng, datum, frame, tpl.chi_menu(frame, seeds, datum))
+        chi = (_random_chi(rng, datum, frame, tpl.chi_menu(frame, seeds, datum, orbits))
                if rng.random() < 0.5 else None)
         name = "gen_%s_%04d" % (tpl.key, rng.randint(0, 9999))
         return Scenario(
             name=name, pp=frame.pp, frame=frame, datum=datum, orbits=orbits,
-            jumps=jumps, filtration=filtration, depth_checks=checks,
-            depth_zero=DepthZeroData.regular_marker(),
-            chi=chi, options={},
+            jumps=jumps, filtration=filtration,
+            depth_zero=DepthZeroData.regular_marker(), chi=chi,
         )
     return None

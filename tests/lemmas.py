@@ -620,7 +620,7 @@ def suite_chi(rng: random.Random, n: int) -> int:
             raise AssertionError("chi suite failed to draw enough instances")
         scen = generate_scenario(rng)
         chi = scen.chi if scen.chi is not None else _random_chi(
-            rng, scen.datum, scen.frame, _chi_menus(scen.datum, scen.frame))
+            rng, scen.datum, scen.frame, _chi_menus(scen.datum, scen.frame, scen.orbits))
         if chi is None:
             continue
         subgroups = scen.frame.group.all_subgroups()

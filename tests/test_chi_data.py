@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fdc.qexact import PrimePower
-from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
+from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum, classify_orbits
 from fdc.scenario import _chi_menus, _random_chi, load_scenario
 from fdc.zlattice import mat_vec, sparse_columns
 from fdc.chi_data import (
@@ -14,8 +14,6 @@ from fdc.chi_data import (
     ChiData,
     ClassData,
     SectionChoices,
-    _stab,
-    _stab_pm,
     char_is_homomorphism,
     character_group,
     compatible_choices,
@@ -209,7 +207,7 @@ def test_compatible_choices_two_double_cosets():
     # and base change still verifies with a nontrivial character
     top = default_choices(datum, frame)
     (rep,) = list(top.reps.values())
-    stab = _stab(datum, rep)
+    stab = datum.stabilizer(rep)
     assert stab == frozenset({0})
     chi = ChiData.from_representatives(datum, frame, {rep: {0: 0}})
     base = BaseChange(chi, datum, frame)
@@ -251,7 +249,7 @@ def test_verify_base_change_models():
 
     # nontrivial character on the asymmetric S3 orbits
     alpha = (1, 0)
-    stab = _stab(datum, alpha)
+    stab = datum.stabilizer(alpha)
     nontriv = numerators({h: (Fraction(0) if h == 0 else Fraction(1, 2))
                           for h in sorted(stab)}, 6)
     chi2 = ChiData.from_representatives(datum, frame, {alpha: nontriv})
@@ -320,9 +318,9 @@ def test_root_images_and_stabilizers_match_brute_force(name):
         for r in sorted(datum.roots):
             neg = tuple(-x for x in r)
             images = {s: mat_vec(datum.action[s], r) for s in sub}
-            assert _stab(datum, r, within=sub) == frozenset(
+            assert datum.stabilizer(r) & sub == frozenset(
                 s for s in sub if images[s] == r)
-            assert _stab_pm(datum, r, within=sub) == frozenset(
+            assert datum.pm_stabilizer(r) & sub == frozenset(
                 s for s in sub if images[s] in (r, neg))
 
 
@@ -447,7 +445,7 @@ def test_generator_checks_match_brute_force(name):
         valid = [trivial_chi(h_datum, h_frame)]
         if h_chi is not None:
             valid.append(h_chi)
-        menus = _chi_menus(h_datum, h_frame)
+        menus = _chi_menus(h_datum, h_frame, classify_orbits(h_datum, h_frame))
         valid += [f for f in (_random_chi(rng, h_datum, h_frame, menus) for _ in range(4)) if f]
         families = list(valid)
         for first in valid:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from fdc.qexact import PrimePower
-from fdc.chi_data import pm_classes
 from fdc.galois_roots import (
     FiniteGroup,
     GaloisFrame,
@@ -14,11 +13,11 @@ from fdc.galois_roots import (
     NONPOSITIVE,
     OrbitInfo,
     classify_orbits,
-    field_invariants,
     howe_filtration,
+    negation_classes,
+    off_lattice_breaks,
     root_key,
     torus_lattice_data,
-    validate_depth_lattice,
 )
 from fdc.scenario import (
     ScenarioError,
@@ -271,29 +270,48 @@ def test_perturbed_non_generator_refused_like_dense(doc):
 
 
 def test_field_invariants_examples():
+    """The field of each orbit, by the indices of its stabilizer: Z/4 with
+    inertia {0, 2}, acting by -1 on the first coordinate and by a quarter
+    turn on the other two.  +-2e_1 is fixed by {0, 2}: an unramified
+    quadratic field.  +-e_2, +-e_3 have trivial stabilizer: the whole
+    quartic field, with e = f = 2."""
     g = FiniteGroup.cyclic(4)
     fr = GaloisFrame(g, frozenset({0, 2}), 1, PP3)
-    fi = field_invariants(fr, frozenset({0}))
-    assert (fi.degree, fi.e, fi.f) == (4, 2, 2)
-    fi = field_invariants(fr, frozenset(range(4)))
-    assert (fi.degree, fi.e, fi.f) == (1, 1, 1)
-    fi = field_invariants(fr, frozenset({0, 2}))
-    assert (fi.degree, fi.e, fi.f) == (2, 1, 2)
+    gen = [[-1, 0, 0], [0, 0, -1], [0, 1, 0]]
+    action = {0: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    for k in range(1, 4):
+        action[k] = mat_mul(gen, action[k - 1])
+    roots = frozenset({(2, 0, 0), (-2, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)})
+    datum = GRootDatum(3, action, roots)
+    datum.check_against_frame(fr)
+    got = [(o.representative, sorted(o.stabilizer), o.degree, o.e, o.f, o.ramified)
+           for o in classify_orbits(datum, fr)]
+    assert got == [((-2, 0, 0), [0, 2], 2, 1, 2, False), ((0, -1, 0), [0], 4, 2, 2, True)]
 
 
 def test_ef_multiplicativity():
-    g = FiniteGroup.cyclic(8)
-    fr = GaloisFrame(g, frozenset({0, 2, 4, 6}), 1, PP3)
-    chain = [frozenset(range(8)), frozenset({0, 2, 4, 6}), frozenset({0, 4}), frozenset({0})]
-    for outer, inner in zip(chain, chain[1:]):
-        # the extension between the two fixed fields, by its indices
-        rel_e = len(fr.inertia & outer) // len(fr.inertia & inner)
-        rel_degree = len(outer) // len(inner)
-        top = field_invariants(fr, inner)
-        bottom = field_invariants(fr, outer)
-        assert top.e == rel_e * bottom.e
-        assert top.f == rel_degree // rel_e * bottom.f
-        assert top.degree == rel_degree * bottom.degree
+    """e, f and the degree multiply along the tower k < k_+-a < k_a of a
+    symmetric orbit.  k_+-a is fixed by Stab+-(a), read by its indices;
+    k_a / k_+-a is quadratic, and ramified exactly when the orbit is,
+    that is when an inertia element carries a to -a."""
+    scenarios = bundled_scenarios()
+    rng = random.Random(8)
+    scenarios += [generate_scenario(rng) for _ in range(100)]
+    seen = set()
+    for scen in scenarios:
+        group, inertia = scen.frame.group, scen.frame.inertia
+        for o in scen.orbits:
+            if not o.symmetric:
+                continue
+            pm = scen.datum.pm_stabilizer(o.representative)
+            pm_degree = group.order // len(pm)
+            pm_e = len(inertia) // len(inertia & pm)
+            rel_e = 2 if o.ramified else 1
+            assert o.degree == 2 * pm_degree
+            assert o.e == rel_e * pm_e
+            assert o.f == 2 // rel_e * (pm_degree // pm_e)
+            seen.add(o.ramified)
+    assert seen == {False, True}
 
 
 def test_classify_examples():
@@ -384,9 +402,10 @@ def _brute_pm_classes(datum, frame):
 
 
 def test_orbits_and_pm_classes_match_brute_force():
-    """classify_orbits and pm_classes, read on root indices from the
-    permutation table, against dense matrix-vector products: every
-    OrbitInfo field and every class.  Run on the bundled scenarios, 200
+    """classify_orbits, read on root indices from the permutation table,
+    and the classes under negation that negation_classes pairs from its
+    orbits, against dense matrix-vector products: every OrbitInfo field
+    and every class.  Run on the bundled scenarios, 200
     generated ones and the A_{n-1} Coxeter tori for n = 4..24, unramified
     and totally ramified."""
     scenarios = bundled_scenarios()
@@ -402,7 +421,10 @@ def test_orbits_and_pm_classes_match_brute_force():
         want = _brute_orbits(datum, frame)
         assert list(scen.orbits) == want, scen.name
         assert classify_orbits(datum, frame) == want, scen.name
-        assert pm_classes(datum, frame) == _brute_pm_classes(datum, frame), scen.name
+        classes = [(c[0].orbit_id, c[0].representative,
+                    frozenset().union(*(o.members for o in c)))
+                   for c in negation_classes(scen.orbits)]
+        assert classes == _brute_pm_classes(datum, frame), scen.name
 
 
 def test_normality_tested_on_generators():
@@ -530,15 +552,13 @@ def test_depth_lattice_examples():
     datum = a1_datum(fr_ram)
     orbs = classify_orbits(datum, fr_ram)
     filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
-    (chk,) = validate_depth_lattice(filt, orbs)
-    assert chk.in_value_group and chk.in_half_value_group and chk.ok
+    assert off_lattice_breaks(filt, orbs) == []
 
     fr_unr = frame_z2(False)
     datum = a1_datum(fr_unr)
     orbs = classify_orbits(datum, fr_unr)
     filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
-    (chk,) = validate_depth_lattice(filt, orbs)
-    assert not chk.in_value_group and chk.in_half_value_group and not chk.ok
+    assert off_lattice_breaks(filt, orbs) == [(orbs[0], Fraction(1, 2))]
 
 
 def test_depth_lattice_e3():
@@ -554,8 +574,7 @@ def test_depth_lattice_e3():
     assert all(o.e == 3 for o in orbs)
     depths = {o.orbit_id: Fraction(2, 3) for o in orbs}
     filt = howe_filtration(datum, orbs, depths, Fraction(2, 3))
-    checks = validate_depth_lattice(filt, orbs)
-    assert all(c.ok for c in checks)
+    assert off_lattice_breaks(filt, orbs) == []
 
 
 def _dual_invariant_coinvariants(datum, frame):

@@ -127,7 +127,7 @@ READS = {
     '"regular" or object': {"object"},
 }
 # The fields no bundled document holds
-EXTRA = dict(BASES[0], depth_zero={"dim_rho": "1", "stab_index": 1}, options={"note": "x"})
+EXTRA = dict(BASES[0], depth_zero={"dim_rho": "1", "stab_index": 1})
 
 
 def _site(path):

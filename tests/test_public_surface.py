@@ -1,12 +1,12 @@
 """Every module of the package is reached from the command line, and
-every public symbol has a caller in the package.
+every symbol has a caller in the package.
 
-The source of ``src/fdc`` is parsed with ``ast``, not imported.  A public
-module-level function or class, or a public method or property of a public
-class, must be referenced (as a name or as an attribute) from some module
-of the package, outside its own definition.  Methods are matched by
-attribute name alone, so the test can miss a dead method whose name is
-used elsewhere, but it never flags a live one.
+The source of ``src/fdc`` is parsed with ``ast``, not imported.  A
+module-level function, class or private constant, or a public method or
+property of a public class, must be referenced (as a name or as an
+attribute) from some module of the package, outside its own definition.
+Methods are matched by attribute name alone, so the test can miss a dead
+method whose name is used elsewhere, but it never flags a live one.
 """
 
 import ast
@@ -24,6 +24,7 @@ ALLOWED = {
     "f_from_sequence": "to be wired into verify (step functions of admissible sequences)",
     "generate_scenario": "entry point of the benchmark workloads (bench/workloads.py)",
     "Scenario.to_json": "entry point of the benchmark workloads (bench/workloads.py)",
+    "__version__": "the package version attribute; pyproject.toml declares the same",
 }
 
 
@@ -42,6 +43,23 @@ def _definitions(tree):
                 out += [("%s.%s" % (node.name, item.name), item.name, item)
                         for item in node.body
                         if isinstance(item, ast.FunctionDef) and _public(item.name)]
+    return out
+
+
+def _private_definitions(tree):
+    """(name, name, node) of each private module-level function, class and
+    constant (a name assigned at module level)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out += [(name, name, node) for name in names if not _public(name)]
     return out
 
 
@@ -66,13 +84,13 @@ def _modules():
 
 
 def unreferenced_symbols():
-    """Qualified names of the public symbols that no module references
-    outside their own definition, as ``module:name``."""
+    """Qualified names of the symbols, public and private, that no module
+    references outside their own definition, as ``module:name``."""
     modules = _modules()
     refs = {fn: _references(tree) for fn, tree in modules.items()}
     missing = []
     for fn, tree in modules.items():
-        for qual, name, node in _definitions(tree):
+        for qual, name, node in _definitions(tree) + _private_definitions(tree):
             inside = range(node.lineno, node.end_lineno + 1)
             used = any(ref == name and not (mod == fn and line in inside)
                        for mod, module_refs in refs.items() for ref, line in module_refs)
@@ -83,7 +101,7 @@ def unreferenced_symbols():
 
 def test_every_public_symbol_has_a_caller():
     dead = [m for m in unreferenced_symbols() if m.split(":")[1] not in ALLOWED]
-    assert dead == [], "public symbols without a caller in src/fdc: %s" % dead
+    assert dead == [], "symbols without a caller in src/fdc: %s" % dead
 
 
 def test_allow_list_is_current():

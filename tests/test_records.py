@@ -14,8 +14,6 @@ from fdc.galois_roots import (
     HoweFiltration,
     OrbitInfo,
     TorusLatticeData,
-    field_invariants,
-    validate_depth_lattice,
 )
 from fdc.mp_filtration import ExtIndex, at, just_above
 from fdc.qexact import Frozen, PrimePower, QMonomial, Value, exp_q, qmon
@@ -42,10 +40,9 @@ def frozen_records():
     frame, datum = scen.frame, scen.datum
     base = BaseChange(scen.chi, datum, frame)
     whole = frozenset(frame.group.elements)
-    checks = [c for s in SCENARIOS for c in validate_depth_lattice(s.filtration, s.orbits)]
     return [
-        scen.pp, report.value_automorphic, frame, field_invariants(frame, whole), datum,
-        scen.orbits[0], scen.filtration, scen.torus, checks[0], base.top[0],
+        scen.pp, report.value_automorphic, frame, datum,
+        scen.orbits[0], scen.filtration, scen.torus, base.top[0],
         compatible_choices(base.choices, whole, datum, frame),
         verify_base_change(base, whole), scen.shape(), scen.depth_zero, report.degree,
         at(1), scen.jumps, report.galois.toral, report.galois.root, report.galois,

@@ -648,8 +648,9 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     ("[1, 2]", "cli.document: must be a JSON object, got array"),
     (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"), chi=[1])),
      "chi_data.chi: must be a JSON object, got array"),
+    # a field the table does not declare, whatever its value
     (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"), options=5)),
-     "cli.options: must be a JSON object, got 5"),
+     "cli.options: unknown field"),
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), action=[[1]], roots={})),
      "galois_roots.action: must be a JSON object, got array"),
     (json.dumps(dict(bundled_doc("s3_a2_depth_third"), group={"perm_gens": {"a": 1}})),
@@ -720,13 +721,30 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
                      chi={"2": {"0": "0"}, "02": {"0": "0"}, "-2": {"0": "0"}})),
      "chi_data.chi.02: key repeats root (2,)"),
+    # each break off (1/e)Z, told apart by (1/2e)Z: 1/3 at e = 1 is off both,
+    # 1/4 at e = 2 only off the first
+    (json.dumps(dict(bundled_doc("z4_rank3_mixed"), theta_total_depth="1/3", theta_depths={
+        "-2,0,0": "1/3", "0,-1,-1": "1/4", "0,-1,0": "1/4"})),
+     "failed:\n"
+     "  galois_roots.theta_depths: break 1/3 at orbit -2,0,0 violates the depth lattice "
+     "(value group: false, half lattice: false)\n"
+     "  galois_roots.theta_depths: break 1/4 at orbit 0,-1,-1 violates the depth lattice "
+     "(value group: false, half lattice: true)\n"
+     "  galois_roots.theta_depths: break 1/4 at orbit 0,-1,0 violates the depth lattice "
+     "(value group: false, half lattice: true)\n"),
+    # misspelt fields, refused under their paths by the module of the object
+    # holding them, not read as the defaults of the fields they were meant to be
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), q={"p": 3, "a": 1, "b": 1},
+                     theta_total_depht="1", depth_zer0={"dim_rho": "2", "stab_index": 24})),
+     "failed:\n  qexact.q.b: unknown field\n  cli.depth_zer0: unknown field\n"
+     "  cli.theta_total_depht: unknown field\n"),
 ], ids=["top-level-array", "chi-array", "options-number", "action-array",
         "perm-gens-object", "order-float", "perm-gens-bool", "perm-gens-float",
         "perm-gens-string", "perm-gens-past-action", "chi-non-root", "chi-empty-table", "depth-lattice", "not-elliptic",
         "asymmetric-roots", "inertia-out-of-range", "frobenius-out-of-range",
         "non-associative-loop", "action-row-string", "action-matrix-string",
         "root-string", "action-repeated-key", "chi-repeated-key",
-        "chi-repeated-root-key"])
+        "chi-repeated-root-key", "depth-lattice-both-lattices", "undeclared-fields"])
 def test_cli_refuses_malformed_shapes(text, provenance, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -894,7 +912,7 @@ def test_shape_failures_are_reported_together():
     assert err.value.failures == [
         ("galois_roots", "roots", "must be a JSON array, got object"),
         ("chi_data", "chi.1", 'must be a JSON object, got "0"'),
-        ("cli", "options", "must be a JSON object, got array"),
+        ("cli", "options", "unknown field"),
     ]
 
 

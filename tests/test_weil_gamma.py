@@ -140,7 +140,7 @@ def test_root_gamma_two_breaks():
     frame = GaloisFrame(g, frozenset({0, 1}), 0, PP5)
     datum.check_against_frame(frame)
     orbs = classify_orbits(datum, frame)
-    assert len(orbs) == 3 and all(o.size == 2 for o in orbs)
+    assert len(orbs) == 3 and all(o.degree == 2 for o in orbs)
     # the long-diagonal pair is span-closed on its own: put it at 1/3
     depths = {o.orbit_id: (Fraction(1, 3) if o.representative == (-1, -1)
                            else Fraction(1)) for o in orbs}
