@@ -7,7 +7,11 @@ value k/n is stored as its numerator k in [0, n), added and negated mod n.
 A family of such characters indexed by the roots is a valid datum when it
 inverts under negation and transforms by conjugation under the group.
 :func:`condition_failures` is the one check of these two conditions:
-loading and :meth:`ChiData.from_representatives` call it.  The restriction
+loading and :meth:`ChiData.from_representatives` call it.  Every function
+here that reads the Galois orbits of roots takes them from its caller, as
+:func:`~fdc.galois_roots.classify_orbits` gave them when the scenario was
+loaded or the generator's template derived them, so the orbits of one
+scenario are classified once in every subcommand.  The restriction
 of a valid datum to H is valid on H without a further check: restriction
 keeps homomorphisms, Stab(-a) = Stab(a), and s (Stab(a) n H) s^-1 =
 Stab(sa) n H for s in H.
@@ -49,8 +53,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .galois_roots import (FiniteGroup, GaloisFrame, GRootDatum, classify_orbits,
-                           negation_classes, root_key)
+from .galois_roots import (FiniteGroup, GaloisFrame, GRootDatum, OrbitInfo, negation_classes,
+                           root_key)
 from .qexact import Frozen
 from .zlattice import smith_normal_form
 
@@ -138,10 +142,13 @@ class ChiData:
 
     @staticmethod
     def from_representatives(datum: GRootDatum, frame: GaloisFrame,
+                             orbits: Sequence[OrbitInfo],
                              rep_chars: Mapping[Root, Character]) -> "ChiData":
         """Spread representative characters across the root set by negation
         and conjugation under the group generators, then check the result
-        with :func:`condition_failures`; a ValueError lists the failures."""
+        with :func:`condition_failures` on ``orbits``, the datum's orbits
+        as :func:`~fdc.galois_roots.classify_orbits` gives them; a
+        ValueError lists the failures."""
         g = frame.group
         for rep in rep_chars:
             if rep not in datum.roots:
@@ -159,66 +166,61 @@ class ChiData:
                     chars[target] = moved
                     todo.append(target)
         out = ChiData(chars, g.order)
-        cond1, cond2 = condition_failures(out, datum, frame)
+        cond1, cond2 = condition_failures(out, datum, frame, orbits)
         if cond1 or cond2:
             raise ValueError("representatives do not spread to valid chi data: %s"
                              % (tuple(cond1) + tuple(cond2),))
         return out
 
 
-def condition_failures(chi: ChiData, datum: GRootDatum,
-                       frame: GaloisFrame) -> Tuple[List[str], List[str]]:
+def condition_failures(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
+                       orbits: Sequence[OrbitInfo]) -> Tuple[List[str], List[str]]:
     """The failures of condition 1 (chi(-a) = chi(a)^-1) and of condition 2
     (each character is a homomorphism on the stabilizer of its root, and
     conjugation by the group moves it to the character of the image root),
-    root by root in sorted order.
+    root by root in sorted order.  ``orbits`` are the datum's orbits under
+    the frame group, as :func:`~fdc.galois_roots.classify_orbits` gives
+    them: the caller's copy, classified when the scenario was loaded.
 
     Equivariance is tested at every root under the generators of the group:
     if conjugation by s and by t each carry every character to the
     character of the image root, so does conjugation by st, and so every
     element does.  When every root has a character and that test passes,
     the stabilizer homomorphism and condition 1 are tested at one root per
-    orbit only, its least root a, since conjugation carries both along the
-    orbit.  For g in G, Stab(ga) = g Stab(a) g^-1, and chi_ga is chi_a
-    composed with the isomorphism x -> g^-1 x g from Stab(ga) onto Stab(a),
-    so it is a homomorphism on Stab(ga) when chi_a is one on Stab(a).  And
-    -ga = g(-a), so chi_-ga = conj_g(chi_-a) = conj_g(chi_a^-1) =
-    conj_g(chi_a)^-1 = chi_ga^-1: conjugation moves the elements and keeps
-    the values, so it commutes with negating them.
+    orbit only, its representative a (its least root), since conjugation
+    carries both along the orbit.  For g in G, Stab(ga) = g Stab(a) g^-1,
+    and chi_ga is chi_a composed with the isomorphism x -> g^-1 x g from
+    Stab(ga) onto Stab(a), so it is a homomorphism on Stab(ga) when chi_a
+    is one on Stab(a).  And -ga = g(-a), so chi_-ga = conj_g(chi_-a) =
+    conj_g(chi_a^-1) = conj_g(chi_a)^-1 = chi_ga^-1: conjugation moves the
+    elements and keeps the values, so it commutes with negating them.
 
     When any of these tests fails, the failures are listed root by root, as
     a check under every group element lists them, each failing root with
     the first element that moves it wrongly.
     """
     g = frame.group
-    if _holds_by_orbit(chi, datum, g, g.generating_set(g.elements)):
+    if _holds_by_orbit(chi, datum, g, g.generating_set(g.elements), orbits):
         return [], []
     return _failures_under(chi, datum, frame, g.elements)
 
 
 def _holds_by_orbit(chi: ChiData, datum: GRootDatum, group: FiniteGroup,
-                    gens: Sequence[int]) -> bool:
+                    gens: Sequence[int], orbits: Sequence[OrbitInfo]) -> bool:
     """Whether conditions 1 and 2 hold, read as :func:`condition_failures`
     proves it: a character at every root, equivariance at every root under
-    ``gens``, then the homomorphism and condition 1 at the least root of
-    each orbit."""
+    ``gens``, then the homomorphism on its stabilizer and condition 1 at
+    the ``representative`` of each of ``orbits``, its least root."""
     chars, srt = chi.chars, datum.sorted_roots
     if any(root not in chars for root in srt):
         return False
     if any(chars[datum.act(s, root)] != char_conjugate(group, chars[root], s)
            for s in gens for root in srt):
         return False
-    seen = [False] * len(srt)
-    for i, root in enumerate(srt):
-        if seen[i]:
-            continue
-        for j in datum.orbit(i):
-            seen[j] = True
-        character = chars[root]
-        if (not char_is_homomorphism(group, datum.stabilizer(root), character)
-                or chars[datum.negative(root)] != char_inverse(character, chi.n)):
-            return False
-    return True
+    return all(char_is_homomorphism(group, o.stabilizer, chars[o.representative])
+               and chars[datum.negative(o.representative)]
+               == char_inverse(chars[o.representative], chi.n)
+               for o in orbits)
 
 
 def _failures_under(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
@@ -266,15 +268,17 @@ class SectionChoices:
         self.v = v
 
 
-def default_choices(datum: GRootDatum, frame: GaloisFrame) -> SectionChoices:
+def default_choices(datum: GRootDatum, frame: GaloisFrame,
+                    orbits: Sequence[OrbitInfo]) -> SectionChoices:
     """Minimal-element representatives and sections: each class of roots
-    under the group and negation (:func:`negation_classes`) is named by its
-    least root, its representative, and every coset key maps to itself."""
+    under the group and negation (:func:`negation_classes` of ``orbits``,
+    the datum's orbits as loading classified them) is named by its least
+    root, its representative, and every coset key maps to itself."""
     g = frame.group
     reps: Dict[str, Root] = {}
     u: Dict[str, Dict[int, int]] = {}
     v: Dict[str, Dict[int, int]] = {}
-    for o, *_ in negation_classes(classify_orbits(datum, frame)):
+    for o, *_ in negation_classes(orbits):
         class_id, rep = o.orbit_id, o.representative
         reps[class_id] = rep
         stab_pm = datum.pm_stabilizer(rep)
@@ -486,11 +490,14 @@ class BaseChange:
     subgroup.  The :class:`ClassData` of the top classes on the whole group
     do not depend on the subgroup, so they are built once here: the coset
     keys of Stab(a) and Stab+-(a), and the inner values read from v0, the
-    inner section and the character at a."""
+    inner section and the character at a.  The classes come from
+    ``orbits``, the datum's orbits as loading classified them
+    (:func:`default_choices`); nothing here classifies them again."""
 
-    def __init__(self, chi: ChiData, datum: GRootDatum, frame: GaloisFrame):
+    def __init__(self, chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
+                 orbits: Sequence[OrbitInfo]):
         self.chi, self.datum, self.frame = chi, datum, frame
-        self.choices = default_choices(datum, frame)
+        self.choices = default_choices(datum, frame, orbits)
         self.top = class_data(chi, self.choices, datum, frame)
 
 

@@ -171,7 +171,8 @@ def _cmd_chi_check(args: Args) -> int:
         print("error: scenario %s bundles no character data" % scen.name, file=sys.stderr)
         return 2
     subgroups = scen.frame.group.all_subgroups()  # by size: {0} first, G last
-    base = BaseChange(scen.chi, scen.datum, scen.frame) if len(subgroups) > 2 else None
+    base = (BaseChange(scen.chi, scen.datum, scen.frame, scen.orbits) if len(subgroups) > 2
+            else None)
     results = [{"subgroup": sorted(sub), "ok": True} for sub in subgroups]
     for sub, entry in zip(subgroups[1:-1], results[1:-1]):
         rep = verify_base_change(base, sub)

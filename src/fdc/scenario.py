@@ -76,13 +76,17 @@ def _must_be(kind: str, value: object) -> ValueError:
 def parse_int(value: object) -> int:
     """A JSON integer, or an integer text: ASCII digits after an optional "-"
     (``int`` alone would also take "+", spaces, underscores and other
-    scripts' digits).  Never a boolean or a float, read as 0, 1 or cut."""
+    scripts' digits), no longer than the interpreter reads into an ``int``.
+    Never a boolean or a float, read as 0, 1 or cut."""
     if type(value) is int:
         return value
     if type(value) is str:
         digits = value[1:] if value[:1] == "-" else value
         if digits.isdigit() and digits.isascii():
-            return int(value)
+            try:
+                return int(value)
+            except ValueError:  # past the interpreter's digit limit
+                pass
     raise _must_be("an integer", value)
 
 
@@ -539,7 +543,7 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
             for root, table in f["chi"].items():
                 chi.chars[root] = {g: Fraction(k, b) if (k := a % b * chi.n) % b else k // b
                                    for g, (a, b) in table.items()}
-            cond1, cond2 = condition_failures(chi, datum, frame)
+            cond1, cond2 = condition_failures(chi, datum, frame, orbits)
             failures += [("chi_data", "chi", msg) for msg in cond1 + cond2]
 
     if failures:
@@ -842,6 +846,7 @@ def _chi_menus(datum: GRootDatum, frame: GaloisFrame, orbits: Sequence[OrbitInfo
 
 
 def _random_chi(rng: random.Random, datum: GRootDatum, frame: GaloisFrame,
+                orbits: Sequence[OrbitInfo],
                 menus: Sequence[Tuple[Vector, Sequence[Character]]]) -> Optional[ChiData]:
     """A random valid character family, one character drawn from each menu
     of :func:`_chi_menus` in turn, or None when a menu is empty or the
@@ -853,7 +858,7 @@ def _random_chi(rng: random.Random, datum: GRootDatum, frame: GaloisFrame,
             return None
         rep_chars[rep] = rng.choice(chars)
     try:
-        return ChiData.from_representatives(datum, frame, rep_chars)
+        return ChiData.from_representatives(datum, frame, orbits, rep_chars)
     except ValueError:
         return None
 
@@ -970,7 +975,7 @@ def _assign_depths_and_offsets(rng: random.Random, tpl: _Template,
         if off_lattice_breaks(filtration, orbits):
             continue
         jumps = JumpAssignment.build(offsets, orbits)
-        chi = (_random_chi(rng, datum, frame, tpl.chi_menu(frame, seeds, datum, orbits))
+        chi = (_random_chi(rng, datum, frame, orbits, tpl.chi_menu(frame, seeds, datum, orbits))
                if rng.random() < 0.5 else None)
         name = "gen_%s_%04d" % (tpl.key, rng.randint(0, 9999))
         return Scenario(

@@ -620,12 +620,13 @@ def suite_chi(rng: random.Random, n: int) -> int:
             raise AssertionError("chi suite failed to draw enough instances")
         scen = generate_scenario(rng)
         chi = scen.chi if scen.chi is not None else _random_chi(
-            rng, scen.datum, scen.frame, _chi_menus(scen.datum, scen.frame, scen.orbits))
+            rng, scen.datum, scen.frame, scen.orbits,
+            _chi_menus(scen.datum, scen.frame, scen.orbits))
         if chi is None:
             continue
         subgroups = scen.frame.group.all_subgroups()
         sub = rng.choice(subgroups)
-        report = verify_base_change(BaseChange(chi, scen.datum, scen.frame), sub)
+        report = verify_base_change(BaseChange(chi, scen.datum, scen.frame, scen.orbits), sub)
         if not report.ok:
             raise AssertionError("base change fails on %s at H=%s: w=%s %s != %s"
                                  % (scen.name, sorted(sub), report.witness,

@@ -108,7 +108,7 @@ def test_criterion_08_chi_base_change():
                  "s3_a2_depth_third", "d4_b2_depth_quarter"):
         scen = load_scenario(os.path.join(SCEN_DIR, name + ".json"))
         assert scen.chi is not None
-        base = BaseChange(scen.chi, scen.datum, scen.frame)
+        base = BaseChange(scen.chi, scen.datum, scen.frame, scen.orbits)
         for sub in scen.frame.group.all_subgroups():
             try:
                 rep = verify_base_change(base, sub)

@@ -30,7 +30,7 @@ GENERATED_COUNT = 200
 def reference_chi_check(path, fmt):
     """Exit status and stdout of chi-check with every subgroup compared."""
     scen = load_scenario(path)
-    base = BaseChange(scen.chi, scen.datum, scen.frame)
+    base = BaseChange(scen.chi, scen.datum, scen.frame, scen.orbits)
     results = []
     for sub in scen.frame.group.all_subgroups():
         rep = verify_base_change(base, sub)

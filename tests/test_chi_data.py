@@ -56,7 +56,8 @@ def z4_model():
                        frozenset({(1,), (-1,)}))
     datum.check_against_frame(frame)
     chi = ChiData.from_representatives(
-        datum, frame, {(1,): numerators({0: Fraction(0), 2: Fraction(1, 2)}, 4)})
+        datum, frame, classify_orbits(datum, frame),
+        {(1,): numerators({0: Fraction(0), 2: Fraction(1, 2)}, 4)})
     return frame, datum, chi
 
 
@@ -101,17 +102,19 @@ def test_character_group():
 def test_validate_chi_examples():
     # all-trivial on a datum with only asymmetric orbits
     frame, datum = s3_model()
-    assert condition_failures(trivial_chi(datum, frame), datum, frame) == ([], [])
+    orbits = classify_orbits(datum, frame)
+    assert condition_failures(trivial_chi(datum, frame), datum, frame, orbits) == ([], [])
 
     # the ramified A1 model with a nontrivial stabilizer character
     frame, datum, chi = z4_model()
-    assert condition_failures(chi, datum, frame) == ([], [])
+    orbits = classify_orbits(datum, frame)
+    assert condition_failures(chi, datum, frame, orbits) == ([], [])
 
     # deliberately broken: the character at -1 is not the inverse of the one
     # at 1, and conjugation by an odd element does not carry one to the other
     bad = ChiData({(1,): numerators({0: Fraction(0), 2: Fraction(1, 2)}, 4),
                    (-1,): numerators({0: Fraction(0), 2: Fraction(0)}, 4)}, 4)
-    assert condition_failures(bad, datum, frame) == (
+    assert condition_failures(bad, datum, frame, orbits) == (
         ["chi(-a) != chi(a)^-1 at (-1,)", "chi(-a) != chi(a)^-1 at (1,)"],
         ["equivariance fails from (-1,) under 1", "equivariance fails from (1,) under 1"])
 
@@ -127,22 +130,23 @@ def test_from_representatives_refuses_inconsistent_representative():
     frame = GaloisFrame(g, frozenset(range(8)), 0, PrimePower(17, 1))
     datum = GRootDatum(1, {k: [[(-1) ** k]] for k in range(8)}, frozenset({(1,), (-1,)}))
     datum.check_against_frame(frame)
+    orbits = classify_orbits(datum, frame)
     order_four = numerators({k: Fraction(k, 8) for k in range(0, 8, 2)}, 8)
     with pytest.raises(ValueError) as err:
-        ChiData.from_representatives(datum, frame, {(1,): order_four})
+        ChiData.from_representatives(datum, frame, orbits, {(1,): order_four})
     assert str(err.value) == (
         "representatives do not spread to valid chi data: ("
         "'equivariance fails from (-1,) under 1', 'equivariance fails from (1,) under 1')")
     order_two = numerators({k: Fraction(k % 4, 4) for k in range(0, 8, 2)}, 8)
-    chi = ChiData.from_representatives(datum, frame, {(1,): order_two})
+    chi = ChiData.from_representatives(datum, frame, orbits, {(1,): order_two})
     assert chi.chars == {(1,): order_two, (-1,): order_two}
     with pytest.raises(ValueError, match="is not a root"):
-        ChiData.from_representatives(datum, frame, {(2,): order_two})
+        ChiData.from_representatives(datum, frame, orbits, {(2,): order_two})
 
 
 def test_r_chi_hand_example():
     frame, datum, chi = z4_model()
-    choices = default_choices(datum, frame)
+    choices = default_choices(datum, frame, classify_orbits(datum, frame))
     vals = r_chi_values(chi, choices, [0, 2], datum, frame)
     assert vals == {0: (0,), 2: (2,)}  # numerators mod 4: 0 and 1/2
     triv = trivial_chi(datum, frame)
@@ -152,14 +156,15 @@ def test_r_chi_hand_example():
 
 def test_compatible_choices_structure():
     frame, datum, chi = z4_model()
-    pair = compatible_choices(default_choices(datum, frame), frozenset({0, 2}),
-                              datum, frame)
+    pair = compatible_choices(default_choices(datum, frame, classify_orbits(datum, frame)),
+                              frozenset({0, 2}), datum, frame)
     # single double coset: one class of the subgroup with the same representative
     assert list(pair.sub.reps.values()) == [(1,)] or list(pair.sub.reps.values()) == [(-1,)]
 
     frame, datum = s3_model()
     a3 = frame.inertia
-    pair = compatible_choices(default_choices(datum, frame), a3, datum, frame)
+    pair = compatible_choices(default_choices(datum, frame, classify_orbits(datum, frame)), a3,
+                              datum, frame)
     # order-2 stabilizers meet every coset of A3: a single double coset and
     # thus a single class of the subgroup here
     assert len(pair.sub.reps) == 1
@@ -201,16 +206,17 @@ def test_compatible_choices_two_double_cosets():
     frame, datum = s3_free_orbit_model()
     assert len(datum.roots) == 12
     a3 = frame.inertia
-    pair = compatible_choices(default_choices(datum, frame), a3, datum, frame)
+    orbits = classify_orbits(datum, frame)
+    top = default_choices(datum, frame, orbits)
+    pair = compatible_choices(top, a3, datum, frame)
     # one plus-minus class upstairs, trivial stabilizers: two double cosets
     assert len(pair.sub.reps) == 2
     # and base change still verifies with a nontrivial character
-    top = default_choices(datum, frame)
     (rep,) = list(top.reps.values())
     stab = datum.stabilizer(rep)
     assert stab == frozenset({0})
-    chi = ChiData.from_representatives(datum, frame, {rep: {0: 0}})
-    base = BaseChange(chi, datum, frame)
+    chi = ChiData.from_representatives(datum, frame, orbits, {rep: {0: 0}})
+    base = BaseChange(chi, datum, frame, orbits)
     for sub in frame.group.all_subgroups():
         assert verify_base_change(base, sub).ok
 
@@ -220,9 +226,10 @@ def test_broken_outer_section_is_an_internal_error():
     leave Stab+-(a); that is a construction fault, raised as KeyError and
     not as the ValueError that marks refused input."""
     frame, datum = s3_free_orbit_model()
-    top = default_choices(datum, frame)
+    orbits = classify_orbits(datum, frame)
+    top = default_choices(datum, frame, orbits)
     (class_id, rep), = top.reps.items()
-    chi = ChiData.from_representatives(datum, frame, {rep: {0: 0}})
+    chi = ChiData.from_representatives(datum, frame, orbits, {rep: {0: 0}})
     ws = list(frame.group.elements)
     r_chi_values(chi, top, ws, datum, frame)
     u = top.u[class_id]
@@ -235,14 +242,15 @@ def test_broken_outer_section_is_an_internal_error():
 
 def test_verify_base_change_models():
     frame, datum, chi = z4_model()
-    base = BaseChange(chi, datum, frame)
+    base = BaseChange(chi, datum, frame, classify_orbits(datum, frame))
     for sub in frame.group.all_subgroups():
         rep = verify_base_change(base, sub)
         assert rep.ok, (sorted(sub), rep)
 
     frame, datum = s3_model()
+    orbits = classify_orbits(datum, frame)
     triv = trivial_chi(datum, frame)
-    base = BaseChange(triv, datum, frame)
+    base = BaseChange(triv, datum, frame, orbits)
     for sub in frame.group.all_subgroups():
         rep = verify_base_change(base, sub)
         assert rep.ok
@@ -252,8 +260,8 @@ def test_verify_base_change_models():
     stab = datum.stabilizer(alpha)
     nontriv = numerators({h: (Fraction(0) if h == 0 else Fraction(1, 2))
                           for h in sorted(stab)}, 6)
-    chi2 = ChiData.from_representatives(datum, frame, {alpha: nontriv})
-    base = BaseChange(chi2, datum, frame)
+    chi2 = ChiData.from_representatives(datum, frame, orbits, {alpha: nontriv})
+    base = BaseChange(chi2, datum, frame, orbits)
     for sub in frame.group.all_subgroups():
         rep = verify_base_change(base, sub)
         assert rep.ok
@@ -265,13 +273,14 @@ def test_verifier_detects_mismatch():
     choices with the honest data then restore equality."""
     frame, datum, chi = z4_model()
     sub = frozenset({0, 2})
-    pair = compatible_choices(default_choices(datum, frame), sub, datum, frame)
+    orbits = classify_orbits(datum, frame)
+    pair = compatible_choices(default_choices(datum, frame, orbits), sub, datum, frame)
     corrupted = trivial_chi(datum, frame)
     mismatches = [w for w in sorted(sub)
                   if r_chi_values(chi, pair.top, [w], datum, frame)[w]
                   != r_chi_values(corrupted, pair.sub, [w], datum, frame, within=sub)[w]]
     assert mismatches == [2]
-    assert verify_base_change(BaseChange(chi, datum, frame), sub).ok
+    assert verify_base_change(BaseChange(chi, datum, frame, orbits), sub).ok
 
 
 def test_cocycle_vanishes_where_chi_restricts_trivially():
@@ -279,6 +288,7 @@ def test_cocycle_vanishes_where_chi_restricts_trivially():
     trivial, the cocycle of the restriction vanishes identically, so the
     original cocycle vanishes there for compatible choices."""
     frame, datum, chi = z4_model()
+    choices = default_choices(datum, frame, classify_orbits(datum, frame))
     for sub in frame.group.all_subgroups():
         restricted_trivial = True
         for root, table in chi.chars.items():
@@ -287,7 +297,7 @@ def test_cocycle_vanishes_where_chi_restricts_trivially():
                     restricted_trivial = False
         if not restricted_trivial:
             continue
-        pair = compatible_choices(default_choices(datum, frame), sub, datum, frame)
+        pair = compatible_choices(choices, sub, datum, frame)
         for w in sorted(sub):
             val = r_chi_values(chi, pair.top, [w], datum, frame)[w]
             assert all(x == 0 for x in val), (sorted(sub), w, val)
@@ -445,11 +455,13 @@ def test_generator_checks_match_brute_force(name):
         valid = [trivial_chi(h_datum, h_frame)]
         if h_chi is not None:
             valid.append(h_chi)
-        menus = _chi_menus(h_datum, h_frame, classify_orbits(h_datum, h_frame))
-        valid += [f for f in (_random_chi(rng, h_datum, h_frame, menus) for _ in range(4)) if f]
+        h_orbits = classify_orbits(h_datum, h_frame)
+        menus = _chi_menus(h_datum, h_frame, h_orbits)
+        valid += [f for f in (_random_chi(rng, h_datum, h_frame, h_orbits, menus)
+                              for _ in range(4)) if f]
         families = list(valid)
         for first in valid:
-            assert condition_failures(first, h_datum, h_frame) == ([], [])
+            assert condition_failures(first, h_datum, h_frame, h_orbits) == ([], [])
             for second in valid:
                 for mover in h.generating_set(h.elements):
                     families += _splices(first, second, h_datum, h, mover)
@@ -459,7 +471,7 @@ def test_generator_checks_match_brute_force(name):
         for fam in valid:
             families += _perturbations(rng, fam, h_datum)
         for fam in families:
-            assert condition_failures(fam, h_datum, h_frame) == _all_elements_failures(
+            assert condition_failures(fam, h_datum, h_frame, h_orbits) == _all_elements_failures(
                 fam, h_datum, h_frame)
 
 
@@ -519,6 +531,7 @@ def test_equivariance_checked_under_every_generator():
     datum = GRootDatum(1, {x: [[1]] if x < 4 else [[-1]] for x in range(8)},
                        frozenset({(1,), (-1,)}))
     datum.check_against_frame(frame)
+    orbits = classify_orbits(datum, frame)
     stab = frozenset({0, 1, 2, 3})
     for value, valid in ((Fraction(1, 2), True), (Fraction(1, 4), False)):
         table = numerators({k: (k * value) % 1 for k in stab}, 8)
@@ -526,7 +539,7 @@ def test_equivariance_checked_under_every_generator():
         expected = [] if valid else ["equivariance fails from (-1,) under 4",
                                      "equivariance fails from (1,) under 4"]
         assert _all_elements_failures(chi, datum, frame) == ([], expected)
-        assert condition_failures(chi, datum, frame) == ([], expected)
+        assert condition_failures(chi, datum, frame, orbits) == ([], expected)
 
 
 def test_cocycle_values_pinned():
@@ -539,7 +552,7 @@ def test_cocycle_values_pinned():
     for name in WITH_CHI:
         scen = load_scenario(os.path.join(SCEN_DIR, name + ".json"))
         datum, frame, chi = scen.datum, scen.frame, scen.chi
-        choices = default_choices(datum, frame)
+        choices = default_choices(datum, frame, scen.orbits)
         expected = {}
         for sub, w, top, low in pins[name]:
             expected.setdefault(frozenset(sub), {})[w] = (
@@ -580,7 +593,7 @@ def test_cocycle_sum_written_out_with_values_of_order_three_and_six():
     datum, frame = scen.datum, scen.frame
     group = frame.group
     n = group.order
-    base = BaseChange(scen.chi, datum, frame)
+    base = BaseChange(scen.chi, datum, frame, scen.orbits)
     (top,) = base.top
     assert [k for k, v in enumerate(top.inner) if v is not None] == [0, 2]
     inner = [None] * n
@@ -660,7 +673,7 @@ def test_choices_match_brute_force():
     checked = 0
     for scen in oracle_scenarios():
         datum, frame, group = scen.datum, scen.frame, scen.frame.group
-        choices = default_choices(datum, frame)
+        choices = default_choices(datum, frame, scen.orbits)
         assert (choices.u, choices.v) == oracle.default_sections(datum, group)
         assert choices.reps == {cid: tuple(int(x) for x in cid.split(","))
                                 for cid in choices.u}
@@ -708,5 +721,6 @@ def test_chi_check_conjugates_inner_sections_by_c_inverse(tmp_path, capsys):
     assert {group.conj(c, x) for x in stab_pm} != stab_pm
     alpha_z = datum.act(group.inv(c), alpha)
     assert datum.act(4, alpha_z) == tuple(-x for x in alpha_z)
-    pair = compatible_choices(default_choices(datum, scen.frame), sub, datum, scen.frame)
+    pair = compatible_choices(default_choices(datum, scen.frame, scen.orbits), sub, datum,
+                              scen.frame)
     assert pair.sub.v[root_key(alpha_z)] == {0: 0, 4: 4}

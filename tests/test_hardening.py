@@ -24,7 +24,7 @@ from fdc.chi_data import (
     verify_base_change,
 )
 from fdc.compare import run_compare
-from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum
+from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum, classify_orbits
 from fdc.mp_filtration import is_concave
 from fdc.qexact import PrimePower, qmon
 from fdc.scenario import ScenarioError, scenario_from_dict
@@ -156,17 +156,18 @@ def test_chi_base_change_sixteen_element_frame():
     action = {k: [[1]] if k % 2 == 0 else [[-1]] for k in range(16)}
     datum = GRootDatum(1, action, frozenset({(1,), (-1,)}))
     datum.check_against_frame(frame)
+    orbits = classify_orbits(datum, frame)
     stab = frozenset(range(0, 16, 2))
     chars = character_group(g, stab)
     assert len(chars) == 8
     tested = 0
     for chi_rep in chars:
         try:
-            chi = ChiData.from_representatives(datum, frame, {(1,): chi_rep})
+            chi = ChiData.from_representatives(datum, frame, orbits, {(1,): chi_rep})
         except ValueError:
             continue  # fails the symmetric-class compatibility constraint
-        assert condition_failures(chi, datum, frame) == ([], [])
-        base = BaseChange(chi, datum, frame)
+        assert condition_failures(chi, datum, frame, orbits) == ([], [])
+        base = BaseChange(chi, datum, frame, orbits)
         for sub in g.all_subgroups():
             rep = verify_base_change(base, sub)
             assert rep.ok, (sorted(sub), rep.witness, rep.lhs, rep.rhs)

@@ -73,9 +73,9 @@ FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None
 
 
 # Python's own wording of a failed conversion or lookup: an int() message,
-# indexing a list or a string with a string, a KeyError's quoted bare key,
-# and the repr of a boolean or of None.
-PYTHON_TEXT = re.compile(r"int\(\) argument|invalid literal for int\(\)"
+# its digit limit, indexing a list or a string with a string, a KeyError's
+# quoted bare key, and the repr of a boolean or of None.
+PYTHON_TEXT = re.compile(r"int\(\) argument|invalid literal for int\(\)|Exceeds the limit"
                          r"|object is not subscriptable|indices must be integers"
                          r"|(^|\s)'[^'\s]+'($|\s)|\bTrue\b|\bNone\b")
 

@@ -38,7 +38,7 @@ def frozen_records():
     scen = next(s for s in SCENARIOS if s.chi is not None)
     report = run_compare(scen)
     frame, datum = scen.frame, scen.datum
-    base = BaseChange(scen.chi, datum, frame)
+    base = BaseChange(scen.chi, datum, frame, scen.orbits)
     whole = frozenset(frame.group.elements)
     return [
         scen.pp, report.value_automorphic, frame, datum,
@@ -72,7 +72,7 @@ def test_mutable_records_have_slots_except_scenario():
     """Scenario keeps an instance dict for its cached torus data."""
     scen = next(s for s in SCENARIOS if s.chi is not None)
     report = run_compare(scen)
-    base = BaseChange(scen.chi, scen.datum, scen.frame)
+    base = BaseChange(scen.chi, scen.datum, scen.frame, scen.orbits)
     for record in (scen.chi, base.choices, report):
         assert not hasattr(record, "__dict__")
     assert isinstance(scen, Scenario) and "torus" in vars(scen)

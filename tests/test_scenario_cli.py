@@ -546,6 +546,30 @@ def test_torus_data_computed_once_per_q(argv, calls, monkeypatch, capsys):
     assert seen == [9 if argv[0] == "--q" else 3] * calls  # the file's q is 3
 
 
+@pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_orbits_classified_once_per_file(command, name, monkeypatch, capsys):
+    """Loading classifies the orbits once per file, and every later step
+    reads that copy: chi-check's base change too, on a frame with proper
+    nontrivial subgroups.  A scenario without χ loads before chi-check
+    refuses it."""
+    original = fdc.galois_roots.classify_orbits
+    calls = []
+
+    def counting(datum, frame):
+        calls.append(datum)
+        return original(datum, frame)
+
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.startswith("fdc")
+                and getattr(module, "classify_orbits", None) is original):
+            monkeypatch.setattr(module, "classify_orbits", counting)
+    rc = cli.main(["--format", "json", command, bundled_path(name)])
+    capsys.readouterr()
+    assert rc == (2 if command == "chi-check" and "chi" not in bundled_doc(name) else 0)
+    assert len(calls) == 1
+
+
 def _golden_stdout(case_id):
     path = os.path.join(os.path.dirname(__file__), "golden", case_id + ".out")
     with open(path, encoding="utf-8") as fh:
@@ -844,6 +868,9 @@ def test_integer_fields_still_read_decimal_strings():
     assert scenario_from_dict(doc).frame.frobenius == 1
 
 
+LONG = "1" * 5000  # an integer text past the interpreter's digit limit
+
+
 @pytest.mark.parametrize("path,value,line", [
     (("q",), {"p": "1_1", "a": 1}, 'qexact.q.p: must be an integer, got "1_1"'),
     (("q",), {"p": 3, "a": "１"}, 'qexact.q.a: must be an integer, got "\\uff11"'),
@@ -858,12 +885,28 @@ def test_integer_fields_still_read_decimal_strings():
     (("chi",), {"2": {"0": "0"}, "x": {"0": "0"}},
      'chi_data.chi.x: key must be an integer, got "x"'),
     (("chi", "2"), {"x": "0"}, 'chi_data.chi.2.x: key must be an integer, got "x"'),
+    # past the interpreter's 4,300-digit limit, which int() words in its own text
+    (("q",), {"p": LONG, "a": 1}, 'qexact.q.p: must be an integer, got "%s"' % LONG),
+    (("q",), {"p": 3, "a": "-" + LONG}, 'qexact.q.a: must be an integer, got "-%s"' % LONG),
+    (("frobenius",), LONG, 'galois_roots.frobenius: must be an integer, got "%s"' % LONG),
+    (("inertia",), [0, LONG],
+     'galois_roots.inertia: entry 1 must be an integer, got "%s"' % LONG),
+    (("action",), {"0": [[1]], LONG: [[-1]]},
+     'galois_roots.action.%s: key must be an integer, got "%s"' % (LONG, LONG)),
+    (("chi", "2"), {LONG: "0"},
+     'chi_data.chi.2.%s: key must be an integer, got "%s"' % (LONG, LONG)),
+    (("chi",), {"2": {"0": "0"}, "2," + LONG: {"0": "0"}},
+     'chi_data.chi.2,%s: key must be an integer, got "%s"' % (LONG, LONG)),
 ], ids=["p-underscore", "a-full-width", "frobenius-underscore", "frobenius-full-width",
         "frobenius-spaces", "frobenius-plus", "action-key-junk", "action-key-plus",
-        "chi-root-key-junk", "chi-element-key-junk"])
+        "chi-root-key-junk", "chi-element-key-junk", "p-past-digit-limit",
+        "a-past-digit-limit", "frobenius-past-digit-limit", "inertia-past-digit-limit",
+        "action-key-past-digit-limit", "chi-element-key-past-digit-limit",
+        "chi-root-coordinate-past-digit-limit"])
 def test_integer_texts_are_ascii_digits(path, value, line, tmp_path, capsys):
     """An integer text, value or key, is ASCII digits after an optional "-",
-    as for --q: ``int`` alone read each of these values as 11 or 1."""
+    as for --q: ``int`` alone read each of these values as 11 or 1.  A text
+    longer than ``int`` reads is refused in the same words."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_with(bundled_doc("sl2_unramified_depth0"), path, value)))
     assert cli.main(["verify", str(bad)]) == 2
@@ -945,6 +988,7 @@ def test_cli_large_q_loads_quickly(q, p, a, capsys):
     ("\uff11\uff11", "invalid literal for int()"),  # full-width digits
     (" 11 ", "invalid literal for int()"),
     ("+11", "invalid literal for int()"),
+    (LONG, "invalid literal for int()"),  # past the digit limit, in the same words
 ])
 def test_cli_refuses_bad_q(q, message, capsys):
     """One error line for the run, naming the flag."""
