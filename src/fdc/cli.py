@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import List, NoReturn, Optional, Tuple
+from typing import Dict, List, NoReturn, Optional, Tuple
 
 from .compare import VERDICT_FLAGGED, VERDICT_UNEQUAL, emit_report, run_compare
 from .chi_data import BaseChange, verify_base_change
-from .formal_degree import general_degree, regular_degree
+from .formal_degree import depth_zero_quotient_dim, general_degree, regular_degree
 from .qexact import PrimePower, fraction_str, int_str, ratio_str
 from .scenario import Scenario, json_text, load_scenario, parse_int
 from .weil_gamma import galois_side
@@ -87,40 +87,34 @@ def _cmd_verify(args: Args) -> int:
 
 def _cmd_degree(args: Args) -> int:
     scen = _load(args.files[0], args.q)
-    shape = scen.shape()
     torus = scen.torus
     if scen.depth_zero.regular:
-        reg = regular_degree(shape, torus)
-        coeff, pexp = reg.monomial.as_pair()
-        payload = {
-            "name": scen.name,
-            "q": scen.pp.q,
-            "monomial": {"coeff": coeff, "pexp": pexp},
+        reg = regular_degree(scen.datum, scen.filtration, torus, scen.pp)
+        mono = reg.monomial
+        payload: Dict[str, object] = {
             "prefactor_special_fiber": ratio_str(1, reg.special_fiber_order),
             "prefactor_full_index": ratio_str(1, reg.full_point_index),
             "prefactor_discrepancy": reg.discrepancy,
         }
-        text = ["scenario %s  q=%d" % (scen.name, scen.pp.q),
-                "  degree (special-fiber prefactor): %s / %s"
-                % (reg.monomial, int_str(reg.special_fiber_order)),
-                "  degree (full-index prefactor):    %s / %s"
-                % (reg.monomial, int_str(reg.full_point_index))]
     else:
-        dim_quot = shape.depth_zero_quotient_dim(torus.rank_m)
-        mono, pref = general_degree(shape, scen.depth_zero, dim_quot)
-        coeff, pexp = mono.as_pair()
-        payload = {
-            "name": scen.name,
-            "q": scen.pp.q,
-            "monomial": {"coeff": coeff, "pexp": pexp},
-            "prefactor": fraction_str(pref),
-        }
-        text = ["scenario %s  q=%d" % (scen.name, scen.pp.q),
-                "  degree: %s * %s" % (fraction_str(pref), mono)]
+        dim_quot = depth_zero_quotient_dim(scen.filtration, scen.jumps, torus.rank_m)
+        mono, pref = general_degree(scen.datum, scen.filtration, scen.depth_zero, dim_quot,
+                                    scen.pp)
+        payload = {"prefactor": fraction_str(pref)}
     if args.format == "json":
+        coeff, pexp = mono.as_pair()
+        payload.update(name=scen.name, q=scen.pp.q, monomial={"coeff": coeff, "pexp": pexp})
         sys.stdout.write(json_text(payload) + "\n")
+        return 0
+    lines = ["scenario %s  q=%s" % (scen.name, int_str(scen.pp.q))]
+    if scen.depth_zero.regular:
+        lines += ["  degree (special-fiber prefactor): %s / %s"
+                  % (mono, int_str(reg.special_fiber_order)),
+                  "  degree (full-index prefactor):    %s / %s"
+                  % (mono, int_str(reg.full_point_index))]
     else:
-        sys.stdout.write("\n".join(text) + "\n")
+        lines.append("  degree: %s * %s" % (payload["prefactor"], mono))
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -143,8 +137,9 @@ def _cmd_gamma(args: Args) -> int:
     if args.format == "json":
         sys.stdout.write(json_text(payload) + "\n")
     else:
-        sys.stdout.write("scenario %s  q=%d\n  gamma value: %s * %s\n"
-                         % (scen.name, scen.pp.q, fraction_str(gal.prefactor), gal.monomial))
+        sys.stdout.write("scenario %s  q=%s\n  gamma value: %s * %s\n"
+                         % (scen.name, int_str(scen.pp.q), fraction_str(gal.prefactor),
+                            gal.monomial))
     return 0
 
 

@@ -34,6 +34,7 @@ from typing import Dict, List, Sequence
 
 from .formal_degree import (
     RegularDegree,
+    depth_zero_quotient_dim,
     heisenberg_dims,
     heisenberg_indices,
     regular_degree,
@@ -99,7 +100,7 @@ class ComparisonReport:
         builds them."""
         scen, gal = self.scenario, self.galois
         torus = scen.torus
-        indices = heisenberg_indices(scen.shape())
+        indices = heisenberg_indices(scen.filtration, scen.jumps, scen.pp)
         return {
             "rank_m": torus.rank_m,
             "special_fiber_order": torus.special_fiber_order,
@@ -163,24 +164,24 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
         raise ValueError("formal_degree.depth_zero: verify compares regular depth-zero "
                          "data only; fdc degree evaluates the opaque form")
     t0 = time.monotonic()
-    shape = scenario.shape()
-    torus = scenario.torus
-    reg: RegularDegree = regular_degree(shape, torus)
+    torus, filtration, jumps = scenario.torus, scenario.filtration, scenario.jumps
+    reg: RegularDegree = regular_degree(scenario.datum, filtration, torus, scenario.pp)
     gal: GaloisSide = galois_side(scenario.datum, scenario.frame,
-                                  scenario.filtration, scenario.orbits, torus)
+                                  filtration, scenario.orbits, torus)
 
     diagnostics: List[str] = []
 
     # Volume normalization: torsor point count against the closed form.
-    raw = volume_exponent_raw(shape, torus.rank_m)
-    closed = volume_exponent_closed(shape, torus.rank_m)
+    dim_quot = depth_zero_quotient_dim(filtration, jumps, torus.rank_m)
+    raw = volume_exponent_raw(filtration, jumps, dim_quot)
+    closed = volume_exponent_closed(filtration, dim_quot)
     if raw != closed:
         raise AssertionError("volume exponent mismatch: raw %s vs closed %s" % (raw, closed))
 
     # A symmetric odd-degree orbit jumping at 0 is legal scenario data, but
     # the depth-zero quotient it gives has an odd root count, which no
     # reductive quotient has.
-    if (shape.depth_zero_quotient_dim(torus.rank_m) - torus.rank_m) % 2:
+    if (dim_quot - torus.rank_m) % 2:
         diagnostics.append("depth-zero quotient has an odd root count; "
                            "it matches no reductive quotient")
 
@@ -200,7 +201,6 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
 
     # Loading refuses a break outside (1/e) Z, and (1/e) Z lies in (1/2e) Z,
     # so each orbit of positive depth is in both lattices.
-    filtration = scenario.filtration
     for o in scenario.orbits:
         layer = filtration.layer_of_orbit(o)
         if layer:
@@ -242,8 +242,8 @@ def emit_report(reports: Sequence[ComparisonReport], fmt: str = "text",
     lines: List[str] = []
     for r in reports:
         deg, gal = r.degree, r.galois
-        lines.append("scenario %-28s q=%-4d verdict=%s"
-                     % (r.scenario.name, r.scenario.pp.q, r.verdict))
+        lines.append("scenario %-28s q=%-4s verdict=%s"
+                     % (r.scenario.name, int_str(r.scenario.pp.q), r.verdict))
         lines.append("  automorphic  %s  (monomial %s, prefactors 1/%s | 1/%s)"
                      % (r.value_automorphic, deg.monomial,
                         int_str(deg.special_fiber_order), int_str(deg.full_point_index)))

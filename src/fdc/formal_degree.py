@@ -7,6 +7,12 @@ closed formula
     dim(rho) / index * exp_q( dim(G)/2 + dim(reductive quotient)/2
                               + (1/2) sum_i r_i (|R_{i+1}| - |R_i|) ).
 
+The depth data enter only through the Howe filtration, read here as it is:
+its breaks r_0 < ... < r_{d-1} and its layers (``HoweFiltration.layers``,
+layer 0 the nonpositive part, layer i + 1 the orbits of depth r_i).  The
+Heisenberg quotients live at the half-breaks s_i = r_i / 2.  dim(G) is
+rank + |R|, since the orbit degrees sum to |R|.
+
 The regular route derives the depth-zero contribution from the torus
 lattice: the prefactor is the reciprocal of the special-fiber torus order,
 and the quotient dimension term degrades to the quotient rank.  The
@@ -30,74 +36,30 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .galois_roots import HoweFiltration, OrbitInfo, TorusLatticeData
+from .galois_roots import GRootDatum, HoweFiltration, TorusLatticeData
 from .mp_filtration import JumpAssignment, jump_length_at, twice_length_to
 from .qexact import Frozen, PrimePower, QMonomial, RationalLike, exp_q
 
 
-# -- shapes and depth-zero data -------------------------------------------------
+# -- the depth layers and depth-zero data ------------------------------------------
 
 
-class YuShape(Frozen):
-    """The combinatorial residue of a cuspidal datum: Levi chain sizes,
-    depth sequence, jumps, and the toral data.
+def break_term(filtration: HoweFiltration) -> Fraction:
+    """(1/2) sum_i r_i (|R_{i+1}| - |R_i|), the wild part of the exponent,
+    with |R_{i+1}| - |R_i| the degree sum of layer i + 1, summed in integers
+    over the common denominator of the breaks."""
+    breaks = filtration.breaks
+    den = math.lcm(*(r.denominator for r in breaks))
+    num = sum(r.numerator * (den // r.denominator) * sum(o.degree for o in layer)
+              for r, layer in zip(breaks, filtration.layers[1:]))
+    return Fraction(num, 2 * den)
 
-    The depth sequence (r_0, ..., r_d) satisfies
-    0 < r_0 < ... < r_{d-1} <= r_d (for d = 0 only r_0 >= 0), as
-    :func:`howe_filtration` builds it; the half-depths s_i = r_i / 2 are the
-    indices where the Heisenberg quotients live.
 
-    Each orbit's layer, the half-breaks and the break term are computed
-    once, here: ``layers[i]`` holds the orbits of layer i in orbit order
-    (layer 0 the nonpositive part, layer i + 1 the orbits entering at break
-    i), ``half_breaks[i]`` is s_i = r_i / 2 for each break r_i, and
-    :meth:`break_term` reads the kept sum.
-    """
-
-    __slots__ = ("filtration", "orbits", "jumps", "toral_rank", "pp", "layers", "half_breaks",
-                 "_break_term")
-
-    def __init__(self, filtration: HoweFiltration, orbits: Tuple[OrbitInfo, ...],
-                 jumps: JumpAssignment, toral_rank: int, pp: PrimePower) -> None:
-        object.__setattr__(self, "filtration", filtration)
-        object.__setattr__(self, "orbits", orbits)
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "toral_rank", toral_rank)
-        object.__setattr__(self, "pp", pp)
-        layers: List[List[OrbitInfo]] = [[] for _ in filtration.levels]
-        for o in orbits:
-            layers[filtration.layer_of_orbit(o)].append(o)
-        object.__setattr__(self, "layers", tuple(map(tuple, layers)))
-        # (1/2) sum_i r_i (|R_{i+1}| - |R_i|), summed in integers over the
-        # common denominator of the breaks
-        breaks = filtration.breaks
-        object.__setattr__(self, "half_breaks",
-                           tuple(Fraction(r.numerator, 2 * r.denominator) for r in breaks))
-        den = math.lcm(*(r.denominator for r in breaks))
-        num = sum(r.numerator * (den // r.denominator) * delta
-                  for r, delta in zip(breaks, filtration.layer_sizes()))
-        object.__setattr__(self, "_break_term", Fraction(num, 2 * den))
-
-    @property
-    def dim_ga(self) -> int:
-        return self.toral_rank + sum(o.degree for o in self.orbits)
-
-    def layer_orbits(self, i: int) -> Tuple[OrbitInfo, ...]:
-        """Orbits entering the chain at break i (contained in R_{i+1} - R_i)."""
-        return self.layers[i + 1]
-
-    def depth_zero_orbits(self) -> Tuple[OrbitInfo, ...]:
-        return self.layers[0]
-
-    def break_term(self) -> Fraction:
-        """(1/2) sum_i r_i (|R_{i+1}| - |R_i|), the wild part of the exponent."""
-        return self._break_term
-
-    def depth_zero_quotient_dim(self, rank_m: int) -> int:
-        """Dimension of the depth-zero reductive quotient: quotient rank plus
-        the roots of the zeroth level whose torsor passes through 0."""
-        return rank_m + sum(jump_length_at(o, self.jumps, 0)
-                            for o in self.depth_zero_orbits())
+def depth_zero_quotient_dim(filtration: HoweFiltration, jumps: JumpAssignment,
+                            rank_m: int) -> int:
+    """Dimension of the depth-zero reductive quotient: quotient rank plus
+    the roots of the zeroth level whose torsor passes through 0."""
+    return rank_m + sum(jump_length_at(o, jumps, 0) for o in filtration.layers[0])
 
 
 class DepthZeroData(Frozen):
@@ -133,13 +95,14 @@ def compact_induction_degree(dim_tau: QMonomial, vol_k: QMonomial) -> QMonomial:
     return dim_tau / vol_k
 
 
-def heisenberg_indices(shape: YuShape) -> List[QMonomial]:
+def heisenberg_indices(filtration: HoweFiltration, jumps: JumpAssignment,
+                       pp: PrimePower) -> List[QMonomial]:
     """The abelian quotient orders [J^{i+1} : J^{i+1}_+], one per break:
-    exp_q of the total jump length of the i-th layer at s_i = r_i / 2."""
+    exp_q of the total jump length of layer i + 1 at s_i = r_i / 2."""
     out: List[QMonomial] = []
-    for i, s in enumerate(shape.half_breaks):
-        length = sum(jump_length_at(o, shape.jumps, s) for o in shape.layer_orbits(i))
-        out.append(exp_q(length, shape.pp))
+    for r, layer in zip(filtration.breaks, filtration.layers[1:]):
+        s = Fraction(r.numerator, 2 * r.denominator)
+        out.append(exp_q(sum(jump_length_at(o, jumps, s) for o in layer), pp))
     return out
 
 
@@ -150,16 +113,16 @@ def heisenberg_dims(indices: List[QMonomial]) -> List[QMonomial]:
     return [QMonomial(idx.pp, idx.coeff, idx.pexp / 2) for idx in indices]
 
 
-def general_degree(shape: YuShape, dz: DepthZeroData,
-                   dim_g0_red: int) -> Tuple[QMonomial, Fraction]:
+def general_degree(datum: GRootDatum, filtration: HoweFiltration, dz: DepthZeroData,
+                   dim_g0_red: int, pp: PrimePower) -> Tuple[QMonomial, Fraction]:
     """Formal degree from opaque depth-zero data.
 
     Returns (monomial, rational prefactor) with the monomial
     exp_q(dim(G)/2 + dim_g0_red/2 + break term) and prefactor
     dim(rho) / stabilizer index.
     """
-    expo = Fraction(shape.dim_ga + dim_g0_red, 2) + shape.break_term()
-    return exp_q(expo, shape.pp), Fraction(dz.dim_rho, dz.stab_index)
+    expo = Fraction(datum.rank + len(datum.roots) + dim_g0_red, 2) + break_term(filtration)
+    return exp_q(expo, pp), Fraction(dz.dim_rho, dz.stab_index)
 
 
 # -- the regular route -------------------------------------------------------------
@@ -186,7 +149,8 @@ class RegularDegree(Frozen):
         object.__setattr__(self, "discrepancy", discrepancy)
 
 
-def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
+def regular_degree(datum: GRootDatum, filtration: HoweFiltration, torus: TorusLatticeData,
+                   pp: PrimePower) -> RegularDegree:
     """Formal degree of a regular scenario, from the torus lattice alone.
 
     The exponent is dim(G)/2 + rank(M)/2 + sum_i s_i (|R_{i+1}| - |R_i|)
@@ -194,11 +158,10 @@ def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
     |det(qF - 1)| or the reciprocal full point index, which is the
     special-fiber order times the Kottwitz fixed count.
     """
-    expo = Fraction(shape.dim_ga + torus.rank_m, 2) + shape.break_term()
-    mono = exp_q(expo, shape.pp)
+    expo = Fraction(datum.rank + len(datum.roots) + torus.rank_m, 2) + break_term(filtration)
     return RegularDegree(
-        pp=shape.pp,
-        monomial=mono,
+        pp=pp,
+        monomial=exp_q(expo, pp),
         special_fiber_order=torus.special_fiber_order,
         full_point_index=torus.full_point_index,
         discrepancy=torus.kottwitz_fixed_order,
@@ -208,19 +171,20 @@ def regular_degree(shape: YuShape, torus: TorusLatticeData) -> RegularDegree:
 # -- volume normalization: the two assemblies of one exponent ----------------------
 
 
-def volume_exponent_raw(shape: YuShape, rank_m: int) -> Fraction:
+def volume_exponent_raw(filtration: HoweFiltration, jumps: JumpAssignment,
+                        dim_quot: int) -> Fraction:
     """Exponent of the inverse volume assembly by torsor point count:
-    (the depth-zero quotient dimension, :meth:`YuShape.depth_zero_quotient_dim`,
-    plus the sum over each layer i of :func:`twice_length_to` at s_i) / 2,
+    (the depth-zero quotient dimension, :func:`depth_zero_quotient_dim`,
+    plus the sum over each layer i + 1 of :func:`twice_length_to` at s_i) / 2,
     summed in integers."""
-    jumps = shape.jumps
-    twice = shape.depth_zero_quotient_dim(rank_m)
-    for i, s in enumerate(shape.half_breaks):
-        twice += sum(twice_length_to(o, jumps, s) for o in shape.layer_orbits(i))
+    twice = dim_quot
+    for r, layer in zip(filtration.breaks, filtration.layers[1:]):
+        s = Fraction(r.numerator, 2 * r.denominator)
+        twice += sum(twice_length_to(o, jumps, s) for o in layer)
     return Fraction(twice, 2)
 
 
-def volume_exponent_closed(shape: YuShape, rank_m: int) -> Fraction:
+def volume_exponent_closed(filtration: HoweFiltration, dim_quot: int) -> Fraction:
     """The same exponent from the closed length identity: half the
     depth-zero Levi length plus the break term."""
-    return Fraction(shape.depth_zero_quotient_dim(rank_m), 2) + shape.break_term()
+    return Fraction(dim_quot, 2) + break_term(filtration)

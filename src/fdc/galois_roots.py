@@ -11,7 +11,8 @@ roots; ellipticity (no nonzero invariant vectors) is enforced at
 construction because every downstream lattice count silently requires it.
 
 The Howe filtration extracts from per-orbit character depths the increasing
-chain of Levi-closed root subsets together with its breaks.
+chain of Levi-closed root subsets together with its breaks and the orbits
+of each layer, which the formal degree reads.
 """
 
 from __future__ import annotations
@@ -641,25 +642,24 @@ class HoweFiltration(Value):
 
     levels[i] is R_i as a set of roots; breaks are the distinct positive
     depths r_0 < ... < r_{d-1}; total is r_d (the full character depth).
-    Orbits in levels[i+1] - levels[i] have depth breaks[i]; orbits in
-    levels[0] are the nonpositive-depth part.
+    layers[i] lists, in orbit order, the orbits of levels[i] - levels[i-1]:
+    layers[0] is the nonpositive-depth part, levels[0], and the orbits of
+    layers[i + 1] have depth breaks[i].
     """
 
-    __slots__ = ("levels", "breaks", "total")
+    __slots__ = ("levels", "layers", "breaks", "total")
 
-    def __init__(self, levels: Tuple[FrozenSet[Vector], ...], breaks: Tuple[Fraction, ...],
+    def __init__(self, levels: Tuple[FrozenSet[Vector], ...],
+                 layers: Tuple[Tuple[OrbitInfo, ...], ...], breaks: Tuple[Fraction, ...],
                  total: Fraction) -> None:
         object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "total", total)
 
     @property
     def d(self) -> int:
         return len(self.breaks)
-
-    def layer_sizes(self) -> List[int]:
-        """|R_{i+1}| - |R_i| for each break index i."""
-        return [len(self.levels[i + 1]) - len(self.levels[i]) for i in range(self.d)]
 
     def layer_of_orbit(self, orbit: OrbitInfo) -> int:
         """0 for the nonpositive part, i+1 when the orbit enters at break i."""
@@ -693,11 +693,14 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
     """Build the depth filtration of the root system from per-orbit depths.
 
     The orbits are the datum's frame orbits (:func:`classify_orbits`).  The
-    nonpositive-depth orbits form R_0; the distinct positive depths, sorted
-    increasingly, are the breaks, and each level accumulates the orbits up
-    to that depth.  Each proper level must be rationally closed in R (the
-    Levi condition): the span of R_i meets R exactly in R_i.  The last
-    level is the union of all orbits, R itself, and is closed trivially.
+    nonpositive-depth orbits form layer 0; the distinct positive depths,
+    sorted increasingly, are the breaks, and layer i + 1 holds the orbits
+    of depth breaks[i], each layer in orbit order.  This is the one place
+    the orbits are grouped by depth.  Level i is the union of the layers up
+    to i, so R_0 is the nonpositive part.  Each proper level must be
+    rationally closed in R (the Levi condition): the span of R_i meets R
+    exactly in R_i.  The last level is the union of all orbits, R itself,
+    and is closed trivially.
 
     The marker is told from a depth by its type: a ``Fraction`` is never
     compared with the marker string, which would walk the ``numbers``
@@ -726,14 +729,17 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
         if positive.get(oid) != positive.get(o.negation_id):
             raise ValueError("depth map is not negation-invariant at orbit %s" % oid)
 
-    breaks = sorted(set(positive.values()))
-    level0 = frozenset(r for oid, o in by_id.items() if oid not in positive
-                       for r in o.members)
-    levels = [level0]
-    for r in breaks:
-        new = frozenset(rt for oid, v in positive.items() if v == r
-                        for rt in by_id[oid].members)
-        levels.append(levels[-1] | new)
+    # The orbits of each depth in orbit order, the nonpositive ones under None.
+    by_depth: Dict[Optional[Fraction], List[OrbitInfo]] = {}
+    for oid, o in by_id.items():
+        by_depth.setdefault(positive.get(oid), []).append(o)
+    breaks = sorted(r for r in by_depth if r is not None)
+    layers = [tuple(by_depth.get(None, ()))] + [tuple(by_depth[r]) for r in breaks]
+    levels: List[FrozenSet[Vector]] = []
+    level: FrozenSet[Vector] = frozenset()
+    for layer in layers:
+        level = level.union(*(o.members for o in layer))
+        levels.append(level)
     # Levi closure of every proper level.
     for i, lv in enumerate(levels[:-1]):
         closure = _span_closure(sorted(lv), datum.roots)
@@ -742,7 +748,8 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
             raise ValueError(
                 "level %d is not rationally closed in R: span also contains %s"
                 % (i, extra))
-    return HoweFiltration(levels=tuple(levels), breaks=tuple(breaks), total=total)
+    return HoweFiltration(levels=tuple(levels), layers=tuple(layers), breaks=tuple(breaks),
+                          total=total)
 
 
 class TorusLatticeData(Value):

@@ -32,7 +32,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Mapping, Opt
 
 from .chi_data import (Character, ChiData, character_group, char_conjugate, char_inverse,
                        condition_failures)
-from .formal_degree import DepthZeroData, YuShape
+from .formal_degree import DepthZeroData
 from .galois_roots import (
     DepthValue,
     FiniteGroup,
@@ -369,14 +369,6 @@ class Scenario:
         self.depth_zero = depth_zero
         self.chi = chi
         self.group_encoding = group_encoding
-        self._shape: Optional[YuShape] = None
-
-    def shape(self) -> YuShape:
-        """The scenario's one :class:`YuShape`, built on first call."""
-        if self._shape is None:
-            self._shape = YuShape(self.filtration, self.orbits, self.jumps,
-                                  self.datum.rank, self.pp)
-        return self._shape
 
     @property
     def unverified_assumptions(self) -> Tuple[str, ...]:

@@ -507,7 +507,7 @@ def test_howe_examples():
 
     filt = howe_filtration(datum, orbs, {oid: Fraction(1, 2)}, Fraction(1, 2))
     assert filt.d == 1 and filt.levels[0] == frozenset()
-    assert filt.breaks == (Fraction(1, 2),) and filt.layer_sizes() == [2]
+    assert filt.breaks == (Fraction(1, 2),) and filt.layers == ((), tuple(orbs))
 
     with pytest.raises(ValueError):
         howe_filtration(datum, orbs, {oid: Fraction(3, 4)}, Fraction(1, 2))  # depth > total

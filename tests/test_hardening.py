@@ -257,6 +257,7 @@ def test_compact_induction_derivation_chain():
     over the assembled inverse volume reproduces the closed formula."""
     from fdc.formal_degree import (
         DepthZeroData,
+        depth_zero_quotient_dim,
         general_degree,
         heisenberg_dims,
         heisenberg_indices,
@@ -271,26 +272,27 @@ def test_compact_induction_derivation_chain():
     checked = 0
     while checked < 40:
         scen = generate_scenario(rng)
-        shape = scen.shape()
-        torus = scen.torus
-        dim_quot = shape.depth_zero_quotient_dim(torus.rank_m)
+        datum, filtration, torus = scen.datum, scen.filtration, scen.torus
+        dim_quot = depth_zero_quotient_dim(filtration, scen.jumps, torus.rank_m)
         if (dim_quot - torus.rank_m) % 2:
             continue
         steinberg = scen.pp.q ** ((dim_quot - torus.rank_m) // 2)
         dz = DepthZeroData.opaque(1, torus.special_fiber_order * steinberg)
-        hdims = heisenberg_dims(heisenberg_indices(shape))
+        hdims = heisenberg_dims(heisenberg_indices(filtration, scen.jumps, scen.pp))
         dim_tau = math.prod(hdims, start=qmon(scen.pp, dz.dim_rho))
         # vol(K)^-1 = q^(dim G / 2) * exp_q(raw exponent) / (index * prod
         # Heisenberg dims): the raw exponent contains the half boundary
         # lengths whose exponentials are exactly the Heisenberg dimensions.
-        vol_k = math.prod(hdims, start=exp_q(Fraction(shape.dim_ga, 2), scen.pp) ** -1
-                          * exp_q(volume_exponent_raw(shape, torus.rank_m), scen.pp) ** -1
+        dim_g = datum.rank + len(datum.roots)
+        vol_k = math.prod(hdims, start=exp_q(Fraction(dim_g, 2), scen.pp) ** -1
+                          * exp_q(volume_exponent_raw(filtration, scen.jumps, dim_quot),
+                                  scen.pp) ** -1
                           ).scale(dz.stab_index)
         got = compact_induction_degree(dim_tau, vol_k)
-        mono, pref = general_degree(shape, dz, dim_quot)
+        mono, pref = general_degree(datum, filtration, dz, dim_quot, scen.pp)
         want = mono.scale(pref)
         assert got == want, (scen.name, got, want)
-        reg = regular_degree(shape, torus)
+        reg = regular_degree(datum, filtration, torus, scen.pp)
         assert got == reg.monomial.scale(Fraction(1, reg.special_fiber_order))
         checked += 1
 

@@ -410,7 +410,10 @@ def test_depth_lattice_matches_fraction_definitions():
         layer = {o.orbit_id: rng.randint(0, len(breaks)) for o in orbits}
         levels = tuple(frozenset(o.representative for o in orbits if layer[o.orbit_id] <= i)
                        for i in range(len(breaks) + 1))
-        filtration = HoweFiltration(levels=levels, breaks=tuple(breaks), total=breaks[-1])
+        layers = tuple(tuple(o for o in orbits if layer[o.orbit_id] == i)
+                       for i in range(len(breaks) + 1))
+        filtration = HoweFiltration(levels=levels, layers=layers, breaks=tuple(breaks),
+                                    total=breaks[-1])
         want = []
         for o in orbits:
             if layer[o.orbit_id]:

@@ -1,5 +1,5 @@
-"""Every module of the package is reached from the command line, and
-every symbol has a caller in the package.
+"""Every module of the package is reached from the command line, every
+symbol has a caller in the package, and every record field is read.
 
 The source of ``src/fdc`` is parsed with ``ast``, not imported.  A
 module-level function, class or private constant, or a public method or
@@ -25,6 +25,15 @@ ALLOWED = {
     "generate_scenario": "entry point of the benchmark workloads (bench/workloads.py)",
     "Scenario.to_json": "entry point of the benchmark workloads (bench/workloads.py)",
     "__version__": "the package version attribute; pyproject.toml declares the same",
+}
+
+
+# Record fields (``__slots__`` entries) no module reads, each with the reason it stays.
+ALLOWED_FIELDS = {
+    "OrbitInfo.symmetric": "the orbit classification ROADMAP item 4 decides FLAGGED from",
+    "OrbitInfo.ramified": "the orbit classification ROADMAP item 4 decides FLAGGED from",
+    "BaseChangeReport.lhs": "fault diagnostics: the restricted cocycle at the witness",
+    "BaseChangeReport.rhs": "fault diagnostics: the restriction of the cocycle at the witness",
 }
 
 
@@ -150,3 +159,40 @@ def test_cli_import_leaves_out_dataclasses_and_random():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out == "[]\n"
+
+
+def _slot_fields(tree):
+    """(Class.field, field) of each ``__slots__`` entry of a class of the module."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in item.targets)):
+                    out += [("%s.%s" % (node.name, field), field)
+                            for field in ast.literal_eval(item.value)]
+    return out
+
+
+def unread_fields():
+    """The record fields that no module of the package reads as an
+    attribute (``x.field`` in a load), as ``module:Class.field``.  Writes
+    do not count, and neither do the generic reads of every field by
+    ``Frozen.__repr__`` and ``Value.__eq__``."""
+    modules = _modules()
+    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return ["%s:%s" % (fn[:-3], qual) for fn, tree in modules.items()
+            for qual, field in _slot_fields(tree) if field not in read]
+
+
+def test_every_record_field_is_read():
+    dead = [m for m in unread_fields() if m.split(":")[1] not in ALLOWED_FIELDS]
+    assert dead == [], "record fields no module of src/fdc reads: %s" % dead
+
+
+def test_field_allow_list_is_current():
+    """Each allowed field still exists and is still unread: once a module
+    reads it, its entry goes."""
+    assert {m.split(":")[1] for m in unread_fields()} == set(ALLOWED_FIELDS)

@@ -44,7 +44,7 @@ def frozen_records():
         scen.pp, report.value_automorphic, frame, datum,
         scen.orbits[0], scen.filtration, scen.torus, base.top[0],
         compatible_choices(base.choices, whole, datum, frame),
-        verify_base_change(base, whole), scen.shape(), scen.depth_zero, report.degree,
+        verify_base_change(base, whole), scen.depth_zero, report.degree,
         at(1), scen.jumps, report.galois.toral, report.galois.root, report.galois,
         generator_templates()[0],
     ]

@@ -14,7 +14,7 @@ import fdc.scenario
 import fdc.weil_gamma
 from fdc.compare import emit_report, run_compare
 from fdc.galois_roots import TorusLatticeData
-from fdc.qexact import PrimePower, qmon
+from fdc.qexact import PrimePower, int_str, qmon
 from fdc.scenario import (
     FIELDS,
     REQUIRED,
@@ -196,6 +196,20 @@ def test_cli_degree_opaque(capsys, tmp_path):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["prefactor"] == "1/12"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
+def test_q_past_the_digit_limit_is_written_in_full(command, fmt, capsys):
+    """q = 3^10000 has 4,772 digits, past the interpreter's 4,300-digit
+    limit on ``str(int)``: every subcommand and format still reports, and
+    the ones that show q write all its digits."""
+    name = "z4_a1_ramified_chi" if command == "chi-check" else "sl2_unramified_depth0"
+    rc = cli.main(["--q", "3^10000", "--format", fmt, command, bundled_path(name)])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    if command != "chi-check":
+        assert int_str(3 ** 10000) in out
 
 
 def test_cli_verify_refuses_opaque_depth_zero(capsys, tmp_path):

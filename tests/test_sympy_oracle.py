@@ -1,5 +1,6 @@
 """sympy as a second implementation: the Smith forms of ``fdc.zlattice``
-against sympy's invariant factors over ZZ.
+against sympy's invariant factors over ZZ, and the five torus quantities
+of ``torus_lattice_data`` against linear algebra in sympy.
 
 sympy is a separately written computer algebra system, so a misreading of
 the Smith form shared by ``smith_normal_form`` and the tests that call it
@@ -8,17 +9,23 @@ the zeros last; ``smith_normal_form`` keeps the nonzero ones first on its
 diagonal and counts them as its rank.
 """
 
+import itertools
+import math
+import os
 import random
 import sys
 
 import pytest
-from sympy import ZZ, Matrix
-from sympy.matrices.normalforms import invariant_factors
+from sympy import ZZ, Matrix, eye
+from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from fdc.compare import run_compare
-from fdc.scenario import scenario_from_dict
+from fdc.galois_roots import torus_lattice_data
+from fdc.scenario import generate_scenario, load_scenario, scenario_from_dict
 from fdc.zlattice import smith_normal_form
 from test_coxeter import coxeter_document
+
+SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
 
 
 def assert_agrees_with_sympy(a):
@@ -80,3 +87,76 @@ def test_smith_form_agrees_with_sympy_on_coxeter_relations(n, ramified, monkeypa
     assert len(seen) >= 3
     for a in seen:
         assert_agrees_with_sympy(a)
+
+
+def torus_by_sympy(datum, frame):
+    """The five torus quantities, in the field order of
+    ``TorusLatticeData``, by routes that share nothing with it.
+
+    rank M, |det(qF - 1)| and |det(F - 1)| come from a ``nullspace`` basis
+    b of V^I, on which F acts by the matrix f with b f = M(F) b.  On the
+    cocharacters, where g acts by M(g^-1)^T, |X_{*,Gamma}| is the product
+    of the ``invariant_factors`` of the relations g - 1 of every group
+    element.  |(X_{*,I})^F| is counted point by point: the
+    ``smith_normal_decomp`` D = U R V of the inertia relations R makes
+    X_{*,I} the sum of the Z/d_j in the coordinates U x, where F acts by
+    U F U^-1.  F - 1 is injective on the free quotient (asserted), so every
+    fixed point is a torsion point, and the torsion points are enumerated.
+    """
+    group, n = frame.group, datum.rank
+    act = {g: Matrix(m) for g, m in datum.action.items()}
+    basis = Matrix.vstack(*[act[i] - eye(n) for i in sorted(frame.inertia)]).nullspace()
+    rank_m = len(basis)
+    if basis:
+        b = Matrix.hstack(*basis)
+        f = (b.T * b).inv() * b.T * act[frame.frobenius] * b
+    else:
+        f = Matrix.zeros(0, 0)
+    special = abs((frame.q * f - eye(rank_m)).det())
+    coinvariants = abs((f - eye(rank_m)).det())
+
+    def relations(elements):
+        return Matrix.hstack(*[act[group.inv(g)].T - eye(n) for g in sorted(elements)])
+
+    factors = invariant_factors(relations(group.elements), domain=ZZ)
+    assert len(factors) == n and all(factors)
+    full = math.prod(abs(int(x)) for x in factors)
+
+    d, u, _ = smith_normal_decomp(relations(frame.inertia), domain=ZZ)
+    mods = [abs(int(d[j, j])) if j < d.cols else 0 for j in range(n)]
+    step = u * act[group.inv(frame.frobenius)].T * u.inv() - eye(n)
+    free = [j for j in range(n) if mods[j] == 0]
+    assert step.extract(free, free).det() != 0
+    torsion = [j for j in range(n) if mods[j] > 1]
+    assert math.prod(mods[j] for j in torsion) <= 10 ** 4
+    fixed = 0
+    for point in itertools.product(*[range(mods[j]) for j in torsion]):
+        y = Matrix.zeros(n, 1)
+        for j, c in zip(torsion, point):
+            y[j] = c
+        z = step * y
+        fixed += all(z[j] % mods[j] == 0 if mods[j] else z[j] == 0 for j in range(n))
+    return rank_m, int(special), int(coinvariants), full, fixed
+
+
+def torus_cases():
+    """The bundled scenarios, 100 generated draws and the A_3, A_5 and A_7
+    Coxeter documents, unramified and totally ramified."""
+    out = [load_scenario(os.path.join(SCEN_DIR, fn))
+           for fn in sorted(os.listdir(SCEN_DIR)) if fn.endswith(".json")]
+    rng = random.Random(20261020)
+    out += [generate_scenario(rng) for _ in range(100)]
+    out += [scenario_from_dict(coxeter_document(n, ramified))
+            for n in (4, 6, 8) for ramified in (False, True)]
+    return out
+
+
+def test_torus_lattice_data_agrees_with_sympy():
+    seen_torsion = 0
+    for scen in torus_cases():
+        torus = torus_lattice_data(scen.datum, scen.frame)
+        got = (torus.rank_m, torus.special_fiber_order, torus.m_frob_coinvariants,
+               torus.cochar_full_coinvariants, torus.kottwitz_fixed_order)
+        assert got == torus_by_sympy(scen.datum, scen.frame), scen.name
+        seen_torsion += torus.kottwitz_fixed_order > 1
+    assert seen_torsion >= 5
