@@ -202,7 +202,7 @@ def condition_failures(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
     g = frame.group
     if _holds_by_orbit(chi, datum, g, g.generating_set(g.elements), orbits):
         return [], []
-    return _failures_under(chi, datum, frame, g.elements)
+    return _failures_under(chi, datum, frame)
 
 
 def _holds_by_orbit(chi: ChiData, datum: GRootDatum, group: FiniteGroup,
@@ -223,9 +223,9 @@ def _holds_by_orbit(chi: ChiData, datum: GRootDatum, group: FiniteGroup,
                for o in orbits)
 
 
-def _failures_under(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
-                    movers: Sequence[int]) -> Tuple[List[str], List[str]]:
-    """Conditions 1 and 2, with equivariance tested under ``movers`` only."""
+def _failures_under(chi: ChiData, datum: GRootDatum,
+                    frame: GaloisFrame) -> Tuple[List[str], List[str]]:
+    """Conditions 1 and 2, with equivariance tested under every element."""
     g = frame.group
     srt = datum.sorted_roots
     cond1: List[str] = []
@@ -239,7 +239,7 @@ def _failures_under(chi: ChiData, datum: GRootDatum, frame: GaloisFrame,
             continue
         if chi.chars.get(srt[neg]) != char_inverse(chi.chars[root], chi.n):
             cond1.append("chi(-a) != chi(a)^-1 at %s" % (root,))
-        for s in movers:
+        for s in g.elements:
             target = datum.act(s, root)
             if chi.chars.get(target) != char_conjugate(g, chi.chars[root], s):
                 cond2.append("equivariance fails from %s under %d" % (root, s))
@@ -389,19 +389,15 @@ def cocycle(classes: Sequence[ClassData], u_sections: Mapping[str, Mapping[int, 
 # -- compatible choices and the base-change verification -----------------------
 
 
-class CompatiblePair(Frozen):
-    __slots__ = ("top", "sub")
-
-    def __init__(self, top: SectionChoices, sub: SectionChoices) -> None:
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "sub", sub)
-
-
 def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
-                       datum: GRootDatum, frame: GaloisFrame) -> CompatiblePair:
+                       datum: GRootDatum, frame: GaloisFrame
+                       ) -> Tuple[Dict[str, Dict[int, int]], SectionChoices]:
     """Derive choices on a subgroup H from top-level ones exactly as in the
     constructive base-change proof, and rebuild the top outer section from
-    them so that the two cocycles agree on the nose.
+    them so that the two cocycles agree on the nose.  Returns the rebuilt
+    top outer sections by class, which replace ``choices_k.u`` (the top
+    representatives and inner sections stay ``choices_k``'s), and the
+    :class:`SectionChoices` of H.
 
     For each top class with representative a: double cosets of the
     plus-minus stabilizer against H get minimal-element sections c(z); each
@@ -433,7 +429,7 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
     g = frame.group
     rows, inverse = g.table, g.inverse
     elems = sorted(subgroup)
-    top = SectionChoices(choices_k.reps, {}, choices_k.v)
+    top_u: Dict[str, Dict[int, int]] = {}
     sub_reps: Dict[str, Root] = {}
     sub_u: Dict[str, Dict[int, int]] = {}
     sub_v: Dict[str, Dict[int, int]] = {}
@@ -470,8 +466,8 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
                     vz[h] = rows[rows[cinv][v_top[upstairs]]][c]
             sub_u[sub_class_id] = uz
             sub_v[sub_class_id] = vz
-        top.u[class_id] = new_u
-    return CompatiblePair(top=top, sub=SectionChoices(sub_reps, sub_u, sub_v))
+        top_u[class_id] = new_u
+    return top_u, SectionChoices(sub_reps, sub_u, sub_v)
 
 
 class BaseChangeReport(Frozen):
@@ -508,9 +504,9 @@ def verify_base_change(base: BaseChange, subgroup: FrozenSet[int]) -> BaseChange
     each from its own sections: the top side over its rebuilt outer section,
     the restricted side over the derived classes of the subgroup."""
     chi, datum, frame = base.chi, base.datum, base.frame
-    pair = compatible_choices(base.choices, subgroup, datum, frame)
-    lhs = cocycle(base.top, pair.top.u, subgroup, datum, frame.group)
-    rhs = r_chi_values(chi, pair.sub, subgroup, datum, frame, within=subgroup)
+    top_u, sub = compatible_choices(base.choices, subgroup, datum, frame)
+    lhs = cocycle(base.top, top_u, subgroup, datum, frame.group)
+    rhs = r_chi_values(chi, sub, subgroup, datum, frame, within=subgroup)
     if lhs == rhs:
         return BaseChangeReport(True, None, None, None)
     w = min(w for w in subgroup if lhs[w] != rhs[w])

@@ -201,11 +201,11 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
 
     # Loading refuses a break outside (1/e) Z, and (1/e) Z lies in (1/2e) Z,
     # so each orbit of positive depth is in both lattices.
+    breaks = filtration.orbit_breaks()
     for o in scenario.orbits:
-        layer = filtration.layer_of_orbit(o)
-        if layer:
+        if o.orbit_id in breaks:
             diagnostics.append("depth-lattice at %s: break %s, value-group True, "
-                               "half-lattice True" % (o.orbit_id, filtration.breaks[layer - 1]))
+                               "half-lattice True" % (o.orbit_id, breaks[o.orbit_id]))
     for flag in scenario.unverified_assumptions:
         diagnostics.append("unverified: %s" % flag)
 

@@ -138,11 +138,10 @@ class RegularDegree(Frozen):
     normalization discrepancy between the two published forms.
     """
 
-    __slots__ = ("pp", "monomial", "special_fiber_order", "full_point_index", "discrepancy")
+    __slots__ = ("monomial", "special_fiber_order", "full_point_index", "discrepancy")
 
-    def __init__(self, pp: PrimePower, monomial: QMonomial, special_fiber_order: int,
+    def __init__(self, monomial: QMonomial, special_fiber_order: int,
                  full_point_index: int, discrepancy: int) -> None:
-        object.__setattr__(self, "pp", pp)
         object.__setattr__(self, "monomial", monomial)
         object.__setattr__(self, "special_fiber_order", special_fiber_order)
         object.__setattr__(self, "full_point_index", full_point_index)
@@ -160,7 +159,6 @@ def regular_degree(datum: GRootDatum, filtration: HoweFiltration, torus: TorusLa
     """
     expo = Fraction(datum.rank + len(datum.roots) + torus.rank_m, 2) + break_term(filtration)
     return RegularDegree(
-        pp=pp,
         monomial=exp_q(expo, pp),
         special_fiber_order=torus.special_fiber_order,
         full_point_index=torus.full_point_index,

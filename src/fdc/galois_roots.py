@@ -12,7 +12,8 @@ construction because every downstream lattice count silently requires it.
 
 The Howe filtration extracts from per-orbit character depths the increasing
 chain of Levi-closed root subsets together with its breaks and the orbits
-of each layer, which the formal degree reads.
+of each layer, which the formal degree reads, and answers each orbit's
+break.
 """
 
 from __future__ import annotations
@@ -323,12 +324,8 @@ class GaloisFrame(Frozen):
             raise ValueError("wild frame: p divides |inertia|")
         if frobenius not in g.elements:
             raise ValueError("frobenius is not a group element")
-        gen = self.subgroup_with_inertia(frobenius)
-        if len(gen) != g.order:
+        if len(g.subgroup_generated(sorted(inertia) + [frobenius])) != g.order:
             raise ValueError("Frobenius image does not generate the quotient by inertia")
-
-    def subgroup_with_inertia(self, g0: int) -> FrozenSet[int]:
-        return self.group.subgroup_generated(sorted(self.inertia) + [g0])
 
     @property
     def q(self) -> int:
@@ -371,21 +368,20 @@ class GRootDatum(Frozen):
     ``sorted_roots`` sum to zero for every i, and then neg[i] = |R| - 1 - i:
     the symmetry check reads that and builds no negated vector.
 
-    Gamma.R = R, ellipticity (no nonzero invariant vectors) and the
-    homomorphism property, which puts every matrix in GL(rank, Z), are
-    checked against the frame (:meth:`check_against_frame`).  That check
-    also records how each element permutes the root indices, and every
-    root-level query (:meth:`act` on a root, :meth:`orbit`,
-    :meth:`stabilizer`, :meth:`pm_stabilizer`) reads that table, so it must
-    come first.  It records ``traces`` too: tr M(g) for every element g,
-    indexed by g.
+    The constructor ends by checking the action against the frame group
+    (:meth:`check_against_frame`): the homomorphism property, which puts
+    every matrix in GL(rank, Z), Gamma.R = R and ellipticity (no nonzero
+    invariant vectors).  That check also records how each element permutes
+    the root indices, which every root-level query (:meth:`act` on a root,
+    :meth:`orbit`, :meth:`stabilizer`, :meth:`pm_stabilizer`) reads, and
+    ``traces``: tr M(g) for every element g, indexed by g.
     """
 
     __slots__ = ("rank", "action", "roots", "sorted_roots", "_index", "neg", "_perm",
                  "traces", "_memo")
 
     def __init__(self, rank: int, action: Mapping[int, Matrix],
-                 roots: FrozenSet[Vector]) -> None:
+                 roots: FrozenSet[Vector], group: FiniteGroup) -> None:
         for g, m in action.items():
             if len(m) != rank or any(len(row) != rank for row in m):
                 raise ValueError("action matrix for element %d has wrong shape" % g)
@@ -408,16 +404,15 @@ class GRootDatum(Frozen):
         object.__setattr__(self, "sorted_roots", srt)
         object.__setattr__(self, "_index", dict(zip(srt, range(len(srt)))))
         object.__setattr__(self, "neg", list(range(len(srt) - 1, -1, -1)))
-        # element -> the permutation of root indices it induces
-        object.__setattr__(self, "_perm", {})
-        # element -> tr M(element), as a list indexed by the element
-        object.__setattr__(self, "traces", [])
         # root -> (stabilizer, +-stabilizer)
         object.__setattr__(self, "_memo", {})
+        self.check_against_frame(group)
 
-    def check_against_frame(self, frame: GaloisFrame) -> None:
-        """Check that the action is a homomorphism, that the group keeps
-        the root set stable, and that no nonzero vector is group-fixed.
+    def check_against_frame(self, g: FiniteGroup) -> None:
+        """Check that the action is a homomorphism on the frame group g,
+        that g keeps the root set stable, and that no nonzero vector is
+        g-fixed; record ``_perm``, each element's permutation of the root
+        indices, and ``traces``.
 
         Each property is tested on generators only, which proves it for the
         whole group.  The elements a with M(ab) = M(a)M(b) for every b
@@ -431,11 +426,11 @@ class GRootDatum(Frozen):
         group.  The generators' permutations of the roots, kept from the
         stability test, give every element's (:meth:`_permute_roots`).
 
-        Ellipticity is read from the traces, which are recorded here for
-        :func:`torus_lattice_data`: once M is a homomorphism, the average
-        (1/|G|) sum_g M(g) is the projection onto V^G for V = X (x) Q, so
-        sum_g tr M(g) = |G| dim V^G, and the datum is elliptic exactly when
-        the sum is 0.  No lattice basis and no Smith form is needed.
+        Ellipticity is read from the traces, which :func:`torus_lattice_data`
+        reads too: once M is a homomorphism, the average (1/|G|) sum_g M(g)
+        is the projection onto V^G for V = X (x) Q, so sum_g tr M(g) =
+        |G| dim V^G, and the datum is elliptic exactly when the sum is 0.
+        No lattice basis and no Smith form is needed.
 
         The homomorphism test works on whole rows.  Each generator's matrix
         is read once, each row as the (k, entry) pairs of its nonzero
@@ -453,7 +448,6 @@ class GRootDatum(Frozen):
         matrices of a Coxeter torus of rank n have O(n) nonzero entries
         among n^2.
         """
-        g = frame.group
         action = self.action
         if set(action.keys()) != set(g.elements):
             raise ValueError("action must be defined on every group element")
@@ -469,14 +463,15 @@ class GRootDatum(Frozen):
                     if _combine_rows(terms, m_b) != want:
                         raise ValueError("action is not a homomorphism at (%d, %d)" % (s, b))
         sparse = {s: sparse_columns(action[s]) for s in gens}
-        self._permute_roots(g, sparse)
-        self.traces[:] = [sum(self.action[a][i][i] for i in range(self.rank))
-                          for a in g.elements]
-        if sum(self.traces):
+        object.__setattr__(self, "_perm", self._permute_roots(g, sparse))
+        traces = [sum(action[a][i][i] for i in range(self.rank)) for a in g.elements]
+        object.__setattr__(self, "traces", traces)
+        if sum(traces):
             raise ValueError("datum is not elliptic: invariant vectors exist")
 
-    def _permute_roots(self, group: FiniteGroup, sparse: Mapping[int, SparseColumns]) -> None:
-        """Refuse a generator that moves a root off R, then record every
+    def _permute_roots(self, group: FiniteGroup, sparse: Mapping[int, SparseColumns]
+                       ) -> Dict[int, List[int]]:
+        """Refuse a generator that moves a root off R, then return every
         element's permutation of the root indices.  ``sparse`` maps each
         generator to its matrix in sparse column form.
 
@@ -491,8 +486,7 @@ class GRootDatum(Frozen):
             if None in images:
                 raise ValueError("root set is not stable under element %d" % a)
             gen_perms.append((a, images))
-        perm = self._perm
-        perm[0] = list(range(len(self.sorted_roots)))
+        perm = {0: list(range(len(self.sorted_roots)))}
         frontier = [0]
         while frontier:
             b = frontier.pop()
@@ -501,6 +495,7 @@ class GRootDatum(Frozen):
                 if sb not in perm:
                     perm[sb] = [ps[i] for i in perm[b]]
                     frontier.append(sb)
+        return perm
 
     def _root_data(self, root: Vector) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         entry = self._memo.get(root)
@@ -569,15 +564,14 @@ def classify_orbits(datum: GRootDatum, frame: GaloisFrame) -> List[OrbitInfo]:
     exactly when some inertia element carries a root to its negative (the
     relative extension of the plus-minus field is then ramified quadratic).
 
-    The datum must have passed :meth:`GRootDatum.check_against_frame`: the
-    action is then a homomorphism, so each stabilizer is a subgroup and the
-    orbit size is its index (orbit-stabilizer).  Orbits are read on root
-    indices from the datum's permutation table (:meth:`GRootDatum.orbit`)
-    in increasing index order, so each is met first at its least index,
-    which is its least root, the representative, because the indices follow
-    the sorted roots.  The negatives of an orbit form an orbit, since
-    M(g)(-a) = -(M(g) a).  Only the representatives' stabilizers are
-    computed.
+    The datum's action is a homomorphism (:class:`GRootDatum` checks it),
+    so each stabilizer is a subgroup and the orbit size is its index
+    (orbit-stabilizer).  Orbits are read on root indices from the datum's
+    permutation table (:meth:`GRootDatum.orbit`) in increasing index order,
+    so each is met first at its least index, which is its least root, the
+    representative, because the indices follow the sorted roots.  The
+    negatives of an orbit form an orbit, since M(g)(-a) = -(M(g) a).  Only
+    the representatives' stabilizers are computed.
 
     The stabilizer H of the representative fixes the field k_alpha, read
     off by indices: the degree [G : H], the ramification index
@@ -644,7 +638,7 @@ class HoweFiltration(Value):
     depths r_0 < ... < r_{d-1}; total is r_d (the full character depth).
     layers[i] lists, in orbit order, the orbits of levels[i] - levels[i-1]:
     layers[0] is the nonpositive-depth part, levels[0], and the orbits of
-    layers[i + 1] have depth breaks[i].
+    layers[i + 1] have depth breaks[i]: :meth:`orbit_breaks` reads that off.
     """
 
     __slots__ = ("levels", "layers", "breaks", "total")
@@ -661,17 +655,10 @@ class HoweFiltration(Value):
     def d(self) -> int:
         return len(self.breaks)
 
-    def layer_of_orbit(self, orbit: OrbitInfo) -> int:
-        """0 for the nonpositive part, i+1 when the orbit enters at break i."""
-        rep = orbit.representative
-        for i, lv in enumerate(self.levels):
-            if rep in lv:
-                return i
-        raise KeyError("orbit %s not covered by the filtration" % orbit.orbit_id)
-
-    def depth_of_orbit(self, orbit: OrbitInfo) -> DepthValue:
-        layer = self.layer_of_orbit(orbit)
-        return NONPOSITIVE if layer == 0 else self.breaks[layer - 1]
+    def orbit_breaks(self) -> Dict[str, Fraction]:
+        """Each orbit of positive depth, by its id, to its break; an orbit of
+        the nonpositive part has none."""
+        return {o.orbit_id: r for r, layer in zip(self.breaks, self.layers[1:]) for o in layer}
 
 
 def _span_closure(vectors: Sequence[Vector], candidates: FrozenSet[Vector]) -> FrozenSet[Vector]:
@@ -790,10 +777,9 @@ class TorusLatticeData(Value):
 
 
 def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeData:
-    """Compute the torus lattice data of a datum that passed
-    :meth:`GRootDatum.check_against_frame`.
+    """Compute the torus lattice data of a datum on the frame's group.
 
-    The orders of M = X^I come from the traces that check recorded.  The
+    The orders of M = X^I come from the traces the datum recorded.  The
     inertia average P = (1/|I|) sum_{i in I} M(i) projects V = X (x) Q onto
     V^I, and F normalizes I, so F preserves V^I and
     tr(F^k | V^I) = tr(M(phi)^k P) = (1/|I|) sum_{i in I} tr M(phi^k i).
@@ -809,14 +795,14 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     puts every relation in their span.  Frobenius F preserves that relation
     lattice: F(g - 1)x = (F g F^-1 - 1)(F x), F g F^-1 lies in I because
     :class:`GaloisFrame` refuses a non-normal inertia subgroup, and the
-    dual action is a homomorphism because :meth:`GRootDatum.check_against_frame`
-    made the action one.  So :func:`fdc.zlattice.frobenius_orders` applies,
+    dual action is a homomorphism because :class:`GRootDatum` checked that
+    the action is one.  So :func:`fdc.zlattice.frobenius_orders` applies,
     and its one Smith form of [F - 1 | -B] gives both the kernel of F - 1,
     whose order is |(X_{*,I})^F|, and its cokernel
     X_*/((F - 1)X_* + I-relations), which is X_{*,Gamma} because the frame
     guarantees Gamma = <I, Frob>.
 
-    Every order here is finite, because that check also refuses a nonzero
+    Every order here is finite, because the datum also refuses a nonzero
     group-fixed vector and the group is generated by I and Frob.  A
     vector of X^I fixed by Frob is group-fixed, so det(F - 1) on X^I is
     nonzero and (X^I)_F is finite.  Over Q, the coinvariants of a finite
@@ -870,11 +856,6 @@ def off_lattice_breaks(filtration: HoweFiltration,
     e.  A break that passes also lies in (1/2e) Z, where the half-depths of
     the length identity live, since (1/e) Z is inside (1/2e) Z.
     """
-    out = []
-    for o in orbits:
-        layer = filtration.layer_of_orbit(o)
-        if layer:
-            r = filtration.breaks[layer - 1]
-            if o.e % r.denominator:
-                out.append((o, r))
-    return out
+    breaks = filtration.orbit_breaks()
+    return [(o, breaks[o.orbit_id]) for o in orbits
+            if o.orbit_id in breaks and o.e % breaks[o.orbit_id].denominator]

@@ -264,11 +264,10 @@ def is_admissible(rvec: Sequence[RationalLike]) -> bool:
     return (not rest or rest[0] >= rs[0] / 2) and all(a <= b for a, b in zip(rest, rest[1:]))
 
 
-def _step_function(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
-                   seq: Sequence[Fraction]) -> Dict[str, Fraction]:
+def _step_function(filtration: HoweFiltration, seq: Sequence[Fraction]) -> Dict[str, Fraction]:
     """Value seq[0] on the zeroth level and the toral point, seq[i] on the
     i-th layer of the Levi chain."""
-    out = {o.orbit_id: seq[filtration.layer_of_orbit(o)] for o in orbits}
+    out = {o.orbit_id: r for r, layer in zip(seq, filtration.layers) for o in layer}
     out[TORAL_KEY] = seq[0]
     return out
 
@@ -285,7 +284,7 @@ def f_from_sequence(filtration: HoweFiltration, rvec: Sequence[RationalLike],
                          % (len(rs), filtration.d + 1))
     if not is_admissible(rs):
         raise ValueError("sequence %s is not admissible" % (rs,))
-    out = _step_function(filtration, orbits, rs)
+    out = _step_function(filtration, rs)
     root_fn: Dict[Tuple[int, ...], Fraction] = {tuple([0] * datum.rank): rs[0]}
     for o in orbits:
         for root in o.members:
@@ -366,8 +365,8 @@ def quotient_order(f: IndexFunction, g: IndexFunction, jumps: JumpAssignment,
         if chain is None or filtration is None:
             raise ValueError("a start other than 0+ needs a chain certificate "
                              "and the Levi filtration")
-        lo = _step_function(filtration, orbits, chain[0])
-        hi = _step_function(filtration, orbits, chain[-1])
+        lo = _step_function(filtration, chain[0])
+        hi = _step_function(filtration, chain[-1])
         if any(as_ext(lo[k]) != fx[k] or as_ext(hi[k]) != gx[k] for k in keys):
             raise ValueError("chain certificate does not connect f to g")
         validate_chain(list(chain))

@@ -354,13 +354,12 @@ class Scenario:
     (:func:`off_lattice_breaks` is empty).  ``group_encoding`` is the
     document's group as read, kept for round-trips."""
 
-    def __init__(self, name: str, pp: PrimePower, frame: GaloisFrame, datum: GRootDatum,
+    def __init__(self, name: str, frame: GaloisFrame, datum: GRootDatum,
                  orbits: Tuple[OrbitInfo, ...], jumps: JumpAssignment,
                  filtration: HoweFiltration, depth_zero: DepthZeroData,
                  chi: Optional[ChiData] = None,
                  group_encoding: Optional[Dict[str, object]] = None) -> None:
         self.name = name
-        self.pp = pp
         self.frame = frame
         self.datum = datum
         self.orbits = orbits
@@ -369,6 +368,11 @@ class Scenario:
         self.depth_zero = depth_zero
         self.chi = chi
         self.group_encoding = group_encoding
+
+    @property
+    def pp(self) -> PrimePower:
+        """The residue prime power, the frame's."""
+        return self.frame.pp
 
     @property
     def unverified_assumptions(self) -> Tuple[str, ...]:
@@ -401,7 +405,7 @@ class Scenario:
                                 self.frame.frobenius, pp)
         except ValueError as e:  # a wild frame, as loading words it
             raise ScenarioError([("galois_roots", "frame", str(e))])
-        return Scenario(self.name, pp, frame, self.datum, self.orbits, self.jumps,
+        return Scenario(self.name, frame, self.datum, self.orbits, self.jumps,
                         self.filtration, self.depth_zero, self.chi, self.group_encoding)
 
     # -- serialization -------------------------------------------------------
@@ -413,7 +417,7 @@ class Scenario:
         else:
             group = {"order": self.frame.group.order,
                      "mult_table": [list(r) for r in self.frame.group.table]}
-        depths = {o.orbit_id: self.filtration.depth_of_orbit(o) for o in self.orbits}
+        breaks = self.filtration.orbit_breaks()
         doc: Dict[str, object] = {
             "name": self.name,
             "q": {"p": self.pp.p, "a": self.pp.a},
@@ -426,8 +430,8 @@ class Scenario:
             "roots": [list(r) for r in sorted(self.datum.roots)],
             "jump_offsets": {oid: fraction_str(off)
                              for oid, off in sorted(self.jumps.offsets.items())},
-            "theta_depths": {oid: (val if isinstance(val, str) else fraction_str(val))
-                             for oid, val in sorted(depths.items())},
+            "theta_depths": {o.orbit_id: fraction_str(breaks[o.orbit_id])
+                             if o.orbit_id in breaks else NONPOSITIVE for o in self.orbits},
             "theta_total_depth": fraction_str(self.filtration.total),
         }
         if self.depth_zero.regular:
@@ -492,14 +496,9 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
 
     frame = _attempt(failures, "galois_roots", "frame", GaloisFrame, group,
                      frozenset(f["inertia"]), f["frobenius"], pp)
-    datum = None
-    try:
-        datum = GRootDatum(f["lattice_rank"], f["action"], frozenset(map(tuple, f["roots"])))
-        if frame is not None:
-            datum.check_against_frame(frame)
-    except ValueError as e:
-        failures.append(("galois_roots", "GRootDatum", str(e)))
-        datum = None
+    # built on the group whether or not the frame passed: a frame fault hides no datum fault
+    datum = _attempt(failures, "galois_roots", "GRootDatum", GRootDatum, f["lattice_rank"],
+                     f["action"], frozenset(map(tuple, f["roots"])), group)
     if frame is None or datum is None:
         raise ScenarioError(failures)
 
@@ -524,7 +523,7 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
 
     chi = None
     if "chi" in f:
-        chi = ChiData({}, group.order)
+        n = group.order
         strays = [root for root in f["chi"] if root not in datum.roots]
         if strays:
             failures.append(("chi_data", "chi", "character at %s is not a root" % (strays[0],)))
@@ -532,9 +531,9 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
             # a/b mod 1, for b > 0, is stored as the numerator k / b over n with
             # k = (a mod b) n; a Fraction where that is not an integer, which no
             # character value is
-            for root, table in f["chi"].items():
-                chi.chars[root] = {g: Fraction(k, b) if (k := a % b * chi.n) % b else k // b
-                                   for g, (a, b) in table.items()}
+            chi = ChiData({root: {g: Fraction(k, b) if (k := a % b * n) % b else k // b
+                                  for g, (a, b) in table.items()}
+                           for root, table in f["chi"].items()}, n)
             cond1, cond2 = condition_failures(chi, datum, frame, orbits)
             failures += [("chi_data", "chi", msg) for msg in cond1 + cond2]
 
@@ -542,7 +541,7 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
         raise ScenarioError(failures)
 
     return Scenario(
-        name=f["name"], pp=pp, frame=frame, datum=datum, orbits=orbits, jumps=jumps,
+        name=f["name"], frame=frame, datum=datum, orbits=orbits, jumps=jumps,
         filtration=filtration, depth_zero=depth_zero, chi=chi,
         group_encoding=f["group"] if "perm_gens" in f["group"] else None,
     )
@@ -697,8 +696,7 @@ class _Template(Frozen):
         if len(roots) > 12:
             return "more than 12 roots"
         try:
-            datum = GRootDatum(self.rank, self.action, roots)
-            datum.check_against_frame(frame)
+            datum = GRootDatum(self.rank, self.action, roots, frame.group)
         except ValueError as e:
             return str(e)
         orbits = tuple(classify_orbits(datum, frame))
@@ -971,7 +969,7 @@ def _assign_depths_and_offsets(rng: random.Random, tpl: _Template,
                if rng.random() < 0.5 else None)
         name = "gen_%s_%04d" % (tpl.key, rng.randint(0, 9999))
         return Scenario(
-            name=name, pp=frame.pp, frame=frame, datum=datum, orbits=orbits,
+            name=name, frame=frame, datum=datum, orbits=orbits,
             jumps=jumps, filtration=filtration,
             depth_zero=DepthZeroData.regular_marker(), chi=chi,
         )

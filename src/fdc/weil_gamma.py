@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .galois_roots import (
-    DepthValue,
     GaloisFrame,
     GRootDatum,
     HoweFiltration,
@@ -48,13 +47,6 @@ def eps_abs(cond: RationalLike, pp: PrimePower) -> QMonomial:
     if cond < 0:
         raise ValueError("conductor must be nonnegative")
     return exp_q(Fraction(cond.numerator, 2 * cond.denominator), pp)
-
-
-def psi_depth(theta_depth: DepthValue) -> Fraction:
-    """Depth of the inducing character of a root summand: equal to the
-    orbit's positive depth, and exactly 0 on the nonpositive part, the
-    one depth value that is a string (the ``NONPOSITIVE`` marker)."""
-    return _ZERO if isinstance(theta_depth, str) else theta_depth
 
 
 # -- the two adjoint summands --------------------------------------------------------
@@ -99,8 +91,9 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
                    pp: PrimePower) -> RootGamma:
     """|gamma| of the root summand.
 
-    Every inducing character is ramified (depth equal to the orbit's break,
-    zero on the nonpositive part), so the L-factors are trivial and the
+    Every inducing character is ramified, of depth the orbit's break
+    (:meth:`HoweFiltration.orbit_breaks`), or 0 for an orbit of the
+    nonpositive part, which has none; so the L-factors are trivial and the
     answer is the product of the orbits' epsilon magnitudes.  The conductor
     of a direct sum is the sum of the conductors, so that product is the
     one epsilon magnitude of the summed conductor, added up in integers over
@@ -108,8 +101,9 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
     conductor is at least its orbit degree, which is positive, because
     loading refuses nonpositive depths other than the marker.
     """
+    breaks = filtration.orbit_breaks()
     conductors = tuple(
-        (o.orbit_id, conductor_tame_induction(o.degree, psi_depth(filtration.depth_of_orbit(o))))
+        (o.orbit_id, conductor_tame_induction(o.degree, breaks.get(o.orbit_id, _ZERO)))
         for o in orbits)
     den = math.lcm(*(c.denominator for _, c in conductors))
     total = sum(c.numerator * (den // c.denominator) for _, c in conductors)

@@ -17,7 +17,7 @@ import pytest
 
 import fdc.chi_data as chi_data
 import fdc.cli as cli
-from fdc.chi_data import BaseChange, CompatiblePair, SectionChoices, verify_base_change
+from fdc.chi_data import BaseChange, verify_base_change
 from fdc.scenario import generate_scenario, json_text, load_scenario
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
@@ -125,10 +125,8 @@ def test_chi_check_failures_match_every_subgroup_route(tmp_path, monkeypatch):
     original = chi_data.compatible_choices
 
     def default_top(choices, subgroup, datum, frame):
-        pair = original(choices, subgroup, datum, frame)
-        top = SectionChoices(pair.top.reps, {cid: {x: x for x in u}
-                                             for cid, u in pair.top.u.items()}, pair.top.v)
-        return CompatiblePair(top, pair.sub)
+        top_u, sub = original(choices, subgroup, datum, frame)
+        return {cid: {x: x for x in u} for cid, u in top_u.items()}, sub
 
     monkeypatch.setattr(chi_data, "compatible_choices", default_top)
     paths = [os.path.join(SCEN_DIR, name + ".json") for name in WITH_CHI]

@@ -8,7 +8,7 @@ import pytest
 from fdc.qexact import PrimePower
 from fdc.galois_roots import FiniteGroup, GaloisFrame, GRootDatum, classify_orbits
 from fdc.scenario import _chi_menus, _random_chi, load_scenario
-from fdc.zlattice import mat_vec, sparse_columns
+from fdc.zlattice import mat_vec
 from fdc.chi_data import (
     BaseChange,
     ChiData,
@@ -35,6 +35,13 @@ def trivial_chi(datum, frame):
                    frame.group.order)
 
 
+def rebuilt_top(choices, subgroup, datum, frame):
+    """The top choices with the outer sections :func:`compatible_choices`
+    rebuilds for the subgroup, and the subgroup's choices."""
+    top_u, sub = compatible_choices(choices, subgroup, datum, frame)
+    return SectionChoices(choices.reps, top_u, choices.v), sub
+
+
 def stored(value, n):
     """A Fraction value mod 1 as the loader stores it: the numerator k of
     k/n, or the non-integer Fraction n * value when that is not integral."""
@@ -53,8 +60,7 @@ def z4_model():
     g = FiniteGroup.cyclic(4)
     frame = GaloisFrame(g, frozenset({0, 1, 2, 3}), 0, PP3)
     datum = GRootDatum(1, {0: [[1]], 1: [[-1]], 2: [[1]], 3: [[-1]]},
-                       frozenset({(1,), (-1,)}))
-    datum.check_against_frame(frame)
+                       frozenset({(1,), (-1,)}), frame.group)
     chi = ChiData.from_representatives(
         datum, frame, classify_orbits(datum, frame),
         {(1,): numerators({0: Fraction(0), 2: Fraction(1, 2)}, 4)})
@@ -83,8 +89,7 @@ def s3_model():
                 queue.append(nxt)
     frame = GaloisFrame(s3, s3.subgroup_generated([rot]), refl, PrimePower(5, 1))
     roots = frozenset({(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)})
-    datum = GRootDatum(2, mats, roots)
-    datum.check_against_frame(frame)
+    datum = GRootDatum(2, mats, roots, frame.group)
     return frame, datum
 
 
@@ -128,8 +133,8 @@ def test_from_representatives_refuses_inconsistent_representative():
     root outside the datum is refused before anything spreads."""
     g = FiniteGroup.cyclic(8)
     frame = GaloisFrame(g, frozenset(range(8)), 0, PrimePower(17, 1))
-    datum = GRootDatum(1, {k: [[(-1) ** k]] for k in range(8)}, frozenset({(1,), (-1,)}))
-    datum.check_against_frame(frame)
+    datum = GRootDatum(1, {k: [[(-1) ** k]] for k in range(8)}, frozenset({(1,), (-1,)}),
+                       frame.group)
     orbits = classify_orbits(datum, frame)
     order_four = numerators({k: Fraction(k, 8) for k in range(0, 8, 2)}, 8)
     with pytest.raises(ValueError) as err:
@@ -156,18 +161,18 @@ def test_r_chi_hand_example():
 
 def test_compatible_choices_structure():
     frame, datum, chi = z4_model()
-    pair = compatible_choices(default_choices(datum, frame, classify_orbits(datum, frame)),
-                              frozenset({0, 2}), datum, frame)
+    _, sub = compatible_choices(default_choices(datum, frame, classify_orbits(datum, frame)),
+                                frozenset({0, 2}), datum, frame)
     # single double coset: one class of the subgroup with the same representative
-    assert list(pair.sub.reps.values()) == [(1,)] or list(pair.sub.reps.values()) == [(-1,)]
+    assert list(sub.reps.values()) == [(1,)] or list(sub.reps.values()) == [(-1,)]
 
     frame, datum = s3_model()
     a3 = frame.inertia
-    pair = compatible_choices(default_choices(datum, frame, classify_orbits(datum, frame)), a3,
-                              datum, frame)
+    _, sub = compatible_choices(default_choices(datum, frame, classify_orbits(datum, frame)), a3,
+                                datum, frame)
     # order-2 stabilizers meet every coset of A3: a single double coset and
     # thus a single class of the subgroup here
-    assert len(pair.sub.reps) == 1
+    assert len(sub.reps) == 1
 
 
 def s3_free_orbit_model():
@@ -177,8 +182,8 @@ def s3_free_orbit_model():
     from fdc.zlattice import mat_vec
     base_datum = GRootDatum(2, s3_action_matrices(), frozenset(
         {mat_vec(m, (1, 3)) for m in s3_action_matrices().values()}
-        | {tuple(-x for x in mat_vec(m, (1, 3))) for m in s3_action_matrices().values()}))
-    base_datum.check_against_frame(frame)
+        | {tuple(-x for x in mat_vec(m, (1, 3))) for m in s3_action_matrices().values()}),
+        frame.group)
     return frame, base_datum
 
 
@@ -208,9 +213,9 @@ def test_compatible_choices_two_double_cosets():
     a3 = frame.inertia
     orbits = classify_orbits(datum, frame)
     top = default_choices(datum, frame, orbits)
-    pair = compatible_choices(top, a3, datum, frame)
+    _, sub = compatible_choices(top, a3, datum, frame)
     # one plus-minus class upstairs, trivial stabilizers: two double cosets
-    assert len(pair.sub.reps) == 2
+    assert len(sub.reps) == 2
     # and base change still verifies with a nontrivial character
     (rep,) = list(top.reps.values())
     stab = datum.stabilizer(rep)
@@ -274,11 +279,11 @@ def test_verifier_detects_mismatch():
     frame, datum, chi = z4_model()
     sub = frozenset({0, 2})
     orbits = classify_orbits(datum, frame)
-    pair = compatible_choices(default_choices(datum, frame, orbits), sub, datum, frame)
+    top, low = rebuilt_top(default_choices(datum, frame, orbits), sub, datum, frame)
     corrupted = trivial_chi(datum, frame)
     mismatches = [w for w in sorted(sub)
-                  if r_chi_values(chi, pair.top, [w], datum, frame)[w]
-                  != r_chi_values(corrupted, pair.sub, [w], datum, frame, within=sub)[w]]
+                  if r_chi_values(chi, top, [w], datum, frame)[w]
+                  != r_chi_values(corrupted, low, [w], datum, frame, within=sub)[w]]
     assert mismatches == [2]
     assert verify_base_change(BaseChange(chi, datum, frame, orbits), sub).ok
 
@@ -297,9 +302,9 @@ def test_cocycle_vanishes_where_chi_restricts_trivially():
                     restricted_trivial = False
         if not restricted_trivial:
             continue
-        pair = compatible_choices(choices, sub, datum, frame)
+        top, _ = rebuilt_top(choices, sub, datum, frame)
         for w in sorted(sub):
-            val = r_chi_values(chi, pair.top, [w], datum, frame)[w]
+            val = r_chi_values(chi, top, [w], datum, frame)[w]
             assert all(x == 0 for x in val), (sorted(sub), w, val)
 
 
@@ -395,9 +400,10 @@ def subgroup_frame(frame, datum, chi, sub):
     generates H / (I n H) (cyclic, since it embeds in G / I), and the action
     and the chi tables restricted to H.  A chi value k/|G| becomes the
     numerator of k/|G| over |H|, which is integral for a homomorphism on a
-    subgroup of H.  The datum is not checked against the new frame, since H
-    may fix vectors and the other properties restrict; it only records how
-    H permutes the roots."""
+    subgroup of H.  H may fix vectors, and the other properties of the datum
+    restrict from G; ellipticity is the last check of the constructor, made
+    after it records how H permutes the roots and the traces, so the datum
+    is whole even when that check refuses it."""
     g = frame.group
     elems = sorted(sub)
     idx = {x: i for i, x in enumerate(elems)}
@@ -405,16 +411,18 @@ def subgroup_frame(frame, datum, chi, sub):
     inertia = frame.inertia & sub
     frob = g.quotient_generators(sub, inertia)[0]
     h_frame = GaloisFrame(group, frozenset(idx[x] for x in inertia), idx[frob], frame.pp)
-    h_datum = GRootDatum(datum.rank, {idx[x]: datum.action[x] for x in elems}, datum.roots)
-    h_datum._permute_roots(group, {a: sparse_columns(h_datum.action[a])
-                                   for a in group.generating_set(group.elements)})
+    h_datum = object.__new__(GRootDatum)
+    try:
+        h_datum.__init__(datum.rank, {idx[x]: datum.action[x] for x in elems}, datum.roots, group)
+    except ValueError as err:
+        assert "not elliptic" in str(err), err
     if chi is None:
         return h_frame, h_datum, None
-    h_chi = ChiData({}, group.order)
-    for root, table in chi.chars.items():
+    for table in chi.chars.values():
         assert all(v * group.order % g.order == 0 for x, v in table.items() if x in sub)
-        h_chi.chars[root] = {idx[x]: v * group.order // g.order
-                             for x, v in table.items() if x in sub}
+    h_chi = ChiData({root: {idx[x]: v * group.order // g.order
+                            for x, v in table.items() if x in sub}
+                     for root, table in chi.chars.items()}, group.order)
     return h_frame, h_datum, h_chi
 
 
@@ -529,8 +537,7 @@ def test_equivariance_checked_under_every_generator():
     assert g.generating_set(g.elements) == [1, 4]
     frame = GaloisFrame(g, frozenset({0, 1, 2, 3}), 4, PrimePower(5, 1))
     datum = GRootDatum(1, {x: [[1]] if x < 4 else [[-1]] for x in range(8)},
-                       frozenset({(1,), (-1,)}))
-    datum.check_against_frame(frame)
+                       frozenset({(1,), (-1,)}), frame.group)
     orbits = classify_orbits(datum, frame)
     stab = frozenset({0, 1, 2, 3})
     for value, valid in ((Fraction(1, 2), True), (Fraction(1, 4), False)):
@@ -561,16 +568,16 @@ def test_cocycle_values_pinned():
         subgroups = frame.group.all_subgroups()
         checked = 0
         for sub in subgroups:
-            pair = compatible_choices(choices, sub, datum, frame)
-            top = r_chi_values(chi, pair.top, sub, datum, frame)
-            low = r_chi_values(chi, pair.sub, sub, datum, frame, within=sub)
+            top_choices, sub_choices = rebuilt_top(choices, sub, datum, frame)
+            top = r_chi_values(chi, top_choices, sub, datum, frame)
+            low = r_chi_values(chi, sub_choices, sub, datum, frame, within=sub)
             assert {w: (tuple(Fraction(k, n) for k in top[w]),
                         tuple(Fraction(k, n) for k in low[w])) for w in sub} == expected[sub]
             checked += 1
             outside = next((x for x in frame.group.elements if x not in sub), None)
             if outside is not None:
                 with pytest.raises(ValueError, match="evaluation subgroup"):
-                    r_chi_values(chi, pair.sub, [outside], datum, frame, within=sub)
+                    r_chi_values(chi, sub_choices, [outside], datum, frame, within=sub)
         assert checked == len(subgroups) == len(expected)
 
 
@@ -678,12 +685,12 @@ def test_choices_match_brute_force():
         assert choices.reps == {cid: tuple(int(x) for x in cid.split(","))
                                 for cid in choices.u}
         for sub in oracle.brute_subgroups(group):
-            pair = compatible_choices(choices, sub, datum, frame)
+            got_top_u, got = compatible_choices(choices, sub, datum, frame)
             top_u, sub_reps, sub_u, sub_v = oracle.compatible_sections(
                 choices.reps, choices.v, sub, datum, group)
-            assert (pair.top.reps, pair.top.u, pair.top.v) == (choices.reps, top_u, choices.v)
-            assert (pair.sub.reps, pair.sub.u, pair.sub.v) == (sub_reps, sub_u, sub_v)
-            assert list(pair.sub.reps) == list(sub_reps)  # classes in double-coset order
+            assert got_top_u == top_u
+            assert (got.reps, got.u, got.v) == (sub_reps, sub_u, sub_v)
+            assert list(got.reps) == list(sub_reps)  # classes in double-coset order
             checked += 1
     assert checked == 32  # subgroups over the seven frames
 
@@ -721,6 +728,6 @@ def test_chi_check_conjugates_inner_sections_by_c_inverse(tmp_path, capsys):
     assert {group.conj(c, x) for x in stab_pm} != stab_pm
     alpha_z = datum.act(group.inv(c), alpha)
     assert datum.act(4, alpha_z) == tuple(-x for x in alpha_z)
-    pair = compatible_choices(default_choices(datum, scen.frame, scen.orbits), sub, datum,
-                              scen.frame)
-    assert pair.sub.v[root_key(alpha_z)] == {0: 0, 4: 4}
+    _, derived = compatible_choices(default_choices(datum, scen.frame, scen.orbits), sub, datum,
+                                    scen.frame)
+    assert derived.v[root_key(alpha_z)] == {0: 0, 4: 4}

@@ -29,6 +29,7 @@ from fdc.formal_degree import (
     volume_exponent_raw,
 )
 from fdc.scenario import generate_scenario, scenario_from_dict
+from fdc.weil_gamma import root_gamma_abs
 from test_coxeter import A11_DIVISORS, a11_three_break_document
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
@@ -43,8 +44,7 @@ def sl2_case(ramified: bool, pp=PP3, depth=None, offset=None):
         frame = GaloisFrame(g, frozenset({0, 1}), 0, pp)
     else:
         frame = GaloisFrame(g, frozenset({0}), 1, pp)
-    datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}))
-    datum.check_against_frame(frame)
+    datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}), frame.group)
     orbits = classify_orbits(datum, frame)
     (o,) = orbits
     if depth is None:
@@ -194,7 +194,11 @@ def test_layers_against_document_depths():
     """The layers of ``howe_filtration`` against a brute-force grouping of
     the document's depths, the levels against the layers, the break term
     against its formula in ``Fraction``s over the level sizes, and dim G
-    as rank + |R| against rank + the orbit degrees."""
+    as rank + |R| against rank + the orbit degrees.  The break map
+    ``orbit_breaks`` against the document: each orbit of positive depth
+    has its document depth as its break, the nonpositive orbits have none,
+    and each ``root_gamma_abs`` conductor is degree * (1 + depth), with
+    depth 0 for the nonpositive orbits."""
     multi_break = 0
     for doc, scen in layer_cases():
         filt, orbits, datum = scen.filtration, scen.orbits, scen.datum
@@ -213,6 +217,12 @@ def test_layers_against_document_depths():
         assert break_term(filt) == sum(Fraction(r) / 2 * (sizes[i + 1] - sizes[i])
                                        for i, r in enumerate(filt.breaks))
         assert datum.rank + len(datum.roots) == datum.rank + sum(o.degree for o in orbits)
+        breaks = filt.orbit_breaks()
+        assert breaks == {oid: r for oid, r in depths.items() if r is not None}
+        assert all(oid not in breaks for oid, r in depths.items() if r is None)
+        conductors = dict(root_gamma_abs(filt, orbits, scen.pp).orbit_conductors)
+        assert conductors == {o.orbit_id: o.degree * (1 + (depths[o.orbit_id] or 0))
+                              for o in orbits}
         multi_break += filt.d >= 2
     assert multi_break >= 4
 

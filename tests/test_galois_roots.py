@@ -50,8 +50,7 @@ PP5 = PrimePower(5, 1)
 
 
 def a1_datum(frame):
-    datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}))
-    datum.check_against_frame(frame)
+    datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}), frame.group)
     return datum
 
 
@@ -282,8 +281,7 @@ def test_field_invariants_examples():
     for k in range(1, 4):
         action[k] = mat_mul(gen, action[k - 1])
     roots = frozenset({(2, 0, 0), (-2, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)})
-    datum = GRootDatum(3, action, roots)
-    datum.check_against_frame(fr)
+    datum = GRootDatum(3, action, roots, fr.group)
     got = [(o.representative, sorted(o.stabilizer), o.degree, o.e, o.f, o.ramified)
            for o in classify_orbits(datum, fr)]
     assert got == [((-2, 0, 0), [0, 2], 2, 1, 2, False), ((0, -1, 0), [0], 4, 2, 2, True)]
@@ -349,8 +347,7 @@ def test_asymmetric_split_case():
                 queue.append(nxt)
     fr = GaloisFrame(s3, s3.subgroup_generated([rot]), refl, PP5)
     roots = frozenset({(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)})
-    datum = GRootDatum(2, mats, roots)
-    datum.check_against_frame(fr)
+    datum = GRootDatum(2, mats, roots, fr.group)
     orbs = classify_orbits(datum, fr)
     assert len(orbs) == 2
     assert all(not o.symmetric for o in orbs)
@@ -483,17 +480,15 @@ def test_orbit_partition_properties():
 
 def test_datum_validation():
     with pytest.raises(ValueError):
-        GRootDatum(1, {0: [[1]]}, frozenset({(0,)}))  # 0 as a root
+        GRootDatum(1, {0: [[1]]}, frozenset({(0,)}), FiniteGroup.cyclic(1))  # 0 as a root
     with pytest.raises(ValueError):
-        GRootDatum(1, {0: [[1]]}, frozenset({(2,)}))  # not symmetric
+        GRootDatum(1, {0: [[1]]}, frozenset({(2,)}), FiniteGroup.cyclic(1))  # not symmetric
     # an action outside GL(Z) is no homomorphism: M(0) must be the identity
-    datum = GRootDatum(1, {0: [[2]]}, frozenset({(2,), (-2,)}))
     with pytest.raises(ValueError, match=r"not a homomorphism at \(0, 0\)"):
-        datum.check_against_frame(GaloisFrame(FiniteGroup.cyclic(1), frozenset({0}), 0, PP3))
-    # ellipticity failure surfaces in the frame check
-    datum = GRootDatum(1, {0: [[1]], 1: [[1]]}, frozenset({(2,), (-2,)}))
+        GRootDatum(1, {0: [[2]]}, frozenset({(2,), (-2,)}), FiniteGroup.cyclic(1))
+    # ellipticity failure surfaces in the constructor
     with pytest.raises(ValueError, match="elliptic"):
-        datum.check_against_frame(frame_z2(True))
+        GRootDatum(1, {0: [[1]], 1: [[1]]}, frozenset({(2,), (-2,)}), frame_z2(True).group)
 
 
 def test_howe_examples():
@@ -521,8 +516,7 @@ def test_howe_levi_closure_error():
     g = FiniteGroup.cyclic(2)
     fr = GaloisFrame(g, frozenset({0, 1}), 0, PP5)
     roots = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)})
-    datum = GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]}, roots)
-    datum.check_against_frame(fr)
+    datum = GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]}, roots, fr.group)
     orbs = classify_orbits(datum, fr)
     depths = {}
     for o in orbs:
@@ -536,14 +530,14 @@ def test_howe_reconstruction_idempotent():
     g = FiniteGroup.cyclic(2)
     fr = GaloisFrame(g, frozenset({0, 1}), 0, PP5)
     roots = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)})
-    datum = GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]}, roots)
-    datum.check_against_frame(fr)
+    datum = GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]}, roots, fr.group)
     orbs = classify_orbits(datum, fr)
     # the zero level {+-(1,1)} is span-closed; the other two orbits enter later
     depths = {o.orbit_id: (NONPOSITIVE if o.representative in ((1, 1), (-1, -1))
                            else Fraction(1, 2)) for o in orbs}
     filt = howe_filtration(datum, orbs, depths, Fraction(1, 2))
-    rebuilt = {o.orbit_id: filt.depth_of_orbit(o) for o in orbs}
+    breaks = filt.orbit_breaks()
+    rebuilt = {o.orbit_id: breaks.get(o.orbit_id, NONPOSITIVE) for o in orbs}
     assert howe_filtration(datum, orbs, rebuilt, filt.total) == filt
 
 
@@ -568,8 +562,7 @@ def test_depth_lattice_e3():
     from fdc.zlattice import mat_mul, identity_matrix
     action = {0: identity_matrix(2), 1: rot, 2: mat_mul(rot, rot)}
     roots = frozenset({(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)})
-    datum = GRootDatum(2, action, roots)
-    datum.check_against_frame(fr)
+    datum = GRootDatum(2, action, roots, fr.group)
     orbs = classify_orbits(datum, fr)
     assert all(o.e == 3 for o in orbs)
     depths = {o.orbit_id: Fraction(2, 3) for o in orbs}
@@ -654,13 +647,14 @@ def _direct_sum(rank, action, extra):
     return rank + k, summed
 
 
-def _elliptic_by_traces(datum, frame):
+def _trace_datum(rank, action, frame):
+    """The datum of the action with no roots, or None when its trace sum
+    refuses it as not elliptic."""
     try:
-        datum.check_against_frame(frame)
+        return GRootDatum(rank, action, frozenset(), frame.group)
     except ValueError as err:
         assert "not elliptic" in str(err), err
-        return False
-    return True
+        return None
 
 
 def _template_data(rng):
@@ -681,7 +675,7 @@ def _template_data(rng):
 def test_trace_route_matches_lattice_route():
     """Every field of torus_lattice_data (traces for the X^I orders, one
     Smith form for the cocharacter orders) and the ellipticity decision of
-    check_against_frame (the trace sum) against the lattice route of
+    the GRootDatum constructor (the trace sum) against the lattice route of
     lemmas.py: a saturated basis of X^I, the restricted Frobenius, its
     Bareiss determinants, and coinvariants over the group's generators.
 
@@ -703,16 +697,17 @@ def test_trace_route_matches_lattice_route():
     data += _template_data(rng)
     decisions = {True: 0, False: 0}
     for i, (rank, action, frame) in enumerate(data):
-        datum = GRootDatum(rank, action, frozenset())
-        assert _elliptic_by_traces(datum, frame) and lattice_is_elliptic(datum, frame)
+        datum = _trace_datum(rank, action, frame)
+        assert datum is not None and lattice_is_elliptic(rank, action, frame)
         assert torus_lattice_data(datum, frame) == lattice_torus_data(datum, frame), i
         small = frame.group.order <= 8
         for h in frame.group.all_subgroups() if small else [frozenset(frame.group.elements)]:
             for augmented in (False, True) if small else (False,):
                 size, summed = _direct_sum(rank, action, _coset_action(frame.group, h, augmented))
-                other = GRootDatum(size, _conjugate(rng, size, summed), frozenset())
-                decision = lattice_is_elliptic(other, frame)
-                assert _elliptic_by_traces(other, frame) == decision == augmented, (i, h)
+                other = _conjugate(rng, size, summed)
+                decision = lattice_is_elliptic(size, other, frame)
+                assert (_trace_datum(size, other, frame) is not None) == decision == augmented, \
+                    (i, h)
                 decisions[decision] += 1
     assert decisions[True] > 500 and decisions[False] > 500
 

@@ -16,6 +16,7 @@ import hashlib
 import io
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -109,10 +110,11 @@ def _fresh_process_env(**extra):
     return env
 
 
-def _run_fresh(argv, env):
-    """The golden-file text of one ``python -m fdc.cli`` run in a new process."""
+def _run_fresh(python, argv, env):
+    """The golden-file text of one ``python -m fdc.cli`` run in a new
+    process of the interpreter ``python``."""
     argv = [os.path.join(SCEN_DIR, a) if a.endswith(".json") else a for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "fdc.cli"] + argv,
+    proc = subprocess.run([python, "-m", "fdc.cli"] + argv,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
     return "exit=%d\n%s" % (proc.returncode, proc.stdout)
@@ -128,7 +130,7 @@ def test_golden_output_in_a_fresh_process():
     prints what the in-process calls print."""
     name = "z4_a1_ramified_chi"
     argv = ["--format", "json", "verify", name + ".json"]
-    assert _run_fresh(argv, _fresh_process_env()) == _golden("verify-json-" + name)
+    assert _run_fresh(sys.executable, argv, _fresh_process_env()) == _golden("verify-json-" + name)
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])
@@ -138,11 +140,42 @@ def test_golden_json_under_hash_seeds(hash_seed):
     Every bundled ``verify`` and ``chi-check`` report is byte-identical to
     its golden file under two seeds, each in its own process."""
     env = _fresh_process_env(PYTHONHASHSEED=hash_seed)
-    json_cases = [(case_id, argv) for case_id, argv in cases()
-                  if case_id.startswith(("verify-json-", "chi-check-json-"))]
-    assert len(json_cases) == len(BUNDLED) + len(WITH_CHI)
-    for case_id, argv in json_cases:
-        assert _run_fresh(argv, env) == _golden(case_id), case_id
+    for case_id, argv in _json_cases():
+        assert _run_fresh(sys.executable, argv, env) == _golden(case_id), case_id
+
+
+def _json_cases():
+    """The ``verify`` and ``chi-check`` JSON cases, one per bundled file
+    and one per file with character data."""
+    out = [(case_id, argv) for case_id, argv in cases()
+           if case_id.startswith(("verify-json-", "chi-check-json-"))]
+    assert len(out) == len(BUNDLED) + len(WITH_CHI)
+    return out
+
+
+def _starts(command):
+    """Whether ``command`` is on PATH and runs an empty program."""
+    path = shutil.which(command)
+    if path is None:
+        return False
+    try:
+        return subprocess.run([path, "-c", ""], capture_output=True, timeout=60).returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_golden_json_under_each_interpreter(minor):
+    """The package declares ``requires-python = ">=3.10"``.  Every bundled
+    ``verify`` and ``chi-check`` JSON report is byte-identical to its
+    golden file under ``python3.N``, each case in a new process; an
+    interpreter that is not on PATH or does not start is skipped."""
+    command = "python3.%d" % minor
+    if not _starts(command):
+        pytest.skip("%s does not start" % command)
+    env = _fresh_process_env()
+    for case_id, argv in _json_cases():
+        assert _run_fresh(command, argv, env) == _golden(case_id), (command, case_id)
 
 
 if __name__ == "__main__":

@@ -84,11 +84,12 @@ def brute_force_concave(f, datum, max_family=4):
 
 def test_is_concave_exhaustive_oracle():
     rng = random.Random(606)
-    a1 = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(1,), (-1,)}))
+    z2 = FiniteGroup.cyclic(2)
+    a1 = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(1,), (-1,)}), z2)
     a1a1 = GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]},
-                      frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)}))
+                      frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)}), z2)
     a2 = GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]},
-                    frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}))
+                    frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}), z2)
     agreements = disagreements = 0
     for datum in (a1, a1a1, a2):
         zero = tuple([0] * datum.rank)
@@ -154,8 +155,7 @@ def test_chi_base_change_sixteen_element_frame():
     pp = PrimePower(3, 1)
     frame = GaloisFrame(g, frozenset(range(16)), 0, pp)
     action = {k: [[1]] if k % 2 == 0 else [[-1]] for k in range(16)}
-    datum = GRootDatum(1, action, frozenset({(1,), (-1,)}))
-    datum.check_against_frame(frame)
+    datum = GRootDatum(1, action, frozenset({(1,), (-1,)}), frame.group)
     orbits = classify_orbits(datum, frame)
     stab = frozenset(range(0, 16, 2))
     chars = character_group(g, stab)

@@ -48,8 +48,7 @@ def a1_setup(ramified: bool):
         fr = GaloisFrame(g, frozenset({0, 1}), 0, PP3)
     else:
         fr = GaloisFrame(g, frozenset({0}), 1, PP3)
-    datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}))
-    datum.check_against_frame(fr)
+    datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}), fr.group)
     return fr, datum, classify_orbits(datum, fr)
 
 
@@ -179,7 +178,8 @@ def test_master_identity_randomized():
 
 def a2_datum():
     roots = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)})
-    return GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]}, roots)
+    return GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]}, roots,
+                      FiniteGroup.cyclic(2))
 
 
 def test_is_concave_examples():
@@ -193,7 +193,7 @@ def test_is_concave_examples():
     bad[(-1, -1)] = Fraction(3)
     assert not is_concave(bad, datum)
 
-    a1 = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}))
+    a1 = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}), FiniteGroup.cyclic(2))
     f = {(2,): Fraction(1), (-2,): Fraction(1), (0,): Fraction(0)}
     assert is_concave(f, a1)
 

@@ -179,7 +179,9 @@ def unread_fields():
     """The record fields that no module of the package reads as an
     attribute (``x.field`` in a load), as ``module:Class.field``.  Writes
     do not count, and neither do the generic reads of every field by
-    ``Frozen.__repr__`` and ``Value.__eq__``."""
+    ``Frozen.__repr__`` and ``Value.__eq__``.  Fields are matched by name
+    only: a field is counted as read when any module reads an attribute of
+    that name, on a record of any class."""
     modules = _modules()
     read = {node.attr for tree in modules.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from fdc.chi_data import BaseChange, compatible_choices, verify_base_change
+from fdc.chi_data import BaseChange, verify_base_change
 from fdc.compare import run_compare
 from fdc.galois_roots import (
     HoweFiltration,
@@ -43,7 +43,6 @@ def frozen_records():
     return [
         scen.pp, report.value_automorphic, frame, datum,
         scen.orbits[0], scen.filtration, scen.torus, base.top[0],
-        compatible_choices(base.choices, whole, datum, frame),
         verify_base_change(base, whole), scen.depth_zero, report.degree,
         at(1), scen.jumps, report.galois.toral, report.galois.root, report.galois,
         generator_templates()[0],

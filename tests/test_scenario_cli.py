@@ -682,6 +682,20 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     assert "galois_roots.GRootDatum: " + message in capsys.readouterr().err
 
 
+def test_cli_lists_a_datum_fault_beside_a_frame_fault(tmp_path, capsys):
+    """The datum is checked against the group whether or not the frame
+    passes, so a frame fault does not hide a datum fault: both are listed,
+    the frame's first."""
+    doc = dict(bundled_doc("sl2_unramified_depth0"), inertia=[0, 99],
+               action={"0": [[1]], "1": [[1]]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 2
+    assert ("\n  galois_roots.frame: inertia is not a subgroup\n"
+            "  galois_roots.GRootDatum: datum is not elliptic: invariant vectors exist\n"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("text,provenance", [
     ("[1, 2]", "cli.document: must be a JSON object, got array"),
     (json.dumps(dict(bundled_doc("z4_a1_ramified_chi"), chi=[1])),

@@ -20,7 +20,6 @@ from fdc.weil_gamma import (
     conductor_tame_induction,
     eps_abs,
     galois_side,
-    psi_depth,
     root_gamma_abs,
     toral_gamma_abs,
 )
@@ -74,19 +73,28 @@ def test_eps_abs():
         eps_abs(-1, PP3)
 
 
-def test_psi_depth():
-    assert psi_depth(Fraction(1, 2)) == Fraction(1, 2)
-    assert psi_depth(NONPOSITIVE) == 0
-    assert psi_depth(Fraction(2)) == 2
-
-
 def a1(ramified: bool, pp=PP3):
     g = FiniteGroup.cyclic(2)
     frame = GaloisFrame(g, frozenset({0, 1}) if ramified else frozenset({0}),
                         0 if ramified else 1, pp)
-    datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}))
-    datum.check_against_frame(frame)
+    datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}), frame.group)
     return frame, datum, classify_orbits(datum, frame)
+
+
+def test_psi_depth():
+    """The depth of an orbit's inducing character, as ``root_gamma_abs``
+    reads it from the break map: the orbit's positive depth, and 0 on the
+    nonpositive part, which has no break.  The conductor is
+    degree * (1 + depth)."""
+    _, datum, orbs = a1(True, PP5)
+    (o,) = orbs
+    for theta, total, want in ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
+                               (NONPOSITIVE, Fraction(0), Fraction(0)),
+                               (Fraction(2), Fraction(2), Fraction(2))):
+        filt = howe_filtration(datum, orbs, {o.orbit_id: theta}, total)
+        assert filt.orbit_breaks().get(o.orbit_id, Fraction(0)) == want
+        (conductor,) = dict(root_gamma_abs(filt, orbs, PP5).orbit_conductors).values()
+        assert conductor == o.degree * (1 + want)
 
 
 def test_toral_gamma_examples():
@@ -136,9 +144,8 @@ def test_root_gamma_two_breaks():
     g = FiniteGroup.cyclic(2)
     from fdc.zlattice import identity_matrix
     roots = frozenset({(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)})
-    datum = GRootDatum(2, {0: identity_matrix(2), 1: [[-1, 0], [0, -1]]}, roots)
     frame = GaloisFrame(g, frozenset({0, 1}), 0, PP5)
-    datum.check_against_frame(frame)
+    datum = GRootDatum(2, {0: identity_matrix(2), 1: [[-1, 0], [0, -1]]}, roots, g)
     orbs = classify_orbits(datum, frame)
     assert len(orbs) == 3 and all(o.degree == 2 for o in orbs)
     # the long-diagonal pair is span-closed on its own: put it at 1/3
@@ -188,15 +195,12 @@ def test_component_group_examples():
     for k in range(1, 4):
         cur = mat_mul(rot, cur)
         action[k] = cur
-    datum = GRootDatum(2, action, frozenset({(1, 0), (0, 1), (-1, 0), (0, -1)}))
     frame = GaloisFrame(g, frozenset({0}), 1, PP3)
-    datum.check_against_frame(frame)
+    datum = GRootDatum(2, action, frozenset({(1, 0), (0, 1), (-1, 0), (0, -1)}), g)
     assert torus_lattice_data(datum, frame).cochar_full_coinvariants == 2
     # non-elliptic: trivial action cannot even build a datum against the frame
-    bad = GRootDatum(1, {0: [[1]], 1: [[1]], 2: [[1]], 3: [[1]]},
-                     frozenset({(1,), (-1,)}))
     with pytest.raises(ValueError):
-        bad.check_against_frame(frame)
+        GRootDatum(1, {0: [[1]], 1: [[1]], 2: [[1]], 3: [[1]]}, frozenset({(1,), (-1,)}), g)
 
 
 def test_galois_side_examples():
