@@ -53,8 +53,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .galois_roots import (FiniteGroup, GaloisFrame, GRootDatum, OrbitInfo, negation_classes,
-                           root_key)
+from .galois_roots import FiniteGroup, GaloisFrame, GRootDatum, OrbitInfo, negation_classes
 from .qexact import Frozen
 from .zlattice import smith_normal_form
 
@@ -251,19 +250,18 @@ def _failures_under(chi: ChiData, datum: GRootDatum,
 
 
 class SectionChoices:
-    """Auxiliary choices for the cocycle: one representative per class of
-    roots modulo the group and negation, a section of the plus-minus
-    stabilizer cosets, and a section of the stabilizer cosets inside the
+    """Auxiliary choices for the cocycle, by class of roots modulo the group
+    and negation, each class keyed by its representative root a: ``u[a]``
+    is a section of the cosets of the plus-minus stabilizer of a, and
+    ``v[a]`` a section of the cosets of the stabilizer of a inside the
     plus-minus stabilizer.  Sections are keyed by the minimal element of
     the coset.  Section values normally lie in the evaluation subgroup;
     derived subgroup sections may take ambient values (see module notes).
     """
 
-    __slots__ = ("reps", "u", "v")
+    __slots__ = ("u", "v")
 
-    def __init__(self, reps: Dict[str, Root], u: Dict[str, Dict[int, int]],
-                 v: Dict[str, Dict[int, int]]) -> None:
-        self.reps = reps
+    def __init__(self, u: Dict[Root, Dict[int, int]], v: Dict[Root, Dict[int, int]]) -> None:
         self.u = u
         self.v = v
 
@@ -272,21 +270,19 @@ def default_choices(datum: GRootDatum, frame: GaloisFrame,
                     orbits: Sequence[OrbitInfo]) -> SectionChoices:
     """Minimal-element representatives and sections: each class of roots
     under the group and negation (:func:`negation_classes` of ``orbits``,
-    the datum's orbits as loading classified them) is named by its least
+    the datum's orbits as loading classified them) is keyed by its least
     root, its representative, and every coset key maps to itself."""
     g = frame.group
-    reps: Dict[str, Root] = {}
-    u: Dict[str, Dict[int, int]] = {}
-    v: Dict[str, Dict[int, int]] = {}
+    u: Dict[Root, Dict[int, int]] = {}
+    v: Dict[Root, Dict[int, int]] = {}
     for o, *_ in negation_classes(orbits):
-        class_id, rep = o.orbit_id, o.representative
-        reps[class_id] = rep
+        rep = o.representative
         stab_pm = datum.pm_stabilizer(rep)
         pm_key = g.coset_keys(stab_pm)
         key = g.coset_keys(o.stabilizer)
-        u[class_id] = {x: x for x in g.elements if pm_key[x] == x}
-        v[class_id] = {y: y for y in sorted(stab_pm) if key[y] == y}
-    return SectionChoices(reps, u, v)
+        u[rep] = {x: x for x in g.elements if pm_key[x] == x}
+        v[rep] = {y: y for y in sorted(stab_pm) if key[y] == y}
+    return SectionChoices(u, v)
 
 
 class ClassData(Frozen):
@@ -297,13 +293,12 @@ class ClassData(Frozen):
     value at the identity coset (key 0) and v_k its value on the coset of
     Stab(a) n K through k; it is None off Stab+-(a) n K.  On K = G none of
     this depends on a subgroup, so :class:`BaseChange` builds it once for
-    every subgroup to read."""
+    every subgroup to read.  The class's outer section is keyed by a."""
 
-    __slots__ = ("class_id", "alpha", "pm_key", "inner")
+    __slots__ = ("alpha", "pm_key", "inner")
 
-    def __init__(self, class_id: str, alpha: Root, pm_key: Sequence[int],
+    def __init__(self, alpha: Root, pm_key: Sequence[int],
                  inner: Sequence[Optional[int]]) -> None:
-        object.__setattr__(self, "class_id", class_id)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "pm_key", pm_key)
         object.__setattr__(self, "inner", inner)
@@ -312,19 +307,18 @@ class ClassData(Frozen):
 def class_data(chi: ChiData, choices: SectionChoices, datum: GRootDatum, frame: GaloisFrame,
                within: Optional[FrozenSet[int]] = None) -> List[ClassData]:
     """The :class:`ClassData` of every class of ``choices`` on the
-    evaluation subgroup ``within`` (the whole group by default), in class
-    order.  Each inner relation v0 k v_k^-1 must land in Stab(a), where the
-    character is defined; a KeyError names the first k in increasing order
-    where it does not."""
+    evaluation subgroup ``within`` (the whole group by default), in the
+    order of their representatives.  Each inner relation v0 k v_k^-1 must
+    land in Stab(a), where the character is defined; a KeyError names the
+    first k in increasing order where it does not."""
     g = frame.group
     rows, inverse = g.table, g.inverse
     out = []
-    for class_id, alpha in sorted(choices.reps.items()):
+    for alpha, v in sorted(choices.v.items()):
         stab, stab_pm = datum.stabilizer(alpha), datum.pm_stabilizer(alpha)
         if within is not None:
             stab, stab_pm = stab & within, stab_pm & within
         key = g.coset_keys(stab)
-        v = choices.v[class_id]
         v0_row, character = rows[v[0]], chi.chars[alpha]
         inner: List[Optional[int]] = [None] * g.order
         for k in sorted(stab_pm):
@@ -332,7 +326,7 @@ def class_data(chi: ChiData, choices: SectionChoices, datum: GRootDatum, frame: 
             if h not in character:
                 raise KeyError("element %d is outside the stabilizer of %s" % (h, alpha))
             inner[k] = character[h]
-        out.append(ClassData(class_id, alpha, g.coset_keys(stab_pm), inner))
+        out.append(ClassData(alpha, g.coset_keys(stab_pm), inner))
     return out
 
 
@@ -355,20 +349,20 @@ def r_chi_values(chi: ChiData, choices: SectionChoices, ws: Iterable[int],
                    datum, frame.group)
 
 
-def cocycle(classes: Sequence[ClassData], u_sections: Mapping[str, Mapping[int, int]],
+def cocycle(classes: Sequence[ClassData], u_sections: Mapping[Root, Mapping[int, int]],
             ws: Iterable[int], datum: GRootDatum,
             group: FiniteGroup) -> Dict[int, DualTorusElement]:
     """The cocycle of :func:`r_chi_values` on ``classes`` with the outer
-    sections ``u_sections``, every product read from a table row.  At w,
-    for the coset keyed x with section value u_x, k = u_x w u_(x w)^-1
-    lies in Stab+-(a) (x w standing for the key of its coset), and the
-    inner value at k times u_x^-1 a is added.  A section value outside its
+    sections ``u_sections`` by representative, every product read from a
+    table row.  At w, for the coset keyed x with section value u_x,
+    k = u_x w u_(x w)^-1 lies in Stab+-(a) (x w standing for the key of its
+    coset), and the inner value at k times u_x^-1 a is added.  A section value outside its
     coset puts k outside Stab+-(a); that raises ``KeyError``, a fault of
     the construction rather than of the input."""
     rows, inverse, n = group.table, group.inverse, group.order
     acc = {w: [0] * datum.rank for w in ws}
     for cls in classes:
-        u = u_sections[cls.class_id]
+        u = u_sections[cls.alpha]
         u_inv = {x: inverse[ux] for x, ux in u.items()}
         pm_key, inner = cls.pm_key, cls.inner
         for x_key, ux in u.items():
@@ -391,12 +385,12 @@ def cocycle(classes: Sequence[ClassData], u_sections: Mapping[str, Mapping[int, 
 
 def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
                        datum: GRootDatum, frame: GaloisFrame
-                       ) -> Tuple[Dict[str, Dict[int, int]], SectionChoices]:
+                       ) -> Tuple[Dict[Root, Dict[int, int]], SectionChoices]:
     """Derive choices on a subgroup H from top-level ones exactly as in the
     constructive base-change proof, and rebuild the top outer section from
     them so that the two cocycles agree on the nose.  Returns the rebuilt
-    top outer sections by class, which replace ``choices_k.u`` (the top
-    representatives and inner sections stay ``choices_k``'s), and the
+    top outer sections by representative, which replace ``choices_k.u``
+    (the top inner sections stay ``choices_k``'s), and the
     :class:`SectionChoices` of H.
 
     For each top class with representative a: double cosets of the
@@ -429,22 +423,18 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
     g = frame.group
     rows, inverse = g.table, g.inverse
     elems = sorted(subgroup)
-    top_u: Dict[str, Dict[int, int]] = {}
-    sub_reps: Dict[str, Root] = {}
-    sub_u: Dict[str, Dict[int, int]] = {}
-    sub_v: Dict[str, Dict[int, int]] = {}
-    for class_id, alpha in sorted(choices_k.reps.items()):
+    top_u: Dict[Root, Dict[int, int]] = {}
+    sub_u: Dict[Root, Dict[int, int]] = {}
+    sub_v: Dict[Root, Dict[int, int]] = {}
+    for alpha, v_top in sorted(choices_k.v.items()):
         stab_key = g.coset_keys(datum.stabilizer(alpha))
         pm_key = g.coset_keys(datum.pm_stabilizer(alpha))
-        v_top = choices_k.v[class_id]
         new_u: Dict[int, int] = {}
         for c in g.elements:
             if pm_key[c] in new_u:
                 continue  # in a double coset met before
             c_row, cinv = rows[c], inverse[c]
             alpha_z = datum.act(cinv, alpha)
-            sub_class_id = root_key(alpha_z)
-            sub_reps[sub_class_id] = alpha_z
             uz: Dict[int, int] = {}
             vz: Dict[int, int] = {}
             inner_keys: set = set()
@@ -464,21 +454,10 @@ def compatible_choices(choices_k: SectionChoices, subgroup: FrozenSet[int],
                     inner_keys.add(stab_key[x_elem])
                     upstairs = stab_key[rows[x_elem][cinv]]
                     vz[h] = rows[rows[cinv][v_top[upstairs]]][c]
-            sub_u[sub_class_id] = uz
-            sub_v[sub_class_id] = vz
-        top_u[class_id] = new_u
-    return top_u, SectionChoices(sub_reps, sub_u, sub_v)
-
-
-class BaseChangeReport(Frozen):
-    __slots__ = ("ok", "witness", "lhs", "rhs")
-
-    def __init__(self, ok: bool, witness: Optional[int], lhs: Optional[DualTorusElement],
-                 rhs: Optional[DualTorusElement]) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+            sub_u[alpha_z] = uz
+            sub_v[alpha_z] = vz
+        top_u[alpha] = new_u
+    return top_u, SectionChoices(sub_u, sub_v)
 
 
 class BaseChange:
@@ -497,17 +476,18 @@ class BaseChange:
         self.top = class_data(chi, self.choices, datum, frame)
 
 
-def verify_base_change(base: BaseChange, subgroup: FrozenSet[int]) -> BaseChangeReport:
+def verify_base_change(base: BaseChange, subgroup: FrozenSet[int]) -> Optional[int]:
     """Exhaustive check that the cocycle of the restricted datum matches the
     restriction of the cocycle, over every element of the subgroup, for
-    compatibly derived choices.  The two sides are evaluated separately,
-    each from its own sections: the top side over its rebuilt outer section,
-    the restricted side over the derived classes of the subgroup."""
+    compatibly derived choices: the least element of the subgroup where
+    the two differ, or None when they agree everywhere.  The two sides are
+    evaluated separately, each from its own sections: the top side over its
+    rebuilt outer section, the restricted side over the derived classes of
+    the subgroup."""
     chi, datum, frame = base.chi, base.datum, base.frame
     top_u, sub = compatible_choices(base.choices, subgroup, datum, frame)
     lhs = cocycle(base.top, top_u, subgroup, datum, frame.group)
     rhs = r_chi_values(chi, sub, subgroup, datum, frame, within=subgroup)
     if lhs == rhs:
-        return BaseChangeReport(True, None, None, None)
-    w = min(w for w in subgroup if lhs[w] != rhs[w])
-    return BaseChangeReport(False, w, lhs[w], rhs[w])
+        return None
+    return min(w for w in subgroup if lhs[w] != rhs[w])

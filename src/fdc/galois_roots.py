@@ -48,18 +48,18 @@ DepthValue = Union[Fraction, str]  # a positive rational or the NONPOSITIVE mark
 class FiniteGroup:
     """A finite group on elements 0..n-1 given by its multiplication table.
 
-    Element 0 is the identity.  The table is validated (identity, inverses,
+    Element 0 is the identity.  Every table, those :meth:`cyclic` and
+    :meth:`from_permutations` build too, is validated (identity, inverses,
     associativity) at construction.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], check: bool = True):
+    def __init__(self, table: Sequence[Sequence[int]]):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.elements = range(self.order)
         self._generators: Dict[FrozenSet[int], List[int]] = {}
         self._coset_keys: Dict[FrozenSet[int], List[int]] = {}
-        if check:
-            self._validate()
+        self._validate()
         # inverse[i] is i^-1; hot loops read it and the table rows directly
         self.inverse = tuple(row.index(0) for row in self.table)
 
@@ -241,7 +241,7 @@ class FiniteGroup:
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
-        return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)], check=False)
+        return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_permutations(gens: Sequence[Sequence[int]], max_order: Optional[int] = None
@@ -279,7 +279,7 @@ class FiniteGroup:
             for j, b in enumerate(elems):
                 comp = tuple(a[b[x]] for x in range(deg))  # (a after b)
                 table[i][j] = index[comp]
-        return FiniteGroup(table, check=False), elems
+        return FiniteGroup(table), elems
 
 
 # -- frames and field invariants ----------------------------------------------
@@ -634,19 +634,18 @@ def negation_classes(orbits: Sequence[OrbitInfo]) -> List[Tuple[OrbitInfo, ...]]
 class HoweFiltration(Value):
     """Increasing chain of root subsets R_0 <= ... <= R_d with its breaks.
 
-    levels[i] is R_i as a set of roots; breaks are the distinct positive
-    depths r_0 < ... < r_{d-1}; total is r_d (the full character depth).
-    layers[i] lists, in orbit order, the orbits of levels[i] - levels[i-1]:
-    layers[0] is the nonpositive-depth part, levels[0], and the orbits of
-    layers[i + 1] have depth breaks[i]: :meth:`orbit_breaks` reads that off.
+    layers[i] lists, in orbit order, the orbits of R_i - R_{i-1}, so R_i is
+    the union of the members of the layers up to i: layers[0] is the
+    nonpositive-depth part, R_0, and the orbits of layers[i + 1] have depth
+    breaks[i]: :meth:`orbit_breaks` reads that off.  breaks are the
+    distinct positive depths r_0 < ... < r_{d-1}; total is r_d (the full
+    character depth).
     """
 
-    __slots__ = ("levels", "layers", "breaks", "total")
+    __slots__ = ("layers", "breaks", "total")
 
-    def __init__(self, levels: Tuple[FrozenSet[Vector], ...],
-                 layers: Tuple[Tuple[OrbitInfo, ...], ...], breaks: Tuple[Fraction, ...],
+    def __init__(self, layers: Tuple[Tuple[OrbitInfo, ...], ...], breaks: Tuple[Fraction, ...],
                  total: Fraction) -> None:
-        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "total", total)
@@ -722,21 +721,17 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
         by_depth.setdefault(positive.get(oid), []).append(o)
     breaks = sorted(r for r in by_depth if r is not None)
     layers = [tuple(by_depth.get(None, ()))] + [tuple(by_depth[r]) for r in breaks]
-    levels: List[FrozenSet[Vector]] = []
+    # Levi closure of every proper level, R_i the running union of the layers.
     level: FrozenSet[Vector] = frozenset()
-    for layer in layers:
+    for i, layer in enumerate(layers[:-1]):
         level = level.union(*(o.members for o in layer))
-        levels.append(level)
-    # Levi closure of every proper level.
-    for i, lv in enumerate(levels[:-1]):
-        closure = _span_closure(sorted(lv), datum.roots)
-        if closure != lv:
-            extra = sorted(closure - lv)
+        closure = _span_closure(sorted(level), datum.roots)
+        if closure != level:
+            extra = sorted(closure - level)
             raise ValueError(
                 "level %d is not rationally closed in R: span also contains %s"
                 % (i, extra))
-    return HoweFiltration(levels=tuple(levels), layers=tuple(layers), breaks=tuple(breaks),
-                          total=total)
+    return HoweFiltration(layers=tuple(layers), breaks=tuple(breaks), total=total)
 
 
 class TorusLatticeData(Value):

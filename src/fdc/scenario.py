@@ -190,7 +190,7 @@ FIELDS: Tuple[Tuple[str, str, str, object], ...] = (
     ("group.order", "galois_roots", "integer", None),
     ("group.mult_table", "galois_roots", "integer table", None),
     ("group.perm_gens", "galois_roots", "integer table", None),
-    ("inertia", "galois_roots", "integer array", []),
+    ("inertia", "galois_roots", "integer array", REQUIRED),
     ("frobenius", "galois_roots", "integer", 0),
     ("lattice_rank", "galois_roots", "integer", REQUIRED),
     ("action", "galois_roots", "object", REQUIRED),
@@ -351,14 +351,12 @@ class Scenario:
 
     No ``__slots__``: :attr:`torus` caches into the instance ``__dict__``.
     Every break of the filtration lies in the value group of its orbits
-    (:func:`off_lattice_breaks` is empty).  ``group_encoding`` is the
-    document's group as read, kept for round-trips."""
+    (:func:`off_lattice_breaks` is empty)."""
 
     def __init__(self, name: str, frame: GaloisFrame, datum: GRootDatum,
                  orbits: Tuple[OrbitInfo, ...], jumps: JumpAssignment,
                  filtration: HoweFiltration, depth_zero: DepthZeroData,
-                 chi: Optional[ChiData] = None,
-                 group_encoding: Optional[Dict[str, object]] = None) -> None:
+                 chi: Optional[ChiData] = None) -> None:
         self.name = name
         self.frame = frame
         self.datum = datum
@@ -367,7 +365,6 @@ class Scenario:
         self.filtration = filtration
         self.depth_zero = depth_zero
         self.chi = chi
-        self.group_encoding = group_encoding
 
     @property
     def pp(self) -> PrimePower:
@@ -385,7 +382,7 @@ class Scenario:
         if self.depth_zero.regular:
             flags.append("depth-zero regularity of the character is assumed "
                          "(not derivable from depth data)")
-        if self.filtration.levels[0]:
+        if self.filtration.layers[0]:
             flags.append("inertia-stable positivity on the zeroth level is assumed")
         return tuple(flags)
 
@@ -406,22 +403,19 @@ class Scenario:
         except ValueError as e:  # a wild frame, as loading words it
             raise ScenarioError([("galois_roots", "frame", str(e))])
         return Scenario(self.name, frame, self.datum, self.orbits, self.jumps,
-                        self.filtration, self.depth_zero, self.chi, self.group_encoding)
+                        self.filtration, self.depth_zero, self.chi)
 
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, object]:
-        group: Dict[str, object]
-        if self.group_encoding is not None:
-            group = dict(self.group_encoding)
-        else:
-            group = {"order": self.frame.group.order,
-                     "mult_table": [list(r) for r in self.frame.group.table]}
+        """The scenario as a document, its group as its multiplication table
+        (``perm_gens`` load to that table, with the same element numbers)."""
         breaks = self.filtration.orbit_breaks()
         doc: Dict[str, object] = {
             "name": self.name,
             "q": {"p": self.pp.p, "a": self.pp.a},
-            "group": group,
+            "group": {"order": self.frame.group.order,
+                      "mult_table": [list(r) for r in self.frame.group.table]},
             "inertia": sorted(self.frame.inertia),
             "frobenius": self.frame.frobenius,
             "lattice_rank": self.datum.rank,
@@ -524,9 +518,13 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     chi = None
     if "chi" in f:
         n = group.order
-        strays = [root for root in f["chi"] if root not in datum.roots]
+        # refused at the first key that is no root, else at the first element outside 0..n-1
+        strays = ["character at %s is not a root" % (root,)
+                  for root in f["chi"] if root not in datum.roots]
+        strays += ["character at %s is defined at %d, which is not a group element" % (root, g)
+                   for root, table in f["chi"].items() for g in table if not 0 <= g < n]
         if strays:
-            failures.append(("chi_data", "chi", "character at %s is not a root" % (strays[0],)))
+            failures.append(("chi_data", "chi", strays[0]))
         else:
             # a/b mod 1, for b > 0, is stored as the numerator k / b over n with
             # k = (a mod b) n; a Fraction where that is not an integer, which no
@@ -543,7 +541,6 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     return Scenario(
         name=f["name"], frame=frame, datum=datum, orbits=orbits, jumps=jumps,
         filtration=filtration, depth_zero=depth_zero, chi=chi,
-        group_encoding=f["group"] if "perm_gens" in f["group"] else None,
     )
 
 
@@ -772,7 +769,7 @@ def _templates() -> List[_Template]:
         (a3, tuple(range(6))),
         (5, 7)))
 
-    kl = FiniteGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], check=False)
+    kl = FiniteGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
     kl_action = {0: identity_matrix(2), 1: [[-1, 0], [0, 1]],
                  2: [[1, 0], [0, -1]], 3: [[-1, 0], [0, -1]]}
     out.append(_Template(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from typing import Dict, FrozenSet, List
 
-from fdc.galois_roots import FiniteGroup, root_key
+from fdc.galois_roots import FiniteGroup
 from fdc.scenario import load_scenario
 from fdc.zlattice import mat_vec
 
@@ -71,8 +71,8 @@ def _stabilizers(datum, root, within):
 
 
 def default_sections(datum, group: FiniteGroup):
-    """(u, v) of the minimal-element choices, keyed by the representatives'
-    root keys: cosets of Stab+-(a) in G and of Stab(a) in Stab+-(a)."""
+    """(u, v) of the minimal-element choices, keyed by the representatives,
+    the least roots of their classes: cosets of Stab+-(a) in G and of Stab(a) in Stab+-(a)."""
     u, v = {}, {}
     seen: set = set()
     for root in sorted(datum.roots):
@@ -83,28 +83,26 @@ def default_sections(datum, group: FiniteGroup):
         seen |= members
         rep = min(members)
         stab, stab_pm = _stabilizers(datum, rep, group.elements)
-        u[root_key(rep)] = minimal_section(right_cosets(group, stab_pm, group.elements))
-        v[root_key(rep)] = minimal_section(right_cosets(group, stab, stab_pm))
+        u[rep] = minimal_section(right_cosets(group, stab_pm, group.elements))
+        v[rep] = minimal_section(right_cosets(group, stab, stab_pm))
     return u, v
 
 
-def compatible_sections(reps, v_top, subgroup: FrozenSet[int], datum, group: FiniteGroup):
-    """(rebuilt top u, subgroup reps, subgroup u, subgroup v) of the
-    constructive base change: one subgroup class per double coset
+def compatible_sections(v_top, subgroup: FrozenSet[int], datum, group: FiniteGroup):
+    """(rebuilt top u, subgroup u, subgroup v) of the constructive base
+    change, keyed by representatives as ``v_top`` is: one subgroup class per double coset
     Stab+-(a) c H at its least element c, with representative c^-1 a, a
     minimal-element outer section in H, the inner section c^-1 v(S c y c^-1) c
     at each least element y of a coset of Stab(c^-1 a) n H in Stab+-(c^-1 a) n H,
     and the top section c u on the coset of c u for each outer value u."""
-    top_u, sub_reps, sub_u, sub_v = {}, {}, {}, {}
-    for class_id, alpha in sorted(reps.items()):
+    top_u, sub_u, sub_v = {}, {}, {}
+    for alpha in sorted(v_top):
         stab, stab_pm = _stabilizers(datum, alpha, group.elements)
         new_u = {}
         for dc in double_cosets(group, stab_pm, subgroup):
             c = min(dc)
             cinv = group.inv(c)
             alpha_z = mat_vec(datum.action[cinv], alpha)
-            sub_id = root_key(alpha_z)
-            sub_reps[sub_id] = alpha_z
             stab_z, stab_pm_z = _stabilizers(datum, alpha_z, subgroup)
             uz = minimal_section(right_cosets(group, stab_pm_z, subgroup))
             vz = {}
@@ -112,10 +110,10 @@ def compatible_sections(reps, v_top, subgroup: FrozenSet[int], datum, group: Fin
                 y = min(coset)
                 upstairs = min(frozenset(group.mul(s, group.mul(group.mul(c, y), cinv))
                                          for s in stab))
-                vz[y] = group.mul(group.mul(cinv, v_top[class_id][upstairs]), c)
-            sub_u[sub_id], sub_v[sub_id] = uz, vz
+                vz[y] = group.mul(group.mul(cinv, v_top[alpha][upstairs]), c)
+            sub_u[alpha_z], sub_v[alpha_z] = uz, vz
             for value in uz.values():
                 x = group.mul(c, value)
                 new_u[min(group.mul(s, x) for s in stab_pm)] = x
-        top_u[class_id] = new_u
-    return top_u, sub_reps, sub_u, sub_v
+        top_u[alpha] = new_u
+    return top_u, sub_u, sub_v

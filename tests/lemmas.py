@@ -1,5 +1,6 @@
-"""Randomized property suites that the tests run, and the lemma code only
-they check.
+"""Randomized property suites that the tests run, the lemma code only they
+check, and what several tests read off the package's records (the levels
+of a Howe filtration, the two sides of a base-change comparison).
 
 Each suite returns the number of checks performed and raises on the first
 violation.  The oracles are deliberately primitive: direct coset
@@ -37,11 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from fdc.chi_data import BaseChange, verify_base_change
+from fdc.chi_data import (BaseChange, cocycle, compatible_choices, r_chi_values,
+                           verify_base_change)
 from fdc.compare import VERDICT_UNEQUAL, run_compare
 from fdc.galois_roots import (
     GaloisFrame,
     GRootDatum,
+    HoweFiltration,
     OrbitInfo,
     TorusLatticeData,
     torus_lattice_data,
@@ -626,10 +629,34 @@ def suite_chi(rng: random.Random, n: int) -> int:
             continue
         subgroups = scen.frame.group.all_subgroups()
         sub = rng.choice(subgroups)
-        report = verify_base_change(BaseChange(chi, scen.datum, scen.frame, scen.orbits), sub)
-        if not report.ok:
+        base = BaseChange(chi, scen.datum, scen.frame, scen.orbits)
+        witness = verify_base_change(base, sub)
+        if witness is not None:
             raise AssertionError("base change fails on %s at H=%s: w=%s %s != %s"
-                                 % (scen.name, sorted(sub), report.witness,
-                                    report.lhs, report.rhs))
+                                 % ((scen.name, sorted(sub), witness)
+                                    + base_change_sides(base, sub, witness)))
         checks += 1
     return checks
+
+
+# -- what the tests read off the package's records -------------------------------
+
+
+def filtration_levels(filtration: HoweFiltration) -> List[FrozenSet[Vector]]:
+    """R_0 <= ... <= R_d of a Howe filtration: the running unions of the
+    members of its layers."""
+    out: List[FrozenSet[Vector]] = []
+    level: FrozenSet[Vector] = frozenset()
+    for layer in filtration.layers:
+        level = level.union(*(o.members for o in layer))
+        out.append(level)
+    return out
+
+
+def base_change_sides(base: BaseChange, sub: FrozenSet[int], w: int) -> Tuple[tuple, tuple]:
+    """The two cocycles :func:`verify_base_change` compares, at w in ``sub``:
+    the top one over its rebuilt outer section, and the restricted one."""
+    datum, frame = base.datum, base.frame
+    top_u, low = compatible_choices(base.choices, sub, datum, frame)
+    return (cocycle(base.top, top_u, [w], datum, frame.group)[w],
+            r_chi_values(base.chi, low, [w], datum, frame, within=sub)[w])

@@ -39,7 +39,7 @@ def rebuilt_top(choices, subgroup, datum, frame):
     """The top choices with the outer sections :func:`compatible_choices`
     rebuilds for the subgroup, and the subgroup's choices."""
     top_u, sub = compatible_choices(choices, subgroup, datum, frame)
-    return SectionChoices(choices.reps, top_u, choices.v), sub
+    return SectionChoices(top_u, choices.v), sub
 
 
 def stored(value, n):
@@ -164,7 +164,7 @@ def test_compatible_choices_structure():
     _, sub = compatible_choices(default_choices(datum, frame, classify_orbits(datum, frame)),
                                 frozenset({0, 2}), datum, frame)
     # single double coset: one class of the subgroup with the same representative
-    assert list(sub.reps.values()) == [(1,)] or list(sub.reps.values()) == [(-1,)]
+    assert list(sub.v) == [(1,)] or list(sub.v) == [(-1,)]
 
     frame, datum = s3_model()
     a3 = frame.inertia
@@ -172,7 +172,7 @@ def test_compatible_choices_structure():
                                 datum, frame)
     # order-2 stabilizers meet every coset of A3: a single double coset and
     # thus a single class of the subgroup here
-    assert len(sub.reps) == 1
+    assert len(sub.v) == 1
 
 
 def s3_free_orbit_model():
@@ -215,15 +215,15 @@ def test_compatible_choices_two_double_cosets():
     top = default_choices(datum, frame, orbits)
     _, sub = compatible_choices(top, a3, datum, frame)
     # one plus-minus class upstairs, trivial stabilizers: two double cosets
-    assert len(sub.reps) == 2
+    assert len(sub.v) == 2
     # and base change still verifies with a nontrivial character
-    (rep,) = list(top.reps.values())
+    (rep,) = list(top.v)
     stab = datum.stabilizer(rep)
     assert stab == frozenset({0})
     chi = ChiData.from_representatives(datum, frame, orbits, {rep: {0: 0}})
     base = BaseChange(chi, datum, frame, orbits)
     for sub in frame.group.all_subgroups():
-        assert verify_base_change(base, sub).ok
+        assert verify_base_change(base, sub) is None
 
 
 def test_broken_outer_section_is_an_internal_error():
@@ -233,14 +233,14 @@ def test_broken_outer_section_is_an_internal_error():
     frame, datum = s3_free_orbit_model()
     orbits = classify_orbits(datum, frame)
     top = default_choices(datum, frame, orbits)
-    (class_id, rep), = top.reps.items()
+    (rep,) = list(top.v)
     chi = ChiData.from_representatives(datum, frame, orbits, {rep: {0: 0}})
     ws = list(frame.group.elements)
     r_chi_values(chi, top, ws, datum, frame)
-    u = top.u[class_id]
+    u = top.u[rep]
     swapped = dict(u)
     swapped[1], swapped[2] = u[2], u[1]
-    broken = SectionChoices(top.reps, {class_id: swapped}, top.v)
+    broken = SectionChoices({rep: swapped}, top.v)
     with pytest.raises(KeyError, match="outside the plus-minus stabilizer"):
         r_chi_values(chi, broken, ws, datum, frame)
 
@@ -249,16 +249,15 @@ def test_verify_base_change_models():
     frame, datum, chi = z4_model()
     base = BaseChange(chi, datum, frame, classify_orbits(datum, frame))
     for sub in frame.group.all_subgroups():
-        rep = verify_base_change(base, sub)
-        assert rep.ok, (sorted(sub), rep)
+        witness = verify_base_change(base, sub)
+        assert witness is None, (sorted(sub), witness)
 
     frame, datum = s3_model()
     orbits = classify_orbits(datum, frame)
     triv = trivial_chi(datum, frame)
     base = BaseChange(triv, datum, frame, orbits)
     for sub in frame.group.all_subgroups():
-        rep = verify_base_change(base, sub)
-        assert rep.ok
+        assert verify_base_change(base, sub) is None
 
     # nontrivial character on the asymmetric S3 orbits
     alpha = (1, 0)
@@ -268,8 +267,7 @@ def test_verify_base_change_models():
     chi2 = ChiData.from_representatives(datum, frame, orbits, {alpha: nontriv})
     base = BaseChange(chi2, datum, frame, orbits)
     for sub in frame.group.all_subgroups():
-        rep = verify_base_change(base, sub)
-        assert rep.ok
+        assert verify_base_change(base, sub) is None
 
 
 def test_verifier_detects_mismatch():
@@ -285,7 +283,7 @@ def test_verifier_detects_mismatch():
                   if r_chi_values(chi, top, [w], datum, frame)[w]
                   != r_chi_values(corrupted, low, [w], datum, frame, within=sub)[w]]
     assert mismatches == [2]
-    assert verify_base_change(BaseChange(chi, datum, frame, orbits), sub).ok
+    assert verify_base_change(BaseChange(chi, datum, frame, orbits), sub) is None
 
 
 def test_cocycle_vanishes_where_chi_restricts_trivially():
@@ -605,11 +603,11 @@ def test_cocycle_sum_written_out_with_values_of_order_three_and_six():
     assert [k for k, v in enumerate(top.inner) if v is not None] == [0, 2]
     inner = [None] * n
     inner[0], inner[2] = 1, 2
-    classes = [ClassData(top.class_id, top.alpha, top.pm_key, inner)]
+    classes = [ClassData(top.alpha, top.pm_key, inner)]
     alpha = top.alpha
     pm = [s for s in group.elements
           if mat_vec(datum.action[s], alpha) in (alpha, tuple(-x for x in alpha))]
-    default = base.choices.u[top.class_id]
+    default = base.choices.u[top.alpha]
     assert default == {0: 0, 1: 1, 3: 3}
     moved = {**default, 1: 4}
     for u in (default, moved):
@@ -624,7 +622,7 @@ def test_cocycle_sum_written_out_with_values_of_order_three_and_six():
                 beta = mat_vec(datum.action[group.inv(ux)], alpha)
                 total = [t + inner[k] * b for t, b in zip(total, beta)]
             expected[w] = tuple(t % n for t in total)
-        assert cocycle(classes, {top.class_id: u}, group.elements, datum, group) == expected
+        assert cocycle(classes, {alpha: u}, group.elements, datum, group) == expected
     assert set(expected.values()) == {(0, 0), (5, 0), (5, 5), (1, 1), (1, 0)}
 
 
@@ -682,15 +680,12 @@ def test_choices_match_brute_force():
         datum, frame, group = scen.datum, scen.frame, scen.frame.group
         choices = default_choices(datum, frame, scen.orbits)
         assert (choices.u, choices.v) == oracle.default_sections(datum, group)
-        assert choices.reps == {cid: tuple(int(x) for x in cid.split(","))
-                                for cid in choices.u}
         for sub in oracle.brute_subgroups(group):
             got_top_u, got = compatible_choices(choices, sub, datum, frame)
-            top_u, sub_reps, sub_u, sub_v = oracle.compatible_sections(
-                choices.reps, choices.v, sub, datum, group)
+            top_u, sub_u, sub_v = oracle.compatible_sections(choices.v, sub, datum, group)
             assert got_top_u == top_u
-            assert (got.reps, got.u, got.v) == (sub_reps, sub_u, sub_v)
-            assert list(got.reps) == list(sub_reps)  # classes in double-coset order
+            assert (got.u, got.v) == (sub_u, sub_v)
+            assert list(got.v) == list(sub_v)  # classes in double-coset order
             checked += 1
     assert checked == 32  # subgroups over the seven frames
 
@@ -708,7 +703,6 @@ def test_chi_check_conjugates_inner_sections_by_c_inverse(tmp_path, capsys):
     every subgroup there, and with c v c^-1 it fails (the derived h leaves
     the stabilizer)."""
     from fdc import cli
-    from fdc.galois_roots import root_key
     from fdc.scenario import scenario_from_dict
     path = tmp_path / "weyl.json"
     path.write_text(json.dumps(weyl_s3_document()))
@@ -730,4 +724,4 @@ def test_chi_check_conjugates_inner_sections_by_c_inverse(tmp_path, capsys):
     assert datum.act(4, alpha_z) == tuple(-x for x in alpha_z)
     _, derived = compatible_choices(default_choices(datum, scen.frame, scen.orbits), sub, datum,
                                     scen.frame)
-    assert derived.v[root_key(alpha_z)] == {0: 0, 4: 4}
+    assert derived.v[alpha_z] == {0: 0, 4: 4}

@@ -28,6 +28,7 @@ import pytest
 import fdc.cli as cli
 from fdc.scenario import scenario_from_dict
 from fdc.zlattice import kernel_basis, smith_normal_form
+from lemmas import filtration_levels
 
 PINS = os.path.join(os.path.dirname(__file__), "coxeter_snf_pins.json")
 
@@ -193,7 +194,8 @@ def test_a11_levi_kernels_pinned(divisors):
     orbits with d2 | k at depth 2 and the rest at 3, so the levels are the
     Levi subsystems {d | k} for d = d1, d2, 1."""
     d1, d2 = divisors
-    levels = scenario_from_dict(a11_three_break_document(divisors, False)).filtration.levels
+    levels = filtration_levels(
+        scenario_from_dict(a11_three_break_document(divisors, False)).filtration)
     assert [len(lv) for lv in levels] == [0, 12 * (12 // d1 - 1), 12 * (12 // d2 - 1), 132]
     pins = load_pins()["a11_levi_kernels"]
     for level, d in zip(levels[1:], (d1, d2, 1)):

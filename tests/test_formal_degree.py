@@ -30,6 +30,7 @@ from fdc.formal_degree import (
 )
 from fdc.scenario import generate_scenario, scenario_from_dict
 from fdc.weil_gamma import root_gamma_abs
+from lemmas import filtration_levels
 from test_coxeter import A11_DIVISORS, a11_three_break_document
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
@@ -192,7 +193,7 @@ def layer_cases():
 
 def test_layers_against_document_depths():
     """The layers of ``howe_filtration`` against a brute-force grouping of
-    the document's depths, the levels against the layers, the break term
+    the document's depths, the layers as a partition of the roots, the break term
     against its formula in ``Fraction``s over the level sizes, and dim G
     as rank + |R| against rank + the orbit degrees.  The break map
     ``orbit_breaks`` against the document: each orbit of positive depth
@@ -208,12 +209,9 @@ def test_layers_against_document_depths():
         want = [tuple(o for o in orbits if depths[o.orbit_id] == r)
                 for r in [None] + list(filt.breaks)]
         assert list(filt.layers) == want
-        level = frozenset()
-        assert len(filt.levels) == len(filt.layers)
-        for layer, lv in zip(filt.layers, filt.levels):
-            level = level | {root for o in layer for root in o.members}
-            assert lv == level
-        sizes = [len(lv) for lv in filt.levels]
+        members = [root for layer in filt.layers for o in layer for root in o.members]
+        assert len(members) == len(set(members)) and set(members) == datum.roots
+        sizes = [len(lv) for lv in filtration_levels(filt)]
         assert break_term(filt) == sum(Fraction(r) / 2 * (sizes[i + 1] - sizes[i])
                                        for i, r in enumerate(filt.breaks))
         assert datum.rank + len(datum.roots) == datum.rank + sum(o.degree for o in orbits)

@@ -28,6 +28,7 @@ from fdc.scenario import (
 )
 from lemmas import (
     coinvariants_order,
+    filtration_levels,
     invariant_sublattice,
     lattice_is_elliptic,
     lattice_torus_data,
@@ -201,7 +202,7 @@ def test_root_table_matches_matrix_route():
                 g for g, img in images.items() if img == r), scen.name
             assert datum.pm_stabilizer(r) == frozenset(
                 g for g, img in images.items() if img in (r, neg)), scen.name
-        assert scen.filtration.levels[-1] == datum.roots, scen.name
+        assert filtration_levels(scen.filtration)[-1] == datum.roots, scen.name
 
 
 def test_sparse_products_match_dense():
@@ -497,11 +498,11 @@ def test_howe_examples():
     orbs = classify_orbits(datum, fr)
     (oid,) = [o.orbit_id for o in orbs]
     filt = howe_filtration(datum, orbs, {oid: NONPOSITIVE}, Fraction(0))
-    assert filt.d == 0 and filt.levels[0] == datum.roots
+    assert filt.d == 0 and filtration_levels(filt)[0] == datum.roots
     assert filt.breaks == () and filt.total == 0
 
     filt = howe_filtration(datum, orbs, {oid: Fraction(1, 2)}, Fraction(1, 2))
-    assert filt.d == 1 and filt.levels[0] == frozenset()
+    assert filt.d == 1 and filtration_levels(filt)[0] == frozenset()
     assert filt.breaks == (Fraction(1, 2),) and filt.layers == ((), tuple(orbs))
 
     with pytest.raises(ValueError):

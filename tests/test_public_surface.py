@@ -2,9 +2,10 @@
 symbol has a caller in the package, and every record field is read.
 
 The source of ``src/fdc`` is parsed with ``ast``, not imported.  A
-module-level function, class or private constant, or a public method or
-property of a public class, must be referenced (as a name or as an
-attribute) from some module of the package, outside its own definition.
+module-level function, class or private constant, or a method or
+property of any class (public or private, the dunders aside), must be
+referenced (as a name or as an attribute) from some module of the
+package, outside its own definition.
 Methods are matched by attribute name alone, so the test can miss a dead
 method whose name is used elsewhere, but it never flags a live one.
 """
@@ -32,8 +33,6 @@ ALLOWED = {
 ALLOWED_FIELDS = {
     "OrbitInfo.symmetric": "the orbit classification ROADMAP item 4 decides FLAGGED from",
     "OrbitInfo.ramified": "the orbit classification ROADMAP item 4 decides FLAGGED from",
-    "BaseChangeReport.lhs": "fault diagnostics: the restricted cocycle at the witness",
-    "BaseChangeReport.rhs": "fault diagnostics: the restriction of the cocycle at the witness",
 }
 
 
@@ -41,17 +40,21 @@ def _public(name):
     return not name.startswith("_")
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
     """(qualified name, bare name, node) of each public module-level
-    function and class and each public method of a public class."""
+    function and class and each method, other than a dunder, of any class."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
             out.append((node.name, node.name, node))
-            if isinstance(node, ast.ClassDef):
-                out += [("%s.%s" % (node.name, item.name), item.name, item)
-                        for item in node.body
-                        if isinstance(item, ast.FunctionDef) and _public(item.name)]
+        if isinstance(node, ast.ClassDef):
+            out += [("%s.%s" % (node.name, item.name), item.name, item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not _dunder(item.name)]
     return out
 
 

@@ -502,9 +502,12 @@ def _drop_field(name, field, key):
     (_drop_field("sl2_unramified_depth0", "q", "p"), "qexact.q.p: missing"),
     ({k: v for k, v in bundled_doc("sl2_unramified_depth0").items() if k != "q"},
      "qexact.q: missing"),
-], ids=["dim_rho", "stab_index", "q.a", "q.p", "q"])
+    ({k: v for k, v in bundled_doc("z4_rank3_mixed").items() if k != "inertia"},
+     "galois_roots.inertia: missing"),
+], ids=["dim_rho", "stab_index", "q.a", "q.p", "q", "inertia"])
 def test_cli_names_the_missing_field(command, doc, line, tmp_path, capsys):
-    """A missing field of depth_zero or q is refused by its name, with exit 2."""
+    """A missing field of depth_zero, of q or at the top is refused by its
+    name, with exit 2."""
     path = tmp_path / "missing.json"
     path.write_text(json.dumps(doc))
     assert cli.main([command, str(path)]) == 2
@@ -1061,6 +1064,24 @@ def test_cli_chi_parse_boundary_pinned(command, element, value, failures, tmp_pa
     where = "%s: " % path if command == "verify" else ""
     assert (rc, err) == (2, "error: %sscenario validation failed:\n%s" % (
         where, "".join("  chi_data.chi: %s\n" % f for f in failures)))
+
+
+@pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
+@pytest.mark.parametrize("element", ["4", "-1"])
+def test_cli_refuses_chi_keys_outside_the_group(command, element, tmp_path, capsys):
+    """A character defined at an element index outside 0..|G|-1 is refused
+    under chi_data, naming the root and the key, with exit 2: it is not read
+    as the element that index would wrap to, nor past the end of a row."""
+    doc = bundled_doc("z4_a1_ramified_chi")
+    doc["chi"]["-1"][element] = "0"
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    where = "%s: " % path if command == "verify" else ""
+    assert (rc, captured.out, captured.err) == (
+        2, "", "error: %sscenario validation failed:\n  chi_data.chi: character at (-1,) is "
+        "defined at %s, which is not a group element\n" % (where, element))
 
 
 def test_chi_round_trips_through_numerators():

@@ -15,7 +15,7 @@ from fdc.galois_roots import (
     howe_filtration,
     torus_lattice_data,
 )
-from lemmas import conductor_induction_general
+from lemmas import conductor_induction_general, filtration_levels
 from fdc.weil_gamma import (
     conductor_tame_induction,
     eps_abs,
@@ -36,7 +36,7 @@ SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenario
 def closed_root_exponent(scen):
     """|R|/2 + (1/2) sum_i r_i (|R_{i+1}| - |R_i|), from the filtration's
     level sizes and breaks rather than from the orbit conductors."""
-    sizes = [len(lv) for lv in scen.filtration.levels]
+    sizes = [len(lv) for lv in filtration_levels(scen.filtration)]
     breaks = scen.filtration.breaks
     wild = sum(r * (b - a) for r, a, b in zip(breaks, sizes, sizes[1:]))
     return Fraction(len(scen.datum.roots), 2) + Fraction(wild) / 2
@@ -152,7 +152,7 @@ def test_root_gamma_two_breaks():
     depths = {o.orbit_id: (Fraction(1, 3) if o.representative == (-1, -1)
                            else Fraction(1)) for o in orbs}
     filt = howe_filtration(datum, orbs, depths, Fraction(1))
-    assert [len(lv) for lv in filt.levels] == [0, 2, 6]
+    assert [len(lv) for lv in filtration_levels(filt)] == [0, 2, 6]
     rg = root_gamma_abs(filt, orbs, PP5)
     assert rg.monomial == exp_q(Fraction(16, 3), PP5)
 
