@@ -7,13 +7,16 @@ after an intended output change, run
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff of ``tests/golden/`` before committing it.  The same
-run prints the digest of ``chi-check`` over generated scenarios
-(``GENERATED_CHI_SHA256``), which is pinned here rather than in a file.
+run prints the digests of ``chi-check`` over generated scenarios
+(``GENERATED_CHI_SHA256``) and of ``verify``, ``degree`` and ``gamma`` over
+generated and Coxeter scenarios (``GENERATED_VERIFY_SHA256``), which are
+pinned here rather than in files.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import shutil
@@ -25,6 +28,7 @@ import pytest
 
 import fdc.cli as cli
 from fdc.scenario import generate_scenario
+from test_coxeter import coxeter_document
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
@@ -47,6 +51,22 @@ WITH_CHI = ["d4_b2_depth_quarter", "s3_a2_depth_third",
 GENERATED_CHI_SEED = 20261019
 GENERATED_CHI_COUNT = 300
 GENERATED_CHI_SHA256 = "8c03b7425cbe686f74ed377708bb9e233265c0f1b95156418cf95df3b293845c"
+
+# sha256 of the exit status and stdout of VERIFY_COMMANDS on the first
+# GENERATED_VERIFY_COUNT generated scenarios drawn from
+# random.Random(GENERATED_VERIFY_SEED), then on the Coxeter documents
+# A_3 ... A_11 (tests/test_coxeter.py), unramified and totally ramified.
+GENERATED_VERIFY_SEED = 20261021
+GENERATED_VERIFY_COUNT = 200
+VERIFY_COMMANDS = (
+    ["--format", "json", "verify"],
+    ["--format", "text", "verify"],
+    ["--format", "json", "degree"],
+    ["--format", "text", "degree"],
+    ["--format", "json", "gamma"],
+    ["--format", "text", "gamma"],
+)
+GENERATED_VERIFY_SHA256 = "03bb482d9d40e54c793a42a8bfecc8e87457fb0134b6ea53df2ce5c9b71fb55c"
 
 
 def cases():
@@ -100,6 +120,32 @@ def test_chi_check_generated_digest(tmp_path):
     """chi-check output beyond the four bundled goldens: every byte of the
     JSON reports on 300 generated scenarios with character data."""
     assert generated_chi_digest(str(tmp_path)) == GENERATED_CHI_SHA256
+
+
+def generated_verify_digest(tmp_dir):
+    """The digest pinned by GENERATED_VERIFY_SHA256, each document written
+    to a file under ``tmp_dir`` and run through every command of
+    VERIFY_COMMANDS by an in-process CLI call."""
+    rng = random.Random(GENERATED_VERIFY_SEED)
+    texts = [generate_scenario(rng).to_json() for _ in range(GENERATED_VERIFY_COUNT)]
+    texts += [json.dumps(coxeter_document(n, ramified))
+              for n in range(4, 13) for ramified in (False, True)]
+    digest = hashlib.sha256()
+    for k, text in enumerate(texts):
+        path = os.path.join(tmp_dir, "%03d.json" % k)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in VERIFY_COMMANDS:
+            digest.update(run_case(command + [path]).encode())
+    return digest.hexdigest()
+
+
+def test_verify_generated_digest(tmp_path):
+    """verify, degree and gamma output beyond the six bundled goldens:
+    every byte of both report formats on 200 generated scenarios and 18
+    Coxeter documents, so no change of the exact arithmetic alters a
+    report unseen."""
+    assert generated_verify_digest(str(tmp_path)) == GENERATED_VERIFY_SHA256
 
 
 def _fresh_process_env(**extra):
@@ -186,3 +232,5 @@ if __name__ == "__main__":
     sys.stdout.write("wrote %d golden files to %s\n" % (len(cases()), GOLDEN_DIR))
     with tempfile.TemporaryDirectory() as tmp:
         sys.stdout.write("GENERATED_CHI_SHA256 = %r\n" % generated_chi_digest(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.stdout.write("GENERATED_VERIFY_SHA256 = %r\n" % generated_verify_digest(tmp))
