@@ -23,7 +23,9 @@ failure is an internal error, not a verdict.
 
 Reports are deterministic: the machine-readable form contains no wall
 times (they are available in the text form on request), so identical
-inputs produce byte-identical documents.
+inputs produce byte-identical documents.  The verdict compares the two
+monomials' integers, and every monomial of the report is written from
+them.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .formal_degree import (
     volume_exponent_closed,
     volume_exponent_raw,
 )
-from .qexact import QMonomial, exp_q, fraction_str, int_str, ratio_str
+from .qexact import QMonomial, fraction_str, int_str, qmon, ratio_str
 from .scenario import Scenario, json_text
 from .weil_gamma import GaloisSide, galois_side
 
@@ -52,15 +54,13 @@ VERDICT_UNEQUAL = "UNEQUAL"
 
 def _mono_dict(m: QMonomial) -> Dict[str, str]:
     """The report form of c * p^e: the coefficient, the exponent and p, and
-    when e is an integer the value as a rational, written from integers.
-    The coefficient is a p-unit in lowest terms, so multiplying its
-    numerator by p^e (e > 0) or its denominator by p^-e (e < 0) leaves the
-    pair in lowest terms, and no gcd is taken."""
-    coeff, pexp = m.as_pair()
-    p = m.pp.p
-    out = {"coeff": coeff, "pexp": pexp, "p": "%d" % p}
-    if m.pexp.denominator == 1:
-        e, num, den = m.pexp.numerator, m.coeff.numerator, m.coeff.denominator
+    when e is an integer the value as a rational, written from the
+    monomial's integers.  The coefficient is a p-unit in lowest terms, so
+    multiplying its numerator by p^e (e > 0) or its denominator by p^-e
+    (e < 0) leaves the pair in lowest terms, and no gcd is taken."""
+    num, den, e, p = m.coeff_num, m.coeff_den, m.pexp_num, m.pp.p
+    out = {"coeff": ratio_str(num, den), "pexp": ratio_str(e, m.pexp_den), "p": "%d" % p}
+    if m.pexp_den == 1:
         if e > 0:
             num *= p ** e
         elif e < 0:
@@ -115,8 +115,9 @@ class ComparisonReport:
                 "monomial": _mono_dict(gal.toral.monomial),
                 "rational": fraction_str(gal.toral.rational),
                 "l0_inverse": gal.toral.l0_inverse,
-                "l1_inverse": _mono_dict(
-                    exp_q(-torus.rank_m, scen.pp).scale(gal.toral.l1_inverse_twisted)),
+                # |L(1)|^-1 = q^-dim(M) times the twisted fixed order
+                "l1_inverse": _mono_dict(qmon(scen.pp, gal.toral.l1_inverse_twisted,
+                                              -scen.pp.a * torus.rank_m)),
             },
             "root_gamma": {
                 "monomial": _mono_dict(gal.root.monomial),
@@ -185,7 +186,7 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
         diagnostics.append("depth-zero quotient has an odd root count; "
                            "it matches no reductive quotient")
 
-    value_aut = reg.monomial.scale(Fraction(1, reg.full_point_index))
+    value_aut = reg.monomial.scale(1, reg.full_point_index)
     value_gal = gal.monomial.scale(gal.prefactor)
     if value_aut != value_gal:
         verdict = VERDICT_UNEQUAL
@@ -205,7 +206,8 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
     for o in scenario.orbits:
         if o.orbit_id in breaks:
             diagnostics.append("depth-lattice at %s: break %s, value-group True, "
-                               "half-lattice True" % (o.orbit_id, breaks[o.orbit_id]))
+                               "half-lattice True"
+                               % (o.orbit_id, fraction_str(breaks[o.orbit_id])))
     for flag in scenario.unverified_assumptions:
         diagnostics.append("unverified: %s" % flag)
 

@@ -28,6 +28,10 @@ torsor-count assembly sums the one length kernel,
 :func:`fdc.mp_filtration.twice_length_to`; the master-length-identity
 suite of ``tests/lemmas.py`` takes the identity's left side from the same
 kernel and checks it against sum([k_a : k] * f(a)).
+
+Every sum here is taken in integers over a common denominator, and the
+halved breaks s_i are passed on as numerator and denominator; a
+``Fraction`` is built only for a result whose type is ``Fraction``.
 """
 
 from __future__ import annotations
@@ -44,15 +48,16 @@ from .qexact import Frozen, PrimePower, QMonomial, RationalLike, exp_q
 # -- the depth layers and depth-zero data ------------------------------------------
 
 
-def break_term(filtration: HoweFiltration) -> Fraction:
-    """(1/2) sum_i r_i (|R_{i+1}| - |R_i|), the wild part of the exponent,
-    with |R_{i+1}| - |R_i| the degree sum of layer i + 1, summed in integers
-    over the common denominator of the breaks."""
+def _break_sum(filtration: HoweFiltration) -> Tuple[int, int]:
+    """sum_i r_i (|R_{i+1}| - |R_i|), twice the wild part of the exponent,
+    as (numerator, denominator): |R_{i+1}| - |R_i| is the degree sum of
+    layer i + 1, and the sum is taken in integers over the common
+    denominator of the breaks, not reduced."""
     breaks = filtration.breaks
     den = math.lcm(*(r.denominator for r in breaks))
     num = sum(r.numerator * (den // r.denominator) * sum(o.degree for o in layer)
               for r, layer in zip(breaks, filtration.layers[1:]))
-    return Fraction(num, 2 * den)
+    return num, den
 
 
 def depth_zero_quotient_dim(filtration: HoweFiltration, jumps: JumpAssignment,
@@ -99,18 +104,22 @@ def heisenberg_indices(filtration: HoweFiltration, jumps: JumpAssignment,
                        pp: PrimePower) -> List[QMonomial]:
     """The abelian quotient orders [J^{i+1} : J^{i+1}_+], one per break:
     exp_q of the total jump length of layer i + 1 at s_i = r_i / 2."""
-    out: List[QMonomial] = []
-    for r, layer in zip(filtration.breaks, filtration.layers[1:]):
-        s = Fraction(r.numerator, 2 * r.denominator)
-        out.append(exp_q(sum(jump_length_at(o, jumps, s) for o in layer), pp))
-    return out
+    return [exp_q(sum(jump_length_at(o, jumps, r.numerator, 2 * r.denominator)
+                      for o in layer), pp)
+            for r, layer in zip(filtration.breaks, filtration.layers[1:])]
 
 
 def heisenberg_dims(indices: List[QMonomial]) -> List[QMonomial]:
     """Dimensions of the per-step Heisenberg representations: the square
     roots of the quotient orders :func:`heisenberg_indices` gives
-    (half-integral p-exponents are legal)."""
-    return [QMonomial(idx.pp, idx.coeff, idx.pexp / 2) for idx in indices]
+    (half-integral p-exponents are legal).  Halving n/d stays in lowest
+    terms as (n/2)/d for even n (then d is odd) and as n/(2d) for odd n."""
+    out: List[QMonomial] = []
+    for idx in indices:
+        n, d = idx.pexp_num, idx.pexp_den
+        n, d = (n // 2, d) if n % 2 == 0 else (n, 2 * d)
+        out.append(QMonomial(idx.pp, idx.coeff_num, idx.coeff_den, n, d))
+    return out
 
 
 def general_degree(datum: GRootDatum, filtration: HoweFiltration, dz: DepthZeroData,
@@ -121,8 +130,9 @@ def general_degree(datum: GRootDatum, filtration: HoweFiltration, dz: DepthZeroD
     exp_q(dim(G)/2 + dim_g0_red/2 + break term) and prefactor
     dim(rho) / stabilizer index.
     """
-    expo = Fraction(datum.rank + len(datum.roots) + dim_g0_red, 2) + break_term(filtration)
-    return exp_q(expo, pp), Fraction(dz.dim_rho, dz.stab_index)
+    num, den = _break_sum(filtration)
+    return (exp_q((datum.rank + len(datum.roots) + dim_g0_red) * den + num, pp, 2 * den),
+            Fraction(dz.dim_rho, dz.stab_index))
 
 
 # -- the regular route -------------------------------------------------------------
@@ -157,9 +167,9 @@ def regular_degree(datum: GRootDatum, filtration: HoweFiltration, torus: TorusLa
     |det(qF - 1)| or the reciprocal full point index, which is the
     special-fiber order times the Kottwitz fixed count.
     """
-    expo = Fraction(datum.rank + len(datum.roots) + torus.rank_m, 2) + break_term(filtration)
+    num, den = _break_sum(filtration)
     return RegularDegree(
-        monomial=exp_q(expo, pp),
+        monomial=exp_q((datum.rank + len(datum.roots) + torus.rank_m) * den + num, pp, 2 * den),
         special_fiber_order=torus.special_fiber_order,
         full_point_index=torus.full_point_index,
         discrepancy=torus.kottwitz_fixed_order,
@@ -177,12 +187,13 @@ def volume_exponent_raw(filtration: HoweFiltration, jumps: JumpAssignment,
     summed in integers."""
     twice = dim_quot
     for r, layer in zip(filtration.breaks, filtration.layers[1:]):
-        s = Fraction(r.numerator, 2 * r.denominator)
-        twice += sum(twice_length_to(o, jumps, s) for o in layer)
+        twice += sum(twice_length_to(o, jumps, r.numerator, 2 * r.denominator) for o in layer)
     return Fraction(twice, 2)
 
 
 def volume_exponent_closed(filtration: HoweFiltration, dim_quot: int) -> Fraction:
     """The same exponent from the closed length identity: half the
-    depth-zero Levi length plus the break term."""
-    return Fraction(dim_quot, 2) + break_term(filtration)
+    depth-zero Levi length plus the break term.  At dim_quot = 0 it is the
+    break term, (1/2) sum_i r_i (|R_{i+1}| - |R_i|)."""
+    num, den = _break_sum(filtration)
+    return Fraction(dim_quot * den + num, 2 * den)

@@ -142,19 +142,22 @@ class JumpAssignment(Frozen):
     def offset(self, orbit: OrbitInfo) -> Fraction:
         return self.offsets[orbit.orbit_id]
 
-    def contains(self, orbit: OrbitInfo, t: RationalLike) -> bool:
-        """Whether t lies in offset + (1/e)Z: for t = n/d and offset a/b,
-        t - offset = (n b - a d) / (d b) lies in (1/e)Z exactly when d b
-        divides e (n b - a d)."""
+    def contains(self, orbit: OrbitInfo, t: RationalLike, den: int = 1) -> bool:
+        """Whether t / den (den > 0) lies in offset + (1/e)Z: for
+        t / den = n/d and offset a/b, t - offset = (n b - a d) / (d b) lies
+        in (1/e)Z exactly when d b divides e (n b - a d), whether or not
+        n/d is in lowest terms."""
         off = self.offsets[orbit.orbit_id]
-        n, d, a, b = t.numerator, t.denominator, off.numerator, off.denominator
+        n, d, a, b = t.numerator, t.denominator * den, off.numerator, off.denominator
         return (n * b - a * d) * orbit.e % (d * b) == 0
 
 
-def jump_length_at(orbit: OrbitInfo, jumps: JumpAssignment, t: RationalLike) -> int:
-    """Length of the one-step filtration quotient of the orbit space at t:
-    the residue degree if t lies in the jump torsor, else 0."""
-    return orbit.f if jumps.contains(orbit, t) else 0
+def jump_length_at(orbit: OrbitInfo, jumps: JumpAssignment, t: RationalLike,
+                   den: int = 1) -> int:
+    """Length of the one-step filtration quotient of the orbit space at
+    t / den (den > 0): the residue degree if it lies in the jump torsor,
+    else 0."""
+    return orbit.f if jumps.contains(orbit, t, den) else 0
 
 
 def count_torsor_points(orbit: OrbitInfo, jumps: JumpAssignment,
@@ -166,39 +169,46 @@ def count_torsor_points(orbit: OrbitInfo, jumps: JumpAssignment,
 def _torsor_point_count(off: Fraction, e: int, lo: ExtIndexLike, hi: ExtIndexLike) -> int:
     """Number of points t of off + (1/e)Z with lo <= t < hi.
 
-    The points at or above an index x are off + k/e for
-    k >= ``_first_point(off, e, x)``, so the points in [lo, hi) are those with
-    ``_first_point(off, e, lo) <= k < _first_point(off, e, hi)``: one floor
+    The points at or above an index x are off + k/e for k at least
+    :func:`_first_point` of x, so the points in [lo, hi) are those with
+    k from lo's first point up to, not including, hi's: one floor
     division per endpoint, however many points lie between.
     """
     if hi is INFINITY or lo is INFINITY:
         raise ValueError("unbounded interval")
-    return max(0, _first_point(off, e, hi) - _first_point(off, e, lo))
+    return max(0, _first_point(off, e, hi.r.numerator, hi.r.denominator, hi.plus)
+               - _first_point(off, e, lo.r.numerator, lo.r.denominator, lo.plus))
 
 
-def _first_point(off: Fraction, e: int, x: ExtIndex) -> int:
-    """The least k with off + k/e >= x in the extended order.
+def _first_point(off: Fraction, e: int, n: int, d: int, plus: bool) -> int:
+    """The least k with off + k/e >= x in the extended order, for the index
+    x = n/d (d > 0), or x = (n/d)+ when plus is set.
 
     For x = r, off + k/e >= r exactly when k >= e (r - off), so k is the
     ceiling of e (r - off); for x = r+, off + k/e > r exactly when
     k > e (r - off), so k is its floor plus one.
     """
-    r = x.r
-    num = e * (r.numerator * off.denominator - off.numerator * r.denominator)
-    den = r.denominator * off.denominator
-    return num // den + 1 if x.plus else -(-num // den)
+    num = e * (n * off.denominator - off.numerator * d)
+    den = d * off.denominator
+    return num // den + 1 if plus else -(-num // den)
 
 
-def twice_length_to(orbit: OrbitInfo, jumps: JumpAssignment, t: RationalLike) -> int:
-    """Twice the length of the orbit space from 0 to t with both endpoints
-    weighted one half: 2 f #(torsor points in (0, t)) + len(0) + len(t).
+def twice_length_to(orbit: OrbitInfo, jumps: JumpAssignment, t: RationalLike,
+                    den: int = 1) -> int:
+    """Twice the length of the orbit space from 0 to t / den (den > 0)
+    with both endpoints weighted one half:
+    2 f #(torsor points in (0, t / den)) + len(0) + len(t / den).
 
     This is the left side of the master length identity for one orbit; the
     volume exponent by torsor point count sums it over each layer, so the
-    identity's randomized suite checks the code ``verify`` runs.
+    identity's randomized suite checks the code ``verify`` runs.  The count
+    is :func:`_torsor_point_count`'s on [0+, t / den), with no index built.
     """
-    return (2 * orbit.f * count_torsor_points(orbit, jumps, just_above(0), at(t))
-            + jump_length_at(orbit, jumps, 0) + jump_length_at(orbit, jumps, t))
+    off, e = jumps.offset(orbit), orbit.e
+    inside = max(0, _first_point(off, e, t.numerator, t.denominator * den, False)
+                 - _first_point(off, e, 0, 1, True))
+    return (2 * orbit.f * inside + jump_length_at(orbit, jumps, 0)
+            + jump_length_at(orbit, jumps, t, den))
 
 
 # -- concave functions -----------------------------------------------------------

@@ -6,6 +6,12 @@ residue characteristic p.  Canonicalizing over p rather than over q = p^a
 keeps structural equality decidable: q^(1/2) is an honest rational when a
 is even (9^(1/2) = 3), so a q-based normal form would not be unique.
 
+A value holds its coefficient and its p-exponent as reduced integer pairs,
+not as ``Fraction`` objects: each operation does its own integer work (a
+gcd, a p-adic split) and writes its report form from those integers.
+``QMonomial.coeff`` and ``QMonomial.pexp`` read the pairs back as
+``Fraction``s for callers that want them.
+
 All values are immutable; arithmetic never leaves the exact world.
 """
 
@@ -13,11 +19,10 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd
 from typing import Tuple, Union
 
 RationalLike = Union[int, Fraction]
-
-_ONE = Fraction(1)
 
 
 class Frozen:
@@ -154,64 +159,131 @@ def padic_split(n: int, p: int) -> Tuple[int, int]:
 
 
 class QMonomial(Value):
-    """Canonical value coeff * p**pexp with coeff a nonzero p-unit rational.
+    """Canonical value (coeff_num / coeff_den) * p**(pexp_num / pexp_den).
 
-    Instances must be built through :func:`qmon` (or the module operations),
-    which extract the p-part of the coefficient into the exponent.  With that
-    normal form, equality of the fields is value equality.
+    The coefficient is a nonzero p-unit and both pairs are in lowest terms
+    with a positive denominator, so equality of the fields is value
+    equality.  Build values through :func:`qmon` and :func:`exp_q` (or the
+    module operations), which bring the integers to that normal form; the
+    constructor refuses fields that are not in it.
     """
 
-    __slots__ = ("pp", "coeff", "pexp")
+    __slots__ = ("pp", "coeff_num", "coeff_den", "pexp_num", "pexp_den")
 
-    def __init__(self, pp: PrimePower, coeff: Fraction, pexp: Fraction) -> None:
-        if coeff.numerator == 0:
+    def __init__(self, pp: PrimePower, coeff_num: int, coeff_den: int = 1,
+                 pexp_num: int = 0, pexp_den: int = 1) -> None:
+        if coeff_num == 0:
             raise ValueError("zero is not a q-monomial")
         p = pp.p
-        if coeff.numerator % p == 0 or coeff.denominator % p == 0:
-            raise ValueError("coefficient %s is not a %d-unit" % (coeff, p))
-        object.__setattr__(self, "pp", pp)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "pexp", pexp)
+        if coeff_num % p == 0 or coeff_den % p == 0:
+            raise ValueError("coefficient %s is not a %d-unit"
+                             % (ratio_str(coeff_num, coeff_den), p))
+        if (coeff_den < 1 or pexp_den < 1 or gcd(coeff_num, coeff_den) != 1
+                or gcd(pexp_num, pexp_den) != 1):
+            raise ValueError("%s and %s are not in lowest terms over positive denominators"
+                             % (ratio_str(coeff_num, coeff_den), ratio_str(pexp_num, pexp_den)))
+        _fill(self, pp, coeff_num, coeff_den, pexp_num, pexp_den)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "QMonomial") -> "QMonomial":
-        if self.pp != other.pp:
-            raise ValueError("mixed prime powers: %s vs %s" % (self.pp, other.pp))
-        return qmon(self.pp, self.coeff * other.coeff, self.pexp + other.pexp)
+        pp = self.pp
+        if other.pp is not pp and other.pp != pp:
+            raise ValueError("mixed prime powers: %s vs %s" % (pp, other.pp))
+        # A product of p-units is a p-unit, so only the gcds are taken.
+        num, den = _lowest(self.coeff_num * other.coeff_num, self.coeff_den * other.coeff_den)
+        a, b, c, d = self.pexp_num, self.pexp_den, other.pexp_num, other.pexp_den
+        enum, eden = (a + c, 1) if b == d == 1 else _lowest(a * d + c * b, b * d)
+        return _monomial(pp, num, den, enum, eden)
 
     def __truediv__(self, other: "QMonomial") -> "QMonomial":
         return self * other.inverse()
 
-    def __pow__(self, k: int) -> "QMonomial":
-        return qmon(self.pp, self.coeff ** k, self.pexp * k)
-
     def inverse(self) -> "QMonomial":
-        return qmon(self.pp, 1 / self.coeff, -self.pexp)
+        num, den = self.coeff_num, self.coeff_den
+        if num < 0:
+            num, den = -num, -den
+        return _monomial(self.pp, den, num, -self.pexp_num, self.pexp_den)
 
-    def __neg__(self) -> "QMonomial":
-        return qmon(self.pp, -self.coeff, self.pexp)
-
-    def __abs__(self) -> "QMonomial":
-        return qmon(self.pp, abs(self.coeff), self.pexp)
-
-    def scale(self, c: RationalLike) -> "QMonomial":
-        """Multiply by an arbitrary nonzero rational (p-part is renormalized)."""
-        return qmon(self.pp, self.coeff * c, self.pexp)
+    def scale(self, c: RationalLike, den: int = 1) -> "QMonomial":
+        """Multiply by the nonzero rational c / den, den > 0 (the p-part is
+        moved into the exponent)."""
+        return _normal(self.pp, self.coeff_num * c.numerator,
+                       self.coeff_den * c.denominator * den, self.pexp_num, self.pexp_den)
 
     # -- inspection ---------------------------------------------------------
 
     @property
+    def coeff(self) -> Fraction:
+        return Fraction(self.coeff_num, self.coeff_den)
+
+    @property
+    def pexp(self) -> Fraction:
+        return Fraction(self.pexp_num, self.pexp_den)
+
+    @property
     def is_positive(self) -> bool:
-        return self.coeff > 0
+        return self.coeff_num > 0
 
     def as_pair(self) -> Tuple[str, str]:
         """Serialized form: ("num/den" coefficient, "num/den" p-exponent)."""
-        return (fraction_str(self.coeff), fraction_str(self.pexp))
+        return (ratio_str(self.coeff_num, self.coeff_den),
+                ratio_str(self.pexp_num, self.pexp_den))
 
     def __str__(self) -> str:
-        head = "" if self.coeff == 1 else "%s * " % fraction_str(self.coeff)
-        return "%s%d^(%s)" % (head, self.pp.p, fraction_str(self.pexp))
+        num, den = self.coeff_num, self.coeff_den
+        head = "" if num == den == 1 else "%s * " % ratio_str(num, den)
+        return "%s%d^(%s)" % (head, self.pp.p, ratio_str(self.pexp_num, self.pexp_den))
+
+
+# The slot descriptors' setters, called directly: each field is set once, on
+# a new instance, and this skips the attribute lookup of object.__setattr__.
+_set_pp, _set_coeff_num, _set_coeff_den, _set_pexp_num, _set_pexp_den = (
+    QMonomial.__dict__[name].__set__ for name in QMonomial.__slots__)
+
+
+def _fill(m: QMonomial, pp: PrimePower, coeff_num: int, coeff_den: int, pexp_num: int,
+          pexp_den: int) -> QMonomial:
+    _set_pp(m, pp)
+    _set_coeff_num(m, coeff_num)
+    _set_coeff_den(m, coeff_den)
+    _set_pexp_num(m, pexp_num)
+    _set_pexp_den(m, pexp_den)
+    return m
+
+
+def _monomial(pp: PrimePower, coeff_num: int, coeff_den: int, pexp_num: int,
+              pexp_den: int) -> QMonomial:
+    """A QMonomial from fields its caller has already brought to normal
+    form; unlike the constructor, it checks nothing."""
+    return _fill(object.__new__(QMonomial), pp, coeff_num, coeff_den, pexp_num, pexp_den)
+
+
+def _lowest(num: int, den: int) -> Tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return (num, den) if g == 1 else (num // g, den // g)
+
+
+def _normal(pp: PrimePower, num: int, den: int, pexp_num: int, pexp_den: int) -> QMonomial:
+    """The canonical monomial (num/den) * p**(pexp_num/pexp_den), for any
+    nonzero num, den and an exponent already in lowest terms with
+    pexp_den > 0: the fraction is reduced, its sign put on the numerator and
+    its p-part moved into the exponent.  Adding an integer k to the exponent
+    keeps it in lowest terms, since gcd(n + k d, d) = gcd(n, d)."""
+    if num == 0:
+        raise ValueError("zero is not a q-monomial")
+    if den < 0:
+        num, den = -num, -den
+    num, den = _lowest(num, den)
+    p = pp.p
+    if num % p == 0:
+        num, k = padic_split(num, p)
+        pexp_num += k * pexp_den
+    if den % p == 0:
+        den, k = padic_split(den, p)
+        pexp_num -= k * pexp_den
+    return _monomial(pp, num, den, pexp_num, pexp_den)
 
 
 # Below 2,000 bits an integer has at most 603 decimal digits, under the
@@ -242,6 +314,8 @@ def ratio_str(num: int, den: int) -> str:
     with den > 0: "num/den", or "num" when den is 1.  No gcd is taken."""
     if den == 1:
         return int_str(num)
+    if num.bit_length() <= _STR_SAFE_BITS and den.bit_length() <= _STR_SAFE_BITS:
+        return "%d/%d" % (num, den)
     return "%s/%s" % (int_str(num), int_str(den))
 
 
@@ -253,23 +327,15 @@ def fraction_str(x: Fraction) -> str:
 def qmon(pp: PrimePower, coeff: RationalLike, pexp: RationalLike = 0) -> QMonomial:
     """Canonical constructor: migrates the p-part of coeff into the exponent.
     A coefficient that is already a p-unit is kept as it is."""
-    c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-    e = pexp if isinstance(pexp, Fraction) else Fraction(pexp)
-    if c.numerator == 0:
-        raise ValueError("zero is not a q-monomial")
-    p = pp.p
-    num, den = c.numerator, c.denominator
-    if num % p and den % p:
-        return QMonomial(pp, c, e)
-    num, knum = padic_split(num, p)
-    den, kden = padic_split(den, p)
-    return QMonomial(pp, Fraction(num, den), e + knum - kden)
+    return _normal(pp, coeff.numerator, coeff.denominator, pexp.numerator, pexp.denominator)
 
 
-def exp_q(t: RationalLike, pp: PrimePower) -> QMonomial:
-    """q**t as a canonical monomial: coefficient 1, p-exponent a*t.
+def exp_q(t: RationalLike, pp: PrimePower, den: int = 1) -> QMonomial:
+    """q**(t/den), den > 0, as a canonical monomial: coefficient 1,
+    p-exponent a*t/den.
 
     Satisfies exp_q(len M) = |M| for finite modules over the ring with
     residue field of size q, and exp_q(s + t) = exp_q(s) * exp_q(t).
     """
-    return QMonomial(pp, _ONE, Fraction(pp.a * t.numerator, t.denominator))
+    num, den = _lowest(pp.a * t.numerator, t.denominator * den)
+    return _monomial(pp, 1, 1, num, den)

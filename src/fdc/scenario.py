@@ -518,13 +518,13 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
     chi = None
     if "chi" in f:
         n = group.order
-        # refused at the first key that is no root, else at the first element outside 0..n-1
+        # every key that is no root, then every element outside 0..n-1
         strays = ["character at %s is not a root" % (root,)
                   for root in f["chi"] if root not in datum.roots]
         strays += ["character at %s is defined at %d, which is not a group element" % (root, g)
                    for root, table in f["chi"].items() for g in table if not 0 <= g < n]
         if strays:
-            failures.append(("chi_data", "chi", strays[0]))
+            failures += [("chi_data", "chi", msg) for msg in strays]
         else:
             # a/b mod 1, for b > 0, is stored as the numerator k / b over n with
             # k = (a mod b) n; a Fraction where that is not an integer, which no

@@ -11,6 +11,10 @@ reads the break term of the automorphic side, so a wrong conductor shows
 up as an UNEQUAL verdict.  The final assembler divides the product of the
 summands by the component-group order (the full coinvariants of the
 cocharacter lattice).
+
+The exponents are summed in integers; a ``Fraction`` is built once for
+each conductor, for the toral rational and for the prefactor, the values
+whose type is ``Fraction``.
 """
 
 from __future__ import annotations
@@ -42,11 +46,12 @@ def conductor_tame_induction(degree: int, depth: Fraction) -> Fraction:
     return Fraction(degree * (depth.denominator + depth.numerator), depth.denominator)
 
 
-def eps_abs(cond: RationalLike, pp: PrimePower) -> QMonomial:
-    """|epsilon| = q^(cond/2) in the level-zero, self-dual normalization."""
+def eps_abs(cond: RationalLike, pp: PrimePower, den: int = 1) -> QMonomial:
+    """|epsilon| = q^(c/2) for the conductor c = cond / den (den > 0), in
+    the level-zero, self-dual normalization."""
     if cond < 0:
         raise ValueError("conductor must be nonnegative")
-    return exp_q(Fraction(cond.numerator, 2 * cond.denominator), pp)
+    return exp_q(cond.numerator, pp, 2 * cond.denominator * den)
 
 
 # -- the two adjoint summands --------------------------------------------------------
@@ -69,9 +74,8 @@ class ToralGamma(Frozen):
 def toral_gamma_abs(torus: TorusLatticeData, dim_sa: int, pp: PrimePower) -> ToralGamma:
     """|gamma| of the toral summand: exp_q((dim S + dim M)/2) times
     (Frobenius coinvariants of M) / (twisted fixed points of its dual)."""
-    mono = exp_q(Fraction(dim_sa + torus.rank_m, 2), pp)
     return ToralGamma(
-        monomial=mono,
+        monomial=exp_q(dim_sa + torus.rank_m, pp, 2),
         rational=Fraction(torus.m_frob_coinvariants, torus.special_fiber_order),
         l0_inverse=torus.m_frob_coinvariants,
         l1_inverse_twisted=torus.special_fiber_order,
@@ -107,7 +111,7 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
         for o in orbits)
     den = math.lcm(*(c.denominator for _, c in conductors))
     total = sum(c.numerator * (den // c.denominator) for _, c in conductors)
-    return RootGamma(monomial=eps_abs(Fraction(total, den), pp),
+    return RootGamma(monomial=eps_abs(total, pp, den),
                      orbit_conductors=conductors)
 
 
@@ -136,7 +140,7 @@ def galois_side(datum: GRootDatum, frame: GaloisFrame, filtration: HoweFiltratio
     comp = torus.cochar_full_coinvariants
     return GaloisSide(
         monomial=toral.monomial * root.monomial,
-        prefactor=toral.rational / comp,
+        prefactor=Fraction(toral.l0_inverse, toral.l1_inverse_twisted * comp),
         toral=toral,
         root=root,
         component_order=comp,

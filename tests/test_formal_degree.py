@@ -18,7 +18,6 @@ from fdc.galois_roots import (
 from fdc.mp_filtration import JumpAssignment
 from fdc.formal_degree import (
     DepthZeroData,
-    break_term,
     compact_induction_degree,
     depth_zero_quotient_dim,
     general_degree,
@@ -70,7 +69,8 @@ def test_compact_induction_degree():
 def test_break_term_and_layers():
     datum, _, filt, _ = sl2_case(True, depth=Fraction(1, 2))
     assert datum.rank + len(datum.roots) == 3
-    assert break_term(filt) == Fraction(1, 2)  # (1/2) * (1/2) * 2
+    # the break term, the closed volume exponent at quotient dimension 0
+    assert volume_exponent_closed(filt, 0) == Fraction(1, 2)  # (1/2) * (1/2) * 2
     # strictly increasing breaks enforced by the filtration itself
     assert filt.breaks == (Fraction(1, 2),)
     assert filt.total == Fraction(1, 2)
@@ -212,8 +212,8 @@ def test_layers_against_document_depths():
         members = [root for layer in filt.layers for o in layer for root in o.members]
         assert len(members) == len(set(members)) and set(members) == datum.roots
         sizes = [len(lv) for lv in filtration_levels(filt)]
-        assert break_term(filt) == sum(Fraction(r) / 2 * (sizes[i + 1] - sizes[i])
-                                       for i, r in enumerate(filt.breaks))
+        assert volume_exponent_closed(filt, 0) == sum(Fraction(r) / 2 * (sizes[i + 1] - sizes[i])
+                                                      for i, r in enumerate(filt.breaks))
         assert datum.rank + len(datum.roots) == datum.rank + sum(o.degree for o in orbits)
         breaks = filt.orbit_breaks()
         assert breaks == {oid: r for oid, r in depths.items() if r is not None}

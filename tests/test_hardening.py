@@ -286,9 +286,9 @@ def test_compact_induction_derivation_chain():
         # Heisenberg dims): the raw exponent contains the half boundary
         # lengths whose exponentials are exactly the Heisenberg dimensions.
         dim_g = datum.rank + len(datum.roots)
-        vol_k = math.prod(hdims, start=exp_q(Fraction(dim_g, 2), scen.pp) ** -1
+        vol_k = math.prod(hdims, start=exp_q(Fraction(dim_g, 2), scen.pp).inverse()
                           * exp_q(volume_exponent_raw(filtration, scen.jumps, dim_quot),
-                                  scen.pp) ** -1
+                                  scen.pp).inverse()
                           ).scale(dz.stab_index)
         got = compact_induction_degree(dim_tau, vol_k)
         mono, pref = general_degree(datum, filtration, dz, dim_quot, scen.pp)

@@ -1084,6 +1084,28 @@ def test_cli_refuses_chi_keys_outside_the_group(command, element, tmp_path, caps
         "defined at %s, which is not a group element\n" % (where, element))
 
 
+@pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
+def test_cli_lists_every_stray_chi_key(command, tmp_path, capsys):
+    """Every χ key the loader refuses is named in the one refusal, in the
+    order the loader checks them: the keys that are no root, then each
+    element outside 0..|G|-1 under its root."""
+    doc = bundled_doc("z4_a1_ramified_chi")
+    doc["chi"]["3"] = {"0": "0"}
+    doc["chi"]["-1"]["4"] = "0"
+    doc["chi"]["1"]["7"] = "1/2"
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    where = "%s: " % path if command == "verify" else ""
+    assert (rc, captured.out, captured.err) == (
+        2, "", "error: %sscenario validation failed:\n"
+        "  chi_data.chi: character at (3,) is not a root\n"
+        "  chi_data.chi: character at (-1,) is defined at 4, which is not a group element\n"
+        "  chi_data.chi: character at (1,) is defined at 7, which is not a group element\n"
+        % where)
+
+
 def test_chi_round_trips_through_numerators():
     """Loading stores chi values as numerators over the group order and
     to_json_dict renders them back: the "chi" field survives a round trip,
