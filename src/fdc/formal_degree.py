@@ -20,6 +20,9 @@ regular result is produced in both published prefactor normalizations
 (special-fiber order versus full point index); their ratio is the
 Kottwitz-style component index and is reported, never silently dropped.
 
+Neither route builds the compact induction itself: both evaluate the
+closed form of its degree, dim(tau) / vol(K).
+
 The module also exposes the intermediate quantities of the derivation:
 per-step Heisenberg dimensions, the volume-normalization exponent
 assembled from torsor point counts, and the same exponent from the
@@ -90,14 +93,7 @@ class DepthZeroData(Frozen):
         return DepthZeroData(False, dim_rho, stab_index)
 
 
-# -- elementary degree formulas ---------------------------------------------------
-
-
-def compact_induction_degree(dim_tau: QMonomial, vol_k: QMonomial) -> QMonomial:
-    """Degree of a compact induction: inducing dimension over subgroup volume."""
-    if not dim_tau.is_positive or not vol_k.is_positive:
-        raise ValueError("dimension and volume must be positive")
-    return dim_tau / vol_k
+# -- the Heisenberg quotients ------------------------------------------------------
 
 
 def heisenberg_indices(filtration: HoweFiltration, jumps: JumpAssignment,

@@ -650,10 +650,6 @@ class HoweFiltration(Value):
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "total", total)
 
-    @property
-    def d(self) -> int:
-        return len(self.breaks)
-
     def orbit_breaks(self) -> Dict[str, Fraction]:
         """Each orbit of positive depth, by its id, to its break; an orbit of
         the nonpositive part has none."""

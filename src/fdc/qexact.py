@@ -9,8 +9,6 @@ is even (9^(1/2) = 3), so a q-based normal form would not be unique.
 A value holds its coefficient and its p-exponent as reduced integer pairs,
 not as ``Fraction`` objects: each operation does its own integer work (a
 gcd, a p-adic split) and writes its report form from those integers.
-``QMonomial.coeff`` and ``QMonomial.pexp`` read the pairs back as
-``Fraction``s for callers that want them.
 
 All values are immutable; arithmetic never leaves the exact world.
 """
@@ -196,34 +194,13 @@ class QMonomial(Value):
         enum, eden = (a + c, 1) if b == d == 1 else _lowest(a * d + c * b, b * d)
         return _monomial(pp, num, den, enum, eden)
 
-    def __truediv__(self, other: "QMonomial") -> "QMonomial":
-        return self * other.inverse()
-
-    def inverse(self) -> "QMonomial":
-        num, den = self.coeff_num, self.coeff_den
-        if num < 0:
-            num, den = -num, -den
-        return _monomial(self.pp, den, num, -self.pexp_num, self.pexp_den)
-
     def scale(self, c: RationalLike, den: int = 1) -> "QMonomial":
         """Multiply by the nonzero rational c / den, den > 0 (the p-part is
         moved into the exponent)."""
         return _normal(self.pp, self.coeff_num * c.numerator,
                        self.coeff_den * c.denominator * den, self.pexp_num, self.pexp_den)
 
-    # -- inspection ---------------------------------------------------------
-
-    @property
-    def coeff(self) -> Fraction:
-        return Fraction(self.coeff_num, self.coeff_den)
-
-    @property
-    def pexp(self) -> Fraction:
-        return Fraction(self.pexp_num, self.pexp_den)
-
-    @property
-    def is_positive(self) -> bool:
-        return self.coeff_num > 0
+    # -- report forms -------------------------------------------------------
 
     def as_pair(self) -> Tuple[str, str]:
         """Serialized form: ("num/den" coefficient, "num/den" p-exponent)."""

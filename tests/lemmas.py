@@ -49,7 +49,7 @@ from fdc.galois_roots import (
     TorusLatticeData,
     torus_lattice_data,
 )
-from fdc.mp_filtration import INFINITY, Infinity, JumpAssignment, twice_length_to
+from fdc.mp_filtration import JumpAssignment, twice_length_to
 from fdc.qexact import PrimePower, RationalLike
 from fdc.scenario import _chi_menus, _random_chi, generate_scenario, generator_templates
 from fdc.weil_gamma import conductor_tame_induction
@@ -322,6 +322,16 @@ def det(a: Sequence[Sequence[int]]) -> int:
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[n - 1][n - 1]
+
+
+class Infinity:
+    """The one infinite group order, compared by identity."""
+
+    def __repr__(self) -> str:
+        return "INFINITY"
+
+
+INFINITY = Infinity()
 
 
 def coinvariants_order(f: Sequence[Sequence[int]]) -> Union[int, Infinity]:

@@ -18,7 +18,6 @@ from fdc.galois_roots import (
 from fdc.mp_filtration import JumpAssignment
 from fdc.formal_degree import (
     DepthZeroData,
-    compact_induction_degree,
     depth_zero_quotient_dim,
     general_degree,
     heisenberg_dims,
@@ -54,16 +53,6 @@ def sl2_case(ramified: bool, pp=PP3, depth=None, offset=None):
     off = offset if offset is not None else Fraction(0)
     jumps = JumpAssignment.build({o.orbit_id: off}, orbits)
     return datum, frame, filt, jumps
-
-
-def test_compact_induction_degree():
-    one = qmon(PP3, 1)
-    assert compact_induction_degree(one, one) == one
-    dim = exp_q(1, PP3)
-    vol = exp_q(-2, PP3)
-    assert compact_induction_degree(dim, vol) == exp_q(3, PP3)
-    with pytest.raises(ValueError):
-        compact_induction_degree(qmon(PP3, -1), one)
 
 
 def test_break_term_and_layers():
@@ -169,7 +158,7 @@ def test_volume_normalization_three_breaks(divisors, ramified):
     Coxeter filtrations with three breaks check the two volume exponents
     where the layers s_1 < s_2 < s_3 all contribute."""
     scen = scenario_from_dict(a11_three_break_document(divisors, ramified))
-    assert scen.filtration.d == 3
+    assert len(scen.filtration.breaks) == 3
     assert_volume_routes_agree(scen)
 
 
@@ -221,7 +210,7 @@ def test_layers_against_document_depths():
         conductors = dict(root_gamma_abs(filt, orbits, scen.pp).orbit_conductors)
         assert conductors == {o.orbit_id: o.degree * (1 + (depths[o.orbit_id] or 0))
                               for o in orbits}
-        multi_break += filt.d >= 2
+        multi_break += len(filt.breaks) >= 2
     assert multi_break >= 4
 
 

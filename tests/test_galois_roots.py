@@ -498,11 +498,11 @@ def test_howe_examples():
     orbs = classify_orbits(datum, fr)
     (oid,) = [o.orbit_id for o in orbs]
     filt = howe_filtration(datum, orbs, {oid: NONPOSITIVE}, Fraction(0))
-    assert filt.d == 0 and filtration_levels(filt)[0] == datum.roots
+    assert len(filt.breaks) == 0 and filtration_levels(filt)[0] == datum.roots
     assert filt.breaks == () and filt.total == 0
 
     filt = howe_filtration(datum, orbs, {oid: Fraction(1, 2)}, Fraction(1, 2))
-    assert filt.d == 1 and filtration_levels(filt)[0] == frozenset()
+    assert len(filt.breaks) == 1 and filtration_levels(filt)[0] == frozenset()
     assert filt.breaks == (Fraction(1, 2),) and filt.layers == ((), tuple(orbs))
 
     with pytest.raises(ValueError):

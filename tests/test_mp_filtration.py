@@ -4,32 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from fdc.qexact import PrimePower, exp_q
+from fdc.qexact import PrimePower
 from fdc.galois_roots import (
     FiniteGroup,
     GaloisFrame,
     GRootDatum,
     HoweFiltration,
-    NONPOSITIVE,
     OrbitInfo,
     classify_orbits,
-    howe_filtration,
     off_lattice_breaks,
 )
-from fdc.mp_filtration import (
-    INFINITY,
-    ExtIndex,
-    JumpAssignment,
-    _torsor_point_count,
-    at,
-    f_from_sequence,
-    is_admissible,
-    is_concave,
-    jump_length_at,
-    just_above,
-    mp_chain,
-    quotient_order,
-)
+from fdc.mp_filtration import JumpAssignment, _first_point, jump_length_at
 from lemmas import (
     JumpFunction,
     master_length_identity,
@@ -50,14 +35,6 @@ def a1_setup(ramified: bool):
         fr = GaloisFrame(g, frozenset({0}), 1, PP3)
     datum = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}), fr.group)
     return fr, datum, classify_orbits(datum, fr)
-
-
-def test_ext_index_order():
-    assert at(1) < just_above(1) < at(Fraction(3, 2))
-    assert just_above(0) < at(Fraction(1, 10))
-    assert at(2) < INFINITY and not INFINITY < at(2)
-    assert at(1) + just_above(2) == just_above(3)
-    assert at(1) + INFINITY is INFINITY
 
 
 def test_jump_assignment_validation():
@@ -176,152 +153,6 @@ def test_master_identity_randomized():
     assert suite_master_identity(random.Random(13), 1000) == 1000
 
 
-def a2_datum():
-    roots = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)})
-    return GRootDatum(2, {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]}, roots,
-                      FiniteGroup.cyclic(2))
-
-
-def test_is_concave_examples():
-    datum = a2_datum()
-    const = {r: Fraction(1) for r in datum.roots}
-    const[(0, 0)] = Fraction(1)
-    assert is_concave(const, datum)
-
-    bad = dict(const)
-    bad[(1, 1)] = Fraction(3)
-    bad[(-1, -1)] = Fraction(3)
-    assert not is_concave(bad, datum)
-
-    a1 = GRootDatum(1, {0: [[1]], 1: [[-1]]}, frozenset({(2,), (-2,)}), FiniteGroup.cyclic(2))
-    f = {(2,): Fraction(1), (-2,): Fraction(1), (0,): Fraction(0)}
-    assert is_concave(f, a1)
-
-
-def test_is_concave_multistep_relaxation():
-    """Detection that needs value propagation through intermediate roots."""
-    datum = a2_datum()
-    f = {(1, 0): Fraction(1), (-1, 0): Fraction(1),
-         (0, 1): Fraction(1), (0, -1): Fraction(1),
-         (1, 1): Fraction(2), (-1, -1): Fraction(2),
-         (0, 0): Fraction(5)}
-    # the inverse pair (1,0) + (-1,0) already bounds f(0) by 2
-    assert not is_concave(f, datum)
-    f[(0, 0)] = Fraction(2)
-    assert is_concave(f, datum)
-    # lowering a root value propagates: 0 = (1,1) + (-1,0) + (0,-1) costs
-    # 1/2 + 1 + 1 and the inverse pair through (1,1) costs 1/2 + 2
-    f[(1, 1)] = Fraction(1, 2)
-    f[(-1, -1)] = Fraction(1, 2)
-    assert not is_concave(f, datum)
-    f[(0, 0)] = Fraction(1)
-    f[(-1, -1)] = Fraction(2)
-    # asymmetric values break evenness but concavity is still well-defined:
-    # 0 = (1,1) + (-1,-1) costs 1/2 + 2 >= 1, pairs through roots all pass
-    assert is_concave(f, datum)
-
-
-def test_admissible_examples():
-    assert is_admissible([Fraction(1), Fraction(3, 2)])
-    assert not is_admissible([Fraction(1), Fraction(1, 4)])
-    assert is_admissible([Fraction(0)])
-    assert is_admissible([Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)])
-    assert not is_admissible([Fraction(1), Fraction(2), Fraction(3, 2)])
-
-
-def test_f_from_sequence():
-    _, datum, orbs = a1_setup(True)
-    (o,) = orbs
-    filt = howe_filtration(datum, orbs, {o.orbit_id: Fraction(1, 2)}, Fraction(1, 2))
-    f = f_from_sequence(filt, [Fraction(1), Fraction(3, 2)], datum, orbs)
-    assert f["0"] == 1 and f[o.orbit_id] == Fraction(3, 2)
-    with pytest.raises(ValueError):
-        f_from_sequence(filt, [Fraction(1), Fraction(1, 4)], datum, orbs)
-    filt0 = howe_filtration(datum, orbs, {o.orbit_id: NONPOSITIVE}, Fraction(0))
-    f = f_from_sequence(filt0, [Fraction(2)], datum, orbs)
-    assert f == {"0": Fraction(2), o.orbit_id: Fraction(2)}
-
-
-def test_mp_chain_examples():
-    assert mp_chain([1], [1]) == [(Fraction(1),)]
-    assert mp_chain([1], [3]) == [(Fraction(1),), (Fraction(2),), (Fraction(3),)]
-    got = mp_chain([Fraction(1, 2), 1], [1, 2])
-    assert got == [(Fraction(1, 2), Fraction(1)),
-                   (Fraction(1), Fraction(3, 2)),
-                   (Fraction(1), Fraction(2))]
-    with pytest.raises(ValueError):
-        mp_chain([0, 1], [1, 2])
-    with pytest.raises(ValueError):
-        mp_chain([1, 2], [1, 1])
-
-
-def test_mp_chain_randomized_postconditions():
-    rng = random.Random(17)
-    for _ in range(300):
-        d = rng.randint(0, 3)
-        r = []
-        cur = Fraction(rng.randint(1, 4), 4)
-        for _i in range(d + 1):
-            r.append(cur)
-            cur += Fraction(rng.randint(0, 4), 4)
-        s = [ri + Fraction(rng.randint(0, 8), 4) for ri in r]
-        s = [max(s[: i + 1]) for i in range(len(s))]  # keep weakly increasing
-        chain = mp_chain(r, s)
-        assert chain[0] == tuple(r) and chain[-1] == tuple(s)
-
-
-def test_quotient_order_hyperspecial():
-    _, datum, orbs = a1_setup(False)
-    (o,) = orbs
-    ja = JumpAssignment.build({o.orbit_id: 0}, orbs)
-    f0 = {o.orbit_id: just_above(0), "0": just_above(0)}
-    g2 = {o.orbit_id: Fraction(2), "0": Fraction(2)}
-    got = quotient_order(f0, g2, ja, orbs, 1, 1, PP3)
-    assert got == exp_q(3, PP3)  # t = 1 contributes dim G = 3
-
-    same = quotient_order(g2, g2, ja, orbs, 1, 1, PP3,
-                          chain=[(Fraction(2),)],
-                          filtration=howe_filtration(datum, orbs,
-                                                     {o.orbit_id: NONPOSITIVE}, Fraction(0)))
-    assert same == exp_q(0, PP3)
-    with pytest.raises(ValueError, match="chain"):
-        quotient_order(g2, g2, ja, orbs, 1, 1, PP3)
-
-
-def test_quotient_order_half_jumps():
-    # asymmetric orbit pair with e=2, offsets +-1/2, f=0+ to 1: both jump at 1/2
-    from fdc.galois_roots import OrbitInfo
-    a = OrbitInfo("a", frozenset({(1,)}), (1,), frozenset({0}), 2, 2, 1, False, None, "b")
-    b = OrbitInfo("b", frozenset({(-1,)}), (-1,), frozenset({0}), 2, 2, 1, False, None, "a")
-    pair = [a, b]
-    ja = JumpAssignment.build({"a": Fraction(1, 2), "b": Fraction(-1, 2)}, pair)
-    f0 = {"a": just_above(0), "b": just_above(0), "0": just_above(0)}
-    g1 = {"a": Fraction(1), "b": Fraction(1), "0": Fraction(1)}
-    got = quotient_order(f0, g1, ja, pair, 1, 2, PP3)
-    # roots: one point each at 1/2; toral: (1/2)Z in (0,1) = {1/2} weighted by rank 1
-    assert got == exp_q(3, PP3)
-
-
-def test_quotient_order_composition():
-    """order(f -> g) * order(g -> h) = order(f -> h) along nested step functions."""
-    _, datum, orbs = a1_setup(True)
-    (o,) = orbs
-    filt = howe_filtration(datum, orbs, {o.orbit_id: Fraction(1, 2)}, Fraction(1, 2))
-    ja = JumpAssignment.build({o.orbit_id: Fraction(1, 4)}, orbs)
-    rng = random.Random(23)
-    for _ in range(100):
-        base = Fraction(rng.randint(1, 4), 4)
-        mid = base + Fraction(rng.randint(0, 4), 4)
-        top = mid + Fraction(rng.randint(0, 4), 4)
-        fs = [f_from_sequence(filt, [v, v], datum, orbs) for v in (base, mid, top)]
-        def q(lo, hi, lo_v, hi_v):
-            return quotient_order(lo, hi, ja, orbs, 1, 2, PP3,
-                                  chain=mp_chain([lo_v, lo_v], [hi_v, hi_v]),
-                                  filtration=filt)
-        prod = q(fs[0], fs[1], base, mid) * q(fs[1], fs[2], mid, top)
-        assert prod == q(fs[0], fs[2], base, top)
-
-
 # -- the integer kernels against their Fraction definitions ----------------------
 
 
@@ -330,34 +161,34 @@ def _rational(rng, bound=6):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, 12))
 
 
-def _enumerated_count(off, e, lo, hi):
-    """Points of off + (1/e)Z in [lo, hi), tested one at a time in the
-    extended order, over every k whose point could lie between the ends."""
-    a, b = sorted((lo.r, hi.r))
-    k0 = math.floor((a - off) * e) - 1
-    k1 = math.ceil((b - off) * e) + 1
-    return sum(1 for k in range(k0, k1 + 1) if lo <= at(off + Fraction(k, e)) < hi)
+def _least_point(off, e, x, plus):
+    """The least k with off + k/e >= x, or off + k/e > x when plus is set:
+    the points are tested one at a time, upward from one that fails."""
+    def above(k):
+        point = off + Fraction(k, e)
+        return point > x if plus else point >= x
+    k = math.floor((x - off) * e) - 2
+    assert not above(k)
+    while not above(k):
+        k += 1
+    return k
 
 
 def test_torsor_point_count_matches_enumeration():
-    """The closed-form count against point-by-point enumeration: offsets
-    of either sign and outside [0, 1/e), endpoints r and r+, empty and
-    reversed intervals."""
+    """The first torsor point at or above an index, by floor division,
+    against enumeration; the length kernel counts the points of an interval
+    as the difference of two first points.  Offsets of either sign and
+    outside [0, 1/e), endpoints r and r+, and indices n/d given in lowest
+    terms or not."""
     rng = random.Random(14)
-    for i in range(20000):
+    for _ in range(20000):
         e = rng.randint(1, 13)
         off = _rational(rng)
-        lo = ExtIndex(_rational(rng), rng.random() < 0.5)
-        if i % 10 == 0:
-            hi = lo  # empty
-        elif i % 10 == 1:
-            hi = ExtIndex(lo.r, not lo.plus)  # one endpoint, both sides
-        else:
-            hi = ExtIndex(_rational(rng), rng.random() < 0.5)
-        assert _torsor_point_count(off, e, lo, hi) == _enumerated_count(off, e, lo, hi), \
-            (off, e, lo, hi)
-    with pytest.raises(ValueError):
-        _torsor_point_count(Fraction(0), 1, at(0), INFINITY)
+        d = rng.randint(1, 12)
+        n = rng.randint(-6 * d, 6 * d)
+        plus = rng.random() < 0.5
+        assert _first_point(off, e, n, d, plus) == _least_point(off, e, Fraction(n, d), plus), \
+            (off, e, n, d, plus)
 
 
 def _orbit(oid, e, negation_id, rep=(1,)):

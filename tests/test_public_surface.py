@@ -2,12 +2,13 @@
 symbol has a caller in the package, and every record field is read.
 
 The source of ``src/fdc`` is parsed with ``ast``, not imported.  A
-module-level function, class or private constant, or a method or
-property of any class (public or private, the dunders aside), must be
-referenced (as a name or as an attribute) from some module of the
-package, outside its own definition.
-Methods are matched by attribute name alone, so the test can miss a dead
-method whose name is used elsewhere, but it never flags a live one.
+module-level function, class or private constant must be referenced (as
+a name or as an attribute) from some module of the package, outside its
+own definition.  A method or property of any class (public or private,
+the dunders aside) must be read as an attribute (``x.name`` in a load):
+a bare name of the same spelling, such as a local variable, does not
+count.  Methods are matched by attribute name alone, so the test can miss
+a dead method whose name is read on a record of another class.
 """
 
 import ast
@@ -19,10 +20,6 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "fdc")
 
 # Symbols without a caller in the package, each with the reason it stays.
 ALLOWED = {
-    "compact_induction_degree": "to be wired into verify (the induced-degree route)",
-    "quotient_order": "to be wired into verify (filtration quotient orders)",
-    "mp_chain": "to be wired into verify (chain certificates for quotient_order)",
-    "f_from_sequence": "to be wired into verify (step functions of admissible sequences)",
     "generate_scenario": "entry point of the benchmark workloads (bench/workloads.py)",
     "Scenario.to_json": "entry point of the benchmark workloads (bench/workloads.py)",
     "__version__": "the package version attribute; pyproject.toml declares the same",
@@ -76,13 +73,14 @@ def _private_definitions(tree):
 
 
 def _references(tree):
-    """(name, line) of every name and attribute read in the module."""
+    """(name, line, attribute load) of every name and attribute in the
+    module; the flag is set for an ``x.name`` read."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, isinstance(node.ctx, ast.Load)))
     return out
 
 
@@ -97,15 +95,17 @@ def _modules():
 
 def unreferenced_symbols():
     """Qualified names of the symbols, public and private, that no module
-    references outside their own definition, as ``module:name``."""
+    references outside their own definition, as ``module:name``.  A
+    method (qualified as ``Class.name``) counts only attribute loads."""
     modules = _modules()
     refs = {fn: _references(tree) for fn, tree in modules.items()}
     missing = []
     for fn, tree in modules.items():
         for qual, name, node in _definitions(tree) + _private_definitions(tree):
             inside = range(node.lineno, node.end_lineno + 1)
-            used = any(ref == name and not (mod == fn and line in inside)
-                       for mod, module_refs in refs.items() for ref, line in module_refs)
+            method = "." in qual
+            used = any(ref == name and (load or not method) and not (mod == fn and line in inside)
+                       for mod, module_refs in refs.items() for ref, line, load in module_refs)
             if not used:
                 missing.append("%s:%s" % (fn[:-3], qual))
     return missing

@@ -27,6 +27,14 @@ from fdc.qexact import (
 )
 
 
+def coeff(m):
+    return Fraction(m.coeff_num, m.coeff_den)
+
+
+def pexp(m):
+    return Fraction(m.pexp_num, m.pexp_den)
+
+
 def test_prime_power_validation():
     assert PrimePower(3, 2).q == 9
     with pytest.raises(ValueError):
@@ -47,7 +55,7 @@ def test_exp_q_examples():
     assert exp_q(0, pp9) == qmon(pp9, 1)
     # 9^(1/2) = 3: canonical form has coefficient 1 and p-exponent 1
     half = exp_q(Fraction(1, 2), pp9)
-    assert half.coeff == 1 and half.pexp == 1
+    assert coeff(half) == 1 and pexp(half) == 1
     assert half == qmon(pp9, 3)
 
 
@@ -79,7 +87,7 @@ def test_canonicality():
         den = rng.randint(1, 40)
         m = qmon(pp3, Fraction(num, den), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
         assert m * qmon(pp3, 1) == m
-        assert m.coeff.numerator % 3 and m.coeff.denominator % 3
+        assert coeff(m).numerator % 3 and coeff(m).denominator % 3
 
 
 def test_group_laws_randomized():
@@ -95,10 +103,6 @@ def test_group_laws_randomized():
         a, b, c = rand_mono(), rand_mono(), rand_mono()
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
-    # inverse law
-    for _ in range(1000):
-        a = rand_mono()
-        assert a * a.inverse() == qmon(pp, 1)
 
 
 def test_exp_q_homomorphism():
@@ -123,7 +127,7 @@ def test_rational_round_trip():
         k = rng.randint(-10, 10)
         m = qmon(pp, Fraction(num, den), k)
         expected = Fraction(num, den) * Fraction(5) ** k
-        assert m.pexp.denominator == 1
+        assert pexp(m).denominator == 1
         assert _mono_dict(m)["rational"] == fraction_str(expected)
     assert "rational" not in _mono_dict(exp_q(Fraction(1, 2), PrimePower(5, 1)))
 
@@ -131,9 +135,7 @@ def test_rational_round_trip():
 def test_negative_coefficient():
     pp = PrimePower(3, 1)
     m = qmon(pp, -6, 0)
-    assert m.coeff == -2 and m.pexp == 1
-    assert m.inverse() == qmon(pp, Fraction(-1, 6))
-    assert not m.is_positive and qmon(pp, 6, 0).is_positive
+    assert coeff(m) == -2 and pexp(m) == 1
 
 
 def test_serialization_pair():
@@ -167,10 +169,6 @@ def ref_mul(x, y):
     return ref_qmon(x[0], x[1] * y[1], x[2] + y[2])
 
 
-def ref_inverse(x):
-    return ref_qmon(x[0], 1 / x[1], -x[2])
-
-
 def ref_pair(x):
     return _ref_str(x[1]), _ref_str(x[2])
 
@@ -183,8 +181,8 @@ def ref_text(x):
 def agrees(m, ref):
     """The monomial holds the reference value, field by field and in its
     report forms."""
-    return ((m.pp, m.coeff, m.pexp) == ref and m.as_pair() == ref_pair(ref)
-            and str(m) == ref_text(ref) and m.is_positive == (ref[1] > 0))
+    return ((m.pp, coeff(m), pexp(m)) == ref and m.as_pair() == ref_pair(ref)
+            and str(m) == ref_text(ref))
 
 
 PRIMES = st.sampled_from([3, 5, 7, 11, 13, 31, 97, 101, 65537, 2 ** 61 - 1])
@@ -204,14 +202,12 @@ ORACLE = settings(max_examples=150, derandomize=True, database=None, deadline=No
 @ORACLE
 @given(PRIME_POWERS, RATIONALS, EXPONENTS, RATIONALS, EXPONENTS)
 def test_integer_route_matches_fraction_formulas(pp, c1, e1, c2, e2):
-    """qmon, *, /, inverse and scale, with as_pair, str, == and hash,
+    """qmon, * and scale, with as_pair, str, == and hash,
     against the Fraction formulas."""
     x, y = qmon(pp, c1, e1), qmon(pp, c2, e2)
     rx, ry = ref_qmon(pp, c1, e1), ref_qmon(pp, c2, e2)
     assert agrees(x, rx) and agrees(y, ry)
     assert agrees(x * y, ref_mul(rx, ry))
-    assert agrees(x / y, ref_mul(rx, ref_inverse(ry)))
-    assert agrees(x.inverse(), ref_inverse(rx))
     assert agrees(x.scale(c2), ref_qmon(pp, rx[1] * c2, rx[2]))
     den = abs(Fraction(c1).numerator)
     assert agrees(x.scale(c2, den), ref_qmon(pp, rx[1] * Fraction(c2) / den, rx[2]))

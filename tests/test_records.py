@@ -15,7 +15,6 @@ from fdc.galois_roots import (
     OrbitInfo,
     TorusLatticeData,
 )
-from fdc.mp_filtration import ExtIndex, at, just_above
 from fdc.qexact import Frozen, PrimePower, QMonomial, Value, exp_q, qmon
 from fdc.scenario import Scenario, generator_templates, load_scenario
 
@@ -43,7 +42,7 @@ def frozen_records():
         scen.pp, report.value_automorphic, frame, datum,
         scen.orbits[0], scen.filtration, scen.torus, base.top[0],
         scen.depth_zero, report.degree,
-        at(1), scen.jumps, report.galois.toral, report.galois.root, report.galois,
+        scen.jumps, report.galois.toral, report.galois.root, report.galois,
         generator_templates()[0],
     ]
 
@@ -84,7 +83,6 @@ def value_pools():
         PrimePower: [pp3, PrimePower(3, 1), pp9, pp5, PrimePower(5, 1)],
         QMonomial: [exp_q(1, pp3), exp_q(1, PrimePower(3, 1)), exp_q(2, pp3), exp_q(1, pp9),
                     qmon(pp3, 2, 1), qmon(pp3, 2, 1), qmon(pp5, 2, 1), qmon(pp3, -2, 1)],
-        ExtIndex: [at(1), at(1), just_above(1), ExtIndex(1, True), at(2)],
         OrbitInfo: [o for s in SCENARIOS for o in s.orbits],
         HoweFiltration: [s.filtration for s in SCENARIOS],
         TorusLatticeData: [s.torus for s in SCENARIOS] + [s.with_q(PrimePower(7, 1)).torus

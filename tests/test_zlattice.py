@@ -8,9 +8,9 @@ import pytest
 
 import fdc.zlattice as zlattice
 from fdc.galois_roots import torus_lattice_data
-from fdc.mp_filtration import INFINITY
 from fdc.scenario import load_scenario, scenario_from_dict
 from lemmas import (
+    INFINITY,
     _random_unimodular,
     coinvariants_order,
     det,
