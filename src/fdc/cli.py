@@ -48,8 +48,10 @@ def _parse_q(text: Optional[str]) -> Optional[PrimePower]:
         return None
     try:
         if "^" in text:
-            p, a = text.split("^")
-            return PrimePower(_digits(p), _digits(a))
+            parts = text.split("^")
+            if len(parts) != 2:
+                raise ValueError("must be Q or P^A, got %r" % text)
+            return PrimePower(_digits(parts[0]), _digits(parts[1]))
         return PrimePower.from_q(_digits(text))
     except ValueError as e:
         raise ValueError("--q: %s" % e) from None

@@ -32,7 +32,6 @@ from .zlattice import (
     frobenius_orders,
     identity_matrix,
     kernel_basis,
-    mat_eq,
     mat_transpose,
     sparse_columns,
     sparse_mat_vec,
@@ -451,7 +450,7 @@ class GRootDatum(Frozen):
         action = self.action
         if set(action.keys()) != set(g.elements):
             raise ValueError("action must be defined on every group element")
-        if not mat_eq(action[0], identity_matrix(self.rank)):
+        if action[0] != identity_matrix(self.rank):
             raise ValueError("action is not a homomorphism at (0, 0)")
         gens = g.generating_set(g.elements)
         for s in gens:

@@ -141,9 +141,6 @@ class PrimePower(Value):
                 return PrimePower(p, a)
         raise ValueError("q = %r is not a prime power" % (q,))
 
-    def __str__(self) -> str:
-        return "%d" % self.q if self.a == 1 else "%d^%d" % (self.p, self.a)
-
 
 def padic_split(n: int, p: int) -> Tuple[int, int]:
     """Write n = u * p**k with p not dividing u; returns (u, k).  n != 0."""

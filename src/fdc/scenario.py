@@ -452,18 +452,19 @@ def _mod1_str(k: int, n: int) -> str:
 
 def _build_group(spec: Mapping[str, object], max_order: int,
                  fail: List[Tuple[str, str, str]]) -> Optional[FiniteGroup]:
-    """The frame group, or None after recording its failure.  A group from
+    """The frame group, or None after recording its failure.  It is read
+    from exactly one of ``mult_table`` and ``perm_gens``.  A group from
     ``perm_gens`` is closed only up to ``max_order`` elements, the number of
     entries of the action map: a larger group can never pass the datum
     check, and its multiplication table would have |G|^2 entries."""
+    if ("mult_table" in spec) == ("perm_gens" in spec):
+        fail.append(("galois_roots", "group", "need exactly one of mult_table and perm_gens"))
+        return None
     if "mult_table" in spec:
         g = _attempt(fail, "galois_roots", "group.mult_table", FiniteGroup, spec["mult_table"])
-    elif "perm_gens" in spec:
+    else:
         g = _attempt(fail, "galois_roots", "group.perm_gens",
                      lambda: FiniteGroup.from_permutations(spec["perm_gens"], max_order)[0])
-    else:
-        fail.append(("galois_roots", "group", "need mult_table or perm_gens"))
-        return None
     if g is not None and "order" in spec and spec["order"] != g.order:
         fail.append(("galois_roots", "group.order", "declared order disagrees"))
     return g

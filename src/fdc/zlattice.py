@@ -2,7 +2,8 @@
 
 Matrices are lists of rows of Python ints; vectors act as columns, so a
 group element g sends x to M(g) @ x.  Everything here is elementary Smith
-normal form bookkeeping: integer kernels, and the coinvariant and
+normal form bookkeeping, on a Smith form that keeps its diagonal and its
+column transform only: integer kernels, and the coinvariant and
 fixed-point orders of an endomorphism F of a group Z^n / im(B) given by
 relation columns B, both read from one Smith form of [F - 1 | -B]
 (:func:`frobenius_orders`).  The orders of a torus that traces determine
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Matrix = List[List[int]]
 Vector = Tuple[int, ...]
@@ -84,64 +85,38 @@ def mat_transpose(a: Sequence[Sequence[int]]) -> Matrix:
     return [list(row) for row in zip(*a)] if a else []
 
 
-def mat_eq(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]
-
-
 # -- Smith normal form -------------------------------------------------------
 
 
 class SmithForm:
-    """U @ A @ V = D with U, V unimodular and D diagonal, d1 | d2 | ...
+    """The Smith form of A: the diagonal D = U @ A @ V, d1 | d2 | ..., and
+    the unimodular column transform V.
 
     One factorization answers the lattice queries about A: its rank, the
     invariant factors of coker A and its integer kernel (Cohen, GTM 138,
-    2.4).
-
-    D, its ``diagonal`` and its ``rank`` are computed eagerly, once.  U
-    and V are replayed from the logged row and column operations the first
-    time they are read, and kept: ``kernel`` builds V, and unpacking
-    (``u, d, v = form``) both.  Equality compares (u, d, v).
+    2.4).  The diagonal and the rank are computed eagerly, once.  V is
+    replayed from the logged column operations the first time it is read,
+    and kept; :meth:`kernel_prefix` replays the log on the rows it needs
+    only.  U is never formed.
     """
 
-    def __init__(self, d: Matrix, diagonal: List[int], rank: int, cols: int,
-                 row_ops: List[Tuple[int, ...]], col_ops: List[Tuple[int, ...]]):
-        self.d = d
+    def __init__(self, diagonal: List[int], rank: int, cols: int,
+                 col_ops: List[Tuple[int, ...]]):
         self.diagonal = diagonal
         self.rank = rank
         self._cols = cols
-        self._row_ops = row_ops
         self._col_ops = col_ops
-
-    @functools.cached_property
-    def u(self) -> Matrix:
-        return _replay(identity_matrix(len(self.d)), self._row_ops)
 
     @functools.cached_property
     def v(self) -> Matrix:
         # A column operation on V is a row operation on its transpose.
         return mat_transpose(_replay(identity_matrix(self._cols), self._col_ops))
 
-    def __iter__(self) -> Iterator[Matrix]:
-        return iter((self.u, self.d, self.v))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SmithForm):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return "SmithForm(u=%r, d=%r, v=%r)" % tuple(self)
-
-    def kernel(self) -> List[Vector]:
-        """Basis of the integer kernel {x : A x = 0}, deterministic and
-        saturated: the columns of V past the rank."""
-        return self.kernel_prefix(self._cols)
-
     def kernel_prefix(self, n: int) -> List[Vector]:
-        """The first n coordinates of each vector of :meth:`kernel`, in the
-        same order, with V replayed on its first n rows only (all of V for
-        n the column count).
+        """The first n coordinates of each vector of the integer kernel
+        {x : A x = 0}, a deterministic saturated basis: the columns of V
+        past the rank, with V replayed on its first n rows only (all of V
+        for n the column count).
 
         A column operation on V acts on each row of V by itself, so the
         first n rows of V are the operations replayed on the first n rows
@@ -154,17 +129,14 @@ class SmithForm:
 
 
 def _row_op(m: Matrix, op: Tuple[int, ...]) -> None:
-    """Apply one logged row operation to m in place: (i, j) swaps rows i
-    and j, (src, dst, c) adds c * row src to row dst, (i,) negates row i."""
+    """Apply one row operation to m in place: (i, j) swaps rows i and j,
+    (src, dst, c) adds c * row src to row dst."""
     if len(op) == 3:
         src, dst, c = op
         m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-    elif len(op) == 2:
+    else:
         i, j = op
         m[i], m[j] = m[j], m[i]
-    else:
-        (i,) = op
-        m[i] = [-x for x in m[i]]
 
 
 def _replay(m: Matrix, ops: Sequence[Tuple[int, ...]]) -> Matrix:
@@ -174,24 +146,20 @@ def _replay(m: Matrix, ops: Sequence[Tuple[int, ...]]) -> Matrix:
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
-    """The Smith form (U, D, V) of A, with U @ A @ V = D.
+    """The Smith form of A: its diagonal D = U @ A @ V and the column
+    transform V.
 
     The diagonal entries are nonnegative and satisfy d1 | d2 | ...; the
     pivot rule (smallest nonzero absolute value, lowest position on ties)
     is fixed, so the output is deterministic.  Before each step advances,
     the pivot is made to divide the whole remaining block, which yields the
-    divisibility chain by construction.  Only D is reduced here; each row
-    and column operation is logged for :class:`SmithForm` to replay into U
-    and V if they are read.
+    divisibility chain by construction.  Row operations act on the working
+    copy of A and are not recorded; each column operation is logged for
+    :class:`SmithForm` to replay into V if it is read.
     """
     rows, cols = mat_shape(a)
     d = mat_copy(a)
-    row_ops: List[Tuple[int, ...]] = []
     col_ops: List[Tuple[int, ...]] = []
-
-    def row_op(*op):
-        _row_op(d, op)
-        row_ops.append(op)
 
     def swap_cols(i, j):
         if i != j:
@@ -222,7 +190,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
             if pivot is None:
                 break
             if pivot[0] != t:
-                row_op(t, pivot[0])
+                _row_op(d, (t, pivot[0]))
             swap_cols(t, pivot[1])
             piv = d[t][t]
             # Reduce the pivot column and row; leftover remainders are
@@ -230,7 +198,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
             dirty = False
             for i in range(t + 1, rows):
                 if d[i][t] != 0:
-                    row_op(t, i, -_round_quot(d[i][t], piv))
+                    _row_op(d, (t, i, -_round_quot(d[i][t], piv)))
                     if d[i][t] != 0:
                         dirty = True
             for j in range(t + 1, cols):
@@ -246,17 +214,18 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
                 viol = next((i for i in range(t + 1, rows)
                              if any(x % piv for x in d[i][t + 1:])), None)
             if viol is not None:
-                row_op(viol, t, 1)
+                _row_op(d, (viol, t, 1))
                 continue
             break
-        if t < min(rows, cols) and d[t][t] < 0:
-            row_op(t)
+        if d[t][t] < 0:
+            # Row t is zero off the diagonal here: negating it flips d_t.
+            d[t][t] = -d[t][t]
         if d[t][t] == 0:
             break
     diagonal = [d[i][i] for i in range(min(rows, cols))]
     # The nonzero diagonal entries come first.
     rank = sum(1 for x in diagonal if x != 0)
-    return SmithForm(d, diagonal, rank, cols, row_ops, col_ops)
+    return SmithForm(diagonal, rank, cols, col_ops)
 
 
 def _round_quot(x: int, y: int) -> int:
@@ -277,10 +246,7 @@ def _columns_matrix(cols: Sequence[Sequence[int]], n: int) -> Matrix:
 
 def kernel_basis(a: Sequence[Sequence[int]]) -> List[Vector]:
     """Basis of the integer kernel {x : A x = 0}, deterministic and saturated."""
-    rows, cols = mat_shape(a)
-    if cols == 0:
-        return []
-    return smith_normal_form(a).kernel()
+    return smith_normal_form(a).kernel_prefix(mat_shape(a)[1])
 
 
 # -- Frobenius on a presented group -------------------------------------------

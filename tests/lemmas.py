@@ -9,8 +9,10 @@ periodic identity, synthetic orbit systems with arbitrary offsets for the
 length identity.
 
 The lattice route to the torus orders lives here too: a saturated basis
-of X^I, the restricted Frobenius and its Bareiss determinants, and the
-coinvariants of the cocharacter lattice over the group's generators.
+of X^I, the restricted Frobenius (solved for through the transforms U and
+V of sympy's Smith form, :class:`Transforms`) and its Bareiss
+determinants, and the coinvariants of the cocharacter lattice over the
+group's generators.
 ``verify`` reads the X^I orders from traces and the cocharacter orders
 from one Smith form (:func:`fdc.galois_roots.torus_lattice_data`); the
 lattice-identity suite checks every field of that against this route.
@@ -38,6 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
+from sympy import ZZ, Matrix as SympyMatrix
+from sympy.matrices.normalforms import smith_normal_decomp
+
 from fdc.chi_data import (BaseChange, cocycle, compatible_choices, r_chi_values,
                            verify_base_change)
 from fdc.compare import VERDICT_UNEQUAL, run_compare
@@ -55,7 +60,6 @@ from fdc.scenario import _chi_menus, _random_chi, generate_scenario, generator_t
 from fdc.weil_gamma import conductor_tame_induction
 from fdc.zlattice import (
     Matrix,
-    SmithForm,
     Vector,
     frobenius_orders,
     identity_matrix,
@@ -375,28 +379,43 @@ def invariant_sublattice(rank: int, action_gens: Sequence[Sequence[Sequence[int]
     return kernel_basis(stacked)
 
 
-def solve(form: SmithForm, b: Sequence[int]) -> Optional[Vector]:
-    """One integer solution x of A x = b, for the matrix A of the Smith form
-    U A V = D, or None when b is outside the column lattice: (U b)_i must be
-    divisible by d_i below the rank and zero beyond, and then x = V z with
-    z_i = (U b)_i / d_i below the rank."""
-    if len(b) != len(form.d):
+class Transforms:
+    """U and V with U A V = D diagonal for an integer matrix A, read from
+    sympy's ``smith_normal_decomp``: a Smith form written apart from
+    ``fdc.zlattice``, whose own form keeps no U."""
+
+    def __init__(self, a: Sequence[Sequence[int]]):
+        rows, cols = mat_shape(a)
+        d, u, v = smith_normal_decomp(
+            SympyMatrix(rows, cols, [x for row in a for x in row]), domain=ZZ)
+        self.u = [[int(x) for x in row] for row in u.tolist()]
+        self.v = [[int(x) for x in row] for row in v.tolist()]
+        self.diagonal = [int(d[i, i]) for i in range(min(rows, cols))]
+
+
+def solve(t: Transforms, b: Sequence[int]) -> Optional[Vector]:
+    """One integer solution x of A x = b, for the transforms U A V = D of
+    A, or None when b is outside the column lattice: (U b)_i must be
+    divisible by d_i, and zero where d_i is zero or past the diagonal, and
+    then x = V z with z_i = (U b)_i / d_i where d_i is nonzero."""
+    if len(b) != len(t.u):
         raise ValueError("dimension mismatch")
-    ub = mat_vec(form.u, b)
-    diag, rank = form.diagonal, form.rank
-    if any(ub[i] % diag[i] for i in range(rank)) or any(ub[rank:]):
+    ub = mat_vec(t.u, b)
+    diag = t.diagonal
+    if any(x % d if d else x for x, d in zip(ub, diag)) or any(ub[len(diag):]):
         return None
-    return mat_vec(form.v, [ub[i] // diag[i] for i in range(rank)])
+    z = [x // d if d else 0 for x, d in zip(ub, diag)]
+    return mat_vec(t.v, z + [0] * (len(t.v) - len(z)))
 
 
 def restrict_endomorphism(f: Sequence[Sequence[int]], basis: Sequence[Vector]) -> Matrix:
     """Matrix of F on the sublattice spanned by basis (F must preserve it)."""
     if not basis:
         return []
-    form = smith_normal_form([[b[i] for b in basis] for i in range(len(basis[0]))])
+    t = Transforms([[b[i] for b in basis] for i in range(len(basis[0]))])
     out_cols: List[Vector] = []
     for b in basis:
-        sol = solve(form, mat_vec(f, b))
+        sol = solve(t, mat_vec(f, b))
         if sol is None:
             raise ValueError("endomorphism does not preserve the sublattice")
         out_cols.append(sol)

@@ -28,7 +28,6 @@ from fdc.scenario import ScenarioError, scenario_from_dict
 from lemmas import (
     JumpFunction,
     base_change_sides,
-    det,
     master_length_identity,
     primed_sum,
     random_jumps,
@@ -36,10 +35,10 @@ from lemmas import (
 )
 from fdc.zlattice import (
     frobenius_orders,
-    mat_eq,
     mat_mul,
     smith_normal_form,
 )
+from test_zlattice import assert_smith_form
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
 
@@ -96,13 +95,7 @@ def test_snf_wide_fuzz():
     for _ in range(400):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         a = [[rng.randint(-60, 60) for _ in range(m)] for _ in range(n)]
-        u, d, v = smith_normal_form(a)
-        assert mat_eq(mat_mul(mat_mul(u, a), v), d)
-        assert det(u) in (1, -1) and det(v) in (1, -1)
-        vals = [d[i][i] for i in range(min(n, m))]
-        nz = [x for x in vals if x]
-        for x, y in zip(nz, nz[1:]):
-            assert x > 0 and y % x == 0
+        assert_smith_form(a, smith_normal_form(a))
 
 
 def test_chi_base_change_sixteen_element_frame():

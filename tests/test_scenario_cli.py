@@ -723,6 +723,15 @@ def test_cli_lists_a_datum_fault_beside_a_frame_fault(tmp_path, capsys):
     # a string is not read digit by digit as the permutation [1, 0]
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), group={"perm_gens": ["10"]})),
      'galois_roots.group.perm_gens: row 0 must be a JSON array, got "10"'),
+    # both group forms, here naming different groups: neither is ignored
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), group={
+        "mult_table": [[0, 1], [1, 0]], "perm_gens": [[1, 2, 0]]})),
+     "galois_roots.group: need exactly one of mult_table and perm_gens"),
+    # listed with the other load failures
+    (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), q={"p": 9, "a": 1}, group={
+        "mult_table": [[0, 1], [1, 0]], "perm_gens": [[1, 0]]})),
+     "failed:\n  qexact.q: p = 9 is not prime\n"
+     "  galois_roots.group: need exactly one of mult_table and perm_gens\n"),
     # S_8 (40,320 elements) against a two-entry action map: the closure
     # stops at the third element, before any multiplication table is built
     (json.dumps(dict(bundled_doc("sl2_unramified_depth0"), group={"perm_gens": [
@@ -795,7 +804,8 @@ def test_cli_lists_a_datum_fault_beside_a_frame_fault(tmp_path, capsys):
      "  cli.theta_total_depht: unknown field\n"),
 ], ids=["top-level-array", "chi-array", "options-number", "action-array",
         "perm-gens-object", "order-float", "perm-gens-bool", "perm-gens-float",
-        "perm-gens-string", "perm-gens-past-action", "chi-non-root", "chi-empty-table", "depth-lattice", "not-elliptic",
+        "perm-gens-string", "both-group-forms", "both-group-forms-beside-q",
+        "perm-gens-past-action", "chi-non-root", "chi-empty-table", "depth-lattice", "not-elliptic",
         "asymmetric-roots", "inertia-out-of-range", "frobenius-out-of-range",
         "non-associative-loop", "action-row-string", "action-matrix-string",
         "root-string", "action-repeated-key", "chi-repeated-key",
@@ -1010,7 +1020,8 @@ def test_cli_large_q_loads_quickly(q, p, a, capsys):
     ("16", "p must be odd"),  # 2^4
     ("1", "q = 1 is not an odd prime power"),
     ("1000000016000000063", "q = 1000000016000000063 is not a prime power"),  # (10^9+7)(10^9+9)
-    ("3^2^2", "too many values to unpack"),
+    ("3^2^2", "must be Q or P^A, got '3^2^2'"),
+    ("3^^2", "must be Q or P^A, got '3^^2'"),
     ("abc", "invalid literal for int()"),
     ("3^x", "invalid literal for int()"),
     ("1e3", "invalid literal for int()"),

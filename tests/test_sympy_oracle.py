@@ -1,6 +1,7 @@
-"""sympy as a second implementation: the Smith forms of ``fdc.zlattice``
-against sympy's invariant factors over ZZ, and the five torus quantities
-of ``torus_lattice_data`` against linear algebra in sympy.
+"""sympy as a second implementation: the Smith forms and integer kernels
+of ``fdc.zlattice`` against sympy's invariant factors and ranks over ZZ,
+and the five torus quantities of ``torus_lattice_data`` against linear
+algebra in sympy.
 
 sympy is a separately written computer algebra system, so a misreading of
 the Smith form shared by ``smith_normal_form`` and the tests that call it
@@ -22,7 +23,7 @@ from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 from fdc.compare import run_compare
 from fdc.galois_roots import torus_lattice_data
 from fdc.scenario import generate_scenario, load_scenario, scenario_from_dict
-from fdc.zlattice import smith_normal_form
+from fdc.zlattice import kernel_basis, smith_normal_form
 from test_coxeter import coxeter_document
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fdc", "scenarios")
@@ -64,6 +65,24 @@ def test_smith_form_agrees_with_sympy_on_random_matrices():
         assert_agrees_with_sympy(a)
         deficient += smith_normal_form(a).rank < min(len(a), len(a[0]))
     assert deficient >= 75  # at least a quarter of them are rank-deficient
+
+
+def test_kernel_basis_agrees_with_sympy():
+    """kernel_basis(a) has cols - rank(a) vectors, each with A k = 0, and
+    is saturated: the matrix with them as columns has rank their number
+    and invariant factors all 1, so no rational combination outside their
+    integer span is integral."""
+    nonempty = 0
+    for a in random_matrices(random.Random(20261021), 300):
+        basis = kernel_basis(a)
+        assert len(basis) == len(a[0]) - Matrix(a).rank(), a
+        assert all(not any(Matrix(a) * Matrix(k)) for k in basis), a
+        if basis:
+            k = Matrix(basis).T
+            assert k.rank() == len(basis), a
+            assert [int(x) for x in invariant_factors(k, domain=ZZ)] == [1] * len(basis), a
+            nonempty += 1
+    assert nonempty >= 100
 
 
 @pytest.mark.parametrize("ramified", [False, True], ids=["unramified", "ramified"])
