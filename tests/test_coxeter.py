@@ -19,6 +19,7 @@ X^I orders are 1 and the inertia coinvariants are that same group of
 order n, all of it Frobenius-fixed.
 """
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -27,7 +28,7 @@ import pytest
 
 import fdc.cli as cli
 from fdc.scenario import scenario_from_dict
-from fdc.zlattice import kernel_basis, smith_normal_form
+from fdc.zlattice import kernel_basis, mat_transpose, smith_normal_form
 from lemmas import filtration_levels
 
 PINS = os.path.join(os.path.dirname(__file__), "coxeter_snf_pins.json")
@@ -166,6 +167,47 @@ def test_snf_of_a5_roots_pinned():
     form = smith_normal_form(roots)
     assert form.diagonal == [1] * 5 and form.rank == 5
     assert form.v == pin["v"]
+
+
+# sha256 of json.dumps(V) for the torus block of A_{n-1}, keyed (n, ramified).
+TORUS_BLOCK_V_SHA256 = {
+    (24, False): "d2a6a63d56dfea26acf443c10f07c9861c2ebd45b9b6d285040dfa4cd22be262",
+    (24, True): "1ca0921300289f9e01cf844abc054c73cfd4be386f3f5a6f965bb62eeb0806f8",
+    (48, False): "c936ea54359cbbd767938f605a5451e94d726cfa233de25947c3e000053500f7",
+    (48, True): "c32a577810d51b96baff66c4bdeeddd3ecf0331732f9f9686a13dbb762538a9f",
+}
+
+
+def torus_block(n, ramified):
+    """The cocharacter block [F - 1 | -B] that torus_lattice_data hands to
+    frobenius_orders: F = M(Frob^-1)^T, and B the nonzero columns of
+    M(g^-1)^T - 1 for the inertia generators g."""
+    scen = scenario_from_dict(coxeter_document(n, ramified))
+    action, frame = scen.datum.action, scen.frame
+    group = frame.group
+    relations = []
+    for g in group.generating_set(frame.inertia):
+        for j, row in enumerate(action[group.inv(g)]):
+            col = [x - (i == j) for i, x in enumerate(row)]
+            if any(col):
+                relations.append(col)
+    endo = mat_transpose(action[group.inv(frame.frobenius)])
+    return [[x - (i == j) for j, x in enumerate(row)] + [-col[i] for col in relations]
+            for i, row in enumerate(endo)]
+
+
+@pytest.mark.parametrize("n,ramified", sorted(TORUS_BLOCK_V_SHA256))
+def test_snf_of_torus_block_pinned(n, ramified):
+    """The column log of the Smith form of the torus block, pinned through
+    V: (n-1) x (n-1) unramified, (n-1) x 2(n-1) totally ramified.  The
+    diagonal is 1, ..., 1, n either way, the order of the component group."""
+    block = torus_block(n, ramified)
+    assert len(block[0]) == (n - 1) * (2 if ramified else 1)
+    form = smith_normal_form(block)
+    assert form.rank == n - 1
+    assert form.diagonal == [1] * (n - 2) + [n]
+    digest = hashlib.sha256(json.dumps(form.v).encode()).hexdigest()
+    assert digest == TORUS_BLOCK_V_SHA256[n, ramified]
 
 
 def a11_three_break_document(divisors, ramified):
