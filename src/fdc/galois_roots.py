@@ -27,14 +27,11 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from .qexact import Frozen, PrimePower, Value
 from .zlattice import (
     Matrix,
-    SparseColumns,
     Vector,
     frobenius_orders,
     identity_matrix,
     kernel_basis,
     mat_transpose,
-    sparse_columns,
-    sparse_mat_vec,
 )
 
 NONPOSITIVE = "nonpositive"
@@ -338,12 +335,14 @@ def root_key(v: Sequence[int]) -> str:
     return ",".join(map(str, v))
 
 
-def _combine_rows(terms: Sequence[Tuple[int, int]], m: Matrix) -> List[int]:
-    """The sum of c times row k of m over the (k, c) in ``terms``, as a
-    list; a lone (k, 1) gives row k of m itself.  A term with c = +-1 is
-    added or subtracted a whole row at a time, with no product."""
+def _combine_rows(terms: Sequence[Tuple[int, int]],
+                  m: Sequence[Sequence[int]]) -> Sequence[int]:
+    """The sum of c times row k of m over the (k, c) in ``terms``, a row as
+    wide as m: zeros for no terms, and row k of m itself for a lone (k, 1).
+    A term with c = +-1 is added or subtracted a whole row at a time, with
+    no product."""
     if not terms:
-        return [0] * len(m)
+        return [0] * (len(m[0]) if m else 0)
     k, c = terms[0]
     out = m[k] if c == 1 else [c * x for x in m[k]]
     for k, c in terms[1:]:
@@ -441,47 +440,58 @@ class GRootDatum(Frozen):
         lists (``Matrix``), as loading builds them.  Every row of every
         product is compared, one pair (s, b) at a time in the order above,
         and the first pair with a row that differs is the one named.  The
-        stability test applies M(s) to each root in sparse column form
-        (``zlattice.sparse_columns``), at the cost of the nonzero entries
-        of M(s) in the columns where the root is nonzero.  The action
-        matrices of a Coxeter torus of rank n have O(n) nonzero entries
-        among n^2.
+        stability test reuses those rows on whole rows of the transposed
+        root matrix, one row of M(s) R^T per row of M(s), so it does one
+        list operation per nonzero entry of M(s) and no work per root in
+        Python.  The action matrices of a Coxeter torus of rank n have O(n)
+        nonzero entries among n^2.
         """
         action = self.action
         if set(action.keys()) != set(g.elements):
             raise ValueError("action must be defined on every group element")
         if action[0] != identity_matrix(self.rank):
             raise ValueError("action is not a homomorphism at (0, 0)")
-        gens = g.generating_set(g.elements)
-        for s in gens:
+        gen_rows = {}
+        for s in g.generating_set(g.elements):
             s_times = g.table[s]
-            s_rows = [[(k, c) for k, c in enumerate(row) if c] for row in action[s]]
+            s_rows = gen_rows[s] = [[(k, c) for k, c in enumerate(row) if c]
+                                    for row in action[s]]
             for b in g.elements:
                 m_b = action[b]
                 for terms, want in zip(s_rows, action[s_times[b]]):
                     if _combine_rows(terms, m_b) != want:
                         raise ValueError("action is not a homomorphism at (%d, %d)" % (s, b))
-        sparse = {s: sparse_columns(action[s]) for s in gens}
-        object.__setattr__(self, "_perm", self._permute_roots(g, sparse))
+        object.__setattr__(self, "_perm", self._permute_roots(g, gen_rows))
         traces = [sum(action[a][i][i] for i in range(self.rank)) for a in g.elements]
         object.__setattr__(self, "traces", traces)
         if sum(traces):
             raise ValueError("datum is not elliptic: invariant vectors exist")
 
-    def _permute_roots(self, group: FiniteGroup, sparse: Mapping[int, SparseColumns]
+    def _permute_roots(self, group: FiniteGroup,
+                       gen_rows: Mapping[int, List[List[Tuple[int, int]]]]
                        ) -> Dict[int, List[int]]:
         """Refuse a generator that moves a root off R, then return every
-        element's permutation of the root indices.  ``sparse`` maps each
-        generator to its matrix in sparse column form.
+        element's permutation of the root indices.  ``gen_rows`` maps each
+        generator s to the rows of M(s), each as the (k, entry) pairs of its
+        nonzero entries.
+
+        M(s) is applied to all roots at once.  The transposed root matrix
+        R^T has row k the k-th coordinates of the sorted roots, so row i of
+        M(s) R^T is the combination of its rows that row i of M(s) names;
+        zipping the rows of the product gives the image of each root, in
+        root order.
 
         The action must already be a homomorphism, so M(sb) r = M(s)(M(b) r)
         and perm(sb)[i] = perm(s)[perm(b)[i]]: a walk from the identity
         along left multiplication by the generators reaches every element
         at one list lookup per root.
         """
+        # R^T, row k the k-th coordinates of the roots; rank empty rows for no roots
+        coords = list(zip(*self.sorted_roots)) or [()] * self.rank
         gen_perms = []
-        for a, cols in sparse.items():
-            images = [self._index.get(sparse_mat_vec(cols, r)) for r in self.sorted_roots]
+        for a, rows in gen_rows.items():
+            images = list(map(self._index.get,
+                              zip(*[_combine_rows(terms, coords) for terms in rows])))
             if None in images:
                 raise ValueError("root set is not stable under element %d" % a)
             gen_perms.append((a, images))

@@ -56,27 +56,6 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
-SparseColumns = Tuple[Tuple[Tuple[int, int], ...], ...]
-
-
-def sparse_columns(a: Sequence[Sequence[int]]) -> SparseColumns:
-    """The columns of a square matrix A, each as the (row, entry) pairs of
-    its nonzero entries."""
-    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*a))
-
-
-def sparse_mat_vec(cols: SparseColumns, v: Sequence[int]) -> Vector:
-    """A v for A in :func:`sparse_columns` form: v_j times column j, summed
-    over the nonzero coordinates v_j only, so the cost is the number of
-    nonzero entries of A in those columns."""
-    out = [0] * len(cols)
-    for j, x in enumerate(v):
-        if x:
-            for i, c in cols[j]:
-                out[i] += c * x
-    return tuple(out)
-
-
 def mat_sub(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -156,22 +135,18 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     divisibility chain by construction.  Row operations act on the working
     copy of A and are not recorded; each column operation is logged for
     :class:`SmithForm` to replay into V if it is read.
+
+    Column operations touch the rows where they can change something only.
+    Rows above the pivot are zero in the remaining columns, so a swap acts
+    on rows t.. only.  Adding c times pivot column t to column j changes
+    the rows where column t is nonzero; after the pivot column is reduced
+    those are the pivot row and the rows with a remainder, collected once
+    per pass, so a pass costs in proportion to them and not to the row
+    count.
     """
     rows, cols = mat_shape(a)
     d = mat_copy(a)
     col_ops: List[Tuple[int, ...]] = []
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            col_ops.append((i, j))
-
-    def add_col(src, dst, c):
-        for row in d:
-            row[dst] += c * row[src]
-        col_ops.append((src, dst, c))
-
     for t in range(min(rows, cols)):
         while True:
             # Locate the pivot: minimal |entry| > 0 in the remaining block,
@@ -191,7 +166,11 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
                 break
             if pivot[0] != t:
                 _row_op(d, (t, pivot[0]))
-            swap_cols(t, pivot[1])
+            k = pivot[1]
+            if k != t:
+                for row in d[t:]:
+                    row[t], row[k] = row[k], row[t]
+                col_ops.append((t, k))
             piv = d[t][t]
             # Reduce the pivot column and row; leftover remainders are
             # strictly smaller than |piv|, so re-selection terminates.
@@ -201,9 +180,13 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
                     _row_op(d, (t, i, -_round_quot(d[i][t], piv)))
                     if d[i][t] != 0:
                         dirty = True
+            live = [row for row in d[t:] if row[t]]
             for j in range(t + 1, cols):
                 if d[t][j] != 0:
-                    add_col(t, j, -_round_quot(d[t][j], piv))
+                    c = -_round_quot(d[t][j], piv)
+                    for row in live:
+                        row[j] += c * row[t]
+                    col_ops.append((t, j, c))
                     if d[t][j] != 0:
                         dirty = True
             if dirty:

@@ -12,6 +12,7 @@ from fdc.galois_roots import (
     GRootDatum,
     NONPOSITIVE,
     OrbitInfo,
+    _combine_rows,
     classify_orbits,
     howe_filtration,
     negation_classes,
@@ -40,8 +41,6 @@ from fdc.zlattice import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    sparse_columns,
-    sparse_mat_vec,
 )
 import coset_oracle as oracle
 from test_coxeter import coxeter_document
@@ -205,10 +204,12 @@ def test_root_table_matches_matrix_route():
         assert filtration_levels(scen.filtration)[-1] == datum.roots, scen.name
 
 
-def test_sparse_products_match_dense():
-    """The sparse column products of the load checks against mat_mul and
-    mat_vec: M(s)M(b) for every generator s and element b, and M(s)r for
-    every generator s and root r.  Run on the bundled scenarios, 200
+def test_row_products_match_dense():
+    """The whole-row products of the load checks against mat_mul and
+    mat_vec: M(s)M(b), row i the combination of the rows of M(b) that row
+    i of M(s) names, for every generator s and element b; and the image of
+    every root r under every generator s that the stability test recorded
+    (datum.act(s, r)), against M(s)r.  Run on the bundled scenarios, 200
     generated ones and the A_{n-1} Coxeter tori for n = 4..24, unramified
     and totally ramified."""
     scenarios = bundled_scenarios()
@@ -217,14 +218,27 @@ def test_sparse_products_match_dense():
     scenarios += [scenario_from_dict(coxeter_document(n, ramified))
                   for n in range(4, 25) for ramified in (False, True)]
     for scen in scenarios:
-        action, group = scen.datum.action, scen.frame.group
+        datum, group = scen.datum, scen.frame.group
+        action = datum.action
         for s in group.generating_set(group.elements):
-            cols = sparse_columns(action[s])
+            s_rows = [[(k, c) for k, c in enumerate(row) if c] for row in action[s]]
             for b in group.elements:
-                product = [sparse_mat_vec(cols, col) for col in zip(*action[b])]
-                assert mat_transpose(product) == mat_mul(action[s], action[b]), scen.name
-            for r in scen.datum.roots:
-                assert sparse_mat_vec(cols, r) == mat_vec(action[s], r), scen.name
+                product = [list(_combine_rows(terms, action[b])) for terms in s_rows]
+                assert product == mat_mul(action[s], action[b]), scen.name
+            for r in datum.roots:
+                assert datum.act(s, r) == mat_vec(action[s], r), scen.name
+
+
+def test_combine_rows_rectangular():
+    """Rows as wide as m, not as long: a zero row of M(s) applied to the
+    transposed root matrix, |R| wide, must give |R| zeros."""
+    m = [[1, 2, 3, 4], [0, -1, 5, 2]]
+    assert _combine_rows([], m) == [0, 0, 0, 0]
+    assert _combine_rows([(1, 1)], m) == [0, -1, 5, 2]
+    assert _combine_rows([(0, 1), (1, -1)], m) == [1, 3, -2, 2]
+    assert _combine_rows([(0, 2), (1, 3)], m) == [2, 1, 21, 14]
+    assert _combine_rows([(0, -1), (1, 1)], m) == [-1, -3, 2, -2]
+    assert _combine_rows([], []) == []
 
 
 def _dense_first_failure(doc, group):

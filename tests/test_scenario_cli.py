@@ -685,6 +685,29 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
     assert "galois_roots.GRootDatum: " + message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields,line", [
+    ({"action": {"0": [[1]], "1": [[-1, 0]]}},
+     "galois_roots.GRootDatum: action matrix for element 1 has wrong shape"),
+    ({"roots": [[0], [2], [-2]]}, "galois_roots.GRootDatum: 0 is not allowed as a root"),
+    ({"group": {"order": 3, "mult_table": [[0, 1], [1, 0]]}},
+     "galois_roots.group.order: declared order disagrees"),
+    ({"group": {"order": 2, "perm_gens": []}},
+     "galois_roots.group.perm_gens: no generators"),
+    ({"group": {"order": 2, "perm_gens": [[0, 0]]}},
+     "galois_roots.group.perm_gens: malformed permutation generators"),
+], ids=["action-shape", "zero-root", "order-disagrees", "no-generators",
+        "malformed-generators"])
+def test_cli_refuses_bad_group_or_datum(fields, line, tmp_path, capsys):
+    """Each refusal of the group or the datum, alone in an otherwise valid
+    document: exit 2, nothing on stdout, and that one line listed."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(bundled_doc("sl2_unramified_depth0"), **fields)))
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[1:] == ["  " + line]
+
+
 def test_cli_lists_a_datum_fault_beside_a_frame_fault(tmp_path, capsys):
     """The datum is checked against the group whether or not the frame
     passes, so a frame fault does not hide a datum fault: both are listed,
