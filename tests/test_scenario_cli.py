@@ -198,6 +198,32 @@ def test_cli_degree_opaque(capsys, tmp_path):
     assert out["prefactor"] == "1/12"
 
 
+_OPAQUE_DEGREE_OUT = {
+    ("text", 3): "scenario sl2_unramified_depth0  q=3\n  degree: 1/12 * 3^(3)\n",
+    ("text", 9): "scenario sl2_unramified_depth0  q=9\n  degree: 1/12 * 3^(6)\n",
+    ("json", 3): '{\n  "monomial": {\n    "coeff": "1",\n    "pexp": "3"\n  },\n'
+                 '  "name": "sl2_unramified_depth0",\n  "prefactor": "1/12",\n  "q": 3\n}\n',
+    ("json", 9): '{\n  "monomial": {\n    "coeff": "1",\n    "pexp": "6"\n  },\n'
+                 '  "name": "sl2_unramified_depth0",\n  "prefactor": "1/12",\n  "q": 9\n}\n',
+}
+
+
+@pytest.mark.parametrize("fmt,q", sorted(_OPAQUE_DEGREE_OUT))
+def test_cli_degree_opaque_output_pinned(fmt, q, capsys, tmp_path):
+    """The whole report of ``degree`` on opaque depth-zero data, which no
+    golden file covers: dim rho / stabilizer index = 2/24 times
+    exp_q((dim G + dim quotient)/2) = q^((3 + 3)/2), the whole SL_2 being
+    its depth-zero quotient and no orbit having a break, at the document's
+    q = 3 and under ``--q 3^2``."""
+    doc = bundled_doc("sl2_unramified_depth0")
+    doc["depth_zero"] = {"dim_rho": "2", "stab_index": 24}
+    path = tmp_path / "opaque.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--format", fmt, "degree", str(path)]
+    assert cli.main(argv if q == 3 else ["--q", "3^2"] + argv) == 0
+    assert capsys.readouterr() == (_OPAQUE_DEGREE_OUT[fmt, q], "")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", ["verify", "degree", "gamma", "chi-check"])
 def test_q_past_the_digit_limit_is_written_in_full(command, fmt, capsys):
@@ -708,6 +734,20 @@ def test_cli_refuses_bad_group_or_datum(fields, line, tmp_path, capsys):
     assert err.splitlines()[1:] == ["  " + line]
 
 
+def test_cli_refuses_depth_map_not_negation_invariant(tmp_path, capsys):
+    """The two orbits of the A_2 document are an orbit and its negative:
+    different depths on them are refused, with the one line naming the
+    first orbit, exit 2 and nothing on stdout."""
+    doc = dict(bundled_doc("s3_a2_depth_third"), theta_depths={"-1,-1": "1/3", "-1,0": "2/3"},
+               theta_total_depth="2/3")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: %s: scenario validation failed:\n  galois_roots.theta_depths: depth map "
+        "is not negation-invariant at orbit -1,-1\n" % path)
+
+
 def test_cli_lists_a_datum_fault_beside_a_frame_fault(tmp_path, capsys):
     """The datum is checked against the group whether or not the frame
     passes, so a frame fault does not hide a datum fault: both are listed,
@@ -1063,6 +1103,27 @@ def test_cli_refuses_bad_q(q, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --q: ") and err.count("\n") == 1
     assert message in err
+
+
+# 2^89 - 1, a Mersenne prime above the bound below which the Miller-Rabin
+# bases used are proven to decide primality.
+_PRIME_PAST_THE_BOUND = 618970019642690137449562111
+
+
+def test_cli_refuses_prime_past_the_certified_bound(tmp_path, capsys):
+    """A prime q too large for the deterministic primality test is refused,
+    not guessed, from --q and from the document alike: exit 2, nothing on
+    stdout and one refusal naming where q came from."""
+    big = str(_PRIME_PAST_THE_BOUND)
+    assert cli.main(["--q", big, "verify", bundled_path("sl2_unramified_depth0")]) == 2
+    assert capsys.readouterr() == ("", "error: --q: %s is too large to certify as prime\n" % big)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
+                                    q={"p": _PRIME_PAST_THE_BOUND, "a": 1})))
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: %s: scenario validation failed:\n"
+                                   "  qexact.q: %s is too large to certify as prime\n"
+                                   % (path, big))
 
 
 # The loader reduces chi values mod 1 and stores each as a numerator over the
