@@ -26,7 +26,7 @@ from typing import Dict, List, NoReturn, Optional, Tuple
 
 from .compare import VERDICT_FLAGGED, VERDICT_UNEQUAL, emit_report, run_compare
 from .chi_data import BaseChange, verify_base_change
-from .formal_degree import depth_zero_quotient_dim, general_degree, regular_degree
+from .formal_degree import depth_zero_quotient_dim, regular_degree
 from .qexact import PrimePower, fraction_str, int_str, ratio_str
 from .scenario import Scenario, json_text, load_scenario, parse_int
 from .weil_gamma import galois_side
@@ -89,31 +89,29 @@ def _cmd_verify(args: Args) -> int:
 
 def _cmd_degree(args: Args) -> int:
     scen = _load(args.files[0], args.q)
-    torus = scen.torus
-    if scen.depth_zero.regular:
-        reg = regular_degree(scen.datum, scen.filtration, torus, scen.pp)
-        mono = reg.monomial
+    torus, dz = scen.torus, scen.depth_zero
+    if dz.regular:
+        mono = regular_degree(scen.datum, scen.filtration, torus.rank_m, scen.pp)
         payload: Dict[str, object] = {
-            "prefactor_special_fiber": ratio_str(1, reg.special_fiber_order),
-            "prefactor_full_index": ratio_str(1, reg.full_point_index),
-            "prefactor_discrepancy": reg.discrepancy,
+            "prefactor_special_fiber": ratio_str(1, torus.special_fiber_order),
+            "prefactor_full_index": ratio_str(1, torus.full_point_index),
+            "prefactor_discrepancy": torus.kottwitz_fixed_order,
         }
     else:
         dim_quot = depth_zero_quotient_dim(scen.filtration, scen.jumps, torus.rank_m)
-        mono, pref = general_degree(scen.datum, scen.filtration, scen.depth_zero, dim_quot,
-                                    scen.pp)
-        payload = {"prefactor": fraction_str(pref)}
+        mono = regular_degree(scen.datum, scen.filtration, dim_quot, scen.pp)
+        payload = {"prefactor": fraction_str(dz.dim_rho / dz.stab_index)}
     if args.format == "json":
         coeff, pexp = mono.as_pair()
         payload.update(name=scen.name, q=scen.pp.q, monomial={"coeff": coeff, "pexp": pexp})
         sys.stdout.write(json_text(payload) + "\n")
         return 0
     lines = ["scenario %s  q=%s" % (scen.name, int_str(scen.pp.q))]
-    if scen.depth_zero.regular:
+    if dz.regular:
         lines += ["  degree (special-fiber prefactor): %s / %s"
-                  % (mono, int_str(reg.special_fiber_order)),
+                  % (mono, int_str(torus.special_fiber_order)),
                   "  degree (full-index prefactor):    %s / %s"
-                  % (mono, int_str(reg.full_point_index))]
+                  % (mono, int_str(torus.full_point_index))]
     else:
         lines.append("  degree: %s * %s" % (payload["prefactor"], mono))
     sys.stdout.write("\n".join(lines) + "\n")
@@ -129,7 +127,7 @@ def _cmd_gamma(args: Args) -> int:
         "q": scen.pp.q,
         "monomial": {"coeff": coeff, "pexp": pexp},
         "prefactor": fraction_str(gal.prefactor),
-        "component_group_order": gal.component_order,
+        "component_group_order": scen.torus.cochar_full_coinvariants,
         "toral": {"monomial_pexp": gal.toral.monomial.as_pair()[1],
                   "rational": fraction_str(gal.toral.rational)},
         "root": {"monomial_pexp": gal.root.monomial.as_pair()[1],

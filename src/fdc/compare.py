@@ -3,13 +3,15 @@
 For each scenario both pipelines run on the scenario's one copy of the
 torus lattice data: the automorphic degree in its two prefactor
 normalizations, and the assembled adjoint gamma value divided by the
-component-group order.  The two sides are separate code that meets only
-at the verdict: the automorphic exponent carries Yu's break term, the
-Galois exponent the orbitwise conductors.  The verdict compares the
-full-index normalization against the Galois value; when they agree but
-the printed special-fiber normalization differs (their ratio is the
-Kottwitz-style index), the verdict is FLAGGED rather than EQUAL, with the
-discrepancy factor recorded.
+component-group order.  Every torus order the verdict, the diagnostics
+and the report use is read from ``scenario.torus`` by field name; no
+record of either side keeps a copy.  The two sides are separate code
+that meets only at the verdict: the automorphic exponent carries Yu's
+break term, the Galois exponent the orbitwise conductors.  The verdict
+compares the full-index normalization against the Galois value; when
+they agree but the printed special-fiber normalization differs (their
+ratio is the Kottwitz-style index), the verdict is FLAGGED rather than
+EQUAL, with the discrepancy factor recorded.
 
 The prefactors meet only in the verdict as well: the Galois side divides
 the Frobenius coinvariants of the inertia-fixed character lattice by the
@@ -31,11 +33,11 @@ them.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from .formal_degree import (
-    RegularDegree,
     depth_zero_quotient_dim,
     heisenberg_dims,
     heisenberg_indices,
@@ -72,15 +74,17 @@ def _mono_dict(m: QMonomial) -> Dict[str, str]:
 class ComparisonReport:
     """Both sides of one scenario and the verdict on them.
 
-    ``value_automorphic`` is the degree in the full-index normalization and
-    ``value_galois`` the Galois value with its prefactor applied: the two
-    values the verdict compared, kept for the report.
+    ``degree`` is the q-part of the automorphic degree, its prefactors
+    being read from ``scenario.torus``.  ``value_automorphic`` is the degree
+    in the full-index normalization and ``value_galois`` the Galois value
+    with its prefactor applied: the two values the verdict compared, kept
+    for the report.
     """
 
     __slots__ = ("scenario", "verdict", "degree", "galois", "value_automorphic",
                  "value_galois", "volume_exponent", "diagnostics", "elapsed_s")
 
-    def __init__(self, scenario: Scenario, verdict: str, degree: RegularDegree,
+    def __init__(self, scenario: Scenario, verdict: str, degree: QMonomial,
                  galois: GaloisSide, value_automorphic: QMonomial, value_galois: QMonomial,
                  volume_exponent: Fraction, diagnostics: List[str], elapsed_s: float) -> None:
         self.scenario = scenario
@@ -107,16 +111,16 @@ class ComparisonReport:
             "kottwitz_fixed_order": torus.kottwitz_fixed_order,
             "full_point_index": torus.full_point_index,
             "m_frob_coinvariants": torus.m_frob_coinvariants,
-            "component_group_order": gal.component_order,
+            "component_group_order": torus.cochar_full_coinvariants,
             "heisenberg_indices": [_mono_dict(m) for m in indices],
             "heisenberg_dims": [_mono_dict(m) for m in heisenberg_dims(indices)],
             "volume_exponent": fraction_str(self.volume_exponent),
             "toral_gamma": {
                 "monomial": _mono_dict(gal.toral.monomial),
                 "rational": fraction_str(gal.toral.rational),
-                "l0_inverse": gal.toral.l0_inverse,
+                "l0_inverse": torus.m_frob_coinvariants,
                 # |L(1)|^-1 = q^-dim(M) times the twisted fixed order
-                "l1_inverse": _mono_dict(qmon(scen.pp, gal.toral.l1_inverse_twisted,
+                "l1_inverse": _mono_dict(qmon(scen.pp, torus.special_fiber_order,
                                               -scen.pp.a * torus.rank_m)),
             },
             "root_gamma": {
@@ -127,16 +131,16 @@ class ComparisonReport:
         }
 
     def to_json_dict(self, with_timing: bool = False) -> Dict[str, object]:
-        deg, gal = self.degree, self.galois
+        gal, torus = self.galois, self.scenario.torus
         doc: Dict[str, object] = {
             "name": self.scenario.name,
             "q": self.scenario.pp.q,
             "verdict": self.verdict,
             "automorphic": {
-                "monomial": _mono_dict(deg.monomial),
-                "prefactor_special_fiber": ratio_str(1, deg.special_fiber_order),
-                "prefactor_full_index": ratio_str(1, deg.full_point_index),
-                "prefactor_discrepancy": deg.discrepancy,
+                "monomial": _mono_dict(self.degree),
+                "prefactor_special_fiber": ratio_str(1, torus.special_fiber_order),
+                "prefactor_full_index": ratio_str(1, torus.full_point_index),
+                "prefactor_discrepancy": torus.kottwitz_fixed_order,
                 "value_full_index": _mono_dict(self.value_automorphic),
             },
             "galois": {
@@ -166,7 +170,7 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
                          "data only; fdc degree evaluates the opaque form")
     t0 = time.monotonic()
     torus, filtration, jumps = scenario.torus, scenario.filtration, scenario.jumps
-    reg: RegularDegree = regular_degree(scenario.datum, filtration, torus, scenario.pp)
+    degree = regular_degree(scenario.datum, filtration, torus.rank_m, scenario.pp)
     gal: GaloisSide = galois_side(scenario.datum, scenario.frame,
                                   filtration, scenario.orbits, torus)
 
@@ -186,17 +190,17 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
         diagnostics.append("depth-zero quotient has an odd root count; "
                            "it matches no reductive quotient")
 
-    value_aut = reg.monomial.scale(1, reg.full_point_index)
+    value_aut = degree.scale(1, torus.full_point_index)
     value_gal = gal.monomial.scale(gal.prefactor)
     if value_aut != value_gal:
         verdict = VERDICT_UNEQUAL
-    elif reg.discrepancy != 1:
+    elif torus.kottwitz_fixed_order != 1:
         verdict = VERDICT_FLAGGED
         diagnostics.append(
             "prefactor normalizations differ by the Kottwitz index %s: "
             "special-fiber form 1/%s, full-index form 1/%s"
-            % (int_str(reg.discrepancy), int_str(reg.special_fiber_order),
-               int_str(reg.full_point_index)))
+            % (int_str(torus.kottwitz_fixed_order), int_str(torus.special_fiber_order),
+               int_str(torus.full_point_index)))
     else:
         verdict = VERDICT_EQUAL
 
@@ -214,7 +218,7 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
     return ComparisonReport(
         scenario=scenario,
         verdict=verdict,
-        degree=reg,
+        degree=degree,
         galois=gal,
         value_automorphic=value_aut,
         value_galois=value_gal,
@@ -228,37 +232,31 @@ def emit_report(reports: Sequence[ComparisonReport], fmt: str = "text",
                 with_timing: bool = False) -> str:
     """Deterministic rendering; the json form round-trips exact values as
     strings and omits timing unless asked."""
+    counts = Counter(r.verdict for r in reports)
+    eq, fl, un = counts[VERDICT_EQUAL], counts[VERDICT_FLAGGED], counts[VERDICT_UNEQUAL]
     if fmt == "json":
         doc = {
             "reports": [r.to_json_dict(with_timing=with_timing) for r in reports],
-            "summary": {
-                "total": len(reports),
-                "equal": sum(r.verdict == VERDICT_EQUAL for r in reports),
-                "flagged": sum(r.verdict == VERDICT_FLAGGED for r in reports),
-                "unequal": sum(r.verdict == VERDICT_UNEQUAL for r in reports),
-            },
+            "summary": {"total": len(reports), "equal": eq, "flagged": fl, "unequal": un},
         }
         return json_text(doc) + "\n"
     if fmt != "text":
         raise ValueError("unknown format %r" % fmt)
     lines: List[str] = []
     for r in reports:
-        deg, gal = r.degree, r.galois
+        gal, torus = r.galois, r.scenario.torus
         lines.append("scenario %-28s q=%-4s verdict=%s"
                      % (r.scenario.name, int_str(r.scenario.pp.q), r.verdict))
         lines.append("  automorphic  %s  (monomial %s, prefactors 1/%s | 1/%s)"
-                     % (r.value_automorphic, deg.monomial,
-                        int_str(deg.special_fiber_order), int_str(deg.full_point_index)))
+                     % (r.value_automorphic, r.degree,
+                        int_str(torus.special_fiber_order), int_str(torus.full_point_index)))
         lines.append("  galois       %s  (monomial %s, prefactor %s)"
                      % (r.value_galois, gal.monomial, fraction_str(gal.prefactor)))
-        if deg.discrepancy != 1:
+        if torus.kottwitz_fixed_order != 1:
             lines.append("  note: prefactor normalizations differ by %s"
-                         % int_str(deg.discrepancy))
+                         % int_str(torus.kottwitz_fixed_order))
         if with_timing:
             lines.append("  elapsed %.4f s" % r.elapsed_s)
-    eq = sum(r.verdict == VERDICT_EQUAL for r in reports)
-    fl = sum(r.verdict == VERDICT_FLAGGED for r in reports)
-    un = sum(r.verdict == VERDICT_UNEQUAL for r in reports)
     lines.append("summary: %d scenario(s), %d EQUAL, %d FLAGGED, %d UNEQUAL"
                  % (len(reports), eq, fl, un))
     return "\n".join(lines) + "\n"

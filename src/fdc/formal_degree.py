@@ -1,11 +1,8 @@
 """The automorphic side: exact formal degrees from scenario combinatorics.
 
-Two evaluation routes are provided.  The general route takes opaque
-depth-zero inputs (a dimension and a stabilizer index) and evaluates the
-closed formula
+One closed formula, :func:`regular_degree`, gives the q-part of the degree,
 
-    dim(rho) / index * exp_q( dim(G)/2 + dim(reductive quotient)/2
-                              + (1/2) sum_i r_i (|R_{i+1}| - |R_i|) ).
+    exp_q( dim(G)/2 + dim_quot/2 + (1/2) sum_i r_i (|R_{i+1}| - |R_i|) ).
 
 The depth data enter only through the Howe filtration, read here as it is:
 its breaks r_0 < ... < r_{d-1} and its layers (``HoweFiltration.layers``,
@@ -13,20 +10,23 @@ layer 0 the nonpositive part, layer i + 1 the orbits of depth r_i).  The
 Heisenberg quotients live at the half-breaks s_i = r_i / 2.  dim(G) is
 rank + |R|, since the orbit degrees sum to |R|.
 
-The regular route derives the depth-zero contribution from the torus
-lattice: the prefactor is the reciprocal of the special-fiber torus order,
-and the quotient dimension term degrades to the quotient rank.  The
-regular result is produced in both published prefactor normalizations
-(special-fiber order versus full point index); their ratio is the
-Kottwitz-style component index and is reported, never silently dropped.
+The caller chooses the depth-zero term and the prefactor.  For regular
+depth-zero data dim_quot is the rank of the torus lattice M, and the
+prefactor is the reciprocal special-fiber torus order or the reciprocal
+full point index, the two published normalizations; their ratio is the
+Kottwitz-style component index.  All three are orders of
+:class:`fdc.galois_roots.TorusLatticeData`, read there by the caller.  For
+opaque depth-zero data (a dimension and a stabilizer index) dim_quot is
+the dimension of the depth-zero reductive quotient and the prefactor is
+dim(rho) / index.
 
-Neither route builds the compact induction itself: both evaluate the
+Neither form builds the compact induction itself: both evaluate the
 closed form of its degree, dim(tau) / vol(K).
 
 The module also exposes the intermediate quantities of the derivation:
 per-step Heisenberg dimensions, the volume-normalization exponent
 assembled from torsor point counts, and the same exponent from the
-closed length identity, so that the two routes can be compared.  The
+closed length identity, so that the two assemblies can be compared.  The
 torsor-count assembly sums the one length kernel,
 :func:`fdc.mp_filtration.twice_length_to`; the master-length-identity
 suite of ``tests/lemmas.py`` takes the identity's left side from the same
@@ -43,7 +43,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .galois_roots import GRootDatum, HoweFiltration, TorusLatticeData
+from .galois_roots import GRootDatum, HoweFiltration
 from .mp_filtration import JumpAssignment, jump_length_at, twice_length_to
 from .qexact import Frozen, PrimePower, QMonomial, RationalLike, exp_q
 
@@ -118,58 +118,17 @@ def heisenberg_dims(indices: List[QMonomial]) -> List[QMonomial]:
     return out
 
 
-def general_degree(datum: GRootDatum, filtration: HoweFiltration, dz: DepthZeroData,
-                   dim_g0_red: int, pp: PrimePower) -> Tuple[QMonomial, Fraction]:
-    """Formal degree from opaque depth-zero data.
+# -- the degree --------------------------------------------------------------------
 
-    Returns (monomial, rational prefactor) with the monomial
-    exp_q(dim(G)/2 + dim_g0_red/2 + break term) and prefactor
-    dim(rho) / stabilizer index.
-    """
+
+def regular_degree(datum: GRootDatum, filtration: HoweFiltration, dim_quot: int,
+                   pp: PrimePower) -> QMonomial:
+    """The q-part of the formal degree: exp_q(dim(G)/2 + dim_quot/2 +
+    sum_i s_i (|R_{i+1}| - |R_i|)) with s_i = r_i/2.  ``dim_quot`` is
+    rank(M) for regular depth-zero data and the depth-zero quotient
+    dimension (:func:`depth_zero_quotient_dim`) for opaque data."""
     num, den = _break_sum(filtration)
-    return (exp_q((datum.rank + len(datum.roots) + dim_g0_red) * den + num, pp, 2 * den),
-            Fraction(dz.dim_rho, dz.stab_index))
-
-
-# -- the regular route -------------------------------------------------------------
-
-
-class RegularDegree(Frozen):
-    """Exact regular formal degree with both prefactor normalizations.
-
-    monomial carries the exponential part; the two prefactors divide it by
-    the special-fiber torus order and by the full point index respectively.
-    Their ratio (the Kottwitz-style fixed-point count on the inertia
-    coinvariants) is recorded; a value other than 1 marks the documented
-    normalization discrepancy between the two published forms.
-    """
-
-    __slots__ = ("monomial", "special_fiber_order", "full_point_index", "discrepancy")
-
-    def __init__(self, monomial: QMonomial, special_fiber_order: int,
-                 full_point_index: int, discrepancy: int) -> None:
-        object.__setattr__(self, "monomial", monomial)
-        object.__setattr__(self, "special_fiber_order", special_fiber_order)
-        object.__setattr__(self, "full_point_index", full_point_index)
-        object.__setattr__(self, "discrepancy", discrepancy)
-
-
-def regular_degree(datum: GRootDatum, filtration: HoweFiltration, torus: TorusLatticeData,
-                   pp: PrimePower) -> RegularDegree:
-    """Formal degree of a regular scenario, from the torus lattice alone.
-
-    The exponent is dim(G)/2 + rank(M)/2 + sum_i s_i (|R_{i+1}| - |R_i|)
-    with s_i = r_i/2; the prefactor is the reciprocal special-fiber order
-    |det(qF - 1)| or the reciprocal full point index, which is the
-    special-fiber order times the Kottwitz fixed count.
-    """
-    num, den = _break_sum(filtration)
-    return RegularDegree(
-        monomial=exp_q((datum.rank + len(datum.roots) + torus.rank_m) * den + num, pp, 2 * den),
-        special_fiber_order=torus.special_fiber_order,
-        full_point_index=torus.full_point_index,
-        discrepancy=torus.kottwitz_fixed_order,
-    )
+    return exp_q((datum.rank + len(datum.roots) + dim_quot) * den + num, pp, 2 * den)
 
 
 # -- volume normalization: the two assemblies of one exponent ----------------------

@@ -10,7 +10,9 @@ magnitudes of their tame-induction conductors (Gross-Reeder); it never
 reads the break term of the automorphic side, so a wrong conductor shows
 up as an UNEQUAL verdict.  The final assembler divides the product of the
 summands by the component-group order (the full coinvariants of the
-cocharacter lattice).
+cocharacter lattice).  That order and the two L-factor orders of the toral
+summand are fields of :class:`fdc.galois_roots.TorusLatticeData`, read
+there each time; the records here keep only the values computed from them.
 
 The exponents are summed in integers; a ``Fraction`` is built once for
 each conductor, for the toral rational and for the prefactor, the values
@@ -58,27 +60,20 @@ def eps_abs(cond: RationalLike, pp: PrimePower, den: int = 1) -> QMonomial:
 
 
 class ToralGamma(Frozen):
-    """``l0_inverse`` is |L(0)|^-1, the coinvariant order of Frobenius on M;
-    ``l1_inverse_twisted`` is q^dim(M) |L(1)|^-1, the twisted fixed order."""
+    __slots__ = ("monomial", "rational")
 
-    __slots__ = ("monomial", "rational", "l0_inverse", "l1_inverse_twisted")
-
-    def __init__(self, monomial: QMonomial, rational: Fraction, l0_inverse: int,
-                 l1_inverse_twisted: int) -> None:
+    def __init__(self, monomial: QMonomial, rational: Fraction) -> None:
         object.__setattr__(self, "monomial", monomial)
         object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "l0_inverse", l0_inverse)
-        object.__setattr__(self, "l1_inverse_twisted", l1_inverse_twisted)
 
 
 def toral_gamma_abs(torus: TorusLatticeData, dim_sa: int, pp: PrimePower) -> ToralGamma:
     """|gamma| of the toral summand: exp_q((dim S + dim M)/2) times
-    (Frobenius coinvariants of M) / (twisted fixed points of its dual)."""
+    |L(0)|^-1 / (q^dim(M) |L(1)|^-1), the Frobenius coinvariant order of M
+    over the twisted fixed order of its dual."""
     return ToralGamma(
         monomial=exp_q(dim_sa + torus.rank_m, pp, 2),
         rational=Fraction(torus.m_frob_coinvariants, torus.special_fiber_order),
-        l0_inverse=torus.m_frob_coinvariants,
-        l1_inverse_twisted=torus.special_fiber_order,
     )
 
 
@@ -119,29 +114,29 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
 
 
 class GaloisSide(Frozen):
-    __slots__ = ("monomial", "prefactor", "toral", "root", "component_order")
+    __slots__ = ("monomial", "prefactor", "toral", "root")
 
     def __init__(self, monomial: QMonomial, prefactor: Fraction, toral: ToralGamma,
-                 root: RootGamma, component_order: int) -> None:
+                 root: RootGamma) -> None:
         object.__setattr__(self, "monomial", monomial)
         object.__setattr__(self, "prefactor", prefactor)
         object.__setattr__(self, "toral", toral)
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "component_order", component_order)
 
 
 def galois_side(datum: GRootDatum, frame: GaloisFrame, filtration: HoweFiltration,
                 orbits: Sequence[OrbitInfo], torus: TorusLatticeData) -> GaloisSide:
     """Assembled Galois-side value: (toral gamma * root gamma) divided by
     the component-group order (the full cocharacter coinvariants, finite by
-    ellipticity)."""
+    ellipticity).  The three orders of the prefactor are read from the
+    torus: |L(0)|^-1 over q^dim(M) |L(1)|^-1 times the component-group
+    order."""
     toral = toral_gamma_abs(torus, datum.rank, frame.pp)
     root = root_gamma_abs(filtration, orbits, frame.pp)
-    comp = torus.cochar_full_coinvariants
     return GaloisSide(
         monomial=toral.monomial * root.monomial,
-        prefactor=Fraction(toral.l0_inverse, toral.l1_inverse_twisted * comp),
+        prefactor=Fraction(torus.m_frob_coinvariants,
+                           torus.special_fiber_order * torus.cochar_full_coinvariants),
         toral=toral,
         root=root,
-        component_order=comp,
     )

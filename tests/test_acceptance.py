@@ -75,7 +75,7 @@ def test_criterion_04_randomized_two_sided_suite():
         if rep.verdict == "FLAGGED":
             flagged += 1
             # the flag must come with the documented discrepancy factor
-            assert rep.degree.discrepancy > 1
+            assert rep.scenario.torus.kottwitz_fixed_order > 1
             assert any("normalizations differ" in d for d in rep.diagnostics)
     dt = time.monotonic() - t0
     _line(4, "200 generated scenarios two-sided", dt < 60,

@@ -19,7 +19,6 @@ from fdc.mp_filtration import JumpAssignment
 from fdc.formal_degree import (
     DepthZeroData,
     depth_zero_quotient_dim,
-    general_degree,
     heisenberg_dims,
     heisenberg_indices,
     regular_degree,
@@ -81,47 +80,53 @@ def test_heisenberg_examples():
 
 
 def test_general_degree_example():
+    """The opaque form: the degree formula at the quotient dimension, times
+    dim(rho) / stabilizer index."""
     datum, _, filt, _ = sl2_case(True, depth=Fraction(1), offset=Fraction(0))
     dz = DepthZeroData.opaque(1, 1)
-    mono, pref = general_degree(datum, filt, dz, 1, PP3)
+    mono = regular_degree(datum, filt, 1, PP3)
     # dim G = 3, quotient 1, sum r_0 * 2 = 2 -> exponent (3 + 1 + 2)/2
-    assert mono == exp_q(3, PP3) and pref == 1
+    assert mono == exp_q(3, PP3) and dz.dim_rho / dz.stab_index == 1
 
 
 def test_regular_degree_sl2_values():
     datum, frame, filt, _ = sl2_case(False)
-    reg = regular_degree(datum, filt, torus_lattice_data(datum, frame), PP3)
-    assert reg.monomial == exp_q(2, PP3)
-    assert reg.special_fiber_order == 4 and reg.full_point_index == 4
-    special = reg.monomial.scale(Fraction(1, reg.special_fiber_order))
+    torus = torus_lattice_data(datum, frame)
+    mono = regular_degree(datum, filt, torus.rank_m, PP3)
+    assert mono == exp_q(2, PP3)
+    assert torus.special_fiber_order == 4 and torus.full_point_index == 4
+    special = mono.scale(Fraction(1, torus.special_fiber_order))
     assert special == qmon(PP3, Fraction(9, 4))
 
     datum, frame, filt, _ = sl2_case(True, pp=PP5, depth=Fraction(1, 2), offset=Fraction(1, 4))
-    reg = regular_degree(datum, filt, torus_lattice_data(datum, frame), PP5)
-    assert reg.monomial == exp_q(2, PP5)
-    assert reg.special_fiber_order == 1 and reg.full_point_index == 2
-    assert reg.discrepancy == 2
+    torus = torus_lattice_data(datum, frame)
+    assert regular_degree(datum, filt, torus.rank_m, PP5) == exp_q(2, PP5)
+    assert torus.special_fiber_order == 1 and torus.full_point_index == 2
+    assert torus.kottwitz_fixed_order == 2
 
 
 def test_regular_degree_extra_break():
     # depth-zero part empty with one break at 1 (e = 1 here, so a break at
     # 1/2 violates the depth lattice and the loader refuses it)
     datum, frame, filt, _ = sl2_case(False, depth=Fraction(1))
-    reg = regular_degree(datum, filt, torus_lattice_data(datum, frame), PP3)
+    torus = torus_lattice_data(datum, frame)
     # exponent 3/2 + 1/2 + (1/2)*1*2 = 3
-    assert reg.monomial == exp_q(3, PP3)
+    assert regular_degree(datum, filt, torus.rank_m, PP3) == exp_q(3, PP3)
 
 
 def test_rank_zero_degenerate_lattice():
     datum, frame, filt, _ = sl2_case(True)
     torus = torus_lattice_data(datum, frame)
-    reg = regular_degree(datum, filt, torus, PP3)
     assert torus.rank_m == 0
-    assert reg.special_fiber_order == 1  # empty determinant
-    assert reg.monomial == exp_q(Fraction(3, 2), PP3)
+    assert torus.special_fiber_order == 1  # empty determinant
+    assert regular_degree(datum, filt, torus.rank_m, PP3) == exp_q(Fraction(3, 2), PP3)
 
 
 def test_general_equals_regular_cross_check():
+    """The opaque form at the depth-zero quotient dimension, with the
+    Deligne-Lusztig dimension of the regular depth-zero part as its opaque
+    data, against the regular form at rank M over the special-fiber order:
+    the quotient's 2N roots move q^N from the exponent into the index."""
     rng = random.Random(71)
     checked = 0
     while checked < 40:
@@ -130,12 +135,13 @@ def test_general_equals_regular_cross_check():
         dim_quot = depth_zero_quotient_dim(filt, scen.jumps, torus.rank_m)
         if (dim_quot - torus.rank_m) % 2:
             continue
-        reg = regular_degree(datum, filt, torus, scen.pp)
+        reg = regular_degree(datum, filt, torus.rank_m, scen.pp)
         # the Deligne-Lusztig dimension 1 over |S| * q^N with N positive roots
         steinberg = scen.pp.q ** ((dim_quot - torus.rank_m) // 2)
         dz = DepthZeroData.opaque(1, torus.special_fiber_order * steinberg)
-        mono, pref = general_degree(datum, filt, dz, dim_quot, scen.pp)
-        assert mono.scale(pref) == reg.monomial.scale(Fraction(1, reg.special_fiber_order))
+        mono = regular_degree(datum, filt, dim_quot, scen.pp)
+        assert (mono.scale(dz.dim_rho / dz.stab_index)
+                == reg.scale(Fraction(1, torus.special_fiber_order)))
         checked += 1
 
 

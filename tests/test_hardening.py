@@ -214,7 +214,6 @@ def test_compact_induction_derivation_chain():
     from fdc.formal_degree import (
         DepthZeroData,
         depth_zero_quotient_dim,
-        general_degree,
         heisenberg_dims,
         heisenberg_indices,
         regular_degree,
@@ -245,11 +244,11 @@ def test_compact_induction_derivation_chain():
                           ).scale(dz.stab_index)
         assert dim_tau.coeff_num > 0 and vol_k.coeff_num > 0
         got = dim_tau * _inverse(vol_k)
-        mono, pref = general_degree(datum, filtration, dz, dim_quot, scen.pp)
-        want = mono.scale(pref)
+        want = regular_degree(datum, filtration, dim_quot, scen.pp).scale(
+            dz.dim_rho / dz.stab_index)
         assert got == want, (scen.name, got, want)
-        reg = regular_degree(datum, filtration, torus, scen.pp)
-        assert got == reg.monomial.scale(Fraction(1, reg.special_fiber_order))
+        reg = regular_degree(datum, filtration, torus.rank_m, scen.pp)
+        assert got == reg.scale(Fraction(1, torus.special_fiber_order))
         checked += 1
 
 

@@ -41,8 +41,7 @@ def frozen_records():
     return [
         scen.pp, report.value_automorphic, frame, datum,
         scen.orbits[0], scen.filtration, scen.torus, base.top[0],
-        scen.depth_zero, report.degree,
-        scen.jumps, report.galois.toral, report.galois.root, report.galois,
+        scen.depth_zero, scen.jumps, report.galois.toral, report.galois.root, report.galois,
         generator_templates()[0],
     ]
 

@@ -721,11 +721,15 @@ def test_cli_refuses_bad_frame_action(doc, message, tmp_path, capsys):
      "galois_roots.group.perm_gens: no generators"),
     ({"group": {"order": 2, "perm_gens": [[0, 0]]}},
      "galois_roots.group.perm_gens: malformed permutation generators"),
+    # 2^89 - 1, a prime above the bound of the deterministic primality test:
+    # refused, not guessed, in the words --q gets
+    ({"q": {"p": 2 ** 89 - 1, "a": 1}},
+     "qexact.q: %d is too large to certify as prime" % (2 ** 89 - 1)),
 ], ids=["action-shape", "zero-root", "order-disagrees", "no-generators",
-        "malformed-generators"])
+        "malformed-generators", "prime-past-the-certified-bound"])
 def test_cli_refuses_bad_group_or_datum(fields, line, tmp_path, capsys):
-    """Each refusal of the group or the datum, alone in an otherwise valid
-    document: exit 2, nothing on stdout, and that one line listed."""
+    """Each refusal of the group, the datum or q, alone in an otherwise
+    valid document: exit 2, nothing on stdout, and that one line listed."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(bundled_doc("sl2_unramified_depth0"), **fields)))
     assert cli.main(["verify", str(path)]) == 2
@@ -1094,6 +1098,8 @@ def test_cli_large_q_loads_quickly(q, p, a, capsys):
     (" 11 ", "invalid literal for int()"),
     ("+11", "invalid literal for int()"),
     (LONG, "invalid literal for int()"),  # past the digit limit, in the same words
+    # 2^89 - 1, a prime above the bound of the deterministic primality test
+    (str(2 ** 89 - 1), "%d is too large to certify as prime" % (2 ** 89 - 1)),
 ])
 def test_cli_refuses_bad_q(q, message, capsys):
     """One error line for the run, naming the flag."""
@@ -1103,27 +1109,6 @@ def test_cli_refuses_bad_q(q, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --q: ") and err.count("\n") == 1
     assert message in err
-
-
-# 2^89 - 1, a Mersenne prime above the bound below which the Miller-Rabin
-# bases used are proven to decide primality.
-_PRIME_PAST_THE_BOUND = 618970019642690137449562111
-
-
-def test_cli_refuses_prime_past_the_certified_bound(tmp_path, capsys):
-    """A prime q too large for the deterministic primality test is refused,
-    not guessed, from --q and from the document alike: exit 2, nothing on
-    stdout and one refusal naming where q came from."""
-    big = str(_PRIME_PAST_THE_BOUND)
-    assert cli.main(["--q", big, "verify", bundled_path("sl2_unramified_depth0")]) == 2
-    assert capsys.readouterr() == ("", "error: --q: %s is too large to certify as prime\n" % big)
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(dict(bundled_doc("sl2_unramified_depth0"),
-                                    q={"p": _PRIME_PAST_THE_BOUND, "a": 1})))
-    assert cli.main(["verify", str(path)]) == 2
-    assert capsys.readouterr() == ("", "error: %s: scenario validation failed:\n"
-                                   "  qexact.q: %s is too large to certify as prime\n"
-                                   % (path, big))
 
 
 # The loader reduces chi values mod 1 and stores each as a numerator over the
