@@ -1201,3 +1201,35 @@ def test_chi_round_trips_through_numerators():
             generated += 1
     for doc in docs:
         assert scenario_from_dict(doc).to_json_dict()["chi"] == doc["chi"]
+
+
+def test_unreduced_rationals_report_as_their_lowest_terms(tmp_path, capsys):
+    """Depths, the total depth and an offset written unreduced, one of them
+    over a negative denominator, load as the same rationals as the bundled
+    file: the ``verify`` report is the bundled file's, byte for byte.  An
+    unreduced depth would break the negation-invariance check and the
+    grouping of orbits by break, which compare the stored values."""
+    doc = bundled_doc("sl2_ramified_depth_half")
+    doc.update(theta_depths={"-2": "2/4"}, theta_total_depth="3/6",
+               jump_offsets={"-2": "-3/-12"})
+    path = tmp_path / "unreduced.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--format", "json", "verify", str(path)]) == 0
+    unreduced = capsys.readouterr()
+    assert cli.main(["--format", "json", "verify", bundled_path("sl2_ramified_depth_half")]) == 0
+    assert unreduced == capsys.readouterr()
+
+
+def test_depth_past_the_total_is_refused_in_lowest_terms(tmp_path, capsys):
+    """A depth past the total depth is refused with both rationals written
+    in lowest terms, whatever the document wrote."""
+    doc = bundled_doc("sl2_ramified_depth_half")
+    doc.update(theta_depths={"-2": "6/4"}, theta_total_depth="2/2")
+    path = tmp_path / "past_total.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: %s: scenario validation failed:" % path,
+        "  galois_roots.theta_depths: depth 3/2 of orbit -2 exceeds the total depth 1"]
