@@ -27,7 +27,8 @@ from typing import Dict, List, NoReturn, Optional, Tuple
 from .compare import VERDICT_FLAGGED, VERDICT_UNEQUAL, emit_report, run_compare
 from .chi_data import BaseChange, verify_base_change
 from .formal_degree import depth_zero_quotient_dim, regular_degree
-from .qexact import PrimePower, fraction_str, int_str, ratio_str
+from .galois_roots import inertia_fixed_rank
+from .qexact import PrimePower, int_str, lowest_terms, ratio_str
 from .scenario import Scenario, json_text, load_scenario, parse_int
 from .weil_gamma import galois_side
 
@@ -88,9 +89,13 @@ def _cmd_verify(args: Args) -> int:
 
 
 def _cmd_degree(args: Args) -> int:
+    """The regular degree with both prefactors, read from the torus data;
+    on opaque depth-zero data, dim rho / index times the degree at the
+    depth-zero quotient dimension, which needs only rank M of the torus."""
     scen = _load(args.files[0], args.q)
-    torus, dz = scen.torus, scen.depth_zero
+    dz = scen.depth_zero
     if dz.regular:
+        torus = scen.torus
         mono = regular_degree(scen.datum, scen.filtration, torus.rank_m, scen.pp)
         payload: Dict[str, object] = {
             "prefactor_special_fiber": ratio_str(1, torus.special_fiber_order),
@@ -98,9 +103,11 @@ def _cmd_degree(args: Args) -> int:
             "prefactor_discrepancy": torus.kottwitz_fixed_order,
         }
     else:
-        dim_quot = depth_zero_quotient_dim(scen.filtration, scen.jumps, torus.rank_m)
+        dim_quot = depth_zero_quotient_dim(scen.filtration, scen.jumps,
+                                           inertia_fixed_rank(scen.datum, scen.frame))
         mono = regular_degree(scen.datum, scen.filtration, dim_quot, scen.pp)
-        payload = {"prefactor": fraction_str(dz.dim_rho / dz.stab_index)}
+        num, den = dz.dim_rho
+        payload = {"prefactor": ratio_str(*lowest_terms(num, den * dz.stab_index))}
     if args.format == "json":
         coeff, pexp = mono.as_pair()
         payload.update(name=scen.name, q=scen.pp.q, monomial={"coeff": coeff, "pexp": pexp})
@@ -120,25 +127,25 @@ def _cmd_degree(args: Args) -> int:
 
 def _cmd_gamma(args: Args) -> int:
     scen = _load(args.files[0], args.q)
-    gal = galois_side(scen.datum, scen.frame, scen.filtration, scen.orbits, scen.torus)
+    gal = galois_side(scen.datum, scen.frame, scen.filtration, scen.torus)
     coeff, pexp = gal.monomial.as_pair()
     payload = {
         "name": scen.name,
         "q": scen.pp.q,
         "monomial": {"coeff": coeff, "pexp": pexp},
-        "prefactor": fraction_str(gal.prefactor),
+        "prefactor": ratio_str(*gal.prefactor),
         "component_group_order": scen.torus.cochar_full_coinvariants,
         "toral": {"monomial_pexp": gal.toral.monomial.as_pair()[1],
-                  "rational": fraction_str(gal.toral.rational)},
+                  "rational": ratio_str(*gal.toral.rational)},
         "root": {"monomial_pexp": gal.root.monomial.as_pair()[1],
-                 "orbit_conductors": {oid: fraction_str(c)
+                 "orbit_conductors": {oid: ratio_str(*c)
                                       for oid, c in gal.root.orbit_conductors}},
     }
     if args.format == "json":
         sys.stdout.write(json_text(payload) + "\n")
     else:
         sys.stdout.write("scenario %s  q=%s\n  gamma value: %s * %s\n"
-                         % (scen.name, int_str(scen.pp.q), fraction_str(gal.prefactor),
+                         % (scen.name, int_str(scen.pp.q), ratio_str(*gal.prefactor),
                             gal.monomial))
     return 0
 

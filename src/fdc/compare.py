@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from .formal_degree import (
@@ -45,7 +44,8 @@ from .formal_degree import (
     volume_exponent_closed,
     volume_exponent_raw,
 )
-from .qexact import QMonomial, fraction_str, int_str, qmon, ratio_str
+from .galois_roots import Ratio
+from .qexact import QMonomial, int_str, qmon, ratio_str
 from .scenario import Scenario, json_text
 from .weil_gamma import GaloisSide, galois_side
 
@@ -86,7 +86,7 @@ class ComparisonReport:
 
     def __init__(self, scenario: Scenario, verdict: str, degree: QMonomial,
                  galois: GaloisSide, value_automorphic: QMonomial, value_galois: QMonomial,
-                 volume_exponent: Fraction, diagnostics: List[str], elapsed_s: float) -> None:
+                 volume_exponent: Ratio, diagnostics: List[str], elapsed_s: float) -> None:
         self.scenario = scenario
         self.verdict = verdict
         self.degree = degree
@@ -114,10 +114,10 @@ class ComparisonReport:
             "component_group_order": torus.cochar_full_coinvariants,
             "heisenberg_indices": [_mono_dict(m) for m in indices],
             "heisenberg_dims": [_mono_dict(m) for m in heisenberg_dims(indices)],
-            "volume_exponent": fraction_str(self.volume_exponent),
+            "volume_exponent": ratio_str(*self.volume_exponent),
             "toral_gamma": {
                 "monomial": _mono_dict(gal.toral.monomial),
-                "rational": fraction_str(gal.toral.rational),
+                "rational": ratio_str(*gal.toral.rational),
                 "l0_inverse": torus.m_frob_coinvariants,
                 # |L(1)|^-1 = q^-dim(M) times the twisted fixed order
                 "l1_inverse": _mono_dict(qmon(scen.pp, torus.special_fiber_order,
@@ -125,7 +125,7 @@ class ComparisonReport:
             },
             "root_gamma": {
                 "monomial": _mono_dict(gal.root.monomial),
-                "orbit_conductors": {oid: fraction_str(c)
+                "orbit_conductors": {oid: ratio_str(*c)
                                      for oid, c in gal.root.orbit_conductors},
             },
         }
@@ -145,7 +145,7 @@ class ComparisonReport:
             },
             "galois": {
                 "monomial": _mono_dict(gal.monomial),
-                "prefactor": fraction_str(gal.prefactor),
+                "prefactor": ratio_str(*gal.prefactor),
                 "value": _mono_dict(self.value_galois),
             },
             "intermediates": self.intermediates,
@@ -171,8 +171,7 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
     t0 = time.monotonic()
     torus, filtration, jumps = scenario.torus, scenario.filtration, scenario.jumps
     degree = regular_degree(scenario.datum, filtration, torus.rank_m, scenario.pp)
-    gal: GaloisSide = galois_side(scenario.datum, scenario.frame,
-                                  filtration, scenario.orbits, torus)
+    gal: GaloisSide = galois_side(scenario.datum, scenario.frame, filtration, torus)
 
     diagnostics: List[str] = []
 
@@ -181,7 +180,8 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
     raw = volume_exponent_raw(filtration, jumps, dim_quot)
     closed = volume_exponent_closed(filtration, dim_quot)
     if raw != closed:
-        raise AssertionError("volume exponent mismatch: raw %s vs closed %s" % (raw, closed))
+        raise AssertionError("volume exponent mismatch: raw %s vs closed %s"
+                             % (ratio_str(*raw), ratio_str(*closed)))
 
     # A symmetric odd-degree orbit jumping at 0 is legal scenario data, but
     # the depth-zero quotient it gives has an odd root count, which no
@@ -191,7 +191,7 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
                            "it matches no reductive quotient")
 
     value_aut = degree.scale(1, torus.full_point_index)
-    value_gal = gal.monomial.scale(gal.prefactor)
+    value_gal = gal.monomial.scale(*gal.prefactor)
     if value_aut != value_gal:
         verdict = VERDICT_UNEQUAL
     elif torus.kottwitz_fixed_order != 1:
@@ -206,12 +206,10 @@ def run_compare(scenario: Scenario) -> ComparisonReport:
 
     # Loading refuses a break outside (1/e) Z, and (1/e) Z lies in (1/2e) Z,
     # so each orbit of positive depth is in both lattices.
-    breaks = filtration.orbit_breaks()
-    for o in scenario.orbits:
-        if o.orbit_id in breaks:
+    for o, r in filtration.orbit_breaks:
+        if r is not None:
             diagnostics.append("depth-lattice at %s: break %s, value-group True, "
-                               "half-lattice True"
-                               % (o.orbit_id, fraction_str(breaks[o.orbit_id])))
+                               "half-lattice True" % (o.orbit_id, ratio_str(*r)))
     for flag in scenario.unverified_assumptions:
         diagnostics.append("unverified: %s" % flag)
 
@@ -251,7 +249,7 @@ def emit_report(reports: Sequence[ComparisonReport], fmt: str = "text",
                      % (r.value_automorphic, r.degree,
                         int_str(torus.special_fiber_order), int_str(torus.full_point_index)))
         lines.append("  galois       %s  (monomial %s, prefactor %s)"
-                     % (r.value_galois, gal.monomial, fraction_str(gal.prefactor)))
+                     % (r.value_galois, gal.monomial, ratio_str(*gal.prefactor)))
         if torus.kottwitz_fixed_order != 1:
             lines.append("  note: prefactor normalizations differ by %s"
                          % int_str(torus.kottwitz_fixed_order))

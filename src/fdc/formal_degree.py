@@ -32,35 +32,23 @@ torsor-count assembly sums the one length kernel,
 suite of ``tests/lemmas.py`` takes the identity's left side from the same
 kernel and checks it against sum([k_a : k] * f(a)).
 
-Every sum here is taken in integers over a common denominator, and the
-halved breaks s_i are passed on as numerator and denominator; a
-``Fraction`` is built only for a result whose type is ``Fraction``.
+Every rational here is an integer pair (numerator, denominator): the
+break term comes with the filtration (``HoweFiltration.break_sum``, summed
+over the common denominator of the breaks), the halved breaks s_i are
+passed on as numerator and denominator, and the two volume exponents are
+returned in lowest terms, so they compare as tuples.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .galois_roots import GRootDatum, HoweFiltration
+from .galois_roots import GRootDatum, HoweFiltration, Ratio
 from .mp_filtration import JumpAssignment, jump_length_at, twice_length_to
-from .qexact import Frozen, PrimePower, QMonomial, RationalLike, exp_q
+from .qexact import Frozen, PrimePower, QMonomial, exp_q, lowest_terms
 
 
 # -- the depth layers and depth-zero data ------------------------------------------
-
-
-def _break_sum(filtration: HoweFiltration) -> Tuple[int, int]:
-    """sum_i r_i (|R_{i+1}| - |R_i|), twice the wild part of the exponent,
-    as (numerator, denominator): |R_{i+1}| - |R_i| is the degree sum of
-    layer i + 1, and the sum is taken in integers over the common
-    denominator of the breaks, not reduced."""
-    breaks = filtration.breaks
-    den = math.lcm(*(r.denominator for r in breaks))
-    num = sum(r.numerator * (den // r.denominator) * sum(o.degree for o in layer)
-              for r, layer in zip(breaks, filtration.layers[1:]))
-    return num, den
 
 
 def depth_zero_quotient_dim(filtration: HoweFiltration, jumps: JumpAssignment,
@@ -71,11 +59,12 @@ def depth_zero_quotient_dim(filtration: HoweFiltration, jumps: JumpAssignment,
 
 
 class DepthZeroData(Frozen):
-    """Either the regular marker or opaque (dim rho, stabilizer index)."""
+    """Either the regular marker or opaque (dim rho, stabilizer index), dim
+    rho a reduced pair (numerator, denominator)."""
 
     __slots__ = ("regular", "dim_rho", "stab_index")
 
-    def __init__(self, regular: bool, dim_rho: Optional[Fraction] = None,
+    def __init__(self, regular: bool, dim_rho: Optional[Ratio] = None,
                  stab_index: Optional[int] = None) -> None:
         object.__setattr__(self, "regular", regular)
         object.__setattr__(self, "dim_rho", dim_rho)
@@ -86,9 +75,8 @@ class DepthZeroData(Frozen):
         return DepthZeroData(True)
 
     @staticmethod
-    def opaque(dim_rho: RationalLike, stab_index: int) -> "DepthZeroData":
-        dim_rho = Fraction(dim_rho)
-        if dim_rho <= 0 or stab_index <= 0:
+    def opaque(dim_rho: Ratio, stab_index: int) -> "DepthZeroData":
+        if dim_rho[0] <= 0 or stab_index <= 0:
             raise ValueError("opaque depth-zero data must be positive")
         return DepthZeroData(False, dim_rho, stab_index)
 
@@ -100,9 +88,8 @@ def heisenberg_indices(filtration: HoweFiltration, jumps: JumpAssignment,
                        pp: PrimePower) -> List[QMonomial]:
     """The abelian quotient orders [J^{i+1} : J^{i+1}_+], one per break:
     exp_q of the total jump length of layer i + 1 at s_i = r_i / 2."""
-    return [exp_q(sum(jump_length_at(o, jumps, r.numerator, 2 * r.denominator)
-                      for o in layer), pp)
-            for r, layer in zip(filtration.breaks, filtration.layers[1:])]
+    return [exp_q(sum(jump_length_at(o, jumps, n, 2 * d) for o in layer), pp)
+            for (n, d), layer in zip(filtration.breaks, filtration.layers[1:])]
 
 
 def heisenberg_dims(indices: List[QMonomial]) -> List[QMonomial]:
@@ -127,7 +114,7 @@ def regular_degree(datum: GRootDatum, filtration: HoweFiltration, dim_quot: int,
     sum_i s_i (|R_{i+1}| - |R_i|)) with s_i = r_i/2.  ``dim_quot`` is
     rank(M) for regular depth-zero data and the depth-zero quotient
     dimension (:func:`depth_zero_quotient_dim`) for opaque data."""
-    num, den = _break_sum(filtration)
+    num, den = filtration.break_sum
     return exp_q((datum.rank + len(datum.roots) + dim_quot) * den + num, pp, 2 * den)
 
 
@@ -135,20 +122,20 @@ def regular_degree(datum: GRootDatum, filtration: HoweFiltration, dim_quot: int,
 
 
 def volume_exponent_raw(filtration: HoweFiltration, jumps: JumpAssignment,
-                        dim_quot: int) -> Fraction:
+                        dim_quot: int) -> Ratio:
     """Exponent of the inverse volume assembly by torsor point count:
     (the depth-zero quotient dimension, :func:`depth_zero_quotient_dim`,
     plus the sum over each layer i + 1 of :func:`twice_length_to` at s_i) / 2,
-    summed in integers."""
+    summed in integers and returned in lowest terms."""
     twice = dim_quot
-    for r, layer in zip(filtration.breaks, filtration.layers[1:]):
-        twice += sum(twice_length_to(o, jumps, r.numerator, 2 * r.denominator) for o in layer)
-    return Fraction(twice, 2)
+    for (n, d), layer in zip(filtration.breaks, filtration.layers[1:]):
+        twice += sum(twice_length_to(o, jumps, n, 2 * d) for o in layer)
+    return lowest_terms(twice, 2)
 
 
-def volume_exponent_closed(filtration: HoweFiltration, dim_quot: int) -> Fraction:
-    """The same exponent from the closed length identity: half the
-    depth-zero Levi length plus the break term.  At dim_quot = 0 it is the
-    break term, (1/2) sum_i r_i (|R_{i+1}| - |R_i|)."""
-    num, den = _break_sum(filtration)
-    return Fraction(dim_quot * den + num, 2 * den)
+def volume_exponent_closed(filtration: HoweFiltration, dim_quot: int) -> Ratio:
+    """The same exponent from the closed length identity, in lowest terms:
+    half the depth-zero Levi length plus the break term.  At dim_quot = 0
+    it is the break term, (1/2) sum_i r_i (|R_{i+1}| - |R_i|)."""
+    num, den = filtration.break_sum
+    return lowest_terms(dim_quot * den + num, 2 * den)

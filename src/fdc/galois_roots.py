@@ -19,12 +19,12 @@ break.
 from __future__ import annotations
 
 import json
+import math
 import operator
-from fractions import Fraction
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .qexact import Frozen, PrimePower, Value
+from .qexact import Frozen, PrimePower, Value, ratio_str
 from .zlattice import (
     Matrix,
     Vector,
@@ -35,7 +35,8 @@ from .zlattice import (
 )
 
 NONPOSITIVE = "nonpositive"
-DepthValue = Union[Fraction, str]  # a positive rational or the NONPOSITIVE marker
+Ratio = Tuple[int, int]  # a rational as (numerator, denominator) in lowest terms, den > 0
+DepthValue = Union[Ratio, str]  # a positive rational or the NONPOSITIVE marker
 
 
 # -- finite groups as multiplication tables ----------------------------------
@@ -646,23 +647,28 @@ class HoweFiltration(Value):
     layers[i] lists, in orbit order, the orbits of R_i - R_{i-1}, so R_i is
     the union of the members of the layers up to i: layers[0] is the
     nonpositive-depth part, R_0, and the orbits of layers[i + 1] have depth
-    breaks[i]: :meth:`orbit_breaks` reads that off.  breaks are the
-    distinct positive depths r_0 < ... < r_{d-1}; total is r_d (the full
-    character depth).
+    breaks[i].  breaks are the distinct positive depths r_0 < ... < r_{d-1}
+    and total is r_d (the full character depth), each a reduced pair
+    (numerator, denominator).
+
+    Two fields derived from those are built once, by :func:`howe_filtration`,
+    and kept.  ``orbit_breaks`` lists every orbit, in orbit order, with its
+    break, or None for an orbit of the nonpositive part, which has none.
+    ``break_sum`` is sum_i r_i (|R_{i+1}| - |R_i|) as (numerator,
+    denominator) over the common denominator of the breaks, not reduced:
+    |R_{i+1}| - |R_i| is the degree sum of layer i + 1.
     """
 
-    __slots__ = ("layers", "breaks", "total")
+    __slots__ = ("layers", "breaks", "total", "orbit_breaks", "break_sum")
 
-    def __init__(self, layers: Tuple[Tuple[OrbitInfo, ...], ...], breaks: Tuple[Fraction, ...],
-                 total: Fraction) -> None:
+    def __init__(self, layers: Tuple[Tuple[OrbitInfo, ...], ...], breaks: Tuple[Ratio, ...],
+                 total: Ratio, orbit_breaks: Tuple[Tuple[OrbitInfo, Optional[Ratio]], ...],
+                 break_sum: Ratio) -> None:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "total", total)
-
-    def orbit_breaks(self) -> Dict[str, Fraction]:
-        """Each orbit of positive depth, by its id, to its break; an orbit of
-        the nonpositive part has none."""
-        return {o.orbit_id: r for r, layer in zip(self.breaks, self.layers[1:]) for o in layer}
+        object.__setattr__(self, "orbit_breaks", orbit_breaks)
+        object.__setattr__(self, "break_sum", break_sum)
 
 
 def _span_closure(vectors: Sequence[Vector], candidates: FrozenSet[Vector]) -> FrozenSet[Vector]:
@@ -680,52 +686,58 @@ def _span_closure(vectors: Sequence[Vector], candidates: FrozenSet[Vector]) -> F
 
 def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
                     theta_depths: Mapping[str, DepthValue],
-                    theta_total_depth: Fraction) -> HoweFiltration:
+                    theta_total_depth: Ratio) -> HoweFiltration:
     """Build the depth filtration of the root system from per-orbit depths.
 
     The orbits are the datum's frame orbits (:func:`classify_orbits`).  The
-    nonpositive-depth orbits form layer 0; the distinct positive depths,
-    sorted increasingly, are the breaks, and layer i + 1 holds the orbits
+    depths and the total depth are reduced pairs (numerator, denominator),
+    so equal depths are equal tuples.  The nonpositive-depth orbits form
+    layer 0; the distinct positive depths, sorted increasingly on their
+    common denominator, are the breaks, and layer i + 1 holds the orbits
     of depth breaks[i], each layer in orbit order.  This is the one place
     the orbits are grouped by depth.  Level i is the union of the layers up
     to i, so R_0 is the nonpositive part.  Each proper level must be
     rationally closed in R (the Levi condition): the span of R_i meets R
     exactly in R_i.  The last level is the union of all orbits, R itself,
     and is closed trivially.
-
-    The marker is told from a depth by its type: a ``Fraction`` is never
-    compared with the marker string, which would walk the ``numbers``
-    ABCs on every comparison.
     """
     by_id = {o.orbit_id: o for o in orbits}
     if set(theta_depths.keys()) != set(by_id.keys()):
         raise ValueError("depth map must cover exactly the orbits; got %s, want %s"
                          % (json.dumps(sorted(theta_depths)), json.dumps(sorted(by_id))))
-    total = Fraction(theta_total_depth)
-    if total < 0:
+    tn, td = theta_total_depth
+    if tn < 0:
         raise ValueError("total depth must be >= 0")
-    positive: Dict[str, Fraction] = {}  # the orbits of positive depth
+    positive: Dict[str, Ratio] = {}  # the orbits of positive depth
     for oid, val in theta_depths.items():
-        if isinstance(val, str) and val == NONPOSITIVE:
+        if val == NONPOSITIVE:
             continue
-        val = Fraction(val)
-        if val <= 0:
+        n, d = val
+        if n <= 0:
             raise ValueError("positive depth expected for orbit %s "
                              "(use the nonpositive marker otherwise)" % oid)
-        if val > total:
+        if n * td > tn * d:
             raise ValueError("depth %s of orbit %s exceeds the total depth %s"
-                             % (val, oid, total))
+                             % (ratio_str(n, d), oid, ratio_str(tn, td)))
         positive[oid] = val
     for oid, o in by_id.items():
         if positive.get(oid) != positive.get(o.negation_id):
             raise ValueError("depth map is not negation-invariant at orbit %s" % oid)
 
-    # The orbits of each depth in orbit order, the nonpositive ones under None.
-    by_depth: Dict[Optional[Fraction], List[OrbitInfo]] = {}
-    for oid, o in by_id.items():
-        by_depth.setdefault(positive.get(oid), []).append(o)
-    breaks = sorted(r for r in by_depth if r is not None)
-    layers = [tuple(by_depth.get(None, ()))] + [tuple(by_depth[r]) for r in breaks]
+    # Each orbit with its break, and the orbits of each depth, in orbit
+    # order; the nonpositive ones under None.
+    orbit_breaks = tuple((o, positive.get(o.orbit_id)) for o in by_id.values())
+    by_depth: Dict[Optional[Ratio], List[OrbitInfo]] = {}
+    for o, r in orbit_breaks:
+        by_depth.setdefault(r, []).append(o)
+    nonpositive = tuple(by_depth.pop(None, ()))
+    # Each break over the common denominator of all of them, as its sort key.
+    den = math.lcm(*(d for _, d in by_depth))
+    scaled = sorted((n * (den // d), (n, d)) for n, d in by_depth)
+    breaks = tuple(r for _, r in scaled)
+    layers = [nonpositive] + [tuple(by_depth[r]) for r in breaks]
+    break_sum = (sum(k * sum(o.degree for o in layer)
+                     for (k, _), layer in zip(scaled, layers[1:])), den)
     # Levi closure of every proper level, R_i the running union of the layers.
     level: FrozenSet[Vector] = frozenset()
     for i, layer in enumerate(layers[:-1]):
@@ -736,7 +748,8 @@ def howe_filtration(datum: GRootDatum, orbits: Sequence[OrbitInfo],
             raise ValueError(
                 "level %d is not rationally closed in R: span also contains %s"
                 % (i, extra))
-    return HoweFiltration(layers=tuple(layers), breaks=tuple(breaks), total=total)
+    return HoweFiltration(layers=tuple(layers), breaks=breaks, total=theta_total_depth,
+                          orbit_breaks=orbit_breaks, break_sum=break_sum)
 
 
 class TorusLatticeData(Value):
@@ -774,6 +787,16 @@ class TorusLatticeData(Value):
         anisotropic torus: the Kottwitz-style component count times the
         special-fiber order."""
         return self.kottwitz_fixed_order * self.special_fiber_order
+
+
+def inertia_fixed_rank(datum: GRootDatum, frame: GaloisFrame) -> int:
+    """The rank of M = X^I, from the traces the datum recorded: the inertia
+    average P = (1/|I|) sum_{i in I} M(i) projects V = X (x) Q onto V^I,
+    so dim V^I = tr P is the mean trace over I.  The one owner of rank M:
+    :func:`torus_lattice_data` reads it here, and so does ``fdc degree`` on
+    opaque depth-zero data, which needs no other torus order."""
+    traces = datum.traces
+    return sum(traces[i] for i in frame.inertia) // len(frame.inertia)
 
 
 def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeData:
@@ -815,7 +838,7 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     group, inertia, frobenius = frame.group, frame.inertia, frame.frobenius
     traces = datum.traces
     size = len(inertia)
-    rank_m = sum(traces[i] for i in inertia) // size
+    rank_m = inertia_fixed_rank(datum, frame)
     coset = sorted(inertia)  # phi^k I, element by element
     power_sums: List[int] = []
     e = [1]
@@ -847,8 +870,7 @@ def torus_lattice_data(datum: GRootDatum, frame: GaloisFrame) -> TorusLatticeDat
     )
 
 
-def off_lattice_breaks(filtration: HoweFiltration,
-                       orbits: Sequence[OrbitInfo]) -> List[Tuple[OrbitInfo, Fraction]]:
+def off_lattice_breaks(filtration: HoweFiltration) -> List[Tuple[OrbitInfo, Ratio]]:
     """The orbits whose break r lies outside (1/e) Z, for e the orbit's
     ramification index, each with r, in orbit order: the genericity
     constraint asks r in (1/e) Z of every orbit of positive depth.  In
@@ -856,6 +878,4 @@ def off_lattice_breaks(filtration: HoweFiltration,
     e.  A break that passes also lies in (1/2e) Z, where the half-depths of
     the length identity live, since (1/e) Z is inside (1/2e) Z.
     """
-    breaks = filtration.orbit_breaks()
-    return [(o, breaks[o.orbit_id]) for o in orbits
-            if o.orbit_id in breaks and o.e % breaks[o.orbit_id].denominator]
+    return [(o, r) for o, r in filtration.orbit_breaks if r is not None and o.e % r[1]]

@@ -8,7 +8,13 @@ is even (9^(1/2) = 3), so a q-based normal form would not be unique.
 
 A value holds its coefficient and its p-exponent as reduced integer pairs,
 not as ``Fraction`` objects: each operation does its own integer work (a
-gcd, a p-adic split) and writes its report form from those integers.
+gcd, a p-adic split) and writes its report form from those integers.  So
+does every other rational of the package between a loaded document and a
+report (offsets, depths, breaks, conductors, exponents, prefactors): a
+pair (numerator, denominator) in lowest terms with a positive denominator,
+brought there by :func:`lowest_terms` and written by :func:`ratio_str`.
+Equal pairs are equal values, so pairs compare and hash as tuples; an
+order is taken by cross-multiplication or on a common denominator.
 
 All values are immutable; arithmetic never leaves the exact world.
 """
@@ -186,9 +192,9 @@ class QMonomial(Value):
         if other.pp is not pp and other.pp != pp:
             raise ValueError("mixed prime powers: %s vs %s" % (pp, other.pp))
         # A product of p-units is a p-unit, so only the gcds are taken.
-        num, den = _lowest(self.coeff_num * other.coeff_num, self.coeff_den * other.coeff_den)
+        num, den = lowest_terms(self.coeff_num * other.coeff_num, self.coeff_den * other.coeff_den)
         a, b, c, d = self.pexp_num, self.pexp_den, other.pexp_num, other.pexp_den
-        enum, eden = (a + c, 1) if b == d == 1 else _lowest(a * d + c * b, b * d)
+        enum, eden = (a + c, 1) if b == d == 1 else lowest_terms(a * d + c * b, b * d)
         return _monomial(pp, num, den, enum, eden)
 
     def scale(self, c: RationalLike, den: int = 1) -> "QMonomial":
@@ -233,8 +239,8 @@ def _monomial(pp: PrimePower, coeff_num: int, coeff_den: int, pexp_num: int,
     return _fill(object.__new__(QMonomial), pp, coeff_num, coeff_den, pexp_num, pexp_den)
 
 
-def _lowest(num: int, den: int) -> Tuple[int, int]:
-    """num/den in lowest terms, for den > 0."""
+def lowest_terms(num: int, den: int) -> Tuple[int, int]:
+    """num/den in lowest terms, for den > 0: the package's form of a rational."""
     g = gcd(num, den)
     return (num, den) if g == 1 else (num // g, den // g)
 
@@ -249,7 +255,7 @@ def _normal(pp: PrimePower, num: int, den: int, pexp_num: int, pexp_den: int) ->
         raise ValueError("zero is not a q-monomial")
     if den < 0:
         num, den = -num, -den
-    num, den = _lowest(num, den)
+    num, den = lowest_terms(num, den)
     p = pp.p
     if num % p == 0:
         num, k = padic_split(num, p)
@@ -293,11 +299,6 @@ def ratio_str(num: int, den: int) -> str:
     return "%s/%s" % (int_str(num), int_str(den))
 
 
-def fraction_str(x: Fraction) -> str:
-    """The serialized form of a rational: "num/den", or "num" when integral."""
-    return ratio_str(x.numerator, x.denominator)
-
-
 def qmon(pp: PrimePower, coeff: RationalLike, pexp: RationalLike = 0) -> QMonomial:
     """Canonical constructor: migrates the p-part of coeff into the exponent.
     A coefficient that is already a p-unit is kept as it is."""
@@ -311,5 +312,5 @@ def exp_q(t: RationalLike, pp: PrimePower, den: int = 1) -> QMonomial:
     Satisfies exp_q(len M) = |M| for finite modules over the ring with
     residue field of size q, and exp_q(s + t) = exp_q(s) * exp_q(t).
     """
-    num, den = _lowest(pp.a * t.numerator, t.denominator * den)
+    num, den = lowest_terms(pp.a * t.numerator, t.denominator * den)
     return _monomial(pp, 1, 1, num, den)

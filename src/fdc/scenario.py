@@ -51,7 +51,7 @@ from .galois_roots import (
     torus_lattice_data,
 )
 from .mp_filtration import JumpAssignment
-from .qexact import Frozen, PrimePower, fraction_str, int_str, ratio_str
+from .qexact import Frozen, PrimePower, int_str, lowest_terms, ratio_str
 
 if TYPE_CHECKING:  # the generator takes its Random from the caller
     import random
@@ -138,8 +138,10 @@ def parse_ratio(value: object) -> Tuple[int, int]:
     raise _must_be("a rational", value)
 
 
-def parse_fraction(value: object) -> Fraction:
-    return Fraction(*parse_ratio(value))
+def parse_rational(value: object) -> Tuple[int, int]:
+    """A rational as :func:`parse_ratio` reads it, in lowest terms: the
+    package's form of a rational, so equal values are equal pairs."""
+    return lowest_terms(*parse_ratio(value))
 
 
 def parse_root_key(text: str) -> Vector:
@@ -148,7 +150,7 @@ def parse_root_key(text: str) -> Vector:
 
 
 def _read_depth(value: object) -> DepthValue:
-    return NONPOSITIVE if value == NONPOSITIVE else parse_fraction(value)
+    return NONPOSITIVE if value == NONPOSITIVE else parse_rational(value)
 
 
 def _checked(kind: str, ok: Callable[[object], bool]) -> Callable[[object], object]:
@@ -166,7 +168,7 @@ _READERS: Dict[str, Callable[[object], object]] = {
     "integer": parse_int,
     "integer array": parse_int_array,
     "integer table": parse_int_rows,
-    "rational": parse_fraction,
+    "rational": parse_rational,
     "rational mod 1": parse_ratio,
     "depth": _read_depth,
     "object": _checked("a JSON object", lambda v: type(v) is dict),
@@ -410,7 +412,6 @@ class Scenario:
     def to_json_dict(self) -> Dict[str, object]:
         """The scenario as a document, its group as its multiplication table
         (``perm_gens`` load to that table, with the same element numbers)."""
-        breaks = self.filtration.orbit_breaks()
         doc: Dict[str, object] = {
             "name": self.name,
             "q": {"p": self.pp.p, "a": self.pp.a},
@@ -422,16 +423,16 @@ class Scenario:
             "action": {str(g): [list(row) for row in m]
                        for g, m in sorted(self.datum.action.items())},
             "roots": [list(r) for r in sorted(self.datum.roots)],
-            "jump_offsets": {oid: fraction_str(off)
+            "jump_offsets": {oid: ratio_str(*off)
                              for oid, off in sorted(self.jumps.offsets.items())},
-            "theta_depths": {o.orbit_id: fraction_str(breaks[o.orbit_id])
-                             if o.orbit_id in breaks else NONPOSITIVE for o in self.orbits},
-            "theta_total_depth": fraction_str(self.filtration.total),
+            "theta_depths": {o.orbit_id: NONPOSITIVE if r is None else ratio_str(*r)
+                             for o, r in self.filtration.orbit_breaks},
+            "theta_total_depth": ratio_str(*self.filtration.total),
         }
         if self.depth_zero.regular:
             doc["depth_zero"] = "regular"
         else:
-            doc["depth_zero"] = {"dim_rho": fraction_str(self.depth_zero.dim_rho),
+            doc["depth_zero"] = {"dim_rho": ratio_str(*self.depth_zero.dim_rho),
                                  "stab_index": self.depth_zero.stab_index}
         if self.chi is not None:
             n = self.chi.n
@@ -444,10 +445,8 @@ class Scenario:
 
 
 def _mod1_str(k: int, n: int) -> str:
-    """``fraction_str(Fraction(k, n))`` for integers 0 <= k < n, from the
-    gcd-reduced pair, with no Fraction built."""
-    d = math.gcd(k, n)
-    return ratio_str(k // d, n // d)
+    """The serialized form of k/n for integers 0 <= k < n."""
+    return ratio_str(*lowest_terms(k, n))
 
 
 def _build_group(spec: Mapping[str, object], max_order: int,
@@ -508,8 +507,8 @@ def scenario_from_dict(doc: Mapping[str, object]) -> Scenario:
         failures += [("galois_roots", "theta_depths",
                       "break %s at orbit %s violates the depth lattice (value group: false, "
                       "half lattice: %s)"
-                      % (r, o.orbit_id, json.dumps(2 * o.e % r.denominator == 0)))
-                     for o, r in off_lattice_breaks(filtration, orbits)]
+                      % (ratio_str(*r), o.orbit_id, json.dumps(2 * o.e % r[1] == 0)))
+                     for o, r in off_lattice_breaks(filtration)]
 
     dz = f["depth_zero"]
     depth_zero = (DepthZeroData.regular_marker() if dz == "regular" else
@@ -932,8 +931,10 @@ def _assign_depths_and_offsets(rng: random.Random, tpl: _Template,
         total = breaks[-1] if breaks else Fraction(0)
         if rng.random() < 0.3:
             total += Fraction(rng.randint(1, 4), 2)
+        # The draws are Fractions; what leaves the sampler is reduced pairs.
+        pairs = [(r.numerator, r.denominator) for r in breaks]
         depths: Dict[str, DepthValue] = {
-            o.orbit_id: NONPOSITIVE if lay == 0 else breaks[lay - 1]
+            o.orbit_id: NONPOSITIVE if lay == 0 else pairs[lay - 1]
             for c, lay in zip(classes, layers) for o in c}
         offsets: Dict[str, Fraction] = {}
         for c in classes:
@@ -957,12 +958,14 @@ def _assign_depths_and_offsets(rng: random.Random, tpl: _Template,
                     offsets[o.orbit_id] = Fraction(1, 2 * o.e)
                     break
         try:
-            filtration = howe_filtration(datum, orbits, depths, total)
+            filtration = howe_filtration(datum, orbits, depths,
+                                         (total.numerator, total.denominator))
         except ValueError:
             continue
-        if off_lattice_breaks(filtration, orbits):
+        if off_lattice_breaks(filtration):
             continue
-        jumps = JumpAssignment.build(offsets, orbits)
+        jumps = JumpAssignment.build(
+            {oid: (t.numerator, t.denominator) for oid, t in offsets.items()}, orbits)
         chi = (_random_chi(rng, datum, frame, orbits, tpl.chi_menu(frame, seeds, datum, orbits))
                if rng.random() < 0.5 else None)
         name = "gen_%s_%04d" % (tpl.key, rng.randint(0, 9999))

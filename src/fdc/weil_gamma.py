@@ -14,46 +14,45 @@ cocharacter lattice).  That order and the two L-factor orders of the toral
 summand are fields of :class:`fdc.galois_roots.TorusLatticeData`, read
 there each time; the records here keep only the values computed from them.
 
-The exponents are summed in integers; a ``Fraction`` is built once for
-each conductor, for the toral rational and for the prefactor, the values
-whose type is ``Fraction``.
+Every rational here is a reduced integer pair (numerator, denominator):
+each conductor, the toral rational and the prefactor.  The exponents are
+summed in integers over a common denominator.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .galois_roots import (
     GaloisFrame,
     GRootDatum,
     HoweFiltration,
-    OrbitInfo,
+    Ratio,
     TorusLatticeData,
 )
-from .qexact import Frozen, PrimePower, QMonomial, RationalLike, exp_q
-
-_ZERO = Fraction(0)
+from .qexact import Frozen, PrimePower, QMonomial, exp_q, lowest_terms
 
 
 # -- characters and conductors -----------------------------------------------------
 
 
-def conductor_tame_induction(degree: int, depth: Fraction) -> Fraction:
+def conductor_tame_induction(degree: int, depth: Ratio) -> Ratio:
     """Conductor of a tame induction, along an extension of the given
-    degree, of a ramified character of the given depth (0 means tamely
+    degree, of a ramified character of the given depth n/d (0 means tamely
     ramified): degree * (1 + depth), the depth measured with the base
-    valuation."""
-    return Fraction(degree * (depth.denominator + depth.numerator), depth.denominator)
+    valuation, in lowest terms.  (d + n)/d is in lowest terms with n/d, so
+    only the degree can share a factor with d."""
+    n, d = depth
+    return lowest_terms(degree * (d + n), d)
 
 
-def eps_abs(cond: RationalLike, pp: PrimePower, den: int = 1) -> QMonomial:
-    """|epsilon| = q^(c/2) for the conductor c = cond / den (den > 0), in
+def eps_abs(num: int, pp: PrimePower, den: int = 1) -> QMonomial:
+    """|epsilon| = q^(c/2) for the conductor c = num / den (den > 0), in
     the level-zero, self-dual normalization."""
-    if cond < 0:
+    if num < 0:
         raise ValueError("conductor must be nonnegative")
-    return exp_q(cond.numerator, pp, 2 * cond.denominator * den)
+    return exp_q(num, pp, 2 * den)
 
 
 # -- the two adjoint summands --------------------------------------------------------
@@ -62,7 +61,7 @@ def eps_abs(cond: RationalLike, pp: PrimePower, den: int = 1) -> QMonomial:
 class ToralGamma(Frozen):
     __slots__ = ("monomial", "rational")
 
-    def __init__(self, monomial: QMonomial, rational: Fraction) -> None:
+    def __init__(self, monomial: QMonomial, rational: Ratio) -> None:
         object.__setattr__(self, "monomial", monomial)
         object.__setattr__(self, "rational", rational)
 
@@ -73,7 +72,7 @@ def toral_gamma_abs(torus: TorusLatticeData, dim_sa: int, pp: PrimePower) -> Tor
     over the twisted fixed order of its dual."""
     return ToralGamma(
         monomial=exp_q(dim_sa + torus.rank_m, pp, 2),
-        rational=Fraction(torus.m_frob_coinvariants, torus.special_fiber_order),
+        rational=lowest_terms(torus.m_frob_coinvariants, torus.special_fiber_order),
     )
 
 
@@ -81,17 +80,16 @@ class RootGamma(Frozen):
     __slots__ = ("monomial", "orbit_conductors")
 
     def __init__(self, monomial: QMonomial,
-                 orbit_conductors: Tuple[Tuple[str, Fraction], ...]) -> None:
+                 orbit_conductors: Tuple[Tuple[str, Ratio], ...]) -> None:
         object.__setattr__(self, "monomial", monomial)
         object.__setattr__(self, "orbit_conductors", orbit_conductors)
 
 
-def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
-                   pp: PrimePower) -> RootGamma:
-    """|gamma| of the root summand.
+def root_gamma_abs(filtration: HoweFiltration, pp: PrimePower) -> RootGamma:
+    """|gamma| of the root summand, one conductor per orbit, in orbit order.
 
     Every inducing character is ramified, of depth the orbit's break
-    (:meth:`HoweFiltration.orbit_breaks`), or 0 for an orbit of the
+    (``HoweFiltration.orbit_breaks``), or 0 for an orbit of the
     nonpositive part, which has none; so the L-factors are trivial and the
     answer is the product of the orbits' epsilon magnitudes.  The conductor
     of a direct sum is the sum of the conductors, so that product is the
@@ -100,12 +98,11 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
     conductor is at least its orbit degree, which is positive, because
     loading refuses nonpositive depths other than the marker.
     """
-    breaks = filtration.orbit_breaks()
     conductors = tuple(
-        (o.orbit_id, conductor_tame_induction(o.degree, breaks.get(o.orbit_id, _ZERO)))
-        for o in orbits)
-    den = math.lcm(*(c.denominator for _, c in conductors))
-    total = sum(c.numerator * (den // c.denominator) for _, c in conductors)
+        (o.orbit_id, conductor_tame_induction(o.degree, (0, 1) if r is None else r))
+        for o, r in filtration.orbit_breaks)
+    den = math.lcm(*(d for _, (_, d) in conductors))
+    total = sum(n * (den // d) for _, (n, d) in conductors)
     return RootGamma(monomial=eps_abs(total, pp, den),
                      orbit_conductors=conductors)
 
@@ -116,7 +113,7 @@ def root_gamma_abs(filtration: HoweFiltration, orbits: Sequence[OrbitInfo],
 class GaloisSide(Frozen):
     __slots__ = ("monomial", "prefactor", "toral", "root")
 
-    def __init__(self, monomial: QMonomial, prefactor: Fraction, toral: ToralGamma,
+    def __init__(self, monomial: QMonomial, prefactor: Ratio, toral: ToralGamma,
                  root: RootGamma) -> None:
         object.__setattr__(self, "monomial", monomial)
         object.__setattr__(self, "prefactor", prefactor)
@@ -125,18 +122,18 @@ class GaloisSide(Frozen):
 
 
 def galois_side(datum: GRootDatum, frame: GaloisFrame, filtration: HoweFiltration,
-                orbits: Sequence[OrbitInfo], torus: TorusLatticeData) -> GaloisSide:
+                torus: TorusLatticeData) -> GaloisSide:
     """Assembled Galois-side value: (toral gamma * root gamma) divided by
     the component-group order (the full cocharacter coinvariants, finite by
     ellipticity).  The three orders of the prefactor are read from the
     torus: |L(0)|^-1 over q^dim(M) |L(1)|^-1 times the component-group
     order."""
     toral = toral_gamma_abs(torus, datum.rank, frame.pp)
-    root = root_gamma_abs(filtration, orbits, frame.pp)
+    root = root_gamma_abs(filtration, frame.pp)
     return GaloisSide(
         monomial=toral.monomial * root.monomial,
-        prefactor=Fraction(torus.m_frob_coinvariants,
-                           torus.special_fiber_order * torus.cochar_full_coinvariants),
+        prefactor=lowest_terms(torus.m_frob_coinvariants,
+                               torus.special_fiber_order * torus.cochar_full_coinvariants),
         toral=toral,
         root=root,
     )

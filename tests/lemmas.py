@@ -193,7 +193,8 @@ def master_length_identity(orbit_subset: Sequence[OrbitInfo], f: OrbitFn,
             raise ValueError("f(%s) = %s is not in (1/2e)Z (e = %d)"
                              % (o.orbit_id, val, o.e))
     vals = [(o, Fraction(f[o.orbit_id])) for o in orbit_subset]
-    twice = sum(twice_length_to(o, jumps, val) for o, val in vals if val)
+    twice = sum(twice_length_to(o, jumps, val.numerator, val.denominator)
+                for o, val in vals if val)
     return Fraction(twice, 2), sum((o.degree * val for o, val in vals), Fraction(0))
 
 
@@ -249,7 +250,8 @@ def random_jumps(rng: random.Random, orbits: Sequence[OrbitInfo]) -> JumpAssignm
             offsets[o.negation_id] = -t
             done.add(o.orbit_id)
             done.add(o.negation_id)
-    return JumpAssignment.build(offsets, orbits)
+    return JumpAssignment.build({oid: (t.numerator, t.denominator)
+                                 for oid, t in offsets.items()}, orbits)
 
 
 def suite_master_identity(rng: random.Random, n: int) -> int:
@@ -620,7 +622,8 @@ def suite_conductors() -> int:
             degree = e * f
             for k in range(0, 4 * e + 1):
                 depth = Fraction(k, e)
-                lhs = conductor_tame_induction(degree, depth)
+                lhs = Fraction(*conductor_tame_induction(degree, (depth.numerator,
+                                                                  depth.denominator)))
                 rhs = conductor_induction_general(degree - f, f, 1, 1 + e * depth)
                 if lhs != rhs:
                     raise AssertionError("conductor mismatch at e=%d f=%d depth=%s"

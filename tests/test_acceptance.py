@@ -139,10 +139,10 @@ def test_criterion_10_root_gamma_dual_computation():
     rng = random.Random(10_010)
     scens += [generate_scenario(rng) for _ in range(200)]
     for scen in scens:
-        rg = root_gamma_abs(scen.filtration, scen.orbits, scen.pp)
+        rg = root_gamma_abs(scen.filtration, scen.pp)
         # the closed form in the breaks, against the orbitwise conductors
         sizes = [len(lv) for lv in filtration_levels(scen.filtration)]
-        breaks = scen.filtration.breaks
+        breaks = [Fraction(*r) for r in scen.filtration.breaks]
         wild = sum(r * (b - a) for r, a, b in zip(breaks, sizes, sizes[1:]))
         closed = Fraction(len(scen.datum.roots), 2) + Fraction(wild) / 2
         ok = ok and exp_q(closed, scen.pp) == rg.monomial

@@ -35,8 +35,14 @@ PP3 = PrimePower(3, 1)
 PP5 = PrimePower(5, 1)
 
 
+def pair(x):
+    """A Fraction or an int as the package's reduced pair."""
+    return x.numerator, x.denominator
+
+
 def sl2_case(ramified: bool, pp=PP3, depth=None, offset=None):
-    """The SL_2 datum with its frame, Howe filtration and jumps."""
+    """The SL_2 datum with its frame, Howe filtration and jumps, the depth
+    and the offset given as Fractions."""
     g = FiniteGroup.cyclic(2)
     if ramified:
         frame = GaloisFrame(g, frozenset({0, 1}), 0, pp)
@@ -46,11 +52,11 @@ def sl2_case(ramified: bool, pp=PP3, depth=None, offset=None):
     orbits = classify_orbits(datum, frame)
     (o,) = orbits
     if depth is None:
-        filt = howe_filtration(datum, orbits, {o.orbit_id: NONPOSITIVE}, Fraction(0))
+        filt = howe_filtration(datum, orbits, {o.orbit_id: NONPOSITIVE}, (0, 1))
     else:
-        filt = howe_filtration(datum, orbits, {o.orbit_id: depth}, depth)
+        filt = howe_filtration(datum, orbits, {o.orbit_id: pair(depth)}, pair(depth))
     off = offset if offset is not None else Fraction(0)
-    jumps = JumpAssignment.build({o.orbit_id: off}, orbits)
+    jumps = JumpAssignment.build({o.orbit_id: pair(off)}, orbits)
     return datum, frame, filt, jumps
 
 
@@ -58,10 +64,10 @@ def test_break_term_and_layers():
     datum, _, filt, _ = sl2_case(True, depth=Fraction(1, 2))
     assert datum.rank + len(datum.roots) == 3
     # the break term, the closed volume exponent at quotient dimension 0
-    assert volume_exponent_closed(filt, 0) == Fraction(1, 2)  # (1/2) * (1/2) * 2
+    assert volume_exponent_closed(filt, 0) == (1, 2)  # (1/2) * (1/2) * 2
     # strictly increasing breaks enforced by the filtration itself
-    assert filt.breaks == (Fraction(1, 2),)
-    assert filt.total == Fraction(1, 2)
+    assert filt.breaks == ((1, 2),)
+    assert filt.total == (1, 2)
     assert [len(layer) for layer in filt.layers] == [0, 1]
 
 
@@ -83,10 +89,10 @@ def test_general_degree_example():
     """The opaque form: the degree formula at the quotient dimension, times
     dim(rho) / stabilizer index."""
     datum, _, filt, _ = sl2_case(True, depth=Fraction(1), offset=Fraction(0))
-    dz = DepthZeroData.opaque(1, 1)
+    dz = DepthZeroData.opaque((1, 1), 1)
     mono = regular_degree(datum, filt, 1, PP3)
     # dim G = 3, quotient 1, sum r_0 * 2 = 2 -> exponent (3 + 1 + 2)/2
-    assert mono == exp_q(3, PP3) and dz.dim_rho / dz.stab_index == 1
+    assert mono == exp_q(3, PP3) and (dz.dim_rho, dz.stab_index) == ((1, 1), 1)
 
 
 def test_regular_degree_sl2_values():
@@ -138,9 +144,10 @@ def test_general_equals_regular_cross_check():
         reg = regular_degree(datum, filt, torus.rank_m, scen.pp)
         # the Deligne-Lusztig dimension 1 over |S| * q^N with N positive roots
         steinberg = scen.pp.q ** ((dim_quot - torus.rank_m) // 2)
-        dz = DepthZeroData.opaque(1, torus.special_fiber_order * steinberg)
+        dz = DepthZeroData.opaque((1, 1), torus.special_fiber_order * steinberg)
         mono = regular_degree(datum, filt, dim_quot, scen.pp)
-        assert (mono.scale(dz.dim_rho / dz.stab_index)
+        num, den = dz.dim_rho
+        assert (mono.scale(num, den * dz.stab_index)
                 == reg.scale(Fraction(1, torus.special_fiber_order)))
         checked += 1
 
@@ -200,21 +207,23 @@ def test_layers_against_document_depths():
         filt, orbits, datum = scen.filtration, scen.orbits, scen.datum
         depths = {oid: None if val == NONPOSITIVE else Fraction(val)
                   for oid, val in doc["theta_depths"].items()}
-        assert list(filt.breaks) == sorted({v for v in depths.values() if v is not None})
+        breaks = [Fraction(*r) for r in filt.breaks]
+        assert filt.breaks == tuple(map(pair, breaks))
+        assert breaks == sorted({v for v in depths.values() if v is not None})
         want = [tuple(o for o in orbits if depths[o.orbit_id] == r)
-                for r in [None] + list(filt.breaks)]
+                for r in [None] + breaks]
         assert list(filt.layers) == want
         members = [root for layer in filt.layers for o in layer for root in o.members]
         assert len(members) == len(set(members)) and set(members) == datum.roots
         sizes = [len(lv) for lv in filtration_levels(filt)]
-        assert volume_exponent_closed(filt, 0) == sum(Fraction(r) / 2 * (sizes[i + 1] - sizes[i])
-                                                      for i, r in enumerate(filt.breaks))
+        assert volume_exponent_closed(filt, 0) == pair(sum(r / 2 * (sizes[i + 1] - sizes[i])
+                                                           for i, r in enumerate(breaks)))
         assert datum.rank + len(datum.roots) == datum.rank + sum(o.degree for o in orbits)
-        breaks = filt.orbit_breaks()
-        assert breaks == {oid: r for oid, r in depths.items() if r is not None}
-        assert all(oid not in breaks for oid, r in depths.items() if r is None)
-        conductors = dict(root_gamma_abs(filt, orbits, scen.pp).orbit_conductors)
-        assert conductors == {o.orbit_id: o.degree * (1 + (depths[o.orbit_id] or 0))
+        assert filt.orbit_breaks == tuple(
+            (o, None if depths[o.orbit_id] is None else pair(depths[o.orbit_id]))
+            for o in orbits)
+        conductors = dict(root_gamma_abs(filt, scen.pp).orbit_conductors)
+        assert conductors == {o.orbit_id: pair(o.degree * (1 + (depths[o.orbit_id] or 0)))
                               for o in orbits}
         multi_break += len(filt.breaks) >= 2
     assert multi_break >= 4

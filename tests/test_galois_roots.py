@@ -1,7 +1,6 @@
 import json
 import os
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -511,20 +510,20 @@ def test_howe_examples():
     datum = a1_datum(fr)
     orbs = classify_orbits(datum, fr)
     (oid,) = [o.orbit_id for o in orbs]
-    filt = howe_filtration(datum, orbs, {oid: NONPOSITIVE}, Fraction(0))
+    filt = howe_filtration(datum, orbs, {oid: NONPOSITIVE}, (0, 1))
     assert len(filt.breaks) == 0 and filtration_levels(filt)[0] == datum.roots
-    assert filt.breaks == () and filt.total == 0
+    assert filt.breaks == () and filt.total == (0, 1)
 
-    filt = howe_filtration(datum, orbs, {oid: Fraction(1, 2)}, Fraction(1, 2))
+    filt = howe_filtration(datum, orbs, {oid: (1, 2)}, (1, 2))
     assert len(filt.breaks) == 1 and filtration_levels(filt)[0] == frozenset()
-    assert filt.breaks == (Fraction(1, 2),) and filt.layers == ((), tuple(orbs))
+    assert filt.breaks == ((1, 2),) and filt.layers == ((), tuple(orbs))
 
     with pytest.raises(ValueError):
-        howe_filtration(datum, orbs, {oid: Fraction(3, 4)}, Fraction(1, 2))  # depth > total
+        howe_filtration(datum, orbs, {oid: (3, 4)}, (1, 2))  # depth > total
     with pytest.raises(ValueError, match="positive depth expected"):
-        howe_filtration(datum, orbs, {oid: Fraction(0)}, Fraction(1, 2))
+        howe_filtration(datum, orbs, {oid: (0, 1)}, (1, 2))
     with pytest.raises(ValueError, match="total depth must be >= 0"):
-        howe_filtration(datum, orbs, {oid: NONPOSITIVE}, Fraction(-1))
+        howe_filtration(datum, orbs, {oid: NONPOSITIVE}, (-1, 1))
 
 
 def test_howe_levi_closure_error():
@@ -535,10 +534,9 @@ def test_howe_levi_closure_error():
     orbs = classify_orbits(datum, fr)
     depths = {}
     for o in orbs:
-        depths[o.orbit_id] = Fraction(1, 3) if o.representative in ((-1, 0), (0, -1)) \
-            else Fraction(1, 2)
+        depths[o.orbit_id] = (1, 3) if o.representative in ((-1, 0), (0, -1)) else (1, 2)
     with pytest.raises(ValueError, match="closed"):
-        howe_filtration(datum, orbs, depths, Fraction(1, 2))
+        howe_filtration(datum, orbs, depths, (1, 2))
 
 
 def test_howe_reconstruction_idempotent():
@@ -549,10 +547,9 @@ def test_howe_reconstruction_idempotent():
     orbs = classify_orbits(datum, fr)
     # the zero level {+-(1,1)} is span-closed; the other two orbits enter later
     depths = {o.orbit_id: (NONPOSITIVE if o.representative in ((1, 1), (-1, -1))
-                           else Fraction(1, 2)) for o in orbs}
-    filt = howe_filtration(datum, orbs, depths, Fraction(1, 2))
-    breaks = filt.orbit_breaks()
-    rebuilt = {o.orbit_id: breaks.get(o.orbit_id, NONPOSITIVE) for o in orbs}
+                           else (1, 2)) for o in orbs}
+    filt = howe_filtration(datum, orbs, depths, (1, 2))
+    rebuilt = {o.orbit_id: NONPOSITIVE if r is None else r for o, r in filt.orbit_breaks}
     assert howe_filtration(datum, orbs, rebuilt, filt.total) == filt
 
 
@@ -560,14 +557,14 @@ def test_depth_lattice_examples():
     fr_ram = frame_z2(True)
     datum = a1_datum(fr_ram)
     orbs = classify_orbits(datum, fr_ram)
-    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
-    assert off_lattice_breaks(filt, orbs) == []
+    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: (1, 2)}, (1, 2))
+    assert off_lattice_breaks(filt) == []
 
     fr_unr = frame_z2(False)
     datum = a1_datum(fr_unr)
     orbs = classify_orbits(datum, fr_unr)
-    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
-    assert off_lattice_breaks(filt, orbs) == [(orbs[0], Fraction(1, 2))]
+    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: (1, 2)}, (1, 2))
+    assert off_lattice_breaks(filt) == [(orbs[0], (1, 2))]
 
 
 def test_depth_lattice_e3():
@@ -580,9 +577,9 @@ def test_depth_lattice_e3():
     datum = GRootDatum(2, action, roots, fr.group)
     orbs = classify_orbits(datum, fr)
     assert all(o.e == 3 for o in orbs)
-    depths = {o.orbit_id: Fraction(2, 3) for o in orbs}
-    filt = howe_filtration(datum, orbs, depths, Fraction(2, 3))
-    assert off_lattice_breaks(filt, orbs) == []
+    depths = {o.orbit_id: (2, 3) for o in orbs}
+    filt = howe_filtration(datum, orbs, depths, (2, 3))
+    assert off_lattice_breaks(filt) == []
 
 
 def _dual_invariant_coinvariants(datum, frame):

@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 
 from fdc import scenario
-from fdc.qexact import fraction_str
 
 GENERATOR_SEEDS = (20260809, 7)
 GENERATOR_DRAWS = 300
@@ -51,4 +50,4 @@ def test_generator_output_pinned_with_fresh_and_warm_memo(monkeypatch):
 def test_chi_values_written_as_reduced_pairs():
     for n in range(1, 25):
         for k in range(n):
-            assert scenario._mod1_str(k, n) == fraction_str(Fraction(k, n))
+            assert scenario._mod1_str(k, n) == str(Fraction(k, n))

@@ -60,7 +60,7 @@ def test_master_identity_against_primed_sums():
         lhs, rhs = master_length_identity(orbits, f, jumps)
         via_primed = Fraction(0)
         for o in orbits:
-            h = JumpFunction.build({}, [(jumps.offset(o), Fraction(1, o.e), o.f)])
+            h = JumpFunction.build({}, [(Fraction(*jumps.offset(o)), Fraction(1, o.e), o.f)])
             via_primed += primed_sum(h, 0, f[o.orbit_id])
         assert lhs == via_primed == rhs
 
@@ -231,21 +231,22 @@ def test_compact_induction_derivation_chain():
         if (dim_quot - torus.rank_m) % 2:
             continue
         steinberg = scen.pp.q ** ((dim_quot - torus.rank_m) // 2)
-        dz = DepthZeroData.opaque(1, torus.special_fiber_order * steinberg)
+        dz = DepthZeroData.opaque((1, 1), torus.special_fiber_order * steinberg)
+        dim_rho = Fraction(*dz.dim_rho)
         hdims = heisenberg_dims(heisenberg_indices(filtration, scen.jumps, scen.pp))
-        dim_tau = math.prod(hdims, start=qmon(scen.pp, dz.dim_rho))
+        dim_tau = math.prod(hdims, start=qmon(scen.pp, dim_rho))
         # vol(K)^-1 = q^(dim G / 2) * exp_q(raw exponent) / (index * prod
         # Heisenberg dims): the raw exponent contains the half boundary
         # lengths whose exponentials are exactly the Heisenberg dimensions.
         dim_g = datum.rank + len(datum.roots)
         vol_k = math.prod(hdims, start=_inverse(exp_q(Fraction(dim_g, 2), scen.pp))
-                          * _inverse(exp_q(volume_exponent_raw(filtration, scen.jumps, dim_quot),
-                                           scen.pp))
+                          * _inverse(exp_q(Fraction(*volume_exponent_raw(
+                              filtration, scen.jumps, dim_quot)), scen.pp))
                           ).scale(dz.stab_index)
         assert dim_tau.coeff_num > 0 and vol_k.coeff_num > 0
         got = dim_tau * _inverse(vol_k)
         want = regular_degree(datum, filtration, dim_quot, scen.pp).scale(
-            dz.dim_rho / dz.stab_index)
+            dim_rho / dz.stab_index)
         assert got == want, (scen.name, got, want)
         reg = regular_degree(datum, filtration, torus.rank_m, scen.pp)
         assert got == reg.scale(Fraction(1, torus.special_fiber_order))

@@ -18,7 +18,7 @@ import pytest
 
 import fdc.cli as cli
 import fdc.compare
-from fdc.qexact import fraction_str, int_str
+from fdc.qexact import int_str, ratio_str
 from fdc.scenario import generate_scenario, json_text, load_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -76,7 +76,7 @@ def test_huge_values_are_exact():
         assert int_str(n) == digits
         assert json_text({"n": [n]}) == '{\n  "n": [\n    %s\n  ]\n}' % digits
         x = Fraction(n, 97 ** 2000 * 2 + 1)
-        assert fraction_str(x) == "%s/%s" % (Decimal(x.numerator), Decimal(x.denominator))
+        assert ratio_str(x.numerator, x.denominator) == "%s/%s" % (Decimal(x.numerator), Decimal(x.denominator))
     for n in (0, 1, -1, 2 ** 2000 - 1, -(2 ** 2000), 2 ** 2001):
         assert int_str(n) == str(Decimal(n))
 

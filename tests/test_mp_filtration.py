@@ -40,12 +40,12 @@ def a1_setup(ramified: bool):
 def test_jump_assignment_validation():
     _, _, orbs = a1_setup(True)
     (o,) = orbs
-    ja = JumpAssignment.build({o.orbit_id: Fraction(1, 2)}, orbs)
-    assert ja.offset(o) == 0  # canonicalized mod 1/e = 1/2
-    ja = JumpAssignment.build({o.orbit_id: Fraction(1, 4)}, orbs)
-    assert ja.offset(o) == Fraction(1, 4)
+    ja = JumpAssignment.build({o.orbit_id: (1, 2)}, orbs)
+    assert ja.offset(o) == (0, 1)  # canonicalized mod 1/e = 1/2
+    ja = JumpAssignment.build({o.orbit_id: (1, 4)}, orbs)
+    assert ja.offset(o) == (1, 4)
     with pytest.raises(ValueError):
-        JumpAssignment.build({o.orbit_id: Fraction(1, 8)}, orbs)  # 2t not in (1/e)Z
+        JumpAssignment.build({o.orbit_id: (1, 8)}, orbs)  # 2t not in (1/e)Z
     with pytest.raises(ValueError):
         JumpAssignment.build({}, orbs)
 
@@ -53,15 +53,15 @@ def test_jump_assignment_validation():
 def test_jump_length_examples():
     _, _, orbs_u = a1_setup(False)  # e=1, f=2 single symmetric orbit
     (ou,) = orbs_u
-    ja = JumpAssignment.build({ou.orbit_id: 0}, orbs_u)
+    ja = JumpAssignment.build({ou.orbit_id: (0, 1)}, orbs_u)
     assert jump_length_at(ou, ja, 2) == 2
-    assert jump_length_at(ou, ja, Fraction(1, 2)) == 0
+    assert jump_length_at(ou, ja, 1, 2) == 0
 
     _, _, orbs_r = a1_setup(True)  # e=2, f=1
     (orm,) = orbs_r
-    ja = JumpAssignment.build({orm.orbit_id: Fraction(1, 2)}, orbs_r)
-    assert jump_length_at(orm, ja, Fraction(1, 2)) == 1
-    assert jump_length_at(orm, ja, Fraction(1, 4)) == 0
+    ja = JumpAssignment.build({orm.orbit_id: (1, 2)}, orbs_r)
+    assert jump_length_at(orm, ja, 1, 2) == 1
+    assert jump_length_at(orm, ja, 1, 4) == 0
 
 
 def test_torsor_symmetry():
@@ -74,8 +74,7 @@ def test_torsor_symmetry():
         for o in orbits:
             neg = by_id[o.negation_id]
             for k in range(-4, 5):
-                t = Fraction(k, 4)
-                assert jump_length_at(o, ja, t) == jump_length_at(neg, ja, -t)
+                assert jump_length_at(o, ja, k, 4) == jump_length_at(neg, ja, -k, 4)
 
 
 def test_primed_sum_examples():
@@ -124,7 +123,7 @@ def test_master_identity_examples():
     a = OrbitInfo("a", frozenset({(1,)}), (1,), frozenset({0}), 1, 1, 1, False, None, "b")
     b = OrbitInfo("b", frozenset({(-1,)}), (-1,), frozenset({0}), 1, 1, 1, False, None, "a")
     pair = [a, b]
-    ja = JumpAssignment.build({"a": 0, "b": 0}, pair)
+    ja = JumpAssignment.build({"a": (0, 1), "b": (0, 1)}, pair)
     lhs, rhs = master_length_identity(pair, {"a": Fraction(1), "b": Fraction(1)}, ja)
     assert lhs == rhs == 2
 
@@ -135,7 +134,7 @@ def test_master_identity_examples():
     # unramified symmetric orbit of size 2 with offset 1/2 and f = 1/2
     _, _, orbs_u = a1_setup(False)
     (ou,) = orbs_u
-    ja = JumpAssignment.build({ou.orbit_id: Fraction(1, 2)}, orbs_u)
+    ja = JumpAssignment.build({ou.orbit_id: (1, 2)}, orbs_u)
     lhs, rhs = master_length_identity(orbs_u, {ou.orbit_id: Fraction(1, 2)}, ja)
     assert lhs == rhs == 1
 
@@ -143,7 +142,7 @@ def test_master_identity_examples():
 def test_master_identity_hypothesis_checks():
     _, _, orbs = a1_setup(True)
     (o,) = orbs
-    ja = JumpAssignment.build({o.orbit_id: 0}, orbs)
+    ja = JumpAssignment.build({o.orbit_id: (0, 1)}, orbs)
     with pytest.raises(ValueError, match="1/2e"):
         master_length_identity(orbs, {o.orbit_id: Fraction(1, 8)}, ja)
 
@@ -187,8 +186,8 @@ def test_torsor_point_count_matches_enumeration():
         d = rng.randint(1, 12)
         n = rng.randint(-6 * d, 6 * d)
         plus = rng.random() < 0.5
-        assert _first_point(off, e, n, d, plus) == _least_point(off, e, Fraction(n, d), plus), \
-            (off, e, n, d, plus)
+        got = _first_point((off.numerator, off.denominator), e, n, d, plus)
+        assert got == _least_point(off, e, Fraction(n, d), plus), (off, e, n, d, plus)
 
 
 def _orbit(oid, e, negation_id, rep=(1,)):
@@ -198,9 +197,10 @@ def _orbit(oid, e, negation_id, rep=(1,)):
 
 
 def test_jump_assignment_matches_fraction_definitions():
-    """build canonicalizes into [0, 1/e) and refuses exactly the offsets
-    whose sum with the negated orbit's is outside (1/e)Z; contains is
-    membership of t - offset in (1/e)Z."""
+    """build canonicalizes into [0, 1/e), in lowest terms whatever pairs it
+    is given, and refuses exactly the offsets whose sum with the negated
+    orbit's is outside (1/e)Z; contains is membership of t - offset in
+    (1/e)Z."""
     rng = random.Random(15)
     refused = 0
     for _ in range(5000):
@@ -216,16 +216,20 @@ def test_jump_assignment_matches_fraction_definitions():
             b = -a + rng.randint(-3, 3) * step if rng.random() < 0.5 else _rational(rng)
             offsets = {"a": a, "b": b}
         canon = {oid: val % step for oid, val in offsets.items()}
+        # each offset as a pair, reduced or scaled by a common factor
+        pairs = {oid: (val.numerator * m, val.denominator * m)
+                 for oid, val in offsets.items() for m in [rng.randint(1, 3)]}
         if any((canon[o.orbit_id] + canon[o.negation_id]) % step != 0 for o in orbits):
             refused += 1
             with pytest.raises(ValueError, match="not negation-symmetric"):
-                JumpAssignment.build(offsets, orbits)
+                JumpAssignment.build(pairs, orbits)
             continue
-        ja = JumpAssignment.build(offsets, orbits)
-        assert ja.offsets == canon
-        for t in [_rational(rng) for _ in range(4)] + [rng.randint(-3, 3)]:
+        ja = JumpAssignment.build(pairs, orbits)
+        assert ja.offsets == {oid: (c.numerator, c.denominator) for oid, c in canon.items()}
+        for t in [_rational(rng) for _ in range(4)] + [Fraction(rng.randint(-3, 3))]:
             for o in orbits:
-                assert ja.contains(o, t) == (((t - canon[o.orbit_id]) * e).denominator == 1)
+                assert (ja.contains(o, t.numerator, t.denominator)
+                        == (((t - canon[o.orbit_id]) * e).denominator == 1))
     assert 500 < refused < 4500  # both outcomes are drawn often
 
 
@@ -241,11 +245,17 @@ def test_depth_lattice_matches_fraction_definitions():
         layer = {o.orbit_id: rng.randint(0, len(breaks)) for o in orbits}
         layers = tuple(tuple(o for o in orbits if layer[o.orbit_id] == i)
                        for i in range(len(breaks) + 1))
-        filtration = HoweFiltration(layers=layers, breaks=tuple(breaks), total=breaks[-1])
+        pairs = [(r.numerator, r.denominator) for r in breaks]
+        break_sum = sum(r * sum(o.degree for o in lay) for r, lay in zip(breaks, layers[1:]))
+        filtration = HoweFiltration(
+            layers=layers, breaks=tuple(pairs), total=pairs[-1],
+            orbit_breaks=tuple((o, pairs[layer[o.orbit_id] - 1] if layer[o.orbit_id] else None)
+                               for o in orbits),
+            break_sum=(break_sum.numerator, break_sum.denominator))
         want = []
         for o in orbits:
             if layer[o.orbit_id]:
                 r = breaks[layer[o.orbit_id] - 1]
                 if (r * o.e).denominator != 1:
-                    want.append((o, r))
-        assert off_lattice_breaks(filtration, orbits) == want
+                    want.append((o, (r.numerator, r.denominator)))
+        assert off_lattice_breaks(filtration) == want

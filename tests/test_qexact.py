@@ -20,7 +20,6 @@ from fdc.qexact import (
     PrimePower,
     QMonomial,
     exp_q,
-    fraction_str,
     int_str,
     padic_split,
     qmon,
@@ -128,7 +127,7 @@ def test_rational_round_trip():
         m = qmon(pp, Fraction(num, den), k)
         expected = Fraction(num, den) * Fraction(5) ** k
         assert pexp(m).denominator == 1
-        assert _mono_dict(m)["rational"] == fraction_str(expected)
+        assert _mono_dict(m)["rational"] == str(expected)
     assert "rational" not in _mono_dict(exp_q(Fraction(1, 2), PrimePower(5, 1)))
 
 

@@ -21,7 +21,7 @@ from fdc.scenario import (
     ScenarioError,
     generate_scenario,
     load_scenario,
-    parse_fraction,
+    parse_rational,
     scenario_from_dict,
 )
 
@@ -47,16 +47,18 @@ def bundled_doc(name):
         return json.load(fh)
 
 
-def test_parse_fraction():
-    assert parse_fraction("3/4") == Fraction(3, 4)
-    assert parse_fraction("-2") == -2
-    assert parse_fraction(5) == 5
+def test_parse_rational():
+    assert parse_rational("3/4") == (3, 4)
+    assert parse_rational("6/-8") == (-3, 4)
+    assert parse_rational("-2") == (-2, 1)
+    assert parse_rational(5) == (5, 1)
+    assert parse_rational("0/7") == (0, 1)
     with pytest.raises(ValueError):
-        parse_fraction(True)
+        parse_rational(True)
     with pytest.raises(ValueError):
-        parse_fraction("1/0")
+        parse_rational("1/0")
     with pytest.raises(ValueError):
-        parse_fraction("a/b")
+        parse_rational("a/b")
 
 
 def test_readme_lists_the_field_table():
@@ -308,7 +310,8 @@ def test_cli_verify_internal_check_failure_exits_3(monkeypatch, capsys):
 
     def off_by_one_on_first_file(shape, rank_m):
         calls.append(rank_m)
-        return closed(shape, rank_m) + (1 if len(calls) == 1 else 0)
+        num, den = closed(shape, rank_m)
+        return (num + den, den) if len(calls) == 1 else (num, den)
 
     monkeypatch.setattr(fdc.compare, "volume_exponent_closed", off_by_one_on_first_file)
     rc = cli.main(["--format", "json", "verify", bundled_path("sl2_unramified_depth0"),
@@ -345,8 +348,11 @@ def test_cli_verify_wrong_conductor_is_unequal(monkeypatch, capsys):
     """A wrong root conductor reaches the verdict: the Galois exponent no
     longer meets Yu's break term, so verify reports UNEQUAL and exits 1."""
     honest = fdc.weil_gamma.conductor_tame_induction
-    monkeypatch.setattr(fdc.weil_gamma, "conductor_tame_induction",
-                        lambda degree, depth: honest(degree, depth) + 1)
+    def plus_one(degree, depth):
+        num, den = honest(degree, depth)
+        return num + den, den
+
+    monkeypatch.setattr(fdc.weil_gamma, "conductor_tame_induction", plus_one)
     rc = cli.main(["verify", bundled_path("sl2_ramified_depth_half")])
     captured = capsys.readouterr()
     assert rc == 1 and captured.err == ""
@@ -1233,3 +1239,36 @@ def test_depth_past_the_total_is_refused_in_lowest_terms(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "error: %s: scenario validation failed:" % path,
         "  galois_roots.theta_depths: depth 3/2 of orbit -2 exceeds the total depth 1"]
+
+
+def _opaque_document(tmp_path):
+    doc = bundled_doc("sl2_unramified_depth0")
+    doc["depth_zero"] = {"dim_rho": "2", "stab_index": 24}
+    path = tmp_path / "opaque.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_opaque_degree_takes_no_smith_form(monkeypatch, tmp_path, capsys):
+    """``degree`` on opaque depth-zero data reads rank M from the traces the
+    datum recorded and builds no torus data, so no Smith form is taken
+    (the regular route, run last, takes three)."""
+    import fdc.zlattice
+    original = fdc.zlattice.smith_normal_form
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fdc") and getattr(module, "smith_normal_form", None) is original:
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+    path = _opaque_document(tmp_path)
+    for fmt in ("text", "json"):
+        for q in ([], ["--q", "3^2"]):
+            assert cli.main(q + ["--format", fmt, "degree", path]) == 0
+    assert calls == []
+    assert cli.main(["degree", bundled_path("sl2_unramified_depth0")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3

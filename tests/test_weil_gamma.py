@@ -37,19 +37,19 @@ def closed_root_exponent(scen):
     """|R|/2 + (1/2) sum_i r_i (|R_{i+1}| - |R_i|), from the filtration's
     level sizes and breaks rather than from the orbit conductors."""
     sizes = [len(lv) for lv in filtration_levels(scen.filtration)]
-    breaks = scen.filtration.breaks
+    breaks = [Fraction(*r) for r in scen.filtration.breaks]
     wild = sum(r * (b - a) for r, a, b in zip(breaks, sizes, sizes[1:]))
     return Fraction(len(scen.datum.roots), 2) + Fraction(wild) / 2
 
 
 def test_conductor_tame_induction():
     # degree 1: the Artin conductor 1 + depth of the character itself
-    assert conductor_tame_induction(1, Fraction(0)) == 1
-    assert conductor_tame_induction(1, Fraction(1, 2)) == Fraction(3, 2)
-    assert conductor_tame_induction(2, Fraction(0)) == 2
-    # two-formula agreement: degree 2, e=2, depth_k = 1/2
-    got = conductor_tame_induction(2, Fraction(1, 2))
-    assert got == 3
+    assert conductor_tame_induction(1, (0, 1)) == (1, 1)
+    assert conductor_tame_induction(1, (1, 2)) == (3, 2)
+    assert conductor_tame_induction(2, (0, 1)) == (2, 1)
+    # two-formula agreement: degree 2, e=2, depth_k = 1/2; in lowest terms
+    got = conductor_tame_induction(2, (1, 2))
+    assert got == (3, 1)
     via_general = conductor_induction_general(1, 1, 1, 1 + 2 * Fraction(1, 2))
     assert via_general == 3
 
@@ -68,7 +68,7 @@ def test_conductor_specialization_sweep():
 def test_eps_abs():
     assert eps_abs(0, PP3) == exp_q(0, PP3)
     assert eps_abs(2, PP3) == exp_q(1, PP3)
-    assert eps_abs(Fraction(3, 2), PP3) == exp_q(Fraction(3, 4), PP3)
+    assert eps_abs(3, PP3, 2) == exp_q(Fraction(3, 4), PP3)
     with pytest.raises(ValueError):
         eps_abs(-1, PP3)
 
@@ -88,32 +88,33 @@ def test_psi_depth():
     degree * (1 + depth)."""
     _, datum, orbs = a1(True, PP5)
     (o,) = orbs
-    for theta, total, want in ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
-                               (NONPOSITIVE, Fraction(0), Fraction(0)),
-                               (Fraction(2), Fraction(2), Fraction(2))):
+    for theta, total, want in (((1, 2), (1, 2), Fraction(1, 2)),
+                               (NONPOSITIVE, (0, 1), Fraction(0)),
+                               ((2, 1), (2, 1), Fraction(2))):
         filt = howe_filtration(datum, orbs, {o.orbit_id: theta}, total)
-        assert filt.orbit_breaks().get(o.orbit_id, Fraction(0)) == want
-        (conductor,) = dict(root_gamma_abs(filt, orbs, PP5).orbit_conductors).values()
-        assert conductor == o.degree * (1 + want)
+        ((orbit, r),) = filt.orbit_breaks
+        assert orbit == o and (r is None) == (want == 0) and Fraction(*r or (0, 1)) == want
+        (conductor,) = dict(root_gamma_abs(filt, PP5).orbit_conductors).values()
+        assert Fraction(*conductor) == o.degree * (1 + want)
 
 
 def test_toral_gamma_examples():
     frame, datum, _ = a1(False)
     torus = torus_lattice_data(datum, frame)
     tg = toral_gamma_abs(torus, 1, PP3)
-    assert tg.monomial == exp_q(1, PP3) and tg.rational == Fraction(2, 4)
+    assert tg.monomial == exp_q(1, PP3) and tg.rational == (1, 2)  # 2/4 in lowest terms
 
     frame, datum, _ = a1(True)
     torus = torus_lattice_data(datum, frame)
     tg = toral_gamma_abs(torus, 1, PP3)
-    assert tg.monomial == exp_q(Fraction(1, 2), PP3) and tg.rational == 1
+    assert tg.monomial == exp_q(Fraction(1, 2), PP3) and tg.rational == (1, 1)
 
     # rank-2 rotation: exp_q(2) * 2 / det(3F - 1) = 9 * 2/10
     rot = TorusLatticeData(
         rank_m=2, special_fiber_order=10, m_frob_coinvariants=2,
         cochar_full_coinvariants=2, kottwitz_fixed_order=1)
     tg = toral_gamma_abs(rot, 2, PP3)
-    assert tg.monomial == exp_q(2, PP3) and tg.rational == Fraction(2, 10)
+    assert tg.monomial == exp_q(2, PP3) and tg.rational == (1, 5)  # 2/10
 
 
 def test_toral_gamma_degeneration():
@@ -123,19 +124,19 @@ def test_toral_gamma_degeneration():
     assert torus.rank_m == datum.rank  # inertia acts trivially
     tg = toral_gamma_abs(torus, datum.rank, PP3)
     assert tg.monomial == exp_q(datum.rank, PP3)
-    assert tg.rational == Fraction(2, 4)  # |det(F-1)| / |det(qF-1)| at F = -1
+    assert tg.rational == (1, 2)  # |det(F-1)| / |det(qF-1)| = 2/4 at F = -1
 
 
 def test_root_gamma_examples():
     _, datum, orbs = a1(True, PP5)
     (o,) = orbs
-    filt = howe_filtration(datum, orbs, {o.orbit_id: Fraction(1, 2)}, Fraction(1, 2))
-    rg = root_gamma_abs(filt, orbs, PP5)
+    filt = howe_filtration(datum, orbs, {o.orbit_id: (1, 2)}, (1, 2))
+    rg = root_gamma_abs(filt, PP5)
     assert rg.monomial == exp_q(Fraction(3, 2), PP5)
-    assert rg.orbit_conductors == ((o.orbit_id, Fraction(3)),)
+    assert rg.orbit_conductors == ((o.orbit_id, (3, 1)),)
 
-    filt0 = howe_filtration(datum, orbs, {o.orbit_id: NONPOSITIVE}, Fraction(0))
-    rg = root_gamma_abs(filt0, orbs, PP5)
+    filt0 = howe_filtration(datum, orbs, {o.orbit_id: NONPOSITIVE}, (0, 1))
+    rg = root_gamma_abs(filt0, PP5)
     assert rg.monomial == exp_q(1, PP5)
 
 
@@ -149,11 +150,10 @@ def test_root_gamma_two_breaks():
     orbs = classify_orbits(datum, frame)
     assert len(orbs) == 3 and all(o.degree == 2 for o in orbs)
     # the long-diagonal pair is span-closed on its own: put it at 1/3
-    depths = {o.orbit_id: (Fraction(1, 3) if o.representative == (-1, -1)
-                           else Fraction(1)) for o in orbs}
-    filt = howe_filtration(datum, orbs, depths, Fraction(1))
+    depths = {o.orbit_id: (1, 3) if o.representative == (-1, -1) else (1, 1) for o in orbs}
+    filt = howe_filtration(datum, orbs, depths, (1, 1))
     assert [len(lv) for lv in filtration_levels(filt)] == [0, 2, 6]
-    rg = root_gamma_abs(filt, orbs, PP5)
+    rg = root_gamma_abs(filt, PP5)
     assert rg.monomial == exp_q(Fraction(16, 3), PP5)
 
 
@@ -162,7 +162,7 @@ def test_conductor_additivity_over_orbits():
     rng = random.Random(91)
     for _ in range(50):
         scen = generate_scenario(rng)
-        rg = root_gamma_abs(scen.filtration, scen.orbits, scen.pp)
+        rg = root_gamma_abs(scen.filtration, scen.pp)
         assert rg.monomial == exp_q(closed_root_exponent(scen), scen.pp), scen.name
 
 
@@ -176,12 +176,12 @@ def test_galois_side_closed_form():
     assert len(scens) == 126
     for scen in scens:
         torus = scen.torus
-        gal = galois_side(scen.datum, scen.frame, scen.filtration, scen.orbits, torus)
+        gal = galois_side(scen.datum, scen.frame, scen.filtration, torus)
         expo = Fraction(scen.datum.rank + torus.rank_m, 2) + closed_root_exponent(scen)
         assert gal.monomial == exp_q(expo, scen.pp), scen.name
-        assert gal.prefactor == Fraction(
-            torus.m_frob_coinvariants,
-            torus.cochar_full_coinvariants * torus.special_fiber_order), scen.name
+        prefactor = Fraction(torus.m_frob_coinvariants,
+                             torus.cochar_full_coinvariants * torus.special_fiber_order)
+        assert gal.prefactor == (prefactor.numerator, prefactor.denominator), scen.name
 
 
 def test_component_group_examples():
@@ -205,18 +205,18 @@ def test_component_group_examples():
 
 def test_galois_side_examples():
     frame, datum, orbs = a1(False)
-    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: NONPOSITIVE}, Fraction(0))
-    gal = galois_side(datum, frame, filt, orbs, torus_lattice_data(datum, frame))
-    assert gal.prefactor == Fraction(1, 4)
+    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: NONPOSITIVE}, (0, 1))
+    gal = galois_side(datum, frame, filt, torus_lattice_data(datum, frame))
+    assert gal.prefactor == (1, 4)
     assert gal.monomial == exp_q(2, PP3)
-    assert gal.monomial.scale(gal.prefactor) == qmon(PP3, Fraction(9, 4))
+    assert gal.monomial.scale(*gal.prefactor) == qmon(PP3, Fraction(9, 4))
 
     frame, datum, orbs = a1(True, PP5)
-    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: Fraction(1, 2)}, Fraction(1, 2))
-    gal = galois_side(datum, frame, filt, orbs, torus_lattice_data(datum, frame))
+    filt = howe_filtration(datum, orbs, {orbs[0].orbit_id: (1, 2)}, (1, 2))
+    gal = galois_side(datum, frame, filt, torus_lattice_data(datum, frame))
     assert gal.toral.monomial == exp_q(Fraction(1, 2), PP5)
     assert gal.root.monomial == exp_q(Fraction(3, 2), PP5)
-    assert gal.monomial == exp_q(2, PP5) and gal.prefactor == Fraction(1, 2)
+    assert gal.monomial == exp_q(2, PP5) and gal.prefactor == (1, 2)
 
 
 # -- L-factor inductivity on finite monomial models ------------------------------
