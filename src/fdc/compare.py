@@ -44,8 +44,7 @@ from .formal_degree import (
     volume_exponent_closed,
     volume_exponent_raw,
 )
-from .galois_roots import Ratio
-from .qexact import QMonomial, int_str, qmon, ratio_str
+from .qexact import QMonomial, Ratio, int_str, qmon, ratio_str
 from .scenario import Scenario, json_text
 from .weil_gamma import GaloisSide, galois_side
 

@@ -43,9 +43,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .galois_roots import GRootDatum, HoweFiltration, Ratio
+from .galois_roots import GRootDatum, HoweFiltration
 from .mp_filtration import JumpAssignment, jump_length_at, twice_length_to
-from .qexact import Frozen, PrimePower, QMonomial, exp_q, lowest_terms
+from .qexact import Frozen, PrimePower, QMonomial, Ratio, exp_q, lowest_terms
 
 
 # -- the depth layers and depth-zero data ------------------------------------------

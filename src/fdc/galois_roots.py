@@ -24,7 +24,7 @@ import operator
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .qexact import Frozen, PrimePower, Value, ratio_str
+from .qexact import Frozen, PrimePower, Ratio, Value, ratio_str
 from .zlattice import (
     Matrix,
     Vector,
@@ -35,7 +35,6 @@ from .zlattice import (
 )
 
 NONPOSITIVE = "nonpositive"
-Ratio = Tuple[int, int]  # a rational as (numerator, denominator) in lowest terms, den > 0
 DepthValue = Union[Ratio, str]  # a positive rational or the NONPOSITIVE marker
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence
 
-from .galois_roots import OrbitInfo, Ratio
-from .qexact import Frozen, lowest_terms
+from .galois_roots import OrbitInfo
+from .qexact import Frozen, Ratio, lowest_terms
 
 
 # -- jump assignments ------------------------------------------------------------

@@ -27,6 +27,7 @@ from math import gcd
 from typing import Tuple, Union
 
 RationalLike = Union[int, Fraction]
+Ratio = Tuple[int, int]  # a rational as (numerator, denominator) in lowest terms, den > 0
 
 
 class Frozen:

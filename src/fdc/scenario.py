@@ -51,7 +51,7 @@ from .galois_roots import (
     torus_lattice_data,
 )
 from .mp_filtration import JumpAssignment
-from .qexact import Frozen, PrimePower, int_str, lowest_terms, ratio_str
+from .qexact import Frozen, PrimePower, Ratio, int_str, lowest_terms, ratio_str
 
 if TYPE_CHECKING:  # the generator takes its Random from the caller
     import random
@@ -138,7 +138,7 @@ def parse_ratio(value: object) -> Tuple[int, int]:
     raise _must_be("a rational", value)
 
 
-def parse_rational(value: object) -> Tuple[int, int]:
+def parse_rational(value: object) -> Ratio:
     """A rational as :func:`parse_ratio` reads it, in lowest terms: the
     package's form of a rational, so equal values are equal pairs."""
     return lowest_terms(*parse_ratio(value))

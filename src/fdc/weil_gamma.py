@@ -28,10 +28,9 @@ from .galois_roots import (
     GaloisFrame,
     GRootDatum,
     HoweFiltration,
-    Ratio,
     TorusLatticeData,
 )
-from .qexact import Frozen, PrimePower, QMonomial, exp_q, lowest_terms
+from .qexact import Frozen, PrimePower, QMonomial, Ratio, exp_q, lowest_terms
 
 
 # -- characters and conductors -----------------------------------------------------
